@@ -45,6 +45,13 @@ def _env_int(name: str, default: int) -> int:
         return default
 
 
+def nonnegative(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is negative")
+    return n
+
+
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="moorekit", description=__doc__)
     ap.add_argument("--input", help="JSON document, '-' for stdin (default: built-in corpus)")
@@ -78,9 +85,9 @@ def make_parser() -> argparse.ArgumentParser:
     c.add_argument("name")
     c.add_argument("--convention", choices=("prop3", "def1"), default="prop3")
     c = cmd("sset")
-    c.add_argument("n", type=int)
+    c.add_argument("n", type=nonnegative)
     c = cmd("pset")
-    c.add_argument("n", type=int)
+    c.add_argument("n", type=int, choices=(2, 3, 4))
     cmd("pairings")
     c = cmd("roundtrip")
     c.add_argument("--level", choices=("1", "2", "both"), default="both")

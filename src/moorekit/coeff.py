@@ -58,6 +58,30 @@ class PrimeField:
         return pow(a, self.p - 2, self.p)
 
 
+def check_word_size(terms: int, p: int) -> None:
+    """Reject p when a sum of `terms` products of two residues mod p can
+    reach 2^63.  Every contraction is reduced mod p before it is added to
+    another or contracted again, so no int64 sum is longer than the
+    dimension of one algebra."""
+    if terms * (p - 1) ** 2 >= 2 ** 63:
+        raise StructureError(
+            f"modulus {p} at dim {terms}: int64 sums of products can overflow")
+
+
+def bilinear(a: np.ndarray, b: np.ndarray, tensor: np.ndarray, p: int) -> np.ndarray:
+    """sum_ij a_i b_j tensor[i, j, :] mod p for residue vectors a and b.
+
+    With matrices a and b the value is taken on every pair of rows and
+    indexed [row of a, row of b, k].  Each of the two contractions is
+    reduced mod p before the next."""
+    m, n, t = tensor.shape
+    half = a @ tensor.reshape(m, n * t)
+    half %= p
+    out = b @ half.reshape(a.shape[:-1] + (n, t))
+    out %= p
+    return out
+
+
 def _as_array(data, p: int) -> np.ndarray:
     arr = np.array(data, dtype=np.int64) % p
     arr.setflags(write=False)
@@ -180,6 +204,7 @@ class Algebra:
             raise StructureError(
                 f"structure tensor shape {arr.shape} does not match dim {dim}")
         object.__setattr__(self, "structure", arr)
+        check_word_size(dim, self.field.p)
         if self.identity is not None and not (0 <= self.identity < dim):
             raise StructureError("identity index out of range")
 
@@ -206,7 +231,7 @@ class Algebra:
         return Element(self, coeffs)
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", a, b, self.structure) % self.p
+        return bilinear(a, b, self.structure, self.p)
 
     def __repr__(self):
         label = self.name or "Algebra"
@@ -301,11 +326,11 @@ class Morphism:
 
     def is_multiplicative(self) -> bool:
         """f(e_i e_j) = f(e_i) f(e_j) on all basis pairs."""
-        p = self.source.p
-        lhs = np.einsum("ijm,km->ijk", self.source.structure, self.matrix) % p
-        rhs = np.einsum("ai,bj,abk->ijk", self.matrix, self.matrix,
-                        self.target.structure) % p
-        return np.array_equal(lhs, rhs)
+        p, M = self.source.p, self.matrix
+        lhs = np.tensordot(self.source.structure, M, axes=([2], [1])) % p  # [i, j, k]
+        half = np.tensordot(M, self.target.structure, axes=([0], [0])) % p  # [i, b, k]
+        rhs = np.tensordot(M, half, axes=([0], [1])) % p  # [j, i, k]
+        return np.array_equal(lhs, rhs.transpose(1, 0, 2))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Morphism) and self.source is other.source
@@ -401,12 +426,12 @@ class BilinearMap:
     def __call__(self, x: Element, y: Element) -> Element:
         if x.parent is not self.left or y.parent is not self.right:
             raise StructureError("arguments not in the declared algebras")
-        out = np.einsum("i,j,ijk->k", x.coeffs, y.coeffs, self.tensor) % self.target.p
-        return Element(self.target, out)
+        return Element(self.target, bilinear(x.coeffs, y.coeffs, self.tensor,
+                                                 self.target.p))
 
     def apply_vecs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.einsum("i,j,ijk->k", u % self.target.p, v % self.target.p,
-                         self.tensor) % self.target.p
+        p = self.target.p
+        return bilinear(u % p, v % p, self.tensor, p)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, BilinearMap) and self.left is other.left
@@ -641,6 +666,10 @@ class Supply:
     budget: int = 256
     exhaustive_bound: int = 4096
 
+    def is_exhaustive(self, dim: int, p: int) -> bool:
+        """Whether the supply of a dim-dimensional space over Z/p is all of it."""
+        return p ** dim <= self.exhaustive_bound
+
 
 def elements(A: Algebra, supply: Supply = Supply()) -> Iterator[Element]:
     """All p^dim elements when small, else seeded pseudo-random elements."""
@@ -648,8 +677,7 @@ def elements(A: Algebra, supply: Supply = Supply()) -> Iterator[Element]:
 
 
 def vector_supply(dim: int, p: int, supply: Supply = Supply()) -> Iterator[np.ndarray]:
-    total = p ** dim
-    if total <= supply.exhaustive_bound:
+    if supply.is_exhaustive(dim, p):
         for tup in itertools.product(range(p), repeat=dim):
             yield np.array(tup, dtype=np.int64)
     else:

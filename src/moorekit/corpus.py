@@ -175,7 +175,7 @@ def crossed_corpus(p: int = 2) -> dict[str, CrossedModule]:
     if p != 2:
         out["mult-group-line"] = multiplication_cm(group_line(p))
     else:
-        out["mult-dual"] = multiplication_cm(group_line(3))
+        out["mult-dual"] = multiplication_cm(group_line(2))  # (t + 1)^2 = 0: dual numbers
     return out
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .coeff import (BilinearMap, Element, Morphism, PrimeField,
                     StructureError, Supply, Violation, _as_array,
-                    subspace_elements)
+                    bilinear, check_word_size, subspace_elements)
 from .crossed import AxiomEntry, AxiomReport, _flag, _sweep
 from .report import FAIL, PASS
 
@@ -39,6 +39,7 @@ class LieAlgebra:
             raise StructureError(
                 f"bracket tensor shape {arr.shape} does not match dim {dim}")
         object.__setattr__(self, "structure", arr)
+        check_word_size(dim, self.field.p)
 
     @property
     def dim(self) -> int:
@@ -64,7 +65,7 @@ class LieAlgebra:
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # the "product" of this carrier is the bracket
-        return np.einsum("i,j,ijk->k", a, b, self.structure) % self.p
+        return bilinear(a, b, self.structure, self.p)
 
     def __repr__(self):
         return f"<{self.name or 'LieAlgebra'} dim={self.dim} over Z/{self.p}>"
@@ -82,9 +83,9 @@ def validate_lie(L: LieAlgebra) -> list[Violation]:
     for i, j in zip(*np.nonzero(anti.any(axis=2))):
         if i < j:
             out.append(Violation("antisymmetry", (int(i), int(j))))
-    jac = (np.einsum("ijm,mlk->ijlk", c, c)
-           + np.einsum("jlm,mik->ijlk", c, c)
-           + np.einsum("lim,mjk->ijlk", c, c)) % p
+    jac = (np.einsum("ijm,mlk->ijlk", c, c) % p
+           + np.einsum("jlm,mik->ijlk", c, c) % p
+           + np.einsum("lim,mjk->ijlk", c, c) % p) % p
     for i, j, l in zip(*np.nonzero(jac.any(axis=3))):
         trip = (int(i), int(j), int(l))
         rots = [trip, trip[1:] + trip[:1], trip[2:] + trip[:2]]
@@ -101,13 +102,13 @@ def lie_action_violations(act: BilinearMap) -> list[Violation]:
     t = act.tensor
     out: list[Violation] = []
     lhs = np.einsum("abk,xkq->xabq", M.structure, t) % p
-    rhs = (np.einsum("xak,kbq->xabq", t, M.structure)
-           + np.einsum("xbk,akq->xabq", t, M.structure)) % p
+    rhs = (np.einsum("xak,kbq->xabq", t, M.structure) % p
+           + np.einsum("xbk,akq->xabq", t, M.structure) % p) % p
     for x, a, b in zip(*np.nonzero(((lhs - rhs) % p).any(axis=3))):
         out.append(Violation("derivation", (int(x), int(a), int(b))))
     lhs2 = np.einsum("xyk,kaq->xyaq", Lx.structure, t) % p
-    rhs2 = (np.einsum("yak,xkq->xyaq", t, t)
-            - np.einsum("xak,ykq->xyaq", t, t)) % p
+    rhs2 = (np.einsum("yak,xkq->xyaq", t, t) % p
+            - np.einsum("xak,ykq->xyaq", t, t) % p) % p
     for x, y, a in zip(*np.nonzero(((lhs2 - rhs2) % p).any(axis=3))):
         out.append(Violation("homomorphism", (int(x), int(y), int(a))))
     return out

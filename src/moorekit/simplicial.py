@@ -405,8 +405,8 @@ def build_from_2crossed(t: TwoCrossedModule, k: int = 4) -> TruncatedSimplicialA
     o_nu, o_s1, o_s0, o_tau = 0, n2, n2 + n1, n2 + 2 * n1
 
     # C1 acting on C2, derived from the lifting and the C0-action
-    act12 = (np.einsum("ra,rxq->axq", d1m, a2) +
-             np.einsum("sx,saq->axq", d2m, L)) % p
+    act12 = (np.einsum("ra,rxq->axq", d1m, a2) % p +
+             np.einsum("sx,saq->axq", d2m, L) % p) % p
 
     struct = np.zeros((dim, dim, dim), dtype=np.int64)
 

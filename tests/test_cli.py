@@ -109,6 +109,14 @@ def test_exit_code_64_for_usage(capsys):
     assert main(["no-such-command"]) == 64
 
 
+@pytest.mark.parametrize("argv, message", [(["sset", "-1"], "-1 is negative"),
+                                           (["pset", "5"], "invalid choice: 5")])
+def test_exit_code_64_for_listing_out_of_range(argv, message, capsys):
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_to_2xmod_emits_loadable_document():
     code, out = run(["to-2xmod", "cubic-chain"])
     assert code == 0

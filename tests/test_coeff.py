@@ -9,7 +9,7 @@ from moorekit import corpus
 from moorekit.coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
                             PreconditionError, PrimeField, StructureError,
                             Supply, elements, ideal_closure, kernel, mul,
-                            quotient, semidirect, subalgebra,
+                            quotient, rref, semidirect, subalgebra,
                             validate_algebra)
 
 
@@ -52,6 +52,53 @@ def test_mul_group_line_against_poly_oracle():
             assert list(got.coeffs) == want
     t = A.basis_element(1)
     assert t * t == A.basis_element(0)
+
+
+def test_mul_vec_reduces_after_each_contraction():
+    # every coefficient is -1: each product coordinate is -(dim^2) mod p,
+    # while one unreduced sum of dim^2 (p-1)^3 terms overflows int64
+    p, dim = 1000003, 4
+    A = Algebra(PrimeField(p), np.full((dim, dim, dim), p - 1), tuple("abcd"))
+    top = np.full(dim, p - 1)
+    assert list(A.mul_vec(top, top)) == [p - dim * dim] * dim
+    f = BilinearMap.from_multiplication(A)
+    assert list(f.apply_vecs(top, top)) == [p - dim * dim] * dim
+
+
+def test_is_multiplicative_at_a_large_prime():
+    # k^4 with orthogonal idempotents and the same algebra in a random basis:
+    # the basis change is an isomorphism with entries up to p - 1, and twice
+    # it is not multiplicative
+    p, dim = 3000017, 4
+    rng = np.random.default_rng(0)
+    G = rng.integers(0, p, (dim, dim))
+    # inverse of G over Z/p by reducing [G | I]
+    R, piv = rref(np.hstack([G, np.eye(dim, dtype=np.int64)]), p)
+    assert piv == tuple(range(dim))
+    Ginv = R[:, dim:]
+    K = Algebra(PrimeField(p), np.einsum("ij,jk->ijk", np.eye(dim, dtype=np.int64),
+                                          np.eye(dim, dtype=np.int64)), tuple("abcd"))
+    # f_a f_b = sum_i G[a,i] G[b,i] e_i, written in the basis f = G e
+    struct = np.zeros((dim, dim, dim), dtype=object)
+    for a in range(dim):
+        for b in range(dim):
+            e_coeffs = [int(G[a, i]) * int(G[b, i]) % p for i in range(dim)]
+            struct[a, b] = [sum(e_coeffs[i] * int(Ginv[i, c]) for i in range(dim)) % p
+                            for c in range(dim)]
+    F = Algebra(PrimeField(p), struct.astype(np.int64), tuple("fghi"))
+    iso = Morphism(K, F, Ginv.T)
+    assert iso.is_multiplicative()
+    assert not Morphism(K, F, (2 * Ginv.T) % p).is_multiplicative()
+
+
+def test_word_size_limit_rejects_overflowing_primes():
+    # 2^31 - 1 is prime: dim (p-1)^2 stays below 2^63 at dim 2, not at dim 3
+    p = 2 ** 31 - 1
+    A = Algebra(PrimeField(p), np.full((2, 2, 2), p - 1), ("a", "b"))
+    top = np.full(2, p - 1)
+    assert list(A.mul_vec(top, top)) == [p - 4] * 2
+    with pytest.raises(StructureError):
+        Algebra(PrimeField(p), np.zeros((3, 3, 3), dtype=np.int64), ("a", "b", "c"))
 
 
 def test_mul_parent_mismatch():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -8,12 +9,36 @@ from moorekit.crossed import verify_2cm, verify_3cm, verify_cm
 from moorekit.document import (DocumentBuilder, DocumentError, corpus_document,
                                load_document)
 from moorekit.functors import three_crossed_from_simplicial
-from moorekit.lie import verify_lie_3cm
-from moorekit.coeff import Supply, algebras_equal
+from moorekit.lie import LieAlgebra, verify_lie_3cm
+from moorekit.coeff import Algebra, Supply, algebras_equal
 from moorekit.moore import moore
 from moorekit.simplicial import validate_simplicial
 
 SMALL = Supply(budget=16, exhaustive_bound=256)
+
+
+def _carriers(obj):
+    """Every algebra and Lie algebra an object is built from."""
+    if isinstance(obj, (Algebra, LieAlgebra)):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _carriers(value)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            yield from _carriers(value)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _carriers(getattr(obj, f.name))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_corpus_objects_have_the_requested_characteristic(p):
+    for section in (corpus.simplicial_corpus, corpus.crossed_corpus,
+                    corpus.two_crossed_corpus, corpus.lie_corpus,
+                    corpus.lie_three_corpus):
+        for name, obj in section(p).items():
+            assert {A.p for A in _carriers(obj)} == {p}, (section.__name__, name)
 
 
 def test_corpus_document_loads_and_validates():

@@ -1,15 +1,23 @@
+import importlib
+import itertools
+
 import numpy as np
 import pytest
 
 from moorekit import corpus
-from moorekit.coeff import Element, PreconditionError, Supply, elements
+from moorekit.coeff import (Element, Morphism, PreconditionError, Supply, elements,
+                            subspace_elements)
 from moorekit.moore import (PairingIndex, SurjIndex, c_pairing, in_moore,
                             lemma7_check, moore, moore_basis, normal_form,
                             p_set, pairing_ideal, proj_p, push_face, s_set,
                             s_word_morphism, table1_audit, table1_eval,
                             boundary_image_and_pairing_product, theorem5_check)
+from moorekit.report import CheckRecord
 from moorekit.simplicial import (constant_simplicial, degenerate_ideal,
                                  degenerate_subalgebra)
+
+# the package exports the function moore under the module's own name
+moore_module = importlib.import_module("moorekit.moore")
 
 SMALL = Supply(budget=16, exhaustive_bound=256)
 
@@ -229,3 +237,133 @@ def test_s_word_morphism_matches_composition(built):
     m = s_word_morphism(E, 2, (0, 1))  # s_1 s_0
     direct = E.deg(2, 1).compose(E.deg(1, 0))
     assert np.array_equal(m.matrix, direct.matrix)
+
+
+# ---------------------------------------------------------------------------
+# Table 1 and Lemma 7 against a plain per-pair sweep
+
+SIMPLICIAL = list(corpus.simplicial_corpus(2))
+
+
+def _coeffs(z):
+    return list(map(int, z.coeffs))
+
+
+def _supply(E, c, supply):
+    """Supply elements of NE_c, and whether they are all of NE_c."""
+    basis = moore_basis(E, c)
+    r = basis.shape[0]
+    elems = list(subspace_elements(E.level(c), basis, supply))
+    return elems, r == 0 or E.level(c).p ** r <= supply.exhaustive_bound
+
+
+def reference_sweeps(E, supply):
+    """Table-1 and Lemma-7 records from one table1_eval and one in_moore
+    call per supply pair; Lemma 7's NE_4 = 0 gate is left to the caller."""
+    table1, lemma7 = [], []
+    for row, pair in enumerate(p_set(4), start=1):
+        xs, x_all = _supply(E, 4 - pair.alpha.size, supply)
+        ys, y_all = _supply(E, 4 - pair.beta.size, supply)
+        mode = "exhaustive" if x_all and y_all else "sampled"
+        status, witness = "confirmed", ()
+        l7_status, l7_witness, l7_checked = "pass", (), len(xs) * len(ys)
+        for k, (x, y) in enumerate(itertools.product(xs, ys)):
+            if not in_moore(E, 4, c_pairing(E, pair, x, y)):
+                table1.append(CheckRecord(f"table1[row={row}].membership", "fail",
+                                          witnesses=({"x": _coeffs(x), "y": _coeffs(y)},)))
+            lhs, rhs = table1_eval(E, row, x, y)
+            if lhs != rhs and status == "confirmed":
+                status = "discrepant"
+                witness = ({"x": _coeffs(x), "y": _coeffs(y),
+                            "lhs": _coeffs(lhs), "rhs": _coeffs(rhs)},)
+            if not lhs.is_zero() and l7_status == "pass":
+                l7_status, l7_checked = "fail", k + 1
+                l7_witness = ({"row": row, "x": _coeffs(x), "y": _coeffs(y)},)
+        table1.append(CheckRecord(f"table1[row={row}]", status, witnesses=witness,
+                                  detail={"pair": str(pair), "checked": len(xs) * len(ys),
+                                          "mode": mode}))
+        lemma7.append(CheckRecord(f"lemma7[row={row}]", l7_status, witnesses=l7_witness,
+                                  detail={"mode": mode, "checked": l7_checked}))
+    return table1, lemma7
+
+
+def assert_matches_reference(E, supply):
+    """Both audits reproduce the reference records byte for byte; returns
+    the Table-1 and Lemma-7 records."""
+    want_t1, want_l7 = reference_sweeps(E, supply)
+    got_t1 = table1_audit(E, supply)
+    assert [r.json_line() for r in got_t1] == [r.json_line() for r in want_t1]
+    got_l7 = lemma7_check(E, supply)
+    if moore_basis(E, 4).shape[0] == 0:
+        assert [r.json_line() for r in got_l7] == [r.json_line() for r in want_l7]
+    else:
+        assert [r.status for r in got_l7] == ["hypothesis-failed"]
+    return got_t1, got_l7
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", SIMPLICIAL)
+def test_audits_match_reference_sweep(name, p, built):
+    recs, _ = assert_matches_reference(built(name, p), Supply())
+    assert {r.detail["mode"] for r in recs} == {"exhaustive"}
+
+
+def test_audits_match_reference_on_sampled_supply(built):
+    # module-id at p = 3 has NE dims (1, 2, 2, 0, 0): 9 elements exceed the
+    # bound on NE_1 and NE_2, and NE_3 = 0 holds the zero element alone
+    supply = Supply(seed=5, budget=3, exhaustive_bound=4)
+    recs, _ = assert_matches_reference(built("module-id", 3), supply)
+    rows = {r.check: r.detail for r in recs}
+    assert rows["table1[row=1]"] == {"pair": "(3,2,1)(0)", "checked": 3, "mode": "sampled"}
+    assert rows["table1[row=5]"]["checked"] == 9
+    assert rows["table1[row=20]"] == {"pair": "(3)(2)", "checked": 1, "mode": "exhaustive"}
+
+
+def test_discrepant_witness_is_first_failing_pair(built, monkeypatch):
+    # perturb row 5 by a bilinear term, non-zero where both coefficient
+    # sums are: the first failing pair is not the first pair of the sweep
+    E = built("module-id", 3)
+    printed = moore_module._row_formula
+
+    def perturbed(row):
+        f = printed(row)
+        if row != 5:
+            return f
+
+        def g(E, sym):
+            x, y = sym["x2"], sym["y2"]
+            e0 = E.level(3).basis_element(0)
+            return f(E, sym) + e0.scale(int(x.coeffs.sum()) * int(y.coeffs.sum()))
+        return g
+
+    monkeypatch.setattr(moore_module, "_row_formula", perturbed)
+    recs, _ = assert_matches_reference(E, Supply())
+    bad = [r for r in recs if r.status == "discrepant"]
+    assert [r.check for r in bad] == ["table1[row=5]"]
+    w = bad[0].witnesses[0]
+    xs, _ = _supply(E, 2, Supply())
+    first = next((x, y) for x, y in itertools.product(xs, xs)
+                 if int(x.coeffs.sum()) * int(y.coeffs.sum()) % 3)
+    assert (w["x"], w["y"]) == (_coeffs(first[0]), _coeffs(first[1]))
+    assert (w["x"], w["y"]) != (_coeffs(xs[0]), _coeffs(xs[0]))
+    assert w["lhs"] != w["rhs"]
+
+
+def test_membership_failures_in_sweep_order(built, monkeypatch):
+    # p projects onto NE_4 on any simplicial algebra, so C_{alpha,beta}
+    # leaves NE_4 only when the level-4 degeneracies are broken
+    E = built("module-id", 2)
+    rng = np.random.default_rng(0)
+    for j in range(4):
+        s = E.deg(4, j)
+        monkeypatch.setitem(E.degeneracies, (4, j),
+                            Morphism(s.source, s.target, rng.integers(0, 2, s.matrix.shape)))
+    recs, lemma7 = assert_matches_reference(E, Supply())
+    checks = [r.check for r in recs]
+    fails = [i for i, c in enumerate(checks) if c.endswith(".membership")]
+    assert fails and all(recs[i].status == "fail" for i in fails)
+    # a row's membership records come right before the row's own record
+    for i in fails:
+        row = next(c for c in checks[i:] if not c.endswith(".membership"))
+        assert checks[i] == row + ".membership"
+    assert any(r.status == "fail" for r in lemma7)
