@@ -13,8 +13,7 @@ from .functors import (FunctorOutput, cm_from_simplicial,
                        lifting_convention_audit, roundtrip_check,
                        table_identities_check, three_crossed_from_simplicial,
                        two_crossed_from_simplicial)
-from .lie import (LieAlgebra, LieThreeCrossedModule, validate_lie,
-                  verify_lie_3cm)
+from .lie import LieAlgebra, validate_lie, verify_lie_3cm
 from .moore import (MooreComplex, PairingIndex, SurjIndex, c_pairing,
                     lemma7_check, moore, p_set, pairing_ideal, proj_p, s_set,
                     table1_eval, theorem5_check)

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .coeff import PreconditionError, Supply, validate_algebra
 from .crossed import verify_2cm, verify_3cm, verify_cm
@@ -62,7 +61,6 @@ def make_parser() -> argparse.ArgumentParser:
     ap.add_argument("--char", default=os.environ.get("MOOREKIT_CHAR", "2"),
                     help="comma-separated characteristics for the built-in corpus")
     ap.add_argument("--human", action="store_true", help="render text instead of JSON")
-    ap.add_argument("--workers", type=int, default=_env_int("MOOREKIT_WORKERS", 1))
     sub = ap.add_subparsers(dest="command", required=True)
 
     def cmd(name, **kwargs):
@@ -153,20 +151,9 @@ def run_command(args, out) -> int:
     elif args.command == "roundtrip":
         chars = [int(c) for c in str(args.char).split(",") if c]
         levels = (1, 2) if args.level == "both" else (int(args.level),)
-
-        def one(p):
-            recs = []
-            for lv in levels:
-                recs.extend(roundtrip_check(lv, p))
-            return _tag(recs, f"@p={p}" if len(chars) > 1 else "")
-
-        if args.workers > 1:
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                for recs in pool.map(one, chars):
-                    records.extend(recs)
-        else:
-            for p in chars:
-                records.extend(one(p))
+        for p in chars:
+            recs = [r for lv in levels for r in roundtrip_check(lv, p)]
+            records.extend(_tag(recs, f"@p={p}" if len(chars) > 1 else ""))
     else:
         for label, doc in _documents(args):
             records.extend(_tag(_run_named(args, doc, supply, extra_lines), label))

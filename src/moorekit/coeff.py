@@ -234,7 +234,7 @@ class Algebra:
         return bilinear(a, b, self.structure, self.p)
 
     def __repr__(self):
-        label = self.name or "Algebra"
+        label = self.name or type(self).__name__
         return f"<{label} dim={self.dim} over Z/{self.p}>"
 
 

@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .coeff import Algebra, BilinearMap, Element, Morphism, PrimeField
-from .crossed import (CrossedModule, TwoCrossedModule, crossed_as_2cm,
-                      ideal_pair, multiplication_cm, zero_module_cm)
-from .lie import LieAlgebra, LieThreeCrossedModule, lie_abelian, lie_heisenberg
+from .crossed import (CrossedModule, ThreeCrossedModule, TwoCrossedModule,
+                      crossed_as_2cm, ideal_pair, multiplication_cm, zero_module_cm)
+from .lie import LieAlgebra, degenerate_lie_3cm, lie_abelian, lie_heisenberg
 from .simplicial import (TruncatedSimplicialAlgebra, build_from_2crossed,
                          build_from_crossed, concentrated_simplicial,
                          constant_simplicial)
@@ -200,8 +200,7 @@ def lie_corpus(p: int = 3) -> dict[str, LieAlgebra]:
     }
 
 
-def lie_three_corpus(p: int = 3) -> dict[str, LieThreeCrossedModule]:
-    from .lie import degenerate_lie_3cm
+def lie_three_corpus(p: int = 3) -> dict[str, ThreeCrossedModule]:
     return {
         "abelian-chain": degenerate_lie_3cm(lie_abelian(p, 2)),
         "heisenberg-chain": degenerate_lie_3cm(lie_heisenberg(p)),

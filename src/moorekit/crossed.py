@@ -12,7 +12,7 @@ the lifting, {y (x) d2 x} = y . x, and likewise one level up.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -23,7 +23,16 @@ from .coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
                     subalgebra, subspace_elements, validate_algebra)
 from .report import FAIL, PASS, CheckRecord
 
-LIFTING_KEYS = ("(1)(0)", "(2)(0)", "(2)(1)", "(1,0)(2)", "(2,0)(1)", "(0)(2,1)", "()")
+# The levels of the left argument, the right argument and the value of
+# every stored action and lifting of a 3-crossed module, keyed by the
+# ThreeCrossedModule field that holds the map.
+SIGNATURES = {
+    "actions": {"01": (0, 1, 1), "02": (0, 2, 2), "03": (0, 3, 3),
+                "12": (1, 2, 2), "13": (1, 3, 3), "23": (2, 3, 3)},
+    "liftings": {"(1)(0)": (2, 2, 3), "(2)(0)": (2, 2, 3), "(2)(1)": (2, 2, 3),
+                 "(1,0)(2)": (1, 2, 3), "(2,0)(1)": (1, 2, 3),
+                 "(0)(2,1)": (2, 1, 3), "()": (1, 1, 2)},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +334,9 @@ def _section_columns(pi: Morphism, A: Algebra) -> list[np.ndarray]:
 class ThreeCrossedModule:
     """Complex C3 -> C2 -> C1 -> C0 with six actions and seven liftings.
 
-    Lifting keys: "(1)(0)", "(2)(0)", "(2)(1)" on C2 (x) C2 -> C3;
-    "(1,0)(2)", "(2,0)(1)" on C1 (x) C2 -> C3; "(0)(2,1)" on
-    C2 (x) C1 -> C3; "()" on C1 (x) C1 -> C2.  The keys "(0)(2)" and
-    "(2)(0)" name the same map.
+    The levels are commutative algebras or, for a Lie 3-crossed module,
+    Lie algebras; SIGNATURES gives the levels each action and lifting
+    key maps between.  The keys "(0)(2)" and "(2)(0)" name the same map.
     """
 
     C3: Algebra
@@ -338,9 +346,14 @@ class ThreeCrossedModule:
     d3: Morphism
     d2: Morphism
     d1: Morphism
-    actions: dict = field(default_factory=dict)   # "01","02","03","12","13","23"
-    liftings: dict = field(default_factory=dict)  # LIFTING_KEYS
+    actions: dict = field(default_factory=dict)   # SIGNATURES["actions"]
+    liftings: dict = field(default_factory=dict)  # SIGNATURES["liftings"]
     name: str = ""
+
+    @property
+    def levels(self) -> tuple[Algebra, ...]:
+        """(C0, C1, C2, C3): the level of degree n at index n."""
+        return (self.C0, self.C1, self.C2, self.C3)
 
     def action(self, key: str) -> BilinearMap:
         return self.actions[key]
@@ -349,6 +362,44 @@ class ThreeCrossedModule:
         if key == "(0)(2)":
             key = "(2)(0)"
         return self.liftings[key]
+
+
+def trivial_3cm(levels, name: str, d1: Morphism | None = None,
+                a01: BilinearMap | None = None) -> ThreeCrossedModule:
+    """The 3-crossed module on levels (C0, C1, C2, C3) with the given d1
+    and C0-action on C1, and every other boundary, action and lifting
+    zero (d1 and the action are zero when not given)."""
+    maps = {group: {key: BilinearMap.zero(*(levels[i] for i in sig))
+                    for key, sig in table.items()}
+            for group, table in SIGNATURES.items()}
+    if a01 is not None:
+        maps["actions"]["01"] = a01
+    C0, C1, C2, C3 = levels
+    return ThreeCrossedModule(
+        C3, C2, C1, C0, Morphism.zero(C3, C2), Morphism.zero(C2, C1),
+        Morphism.zero(C1, C0) if d1 is None else d1, name=name, **maps)
+
+
+def _structure_entries(m: ThreeCrossedModule, morphism: str, action: str,
+                       violations) -> list[AxiomEntry]:
+    """Both complex conditions, each boundary a morphism (entries
+    "d<n>-<morphism>") and each action lawful by `violations` (entries
+    `action` formatted with the key)."""
+    p = m.C0.p
+    entries = [
+        _flag("complex-d2d3", not (m.d2.matrix @ m.d3.matrix % p).any()),
+        _flag("complex-d1d2", not (m.d1.matrix @ m.d2.matrix % p).any()),
+    ]
+    entries += [_flag(f"{d}-{morphism}", getattr(m, d).is_multiplicative())
+                for d in ("d3", "d2", "d1")]
+    entries += [_flag(action.format(key), not violations(m.action(key)))
+                for key in SIGNATURES["actions"]]
+    return entries
+
+
+def _prefixed(prefix: str, report: AxiomReport) -> list[AxiomEntry]:
+    """The entries of a sub-report, renamed "<prefix>/<name>"."""
+    return [replace(e, name=f"{prefix}/{e.name}") for e in report.entries]
 
 
 def verify_3cm(m: ThreeCrossedModule, supply: Supply = Supply()) -> AxiomReport:
@@ -360,36 +411,38 @@ def verify_3cm(m: ThreeCrossedModule, supply: Supply = Supply()) -> AxiomReport:
     supply of C2 instead.
     """
     C3, C2, C1, C0 = m.C3, m.C2, m.C1, m.C0
-    d3, d2, d1 = m.d3, m.d2, m.d1
+    d3, a23 = m.d3, m.action("23")
     a01, a02, a03 = m.action("01"), m.action("02"), m.action("03")
-    a12, a13, a23 = m.action("12"), m.action("13"), m.action("23")
-    L10, L20, L21 = m.lifting("(1)(0)"), m.lifting("(2)(0)"), m.lifting("(2)(1)")
-    L102, L201 = m.lifting("(1,0)(2)"), m.lifting("(2,0)(1)")
-    L021, L = m.lifting("(0)(2,1)"), m.lifting("()")
-
-    entries = [
-        _flag("complex-d2d3", not (d2.matrix @ d3.matrix % C0.p).any()),
-        _flag("complex-d1d2", not (d1.matrix @ d2.matrix % C0.p).any()),
-        _flag("d3-multiplicative", d3.is_multiplicative()),
-        _flag("d2-multiplicative", d2.is_multiplicative()),
-        _flag("d1-multiplicative", d1.is_multiplicative()),
-    ]
-    for key, act in (("01", a01), ("02", a02), ("03", a03),
-                     ("12", a12), ("13", a13), ("23", a23)):
-        entries.append(_flag(f"action-{key}-algebra", not action_violations(act)))
+    a12, a13 = m.action("12"), m.action("13")
+    entries = _structure_entries(m, "multiplicative", "action-{}-algebra",
+                                 action_violations)
     entries += [
         _sweep("d3-crossed-CM1", [C2.basis(), C3.basis()],
                lambda x2, x3: (d3(a23(x2, x3)), x2 * d3(x3))),
         _sweep("d3-crossed-CM2", [C3.basis(), C3.basis()],
                lambda x3, y3: (a23(d3(x3), y3), x3 * y3)),
     ]
-
-    sub = TwoCrossedModule(C3, C2, C1, d3, d2, a12, a13, L21,
+    sub = TwoCrossedModule(C3, C2, C1, d3, m.d2, a12, a13, m.lifting("(2)(1)"),
                            name="top-segment")
-    for e in verify_2cm(sub).entries:
-        entries.append(AxiomEntry(f"3CM1/{e.name}", e.status, e.checked, e.witness))
+    entries += _prefixed("3CM1", verify_2cm(sub))
+    entries += _axioms_3cm2_to_16(m, supply)
+    entries += _equivariance_entries(m, "table3", C0.basis(), a01, a02, a03)
+    entries += _equivariance_entries(m, "table4", C1.basis(), None, a12, a13)
+    return AxiomReport(m.name or "three-crossed-module", tuple(entries))
 
-    entries += [
+
+def _axioms_3cm2_to_16(m: ThreeCrossedModule, supply: Supply) -> list[AxiomEntry]:
+    """3CM2 through 3CM16 as printed; x * y is the product of the levels,
+    the multiplication or the bracket.  3CM6 runs over the element supply
+    of C2, every other axiom on basis tuples."""
+    C3, C2, C1 = m.C3, m.C2, m.C1
+    d3, d2, d1 = m.d3, m.d2, m.d1
+    a01, a02, a03 = m.action("01"), m.action("02"), m.action("03")
+    a12, a13, a23 = m.action("12"), m.action("13"), m.action("23")
+    L10, L20, L21 = m.lifting("(1)(0)"), m.lifting("(2)(0)"), m.lifting("(2)(1)")
+    L102, L201 = m.lifting("(1,0)(2)"), m.lifting("(2,0)(1)")
+    L021, L = m.lifting("(0)(2,1)"), m.lifting("()")
+    return [
         _sweep("3CM2", [C1.basis(), C1.basis()],
                lambda x1, y1: (d2(L(x1, y1)), a01(d1(y1), x1) - x1 * y1)),
         _sweep("3CM3", [C2.basis(), C2.basis()],
@@ -427,9 +480,6 @@ def verify_3cm(m: ThreeCrossedModule, supply: Supply = Supply()) -> AxiomReport:
         _sweep("3CM16", [C1.basis(), C2.basis()],
                lambda x1, y2: (d3(L021(y2, x1)), L(x1, d2(y2)) - a12(x1, y2))),
     ]
-    entries += _equivariance_entries(m, "table3", C0.basis(), a01, a02, a03)
-    entries += _equivariance_entries(m, "table4", C1.basis(), None, a12, a13)
-    return AxiomReport(m.name or "three-crossed-module", tuple(entries))
 
 
 def _equivariance_entries(m: ThreeCrossedModule, title: str, zbasis,
@@ -479,28 +529,7 @@ def _equivariance_entries(m: ThreeCrossedModule, title: str, zbasis,
 
 def crossed_as_3cm(m: CrossedModule, name: str = "") -> ThreeCrossedModule:
     """Degenerate 3-crossed module: trivial C3 and C2 over a crossed module."""
-    fld = m.C.field
-    zero3 = Algebra(fld, np.zeros((0, 0, 0), dtype=np.int64), (), None, "0")
-    zero2 = Algebra(fld, np.zeros((0, 0, 0), dtype=np.int64), (), None, "0")
-    C1, C0 = m.C, m.R
-    actions = {
-        "01": m.action, "02": BilinearMap.zero(C0, zero2, zero2),
-        "03": BilinearMap.zero(C0, zero3, zero3),
-        "12": BilinearMap.zero(C1, zero2, zero2),
-        "13": BilinearMap.zero(C1, zero3, zero3),
-        "23": BilinearMap.zero(zero2, zero3, zero3),
-    }
-    liftings = {
-        "(1)(0)": BilinearMap.zero(zero2, zero2, zero3),
-        "(2)(0)": BilinearMap.zero(zero2, zero2, zero3),
-        "(2)(1)": BilinearMap.zero(zero2, zero2, zero3),
-        "(1,0)(2)": BilinearMap.zero(C1, zero2, zero3),
-        "(2,0)(1)": BilinearMap.zero(C1, zero2, zero3),
-        "(0)(2,1)": BilinearMap.zero(zero2, C1, zero3),
-        "()": BilinearMap.zero(C1, C1, zero2),
-    }
-    return ThreeCrossedModule(zero3, zero2, C1, C0,
-                              Morphism.zero(zero3, zero2),
-                              Morphism.zero(zero2, C1), m.boundary,
-                              actions, liftings,
-                              name=name or f"{m.name}+trivial-tops")
+    zero3 = Algebra(m.C.field, np.zeros((0, 0, 0), dtype=np.int64), (), None, "0")
+    zero2 = Algebra(m.C.field, np.zeros((0, 0, 0), dtype=np.int64), (), None, "0")
+    return trivial_3cm((m.R, m.C, zero2, zero3), name or f"{m.name}+trivial-tops",
+                       d1=m.boundary, a01=m.action)

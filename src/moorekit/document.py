@@ -16,12 +16,16 @@ import numpy as np
 
 from .coeff import (Algebra, BilinearMap, Morphism, PrimeField,
                     StructureError, Supply)
-from .crossed import (LIFTING_KEYS, CrossedModule, ThreeCrossedModule,
+from .crossed import (SIGNATURES, CrossedModule, ThreeCrossedModule,
                       TwoCrossedModule)
-from .lie import LieAlgebra, LieThreeCrossedModule
+from .lie import LieAlgebra
 from .simplicial import TruncatedSimplicialAlgebra
 
-ACTION_KEYS = ("01", "02", "03", "12", "13", "23")
+# algebra section -> (carrier class, key of its structure triples)
+CARRIERS = {"algebras": (Algebra, "structure"), "lie_algebras": (LieAlgebra, "bracket")}
+# 3-crossed section -> (section of its levels, level prefix)
+THREE_CROSSED = {"three_crossed_modules": ("algebras", "C"),
+                 "lie_three_crossed": ("lie_algebras", "L")}
 
 
 class DocumentError(ValueError):
@@ -73,42 +77,41 @@ class Document:
 def _dense_tensor(triples, shape, p, loc) -> np.ndarray:
     t = np.zeros(shape, dtype=np.int64)
     for entry in triples:
-        if len(entry) != 4:
-            raise DocumentError(f"structure entry {entry} is not [i, j, k, coeff]", loc)
-        i, j, k, c = (int(v) for v in entry)
+        try:
+            i, j, k, c = (int(v) for v in entry)
+        except (TypeError, ValueError):
+            raise DocumentError(f"structure entry {entry} is not [i, j, k, coeff]", loc) from None
         if not (0 <= i < shape[0] and 0 <= j < shape[1] and 0 <= k < shape[2]):
             raise DocumentError(f"index ({i},{j},{k}) outside dim {shape}", loc)
         t[i, j, k] = c % p
     return t
 
 
-def _load_algebra(name, body, loc) -> Algebra:
+def _load_algebra(section, name, body) -> Algebra:
+    cls, key = CARRIERS[section]
+    loc = f"{section}.{name}"
     try:
-        p = int(body["p"])
+        fld = PrimeField(int(body["p"]))
         dim = int(body["dim"])
         basis = tuple(str(b) for b in body.get("basis", [f"e{i}" for i in range(dim)]))
     except (KeyError, TypeError, ValueError) as exc:
         raise DocumentError(f"bad algebra header: {exc}", loc)
     if len(basis) != dim:
         raise DocumentError(f"{len(basis)} basis labels for dim {dim}", loc)
-    struct = _dense_tensor(body.get("structure", []), (dim, dim, dim), p, loc)
-    identity = body.get("identity")
+    struct = _dense_tensor(body.get(key, []), (dim, dim, dim), fld.p, loc)
+    identity = body.get("identity") if cls is Algebra else None
     try:
-        return Algebra(PrimeField(p), struct, basis,
-                       None if identity is None else int(identity), name=name)
-    except StructureError as exc:
+        return cls(fld, struct, basis, None if identity is None else int(identity), name=name)
+    except (TypeError, ValueError) as exc:
         raise DocumentError(str(exc), loc)
 
 
-def _load_lie_algebra(name, body, loc) -> LieAlgebra:
+def _field(body, key, loc):
+    """body[key], or a DocumentError located at `loc` when it is missing."""
     try:
-        p = int(body["p"])
-        dim = int(body["dim"])
-        basis = tuple(str(b) for b in body.get("basis", [f"e{i}" for i in range(dim)]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DocumentError(f"bad Lie algebra header: {exc}", loc)
-    bracket = _dense_tensor(body.get("bracket", []), (dim, dim, dim), p, loc)
-    return LieAlgebra(PrimeField(p), bracket, basis, name=name)
+        return body[key]
+    except (KeyError, TypeError):
+        raise DocumentError(f"missing {key!r}", loc) from None
 
 
 def _resolve(table, name, loc):
@@ -117,20 +120,45 @@ def _resolve(table, name, loc):
     return table[name]
 
 
-def _load_morphism(body, algebras, loc) -> Morphism:
-    src = _resolve(algebras, body["source"], loc)
-    tgt = _resolve(algebras, body["target"], loc)
-    mat = np.array(body.get("matrix", []), dtype=np.int64)
-    if mat.size == 0:
-        mat = np.zeros((tgt.dim, src.dim), dtype=np.int64)
+def _morphism(src, tgt, matrix, loc) -> Morphism:
+    """The map src -> tgt by a target x source matrix; [] is the zero map."""
     try:
+        mat = np.array(matrix, dtype=np.int64)
+        if mat.size == 0:
+            mat = np.zeros((tgt.dim, src.dim), dtype=np.int64)
         return Morphism(src, tgt, mat)
-    except StructureError as exc:
+    except (TypeError, ValueError) as exc:
         raise DocumentError(str(exc), loc)
 
 
+def _load_morphism(body, algebras, loc) -> Morphism:
+    return _morphism(_resolve(algebras, body["source"], loc),
+                     _resolve(algebras, body["target"], loc), body.get("matrix", []), loc)
+
+
+def _load_three_crossed(section, name, body, doc) -> ThreeCrossedModule:
+    """One body of a 3-crossed section: levels <prefix>3..<prefix>0 name
+    algebras of the section that THREE_CROSSED pairs with `section`, and
+    SIGNATURES gives the levels of each action and lifting."""
+    algebra_section, prefix = THREE_CROSSED[section]
+    loc = f"{section}.{name}"
+    levels = tuple(_resolve(getattr(doc, algebra_section),
+                            _field(body, f"{prefix}{n}", f"{loc}.{prefix}{n}"), loc)
+                   for n in range(4))
+    d = {n: _morphism(levels[n], levels[n - 1], _field(body, f"d{n}", f"{loc}.d{n}"), loc)
+         for n in (3, 2, 1)}
+    maps = {}
+    for group, table in SIGNATURES.items():
+        given = _field(body, group, f"{loc}.{group}")
+        maps[group] = {key: _load_bilinear(_field(given, key, f"{loc}.{group}[{key}]"),
+                                           *(levels[i] for i in sig), f"{loc}.{group}[{key}]")
+                       for key, sig in table.items()}
+    return ThreeCrossedModule(levels[3], levels[2], levels[1], levels[0],
+                              d[3], d[2], d[1], name=name, **maps)
+
+
 def _load_bilinear(body, left, right, target, loc) -> BilinearMap:
-    triples = body["triples"] if isinstance(body, dict) else body
+    triples = _field(body, "triples", f"{loc}.triples") if isinstance(body, dict) else body
     tensor = _dense_tensor(triples, (left.dim, right.dim, target.dim), target.p, loc)
     return BilinearMap(left, right, target, tensor)
 
@@ -149,10 +177,9 @@ def load_document(text: str) -> Document:
                       exhaustive_bound=int(cfg.get("exhaustive_bound", 4096))),
         characteristics=tuple(int(c) for c in cfg.get("characteristics", [2])))
 
-    for name, body in raw.get("algebras", {}).items():
-        doc.algebras[name] = _load_algebra(name, body, f"algebras.{name}")
-    for name, body in raw.get("lie_algebras", {}).items():
-        doc.lie_algebras[name] = _load_lie_algebra(name, body, f"lie_algebras.{name}")
+    for section in CARRIERS:
+        for name, body in raw.get(section, {}).items():
+            getattr(doc, section)[name] = _load_algebra(section, name, body)
     for name, body in raw.get("morphisms", {}).items():
         doc.morphisms[name] = _load_morphism(body, doc.algebras, f"morphisms.{name}")
 
@@ -181,84 +208,27 @@ def load_document(text: str) -> Document:
 
     for name, body in raw.get("crossed_modules", {}).items():
         loc = f"crossed_modules.{name}"
-        C = _resolve(doc.algebras, body["C"], loc)
-        R = _resolve(doc.algebras, body["R"], loc)
-        bd = _load_morphism({"source": body["C"], "target": body["R"],
-                             "matrix": body["boundary"]}, doc.algebras, loc)
-        act = _load_bilinear(body["action"], R, C, C, f"{loc}.action")
+        C, R = (_resolve(doc.algebras, _field(body, k, f"{loc}.{k}"), loc) for k in ("C", "R"))
+        bd = _morphism(C, R, _field(body, "boundary", f"{loc}.boundary"), loc)
+        act = _load_bilinear(_field(body, "action", f"{loc}.action"), R, C, C, f"{loc}.action")
         doc.crossed_modules[name] = CrossedModule(C, R, bd, act, name=name)
 
     for name, body in raw.get("two_crossed_modules", {}).items():
         loc = f"two_crossed_modules.{name}"
-        C2 = _resolve(doc.algebras, body["C2"], loc)
-        C1 = _resolve(doc.algebras, body["C1"], loc)
-        C0 = _resolve(doc.algebras, body["C0"], loc)
-        d2 = _load_morphism({"source": body["C2"], "target": body["C1"],
-                             "matrix": body["d2"]}, doc.algebras, loc)
-        d1 = _load_morphism({"source": body["C1"], "target": body["C0"],
-                             "matrix": body["d1"]}, doc.algebras, loc)
-        doc.two_crossed_modules[name] = TwoCrossedModule(
-            C2, C1, C0, d2, d1,
-            _load_bilinear(body["action_on_c1"], C0, C1, C1, f"{loc}.action_on_c1"),
-            _load_bilinear(body["action_on_c2"], C0, C2, C2, f"{loc}.action_on_c2"),
-            _load_bilinear(body["lifting"], C1, C1, C2, f"{loc}.lifting"),
-            name=name)
+        C2, C1, C0 = (_resolve(doc.algebras, _field(body, k, f"{loc}.{k}"), loc)
+                      for k in ("C2", "C1", "C0"))
+        d2 = _morphism(C2, C1, _field(body, "d2", f"{loc}.d2"), loc)
+        d1 = _morphism(C1, C0, _field(body, "d1", f"{loc}.d1"), loc)
+        a1, a2, lt = (_load_bilinear(_field(body, k, f"{loc}.{k}"), *sig, f"{loc}.{k}")
+                      for k, sig in (("action_on_c1", (C0, C1, C1)),
+                                     ("action_on_c2", (C0, C2, C2)),
+                                     ("lifting", (C1, C1, C2))))
+        doc.two_crossed_modules[name] = TwoCrossedModule(C2, C1, C0, d2, d1, a1, a2, lt,
+                                                         name=name)
 
-    for name, body in raw.get("three_crossed_modules", {}).items():
-        loc = f"three_crossed_modules.{name}"
-        algs = {lv: _resolve(doc.algebras, body[lv], loc)
-                for lv in ("C3", "C2", "C1", "C0")}
-        d3 = _load_morphism({"source": body["C3"], "target": body["C2"],
-                             "matrix": body["d3"]}, doc.algebras, loc)
-        d2 = _load_morphism({"source": body["C2"], "target": body["C1"],
-                             "matrix": body["d2"]}, doc.algebras, loc)
-        d1 = _load_morphism({"source": body["C1"], "target": body["C0"],
-                             "matrix": body["d1"]}, doc.algebras, loc)
-        sig = {"01": ("C0", "C1", "C1"), "02": ("C0", "C2", "C2"),
-               "03": ("C0", "C3", "C3"), "12": ("C1", "C2", "C2"),
-               "13": ("C1", "C3", "C3"), "23": ("C2", "C3", "C3")}
-        actions = {}
-        for key in ACTION_KEYS:
-            l, r, t = (algs[x] for x in sig[key])
-            actions[key] = _load_bilinear(body["actions"][key], l, r, t,
-                                          f"{loc}.actions[{key}]")
-        lsig = {"(1)(0)": ("C2", "C2", "C3"), "(2)(0)": ("C2", "C2", "C3"),
-                "(2)(1)": ("C2", "C2", "C3"), "(1,0)(2)": ("C1", "C2", "C3"),
-                "(2,0)(1)": ("C1", "C2", "C3"), "(0)(2,1)": ("C2", "C1", "C3"),
-                "()": ("C1", "C1", "C2")}
-        liftings = {}
-        for key in LIFTING_KEYS:
-            l, r, t = (algs[x] for x in lsig[key])
-            liftings[key] = _load_bilinear(body["liftings"][key], l, r, t,
-                                           f"{loc}.liftings[{key}]")
-        doc.three_crossed_modules[name] = ThreeCrossedModule(
-            algs["C3"], algs["C2"], algs["C1"], algs["C0"], d3, d2, d1,
-            actions, liftings, name=name)
-
-    for name, body in raw.get("lie_three_crossed", {}).items():
-        loc = f"lie_three_crossed.{name}"
-        algs = {lv: _resolve(doc.lie_algebras, body[lv], loc)
-                for lv in ("L3", "L2", "L1", "L0")}
-        mor = {}
-        for dkey, s, t in (("d3", "L3", "L2"), ("d2", "L2", "L1"), ("d1", "L1", "L0")):
-            mat = np.array(body[dkey], dtype=np.int64)
-            if mat.size == 0:
-                mat = np.zeros((algs[t].dim, algs[s].dim), dtype=np.int64)
-            mor[dkey] = Morphism(algs[s], algs[t], mat)
-        sig = {"01": ("L0", "L1", "L1"), "02": ("L0", "L2", "L2"),
-               "03": ("L0", "L3", "L3"), "12": ("L1", "L2", "L2"),
-               "13": ("L1", "L3", "L3"), "23": ("L2", "L3", "L3")}
-        actions = {k: _load_bilinear(body["actions"][k], *(algs[x] for x in sig[k]),
-                                     f"{loc}.actions[{k}]") for k in ACTION_KEYS}
-        lsig = {"(1)(0)": ("L2", "L2", "L3"), "(2)(0)": ("L2", "L2", "L3"),
-                "(2)(1)": ("L2", "L2", "L3"), "(1,0)(2)": ("L1", "L2", "L3"),
-                "(2,0)(1)": ("L1", "L2", "L3"), "(0)(2,1)": ("L2", "L1", "L3"),
-                "()": ("L1", "L1", "L2")}
-        liftings = {k: _load_bilinear(body["liftings"][k], *(algs[x] for x in lsig[k]),
-                                      f"{loc}.liftings[{k}]") for k in LIFTING_KEYS}
-        doc.lie_three_crossed[name] = LieThreeCrossedModule(
-            algs["L3"], algs["L2"], algs["L1"], algs["L0"],
-            mor["d3"], mor["d2"], mor["d1"], actions, liftings, name=name)
+    for section in THREE_CROSSED:
+        for name, body in raw.get(section, {}).items():
+            getattr(doc, section)[name] = _load_three_crossed(section, name, body, doc)
     return doc
 
 
@@ -271,19 +241,6 @@ def _tensor_triples(t: np.ndarray) -> list:
     for i, j, k in zip(*np.nonzero(t)):
         out.append([int(i), int(j), int(k), int(t[i, j, k])])
     return out
-
-
-def _algebra_body(A: Algebra) -> dict:
-    body = {"p": A.p, "dim": A.dim, "basis": list(A.basis_names),
-            "structure": _tensor_triples(A.structure)}
-    if A.identity is not None:
-        body["identity"] = A.identity
-    return body
-
-
-def _lie_body(L: LieAlgebra) -> dict:
-    return {"p": L.p, "dim": L.dim, "basis": list(L.basis_names),
-            "bracket": _tensor_triples(L.structure)}
 
 
 def _matrix(m: Morphism) -> list:
@@ -301,20 +258,16 @@ class DocumentBuilder:
         self._alg_names: dict[int, str] = {}
         self._keep: list = []  # pin registered objects so ids stay unique
 
-    def algebra(self, A: Algebra, name: str) -> str:
+    def algebra(self, A: Algebra, name: str, section: str = "algebras") -> str:
         if id(A) in self._alg_names:
             return self._alg_names[id(A)]
-        self.body["algebras"][name] = _algebra_body(A)
+        body = {"p": A.p, "dim": A.dim, "basis": list(A.basis_names),
+                CARRIERS[section][1]: _tensor_triples(A.structure)}
+        if A.identity is not None:
+            body["identity"] = A.identity
+        self.body[section][name] = body
         self._alg_names[id(A)] = name
         self._keep.append(A)
-        return name
-
-    def lie_algebra(self, L: LieAlgebra, name: str) -> str:
-        if id(L) in self._alg_names:
-            return self._alg_names[id(L)]
-        self.body["lie_algebras"][name] = _lie_body(L)
-        self._alg_names[id(L)] = name
-        self._keep.append(L)
         return name
 
     def simplicial(self, E: TruncatedSimplicialAlgebra, name: str) -> None:
@@ -347,25 +300,18 @@ class DocumentBuilder:
             "action_on_c2": _tensor_triples(t.act_on_c2.tensor),
             "lifting": _tensor_triples(t.lifting.tensor)}
 
-    def three_crossed(self, m: ThreeCrossedModule, name: str) -> None:
-        self.body["three_crossed_modules"][name] = {
-            "C3": self.algebra(m.C3, f"{name}.C3"),
-            "C2": self.algebra(m.C2, f"{name}.C2"),
-            "C1": self.algebra(m.C1, f"{name}.C1"),
-            "C0": self.algebra(m.C0, f"{name}.C0"),
-            "d3": _matrix(m.d3), "d2": _matrix(m.d2), "d1": _matrix(m.d1),
-            "actions": {k: _tensor_triples(m.actions[k].tensor) for k in ACTION_KEYS},
-            "liftings": {k: _tensor_triples(m.liftings[k].tensor) for k in LIFTING_KEYS}}
-
-    def lie_three(self, m: LieThreeCrossedModule, name: str) -> None:
-        self.body["lie_three_crossed"][name] = {
-            "L3": self.lie_algebra(m.L3, f"{name}.L3"),
-            "L2": self.lie_algebra(m.L2, f"{name}.L2"),
-            "L1": self.lie_algebra(m.L1, f"{name}.L1"),
-            "L0": self.lie_algebra(m.L0, f"{name}.L0"),
-            "d3": _matrix(m.d3), "d2": _matrix(m.d2), "d1": _matrix(m.d1),
-            "actions": {k: _tensor_triples(m.actions[k].tensor) for k in ACTION_KEYS},
-            "liftings": {k: _tensor_triples(m.liftings[k].tensor) for k in LIFTING_KEYS}}
+    def three_crossed(self, m: ThreeCrossedModule, name: str,
+                      section: str = "three_crossed_modules") -> None:
+        algebra_section, prefix = THREE_CROSSED[section]
+        # top level first: a carrier shared by two levels takes the upper name
+        body = {f"{prefix}{n}": self.algebra(m.levels[n], f"{name}.{prefix}{n}",
+                                             algebra_section)
+                for n in (3, 2, 1, 0)}
+        body.update({f"d{n}": _matrix(getattr(m, f"d{n}")) for n in (3, 2, 1)})
+        body.update({group: {key: _tensor_triples(getattr(m, group)[key].tensor)
+                             for key in table}
+                     for group, table in SIGNATURES.items()})
+        self.body[section][name] = body
 
     def dumps(self, config: Supply | None = None, characteristics=(2,)) -> str:
         body = {"config": {"seed": (config or Supply()).seed,
@@ -386,8 +332,8 @@ def corpus_document(p: int = 2, config: Supply | None = None) -> str:
         b.two_crossed(t, name)
     for name, E in corpus_mod.simplicial_corpus(p).items():
         b.simplicial(E, name)
-    for name, L in corpus_mod.lie_corpus(3 if p == 2 else p).items():
-        b.lie_algebra(L, name)
-    for name, m in corpus_mod.lie_three_corpus(3 if p == 2 else p).items():
-        b.lie_three(m, name)
+    for name, L in corpus_mod.lie_corpus(p).items():
+        b.algebra(L, name, "lie_algebras")
+    for name, m in corpus_mod.lie_three_corpus(p).items():
+        b.three_crossed(m, name, "lie_three_crossed")
     return b.dumps(config, characteristics=(p,))

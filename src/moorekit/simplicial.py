@@ -18,7 +18,7 @@ import numpy as np
 
 from .coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
                     PreconditionError, StructureError, ideal_closure, rref,
-                    semidirect, solve_in_rows)
+                    semidirect)
 from .crossed import CrossedModule, TwoCrossedModule, verify_2cm, verify_cm
 from .moore import (SurjIndex, moore_basis, normal_form, push_face, s_set,
                     s_word_morphism)
@@ -203,14 +203,6 @@ def decompose(E: TruncatedSimplicialAlgebra, n: int, x: Element) -> Decompositio
 # forced level extension (trivial normal part)
 
 
-def _rref_pivots(R: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(np.nonzero(r)[0][0]) for r in R)
-
-
-def _coords_in(basis: np.ndarray, vec: np.ndarray, p: int) -> np.ndarray:
-    return solve_in_rows(basis, _rref_pivots(basis), vec, p)
-
-
 def _apply_s_chain(E, start: int, word, v: np.ndarray) -> np.ndarray:
     vec = np.asarray(v, dtype=np.int64)
     lvl = start
@@ -233,20 +225,20 @@ def extend_level(E: TruncatedSimplicialAlgebra) -> TruncatedSimplicialAlgebra:
     m = E.k + 1
     p = E.level(0).p
     prev = E.level(m - 1)
-    nbases = {c: moore_basis(E, c) for c in range(m)}
+    nbases = {c: Ideal(E.level(c), moore_basis(E, c)) for c in range(m)}
     alphas = [a for a in s_set(m) if a.size > 0]
     offs: dict[SurjIndex, int] = {}
     dim = 0
     for a in alphas:
         offs[a] = dim
-        dim += nbases[m - a.size].shape[0]
+        dim += nbases[m - a.size].dim
 
     face_mats: dict[int, np.ndarray] = {}
     for i in range(m + 1):
         M = np.zeros((prev.dim, dim), dtype=np.int64)
         for a in alphas:
             c = m - a.size
-            base = nbases[c]
+            base = nbases[c].basis_matrix
             word, f = push_face(i, a.application_order())
             word = normal_form(word)
             for t in range(base.shape[0]):
@@ -273,9 +265,9 @@ def extend_level(E: TruncatedSimplicialAlgebra) -> TruncatedSimplicialAlgebra:
                 pieces.append((SurjIndex(tuple(reversed(word)), m), val))
             for alpha, val in pieces:
                 c = m - alpha.size
-                r = nbases[c].shape[0]
+                r = nbases[c].dim
                 if r:
-                    M[offs[alpha]:offs[alpha] + r, t] = _coords_in(nbases[c], val.coeffs, p)
+                    M[offs[alpha]:offs[alpha] + r, t] = nbases[c].coords(val.coeffs)
                 elif val.coeffs.any():
                     raise PreconditionError("component escapes its Moore subspace")
         deg_mats[j] = M
@@ -295,7 +287,7 @@ def extend_level(E: TruncatedSimplicialAlgebra) -> TruncatedSimplicialAlgebra:
             struct[v, u] = w
 
     names = tuple(f"s{a}.{t}" for a in alphas
-                  for t in range(nbases[m - a.size].shape[0]))
+                  for t in range(nbases[m - a.size].dim))
     Em = Algebra(E.level(0).field, struct, names, None, name=f"E{m}")
     faces = dict(E.faces)
     degs = dict(E.degeneracies)

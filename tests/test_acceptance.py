@@ -15,11 +15,11 @@ import pytest
 from moorekit import corpus
 from moorekit.cli import make_parser, run_command
 from moorekit.coeff import Supply, elements
-from moorekit.crossed import verify_2cm, verify_cm, crossed_as_2cm, induced_cm, multiplication_cm
+from moorekit.crossed import (verify_2cm, verify_cm, crossed_as_2cm, induced_cm,
+                              multiplication_cm, ThreeCrossedModule)
 from moorekit.functors import roundtrip_check, three_crossed_from_simplicial
 from moorekit.lie import (degenerate_lie_3cm, lie_abelian, lie_heisenberg,
-                          validate_lie, verify_lie_3cm, LieAlgebra,
-                          LieThreeCrossedModule)
+                          validate_lie, verify_lie_3cm, LieAlgebra)
 from moorekit.moore import (lemma7_check, moore, p_set, proj_p, s_set,
                             table1_audit, theorem5_check, in_moore, c_pairing)
 from moorekit.simplicial import decompose, degenerate_subalgebra, validate_simplicial
@@ -203,9 +203,9 @@ def test_criterion_10_lie():
     actions = dict(m.actions)
     badt = np.zeros((3, 1, 1), dtype=np.int64)
     badt[2, 0, 0] = 1
-    actions["01"] = BilinearMap(m.L0, m.L1, m.L1, badt)
-    mut = LieThreeCrossedModule(m.L3, m.L2, m.L1, m.L0, m.d3, m.d2, m.d1,
-                                actions, m.liftings)
+    actions["01"] = BilinearMap(m.C0, m.C1, m.C1, badt)
+    mut = ThreeCrossedModule(m.C3, m.C2, m.C1, m.C0, m.d3, m.d2, m.d1,
+                             actions, m.liftings)
     ok = ok and verify_lie_3cm(mut, EXHAUSTIVE).verdict == "fail"
     verdict(10, ok, "Lie validation accepts abelian and heisenberg, rejects "
             "the alternating mutant; chain verifier passes degenerates and "

@@ -162,9 +162,76 @@ def test_human_rendering():
     assert "sset[2]" in out and "{" not in out.splitlines()[0][:5]
 
 
-def test_workers_do_not_change_output():
-    _, seq = run(["--char", "2,3", "roundtrip"])
-    args = make_parser().parse_args(["--char", "2,3", "--workers", "2", "roundtrip"])
-    out = io.StringIO()
-    run_command(args, out)
-    assert out.getvalue() == seq
+
+def _main_on_document(doc: dict, argv, tmp_path) -> int:
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return main(["--input", str(path), *argv])
+
+
+@pytest.mark.parametrize("p", [4, 2 ** 31 - 1])  # not prime; int64 sums overflow at dim 3
+def test_exit_code_65_for_bad_lie_algebra_prime(p, tmp_path, capsys):
+    body = {"p": p, "dim": 3, "basis": ["x", "y", "z"], "bracket": [[0, 1, 2, 1]]}
+    assert _main_on_document({"lie_algebras": {"L": body}}, ["lie-verify", "L"], tmp_path) == 65
+    captured = capsys.readouterr()
+    assert "lie_algebras.L" in captured.err and captured.out == ""
+
+
+def _three_crossed_body(section):
+    from moorekit import corpus
+    from moorekit.crossed import crossed_as_3cm
+    from moorekit.document import DocumentBuilder
+    from moorekit.lie import degenerate_lie_3cm, lie_heisenberg
+    b = DocumentBuilder()
+    if section == "three_crossed_modules":
+        b.three_crossed(crossed_as_3cm(corpus.cm_ideal_dual(3)), "m")
+    else:
+        b.three_crossed(degenerate_lie_3cm(lie_heisenberg(3)), "m", section)
+    return json.loads(b.dumps())
+
+
+@pytest.mark.parametrize("section, command, level", [
+    ("three_crossed_modules", "verify-3xmod", "C2"), ("lie_three_crossed", "lie-verify", "L2")])
+@pytest.mark.parametrize("path", [("actions",), ("liftings",), ("level",), ("actions", "12"),
+                                  ("liftings", "()")], ids="/".join)
+def test_exit_code_65_for_missing_three_crossed_key(section, command, level, path,
+                                                     tmp_path, capsys):
+    doc = _three_crossed_body(section)
+    body = doc[section]["m"]
+    if path == ("level",):
+        del body[level]
+        where = f"{section}.m.{level}"
+    elif len(path) == 1:
+        del body[path[0]]
+        where = f"{section}.m.{path[0]}"
+    else:
+        del body[path[0]][path[1]]
+        where = f"{section}.m.{path[0]}[{path[1]}]"
+    assert _main_on_document(doc, [command, "m"], tmp_path) == 65
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["detail"].startswith(where + ":")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("section, command, name, key", [
+    ("crossed_modules", "verify-xmod", "ideal-pair", "C"),
+    ("crossed_modules", "verify-xmod", "ideal-pair", "action"),
+    ("two_crossed_modules", "verify-2xmod", "cubic-chain", "lifting")])
+def test_exit_code_65_for_missing_crossed_key(section, command, name, key, tmp_path, capsys):
+    from moorekit.document import corpus_document
+    doc = json.loads(corpus_document(2))
+    del doc[section][name][key]
+    assert _main_on_document(doc, [command, name], tmp_path) == 65
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["detail"].startswith(f"{section}.{name}.{key}:")
+
+
+@pytest.mark.parametrize("entry", [[0, 0, 0, "a"], [0, 0, 0], 7, {"no": "triples"}],
+                         ids=["non-integer", "three-long", "not-a-list", "no-triples"])
+def test_exit_code_65_for_malformed_three_crossed_map(entry, tmp_path, capsys):
+    doc = _three_crossed_body("lie_three_crossed")
+    doc["lie_three_crossed"]["m"]["actions"]["01"] = (entry if isinstance(entry, dict)
+                                                      else [entry])
+    assert _main_on_document(doc, ["lie-verify", "m"], tmp_path) == 65
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["detail"].startswith("lie_three_crossed.m.actions[01]")

@@ -9,6 +9,7 @@ from moorekit.crossed import (CrossedModule, ThreeCrossedModule,
                               ideal_pair, induced_cm, multiplication_cm,
                               verify_2cm, verify_3cm, verify_cm)
 from moorekit.functors import three_crossed_from_simplicial, two_crossed_from_simplicial
+from moorekit.lie import degenerate_lie_3cm, lie_heisenberg, verify_lie_3cm
 
 SMALL = Supply(budget=16, exhaustive_bound=256)
 
@@ -182,3 +183,43 @@ def test_axiom_report_records(built):
     recs = rep.records()
     assert all(r.status == "pass" for r in recs)
     assert any("CM2" in r.check for r in recs)
+
+
+# every record name of both 3-crossed verifiers, in order; the JSONL output
+# of verify-3xmod, to-3xmod and lie-verify is a function of these lists
+AXIOMS_3CM2_TO_16 = [f"3CM{n}" for n in range(2, 17)]
+TABLE_KEYS = ["()", "(1,0)(2)", "(0)(2,1)", "(2,0)(1)", "(1)(0)", "(2)(0)", "(2)(1)"]
+ACTION_KEYS = ["01", "02", "03", "12", "13", "23"]
+VERIFY_3CM_NAMES = (
+    ["complex-d2d3", "complex-d1d2", "d3-multiplicative", "d2-multiplicative",
+     "d1-multiplicative"]
+    + [f"action-{k}-algebra" for k in ACTION_KEYS]
+    + ["d3-crossed-CM1", "d3-crossed-CM2"]
+    + ["3CM1/" + n for n in ("complex", "d2-multiplicative", "d1-multiplicative",
+                             "action-c1-algebra", "action-c2-algebra", "d2-equivariant",
+                             "d1-equivariant", "2CM1", "2CM2", "2CM3", "2CM4i", "2CM4ii",
+                             "2CM5")]
+    + AXIOMS_3CM2_TO_16
+    + [f"table3[{k}]" for k in TABLE_KEYS] + [f"table4[{k}]" for k in TABLE_KEYS])
+VERIFY_LIE_3CM_NAMES = (
+    ["complex-d2d3", "complex-d1d2", "d3-bracket-morphism", "d2-bracket-morphism",
+     "d1-bracket-morphism"]
+    + [f"lie-action-{k}" for k in ACTION_KEYS]
+    + ["d3-crossed/" + n for n in ("boundary-bracket-morphism", "lie-action", "LCM1", "LCM2")]
+    + ["3CM1/" + n for n in ("complex", "d2-bracket-morphism", "d1-bracket-morphism",
+                             "action-l1", "action-l2", "L2CM1", "L2CM2", "L2CM3", "L2CM4i",
+                             "L2CM5")]
+    + AXIOMS_3CM2_TO_16)
+
+
+def test_verify_3cm_record_names_pinned(built):
+    out = three_crossed_from_simplicial(built("cubic-chain"), supply=SMALL)
+    rep = verify_3cm(out.structure, SMALL)
+    assert [e.name for e in rep.entries] == VERIFY_3CM_NAMES
+    assert [e.name for e in out.report.entries] == VERIFY_3CM_NAMES
+
+
+def test_verify_lie_3cm_record_names_pinned():
+    rep = verify_lie_3cm(degenerate_lie_3cm(lie_heisenberg(3)), SMALL)
+    assert [e.name for e in rep.entries] == VERIFY_LIE_3CM_NAMES
+    assert rep.title == "degenerate(heisenberg)"

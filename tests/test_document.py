@@ -124,3 +124,14 @@ def test_lookup_prefers_requested_kind():
 def test_corpus_document_deterministic():
     assert corpus_document(2) == corpus_document(2)
     assert corpus_document(3) == corpus_document(3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_corpus_document_entries_have_the_requested_characteristic(p):
+    doc = load_document(corpus_document(p))
+    assert doc.lie_algebras and doc.lie_three_crossed
+    for f in dataclasses.fields(doc):
+        section = getattr(doc, f.name)
+        if isinstance(section, dict):
+            for name, obj in section.items():
+                assert {A.p for A in _carriers(obj)} == {p}, (f.name, name)

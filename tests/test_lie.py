@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from moorekit.coeff import BilinearMap, Morphism, PrimeField, Supply
-from moorekit.lie import (LieAlgebra, LieThreeCrossedModule,
-                          degenerate_lie_3cm, lie_abelian, lie_action_violations,
-                          lie_heisenberg, validate_lie, verify_lie_3cm,
-                          verify_lie_crossed, verify_lie_2cm)
+from moorekit.crossed import ThreeCrossedModule
+from moorekit.lie import (LieAlgebra, degenerate_lie_3cm, lie_abelian,
+                          lie_action_violations, lie_heisenberg, validate_lie,
+                          verify_lie_3cm, verify_lie_crossed, verify_lie_2cm)
 
 SMALL = Supply(budget=16, exhaustive_bound=256)
 
@@ -98,9 +98,9 @@ def test_verify_lie_3cm_mutant_fails_with_witness():
     actions = dict(m.actions)
     bad = np.zeros((3, 1, 1), dtype=np.int64)
     bad[2, 0, 0] = 1
-    actions["01"] = BilinearMap(m.L0, m.L1, m.L1, bad)
-    mutated = LieThreeCrossedModule(m.L3, m.L2, m.L1, m.L0, m.d3, m.d2, m.d1,
-                                    actions, m.liftings, name="mutated")
+    actions["01"] = BilinearMap(m.C0, m.C1, m.C1, bad)
+    mutated = ThreeCrossedModule(m.C3, m.C2, m.C1, m.C0, m.d3, m.d2, m.d1,
+                                 actions, m.liftings, name="mutated")
     rep = verify_lie_3cm(mutated, SMALL)
     assert rep.entry("lie-action-01").status == "fail"
     assert rep.verdict == "fail"
@@ -112,13 +112,13 @@ def test_verify_lie_3cm_lifting_mutant_fails():
     # make the (1)(0) lifting land in a fattened L3 and perturb one entry
     L3 = lie_abelian(3, 1)
     L2 = lie_abelian(3, 1)
-    one = m.L1
+    one = m.C1
     t = np.zeros((1, 1, 1), dtype=np.int64)
     t[0, 0, 0] = 1
     actions = {
         "01": m.actions["01"],
-        "02": BilinearMap.zero(m.L0, L2, L2),
-        "03": BilinearMap.zero(m.L0, L3, L3),
+        "02": BilinearMap.zero(m.C0, L2, L2),
+        "03": BilinearMap.zero(m.C0, L3, L3),
         "12": BilinearMap.zero(one, L2, L2),
         "13": BilinearMap.zero(one, L3, L3),
         "23": BilinearMap.zero(L2, L3, L3),
@@ -132,8 +132,8 @@ def test_verify_lie_3cm_lifting_mutant_fails():
         "(0)(2,1)": BilinearMap.zero(L2, one, L3),
         "()": BilinearMap.zero(one, one, L2),
     }
-    mutated = LieThreeCrossedModule(
-        L3, L2, one, m.L0, Morphism.zero(L3, L2), Morphism.zero(L2, one),
+    mutated = ThreeCrossedModule(
+        L3, L2, one, m.C0, Morphism.zero(L3, L2), Morphism.zero(L2, one),
         m.d1, actions, liftings, name="mutant")
     rep = verify_lie_3cm(mutated, SMALL)
     # the zero boundaries hide the lifting from 3CM4, but 3CM3 reads it raw:
