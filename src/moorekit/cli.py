@@ -24,7 +24,7 @@ from .functors import (cm_from_simplicial, three_crossed_from_simplicial,
 from .lie import validate_lie, verify_lie_3cm
 from .moore import (lemma7_check, moore, p_set, s_set, table1_audit,
                     theorem5_check)
-from .report import (CONFIRMED, DISCREPANT, FAIL, PASS, CheckRecord,
+from .report import (DISCREPANT, FAIL, HYPOTHESIS_FAILED, PASS, CheckRecord,
                      worst_exit_code)
 from .simplicial import validate_simplicial
 
@@ -121,7 +121,8 @@ def _axiom_records(report, title, audit=False):
         if audit and status == FAIL and not e.name.startswith(_INVARIANT_PREFIXES):
             status = DISCREPANT
         out.append(CheckRecord(f"{title}/{e.name}", status,
-                               witnesses=(e.witness,) if e.witness else ()))
+                               witnesses=(e.witness,) if e.witness else (),
+                               detail=e.detail or {}))
     return out
 
 
@@ -180,8 +181,23 @@ _PREFERRED_KIND = {
 
 
 def _run_named(args, doc: Document, supply: Supply, extra_lines: list) -> list[CheckRecord]:
+    """The records of a command on one named object.  When the object
+    fails the hypothesis of a construction (PreconditionError), the
+    command answers with one hypothesis-failed record and emits no
+    document."""
+    kind, obj = doc.lookup(args.name, prefer=_PREFERRED_KIND.get(args.command))
+    emitted: list[str] = []
+    try:
+        records = _named_records(args, kind, obj, supply, emitted)
+    except PreconditionError as exc:
+        return [CheckRecord(f"{args.command}[{args.name}]", HYPOTHESIS_FAILED,
+                            detail={"reason": str(exc)})]
+    extra_lines.extend(emitted)
+    return records
+
+
+def _named_records(args, kind, obj, supply: Supply, extra_lines: list) -> list[CheckRecord]:
     name = args.name
-    kind, obj = doc.lookup(name, prefer=_PREFERRED_KIND.get(args.command))
     records: list[CheckRecord] = []
 
     if args.command == "validate":

@@ -71,15 +71,25 @@ def check_word_size(terms: int, p: int) -> None:
 def bilinear(a: np.ndarray, b: np.ndarray, tensor: np.ndarray, p: int) -> np.ndarray:
     """sum_ij a_i b_j tensor[i, j, :] mod p for residue vectors a and b.
 
-    With matrices a and b the value is taken on every pair of rows and
-    indexed [row of a, row of b, k].  Each of the two contractions is
-    reduced mod p before the next."""
+    Leading axes of a and b are batch axes and broadcast against each
+    other, so a[:, None] and b[None] give the value on every pair of rows.
+    Each of the two contractions is reduced mod p before the next."""
     m, n, t = tensor.shape
     half = a @ tensor.reshape(m, n * t)
     half %= p
-    out = b @ half.reshape(a.shape[:-1] + (n, t))
+    out = (b[..., None, :] @ half.reshape(a.shape[:-1] + (n, t)))[..., 0, :]
     out %= p
     return out
+
+
+# most cells (tuples times value coordinates) one batched sweep step holds
+_SWEEP_CELLS = 1 << 16
+
+
+def sweep_step(cells: int) -> int:
+    """How many leading entries of a batched sweep one step takes when each
+    entry spans `cells` cells."""
+    return max(1, _SWEEP_CELLS // max(1, cells))
 
 
 def _as_array(data, p: int) -> np.ndarray:
@@ -172,10 +182,14 @@ def sum_row_spaces(U: np.ndarray, V: np.ndarray, p: int) -> np.ndarray:
 
 
 def solve_in_rows(basis: np.ndarray, pivots: Sequence[int], v: np.ndarray, p: int) -> np.ndarray:
-    """Coordinates of v in an rref row basis (v must lie in the row space)."""
-    if not row_space_contains(basis, pivots, v, p):
+    """Coordinates of v in an rref row basis (v must lie in the row space).
+
+    Leading axes of v are batch axes: every vector must lie in the space."""
+    v = np.asarray(v, dtype=np.int64) % p
+    coords = v[..., list(pivots)]
+    if ((v - coords @ basis) % p).any():
         raise StructureError("vector outside subspace")
-    return np.array(v, dtype=np.int64)[list(pivots)] % p
+    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -240,14 +254,18 @@ class Algebra:
 
 @dataclass(frozen=True, eq=False)
 class Element:
-    """Coefficient vector in a fixed algebra."""
+    """Coefficient vector in a fixed algebra.
+
+    ``coeffs`` may carry leading batch axes, shape (..., dim): the value
+    is then a stack of elements, and every operation below broadcasts
+    over those axes as numpy does."""
 
     parent: Algebra
     coeffs: np.ndarray
 
     def __post_init__(self):
         arr = _as_array(self.coeffs, self.parent.p)
-        if arr.shape != (self.parent.dim,):
+        if arr.shape[-1:] != (self.parent.dim,):
             raise StructureError(
                 f"coefficient vector length {arr.shape} does not match dim {self.parent.dim}")
         object.__setattr__(self, "coeffs", arr)
@@ -285,7 +303,7 @@ class Element:
         return hash((id(self.parent), self.coeffs.tobytes()))
 
     def __repr__(self):
-        return f"Element({list(map(int, self.coeffs))})"
+        return f"Element({self.coeffs.tolist()})"
 
 
 def mul(a: Element, b: Element) -> Element:
@@ -313,7 +331,7 @@ class Morphism:
     def __call__(self, x: Element) -> Element:
         if x.parent is not self.source:
             raise StructureError("element not in the source algebra")
-        return Element(self.target, self.matrix @ x.coeffs % self.source.p)
+        return Element(self.target, x.coeffs @ self.matrix.T % self.source.p)
 
     def apply_vec(self, v: np.ndarray) -> np.ndarray:
         return self.matrix @ (np.asarray(v, dtype=np.int64) % self.source.p) % self.source.p
@@ -669,6 +687,16 @@ class Supply:
     def is_exhaustive(self, dim: int, p: int) -> bool:
         """Whether the supply of a dim-dimensional space over Z/p is all of it."""
         return p ** dim <= self.exhaustive_bound
+
+
+def supply_rows(dim: int, p: int, supply: Supply = Supply()) -> tuple[np.ndarray, bool]:
+    """The supply's coordinate vectors of a dim-dimensional space over Z/p
+    as the rows of one array, in vector_supply order, and whether they are
+    all of it.  The zero space's supply is the zero vector alone."""
+    if dim == 0:
+        return np.zeros((1, 0), dtype=np.int64), True
+    rows = np.array(list(vector_supply(dim, p, supply)), dtype=np.int64)
+    return rows.reshape(-1, dim), supply.is_exhaustive(dim, p)
 
 
 def elements(A: Algebra, supply: Supply = Supply()) -> Iterator[Element]:

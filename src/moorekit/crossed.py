@@ -1,17 +1,19 @@
 """Crossed modules, 2-crossed modules and 3-crossed modules with
 mechanized axiom verifiers.
 
-Every axiom in scope is multilinear in each slot, so sweeping basis
-tuples decides it exactly; reports carry the first failing tuple as a
-witness.  Stored actions are the ones the definitions declare (the
-base algebra acting on the higher ones); the action of degree-1
-elements on degree-2 elements in a 2-crossed module is derived from
-the lifting, {y (x) d2 x} = y . x, and likewise one level up.
+Every axiom in scope but 3CM6 is multilinear in each slot, so its value
+on basis tuples decides it exactly.  Each axiom is written once, on
+elements, and evaluated once on stacked basis tuples: slot i holds its
+whole basis on axis i, every operation broadcasts, and the first failing
+tuple in C order (the order of itertools.product) is the witness.
+Stored actions are the ones the definitions declare (the base algebra
+acting on the higher ones); the action of degree-1 elements on degree-2
+elements in a 2-crossed module is derived from the lifting,
+{y (x) d2 x} = y . x, and likewise one level up.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,7 +22,7 @@ from .coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
                     PreconditionError, Supply, annihilator, action_violations,
                     ideal_closure, image_space, null_space, quotient,
                     row_space_contains, rref, solve_in_rows, square_span,
-                    subalgebra, subspace_elements, validate_algebra)
+                    subalgebra, supply_rows, sweep_step, validate_algebra)
 from .report import FAIL, PASS, CheckRecord
 
 # The levels of the left argument, the right argument and the value of
@@ -45,6 +47,7 @@ class AxiomEntry:
     status: str
     checked: int
     witness: dict | None = None
+    detail: dict | None = None
 
 
 @dataclass(frozen=True)
@@ -66,28 +69,68 @@ class AxiomReport:
         return [e for e in self.entries if e.status != PASS]
 
     def records(self) -> list[CheckRecord]:
-        out = [CheckRecord(f"{self.title}/{e.name}", e.status,
-                           witnesses=(e.witness,) if e.witness else ())
-               for e in self.entries]
-        return out
+        return [CheckRecord(f"{self.title}/{e.name}", e.status,
+                            witnesses=(e.witness,) if e.witness else (),
+                            detail=e.detail or {})
+                for e in self.entries]
 
 
-def _witness(tup) -> dict:
-    return {f"arg{i}": list(map(int, x.coeffs)) for i, x in enumerate(tup)}
+def _stack(slot) -> Element:
+    """A slot of a sweep as one stacked Element: an algebra stands for its
+    basis, an Element for the rows of its coefficient array."""
+    if isinstance(slot, Element):
+        return slot
+    return Element(slot, np.eye(slot.dim, dtype=np.int64))
 
 
-def _sweep(name: str, bases, fun) -> AxiomEntry:
-    """Check fun(*tup) over all basis tuples; fun returns (lhs, rhs) pairs."""
-    checked = 0
-    for tup in itertools.product(*bases):
-        checked += 1
-        pairs = fun(*tup)
+def _evaluate(slots, fun) -> tuple[int, tuple | None]:
+    """Evaluate fun once on every tuple of the slots (algebras or stacks,
+    see _stack); fun returns an (lhs, rhs) pair or a list of them.
+
+    Slot i is an array with its entries on axis i, so fun runs on the
+    whole grid at once, in steps over the first slot of at most
+    sweep_step's cells.  A tuple fails where any pair differs.  Returns
+    (checked, failure): the grid size and None on a pass; otherwise the
+    flat C-order index + 1 of the first failing tuple and (arguments,
+    lhs, rhs) there, lhs and rhs those of its first differing pair."""
+    stacks = [_stack(s) for s in slots]
+    sizes = [len(s.coeffs) for s in stacks]
+    rest = int(np.prod(sizes[1:]))
+    if sizes[0] * rest == 0:
+        return 0, None
+    step = sweep_step(rest * max(s.parent.dim for s in stacks))
+    for start in range(0, sizes[0], step):
+        args = []
+        for i, s in enumerate(stacks):
+            rows = s.coeffs[start:start + step] if i == 0 else s.coeffs
+            shape = [1] * len(stacks) + [s.parent.dim]
+            shape[i] = len(rows)
+            args.append(Element(s.parent, rows.reshape(shape)))
+        pairs = fun(*args)
         if isinstance(pairs, tuple):
             pairs = [pairs]
-        for lhs, rhs in pairs:
-            if lhs != rhs:
-                return AxiomEntry(name, FAIL, checked, _witness(tup))
-    return AxiomEntry(name, PASS, checked)
+        grid = (len(args[0].coeffs), *sizes[1:])
+        diffs = [np.broadcast_to((lhs - rhs).coeffs.any(axis=-1), grid) for lhs, rhs in pairs]
+        hits = np.flatnonzero(np.logical_or.reduce(diffs))
+        if hits.size:
+            at = np.unravel_index(hits[0], grid)
+            lhs, rhs = next(pair for pair, d in zip(pairs, diffs) if d[at])
+            index = (start + at[0], *at[1:])
+            tup = {f"arg{i}": list(map(int, s.coeffs[j]))
+                   for i, (s, j) in enumerate(zip(stacks, index))}
+            sides = [list(map(int, np.broadcast_to(x.coeffs, grid + (x.parent.dim,))[at]))
+                     for x in (lhs, rhs)]
+            return start * rest + int(hits[0]) + 1, (tup, *sides)
+    return sizes[0] * rest, None
+
+
+def _sweep(name: str, slots, fun) -> AxiomEntry:
+    """The entry of an axiom evaluated by _evaluate; the witness is the
+    first failing tuple."""
+    checked, failure = _evaluate(slots, fun)
+    if failure is None:
+        return AxiomEntry(name, PASS, checked)
+    return AxiomEntry(name, FAIL, checked, failure[0])
 
 
 def _flag(name: str, ok: bool, detail: dict | None = None) -> AxiomEntry:
@@ -123,16 +166,16 @@ def verify_cm(m: CrossedModule) -> AxiomReport:
     entries = [
         _flag("boundary-multiplicative", bd.is_multiplicative()),
         _flag("action-algebra", not action_violations(act)),
-        _sweep("CM1", [R.basis(), C.basis()],
+        _sweep("CM1", [R, C],
                lambda r, c: (bd(act(r, c)), r * bd(c))),
-        _sweep("CM2", [C.basis(), C.basis()],
+        _sweep("CM2", [C, C],
                lambda c, c2: (act(bd(c), c2), c * c2)),
         _flag("image-is-ideal", Ideal(R, image_space(bd)).is_mult_closed()),
     ]
     ker = null_space(bd.matrix, C.p)
     entries.append(_sweep(
         "image-acts-trivially-on-kernel",
-        [C.basis(), [Element(C, v) for v in ker]],
+        [C, Element(C, ker)],
         lambda c, k: (act(bd(c), k), C.zero())))
     return AxiomReport(m.name or "crossed-module", tuple(entries))
 
@@ -247,22 +290,22 @@ def verify_2cm(t: TwoCrossedModule) -> AxiomReport:
         _flag("d1-multiplicative", d1.is_multiplicative()),
         _flag("action-c1-algebra", not action_violations(a1)),
         _flag("action-c2-algebra", not action_violations(a2)),
-        _sweep("d2-equivariant", [C0.basis(), C2.basis()],
+        _sweep("d2-equivariant", [C0, C2],
                lambda z, x: (d2(a2(z, x)), a1(z, d2(x)))),
-        _sweep("d1-equivariant", [C0.basis(), C1.basis()],
+        _sweep("d1-equivariant", [C0, C1],
                lambda z, y: (d1(a1(z, y)), z * d1(y))),
-        _sweep("2CM1", [C1.basis(), C1.basis()],
+        _sweep("2CM1", [C1, C1],
                lambda y0, y1: (d2(lt(y0, y1)), y0 * y1 - a1(d1(y1), y0))),
-        _sweep("2CM2", [C2.basis(), C2.basis()],
+        _sweep("2CM2", [C2, C2],
                lambda x1, x2: (lt(d2(x1), d2(x2)), x1 * x2)),
-        _sweep("2CM3", [C1.basis(), C1.basis(), C1.basis()],
+        _sweep("2CM3", [C1, C1, C1],
                lambda y0, y1, y2: (lt(y0, y1 * y2),
                                    lt(y0 * y1, y2) + a2(d1(y2), lt(y0, y1)))),
-        _sweep("2CM4i", [C2.basis(), C1.basis()],
+        _sweep("2CM4i", [C2, C1],
                lambda x, y: (lt(d2(x), y), t.act1_on_2(y, x) - a2(d1(y), x))),
-        _sweep("2CM4ii", [C2.basis(), C1.basis()],
+        _sweep("2CM4ii", [C2, C1],
                lambda x, y: (lt(y, d2(x)), t.act1_on_2(y, x))),
-        _sweep("2CM5", [C0.basis(), C1.basis(), C1.basis()],
+        _sweep("2CM5", [C0, C1, C1],
                lambda z, y0, y1: [(a2(z, lt(y0, y1)), lt(a1(z, y0), y1)),
                                   (a2(z, lt(y0, y1)), lt(y0, a1(z, y1)))]),
     ]
@@ -406,9 +449,11 @@ def verify_3cm(m: ThreeCrossedModule, supply: Supply = Supply()) -> AxiomReport:
     """3CM1 through 3CM16 as printed, the degree-3 crossed module property,
     and the two equivariance tables.
 
-    All axioms but 3CM6 are multilinear per slot and swept on basis
-    tuples; 3CM6 is quadratic in each slot, so it runs over the element
-    supply of C2 instead.
+    Each axiom is evaluated once on stacked basis tuples, which decides
+    it exactly since it is multilinear per slot; 3CM6 is quadratic in
+    each slot, so it is evaluated on the stacked element supply of C2
+    instead, and its record says whether that supply is exhaustive or
+    sampled.
     """
     C3, C2, C1, C0 = m.C3, m.C2, m.C1, m.C0
     d3, a23 = m.d3, m.action("23")
@@ -417,24 +462,26 @@ def verify_3cm(m: ThreeCrossedModule, supply: Supply = Supply()) -> AxiomReport:
     entries = _structure_entries(m, "multiplicative", "action-{}-algebra",
                                  action_violations)
     entries += [
-        _sweep("d3-crossed-CM1", [C2.basis(), C3.basis()],
+        _sweep("d3-crossed-CM1", [C2, C3],
                lambda x2, x3: (d3(a23(x2, x3)), x2 * d3(x3))),
-        _sweep("d3-crossed-CM2", [C3.basis(), C3.basis()],
+        _sweep("d3-crossed-CM2", [C3, C3],
                lambda x3, y3: (a23(d3(x3), y3), x3 * y3)),
     ]
     sub = TwoCrossedModule(C3, C2, C1, d3, m.d2, a12, a13, m.lifting("(2)(1)"),
                            name="top-segment")
     entries += _prefixed("3CM1", verify_2cm(sub))
     entries += _axioms_3cm2_to_16(m, supply)
-    entries += _equivariance_entries(m, "table3", C0.basis(), a01, a02, a03)
-    entries += _equivariance_entries(m, "table4", C1.basis(), None, a12, a13)
+    entries += _equivariance_entries(m, "table3", C0, a01, a02, a03)
+    entries += _equivariance_entries(m, "table4", C1, None, a12, a13)
     return AxiomReport(m.name or "three-crossed-module", tuple(entries))
 
 
 def _axioms_3cm2_to_16(m: ThreeCrossedModule, supply: Supply) -> list[AxiomEntry]:
     """3CM2 through 3CM16 as printed; x * y is the product of the levels,
-    the multiplication or the bracket.  3CM6 runs over the element supply
-    of C2, every other axiom on basis tuples."""
+    the multiplication or the bracket.  Each axiom is evaluated once on
+    stacked basis tuples, 3CM6 on the stacked element supply of C2 (its
+    detail gives the mode, exhaustive or sampled, by Supply.is_exhaustive;
+    the zero space's supply, the zero element, is exhaustive)."""
     C3, C2, C1 = m.C3, m.C2, m.C1
     d3, d2, d1 = m.d3, m.d2, m.d1
     a01, a02, a03 = m.action("01"), m.action("02"), m.action("03")
@@ -442,47 +489,49 @@ def _axioms_3cm2_to_16(m: ThreeCrossedModule, supply: Supply) -> list[AxiomEntry
     L10, L20, L21 = m.lifting("(1)(0)"), m.lifting("(2)(0)"), m.lifting("(2)(1)")
     L102, L201 = m.lifting("(1,0)(2)"), m.lifting("(2,0)(1)")
     L021, L = m.lifting("(0)(2,1)"), m.lifting("()")
+    rows, exhaustive = supply_rows(C2.dim, C2.p, supply)
+    c2_supply = Element(C2, rows)
     return [
-        _sweep("3CM2", [C1.basis(), C1.basis()],
+        _sweep("3CM2", [C1, C1],
                lambda x1, y1: (d2(L(x1, y1)), a01(d1(y1), x1) - x1 * y1)),
-        _sweep("3CM3", [C2.basis(), C2.basis()],
+        _sweep("3CM3", [C2, C2],
                lambda x2, y2: (L021(x2, d2(y2)), L21(x2, y2) - L10(x2, y2))),
-        _sweep("3CM4", [C2.basis(), C2.basis()],
+        _sweep("3CM4", [C2, C2],
                lambda x2, y2: (d3(L10(x2, y2)), L(d2(x2), d2(y2)) + x2 * y2)),
-        _sweep("3CM5", [C1.basis(), C3.basis()],
+        _sweep("3CM5", [C1, C3],
                lambda x1, y3: (L201(x1, d3(y3)),
                                L021(d3(y3), x1) + L102(x1, d3(y3)) - a03(d1(x1), y3))),
-        _sweep("3CM6",
-               [list(subspace_elements(C2, np.eye(C2.dim, dtype=np.int64), supply))] * 2,
-               lambda x2, y2: (L201(d2(x2), y2),
-                               -L20(x2, y2) + a23(x2 * y2, L21(x2, y2)) + L10(x2, y2))),
-        _sweep("3CM7", [C3.basis(), C3.basis()],
+        replace(_sweep("3CM6", [c2_supply, c2_supply],
+                       lambda x2, y2: (L201(d2(x2), y2),
+                                       -L20(x2, y2) + a23(x2 * y2, L21(x2, y2)) + L10(x2, y2))),
+                detail={"mode": "exhaustive" if exhaustive else "sampled"}),
+        _sweep("3CM7", [C3, C3],
                lambda x3, y3: (L10(d3(x3), d3(y3)), y3 * x3)),
-        _sweep("3CM8", [C3.basis(), C2.basis()],
+        _sweep("3CM8", [C3, C2],
                lambda y3, x2: (L021(d3(y3), d2(x2)), -a13(d2(x2), y3))),
-        _sweep("3CM9", [C2.basis(), C3.basis()],
+        _sweep("3CM9", [C2, C3],
                lambda x2, y3: (L102(d2(x2), d3(y3)), -L20(x2, d3(y3)))),
-        _sweep("3CM10", [C2.basis(), C3.basis()],
+        _sweep("3CM10", [C2, C3],
                lambda x2, y3: (L201(d2(x2), d3(y3)),
                                a13(d2(x2), y3) - L20(x2, d3(y3)))),
-        _sweep("3CM11", [C3.basis(), C1.basis()],
+        _sweep("3CM11", [C3, C1],
                lambda y3, x1: (L021(d3(y3), x1), -a13(x1, y3))),
-        _sweep("3CM12", [C2.basis(), C3.basis()],
+        _sweep("3CM12", [C2, C3],
                lambda y2, x3: (L10(y2, d3(x3)), -a23(y2, x3))),
-        _sweep("3CM13", [C3.basis(), C2.basis()],
+        _sweep("3CM13", [C3, C2],
                lambda x3, y2: (L10(d3(x3), y2), a23(y2, x3))),
-        _sweep("3CM14", [C3.basis(), C2.basis()],
+        _sweep("3CM14", [C3, C2],
                lambda x3, y2: (L20(d3(x3), y2), C3.zero())),
-        _sweep("3CM15", [C1.basis(), C2.basis()],
+        _sweep("3CM15", [C1, C2],
                lambda x1, y2: (d3(L201(x1, y2)),
                                d3(L102(x1, y2)) + L(x1, d2(y2))
                                - a02(d1(x1), y2) + a12(x1, y2))),
-        _sweep("3CM16", [C1.basis(), C2.basis()],
+        _sweep("3CM16", [C1, C2],
                lambda x1, y2: (d3(L021(y2, x1)), L(x1, d2(y2)) - a12(x1, y2))),
     ]
 
 
-def _equivariance_entries(m: ThreeCrossedModule, title: str, zbasis,
+def _equivariance_entries(m: ThreeCrossedModule, title: str, Z: Algebra,
                           act1, act2, act3) -> list[AxiomEntry]:
     """Both equalities of each equivariance-table row, per lifting key.
 
@@ -490,7 +539,7 @@ def _equivariance_entries(m: ThreeCrossedModule, title: str, zbasis,
     degree-1 table no action of C1 on itself is declared and the
     multiplication of C1 is used instead.
     """
-    C1 = m.C1
+    C1, C2 = m.C1, m.C2
 
     def on1(z, y):
         return act1(z, y) if act1 is not None else z * y
@@ -499,32 +548,29 @@ def _equivariance_entries(m: ThreeCrossedModule, title: str, zbasis,
     L102, L201 = m.lifting("(1,0)(2)"), m.lifting("(2,0)(1)")
     L021, L = m.lifting("(0)(2,1)"), m.lifting("()")
     rows = [
-        ("()", m.C1.basis(), m.C1.basis(),
+        ("()", C1, C1,
          lambda z, a, b: [(act2(z, L(a, b)), L(on1(z, a), b)),
                           (act2(z, L(a, b)), L(a, on1(z, b)))]),
-        ("(1,0)(2)", m.C1.basis(), m.C2.basis(),
+        ("(1,0)(2)", C1, C2,
          lambda z, a, b: [(act3(z, L102(a, b)), L102(on1(z, a), b)),
                           (act3(z, L102(a, b)), L102(a, act2(z, b)))]),
-        ("(0)(2,1)", m.C2.basis(), m.C1.basis(),
+        ("(0)(2,1)", C2, C1,
          lambda z, a, b: [(act3(z, L021(a, b)), L021(act2(z, a), b)),
                           (act3(z, L021(a, b)), L021(a, on1(z, b)))]),
-        ("(2,0)(1)", m.C1.basis(), m.C2.basis(),
+        ("(2,0)(1)", C1, C2,
          lambda z, a, b: [(act3(z, L201(a, b)), L201(on1(z, a), b)),
                           (act3(z, L201(a, b)), L201(a, act2(z, b)))]),
-        ("(1)(0)", m.C2.basis(), m.C2.basis(),
+        ("(1)(0)", C2, C2,
          lambda z, a, b: [(act3(z, L10(a, b)), L10(act2(z, a), b)),
                           (act3(z, L10(a, b)), L10(a, act2(z, b)))]),
-        ("(2)(0)", m.C2.basis(), m.C2.basis(),
+        ("(2)(0)", C2, C2,
          lambda z, a, b: [(act3(z, L20(a, b)), L20(act2(z, a), b)),
                           (act3(z, L20(a, b)), L20(a, act2(z, b)))]),
-        ("(2)(1)", m.C2.basis(), m.C2.basis(),
+        ("(2)(1)", C2, C2,
          lambda z, a, b: [(act3(z, L21(a, b)), L21(act2(z, a), b)),
                           (act3(z, L21(a, b)), L21(a, act2(z, b)))]),
     ]
-    out = []
-    for key, abasis, bbasis, fun in rows:
-        out.append(_sweep(f"{title}[{key}]", [zbasis, abasis, bbasis], fun))
-    return out
+    return [_sweep(f"{title}[{key}]", [Z, A, B], fun) for key, A, B, fun in rows]
 
 
 def crossed_as_3cm(m: CrossedModule, name: str = "") -> ThreeCrossedModule:

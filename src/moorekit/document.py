@@ -74,7 +74,32 @@ class Document:
 # loading
 
 
+def _object(value, loc) -> dict:
+    """value when it is a JSON object, else a DocumentError located at `loc`."""
+    if not isinstance(value, dict):
+        raise DocumentError(f"expected an object, got {type(value).__name__}", loc)
+    return value
+
+
+def _int(value, loc) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise DocumentError(f"{value!r} is not an integer", loc) from None
+
+
+def _level_index(key, loc) -> tuple[int, int]:
+    """A face or degeneracy key "n,i" as (n, i)."""
+    try:
+        n, i = (int(v) for v in key.split(","))
+    except ValueError:
+        raise DocumentError(f"key {key!r} is not \"n,i\"", loc) from None
+    return n, i
+
+
 def _dense_tensor(triples, shape, p, loc) -> np.ndarray:
+    if not isinstance(triples, list):
+        raise DocumentError("structure must be a list of [i, j, k, coeff]", loc)
     t = np.zeros(shape, dtype=np.int64)
     for entry in triples:
         try:
@@ -115,7 +140,7 @@ def _field(body, key, loc):
 
 
 def _resolve(table, name, loc):
-    if name not in table:
+    if not isinstance(name, str) or name not in table:
         raise DocumentError(f"unknown name {name!r}", loc)
     return table[name]
 
@@ -127,13 +152,15 @@ def _morphism(src, tgt, matrix, loc) -> Morphism:
         if mat.size == 0:
             mat = np.zeros((tgt.dim, src.dim), dtype=np.int64)
         return Morphism(src, tgt, mat)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DocumentError(str(exc), loc)
 
 
 def _load_morphism(body, algebras, loc) -> Morphism:
-    return _morphism(_resolve(algebras, body["source"], loc),
-                     _resolve(algebras, body["target"], loc), body.get("matrix", []), loc)
+    body = _object(body, loc)
+    return _morphism(_resolve(algebras, _field(body, "source", loc), loc),
+                     _resolve(algebras, _field(body, "target", loc), loc),
+                     body.get("matrix", []), loc)
 
 
 def _load_three_crossed(section, name, body, doc) -> ThreeCrossedModule:
@@ -170,50 +197,54 @@ def load_document(text: str) -> Document:
         raise DocumentError(f"invalid JSON: {exc}", "document")
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object", "document")
-    cfg = raw.get("config", {})
+    cfg = _object(raw.get("config", {}), "config")
+    chars = cfg.get("characteristics", [2])
+    if not isinstance(chars, list):
+        raise DocumentError("expected a list of integers", "config.characteristics")
     doc = Document(
-        config=Supply(seed=int(cfg.get("seed", 0)),
-                      budget=int(cfg.get("budget", 256)),
-                      exhaustive_bound=int(cfg.get("exhaustive_bound", 4096))),
-        characteristics=tuple(int(c) for c in cfg.get("characteristics", [2])))
+        config=Supply(**{key: _int(cfg.get(key, default), f"config.{key}")
+                         for key, default in (("seed", 0), ("budget", 256),
+                                              ("exhaustive_bound", 4096))}),
+        characteristics=tuple(_int(c, "config.characteristics") for c in chars))
 
-    for section in CARRIERS:
-        for name, body in raw.get(section, {}).items():
-            getattr(doc, section)[name] = _load_algebra(section, name, body)
-    for name, body in raw.get("morphisms", {}).items():
+    def section(key: str) -> dict:
+        return _object(raw.get(key, {}), key)
+
+    for key in CARRIERS:
+        for name, body in section(key).items():
+            getattr(doc, key)[name] = _load_algebra(key, name, body)
+    for name, body in section("morphisms").items():
         doc.morphisms[name] = _load_morphism(body, doc.algebras, f"morphisms.{name}")
 
-    for name, body in raw.get("simplicial", {}).items():
+    for name, body in section("simplicial").items():
         loc = f"simplicial.{name}"
         try:
             k = int(body["k"])
             level_names = body["levels"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DocumentError(f"bad simplicial header: {exc}", loc)
-        if len(level_names) != k + 1:
-            raise DocumentError(f"{len(level_names)} levels for k={k}", loc)
+        if not isinstance(level_names, list) or len(level_names) != k + 1:
+            raise DocumentError(f"levels must be a list of {k + 1} names for k={k}", loc)
         levels = tuple(_resolve(doc.algebras, nm, loc) for nm in level_names)
-        faces = {}
-        degs = {}
-        for key, mor in body.get("faces", {}).items():
-            n, i = (int(v) for v in key.split(","))
-            faces[(n, i)] = _load_morphism(mor, doc.algebras, f"{loc}.faces[{key}]")
-        for key, mor in body.get("degeneracies", {}).items():
-            n, i = (int(v) for v in key.split(","))
-            degs[(n, i)] = _load_morphism(mor, doc.algebras, f"{loc}.degeneracies[{key}]")
+        maps = {}
+        for group in ("faces", "degeneracies"):
+            maps[group] = {_level_index(key, f"{loc}.{group}[{key}]"):
+                           _load_morphism(mor, doc.algebras, f"{loc}.{group}[{key}]")
+                           for key, mor in _object(body.get(group, {}), f"{loc}.{group}").items()}
         try:
-            doc.simplicial[name] = TruncatedSimplicialAlgebra(levels, faces, degs, name=name)
+            doc.simplicial[name] = TruncatedSimplicialAlgebra(
+                levels, maps["faces"], maps["degeneracies"], name=name)
         except StructureError as exc:
             raise DocumentError(str(exc), loc)
 
-    for name, body in raw.get("crossed_modules", {}).items():
+    for name, body in section("crossed_modules").items():
         loc = f"crossed_modules.{name}"
         C, R = (_resolve(doc.algebras, _field(body, k, f"{loc}.{k}"), loc) for k in ("C", "R"))
         bd = _morphism(C, R, _field(body, "boundary", f"{loc}.boundary"), loc)
         act = _load_bilinear(_field(body, "action", f"{loc}.action"), R, C, C, f"{loc}.action")
         doc.crossed_modules[name] = CrossedModule(C, R, bd, act, name=name)
 
-    for name, body in raw.get("two_crossed_modules", {}).items():
+    for name, body in section("two_crossed_modules").items():
         loc = f"two_crossed_modules.{name}"
         C2, C1, C0 = (_resolve(doc.algebras, _field(body, k, f"{loc}.{k}"), loc)
                       for k in ("C2", "C1", "C0"))
@@ -226,9 +257,9 @@ def load_document(text: str) -> Document:
         doc.two_crossed_modules[name] = TwoCrossedModule(C2, C1, C0, d2, d1, a1, a2, lt,
                                                          name=name)
 
-    for section in THREE_CROSSED:
-        for name, body in raw.get(section, {}).items():
-            getattr(doc, section)[name] = _load_three_crossed(section, name, body, doc)
+    for key in THREE_CROSSED:
+        for name, body in section(key).items():
+            getattr(doc, key)[name] = _load_three_crossed(key, name, body, doc)
     return doc
 
 

@@ -103,9 +103,9 @@ def verify_lie_crossed(L1: LieAlgebra, L0: LieAlgebra, bd: Morphism,
     entries = [
         _flag("boundary-bracket-morphism", bd.is_multiplicative()),
         _flag("lie-action", not lie_action_violations(act)),
-        _sweep("LCM1", [L0.basis(), L1.basis()],
+        _sweep("LCM1", [L0, L1],
                lambda r, c: (bd(act(r, c)), r * bd(c))),
-        _sweep("LCM2", [L1.basis(), L1.basis()],
+        _sweep("LCM2", [L1, L1],
                lambda c, c2: (act(bd(c), c2), c * c2)),
     ]
     return AxiomReport(title, tuple(entries))
@@ -123,16 +123,16 @@ def verify_lie_2cm(L2, L1, L0, d2, d1, a1, a2, lt,
         _flag("d1-bracket-morphism", d1.is_multiplicative()),
         _flag("action-l1", not lie_action_violations(a1)),
         _flag("action-l2", not lie_action_violations(a2)),
-        _sweep("L2CM1", [L1.basis(), L1.basis()],
+        _sweep("L2CM1", [L1, L1],
                lambda y0, y1: (d2(lt(y0, y1)), y0 * y1 - a1(d1(y1), y0))),
-        _sweep("L2CM2", [L2.basis(), L2.basis()],
+        _sweep("L2CM2", [L2, L2],
                lambda x1, x2: (lt(d2(x1), d2(x2)), x1 * x2)),
-        _sweep("L2CM3", [L1.basis(), L1.basis(), L1.basis()],
+        _sweep("L2CM3", [L1, L1, L1],
                lambda y0, y1, y2: (lt(y0, y1 * y2),
                                    lt(y0 * y1, y2) + a2(d1(y2), lt(y0, y1)))),
-        _sweep("L2CM4i", [L2.basis(), L1.basis()],
+        _sweep("L2CM4i", [L2, L1],
                lambda x, y: (lt(d2(x), y), act12(y, x) - a2(d1(y), x))),
-        _sweep("L2CM5", [L0.basis(), L1.basis(), L1.basis()],
+        _sweep("L2CM5", [L0, L1, L1],
                lambda z, y0, y1: [(a2(z, lt(y0, y1)), lt(a1(z, y0), y1)),
                                   (a2(z, lt(y0, y1)), lt(y0, a1(z, y1)))]),
     ]

@@ -25,7 +25,7 @@ import numpy as np
 
 from .coeff import (Algebra, Element, Ideal, Morphism, PreconditionError,
                     StructureError, Supply, bilinear, ideal_closure, null_space,
-                    rref, subalgebra, vector_supply)
+                    rref, subalgebra, supply_rows, sweep_step)
 from .report import (CONFIRMED, DISCREPANT, FAIL, HYPOTHESIS_FAILED, PASS,
                      CheckRecord)
 
@@ -317,7 +317,7 @@ def _pairing_values(E, pair: PairingIndex, bx: np.ndarray, by: np.ndarray,
     A = E.level(n)
     sa = s_word_morphism(E, n, pair.alpha.application_order()).matrix
     sb = s_word_morphism(E, n, pair.beta.application_order()).matrix
-    prods = bilinear(bx @ sa.T % A.p, by @ sb.T % A.p, A.structure, A.p)
+    prods = bilinear((bx @ sa.T % A.p)[:, None], (by @ sb.T % A.p)[None], A.structure, A.p)
     return prods @ proj.T % A.p
 
 
@@ -539,9 +539,6 @@ def table1_eval(E, row: int, x: Element, y: Element) -> tuple[Element, Element]:
 # Every contraction sums at most dim(E_c) products of residues, which the
 # algebras' word-size check keeps below 2^63.
 
-# most cells (x values * y values * output coordinates) one chunk holds
-_SWEEP_CELLS = 1 << 16
-
 
 @dataclass(frozen=True, eq=False)
 class _Row:
@@ -575,13 +572,7 @@ def _table1_rows(E, supply: Supply):
     def component(c: int):
         if c not in components:
             basis = moore_basis(E, c)
-            r = basis.shape[0]
-            if r == 0:  # the zero element alone
-                components[c] = basis, np.zeros((1, 0), dtype=np.int64), True
-            else:
-                coords = np.array(list(vector_supply(r, p, supply)), dtype=np.int64)
-                components[c] = (basis, coords.reshape(-1, r),
-                                 supply.is_exhaustive(r, p))
+            components[c] = (basis, *supply_rows(basis.shape[0], p, supply))
         return components[c]
 
     for row, pair in enumerate(p_set(4), start=1):
@@ -597,7 +588,7 @@ def _sweep(tensor: np.ndarray, xs: np.ndarray, ys: np.ndarray, p: int):
     ys[j, b] tensor[a, b] mod p, over chunks of x in order."""
     ra, rb, m = tensor.shape
     flat = tensor.reshape(ra, rb * m)
-    step = max(1, _SWEEP_CELLS // max(1, max(len(ys), rb) * m))
+    step = sweep_step(max(len(ys), rb) * m)
     for start in range(0, len(xs), step):
         chunk = xs[start:start + step]
         half = (chunk @ flat % p).reshape(len(chunk), rb, m)

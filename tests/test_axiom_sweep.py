@@ -1,0 +1,191 @@
+"""The batched axiom sweep against a plain per-tuple reference.
+
+``crossed._evaluate`` evaluates each axiom once on stacked basis tuples.
+``reference_evaluate`` below is the sweep it replaced: one tuple of
+unbatched Elements at a time, in itertools.product order.  Every test
+runs a verifier or table audit twice, once as shipped and once with the
+reference patched in, and requires identical entries and records.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from moorekit import coeff, corpus, crossed, functors
+from moorekit.coeff import (Algebra, BilinearMap, Element, Morphism, Supply,
+                            subspace_elements, supply_rows)
+from moorekit.crossed import ThreeCrossedModule, verify_2cm, verify_3cm, verify_cm
+from moorekit.functors import table_identities_check, three_crossed_from_simplicial
+from moorekit.lie import verify_lie_3cm
+from moorekit.simplicial import TruncatedSimplicialAlgebra
+
+CHARS = (2, 3, 5)
+SMALL = Supply(budget=16, exhaustive_bound=256)
+
+
+def reference_evaluate(slots, fun):
+    """Per-tuple sweep: the first tuple in product order where any pair
+    differs, (checked, (arguments, lhs, rhs)) as _evaluate returns them."""
+    bases = [s.basis() if isinstance(s, Algebra) else
+             [Element(s.parent, row) for row in s.coeffs] for s in slots]
+    checked = 0
+    for tup in itertools.product(*bases):
+        checked += 1
+        pairs = fun(*tup)
+        if isinstance(pairs, tuple):
+            pairs = [pairs]
+        for lhs, rhs in pairs:
+            if lhs != rhs:
+                args = {f"arg{i}": list(map(int, x.coeffs)) for i, x in enumerate(tup)}
+                return checked, (args, list(map(int, lhs.coeffs)), list(map(int, rhs.coeffs)))
+    return checked, None
+
+
+def entries(report):
+    return [(e.name, e.status, e.checked, e.witness, e.detail) for e in report.entries]
+
+
+def lines(records):
+    return [r.json_line() for r in records]
+
+
+def both(monkeypatch, run):
+    """run() as shipped, then with the per-tuple reference patched in."""
+    batched = run()
+    with monkeypatch.context() as m:
+        m.setattr(crossed, "_evaluate", reference_evaluate)
+        m.setattr(functors, "_evaluate", reference_evaluate)
+        reference = run()
+    return batched, reference
+
+
+def tensor_simplicial(E, F) -> TruncatedSimplicialAlgebra:
+    """Levelwise tensor product E (x) F: structure tensors multiply, faces
+    and degeneracies are Kronecker products, and the basis pair (a, b) has
+    index a * dim F_n + b.  By Eilenberg-Zilber it is again simplicial."""
+    levels = []
+    for A, B in zip(E.levels, F.levels):
+        d = A.dim * B.dim
+        c = np.einsum("ijk,abc->iajbkc", A.structure, B.structure).reshape(d, d, d)
+        identity = (None if A.identity is None or B.identity is None
+                    else A.identity * B.dim + B.identity)
+        names = tuple(f"{a}*{b}" for a in A.basis_names for b in B.basis_names)
+        levels.append(Algebra(A.field, c, names, identity))
+
+    def kron(maps, others, source, target):
+        return {(n, i): Morphism(levels[source(n)], levels[target(n)],
+                                 np.kron(f.matrix, others[(n, i)].matrix))
+                for (n, i), f in maps.items()}
+
+    return TruncatedSimplicialAlgebra(
+        tuple(levels),
+        kron(E.faces, F.faces, lambda n: n, lambda n: n - 1),
+        kron(E.degeneracies, F.degeneracies, lambda n: n - 1, lambda n: n),
+        name=f"{E.name}(x){F.name}")
+
+
+@pytest.fixture(scope="module")
+def degree3():
+    """ideal-pair (x) sq0-lifting at p = 2: non-zero degree-3 data."""
+    simp = corpus.simplicial_corpus(2)
+    return tensor_simplicial(simp["ideal-pair"], simp["sq0-lifting"])
+
+
+def with_random_liftings(m: ThreeCrossedModule, seed: int) -> ThreeCrossedModule:
+    rng = np.random.default_rng(seed)
+    liftings = {key: BilinearMap(L.left, L.right, L.target,
+                                 rng.integers(0, L.target.p, L.tensor.shape))
+                for key, L in m.liftings.items()}
+    return ThreeCrossedModule(m.C3, m.C2, m.C1, m.C0, m.d3, m.d2, m.d1,
+                              m.actions, liftings, name="random-liftings")
+
+
+@pytest.mark.parametrize("p", CHARS)
+def test_crossed_and_two_crossed_corpus_match_reference(p, monkeypatch):
+    for cm in corpus.crossed_corpus(p).values():
+        batched, reference = both(monkeypatch, lambda: entries(verify_cm(cm)))
+        assert batched == reference, cm.name
+    for t in corpus.two_crossed_corpus(p).values():
+        batched, reference = both(monkeypatch, lambda: entries(verify_2cm(t)))
+        assert batched == reference, t.name
+
+
+@pytest.mark.parametrize("p", CHARS)
+def test_three_crossed_and_lie_corpus_match_reference(p, monkeypatch):
+    for name, E in corpus.simplicial_corpus(p).items():
+        m = three_crossed_from_simplicial(E, supply=SMALL).structure
+        batched, reference = both(monkeypatch, lambda: entries(verify_3cm(m, SMALL)))
+        assert batched == reference, name
+    for name, m in corpus.lie_three_corpus(p).items():
+        batched, reference = both(monkeypatch, lambda: entries(verify_lie_3cm(m, SMALL)))
+        assert batched == reference, name
+
+
+@pytest.mark.parametrize("p", CHARS)
+@pytest.mark.parametrize("table", [2, 3, 4])
+def test_tables_corpus_match_reference(p, table, monkeypatch):
+    for name, E in corpus.simplicial_corpus(p).items():
+        batched, reference = both(
+            monkeypatch, lambda: lines(table_identities_check(E, table, supply=SMALL)))
+        assert batched == reference, name
+
+
+def test_degree3_tensor_matches_reference_with_its_findings(degree3, monkeypatch):
+    batched, reference = both(
+        monkeypatch, lambda: entries(three_crossed_from_simplicial(degree3).report))
+    assert batched == reference
+    status = {name: st for name, st, *_ in batched}
+    assert status["3CM15"] == "fail" and status["table4[()]"] == "fail"
+    assert all(st == "pass" for name, st, *_ in batched
+               if name not in ("3CM15", "table4[()]"))
+    for table in (2, 4):
+        batched, reference = both(
+            monkeypatch, lambda: lines(table_identities_check(degree3, table)))
+        assert batched == reference
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_random_liftings_fail_past_the_first_tuple(degree3, seed, monkeypatch):
+    m = with_random_liftings(three_crossed_from_simplicial(degree3).structure, seed)
+    supply = Supply(seed=seed, budget=16, exhaustive_bound=4)  # 2^6 > 4: sampled
+    batched, reference = both(monkeypatch, lambda: entries(verify_3cm(m, supply)))
+    assert batched == reference
+    failing = [checked for _, st, checked, *_ in batched if st == "fail"]
+    assert failing and max(failing) > 1
+    (mode,) = [detail for name, *_, detail in batched if name == "3CM6"]
+    assert mode == {"mode": "sampled"}
+
+
+def test_grids_spanning_many_steps_match_reference(degree3, monkeypatch):
+    m = with_random_liftings(three_crossed_from_simplicial(degree3).structure, 3)
+    monkeypatch.setattr(coeff, "_SWEEP_CELLS", 7)  # every grid takes several steps
+    batched, reference = both(monkeypatch, lambda: entries(verify_3cm(m, SMALL)))
+    assert batched == reference
+    assert sum(checked for _, _, checked, *_ in batched) > 7
+    batched, reference = both(
+        monkeypatch, lambda: lines(table_identities_check(degree3, 2, supply=SMALL)))
+    assert batched == reference
+
+
+@pytest.mark.parametrize("p, dim, supply", [(2, 3, Supply()), (3, 2, Supply(exhaustive_bound=4)),
+                                            (5, 0, Supply(exhaustive_bound=0))])
+def test_supply_rows_are_the_element_supply(p, dim, supply):
+    A = Algebra(coeff.PrimeField(p), np.zeros((dim, dim, dim), dtype=np.int64),
+                tuple(f"e{i}" for i in range(dim)))
+    rows, exhaustive = supply_rows(dim, p, supply)
+    want = [e.coeffs for e in subspace_elements(A, np.eye(dim, dtype=np.int64), supply)]
+    assert np.array_equal(rows, np.array(want, dtype=np.int64).reshape(len(want), dim))
+    assert exhaustive == (dim == 0 or supply.is_exhaustive(dim, p))
+
+
+def test_3cm6_mode_on_corpus_is_exhaustive(built):
+    rep = verify_3cm(three_crossed_from_simplicial(built("cubic-chain")).structure)
+    assert rep.entry("3CM6").detail == {"mode": "exhaustive"}
+    assert [e.name for e in rep.entries if e.detail] == ["3CM6"]
+
+
+def test_evaluate_reports_the_first_differing_pair():
+    A = corpus.dual_numbers(3)
+    fun = lambda x, y: [(x, x), (x * y, x + y)]  # noqa: E731
+    assert crossed._evaluate([A, A], fun) == reference_evaluate([A, A], fun)

@@ -1,7 +1,13 @@
+import contextlib
+import copy
 import io
 import json
+import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moorekit.cli import main, make_parser, run_command
 
@@ -235,3 +241,88 @@ def test_exit_code_65_for_malformed_three_crossed_map(entry, tmp_path, capsys):
     assert _main_on_document(doc, ["lie-verify", "m"], tmp_path) == 65
     captured = capsys.readouterr()
     assert json.loads(captured.err)["detail"].startswith("lie_three_crossed.m.actions[01]")
+
+
+@pytest.mark.parametrize("section, key", [("faces", "1,0"), ("degeneracies", "2,1")])
+@pytest.mark.parametrize("bad", ["x", "1", "1,0,2", "1,y"])
+def test_exit_code_65_for_malformed_simplicial_key(section, key, bad, tmp_path, capsys):
+    from moorekit.document import corpus_document
+    doc = json.loads(corpus_document(2))
+    maps = doc["simplicial"]["ideal-pair"][section]
+    maps[bad] = maps.pop(key)
+    assert _main_on_document(doc, ["validate", "ideal-pair"], tmp_path) == 65
+    captured = capsys.readouterr()
+    where = f"simplicial.ideal-pair.{section}[{bad}]"
+    assert json.loads(captured.err)["detail"].startswith(where + ":")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("key, value", [("seed", "x"), ("budget", [1]), ("exhaustive_bound", None),
+                                        ("characteristics", ["two"]), ("characteristics", 2)])
+def test_exit_code_65_for_malformed_config(key, value, tmp_path, capsys):
+    from moorekit.document import corpus_document
+    doc = json.loads(corpus_document(2))
+    doc["config"][key] = value
+    assert _main_on_document(doc, ["validate", "ideal-pair"], tmp_path) == 65
+    captured = capsys.readouterr()
+    assert json.loads(captured.err)["detail"].startswith(f"config.{key}:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("name", ["top-degree-3", "top-degree-4"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_to_2xmod_beyond_length_two_is_a_hypothesis_record(name, p):
+    code, out = run(["--char", str(p), "to-2xmod", name])
+    assert code == 0
+    assert records(out) == [
+        {"check": f"to-2xmod[{name}]", "status": "hypothesis-failed", "witnesses": [],
+         "detail": {"reason": "Moore length exceeds 2"}},
+        {"check": "summary", "status": "pass", "witnesses": [],
+         "detail": {"records": 1, "exit": 0}}]
+
+
+@pytest.fixture(scope="module")
+def corpus_doc():
+    from moorekit.document import corpus_document
+    return json.loads(corpus_document(2))
+
+
+# a value of another JSON type, for a field of any type
+_JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 12), st.text(max_size=3),
+                         st.lists(st.integers(-1, 3), max_size=4),
+                         st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """doc with one field, at a random depth, renamed, retyped or dropped."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if not child or not isinstance(child, (dict, list)) or draw(st.booleans()):
+            break
+        node = child
+    action = draw(st.sampled_from(["rename", "retype", "drop"]))
+    if action == "rename" and isinstance(node, dict):
+        node[draw(st.text(max_size=4))] = node.pop(key)
+    elif action == "drop":
+        del node[key]
+    else:
+        node[key] = draw(_JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data(), argv=st.sampled_from([
+    ["validate", "ideal-pair"], ["validate", "abelian"], ["moore", "cubic-chain"],
+    ["verify-xmod", "ideal-pair"], ["verify-2xmod", "cubic-chain"],
+    ["lie-verify", "heisenberg-chain"]]))
+def test_mutated_corpus_document_exits_with_a_contract_code(corpus_doc, data, argv):
+    text = json.dumps(data.draw(_mutated(corpus_doc)))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["--input", "-", *argv])
+    assert code in (0, 1, 2, 65), err.getvalue()

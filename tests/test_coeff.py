@@ -310,3 +310,20 @@ def test_property_ideal_closure_contains_generator(vec):
     I = ideal_closure(A, [g])
     assert I.contains(g)
     assert I.is_mult_closed()
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_batched_elements_broadcast_like_single_ones(p):
+    rng = np.random.default_rng(p)
+    A = corpus.group_line(p) if p != 2 else corpus.dual_numbers(2)
+    f = Morphism(A, A, rng.integers(0, p, (A.dim, A.dim)))
+    g = BilinearMap(A, A, A, rng.integers(0, p, (A.dim, A.dim, A.dim)))
+    xs, ys = rng.integers(0, p, (4, A.dim)), rng.integers(0, p, (3, A.dim))
+    X, Y = Element(A, xs[:, None]), Element(A, ys[None])
+    for op in (lambda a, b: a * b, lambda a, b: a - b, lambda a, b: a + -b,
+               lambda a, b: g(f(a), b)):
+        batch = op(X, Y).coeffs
+        assert batch.shape == (4, 3, A.dim)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                assert np.array_equal(batch[i, j], op(Element(A, x), Element(A, y)).coeffs)
