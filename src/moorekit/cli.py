@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .coeff import PreconditionError, Supply, validate_algebra
+from .coeff import PreconditionError, PrimeField, Supply, validate_algebra
 from .crossed import verify_2cm, verify_3cm, verify_cm
 from .document import Document, DocumentBuilder, DocumentError, corpus_document, load_document
 from .functors import (cm_from_simplicial, three_crossed_from_simplicial,
@@ -37,13 +36,6 @@ _INVARIANT_PREFIXES = ("complex-", "d3-multiplicative", "d2-multiplicative",
                        "d1-multiplicative", "action-", "table3[", "table4[")
 
 
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, default))
-    except ValueError:
-        return default
-
-
 def nonnegative(text: str) -> int:
     n = int(text)
     if n < 0:
@@ -51,14 +43,21 @@ def nonnegative(text: str) -> int:
     return n
 
 
+def primes(text: str) -> tuple[int, ...]:
+    """The comma-separated primes of --char; empty items are skipped."""
+    try:
+        return tuple(PrimeField(int(c)).p for c in text.split(",") if c)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{text}: {exc}") from None
+
+
 def make_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="moorekit", description=__doc__)
     ap.add_argument("--input", help="JSON document, '-' for stdin (default: built-in corpus)")
-    ap.add_argument("--seed", type=int, default=_env_int("MOOREKIT_SEED", 0))
-    ap.add_argument("--budget", type=int, default=_env_int("MOOREKIT_BUDGET", 256))
-    ap.add_argument("--exhaustive-bound", type=int,
-                    default=_env_int("MOOREKIT_EXHAUSTIVE_BOUND", 4096))
-    ap.add_argument("--char", default=os.environ.get("MOOREKIT_CHAR", "2"),
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--budget", type=int, default=256)
+    ap.add_argument("--exhaustive-bound", type=int, default=4096)
+    ap.add_argument("--char", type=primes, default=(2,),
                     help="comma-separated characteristics for the built-in corpus")
     ap.add_argument("--human", action="store_true", help="render text instead of JSON")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -98,11 +97,10 @@ def _documents(args) -> list[tuple[str, Document]]:
     if args.input:
         text = sys.stdin.read() if args.input == "-" else open(args.input).read()
         return [("", load_document(text))]
-    chars = [int(c) for c in str(args.char).split(",") if c]
     supply = Supply(args.seed, args.budget, args.exhaustive_bound)
     out = []
-    for p in chars:
-        label = f"@p={p}" if len(chars) > 1 else ""
+    for p in args.char:
+        label = f"@p={p}" if len(args.char) > 1 else ""
         out.append((label, load_document(corpus_document(p, supply))))
     return out
 
@@ -146,15 +144,13 @@ def run_command(args, out) -> int:
                      for q in p_set(n)]
             records.append(_listing_record("pairings", n, items))
     elif args.command == "corpus":
-        chars = [int(c) for c in str(args.char).split(",") if c]
-        for p in chars:
+        for p in args.char:
             extra_lines.append(corpus_document(p, supply))
     elif args.command == "roundtrip":
-        chars = [int(c) for c in str(args.char).split(",") if c]
         levels = (1, 2) if args.level == "both" else (int(args.level),)
-        for p in chars:
+        for p in args.char:
             recs = [r for lv in levels for r in roundtrip_check(lv, p)]
-            records.extend(_tag(recs, f"@p={p}" if len(chars) > 1 else ""))
+            records.extend(_tag(recs, f"@p={p}" if len(args.char) > 1 else ""))
     else:
         for label, doc in _documents(args):
             records.extend(_tag(_run_named(args, doc, supply, extra_lines), label))

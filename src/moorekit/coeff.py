@@ -43,11 +43,14 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The field Z/p for a small prime p (trial division on construction)."""
+    """The field Z/p for a small prime p.  Construction rejects any p that
+    check_word_size rejects at dim 1 before trial division, which bounds
+    the division to about 55k steps."""
 
     p: int
 
     def __post_init__(self):
+        check_word_size(1, self.p)
         if not _is_prime(self.p):
             raise StructureError(f"modulus {self.p} is not prime")
 

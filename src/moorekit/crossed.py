@@ -166,10 +166,7 @@ def verify_cm(m: CrossedModule) -> AxiomReport:
     entries = [
         _flag("boundary-multiplicative", bd.is_multiplicative()),
         _flag("action-algebra", not action_violations(act)),
-        _sweep("CM1", [R, C],
-               lambda r, c: (bd(act(r, c)), r * bd(c))),
-        _sweep("CM2", [C, C],
-               lambda c, c2: (act(bd(c), c2), c * c2)),
+        *_cm_sweeps(C, R, bd, act),
         _flag("image-is-ideal", Ideal(R, image_space(bd)).is_mult_closed()),
     ]
     ker = null_space(bd.matrix, C.p)
@@ -178,6 +175,19 @@ def verify_cm(m: CrossedModule) -> AxiomReport:
         [C, Element(C, ker)],
         lambda c, k: (act(bd(c), k), C.zero())))
     return AxiomReport(m.name or "crossed-module", tuple(entries))
+
+
+def _cm_sweeps(C: Algebra, R: Algebra, bd: Morphism, act: BilinearMap,
+               prefix: str = "") -> list[AxiomEntry]:
+    """CM1 and CM2 of a boundary C -> R with an R-action on C, as entries
+    "<prefix>CM1" and "<prefix>CM2"; x * y is the product of the levels,
+    the multiplication or the bracket."""
+    return [
+        _sweep(f"{prefix}CM1", [R, C],
+               lambda r, c: (bd(act(r, c)), r * bd(c))),
+        _sweep(f"{prefix}CM2", [C, C],
+               lambda c, c2: (act(bd(c), c2), c * c2)),
+    ]
 
 
 def ideal_pair(R: Algebra, gens, name: str = "") -> CrossedModule:
@@ -283,7 +293,7 @@ class TwoCrossedModule:
 
 def verify_2cm(t: TwoCrossedModule) -> AxiomReport:
     C2, C1, C0 = t.C2, t.C1, t.C0
-    d2, d1, a1, a2, lt = t.d2, t.d1, t.act_on_c1, t.act_on_c2, t.lifting
+    d2, d1, a1, a2 = t.d2, t.d1, t.act_on_c1, t.act_on_c2
     entries = [
         _flag("complex", not (d1.matrix @ d2.matrix % C0.p).any()),
         _flag("d2-multiplicative", d2.is_multiplicative()),
@@ -294,22 +304,36 @@ def verify_2cm(t: TwoCrossedModule) -> AxiomReport:
                lambda z, x: (d2(a2(z, x)), a1(z, d2(x)))),
         _sweep("d1-equivariant", [C0, C1],
                lambda z, y: (d1(a1(z, y)), z * d1(y))),
-        _sweep("2CM1", [C1, C1],
-               lambda y0, y1: (d2(lt(y0, y1)), y0 * y1 - a1(d1(y1), y0))),
-        _sweep("2CM2", [C2, C2],
-               lambda x1, x2: (lt(d2(x1), d2(x2)), x1 * x2)),
-        _sweep("2CM3", [C1, C1, C1],
-               lambda y0, y1, y2: (lt(y0, y1 * y2),
-                                   lt(y0 * y1, y2) + a2(d1(y2), lt(y0, y1)))),
-        _sweep("2CM4i", [C2, C1],
-               lambda x, y: (lt(d2(x), y), t.act1_on_2(y, x) - a2(d1(y), x))),
-        _sweep("2CM4ii", [C2, C1],
-               lambda x, y: (lt(y, d2(x)), t.act1_on_2(y, x))),
-        _sweep("2CM5", [C0, C1, C1],
-               lambda z, y0, y1: [(a2(z, lt(y0, y1)), lt(a1(z, y0), y1)),
-                                  (a2(z, lt(y0, y1)), lt(y0, a1(z, y1)))]),
+        *_two_cm_sweeps(t),
     ]
     return AxiomReport(t.name or "two-crossed-module", tuple(entries))
+
+
+def _two_cm_sweeps(t: TwoCrossedModule, prefix: str = "",
+                   omit: tuple[str, ...] = ()) -> list[AxiomEntry]:
+    """2CM1 through 2CM5 but the axioms in `omit`, each as the entry
+    "<prefix><axiom>"; x * y is the product of the levels, the
+    multiplication or the bracket."""
+    C2, C1, C0 = t.C2, t.C1, t.C0
+    d2, d1, a1, a2, lt = t.d2, t.d1, t.act_on_c1, t.act_on_c2, t.lifting
+    axioms = [
+        ("2CM1", [C1, C1],
+         lambda y0, y1: (d2(lt(y0, y1)), y0 * y1 - a1(d1(y1), y0))),
+        ("2CM2", [C2, C2],
+         lambda x1, x2: (lt(d2(x1), d2(x2)), x1 * x2)),
+        ("2CM3", [C1, C1, C1],
+         lambda y0, y1, y2: (lt(y0, y1 * y2),
+                             lt(y0 * y1, y2) + a2(d1(y2), lt(y0, y1)))),
+        ("2CM4i", [C2, C1],
+         lambda x, y: (lt(d2(x), y), t.act1_on_2(y, x) - a2(d1(y), x))),
+        ("2CM4ii", [C2, C1],
+         lambda x, y: (lt(y, d2(x)), t.act1_on_2(y, x))),
+        ("2CM5", [C0, C1, C1],
+         lambda z, y0, y1: [(a2(z, lt(y0, y1)), lt(a1(z, y0), y1)),
+                            (a2(z, lt(y0, y1)), lt(y0, a1(z, y1)))]),
+    ]
+    return [_sweep(prefix + name, slots, fun) for name, slots, fun in axioms
+            if name not in omit]
 
 
 def crossed_as_2cm(m: CrossedModule, name: str = "") -> TwoCrossedModule:
@@ -455,24 +479,16 @@ def verify_3cm(m: ThreeCrossedModule, supply: Supply = Supply()) -> AxiomReport:
     instead, and its record says whether that supply is exhaustive or
     sampled.
     """
-    C3, C2, C1, C0 = m.C3, m.C2, m.C1, m.C0
-    d3, a23 = m.d3, m.action("23")
-    a01, a02, a03 = m.action("01"), m.action("02"), m.action("03")
-    a12, a13 = m.action("12"), m.action("13")
+    C3, C2, C1 = m.C3, m.C2, m.C1
     entries = _structure_entries(m, "multiplicative", "action-{}-algebra",
                                  action_violations)
-    entries += [
-        _sweep("d3-crossed-CM1", [C2, C3],
-               lambda x2, x3: (d3(a23(x2, x3)), x2 * d3(x3))),
-        _sweep("d3-crossed-CM2", [C3, C3],
-               lambda x3, y3: (a23(d3(x3), y3), x3 * y3)),
-    ]
-    sub = TwoCrossedModule(C3, C2, C1, d3, m.d2, a12, a13, m.lifting("(2)(1)"),
-                           name="top-segment")
+    entries += _cm_sweeps(C3, C2, m.d3, m.action("23"), "d3-crossed-")
+    sub = TwoCrossedModule(C3, C2, C1, m.d3, m.d2, m.action("12"), m.action("13"),
+                           m.lifting("(2)(1)"), name="top-segment")
     entries += _prefixed("3CM1", verify_2cm(sub))
     entries += _axioms_3cm2_to_16(m, supply)
-    entries += _equivariance_entries(m, "table3", C0, a01, a02, a03)
-    entries += _equivariance_entries(m, "table4", C1, None, a12, a13)
+    entries += _equivariance_entries(m, "table3", 0)
+    entries += _equivariance_entries(m, "table4", 1)
     return AxiomReport(m.name or "three-crossed-module", tuple(entries))
 
 
@@ -531,46 +547,27 @@ def _axioms_3cm2_to_16(m: ThreeCrossedModule, supply: Supply) -> list[AxiomEntry
     ]
 
 
-def _equivariance_entries(m: ThreeCrossedModule, title: str, Z: Algebra,
-                          act1, act2, act3) -> list[AxiomEntry]:
-    """Both equalities of each equivariance-table row, per lifting key.
+# the printed row order of Tables 3 and 4
+_EQUIVARIANCE_ROWS = ("()", "(1,0)(2)", "(0)(2,1)", "(2,0)(1)", "(1)(0)", "(2)(0)", "(2)(1)")
 
-    For the base-level table act1 is the C0-action on C1; for the
-    degree-1 table no action of C1 on itself is declared and the
-    multiplication of C1 is used instead.
+
+def _equivariance_entries(m: ThreeCrossedModule, title: str, z: int) -> list[AxiomEntry]:
+    """Both equalities of each equivariance-table row, per lifting key:
+    for a lifting L of signature (a, b, v) and w in C_z,
+    w . L(x, y) = L(w . x, y) = L(x, w . y), where w acts on C_n by the
+    stored action "<z><n>".  Table 3 has z = 0; Table 4 has z = 1, and no
+    action of C1 on itself is declared, so it acts by multiplication.
     """
-    C1, C2 = m.C1, m.C2
+    def act(n):
+        return (lambda w, x: w * x) if n == z else m.action(f"{z}{n}")
 
-    def on1(z, y):
-        return act1(z, y) if act1 is not None else z * y
-
-    L10, L20, L21 = m.lifting("(1)(0)"), m.lifting("(2)(0)"), m.lifting("(2)(1)")
-    L102, L201 = m.lifting("(1,0)(2)"), m.lifting("(2,0)(1)")
-    L021, L = m.lifting("(0)(2,1)"), m.lifting("()")
-    rows = [
-        ("()", C1, C1,
-         lambda z, a, b: [(act2(z, L(a, b)), L(on1(z, a), b)),
-                          (act2(z, L(a, b)), L(a, on1(z, b)))]),
-        ("(1,0)(2)", C1, C2,
-         lambda z, a, b: [(act3(z, L102(a, b)), L102(on1(z, a), b)),
-                          (act3(z, L102(a, b)), L102(a, act2(z, b)))]),
-        ("(0)(2,1)", C2, C1,
-         lambda z, a, b: [(act3(z, L021(a, b)), L021(act2(z, a), b)),
-                          (act3(z, L021(a, b)), L021(a, on1(z, b)))]),
-        ("(2,0)(1)", C1, C2,
-         lambda z, a, b: [(act3(z, L201(a, b)), L201(on1(z, a), b)),
-                          (act3(z, L201(a, b)), L201(a, act2(z, b)))]),
-        ("(1)(0)", C2, C2,
-         lambda z, a, b: [(act3(z, L10(a, b)), L10(act2(z, a), b)),
-                          (act3(z, L10(a, b)), L10(a, act2(z, b)))]),
-        ("(2)(0)", C2, C2,
-         lambda z, a, b: [(act3(z, L20(a, b)), L20(act2(z, a), b)),
-                          (act3(z, L20(a, b)), L20(a, act2(z, b)))]),
-        ("(2)(1)", C2, C2,
-         lambda z, a, b: [(act3(z, L21(a, b)), L21(act2(z, a), b)),
-                          (act3(z, L21(a, b)), L21(a, act2(z, b)))]),
-    ]
-    return [_sweep(f"{title}[{key}]", [Z, A, B], fun) for key, A, B, fun in rows]
+    def row(key):
+        a, b, v = SIGNATURES["liftings"][key]
+        L, on_a, on_b, on_v = m.lifting(key), act(a), act(b), act(v)
+        return _sweep(f"{title}[{key}]", [m.levels[z], m.levels[a], m.levels[b]],
+                      lambda w, x, y: [(on_v(w, L(x, y)), L(on_a(w, x), y)),
+                                       (on_v(w, L(x, y)), L(x, on_b(w, y)))])
+    return [row(key) for key in _EQUIVARIANCE_ROWS]
 
 
 def crossed_as_3cm(m: CrossedModule, name: str = "") -> ThreeCrossedModule:

@@ -258,12 +258,9 @@ def table_identities_check(E: TruncatedSimplicialAlgebra, table: int,
     if table == 2:
         return [_table2_record(name, *_evaluate(slots, fun))
                 for name, slots, fun in _table2_rows(m)]
-    Z = m.C0 if table == 3 else m.C1
-    acts = ((m.action("01"), m.action("02"), m.action("03")) if table == 3
-            else (None, m.action("12"), m.action("13")))
     return [CheckRecord(e.name, CONFIRMED if e.status == PASS else DISCREPANT,
                         witnesses=(e.witness,) if e.witness else ())
-            for e in _equivariance_entries(m, f"table{table}", Z, *acts)]
+            for e in _equivariance_entries(m, f"table{table}", table - 3)]
 
 
 def _table2_record(name: str, checked: int, failure) -> CheckRecord:

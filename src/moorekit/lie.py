@@ -28,8 +28,9 @@ import numpy as np
 
 from .coeff import (Algebra, BilinearMap, Morphism, PrimeField, Supply,
                     Violation)
-from .crossed import (AxiomReport, ThreeCrossedModule, _axioms_3cm2_to_16,
-                      _flag, _prefixed, _structure_entries, _sweep, trivial_3cm)
+from .crossed import (AxiomReport, ThreeCrossedModule, TwoCrossedModule,
+                      _axioms_3cm2_to_16, _cm_sweeps, _flag, _prefixed,
+                      _structure_entries, _two_cm_sweeps, trivial_3cm)
 
 
 class LieAlgebra(Algebra):
@@ -103,10 +104,7 @@ def verify_lie_crossed(L1: LieAlgebra, L0: LieAlgebra, bd: Morphism,
     entries = [
         _flag("boundary-bracket-morphism", bd.is_multiplicative()),
         _flag("lie-action", not lie_action_violations(act)),
-        _sweep("LCM1", [L0, L1],
-               lambda r, c: (bd(act(r, c)), r * bd(c))),
-        _sweep("LCM2", [L1, L1],
-               lambda c, c2: (act(bd(c), c2), c * c2)),
+        *_cm_sweeps(L1, L0, bd, act, "L"),
     ]
     return AxiomReport(title, tuple(entries))
 
@@ -114,27 +112,14 @@ def verify_lie_crossed(L1: LieAlgebra, L0: LieAlgebra, bd: Morphism,
 def verify_lie_2cm(L2, L1, L0, d2, d1, a1, a2, lt,
                    title: str = "lie-2cm") -> AxiomReport:
     """Bracketized two-crossed axioms; y . x = {y (x) d2 x} as before."""
-    def act12(y, x):
-        return lt(y, d2(x))
-
     entries = [
         _flag("complex", not (d1.matrix @ d2.matrix % L0.p).any()),
         _flag("d2-bracket-morphism", d2.is_multiplicative()),
         _flag("d1-bracket-morphism", d1.is_multiplicative()),
         _flag("action-l1", not lie_action_violations(a1)),
         _flag("action-l2", not lie_action_violations(a2)),
-        _sweep("L2CM1", [L1, L1],
-               lambda y0, y1: (d2(lt(y0, y1)), y0 * y1 - a1(d1(y1), y0))),
-        _sweep("L2CM2", [L2, L2],
-               lambda x1, x2: (lt(d2(x1), d2(x2)), x1 * x2)),
-        _sweep("L2CM3", [L1, L1, L1],
-               lambda y0, y1, y2: (lt(y0, y1 * y2),
-                                   lt(y0 * y1, y2) + a2(d1(y2), lt(y0, y1)))),
-        _sweep("L2CM4i", [L2, L1],
-               lambda x, y: (lt(d2(x), y), act12(y, x) - a2(d1(y), x))),
-        _sweep("L2CM5", [L0, L1, L1],
-               lambda z, y0, y1: [(a2(z, lt(y0, y1)), lt(a1(z, y0), y1)),
-                                  (a2(z, lt(y0, y1)), lt(y0, a1(z, y1)))]),
+        *_two_cm_sweeps(TwoCrossedModule(L2, L1, L0, d2, d1, a1, a2, lt),
+                        "L", omit=("2CM4ii",)),
     ]
     return AxiomReport(title, tuple(entries))
 

@@ -18,6 +18,7 @@ composite applies j = 0, ..., n-1 in that order.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -410,111 +411,70 @@ def boundary_image_and_pairing_product(E, n: int) -> tuple[np.ndarray, np.ndarra
 # ---------------------------------------------------------------------------
 # Table 1: the 25 printed boundary images at n = 4
 
-# Each row carries the pairing (alpha, beta), the symbol bound to each
-# slot (the slot-x argument lies in NE_{4-#alpha}), and the printed
-# right-hand side evaluated literally with the ambient faces s_i, d_i.
-# Row 15's printed label crosses its symbols: the formula is typed by
-# component, so the NE_2 slot binds x2 and the NE_3 slot binds y3.
+# Each row is the printed right side (slot-x factor) . (slot-y factor),
+# the slot-x argument lying in NE_{4-#alpha} and the slot-y argument in
+# NE_{4-#beta} for the row's pairing (alpha, beta); the comments name the
+# printed symbols bound to the two slots.  A factor is a signed sum of
+# words in the ambient faces d_i and degeneracies s_i, read right to left
+# from the slot's level up to level 3 ("s2 s1 d2" on x2 is s_2 s_1 d_2 x2);
+# the word "1" is the argument itself.  Row 15's printed label crosses its
+# symbols: the formula is typed by component, so the NE_3 slot (slot x of
+# (0)(2,1)) binds y3 and the NE_2 slot binds x2.  E_3 is commutative, so
+# the row stores its y3 factor as the slot-x factor, like every other row.
+
+_TABLE1 = (
+    ("s2 s1", "s0 d3 - s1 d3 + s2 d3 - 1"),                    # 1   x1, y3
+    ("s2 s0 - s2 s1", "s1 d3 - s2 d3 + 1"),                    # 2
+    ("s1 s0 - s2 s0", "s2 d3 - 1"),                            # 3
+    ("s2 s1 s0 d1 - s1 s0", "1"),                              # 4
+    ("s1 s0 d2 - s2 s0 d2 - s0", "s2"),                        # 5   x2, y2
+    ("s1 - s0 + s2 s0 d2 - s2 s1 d2", "s1 - s2"),              # 6
+    ("s2 s1 d2 - s1", "s0 - s1 + s2"),                         # 7
+    ("s2", "s1 d3 - s2 d3 + 1"),                               # 8   x2, y3
+    ("s2", "s2 d3 - s1 d3 + s0 d3 - 1"),                       # 9
+    ("s1 - s2", "s2 d3 - 1"),                                  # 10
+    ("s1 - s2", "s2 d3 - s1 d3 + s0 d3 - 1"),                  # 11
+    ("s0 - s1 + s2", "s2 d3 - 1"),                             # 12
+    ("s0 - s1 + s2", "s1 d3 - s2 d3 + 1"),                     # 13
+    ("s2 s1 d2 - s1", "1"),                                    # 14
+    ("s2 d3 - s1 d3 + s0 d3 - 1", "s2 s1 d2 - s1"),            # 15  y3, x2
+    ("s2 s0 d2 - s0 + s1 - s1 s1 d2", "1"),                    # 16  x2, y3; doubled s1 s1 d2
+    ("s2 s0 d2 - s0 + s1 - s2 s1 d2", "s1 d3 - s2 d3 + 1"),    # 17
+    ("s2 s0 d2 - s0 - s1 s0 d0", "1"),                         # 18  printed d0, zero on NE_2
+    ("s1 s0 d2 - s2 s0 d2 + s0", "s2 d3 - 1"),                 # 19
+    ("1", "s2 d3 - 1"),                                        # 20  x3, y3
+    ("1", "s1 d3 - s2 d3 + 1"),                                # 21
+    ("1", "s2 d3 - s1 d3 + s0 d3 - 1"),                        # 22
+    ("s2 d3 - 1", "s1 d3 - s2 d3 + 1"),                        # 23
+    ("s2 d3 - 1", "s2 d3 - s1 d3 + s0 d3 - 1"),                # 24
+    ("s1 d3 - s2 d3 + 1", "s2 d3 - s1 d3 + s0 d3 - 1"),        # 25
+)
 
 
-def _ops(E):
-    s = {(n, i): E.deg(n, i) for n in range(1, 5) for i in range(n)}
-    d = {(n, i): E.face(n, i) for n in range(1, 5) for i in range(n + 1)}
-    return s, d
+def _factor_values(E, factor: str, c: int, stack: np.ndarray) -> np.ndarray:
+    """The rows of `stack`, vectors of E_c, mapped into E_3 by a factor of
+    _TABLE1; each face or degeneracy is applied as a matrix, reducing mod p
+    after each."""
+    p = E.level(0).p
+    total = 0
+    for term in re.split(r"\s(?=[+-])", factor):
+        v, level = stack, c
+        for op in reversed(term.lstrip("+- ").split()):
+            if op[0] == "d":
+                v, level = v @ E.face(level, int(op[1:])).matrix.T % p, level - 1
+            elif op[0] == "s":
+                v, level = v @ E.deg(level + 1, int(op[1:])).matrix.T % p, level + 1
+        total = total - v if term.startswith("-") else total + v
+    return total % p
 
 
-def _row_formula(row: int):
-    def f(E, sym):
-        s, d = _ops(E)
-
-        def s3(i, z):  # degeneracy into level 3
-            return s[(3, i)](z)
-
-        def s2(i, z):
-            return s[(2, i)](z)
-
-        def d3(z):
-            return d[(3, 3)](z)
-
-        x1 = sym.get("x1")
-        x2 = sym.get("x2")
-        x3 = sym.get("x3")
-        y2 = sym.get("y2")
-        y3 = sym.get("y3")
-        if row == 1:
-            return s3(2, s2(1, x1)) * (s3(0, d3(y3)) - s3(1, d3(y3)) + s3(2, d3(y3)) - y3)
-        if row == 2:
-            return (s3(2, s2(0, x1)) - s3(2, s2(1, x1))) * (s3(1, d3(y3)) - s3(2, d3(y3)) + y3)
-        if row == 3:
-            return (s3(1, s2(0, x1)) - s3(2, s2(0, x1))) * (s3(2, d3(y3)) - y3)
-        if row == 4:
-            d1x = d[(1, 1)](x1)
-            return (s3(2, s2(1, s[(1, 0)](d1x))) - s3(1, s2(0, x1))) * y3
-        if row == 5:
-            d2x = d[(2, 2)](x2)
-            return (s3(1, s2(0, d2x)) - s3(2, s2(0, d2x)) - s3(0, x2)) * s3(2, y2)
-        if row == 6:
-            d2x = d[(2, 2)](x2)
-            return ((s3(1, x2) - s3(0, x2) + s3(2, s2(0, d2x)) - s3(2, s2(1, d2x)))
-                    * (s3(1, y2) - s3(2, y2)))
-        if row == 7:
-            d2x = d[(2, 2)](x2)
-            return (s3(2, s2(1, d2x)) - s3(1, x2)) * (s3(0, y2) - s3(1, y2) + s3(2, y2))
-        if row == 8:
-            return s3(2, x2) * (s3(1, d3(y3)) - s3(2, d3(y3)) + y3)
-        if row == 9:
-            return s3(2, x2) * (s3(2, d3(y3)) - s3(1, d3(y3)) + s3(0, d3(y3)) - y3)
-        if row == 10:
-            return (s3(1, x2) - s3(2, x2)) * (s3(2, d3(y3)) - y3)
-        if row == 11:
-            return (s3(1, x2) - s3(2, x2)) * (s3(2, d3(y3)) - s3(1, d3(y3)) + s3(0, d3(y3)) - y3)
-        if row == 12:
-            return (s3(0, x2) - s3(1, x2) + s3(2, x2)) * (s3(2, d3(y3)) - y3)
-        if row == 13:
-            return (s3(0, x2) - s3(1, x2) + s3(2, x2)) * (s3(1, d3(y3)) - s3(2, d3(y3)) + y3)
-        if row == 14:
-            d2x = d[(2, 2)](x2)
-            return (s3(2, s2(1, d2x)) - s3(1, x2)) * y3
-        if row == 15:
-            d2x = d[(2, 2)](x2)
-            return ((s3(2, s2(1, d2x)) - s3(1, x2))
-                    * (s3(2, d3(y3)) - s3(1, d3(y3)) + s3(0, d3(y3)) - y3))
-        if row == 16:
-            d2x = d[(2, 2)](x2)
-            # printed with the doubled s1 s1 d2 x2 term
-            return (s3(2, s2(0, d2x)) - s3(0, x2) + s3(1, x2) - s3(1, s2(1, d2x))) * y3
-        if row == 17:
-            d2x = d[(2, 2)](x2)
-            return ((s3(2, s2(0, d2x)) - s3(0, x2) + s3(1, x2) - s3(2, s2(1, d2x)))
-                    * (s3(1, d3(y3)) - s3(2, d3(y3)) + y3))
-        if row == 18:
-            d2x = d[(2, 2)](x2)
-            d0x = d[(2, 0)](x2)  # printed d_0; identically zero on NE_2
-            return (s3(2, s2(0, d2x)) - s3(0, x2) - s3(1, s2(0, d0x))) * y3
-        if row == 19:
-            d2x = d[(2, 2)](x2)
-            return (s3(1, s2(0, d2x)) - s3(2, s2(0, d2x)) + s3(0, x2)) * (s3(2, d3(y3)) - y3)
-        if row == 20:
-            return x3 * (s3(2, d3(y3)) - y3)
-        if row == 21:
-            return x3 * (s3(1, d3(y3)) - s3(2, d3(y3)) + y3)
-        if row == 22:
-            return x3 * (s3(2, d3(y3)) - s3(1, d3(y3)) + s3(0, d3(y3)) - y3)
-        if row == 23:
-            return (s3(2, d3(x3)) - x3) * (s3(1, d3(y3)) - s3(2, d3(y3)) + y3)
-        if row == 24:
-            return (s3(2, d3(x3)) - x3) * (s3(2, d3(y3)) - s3(1, d3(y3)) + s3(0, d3(y3)) - y3)
-        if row == 25:
-            return ((s3(1, d3(x3)) - s3(2, d3(x3)) + x3)
-                    * (s3(2, d3(y3)) - s3(1, d3(y3)) + s3(0, d3(y3)) - y3))
-        raise ValueError(f"row {row} outside 1..25")
-    return f
-
-
-def _row_symbols(row: int, pair: PairingIndex) -> tuple[str, str]:
-    """Printed symbol names for the slot-x and slot-y arguments."""
-    ca, cb = 4 - pair.alpha.size, 4 - pair.beta.size
-    return f"x{ca}" if row != 15 else "y3", f"y{cb}" if row != 15 else "x2"
+def _printed_values(E, row: int, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """The printed right side of a Table-1 row on every row u of bx and v
+    of by (coefficient vectors in the slots' levels), indexed [u, v, k]."""
+    A = E.level(3)
+    x, y = (_factor_values(E, factor, 4 - len(s), stack)
+            for factor, s, stack in zip(_TABLE1[row - 1], _P4[row - 1], (bx, by)))
+    return bilinear(x[:, None], y[None], A.structure, A.p)
 
 
 def table1_eval(E, row: int, x: Element, y: Element) -> tuple[Element, Element]:
@@ -524,12 +484,10 @@ def table1_eval(E, row: int, x: Element, y: Element) -> tuple[Element, Element]:
         raise ValueError(f"row {row} outside 1..25")
     if E.k != 4:
         raise PreconditionError("table rows live at truncation level 4")
-    pair = p_set(4)[row - 1]
-    val = c_pairing(E, pair, x, y)
+    val = c_pairing(E, p_set(4)[row - 1], x, y)
     lhs = E.face(4, 4)(val)
-    sx, sy = _row_symbols(row, pair)
-    rhs = _row_formula(row)(E, {sx: x, sy: y})
-    return lhs, rhs
+    rhs = _printed_values(E, row, x.coeffs[None], y.coeffs[None])[0, 0]
+    return lhs, Element(E.level(3), rhs)
 
 
 # Table 1 and Lemma 7 over the element supply.  C_{alpha,beta}, its faces
@@ -595,19 +553,6 @@ def _sweep(tensor: np.ndarray, xs: np.ndarray, ys: np.ndarray, p: int):
         yield start, ys @ half % p
 
 
-def _printed_side(E, r: _Row) -> np.ndarray:
-    """The printed right side of a row on every pair of basis rows."""
-    formula = _row_formula(r.row)
-    sx, sy = _row_symbols(r.row, r.pair)
-    Ax, Ay = E.level(4 - r.pair.alpha.size), E.level(4 - r.pair.beta.size)
-    bx, by = r.bases
-    out = np.zeros((len(bx), len(by), E.level(3).dim), dtype=np.int64)
-    for a, u in enumerate(bx):
-        for b, v in enumerate(by):
-            out[a, b] = formula(E, {sx: Element(Ax, u), sy: Element(Ay, v)}).coeffs
-    return out
-
-
 def table1_audit(E, supply: Supply = Supply()) -> list[CheckRecord]:
     """Evaluate all 25 rows over the supply of each row's Moore components.
 
@@ -628,7 +573,8 @@ def table1_audit(E, supply: Supply = Supply()) -> list[CheckRecord]:
     faces = np.vstack([E.face(4, i).matrix for i in (4, 0, 1, 2, 3)])
     records = []
     for r in _table1_rows(E, supply):
-        tensor = np.concatenate([r.values @ faces.T % p, _printed_side(E, r)], axis=2)
+        tensor = np.concatenate([r.values @ faces.T % p,
+                                 _printed_values(E, r.row, *r.bases)], axis=2)
         status = CONFIRMED
         witness: tuple = ()
         for start, vals in _sweep(tensor, *r.coords, p):

@@ -115,8 +115,14 @@ def test_exit_code_64_for_usage(capsys):
     assert main(["no-such-command"]) == 64
 
 
-@pytest.mark.parametrize("argv, message", [(["sset", "-1"], "-1 is negative"),
-                                           (["pset", "5"], "invalid choice: 5")])
+@pytest.mark.parametrize("argv, message", [
+    (["sset", "-1"], "-1 is negative"), (["pset", "5"], "invalid choice: 5"),
+    (["--char", "x", "validate", "ideal-pair"], "invalid literal for int()"),
+    (["--char", "4", "validate", "ideal-pair"], "modulus 4 is not prime"),
+    (["--char", "2,x", "corpus"], "invalid literal for int()"),
+    (["--char", "4", "corpus"], "modulus 4 is not prime"),
+    (["--char", "x", "roundtrip"], "invalid literal for int()"),
+    (["--char", "2,4", "roundtrip"], "modulus 4 is not prime")])
 def test_exit_code_64_for_listing_out_of_range(argv, message, capsys):
     assert main(argv) == 64
     captured = capsys.readouterr()
@@ -175,12 +181,22 @@ def _main_on_document(doc: dict, argv, tmp_path) -> int:
     return main(["--input", str(path), *argv])
 
 
-@pytest.mark.parametrize("p", [4, 2 ** 31 - 1])  # not prime; int64 sums overflow at dim 3
+# 4 is not prime; 2^31 - 1 overflows int64 sums at dim 3; 2^61 - 1 overflows
+# them at any dim and is rejected before trial division up to its square root
+@pytest.mark.parametrize("p", [4, 2 ** 31 - 1, 2 ** 61 - 1])
 def test_exit_code_65_for_bad_lie_algebra_prime(p, tmp_path, capsys):
     body = {"p": p, "dim": 3, "basis": ["x", "y", "z"], "bracket": [[0, 1, 2, 1]]}
     assert _main_on_document({"lie_algebras": {"L": body}}, ["lie-verify", "L"], tmp_path) == 65
     captured = capsys.readouterr()
     assert "lie_algebras.L" in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("p", [4, 2 ** 61 - 1])
+def test_exit_code_65_for_bad_algebra_prime(p, tmp_path, capsys):
+    body = {"p": p, "dim": 1, "structure": [[0, 0, 0, 1]]}
+    assert _main_on_document({"algebras": {"A": body}}, ["validate", "A"], tmp_path) == 65
+    captured = capsys.readouterr()
+    assert "algebras.A" in captured.err and captured.out == ""
 
 
 def _three_crossed_body(section):

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 
@@ -13,7 +14,8 @@ from moorekit.moore import (PairingIndex, SurjIndex, c_pairing, in_moore,
                             s_word_morphism, table1_audit, table1_eval,
                             boundary_image_and_pairing_product, theorem5_check)
 from moorekit.report import CheckRecord
-from moorekit.simplicial import (constant_simplicial, degenerate_ideal,
+from moorekit.simplicial import (TruncatedSimplicialAlgebra, build_from_2crossed,
+                                 constant_simplicial, degenerate_ideal,
                                  degenerate_subalgebra)
 
 # the package exports the function moore under the module's own name
@@ -224,6 +226,39 @@ def test_table1_audit_confirms_all_rows(p, built):
     assert len([r for r in recs if r.check.startswith("table1[row=")]) == 25
 
 
+# sha256 of Table 1's printed side, every row on every pair of level-basis
+# vectors in row order, on module-id's levels with seeded random faces and
+# degeneracies (where no row vanishes), as computed by the former 25-branch
+# transcription that evaluated each row on Element objects
+PRINTED_DIGESTS = {
+    2: "ab2d1e0d8720ef8cc2ec2ef4ba091c566aa844d001b3bb6636aa622eb1fb9eba",
+    3: "1c4192024fd67478292aec2fd108ba1ae2ff28ca92363e6c497eb57f2b8d1584",
+    5: "2120e76dcc9827029e81980b18b2ec063fd05fe9d469ee95199fdd343d71afa1",
+}
+
+
+def randomized_module_id(p):
+    E = build_from_2crossed(corpus.tcm_module_identity(p), 4)
+    rng = np.random.default_rng(p)
+
+    def rand(maps):
+        return {key: Morphism(m.source, m.target, rng.integers(0, p, m.matrix.shape))
+                for key, m in sorted(maps.items())}
+    return TruncatedSimplicialAlgebra(E.levels, rand(E.faces), rand(E.degeneracies))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_printed_side_on_random_faces_and_degeneracies(p):
+    E = randomized_module_id(p)
+    digest = hashlib.sha256()
+    for row, pair in enumerate(p_set(4), start=1):
+        eyes = [np.eye(E.level(4 - s.size).dim, dtype=np.int64) for s in (pair.alpha, pair.beta)]
+        values = moore_module._printed_values(E, row, *eyes)
+        assert values.any(), row
+        digest.update(values.astype("<i8").tobytes())
+    assert digest.hexdigest() == PRINTED_DIGESTS[p]
+
+
 def test_lemma7_pass_and_gate(built):
     recs = lemma7_check(built("cubic-chain"), SMALL)
     assert all(r.status == "pass" for r in recs) and len(recs) == 25
@@ -323,20 +358,16 @@ def test_discrepant_witness_is_first_failing_pair(built, monkeypatch):
     # perturb row 5 by a bilinear term, non-zero where both coefficient
     # sums are: the first failing pair is not the first pair of the sweep
     E = built("module-id", 3)
-    printed = moore_module._row_formula
+    printed = moore_module._printed_values
 
-    def perturbed(row):
-        f = printed(row)
-        if row != 5:
-            return f
+    def perturbed(E, row, bx, by):
+        values = printed(E, row, bx, by)
+        if row == 5:
+            values[..., 0] += np.outer(bx.sum(axis=1), by.sum(axis=1))
+            values %= 3
+        return values
 
-        def g(E, sym):
-            x, y = sym["x2"], sym["y2"]
-            e0 = E.level(3).basis_element(0)
-            return f(E, sym) + e0.scale(int(x.coeffs.sum()) * int(y.coeffs.sum()))
-        return g
-
-    monkeypatch.setattr(moore_module, "_row_formula", perturbed)
+    monkeypatch.setattr(moore_module, "_printed_values", perturbed)
     recs, _ = assert_matches_reference(E, Supply())
     bad = [r for r in recs if r.status == "discrepant"]
     assert [r.check for r in bad] == ["table1[row=5]"]
