@@ -44,11 +44,14 @@ def nonnegative(text: str) -> int:
 
 
 def primes(text: str) -> tuple[int, ...]:
-    """The comma-separated primes of --char; empty items are skipped."""
+    """The comma-separated primes of --char: every item a prime, none twice."""
     try:
-        return tuple(PrimeField(int(c)).p for c in text.split(",") if c)
+        ps = tuple(PrimeField(int(c)).p for c in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{text}: {exc}") from None
+    if len(set(ps)) < len(ps):
+        raise argparse.ArgumentTypeError(f"{text}: a prime is repeated")
+    return ps
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -2,8 +2,9 @@
 modules, simplicial objects, and Lie data.
 
 Everything here is small enough for exhaustive element sweeps; the
-test suite and the CLI `corpus` command both resolve names through
-:func:`corpus`.
+test suite resolves simplicial names through :func:`simplicial_corpus`,
+and the CLI resolves every built-in name in the document that
+:func:`moorekit.document.corpus_document` serializes from these builders.
 """
 
 from __future__ import annotations

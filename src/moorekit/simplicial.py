@@ -13,12 +13,13 @@ checked during construction and fails exactly on invalid input data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
 from .coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
-                    PreconditionError, StructureError, ideal_closure, rref,
-                    semidirect)
+                    PreconditionError, StructureError, bilinear, check_word_size,
+                    ideal_closure, rref, semidirect, sweep_step)
 from .crossed import CrossedModule, TwoCrossedModule, verify_2cm, verify_cm
 from .moore import (SurjIndex, moore_basis, normal_form, push_face, s_set,
                     s_word_morphism)
@@ -181,7 +182,10 @@ class Decomposition:
 
 
 def decompose(E: TruncatedSimplicialAlgebra, n: int, x: Element) -> Decomposition:
-    """Peel x in E_n into its normal part and degeneracy components."""
+    """Peel x in E_n into its normal part and degeneracy components.
+
+    x may be a basis stack (leading batch axes, see Element): every part
+    is then the stack of the parts of its rows."""
     if x.parent is not E.level(n):
         raise StructureError("element not at the stated level")
     comps: dict[SurjIndex, Element] = {}
@@ -204,6 +208,7 @@ def decompose(E: TruncatedSimplicialAlgebra, n: int, x: Element) -> Decompositio
 
 
 def _apply_s_chain(E, start: int, word, v: np.ndarray) -> np.ndarray:
+    """The degeneracy word (application order) on the columns of v in E_start."""
     vec = np.asarray(v, dtype=np.int64)
     lvl = start
     for j in word:
@@ -216,86 +221,75 @@ def extend_level(E: TruncatedSimplicialAlgebra) -> TruncatedSimplicialAlgebra:
     """Append level k+1 with zero normal part.
 
     The new level is coordinatized by the nonempty surjection indices
-    alpha with values in the Moore subspaces NE_{m-#alpha}; faces follow
-    the simplicial identities symbolically, degeneracies route the
-    decomposition of the level below, and products are filled from their
-    faces.  Raises when the forced product is inconsistent, which on
-    valid inputs never happens.
+    alpha with values in the Moore subspaces NE_{m-#alpha}.  Each stage
+    works on basis stacks: faces follow the simplicial identities
+    symbolically on whole Moore bases, degeneracies route one
+    decomposition of the basis of the level below, and every product is
+    filled from its faces at once, in steps over the first factor.
+    Raises when the forced product is inconsistent at the top face: no
+    such level exists, as for cubic-chain cut at level 1, whose
+    NE_1 -> E_0 is no crossed module.
     """
     m = E.k + 1
     p = E.level(0).p
     prev = E.level(m - 1)
     nbases = {c: Ideal(E.level(c), moore_basis(E, c)) for c in range(m)}
     alphas = [a for a in s_set(m) if a.size > 0]
-    offs: dict[SurjIndex, int] = {}
-    dim = 0
-    for a in alphas:
-        offs[a] = dim
-        dim += nbases[m - a.size].dim
+    sizes = [nbases[m - a.size].dim for a in alphas]
+    offs = dict(zip(alphas, accumulate([0] + sizes)))
+    dim = sum(sizes)
+    check_word_size(dim, p)  # the fill sums dim products before Em is built
 
-    face_mats: dict[int, np.ndarray] = {}
+    faces = np.zeros((m + 1, prev.dim, dim), dtype=np.int64)
     for i in range(m + 1):
-        M = np.zeros((prev.dim, dim), dtype=np.int64)
         for a in alphas:
             c = m - a.size
-            base = nbases[c].basis_matrix
+            base = nbases[c].basis_matrix.T
             word, f = push_face(i, a.application_order())
-            word = normal_form(word)
-            for t in range(base.shape[0]):
-                if f is None:
-                    M[:, offs[a] + t] = _apply_s_chain(E, c, word, base[t])
-                elif f == c:
-                    if c == 0:
-                        raise StructureError("face reached level -1")
-                    w = E.face(c, c).matrix @ base[t] % p
-                    M[:, offs[a] + t] = _apply_s_chain(E, c - 1, word, w)
-                elif f > c:
+            if f is not None:
+                if f < c:
+                    continue  # the face kills the Moore component
+                if f > c or c == 0:
                     raise StructureError("face index escaped its level")
-                # f < c kills the Moore component
-        face_mats[i] = M
+                base, c = E.face(c, c).matrix @ base % p, c - 1
+            block = _apply_s_chain(E, c, normal_form(word), base)
+            faces[i, :, offs[a]:offs[a] + block.shape[1]] = block
 
-    deg_mats: dict[int, np.ndarray] = {}
+    dec = decompose(E, m - 1, Element(prev, np.eye(prev.dim, dtype=np.int64)))
+    degs = np.zeros((m, dim, prev.dim), dtype=np.int64)
     for j in range(m):
-        M = np.zeros((dim, prev.dim), dtype=np.int64)
-        for t in range(prev.dim):
-            dec = decompose(E, m - 1, prev.basis_element(t))
-            pieces = [(SurjIndex((j,), m), dec.normal_part)]
-            for gamma, val in dec.components.items():
-                word = normal_form(list(gamma.application_order()) + [j])
-                pieces.append((SurjIndex(tuple(reversed(word)), m), val))
-            for alpha, val in pieces:
-                c = m - alpha.size
-                r = nbases[c].dim
-                if r:
-                    M[offs[alpha]:offs[alpha] + r, t] = nbases[c].coords(val.coeffs)
-                elif val.coeffs.any():
-                    raise PreconditionError("component escapes its Moore subspace")
-        deg_mats[j] = M
+        pieces = [(SurjIndex((j,), m), dec.normal_part)]
+        for gamma, val in dec.components.items():
+            word = normal_form(list(gamma.application_order()) + [j])
+            pieces.append((SurjIndex(tuple(reversed(word)), m), val))
+        for alpha, val in pieces:
+            c = m - alpha.size
+            r = nbases[c].dim
+            if r:
+                degs[j, offs[alpha]:offs[alpha] + r] = nbases[c].coords(val.coeffs).T
+            elif val.coeffs.any():
+                raise PreconditionError("component escapes its Moore subspace")
 
+    # rows u of cols[i] are the faces d_i e_u; struct[u, v] is filled
+    # from the m + 1 faces of e_u e_v by w <- w + s_j(d_j-target - d_j w)
+    cols = faces.transpose(0, 2, 1)
     struct = np.zeros((dim, dim, dim), dtype=np.int64)
-    for u in range(dim):
-        fu = [face_mats[i][:, u] for i in range(m + 1)]
-        for v in range(u, dim):
-            target = [prev.mul_vec(fu[i], face_mats[i][:, v]) for i in range(m + 1)]
-            w = np.zeros(dim, dtype=np.int64)
-            for j in range(m):
-                w = (w + deg_mats[j] @ ((target[j] - face_mats[j] @ w) % p)) % p
-            if ((face_mats[m] @ w - target[m]) % p).any():
-                raise PreconditionError(
-                    "forced product inconsistent at the top face: invalid input data")
-            struct[u, v] = w
-            struct[v, u] = w
+    step = sweep_step((m + 1) * max(dim, prev.dim) ** 2)
+    for start in range(0, dim, step):
+        target = bilinear(cols[:, start:start + step, None], cols[:, None], prev.structure, p)
+        w = np.zeros(target.shape[1:3] + (dim,), dtype=np.int64)
+        for j in range(m):
+            w = (w + (target[j] - w @ cols[j]) % p @ degs[j].T) % p
+        if ((w @ cols[m] - target[m]) % p).any():
+            raise PreconditionError(
+                "forced product inconsistent at the top face: invalid input data")
+        struct[start:start + step] = w
 
-    names = tuple(f"s{a}.{t}" for a in alphas
-                  for t in range(nbases[m - a.size].dim))
+    names = tuple(f"s{a}.{t}" for a, r in zip(alphas, sizes) for t in range(r))
     Em = Algebra(E.level(0).field, struct, names, None, name=f"E{m}")
-    faces = dict(E.faces)
-    degs = dict(E.degeneracies)
-    for i in range(m + 1):
-        faces[(m, i)] = Morphism(Em, prev, face_mats[i])
-    for j in range(m):
-        degs[(m, j)] = Morphism(prev, Em, deg_mats[j])
-    return TruncatedSimplicialAlgebra(E.levels + (Em,), faces, degs, name=E.name)
+    new_faces = E.faces | {(m, i): Morphism(Em, prev, faces[i]) for i in range(m + 1)}
+    new_degs = E.degeneracies | {(m, j): Morphism(prev, Em, degs[j]) for j in range(m)}
+    return TruncatedSimplicialAlgebra(E.levels + (Em,), new_faces, new_degs, name=E.name)
 
 
 def extend_to(E: TruncatedSimplicialAlgebra, k: int) -> TruncatedSimplicialAlgebra:

@@ -1,33 +1,16 @@
 import pytest
 
 from moorekit import corpus
-from moorekit.simplicial import build_from_2crossed, build_from_crossed
-
-CHARS = (2, 3, 5)
 
 
 @pytest.fixture(scope="session")
 def built():
-    """Cache of built k=4 simplicial objects keyed (name, p)."""
+    """The k=4 simplicial corpus, built once per prime: built(name, p)."""
     cache = {}
 
     def get(name, p=2):
-        key = (name, p)
-        if key not in cache:
-            if name in ("ideal-pair", "ideal-pair-cubic", "zero-module"):
-                makers = {"ideal-pair": corpus.cm_ideal_dual,
-                          "ideal-pair-cubic": corpus.cm_ideal_cubic,
-                          "zero-module": corpus.cm_zero_module}
-                cache[key] = build_from_crossed(makers[name](p), 4)
-            elif name in ("sq0-lifting", "cubic-chain", "module-id"):
-                makers = {"sq0-lifting": corpus.tcm_square_zero_lifting,
-                          "cubic-chain": corpus.tcm_cubic_chain,
-                          "module-id": corpus.tcm_module_identity}
-                cache[key] = build_from_2crossed(makers[name](p), 4)
-            elif name == "constant":
-                cache[key] = corpus.simplicial_corpus(p)["constant"]
-            else:
-                cache[key] = corpus.simplicial_corpus(p)[name]
-        return cache[key]
+        if p not in cache:
+            cache[p] = corpus.simplicial_corpus(p)
+        return cache[p][name]
 
     return get

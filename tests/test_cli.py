@@ -122,7 +122,13 @@ def test_exit_code_64_for_usage(capsys):
     (["--char", "2,x", "corpus"], "invalid literal for int()"),
     (["--char", "4", "corpus"], "modulus 4 is not prime"),
     (["--char", "x", "roundtrip"], "invalid literal for int()"),
-    (["--char", "2,4", "roundtrip"], "modulus 4 is not prime")])
+    (["--char", "2,4", "roundtrip"], "modulus 4 is not prime"),
+    (["--char", ",", "table1", "ideal-pair"], "invalid literal for int()"),
+    (["--char", ",", "roundtrip"], "invalid literal for int()"),
+    (["--char", "", "corpus"], "invalid literal for int()"),
+    (["--char", "2,", "moore", "ideal-pair"], "invalid literal for int()"),
+    (["--char", "2,2", "moore", "ideal-pair"], "2,2: a prime is repeated"),
+    (["--char", "3,2,3", "corpus"], "3,2,3: a prime is repeated")])
 def test_exit_code_64_for_listing_out_of_range(argv, message, capsys):
     assert main(argv) == 64
     captured = capsys.readouterr()

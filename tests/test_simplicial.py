@@ -1,15 +1,21 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from moorekit import corpus
-from moorekit.coeff import Supply, elements, validate_algebra
+from moorekit.coeff import (Algebra, Element, Ideal, Morphism,
+                            PreconditionError, StructureError, Supply,
+                            elements, validate_algebra)
 from moorekit.crossed import verify_2cm, verify_cm
-from moorekit.moore import moore, moore_basis, s_set
-from moorekit.simplicial import (TruncatedSimplicialAlgebra,
+from moorekit.document import corpus_document
+from moorekit.moore import (SurjIndex, moore, moore_basis, normal_form,
+                            push_face, s_set)
+from moorekit.simplicial import (TruncatedSimplicialAlgebra, _apply_s_chain,
                                  build_from_2crossed, build_from_crossed,
                                  concentrated_simplicial, constant_simplicial,
                                  decompose, degenerate_ideal,
-                                 degenerate_subalgebra, truncate,
+                                 degenerate_subalgebra, extend_level, truncate,
                                  validate_simplicial)
 
 SMALL = Supply(budget=24, exhaustive_bound=512)
@@ -209,3 +215,144 @@ def test_concentrated_objects():
     assert validate_simplicial(E3) == []
     mc = moore(E3)
     assert [s.dim for s in mc.spaces] == [0, 0, 0, 1, 0]
+
+
+# ---------------------------------------------------------------------------
+# batched level extension against the per-basis reference
+
+
+def reference_extend_level(E):
+    """Per-basis reference for extend_level: one decompose per basis
+    element and degeneracy, and the product tensor filled one (u, v) pair
+    at a time.  Returns the new level's structure, faces and degeneracies."""
+    m = E.k + 1
+    p = E.level(0).p
+    prev = E.level(m - 1)
+    nbases = {c: Ideal(E.level(c), moore_basis(E, c)) for c in range(m)}
+    alphas = [a for a in s_set(m) if a.size > 0]
+    offs = {}
+    dim = 0
+    for a in alphas:
+        offs[a] = dim
+        dim += nbases[m - a.size].dim
+
+    face_mats = {}
+    for i in range(m + 1):
+        M = np.zeros((prev.dim, dim), dtype=np.int64)
+        for a in alphas:
+            c = m - a.size
+            base = nbases[c].basis_matrix
+            word, f = push_face(i, a.application_order())
+            word = normal_form(word)
+            for t in range(base.shape[0]):
+                if f is None:
+                    M[:, offs[a] + t] = _apply_s_chain(E, c, word, base[t])
+                elif f == c:
+                    if c == 0:
+                        raise StructureError("face reached level -1")
+                    w = E.face(c, c).matrix @ base[t] % p
+                    M[:, offs[a] + t] = _apply_s_chain(E, c - 1, word, w)
+                elif f > c:
+                    raise StructureError("face index escaped its level")
+        face_mats[i] = M
+
+    deg_mats = {}
+    for j in range(m):
+        M = np.zeros((dim, prev.dim), dtype=np.int64)
+        for t in range(prev.dim):
+            dec = decompose(E, m - 1, prev.basis_element(t))
+            pieces = [(SurjIndex((j,), m), dec.normal_part)]
+            for gamma, val in dec.components.items():
+                word = normal_form(list(gamma.application_order()) + [j])
+                pieces.append((SurjIndex(tuple(reversed(word)), m), val))
+            for alpha, val in pieces:
+                c = m - alpha.size
+                r = nbases[c].dim
+                if r:
+                    M[offs[alpha]:offs[alpha] + r, t] = nbases[c].coords(val.coeffs)
+                elif val.coeffs.any():
+                    raise PreconditionError("component escapes its Moore subspace")
+        deg_mats[j] = M
+
+    struct = np.zeros((dim, dim, dim), dtype=np.int64)
+    for u in range(dim):
+        fu = [face_mats[i][:, u] for i in range(m + 1)]
+        for v in range(u, dim):
+            target = [prev.mul_vec(fu[i], face_mats[i][:, v]) for i in range(m + 1)]
+            w = np.zeros(dim, dtype=np.int64)
+            for j in range(m):
+                w = (w + deg_mats[j] @ ((target[j] - face_mats[j] @ w) % p)) % p
+            if ((face_mats[m] @ w - target[m]) % p).any():
+                raise PreconditionError(
+                    "forced product inconsistent at the top face: invalid input data")
+            struct[u, v] = w
+            struct[v, u] = w
+    return struct, face_mats, deg_mats
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_extend_level_matches_per_basis_reference(p):
+    objects = corpus.simplicial_corpus(p)
+    assert len(objects) == 9
+    for name, E in objects.items():
+        for n in range(1, E.k + 1):
+            below = truncate(E, n - 1)
+            try:
+                struct, face_mats, deg_mats = reference_extend_level(below)
+            except PreconditionError as exc:
+                # cubic-chain|1: u * u = w != 0 under d1 = 0 is no crossed module
+                assert (name, n) == ("cubic-chain", 2)
+                with pytest.raises(PreconditionError, match=str(exc)):
+                    extend_level(below)
+                continue
+            ext = extend_level(below)
+            assert np.array_equal(ext.level(n).structure, struct), (name, n)
+            for i in range(n + 1):
+                assert np.array_equal(ext.face(n, i).matrix, face_mats[i]), (name, n, i)
+            for j in range(n):
+                assert np.array_equal(ext.deg(n, j).matrix, deg_mats[j]), (name, n, j)
+
+
+@pytest.mark.parametrize("p, digest", [
+    (2, "b63eca5a0c312b17752b0c7817133ed69b1b91da2325d7c99aec3a9c5abb3bac"),
+    (3, "13405c09fa6c1ccd9f7ad96092be4aa7229dc939f1c4d9ce4c4d8fb7070f78a3")])
+def test_corpus_document_digest_is_pinned(p, digest):
+    # computed by the per-basis extension; every forced level is in it
+    assert hashlib.sha256(corpus_document(p).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_decompose_on_basis_stack_matches_rows(p, built):
+    for name in ("cubic-chain", "module-id", "ideal-pair"):
+        E = built(name, p)
+        for n in range(E.k + 1):
+            A = E.level(n)
+            stack = decompose(E, n, Element(A, np.eye(A.dim, dtype=np.int64)))
+            for t in range(A.dim):
+                row = decompose(E, n, A.basis_element(t))
+                assert np.array_equal(stack.normal_part.coeffs[t], row.normal_part.coeffs)
+                assert list(stack.components) == list(row.components)
+                for alpha, val in row.components.items():
+                    assert np.array_equal(stack.components[alpha].coeffs[t], val.coeffs)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_extend_level_rejects_inconsistent_top_face(p, built):
+    E = truncate(built("module-id", p), 2)
+    E2 = E.level(2)
+    rng = np.random.default_rng(p)
+    for _ in range(5):
+        a, b, k = rng.integers(E2.dim, size=3)
+        struct = E2.structure.copy()
+        struct[a, b, k] = (struct[a, b, k] + 1) % p
+        struct[b, a, k] = struct[a, b, k]
+        flipped = Algebra(E2.field, struct, E2.basis_names, None, name="flipped")
+        faces = dict(E.faces)
+        degs = dict(E.degeneracies)
+        for i in range(3):
+            faces[(2, i)] = Morphism(flipped, E.level(1), E.face(2, i).matrix)
+        for j in range(2):
+            degs[(2, j)] = Morphism(E.level(1), flipped, E.deg(2, j).matrix)
+        bad = TruncatedSimplicialAlgebra(E.levels[:2] + (flipped,), faces, degs)
+        with pytest.raises(PreconditionError, match="inconsistent at the top face"):
+            extend_level(bad)
