@@ -98,14 +98,28 @@ def make_parser() -> argparse.ArgumentParser:
 def _documents(args) -> list[tuple[str, Document]]:
     """(label, document) pairs: the input file once, or the corpus per char."""
     if args.input:
-        text = sys.stdin.read() if args.input == "-" else open(args.input).read()
-        return [("", load_document(text))]
+        return [("", load_document(_read_input(args.input)))]
     supply = Supply(args.seed, args.budget, args.exhaustive_bound)
     out = []
     for p in args.char:
         label = f"@p={p}" if len(args.char) > 1 else ""
         out.append((label, load_document(corpus_document(p, supply))))
     return out
+
+
+def _read_input(path: str) -> str:
+    """The UTF-8 text of the file at path, or of stdin for '-'."""
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        # undecodable stdin bytes arrive as lone surrogates, which UTF-8 rejects
+        text.encode("utf-8")
+    except (OSError, UnicodeError) as exc:
+        raise DocumentError(str(exc), "input") from None
+    return text
 
 
 def _tag(records, label):
@@ -170,13 +184,19 @@ def run_command(args, out) -> int:
     return code
 
 
-_PREFERRED_KIND = {
-    "moore": "simplicial", "table1": "simplicial", "lemma7": "simplicial",
-    "theorem5": "simplicial", "tables": "simplicial", "to-xmod": "simplicial",
-    "to-2xmod": "simplicial", "to-3xmod": "simplicial",
-    "verify-xmod": "crossed", "verify-2xmod": "two-crossed",
-    "verify-3xmod": "three-crossed", "lie-verify": "lie-three-crossed",
+# the object kinds each named command takes, the first looked up first
+_KINDS = {
+    "validate": ("algebra", "lie-algebra", "simplicial"),
+    "moore": ("simplicial",), "table1": ("simplicial",), "lemma7": ("simplicial",),
+    "theorem5": ("simplicial",), "tables": ("simplicial",), "to-xmod": ("simplicial",),
+    "to-2xmod": ("simplicial",), "to-3xmod": ("simplicial",),
+    "verify-xmod": ("crossed",), "verify-2xmod": ("two-crossed",),
+    "verify-3xmod": ("three-crossed",), "lie-verify": ("lie-three-crossed", "lie-algebra"),
 }
+# what a name of another kind is not, for the commands taking several kinds
+_NOT_KIND = {"validate": "validatable directly", "lie-verify": "Lie data"}
+_VALIDATORS = {"algebra": validate_algebra, "lie-algebra": validate_lie,
+               "simplicial": validate_simplicial}
 
 
 def _run_named(args, doc: Document, supply: Supply, extra_lines: list) -> list[CheckRecord]:
@@ -184,38 +204,33 @@ def _run_named(args, doc: Document, supply: Supply, extra_lines: list) -> list[C
     fails the hypothesis of a construction (PreconditionError), the
     command answers with one hypothesis-failed record and emits no
     document."""
-    kind, obj = doc.lookup(args.name, prefer=_PREFERRED_KIND.get(args.command))
+    command, name = args.command, args.name
+    kinds = _KINDS[command]
+    kind, obj = doc.lookup(name, prefer=kinds[0])
+    if kind not in kinds:
+        if command in _NOT_KIND:
+            raise DocumentError(f"{name!r} is a {kind}, not {_NOT_KIND[command]}", command)
+        raise DocumentError(f"{name!r} is a {kind}, expected {kinds[0]}", "cli")
     emitted: list[str] = []
     try:
         records = _named_records(args, kind, obj, supply, emitted)
     except PreconditionError as exc:
-        return [CheckRecord(f"{args.command}[{args.name}]", HYPOTHESIS_FAILED,
+        return [CheckRecord(f"{command}[{name}]", HYPOTHESIS_FAILED,
                             detail={"reason": str(exc)})]
     extra_lines.extend(emitted)
     return records
 
 
 def _named_records(args, kind, obj, supply: Supply, extra_lines: list) -> list[CheckRecord]:
-    name = args.name
+    """The records of a command on an object of a kind it takes."""
+    command, name = args.command, args.name
     records: list[CheckRecord] = []
 
-    if args.command == "validate":
-        if kind == "algebra":
-            bad = validate_algebra(obj)
-            records.append(CheckRecord(f"validate[{name}]", PASS if not bad else FAIL,
-                                       witnesses=tuple(str(v) for v in bad[:5])))
-        elif kind == "simplicial":
-            bad = validate_simplicial(obj)
-            records.append(CheckRecord(f"validate[{name}]", PASS if not bad else FAIL,
-                                       witnesses=tuple(str(v) for v in bad[:5])))
-        elif kind == "lie-algebra":
-            bad = validate_lie(obj)
-            records.append(CheckRecord(f"validate[{name}]", PASS if not bad else FAIL,
-                                       witnesses=tuple(str(v) for v in bad[:5])))
-        else:
-            raise DocumentError(f"{name!r} is a {kind}, not validatable directly", "validate")
-    elif args.command == "moore":
-        _need(kind, "simplicial", name)
+    if command == "validate" or kind == "lie-algebra":
+        bad = _VALIDATORS[kind](obj)
+        records.append(CheckRecord(f"{command}[{name}]", PASS if not bad else FAIL,
+                                   witnesses=tuple(str(v) for v in bad[:5])))
+    elif command == "moore":
         try:
             mc = moore(obj)
             records.append(CheckRecord(f"moore[{name}]", PASS,
@@ -223,71 +238,46 @@ def _named_records(args, kind, obj, supply: Supply, extra_lines: list) -> list[C
                                                "length": mc.length()}))
         except PreconditionError as exc:
             records.append(CheckRecord(f"moore[{name}]", FAIL, detail={"error": str(exc)}))
-    elif args.command == "table1":
-        _need(kind, "simplicial", name)
+    elif command == "table1":
         records.extend(table1_audit(obj, supply))
-    elif args.command == "lemma7":
-        _need(kind, "simplicial", name)
+    elif command == "lemma7":
         records.extend(lemma7_check(obj, supply))
-    elif args.command == "theorem5":
-        _need(kind, "simplicial", name)
+    elif command == "theorem5":
         levels = (args.level,) if args.level else (2, 3, 4)
         for n in levels:
             records.append(theorem5_check(obj, n))
-    elif args.command == "to-xmod":
-        _need(kind, "simplicial", name)
+    elif command == "to-xmod":
         cm = cm_from_simplicial(obj)
         b = DocumentBuilder()
         b.crossed(cm, f"{name}-xmod")
         extra_lines.append(b.dumps(supply))
         records.append(CheckRecord(f"to-xmod[{name}]", PASS,
                                    detail={"C_dim": cm.C.dim, "R_dim": cm.R.dim}))
-    elif args.command == "to-2xmod":
-        _need(kind, "simplicial", name)
+    elif command == "to-2xmod":
         t = two_crossed_from_simplicial(obj, args.convention)
         b = DocumentBuilder()
         b.two_crossed(t, f"{name}-2xmod")
         extra_lines.append(b.dumps(supply))
         records.append(CheckRecord(f"to-2xmod[{name}]", PASS,
                                    detail={"dims": [t.C2.dim, t.C1.dim, t.C0.dim]}))
-    elif args.command == "to-3xmod":
-        _need(kind, "simplicial", name)
+    elif command == "to-3xmod":
         outp = three_crossed_from_simplicial(obj, args.convention, supply)
         b = DocumentBuilder()
         b.three_crossed(outp.structure, f"{name}-3xmod")
         extra_lines.append(b.dumps(supply))
         records.append(CheckRecord(f"to-3xmod[{name}]", PASS, detail=outp.provenance))
         records.extend(_axiom_records(outp.report, f"to-3xmod[{name}]", audit=True))
-    elif args.command == "verify-xmod":
-        _need(kind, "crossed", name)
+    elif command == "verify-xmod":
         records.extend(_axiom_records(verify_cm(obj), f"verify-xmod[{name}]"))
-    elif args.command == "verify-2xmod":
-        _need(kind, "two-crossed", name)
+    elif command == "verify-2xmod":
         records.extend(_axiom_records(verify_2cm(obj), f"verify-2xmod[{name}]"))
-    elif args.command == "verify-3xmod":
-        _need(kind, "three-crossed", name)
+    elif command == "verify-3xmod":
         records.extend(_axiom_records(verify_3cm(obj, supply), f"verify-3xmod[{name}]"))
-    elif args.command == "tables":
-        _need(kind, "simplicial", name)
+    elif command == "tables":
         records.extend(table_identities_check(obj, args.table, args.convention, supply))
-    elif args.command == "lie-verify":
-        if kind == "lie-algebra":
-            bad = validate_lie(obj)
-            records.append(CheckRecord(f"lie-verify[{name}]", PASS if not bad else FAIL,
-                                       witnesses=tuple(str(v) for v in bad[:5])))
-        elif kind == "lie-three-crossed":
-            records.extend(_axiom_records(verify_lie_3cm(obj, supply),
-                                          f"lie-verify[{name}]"))
-        else:
-            raise DocumentError(f"{name!r} is a {kind}, not Lie data", "lie-verify")
-    else:
-        raise DocumentError(f"unhandled command {args.command}", "cli")
+    else:  # lie-verify on a Lie 3-crossed module
+        records.extend(_axiom_records(verify_lie_3cm(obj, supply), f"lie-verify[{name}]"))
     return records
-
-
-def _need(kind: str, want: str, name: str) -> None:
-    if kind != want:
-        raise DocumentError(f"{name!r} is a {kind}, expected {want}", "cli")
 
 
 def _render(r: CheckRecord, human: bool) -> str:
@@ -310,10 +300,6 @@ def main(argv=None) -> int:
     try:
         return run_command(args, sys.stdout)
     except DocumentError as exc:
-        print(json.dumps({"check": "document", "status": "error",
-                          "detail": str(exc)}), file=sys.stderr)
-        return PARSE_EXIT
-    except FileNotFoundError as exc:
         print(json.dumps({"check": "document", "status": "error",
                           "detail": str(exc)}), file=sys.stderr)
         return PARSE_EXIT

@@ -4,8 +4,12 @@ An algebra is presented by a rank-3 tensor of structure constants over a
 prime field: e_i * e_j = sum_k c[i,j,k] e_k.  All linear algebra (row
 reduction, kernels, quotients) is exact field arithmetic; subspaces are
 kept in reduced row echelon form so that subspace equality is matrix
-equality.  Every value is immutable after construction and every
-operation is a pure function.
+equality.  Membership, coordinates and residues against an rref basis
+(basis, pivots) are one formula: the residue of v is
+v - v[..., pivots] @ basis mod p and its coordinates are v[..., pivots].
+Both take stacks of vectors, leading axes being batch axes, so every
+subspace question about many vectors is one call.  Every value is
+immutable after construction and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -101,70 +105,66 @@ def _as_array(data, p: int) -> np.ndarray:
     return arr
 
 
+def _rows(x, dim: int) -> np.ndarray:
+    """x, an Element or an array of vectors of length dim with any leading
+    axes, as a two-dimensional stack of rows; an empty x has no rows."""
+    v = np.asarray(x.coeffs if isinstance(x, Element) else x, dtype=np.int64)
+    return np.zeros((0, dim), dtype=np.int64) if v.size == 0 else v.reshape(-1, dim)
+
+
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form over Z/p.
 
     Returns (R, pivots) where R has one row per pivot, pivot entries 1,
     zero rows dropped, rows ordered by pivot column.  This is the
-    canonical form used for subspace comparison.
+    canonical form used for subspace comparison.  Each pivot column is
+    cleared from every other row by one rank-1 update.
     """
     A = np.array(mat, dtype=np.int64) % p
     if A.ndim == 1:
         A = A.reshape(1, -1)
+    if A.shape[0] > A.shape[1]:
+        # at least m - n rows of a tall stack end up zero, and the product
+        # stacks of ideal closures are mostly zero rows from the start
+        A = A[A.any(axis=1)]
     m, n = A.shape
-    row = 0
     pivots: list[int] = []
     for col in range(n):
-        piv = -1
-        for r in range(row, m):
-            if A[r, col] % p != 0:
-                piv = r
-                break
-        if piv == -1:
-            continue
-        if piv != row:
-            A[[row, piv]] = A[[piv, row]]
-        A[row] = (A[row] * pow(int(A[row, col]), p - 2, p)) % p
-        for r in range(m):
-            if r != row and A[r, col] % p != 0:
-                A[r] = (A[r] - A[r, col] * A[row]) % p
-        pivots.append(col)
-        row += 1
+        row = len(pivots)
         if row == m:
             break
-    R = A[:row] % p
+        below = A[row:, col].nonzero()[0]
+        if not below.size:
+            continue
+        piv = row + below[0]
+        pivot = A[piv] * pow(int(A[piv, col]), p - 2, p) % p
+        A[piv] = A[row]
+        A -= A[:, col, None] * pivot
+        A[row] = pivot
+        A %= p
+        pivots.append(col)
+    R = A[:len(pivots)].copy()
     R.setflags(write=False)
     return R, tuple(pivots)
 
 
 def null_space(mat: np.ndarray, p: int) -> np.ndarray:
     """Basis (rref rows) of {x : mat @ x = 0} over Z/p."""
-    A = np.array(mat, dtype=np.int64) % p
-    if A.size == 0:
-        dim = A.shape[1] if A.ndim == 2 else 0
-        return rref(np.eye(dim, dtype=np.int64), p)[0]
-    R, pivots = rref(A, p)
-    n = A.shape[1]
-    free = [j for j in range(n) if j not in pivots]
-    vecs = np.zeros((len(free), n), dtype=np.int64)
-    for t, j in enumerate(free):
-        vecs[t, j] = 1
-        for r, c in enumerate(pivots):
-            vecs[t, c] = (-R[r, j]) % p
+    R, pivots = rref(mat, p)
+    n = np.shape(mat)[-1]
+    free = np.delete(np.arange(n), pivots)
+    vecs = np.zeros((free.size, n), dtype=np.int64)
+    vecs[np.arange(free.size), free] = 1
+    vecs[:, list(pivots)] = -R[:, free].T % p
     return rref(vecs, p)[0]
 
 
 def reduce_against(v: np.ndarray, basis: np.ndarray, pivots: Sequence[int], p: int) -> np.ndarray:
-    """Residue of v modulo the row space of an rref basis."""
-    w = np.array(v, dtype=np.int64) % p
-    for r, c in zip(basis, pivots):
-        if w[c] % p:
-            w = (w - w[c] * r) % p
-    return w
-
-
-def row_space_contains(basis: np.ndarray, pivots: Sequence[int], v: np.ndarray, p: int) -> bool:
-    return not reduce_against(v, basis, pivots, p).any()
+    """Residue v - v[..., pivots] @ basis of v modulo the row space of an
+    rref basis; leading axes of v are batch axes.  v[..., pivots] are the
+    coordinates of v when the residue is zero."""
+    v = np.asarray(v, dtype=np.int64) % p
+    return (v - v[..., list(pivots)] @ basis) % p
 
 
 def intersect_row_spaces(U: np.ndarray, V: np.ndarray, p: int) -> np.ndarray:
@@ -178,21 +178,6 @@ def intersect_row_spaces(U: np.ndarray, V: np.ndarray, p: int) -> np.ndarray:
         return np.zeros((0, U.shape[1]), dtype=np.int64)
     vecs = pairs[:, : U.shape[0]] @ U % p
     return rref(vecs, p)[0]
-
-
-def sum_row_spaces(U: np.ndarray, V: np.ndarray, p: int) -> np.ndarray:
-    return rref(np.vstack([U, V]), p)[0]
-
-
-def solve_in_rows(basis: np.ndarray, pivots: Sequence[int], v: np.ndarray, p: int) -> np.ndarray:
-    """Coordinates of v in an rref row basis (v must lie in the row space).
-
-    Leading axes of v are batch axes: every vector must lie in the space."""
-    v = np.asarray(v, dtype=np.int64) % p
-    coords = v[..., list(pivots)]
-    if ((v - coords @ basis) % p).any():
-        raise StructureError("vector outside subspace")
-    return coords
 
 
 # ---------------------------------------------------------------------------
@@ -379,12 +364,7 @@ class Ideal:
     pivots: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        mat = np.asarray(self.basis_matrix, dtype=np.int64)
-        if mat.size == 0:
-            mat = np.zeros((0, self.parent.dim), dtype=np.int64)
-        else:
-            mat = mat.reshape(-1, self.parent.dim)
-        R, piv = rref(mat, self.parent.p)
+        R, piv = rref(_rows(self.basis_matrix, self.parent.dim), self.parent.p)
         object.__setattr__(self, "basis_matrix", R)
         object.__setattr__(self, "pivots", piv)
 
@@ -392,30 +372,32 @@ class Ideal:
     def dim(self) -> int:
         return self.basis_matrix.shape[0]
 
-    def contains(self, x: Element | np.ndarray) -> bool:
-        v = x.coeffs if isinstance(x, Element) else np.asarray(x)
-        return row_space_contains(self.basis_matrix, self.pivots, v, self.parent.p)
+    def residue(self, x: Element | np.ndarray) -> np.ndarray:
+        """x modulo the subspace (see reduce_against); leading axes of x
+        are batch axes."""
+        v = x.coeffs if isinstance(x, Element) else x
+        return reduce_against(v, self.basis_matrix, self.pivots, self.parent.p)
 
-    def contains_space(self, other: Ideal | np.ndarray) -> bool:
-        rows = other.basis_matrix if isinstance(other, Ideal) else np.asarray(other)
-        return all(self.contains(r) for r in rows)
+    def contains(self, x: Element | np.ndarray) -> bool:
+        """Whether x lies in the subspace; leading axes of x are batch
+        axes, and a stack lies in it when every one of its vectors does."""
+        return not self.residue(x).any()
 
     def basis_elements(self) -> list[Element]:
         return [Element(self.parent, r) for r in self.basis_matrix]
 
     def coords(self, x: Element | np.ndarray) -> np.ndarray:
-        v = x.coeffs if isinstance(x, Element) else np.asarray(x)
-        return solve_in_rows(self.basis_matrix, self.pivots, v, self.parent.p)
+        """Coordinates of x in the rref basis, x[..., pivots]; leading axes
+        of x are batch axes, and every vector must lie in the subspace."""
+        if not self.contains(x):
+            raise StructureError("vector outside subspace")
+        v = np.asarray(x.coeffs if isinstance(x, Element) else x, dtype=np.int64)
+        return v[..., list(self.pivots)] % self.parent.p
 
     def is_mult_closed(self) -> bool:
         """Closed under multiplication by every parent basis element."""
         A = self.parent
-        for r in self.basis_matrix:
-            for i in range(A.dim):
-                prod = np.einsum("j,jk->k", r, A.structure[i]) % A.p
-                if not self.contains(prod):
-                    return False
-        return True
+        return self.contains(np.tensordot(self.basis_matrix, A.structure, axes=([1], [1])) % A.p)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Ideal) and self.parent is other.parent
@@ -506,10 +488,7 @@ def validate_algebra(A: Algebra) -> list[Violation]:
 def annihilator(A: Algebra) -> np.ndarray:
     """rref basis of {x : x * A = 0}."""
     # x * e_i = sum_j x_j c[j, i, :]; stack the maps x -> x * e_i
-    mats = [A.structure[:, i, :].T for i in range(A.dim)]
-    if not mats:
-        return np.zeros((0, 0), dtype=np.int64)
-    return null_space(np.vstack(mats), A.p)
+    return null_space(A.structure.transpose(1, 2, 0).reshape(A.dim ** 2, A.dim), A.p)
 
 
 def square_span(A: Algebra) -> np.ndarray:
@@ -522,28 +501,22 @@ def square_span(A: Algebra) -> np.ndarray:
 # ideals, quotients, kernels, subalgebras
 
 
-def ideal_closure(A: Algebra, gens: Iterable[Element | np.ndarray]) -> Ideal:
+def ideal_closure(A: Algebra, gens: Element | np.ndarray | Iterable) -> Ideal:
     """Smallest multiplication-closed subspace containing the generators.
 
-    Iterates span U span*(basis of A) to a fixed point; monotone and
-    idempotent in the generator set.
+    gens is an Element or array of generators (leading axes are batch
+    axes) or an iterable of them.  Iterates span U span*(basis of A) to a
+    fixed point; monotone and idempotent in the generator set.
     """
-    rows = []
-    for g in gens:
-        rows.append(g.coeffs if isinstance(g, Element) else np.asarray(g, dtype=np.int64))
-    if not rows:
-        rows = [np.zeros(A.dim, dtype=np.int64)]
-    span, piv = rref(np.vstack(rows), A.p)
+    parts = [gens] if isinstance(gens, (Element, np.ndarray)) else list(gens)
+    span = rref(np.vstack([np.zeros((0, A.dim), dtype=np.int64)]
+                          + [_rows(g, A.dim) for g in parts]), A.p)[0]
     while True:
-        grown = [span] if span.size else [np.zeros((0, A.dim), dtype=np.int64)]
-        for r in span:
-            prods = np.einsum("j,ijk->ik", r, A.structure) % A.p
-            grown.append(prods)
-        new_span, new_piv = rref(np.vstack(grown), A.p)
-        if new_span.shape == span.shape and np.array_equal(new_span, span):
-            break
-        span, piv = new_span, new_piv
-    return Ideal(A, span)
+        prods = np.tensordot(span, A.structure, axes=([1], [1])) % A.p
+        grown = rref(np.vstack([span, _rows(prods, A.dim)]), A.p)[0]
+        if grown.shape == span.shape:
+            return Ideal(A, span)
+        span = grown
 
 
 def kernel(f: Morphism) -> Ideal:
@@ -569,23 +542,12 @@ def quotient(A: Algebra, I: Ideal, name: str = "") -> tuple[Algebra, Morphism]:
         raise StructureError("ideal of a different algebra")
     if not I.is_mult_closed():
         raise PreconditionError("subspace is not an ideal")
-    p = A.p
-    keep = [j for j in range(A.dim) if j not in I.pivots]
-    qdim = len(keep)
+    keep = np.delete(np.arange(A.dim), I.pivots)
     # projection: reduce mod I, then read the surviving coordinates
-    proj = np.zeros((qdim, A.dim), dtype=np.int64)
-    for j in range(A.dim):
-        v = np.zeros(A.dim, dtype=np.int64)
-        v[j] = 1
-        w = reduce_against(v, I.basis_matrix, I.pivots, p)
-        proj[:, j] = w[keep]
+    proj = I.residue(np.eye(A.dim, dtype=np.int64))[:, keep].T
+    struct = A.structure[np.ix_(keep, keep)] @ proj.T % A.p
     names = tuple(A.basis_names[j] for j in keep)
-    struct = np.zeros((qdim, qdim, qdim), dtype=np.int64)
-    for a, i in enumerate(keep):
-        for b, j in enumerate(keep):
-            struct[a, b] = proj @ (A.structure[i, j] % p) % p
-    identity = None
-    Q = Algebra(A.field, struct, names, identity, name or (A.name + "/I" if A.name else ""))
+    Q = Algebra(A.field, struct, names, None, name or (A.name + "/I" if A.name else ""))
     pi = Morphism(A, Q, proj)
     if not pi.is_multiplicative():
         raise PreconditionError("projection failed multiplicativity: subspace not an ideal")
@@ -600,27 +562,18 @@ def subalgebra(A: Algebra, span_rows: np.ndarray, name: str = "") -> tuple[Algeb
     The chosen basis is the rref basis of the subspace, so two calls on
     equal subspaces produce identical structure constants.
     """
-    p = A.p
-    rows = np.asarray(span_rows, dtype=np.int64)
-    if rows.size == 0:
-        rows = np.zeros((0, A.dim), dtype=np.int64)
-    R, piv = rref(rows.reshape(-1, A.dim) if A.dim else rows.reshape(0, 0), p)
+    R, piv = rref(_rows(span_rows, A.dim), A.p)
+    prods = A.mul_vec(R[:, None], R[None])
+    if reduce_against(prods, R, piv, A.p).any():
+        raise PreconditionError("subspace not closed under multiplication")
+    struct = prods[..., list(piv)]
     r = R.shape[0]
-    struct = np.zeros((r, r, r), dtype=np.int64)
-    for a in range(r):
-        for b in range(r):
-            prod = A.mul_vec(R[a], R[b])
-            if not row_space_contains(R, piv, prod, p):
-                raise PreconditionError("subspace not closed under multiplication")
-            struct[a, b] = solve_in_rows(R, piv, prod, p)
-    names = tuple(f"{name or 'v'}{i}" for i in range(r))
     eye = np.eye(r, dtype=np.int64)
-    identity = next((i for i in range(r)
-                     if np.array_equal(struct[i], eye) and np.array_equal(struct[:, i], eye)),
-                    None)
-    S = Algebra(A.field, struct, names, identity, name)
-    incl = Morphism(S, A, R.T)
-    return S, incl
+    unit = np.flatnonzero((struct == eye).all(axis=(1, 2))
+                          & (struct.transpose(1, 0, 2) == eye).all(axis=(1, 2)))
+    names = tuple(f"{name or 'v'}{i}" for i in range(r))
+    S = Algebra(A.field, struct, names, int(unit[0]) if unit.size else None, name)
+    return S, Morphism(S, A, R.T)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import numpy as np
 from .coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
                     PreconditionError, Supply, annihilator, action_violations,
                     ideal_closure, image_space, null_space, quotient,
-                    row_space_contains, rref, solve_in_rows, square_span,
+                    reduce_against, rref, square_span,
                     subalgebra, supply_rows, sweep_step, validate_algebra)
 from .report import FAIL, PASS, CheckRecord
 
@@ -195,12 +195,8 @@ def ideal_pair(R: Algebra, gens, name: str = "") -> CrossedModule:
     ideal = ideal_closure(R, gens)
     C, incl = subalgebra(R, ideal.basis_matrix, name=f"{name or 'I'}")
     # R acts on the ideal by multiplication, written in ideal coordinates
-    tensor = np.zeros((R.dim, C.dim, C.dim), dtype=np.int64)
-    for r in range(R.dim):
-        for c in range(C.dim):
-            prod = R.mul_vec(R.basis_element(r).coeffs, incl.matrix[:, c])
-            tensor[r, c] = ideal.coords(prod)
-    act = BilinearMap(R, C, C, tensor)
+    prods = R.mul_vec(np.eye(R.dim, dtype=np.int64)[:, None], incl.matrix.T[None])
+    act = BilinearMap(R, C, C, ideal.coords(prods))
     return CrossedModule(C, R, incl, act, name=name or "ideal-pair")
 
 
@@ -224,31 +220,22 @@ def multiplication_cm(R: Algebra) -> CrossedModule:
     square_full = square_span(R).shape[0] == d
     if not (ann_zero or square_full):
         raise PreconditionError("hypothesis Ann(R) = 0 or R^2 = R fails")
-    # delta as a d x d matrix X: X @ (e_i e_j) = (X @ e_i) * e_j
-    blocks = []
+    # delta as a d x d matrix X: X @ (e_i e_j) = (X @ e_i) * e_j, one row
+    # (i, j, a) per basis pair and coordinate, one column per entry X[c, b]
     eye = np.eye(d, dtype=np.int64)
-    for i in range(d):
-        for j in range(d):
-            prod = R.structure[i, j]
-            right_j = R.structure[:, j, :].T  # x -> x * e_j
-            lhs = np.kron(eye, prod.reshape(1, d))
-            rhs = np.kron(right_j, eye[i].reshape(1, d))
-            blocks.append((lhs - rhs) % p)
-    basis_flat = null_space(np.vstack(blocks), p)
-    mats = [b.reshape(d, d) for b in basis_flat]
-    mdim = len(mats)
-    pivots = rref(basis_flat, p)[1]
+    S = R.structure
+    blocks = np.einsum("ac,ijb->ijacb", eye, S) - np.einsum("cja,bi->ijacb", S, eye)
+    basis_flat = null_space(blocks.reshape(d ** 3, d * d) % p, p)
+    mdim = basis_flat.shape[0]
+    mats = basis_flat.reshape(mdim, d, d)
+    pivots = list(rref(basis_flat, p)[1])
 
-    def coords(mat: np.ndarray) -> np.ndarray:
-        flat = mat.reshape(-1) % p
-        if not row_space_contains(basis_flat, pivots, flat, p):
+    def coords(flat: np.ndarray) -> np.ndarray:
+        if reduce_against(flat, basis_flat, pivots, p).any():
             raise PreconditionError("composition leaves the multiplier space")
-        return solve_in_rows(basis_flat, pivots, flat, p)
+        return flat[..., pivots]
 
-    struct = np.zeros((mdim, mdim, mdim), dtype=np.int64)
-    for a in range(mdim):
-        for b in range(mdim):
-            struct[a, b] = coords(mats[a] @ mats[b] % p)
+    struct = coords((mats[:, None] @ mats[None] % p).reshape(mdim, mdim, d * d))
     if not np.array_equal(struct, struct.transpose(1, 0, 2)):
         raise PreconditionError(
             "audit finding: multiplier composition is not commutative under the hypothesis")
@@ -256,12 +243,9 @@ def multiplication_cm(R: Algebra) -> CrossedModule:
     bad = validate_algebra(MR)
     if bad:
         raise PreconditionError(f"multiplier algebra invalid: {bad[0]}")
-    mu = Morphism(R, MR, np.array([coords(R.structure[i].T) for i in range(d)]).T
-                  if d else np.zeros((mdim, 0), dtype=np.int64))
-    act_tensor = np.zeros((mdim, d, d), dtype=np.int64)
-    for a in range(mdim):
-        act_tensor[a] = mats[a].T  # delta_a(e_j) is column j
-    act = BilinearMap(MR, R, R, act_tensor)
+    # multiplication by e_i is the multiplier S[i].T
+    mu = Morphism(R, MR, coords(S.transpose(0, 2, 1).reshape(d, d * d)).T)
+    act = BilinearMap(MR, R, R, mats.transpose(0, 2, 1))  # delta_a(e_j) is column j
     return CrossedModule(R, MR, mu, act, name="multiplication-cm")
 
 
@@ -352,45 +336,28 @@ def induced_cm(t: TwoCrossedModule) -> CrossedModule:
     boundary and action form a crossed module."""
     C1, C0 = t.C1, t.C0
     p = C1.p
-    img = image_space(t.d2)
-    I = ideal_closure(C1, [Element(C1, r) for r in img])
+    I = ideal_closure(C1, image_space(t.d2))
     if (t.d1.matrix @ I.basis_matrix.T % p).any():
         raise PreconditionError("d1 does not kill the boundary image ideal")
-    for z in range(C0.dim):
-        for r in I.basis_matrix:
-            moved = t.act_on_c1.apply_vecs(np.eye(C0.dim, dtype=np.int64)[z], r)
-            if not I.contains(moved):
-                raise PreconditionError(
-                    "induced action ill-defined on cosets: 2CM violation upstream")
+    base = np.eye(C0.dim, dtype=np.int64)[:, None]
+    if not I.contains(t.act_on_c1.apply_vecs(base, I.basis_matrix[None])):
+        raise PreconditionError(
+            "induced action ill-defined on cosets: 2CM violation upstream")
     Q, pi = quotient(C1, I, name=(t.name or "C1") + "/im")
-    bd = Morphism(Q, C0, np.array(
-        [t.d1.matrix @ col % p for col in _section_columns(pi, C1)]).T
-        if Q.dim else np.zeros((C0.dim, 0), dtype=np.int64))
-    act_tensor = np.zeros((C0.dim, Q.dim, Q.dim), dtype=np.int64)
-    for z in range(C0.dim):
-        for j, col in enumerate(_section_columns(pi, C1)):
-            moved = t.act_on_c1.apply_vecs(np.eye(C0.dim, dtype=np.int64)[z], col)
-            act_tensor[z, j] = pi.matrix @ moved % p
+    sections = _section_columns(pi)
+    bd = Morphism(Q, C0, t.d1.matrix @ sections % p)
+    act_tensor = t.act_on_c1.apply_vecs(base, sections.T[None]) @ pi.matrix.T % p
     return CrossedModule(Q, C0, bd, BilinearMap(C0, Q, Q, act_tensor),
                          name=(t.name or "2cm") + "-induced")
 
 
-def _section_columns(pi: Morphism, A: Algebra) -> list[np.ndarray]:
-    """Coset representatives: preimages of the quotient basis under pi."""
-    cols = []
-    for q in range(pi.target.dim):
-        for j in range(A.dim):
-            v = np.zeros(A.dim, dtype=np.int64)
-            v[j] = 1
-            img = pi.matrix @ v % A.p
-            want = np.zeros(pi.target.dim, dtype=np.int64)
-            want[q] = 1
-            if np.array_equal(img, want):
-                cols.append(v)
-                break
-        else:
-            raise PreconditionError("projection has no basis section")
-    return cols
+def _section_columns(pi: Morphism) -> np.ndarray:
+    """Coset representatives: the matrix whose column q is the first basis
+    vector of the source of pi that pi maps to the basis vector e_q."""
+    hits = (pi.matrix[:, :, None] == np.eye(pi.target.dim, dtype=np.int64)[:, None]).all(axis=0)
+    if not hits.any(axis=0).all():
+        raise PreconditionError("projection has no basis section")
+    return (hits & (hits.cumsum(axis=0) == 1)).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

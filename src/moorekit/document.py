@@ -193,7 +193,7 @@ def _load_bilinear(body, left, right, target, loc) -> BilinearMap:
 def load_document(text: str) -> Document:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError(f"invalid JSON: {exc}", "document")
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object", "document")
@@ -223,6 +223,8 @@ def load_document(text: str) -> Document:
             level_names = body["levels"]
         except (KeyError, TypeError, ValueError) as exc:
             raise DocumentError(f"bad simplicial header: {exc}", loc)
+        if k < 0:
+            raise DocumentError(f"truncation level {k} is negative", f"{loc}.k")
         if not isinstance(level_names, list) or len(level_names) != k + 1:
             raise DocumentError(f"levels must be a list of {k + 1} names for k={k}", loc)
         levels = tuple(_resolve(doc.algebras, nm, loc) for nm in level_names)

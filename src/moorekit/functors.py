@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coeff import (BilinearMap, Element, Ideal, Morphism, PreconditionError, Supply,
+from .coeff import (BilinearMap, Ideal, Morphism, PreconditionError, Supply,
                     algebras_equal, ideal_closure, intersect_row_spaces, quotient)
 from .crossed import (SIGNATURES, CrossedModule, ThreeCrossedModule, TwoCrossedModule,
                       _equivariance_entries, _evaluate, _section_columns, verify_3cm)
@@ -85,9 +85,9 @@ def cm_from_simplicial(E: TruncatedSimplicialAlgebra) -> CrossedModule:
     C1, bd, lifts = NE1, mc.boundaries[0], [incl.matrix for incl in mc.inclusions[:2]]
     quotiented = mc.length() > 1
     if quotiented:
-        I = ideal_closure(NE1, [Element(NE1, col) for col in mc.boundaries[1].matrix.T])
+        I = ideal_closure(NE1, mc.boundaries[1].matrix.T)
         C1, pi = quotient(NE1, I, name="NE1/im")
-        sections = np.array(_section_columns(pi, NE1), dtype=np.int64).reshape(C1.dim, NE1.dim).T
+        sections = _section_columns(pi)
         bd = Morphism(C1, C0, bd.matrix @ sections % p)
         lifts[1] = lifts[1] @ sections % p
     tensor = _map_tensor(E, mc, lifts, {1: pi.matrix} if quotiented else {}, "actions", "01")
@@ -137,18 +137,16 @@ def three_crossed_from_simplicial(E: TruncatedSimplicialAlgebra,
 
     D4 = degenerate_ideal(E, 4)
     cap = intersect_row_spaces(moore_basis(E, 4), D4.basis_matrix, p)
-    img_rows = [E.face(4, 4).apply_vec(r) for r in cap]
-    for r in img_rows:
-        if not ne3.contains(r):
-            raise PreconditionError("boundary image escapes NE_3: upstream bug")
-    B = Ideal(NE3, np.array([ne3.coords(r) for r in img_rows], dtype=np.int64)
-              if img_rows else np.zeros((0, NE3.dim), dtype=np.int64))
+    img = cap @ E.face(4, 4).matrix.T % p
+    if not ne3.contains(img):
+        raise PreconditionError("boundary image escapes NE_3: upstream bug")
+    B = Ideal(NE3, ne3.coords(img))
     if not B.is_mult_closed():
         raise PreconditionError("boundary image is not an ideal of NE_3: upstream bug")
     C3, pi3 = quotient(NE3, B, name="NE3/im")
     if (mc.boundaries[2].matrix @ B.basis_matrix.T % p).any():
         raise PreconditionError("d_3 does not kill the divided ideal: upstream bug")
-    sections = np.array(_section_columns(pi3, NE3), dtype=np.int64).reshape(C3.dim, NE3.dim).T
+    sections = _section_columns(pi3)
     dbar3 = Morphism(C3, C2, mc.boundaries[2].matrix @ sections % p)
     # columns: the basis of each level C_n inside E_n (C3 through the sections)
     lifts = [mc.inclusions[n].matrix for n in range(3)] + [incl3.matrix @ sections % p]

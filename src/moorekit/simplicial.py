@@ -7,7 +7,10 @@ Builder levels above the given data are forced: a level with trivial
 normal part is spanned by degeneracy images, its faces determine every
 product, and the element is recovered by the standard filling
 w <- w + s_j(d_j-target - d_j w).  The consistency of the top face is
-checked during construction and fails exactly on invalid input data.
+checked during construction.  It fails exactly when no level with zero
+normal part extends the given levels, which happens on valid simplicial
+data too: cubic-chain cut at level 1 is valid, but its NE_1 -> E_0 is no
+crossed module, so no level 2 with NE_2 = 0 exists.
 """
 
 from __future__ import annotations
@@ -135,9 +138,7 @@ def degenerate_ideal(E: TruncatedSimplicialAlgebra, n: int) -> Ideal:
     """Ideal of E_n generated by all degeneracy images s_i(E_{n-1})."""
     if not 1 <= n <= E.k:
         raise ValueError(f"level {n} outside 1..{E.k}")
-    A = E.level(n)
-    gens = [Element(A, col) for i in range(n) for col in E.deg(n, i).matrix.T]
-    return ideal_closure(A, gens)
+    return ideal_closure(E.level(n), [E.deg(n, i).matrix.T for i in range(n)])
 
 
 def degenerate_subalgebra(E: TruncatedSimplicialAlgebra, n: int) -> np.ndarray:
@@ -282,7 +283,9 @@ def extend_level(E: TruncatedSimplicialAlgebra) -> TruncatedSimplicialAlgebra:
             w = (w + (target[j] - w @ cols[j]) % p @ degs[j].T) % p
         if ((w @ cols[m] - target[m]) % p).any():
             raise PreconditionError(
-                "forced product inconsistent at the top face: invalid input data")
+                f"no level {m} with NE_{m} = 0 extends these levels: forced product "
+                f"inconsistent at the top face"
+                + ("; on valid levels, NE_1 -> E_0 is no crossed module" if m == 2 else ""))
         struct[start:start + step] = w
 
     names = tuple(f"s{a}.{t}" for a, r in zip(alphas, sizes) for t in range(r))

@@ -348,3 +348,72 @@ def test_mutated_corpus_document_exits_with_a_contract_code(corpus_doc, data, ar
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(["--input", "-", *argv])
     assert code in (0, 1, 2, 65), err.getvalue()
+
+
+def _document_error(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return json.loads(captured.err)["detail"]
+
+
+def test_exit_code_65_for_a_directory_input(tmp_path, capsys):
+    assert main(["--input", str(tmp_path), "validate", "ideal-pair"]) == 65
+    assert _document_error(capsys).startswith("input: ")
+
+
+def test_exit_code_65_for_a_missing_input(tmp_path, capsys):
+    assert main(["--input", str(tmp_path / "absent.json"), "validate", "ideal-pair"]) == 65
+    assert _document_error(capsys).startswith("input: ")
+
+
+def test_exit_code_65_for_a_non_utf8_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"algebras": {"\xe9": {}}}'.encode("latin-1"))
+    assert main(["--input", str(path), "validate", "ideal-pair"]) == 65
+    assert _document_error(capsys).startswith("input: ")
+
+
+# strict decoding raises on read; UTF-8 mode hands the bytes on as surrogates
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+def test_exit_code_65_for_non_utf8_stdin(errors, capsys):
+    stdin = io.TextIOWrapper(io.BytesIO(b'{"simplicial": {"\xff": {}}}'),
+                             encoding="utf-8", errors=errors)
+    with mock.patch.object(sys, "stdin", stdin):
+        assert main(["--input", "-", "validate", "ideal-pair"]) == 65
+    assert _document_error(capsys).startswith("input: ")
+
+
+def test_exit_code_65_for_json_nested_beyond_the_recursion_limit(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    assert main(["--input", str(path), "validate", "ideal-pair"]) == 65
+    assert _document_error(capsys).startswith("document: invalid JSON")
+
+
+@pytest.mark.parametrize("command", ["validate", "moore"])
+def test_exit_code_65_for_a_negative_truncation_level(command, tmp_path, capsys):
+    doc = {"simplicial": {"E": {"k": -1, "levels": []}}}
+    assert _main_on_document(doc, [command, "E"], tmp_path) == 65
+    assert _document_error(capsys).startswith("simplicial.E.k: ")
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["verify-xmod", "constant"], "cli: 'constant' is a simplicial, expected crossed"),
+    (["verify-3xmod", "cubic-chain"], "cli: 'cubic-chain' is a simplicial, expected three-crossed"),
+    (["moore", "mult-zmod"], "cli: 'mult-zmod' is a crossed, expected simplicial"),
+    (["validate", "mult-zmod"], "validate: 'mult-zmod' is a crossed, not validatable directly"),
+    (["lie-verify", "mult-zmod"], "lie-verify: 'mult-zmod' is a crossed, not Lie data")])
+def test_exit_code_65_for_a_name_of_another_kind(argv, detail, capsys):
+    assert main(argv) == 65
+    assert _document_error(capsys) == detail
+
+
+@pytest.mark.parametrize("argv, check", [
+    (["validate", "ideal-pair"], "validate[ideal-pair]"),
+    (["validate", "abelian"], "validate[abelian]"),
+    (["validate", "ideal-pair.E2"], "validate[ideal-pair.E2]"),
+    (["lie-verify", "heisenberg"], "lie-verify[heisenberg]")])
+def test_validation_records(argv, check):
+    code, out = run(argv)
+    assert code == 0
+    assert records(out)[0] == {"check": check, "status": "pass", "witnesses": []}

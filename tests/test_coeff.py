@@ -9,7 +9,7 @@ from moorekit import corpus
 from moorekit.coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
                             PreconditionError, PrimeField, StructureError,
                             Supply, elements, ideal_closure, kernel, mul,
-                            quotient, rref, semidirect, subalgebra,
+                            null_space, quotient, rref, semidirect, subalgebra,
                             validate_algebra)
 
 
@@ -153,7 +153,7 @@ def test_ideal_closure_idempotent_and_monotone():
     again = ideal_closure(B, I.basis_elements())
     assert I == again
     bigger = ideal_closure(B, gens + [B.basis_element(1)])
-    assert bigger.contains_space(I)
+    assert bigger.contains(I.basis_matrix)
 
 
 def test_quotient_by_zero_ideal_is_identity():
@@ -327,3 +327,92 @@ def test_batched_elements_broadcast_like_single_ones(p):
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 assert np.array_equal(batch[i, j], op(Element(A, x), Element(A, y)).coeffs)
+
+
+# ---------------------------------------------------------------------------
+# the zero algebra, empty generator stacks, and canonical rref
+
+
+def test_zero_dimensional_algebra_subspaces():
+    Z0 = corpus.square_zero(2, 0)
+    assert Z0.dim == 0
+    I = ideal_closure(Z0, [])
+    assert I.dim == 0 and I.basis_matrix.shape == (0, 0)
+    assert ideal_closure(Z0, np.zeros((3, 0), dtype=np.int64)) == I
+    assert ideal_closure(Z0, [Z0.zero()]) == I
+    Q, pi = quotient(Z0, I)
+    assert Q.dim == 0 and pi.matrix.shape == (0, 0)
+    S, incl = subalgebra(Z0, np.zeros((0, 0), dtype=np.int64))
+    assert S.dim == 0 and S.identity is None and incl.matrix.shape == (0, 0)
+    assert null_space(np.zeros((0, 0), dtype=np.int64), 2).shape == (0, 0)
+    assert null_space(np.zeros((4, 0), dtype=np.int64), 2).shape == (0, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_empty_generator_stacks(p):
+    B = corpus.truncated_poly(p, 3)
+    zero = ideal_closure(B, [B.zero()])
+    for gens in ([], np.zeros((0, 3), dtype=np.int64), np.zeros((2, 0, 3), dtype=np.int64),
+                 Element(B, np.zeros((0, 3), dtype=np.int64))):
+        assert ideal_closure(B, gens) == zero
+    assert zero.basis_matrix.shape == (0, 3)
+    Q, pi = quotient(B, zero)
+    assert np.array_equal(Q.structure, B.structure)
+    S, incl = subalgebra(B, np.zeros((0, 3), dtype=np.int64))
+    assert S.dim == 0 and incl.matrix.shape == (3, 0)
+    assert np.array_equal(null_space(np.zeros((0, 3), dtype=np.int64), p),
+                          np.eye(3, dtype=np.int64))
+    assert zero.contains(np.zeros((0, 3), dtype=np.int64))
+    assert zero.coords(np.zeros((2, 3), dtype=np.int64)).shape == (2, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_stacked_membership_and_coordinates(p):
+    B = corpus.truncated_poly(p, 4)
+    I = ideal_closure(B, [B.basis_element(2)])  # (x^2) = span(x^2, x^3)
+    inside = np.array([[0, 0, 1, 1], [0, 0, p - 1, 0]], dtype=np.int64)
+    assert I.contains(inside) and I.contains(inside[None, :, :])
+    assert not I.contains(np.vstack([inside, [[0, 1, 0, 0]]]))
+    assert np.array_equal(I.coords(inside[:, None]), inside[:, None][..., [2, 3]])
+    with pytest.raises(StructureError):
+        I.coords(np.vstack([inside, [[1, 0, 0, 0]]]))
+
+
+def _reference_rref(rows, p):
+    """Gauss-Jordan elimination over Z/p on Python integers, one row at a time."""
+    A = [[int(x) % p for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(len(A[0]) if A else 0):
+        piv = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if piv is None:
+            continue
+        A[r], A[piv] = A[piv], A[r]
+        inv = pow(A[r][c], p - 2, p)
+        A[r] = [x * inv % p for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+        r += 1
+    return A[:r], tuple(pivots)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 3, 5, 3000017]), m=st.integers(0, 7), n=st.integers(1, 7),
+       rank=st.integers(0, 7), seed=st.integers(0, 2 ** 32 - 1))
+def test_property_rref_is_canonical_under_row_mixing(p, m, n, rank, seed):
+    rng = np.random.default_rng(seed)
+    # m rows spanning a space of dimension at most rank
+    A = rng.integers(0, p, (m, min(rank, n))) @ rng.integers(0, p, (min(rank, n), n)) % p
+    R, pivots = rref(A, p)
+    want_rows, want_pivots = _reference_rref(A.tolist(), p)
+    assert pivots == want_pivots
+    assert R.tolist() == want_rows and R.shape == (len(pivots), n)
+    # an invertible mixing of the rows, with a row permutation, has the same rref
+    G = rng.integers(0, p, (m, m))
+    while rref(G, p)[0].shape[0] < m:
+        G = rng.integers(0, p, (m, m))
+    mixed = G[rng.permutation(m)] @ A % p
+    R2, pivots2 = rref(mixed, p)
+    assert pivots2 == pivots and np.array_equal(R2, R)

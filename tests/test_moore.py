@@ -171,7 +171,7 @@ def test_pairing_ideal_examples(built):
     from moorekit.coeff import Ideal, intersect_row_spaces
     cap = intersect_row_spaces(moore_basis(E, 2),
                                degenerate_ideal(E, 2).basis_matrix, 2)
-    assert Ideal(E.level(2), cap).contains_space(I2.basis_matrix)
+    assert Ideal(E.level(2), cap).contains(I2.basis_matrix)
 
 
 def test_theorem5_pass_and_gate(built):
@@ -398,3 +398,41 @@ def test_membership_failures_in_sweep_order(built, monkeypatch):
         row = next(c for c in checks[i:] if not c.endswith(".membership"))
         assert checks[i] == row + ".membership"
     assert any(r.status == "fail" for r in lemma7)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ["top-degree-3", "top-degree-4"])
+def test_theorem5_on_zero_lower_levels(name, p):
+    # every level below the top degree is the zero algebra: the equation
+    # holds with dimension 0 there, and the top degree fails the gate
+    E = corpus.simplicial_corpus(p)[name]
+    top = int(name[-1])
+    assert [E.level(n).dim for n in range(top)] == [0] * top
+    for n in (2, 3, 4):
+        rec = theorem5_check(E, n)
+        if n == top:
+            assert (rec.status, rec.detail["codim"]) == ("hypothesis-failed", 1)
+            assert rec.detail["reason"] == f"E_{n} != D_{n}"
+        else:
+            assert (rec.status, rec.detail["dim"]) == ("pass", 0)
+
+
+def test_theorem5_failure_counts_rows_outside_the_other_side(built, monkeypatch):
+    # no corpus object reaches the failing branch, so feed it two subspaces
+    # of E_1: span(e0, e1) and span(e1 + e2), each row counted on its own
+    from moorekit.coeff import rref
+    moore_mod = importlib.import_module("moorekit.moore")
+    simplicial_mod = importlib.import_module("moorekit.simplicial")
+    E = built("cubic-chain", 3)
+    A = E.level(1)
+    assert A.dim >= 3
+    lhs = rref(np.eye(A.dim, dtype=np.int64)[:2], 3)[0]
+    rhs = rref(np.eye(A.dim, dtype=np.int64)[1] + np.eye(A.dim, dtype=np.int64)[2], 3)[0]
+    monkeypatch.setattr(simplicial_mod, "degenerate_subalgebra",
+                        lambda E, n: np.eye(E.level(n).dim, dtype=np.int64))
+    monkeypatch.setattr(moore_mod, "boundary_image_and_pairing_product",
+                        lambda E, n: (lhs, rhs))
+    rec = theorem5_check(E, 2)
+    assert rec.status == "fail"
+    assert (rec.detail["lhs_dim"], rec.detail["rhs_dim"]) == (2, 1)
+    assert (rec.detail["lhs_outside_rhs"], rec.detail["rhs_outside_lhs"]) == (2, 1)

@@ -95,7 +95,7 @@ def test_degenerate_subalgebra_between_span_and_ideal(built):
                        for col in E.deg(n, i).matrix.T)
             assert all(D.contains(A.mul_vec(u, v))
                        for u in D.basis_matrix for v in D.basis_matrix)
-            assert degenerate_ideal(E, n).contains_space(D)
+            assert degenerate_ideal(E, n).contains(D.basis_matrix)
     E = corpus.simplicial_corpus(2)["top-degree-3"]
     assert degenerate_subalgebra(E, 3).shape == (0, 1)
 
@@ -283,8 +283,7 @@ def reference_extend_level(E):
             for j in range(m):
                 w = (w + deg_mats[j] @ ((target[j] - face_mats[j] @ w) % p)) % p
             if ((face_mats[m] @ w - target[m]) % p).any():
-                raise PreconditionError(
-                    "forced product inconsistent at the top face: invalid input data")
+                raise PreconditionError("forced product inconsistent at the top face")
             struct[u, v] = w
             struct[v, u] = w
     return struct, face_mats, deg_mats
@@ -356,3 +355,20 @@ def test_extend_level_rejects_inconsistent_top_face(p, built):
         bad = TruncatedSimplicialAlgebra(E.levels[:2] + (flipped,), faces, degs)
         with pytest.raises(PreconditionError, match="inconsistent at the top face"):
             extend_level(bad)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_extend_level_names_the_missing_crossed_module(p, built):
+    # cubic-chain cut at level 1 is valid simplicial data, but u * u = w != 0
+    # under d1 = 0 breaks CM2, so no level 2 with NE_2 = 0 extends it
+    from moorekit.functors import cm_from_simplicial
+    below = truncate(built("cubic-chain", p), 1)
+    assert validate_simplicial(below) == []
+    assert verify_cm(cm_from_simplicial(below)).verdict != "pass"
+    with pytest.raises(PreconditionError) as info:
+        extend_level(below)
+    message = str(info.value)
+    assert "inconsistent at the top face" in message
+    assert message.startswith("no level 2 with NE_2 = 0 extends these levels")
+    assert "NE_1 -> E_0 is no crossed module" in message
+    assert "invalid input data" not in message
