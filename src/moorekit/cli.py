@@ -3,9 +3,11 @@
 Reads one JSON document (--input FILE, '-' for stdin) or the built-in
 corpus (default, per characteristic from --char), dispatches checks and
 constructors, and streams line-delimited JSON records followed by one
-summary record.  Exit codes: 0 all pass (hypothesis-gated reports count
-as pass), 1 at least one check failed, 2 audit discrepancies only,
-64 usage, 65 parse or name-resolution error.
+summary record.  A named command on the built-in corpus builds only the
+entries of that name, or of the entry owning a carrier name such as
+ideal-pair.E0; `corpus` builds them all.  Exit codes: 0 all pass
+(hypothesis-gated reports count as pass), 1 at least one check failed,
+2 audit discrepancies only, 64 usage, 65 parse or name-resolution error.
 """
 
 from __future__ import annotations
@@ -96,14 +98,16 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _documents(args) -> list[tuple[str, Document]]:
-    """(label, document) pairs: the input file once, or the corpus per char."""
+    """(label, document) pairs: the input file once, or the corpus per char,
+    holding only the entries named args.name or owning it as a carrier."""
     if args.input:
         return [("", load_document(_read_input(args.input)))]
     supply = Supply(args.seed, args.budget, args.exhaustive_bound)
+    names = {args.name, args.name.split(".", 1)[0]}
     out = []
     for p in args.char:
         label = f"@p={p}" if len(args.char) > 1 else ""
-        out.append((label, load_document(corpus_document(p, supply))))
+        out.append((label, load_document(corpus_document(p, supply, names))))
     return out
 
 

@@ -5,6 +5,9 @@ Everything here is small enough for exhaustive element sweeps; the
 test suite resolves simplicial names through :func:`simplicial_corpus`,
 and the CLI resolves every built-in name in the document that
 :func:`moorekit.document.corpus_document` serializes from these builders.
+Each ``*_corpus`` function maps entry names to builders and, given
+`names`, builds only the entries so named: a named command builds the
+entries it can resolve its name against, and ``corpus`` builds them all.
 """
 
 from __future__ import annotations
@@ -150,59 +153,64 @@ def tcm_module_identity(p: int = 2) -> TwoCrossedModule:
 # simplicial objects
 
 
-def simplicial_corpus(p: int = 2) -> dict[str, TruncatedSimplicialAlgebra]:
+def _built(names, builders: dict) -> dict:
+    """Call the builders whose name is in `names` (all when it is None)."""
+    return {name: build() for name, build in builders.items()
+            if names is None or name in names}
+
+
+def simplicial_corpus(p: int = 2, names=None) -> dict[str, TruncatedSimplicialAlgebra]:
     """The k = 4 test objects used across the suite, keyed by name."""
-    out = {
-        "ideal-pair": build_from_crossed(cm_ideal_dual(p)),
-        "ideal-pair-cubic": build_from_crossed(cm_ideal_cubic(p)),
-        "zero-module": build_from_crossed(cm_zero_module(p)),
-        "sq0-lifting": build_from_2crossed(tcm_square_zero_lifting(p)),
-        "cubic-chain": build_from_2crossed(tcm_cubic_chain(p)),
-        "module-id": build_from_2crossed(tcm_module_identity(p)),
-        "constant": constant_simplicial(dual_numbers(p), 4),
-        "top-degree-4": concentrated_simplicial(square_zero(p, 1), 4, 4),
-        "top-degree-3": concentrated_simplicial(square_zero(p, 1), 3, 4),
-    }
-    return out
+    return _built(names, {
+        "ideal-pair": lambda: build_from_crossed(cm_ideal_dual(p)),
+        "ideal-pair-cubic": lambda: build_from_crossed(cm_ideal_cubic(p)),
+        "zero-module": lambda: build_from_crossed(cm_zero_module(p)),
+        "sq0-lifting": lambda: build_from_2crossed(tcm_square_zero_lifting(p)),
+        "cubic-chain": lambda: build_from_2crossed(tcm_cubic_chain(p)),
+        "module-id": lambda: build_from_2crossed(tcm_module_identity(p)),
+        "constant": lambda: constant_simplicial(dual_numbers(p), 4),
+        "top-degree-4": lambda: concentrated_simplicial(square_zero(p, 1), 4, 4),
+        "top-degree-3": lambda: concentrated_simplicial(square_zero(p, 1), 3, 4),
+    })
 
 
-def crossed_corpus(p: int = 2) -> dict[str, CrossedModule]:
-    out = {
-        "ideal-pair": cm_ideal_dual(p),
-        "ideal-pair-cubic": cm_ideal_cubic(p),
-        "zero-module": cm_zero_module(p),
-        "mult-zmod": multiplication_cm(zmod(p)),
+def crossed_corpus(p: int = 2, names=None) -> dict[str, CrossedModule]:
+    builders = {
+        "ideal-pair": lambda: cm_ideal_dual(p),
+        "ideal-pair-cubic": lambda: cm_ideal_cubic(p),
+        "zero-module": lambda: cm_zero_module(p),
+        "mult-zmod": lambda: multiplication_cm(zmod(p)),
     }
     if p != 2:
-        out["mult-group-line"] = multiplication_cm(group_line(p))
-    else:
-        out["mult-dual"] = multiplication_cm(group_line(2))  # (t + 1)^2 = 0: dual numbers
-    return out
+        builders["mult-group-line"] = lambda: multiplication_cm(group_line(p))
+    else:  # (t + 1)^2 = 0: dual numbers
+        builders["mult-dual"] = lambda: multiplication_cm(group_line(2))
+    return _built(names, builders)
 
 
-def two_crossed_corpus(p: int = 2) -> dict[str, TwoCrossedModule]:
-    return {
-        "sq0-lifting": tcm_square_zero_lifting(p),
-        "cubic-chain": tcm_cubic_chain(p),
-        "module-id": tcm_module_identity(p),
-        "remark1-ideal-pair": crossed_as_2cm(cm_ideal_dual(p)),
-        "remark1-zero-module": crossed_as_2cm(cm_zero_module(p)),
-    }
+def two_crossed_corpus(p: int = 2, names=None) -> dict[str, TwoCrossedModule]:
+    return _built(names, {
+        "sq0-lifting": lambda: tcm_square_zero_lifting(p),
+        "cubic-chain": lambda: tcm_cubic_chain(p),
+        "module-id": lambda: tcm_module_identity(p),
+        "remark1-ideal-pair": lambda: crossed_as_2cm(cm_ideal_dual(p)),
+        "remark1-zero-module": lambda: crossed_as_2cm(cm_zero_module(p)),
+    })
 
 
 # ---------------------------------------------------------------------------
 # Lie corpus
 
 
-def lie_corpus(p: int = 3) -> dict[str, LieAlgebra]:
-    return {
-        "abelian": lie_abelian(p, 2),
-        "heisenberg": lie_heisenberg(p),
-    }
+def lie_corpus(p: int = 3, names=None) -> dict[str, LieAlgebra]:
+    return _built(names, {
+        "abelian": lambda: lie_abelian(p, 2),
+        "heisenberg": lambda: lie_heisenberg(p),
+    })
 
 
-def lie_three_corpus(p: int = 3) -> dict[str, ThreeCrossedModule]:
-    return {
-        "abelian-chain": degenerate_lie_3cm(lie_abelian(p, 2)),
-        "heisenberg-chain": degenerate_lie_3cm(lie_heisenberg(p)),
-    }
+def lie_three_corpus(p: int = 3, names=None) -> dict[str, ThreeCrossedModule]:
+    return _built(names, {
+        "abelian-chain": lambda: degenerate_lie_3cm(lie_abelian(p, 2)),
+        "heisenberg-chain": lambda: degenerate_lie_3cm(lie_heisenberg(p)),
+    })

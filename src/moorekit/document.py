@@ -270,14 +270,11 @@ def load_document(text: str) -> Document:
 
 
 def _tensor_triples(t: np.ndarray) -> list:
-    out = []
-    for i, j, k in zip(*np.nonzero(t)):
-        out.append([int(i), int(j), int(k), int(t[i, j, k])])
-    return out
+    return [[*ijk, c] for ijk, c in zip(np.argwhere(t).tolist(), t[t != 0].tolist())]
 
 
 def _matrix(m: Morphism) -> list:
-    return [[int(v) for v in row] for row in m.matrix]
+    return m.matrix.tolist()
 
 
 class DocumentBuilder:
@@ -355,18 +352,23 @@ class DocumentBuilder:
         return json.dumps(body, sort_keys=True)
 
 
-def corpus_document(p: int = 2, config: Supply | None = None) -> str:
-    """The built-in corpus serialized as a single-line JSON document."""
+def corpus_document(p: int = 2, config: Supply | None = None, names=None) -> str:
+    """The built-in corpus serialized as a single-line JSON document.
+
+    With `names`, only the entries whose name is in it, in every section,
+    are built and serialized; a named command passes its name and the entry
+    that owns a carrier name (``ideal-pair`` for ``ideal-pair.E0``), so its
+    name resolves as in the whole corpus."""
     from . import corpus as corpus_mod
     b = DocumentBuilder()
-    for name, cm in corpus_mod.crossed_corpus(p).items():
+    for name, cm in corpus_mod.crossed_corpus(p, names).items():
         b.crossed(cm, name)
-    for name, t in corpus_mod.two_crossed_corpus(p).items():
+    for name, t in corpus_mod.two_crossed_corpus(p, names).items():
         b.two_crossed(t, name)
-    for name, E in corpus_mod.simplicial_corpus(p).items():
+    for name, E in corpus_mod.simplicial_corpus(p, names).items():
         b.simplicial(E, name)
-    for name, L in corpus_mod.lie_corpus(p).items():
+    for name, L in corpus_mod.lie_corpus(p, names).items():
         b.algebra(L, name, "lie_algebras")
-    for name, m in corpus_mod.lie_three_corpus(p).items():
+    for name, m in corpus_mod.lie_three_corpus(p, names).items():
         b.three_crossed(m, name, "lie_three_crossed")
     return b.dumps(config, characteristics=(p,))

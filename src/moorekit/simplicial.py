@@ -145,21 +145,23 @@ def degenerate_subalgebra(E: TruncatedSimplicialAlgebra, n: int) -> np.ndarray:
     """rref basis of the subalgebra of E_n generated by the degeneracy
     images s_i(E_{n-1}).
 
-    Iterates span U span*span to a fixed point.  Unlike degenerate_ideal
-    it multiplies only degenerate elements with each other, so it is not
-    all of E_n merely because s_0 carries a unit of E_{n-1} to E_n.
+    Iterates span U span*span to a fixed point, or until the span is all
+    of E_n.  Unlike degenerate_ideal it multiplies only degenerate elements
+    with each other, so it is not all of E_n merely because s_0 carries a
+    unit of E_{n-1} to E_n.
     """
     if not 1 <= n <= E.k:
         raise ValueError(f"level {n} outside 1..{E.k}")
     A = E.level(n)
     span = rref(np.vstack([E.deg(n, i).matrix.T for i in range(n)]), A.p)[0]
-    while True:
+    while len(span) < A.dim:
         left = np.einsum("ai,ijk->ajk", span, A.structure) % A.p
         prods = np.einsum("bj,ajk->abk", span, left) % A.p
         grown = rref(np.vstack([span, prods.reshape(len(span) ** 2, A.dim)]), A.p)[0]
         if grown.shape == span.shape:
-            return span
+            break
         span = grown
+    return span
 
 
 # ---------------------------------------------------------------------------

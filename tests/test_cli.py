@@ -417,3 +417,90 @@ def test_validation_records(argv, check):
     code, out = run(argv)
     assert code == 0
     assert records(out)[0] == {"check": check, "status": "pass", "witnesses": []}
+
+
+def _main(argv):
+    """(exit code, stdout, stderr) of main(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# one command of each kind a corpus section holds
+_COMMAND_OF_SECTION = {"crossed_modules": "verify-xmod", "two_crossed_modules": "verify-2xmod",
+                       "simplicial": "moore", "algebras": "validate",
+                       "lie_algebras": "lie-verify", "lie_three_crossed": "lie-verify"}
+_CARRIER_NAMES = ("ideal-pair.E0", "ideal-pair.C", "sq0-lifting.C2", "heisenberg-chain.L0")
+
+
+def _lazy_cases(doc):
+    for section, command in _COMMAND_OF_SECTION.items():
+        for name in doc.get(section, {}):
+            if "." not in name:
+                yield [command, name]
+    yield from (["validate", name] for name in _CARRIER_NAMES)
+    yield from (["verify-xmod", "constant"], ["moore", "nope"], ["moore", "ideal-pair.E9"])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_named_command_on_the_lazy_corpus_matches_the_whole_document(p, tmp_path):
+    code, whole, _ = _main(["--char", str(p), "corpus"])
+    path = tmp_path / "corpus.json"
+    path.write_text(whole)
+    cases = list(_lazy_cases(json.loads(whole)))
+    assert len(cases) > 25
+    for argv in cases:
+        lazy = _main(["--char", str(p), *argv])
+        assert lazy == _main(["--char", str(p), "--input", str(path), *argv]), argv
+    assert _main(["--char", str(p), "validate", "ideal-pair.E0"])[0] == 0
+
+
+def test_named_command_per_prime_matches_the_single_prime_runs():
+    argv = ["verify-2xmod", "cubic-chain"]
+    code, out, _ = _main(["--char", "2,3", *argv])
+    expected = []
+    for p in (2, 3):
+        single = records(_main(["--char", str(p), *argv])[1])[:-1]
+        expected += [{**r, "check": r["check"] + f"@p={p}"} for r in single]
+    assert records(out)[:-1] == expected
+
+
+@pytest.fixture
+def built_names(monkeypatch):
+    """(builder, entry name) of every corpus entry built while it is active."""
+    from moorekit import corpus
+    seen = []
+    for builder in ("crossed_corpus", "two_crossed_corpus", "simplicial_corpus",
+                    "lie_corpus", "lie_three_corpus"):
+        def recording(*args, _build=getattr(corpus, builder), _builder=builder, **kwargs):
+            out = _build(*args, **kwargs)
+            seen.extend((_builder, name) for name in out)
+            return out
+        monkeypatch.setattr(corpus, builder, recording)
+    return seen
+
+
+def test_a_named_command_builds_only_the_entries_of_its_name(built_names):
+    assert run(["moore", "cubic-chain"])[0] == 0
+    assert sorted(built_names) == [("simplicial_corpus", "cubic-chain"),
+                                   ("two_crossed_corpus", "cubic-chain")]
+    built_names.clear()
+    assert run(["lie-verify", "abelian"])[0] == 0
+    assert built_names == [("lie_corpus", "abelian")]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_every_corpus_document_name_is_an_entry_or_one_of_its_carriers(p):
+    from moorekit import corpus
+    from moorekit.document import corpus_document
+    entries = {name for build in (corpus.crossed_corpus, corpus.two_crossed_corpus,
+                                  corpus.simplicial_corpus, corpus.lie_corpus,
+                                  corpus.lie_three_corpus)
+               for name in build(p)}
+    assert not any("." in name for name in entries)
+    doc = json.loads(corpus_document(p))
+    for section, table in doc.items():
+        if section != "config":
+            for name in table:
+                assert name in entries or name.split(".", 1)[0] in entries, (section, name)

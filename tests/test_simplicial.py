@@ -6,7 +6,7 @@ import pytest
 from moorekit import corpus
 from moorekit.coeff import (Algebra, Element, Ideal, Morphism,
                             PreconditionError, StructureError, Supply,
-                            elements, validate_algebra)
+                            elements, rref, validate_algebra)
 from moorekit.crossed import verify_2cm, verify_cm
 from moorekit.document import corpus_document
 from moorekit.moore import (SurjIndex, moore, moore_basis, normal_form,
@@ -98,6 +98,53 @@ def test_degenerate_subalgebra_between_span_and_ideal(built):
             assert degenerate_ideal(E, n).contains(D.basis_matrix)
     E = corpus.simplicial_corpus(2)["top-degree-3"]
     assert degenerate_subalgebra(E, 3).shape == (0, 1)
+
+
+def reference_degenerate_subalgebra(E, n):
+    """span U span*span iterated to its fixed point, with no early exit."""
+    A = E.level(n)
+    span = rref(np.vstack([E.deg(n, i).matrix.T for i in range(n)]), A.p)[0]
+    while True:
+        prods = np.einsum("ai,bj,ijk->abk", span, span, A.structure) % A.p
+        grown = rref(np.vstack([span, prods.reshape(len(span) ** 2, A.dim)]), A.p)[0]
+        if grown.shape == span.shape:
+            return span
+        span = grown
+
+
+def levelwise_tensor(E, F):
+    """E (x) F levelwise; the basis pair (a, b) has index a * dim F_n + b."""
+    p = E.level(0).p
+    levels = []
+    for A, B in zip(E.levels, F.levels):
+        c = np.einsum("ijk,abc->iajbkc", A.structure, B.structure)
+        unit = None if A.identity is None or B.identity is None else A.identity * B.dim + B.identity
+        levels.append(Algebra(A.field, c.reshape((A.dim * B.dim,) * 3) % p,
+                              tuple(f"{a}*{b}" for a in A.basis_names for b in B.basis_names),
+                              unit))
+
+    def maps(table, other, shift):
+        return {(n, i): Morphism(levels[n - shift], levels[n + shift - 1],
+                                 np.kron(m.matrix, other[(n, i)].matrix) % p)
+                for (n, i), m in table.items()}
+
+    return TruncatedSimplicialAlgebra(tuple(levels), maps(E.faces, F.faces, 0),
+                                      maps(E.degeneracies, F.degeneracies, 1))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_degenerate_subalgebra_matches_the_unshortened_iteration(p, built):
+    objects = corpus.simplicial_corpus(p)
+    objects["ideal-pair x ideal-pair"] = levelwise_tensor(built("ideal-pair", p),
+                                                          built("ideal-pair", p))
+    assert validate_simplicial(objects["ideal-pair x ideal-pair"]) == []
+    full = 0
+    for name, E in objects.items():
+        for n in range(1, E.k + 1):
+            got = degenerate_subalgebra(E, n)
+            assert np.array_equal(got, reference_degenerate_subalgebra(E, n)), (name, n)
+            full += len(got) == E.level(n).dim
+    assert full  # the early return is taken
 
 
 def test_degeneracy_span_codimension_matches_moore(built):
