@@ -5,7 +5,7 @@ prime fields."""
 from .coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
                     PreconditionError, PrimeField, StructureError, Supply,
                     elements, ideal_closure, kernel, mul, quotient,
-                    semidirect, validate_algebra)
+                    validate_algebra)
 from .crossed import (AxiomReport, CrossedModule, ThreeCrossedModule,
                       TwoCrossedModule, induced_cm, multiplication_cm,
                       verify_2cm, verify_3cm, verify_cm)

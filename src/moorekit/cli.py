@@ -278,7 +278,7 @@ def _named_records(args, kind, obj, supply: Supply, extra_lines: list) -> list[C
     elif command == "verify-3xmod":
         records.extend(_axiom_records(verify_3cm(obj, supply), f"verify-3xmod[{name}]"))
     elif command == "tables":
-        records.extend(table_identities_check(obj, args.table, args.convention, supply))
+        records.extend(table_identities_check(obj, args.table, args.convention))
     else:  # lie-verify on a Lie 3-crossed module
         records.extend(_axiom_records(verify_lie_3cm(obj, supply), f"lie-verify[{name}]"))
     return records

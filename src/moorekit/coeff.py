@@ -577,7 +577,7 @@ def subalgebra(A: Algebra, span_rows: np.ndarray, name: str = "") -> tuple[Algeb
 
 
 # ---------------------------------------------------------------------------
-# semidirect products
+# module actions
 
 
 def action_violations(action: BilinearMap) -> list[Violation]:
@@ -597,35 +597,6 @@ def action_violations(action: BilinearMap) -> list[Violation]:
     for s, tt, n in zip(*np.nonzero(((lhs2 - rhs2) % p).any(axis=3))):
         out.append(Violation("associative-action", (int(s), int(tt), int(n))))
     return out
-
-
-def semidirect(action: BilinearMap, name: str = "") -> Algebra:
-    """Idealization N x| S: product (n,s)(n',s') = (nn' + s.n' + s'.n, ss').
-
-    The action must make N an S-algebra; the result is re-validated for
-    commutativity and associativity.  Basis order is N block then S block.
-    """
-    if action.right is not action.target:
-        raise StructureError("action must map S x N -> N")
-    bad = action_violations(action)
-    if bad:
-        raise PreconditionError(f"action axiom failure, witness {bad[0]}")
-    N, S = action.right, action.left
-    p = N.p
-    dn, ds = N.dim, S.dim
-    dim = dn + ds
-    struct = np.zeros((dim, dim, dim), dtype=np.int64)
-    struct[:dn, :dn, :dn] = N.structure
-    # mixed products s.n land in N
-    struct[dn:, :dn, :dn] = action.tensor
-    struct[:dn, dn:, :dn] = action.tensor.transpose(1, 0, 2)
-    struct[dn:, dn:, dn:] = S.structure
-    names = tuple(f"n.{b}" for b in N.basis_names) + tuple(f"s.{b}" for b in S.basis_names)
-    A = Algebra(N.field, struct, names, None, name)
-    bad = validate_algebra(A)
-    if bad:
-        raise PreconditionError(f"semidirect product not a valid algebra, witness {bad[0]}")
-    return A
 
 
 # ---------------------------------------------------------------------------

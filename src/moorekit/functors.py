@@ -41,7 +41,7 @@ DEF1 = "def1"
 class FunctorOutput:
     structure: ThreeCrossedModule
     provenance: dict = field(default_factory=dict)
-    report: object = None  # AxiomReport from verify_3cm
+    report: object = None  # AxiomReport from verify_3cm; None from the bare extraction
 
 
 def _map_tensor(E: TruncatedSimplicialAlgebra, mc, lifts, quotients: dict,
@@ -121,12 +121,11 @@ def two_crossed_from_simplicial(E: TruncatedSimplicialAlgebra,
 # any valid 4-truncation: 3-crossed modules
 
 
-def three_crossed_from_simplicial(E: TruncatedSimplicialAlgebra,
-                                  convention: str = PROP3,
-                                  supply: Supply = Supply()) -> FunctorOutput:
+def three_crossed_extraction(E: TruncatedSimplicialAlgebra,
+                             convention: str = PROP3) -> FunctorOutput:
     """The quotient complex NE_3/d_4(NE_4 cap D_4) -> NE_2 -> NE_1 -> NE_0
-    with degeneracy actions and the seven pairing liftings; the axiom
-    report is attached as an audit finding."""
+    with degeneracy actions and the seven pairing liftings, and its
+    provenance; no axiom report."""
     if E.k != 4:
         raise PreconditionError("requires truncation level 4")
     sign = -1 if convention == PROP3 else 1
@@ -159,7 +158,16 @@ def three_crossed_from_simplicial(E: TruncatedSimplicialAlgebra,
                            mc.boundaries[0], name=(E.name or "simplicial") + "-3xmod", **maps)
     prov = {"source": E.name, "convention": convention,
             "ne4_cap_d4_dim": int(cap.shape[0]), "divided_dim": int(B.dim)}
-    return FunctorOutput(m, prov, verify_3cm(m, supply))
+    return FunctorOutput(m, prov)
+
+
+def three_crossed_from_simplicial(E: TruncatedSimplicialAlgebra,
+                                  convention: str = PROP3,
+                                  supply: Supply = Supply()) -> FunctorOutput:
+    """three_crossed_extraction with the axiom report attached as an
+    audit finding."""
+    out = three_crossed_extraction(E, convention)
+    return FunctorOutput(out.structure, out.provenance, verify_3cm(out.structure, supply))
 
 
 def lifting_convention_audit(E: TruncatedSimplicialAlgebra,
@@ -246,13 +254,12 @@ def _table2_rows(m: ThreeCrossedModule):
 
 
 def table_identities_check(E: TruncatedSimplicialAlgebra, table: int,
-                           convention: str = PROP3,
-                           supply: Supply = Supply()) -> list[CheckRecord]:
+                           convention: str = PROP3) -> list[CheckRecord]:
     """Audit the printed identity tables inside the extracted 3-crossed
     structure; CONFIRMED or DISCREPANT per row with a minimal witness."""
     if table not in (2, 3, 4):
         raise ValueError("tables 2, 3 and 4 are defined")
-    m = three_crossed_from_simplicial(E, convention, supply).structure
+    m = three_crossed_extraction(E, convention).structure
     if table == 2:
         return [_table2_record(name, *_evaluate(slots, fun))
                 for name, slots, fun in _table2_rows(m)]

@@ -316,7 +316,7 @@ def _pairing_values(E, pair: PairingIndex, bx: np.ndarray, by: np.ndarray,
     return prods @ proj.T % A.p
 
 
-def pairing_ideal(E, n: int, supply: Supply = Supply()) -> Ideal:
+def pairing_ideal(E, n: int) -> Ideal:
     """Ideal of E_n generated by pairing values on spanning sets of the
     Moore components."""
     if not 2 <= n <= 4:

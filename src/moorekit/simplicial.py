@@ -1,16 +1,20 @@
 """Truncated simplicial algebras: validation against the simplicial
 identities, truncation, degenerate ideals and subalgebras, the semidirect
-element decomposition, and builders that realize crossed and 2-crossed
-data as simplicial algebras.
+element decomposition, and one level builder that realizes crossed and
+2-crossed data as simplicial algebras.
 
-Builder levels above the given data are forced: a level with trivial
-normal part is spanned by degeneracy images, its faces determine every
-product, and the element is recovered by the standard filling
-w <- w + s_j(d_j-target - d_j w).  The consistency of the top face is
-checked during construction.  It fails exactly when no level with zero
-normal part extends the given levels, which happens on valid simplicial
-data too: cubic-chain cut at level 1 is valid, but its NE_1 -> E_0 is no
-crossed module, so no level 2 with NE_2 = 0 exists.
+Every built level is E_m = (+)_{alpha in S(m)} s_alpha NE_{m-#alpha}.
+`extend_level` appends it, given its normal block NE_m, the last face of
+that block and the normal component of the products between blocks, or
+with NE_m = 0.  Everything else is forced: the faces and degeneracies
+follow the simplicial identities, and each product is recovered from
+its faces by the standard filling w <- w + s_j(d_j-target - d_j w),
+started from its normal component.  The consistency of the top face is
+checked during construction.  It fails exactly when no such level
+extends the given levels, which happens on valid simplicial data too:
+cubic-chain cut at level 1 is valid, but its NE_1 -> E_0 is no crossed
+module, so no level 2 with NE_2 = 0 exists.  A crossed module is one
+call above E_0 = R, a 2-crossed module two calls above E_0 = C_0.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from .coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
                     PreconditionError, StructureError, bilinear, check_word_size,
-                    ideal_closure, rref, semidirect, sweep_step)
+                    ideal_closure, rref, sweep_step)
 from .crossed import CrossedModule, TwoCrossedModule, verify_2cm, verify_cm
 from .moore import (SurjIndex, moore_basis, normal_form, push_face, s_set,
                     s_word_morphism)
@@ -156,8 +160,9 @@ def degenerate_subalgebra(E: TruncatedSimplicialAlgebra, n: int) -> np.ndarray:
     span = rref(np.vstack([E.deg(n, i).matrix.T for i in range(n)]), A.p)[0]
     while len(span) < A.dim:
         left = np.einsum("ai,ijk->ajk", span, A.structure) % A.p
-        prods = np.einsum("bj,ajk->abk", span, left) % A.p
-        grown = rref(np.vstack([span, prods.reshape(len(span) ** 2, A.dim)]), A.p)[0]
+        # E_n is commutative: the product of rows a <= b is formed once
+        prods = [span[a:] @ left[a] % A.p for a in range(len(span))]
+        grown = rref(np.vstack([span] + prods), A.p)[0]
         if grown.shape == span.shape:
             break
         span = grown
@@ -207,7 +212,7 @@ def decompose(E: TruncatedSimplicialAlgebra, n: int, x: Element) -> Decompositio
 
 
 # ---------------------------------------------------------------------------
-# forced level extension (trivial normal part)
+# level extension with a zero or a given normal part
 
 
 def _apply_s_chain(E, start: int, word, v: np.ndarray) -> np.ndarray:
@@ -220,41 +225,53 @@ def _apply_s_chain(E, start: int, word, v: np.ndarray) -> np.ndarray:
     return vec
 
 
-def extend_level(E: TruncatedSimplicialAlgebra) -> TruncatedSimplicialAlgebra:
-    """Append level k+1 with zero normal part.
+def extend_level(E: TruncatedSimplicialAlgebra, normal=None) -> TruncatedSimplicialAlgebra:
+    """Append level m = k+1 with zero normal part, or with the given one.
 
-    The new level is coordinatized by the nonempty surjection indices
-    alpha with values in the Moore subspaces NE_{m-#alpha}.  Each stage
-    works on basis stacks: faces follow the simplicial identities
-    symbolically on whole Moore bases, degeneracies route one
+    The new level is coordinatized by the surjection indices alpha of
+    S(m) with values in the Moore subspaces NE_{m-#alpha}.  Without
+    `normal` only the nonempty alpha occur and NE_m = 0.  With
+    normal = (C, bd, nu) the empty index is the first block, NE_m = C:
+    bd is its last face as a matrix into E_{m-1}, and nu maps pairs
+    (alpha, beta) of entry tuples to the C-component of the products of
+    those two blocks, a tensor indexed [alpha row, beta row, C]; the pair
+    (beta, alpha) is its mirror and an unlisted pair is zero.
+
+    Each stage works on basis stacks: faces follow the simplicial
+    identities symbolically on whole Moore bases, degeneracies route one
     decomposition of the basis of the level below, and every product is
-    filled from its faces at once, in steps over the first factor.
-    Raises when the forced product is inconsistent at the top face: no
-    such level exists, as for cubic-chain cut at level 1, whose
-    NE_1 -> E_0 is no crossed module.
+    filled from its faces at once, in steps over the first factor,
+    starting from its normal component.  Raises when the forced product
+    is inconsistent at the top face: no such level exists, as for
+    cubic-chain cut at level 1, whose NE_1 -> E_0 is no crossed module.
     """
     m = E.k + 1
     p = E.level(0).p
     prev = E.level(m - 1)
+    C, bd, nu = normal or (None, None, {})
     nbases = {c: Ideal(E.level(c), moore_basis(E, c)) for c in range(m)}
-    alphas = [a for a in s_set(m) if a.size > 0]
-    sizes = [nbases[m - a.size].dim for a in alphas]
+    alphas = [a for a in s_set(m) if a.size or normal]
+    sizes = [nbases[m - a.size].dim if a.size else C.dim for a in alphas]
     offs = dict(zip(alphas, accumulate([0] + sizes)))
     dim = sum(sizes)
     check_word_size(dim, p)  # the fill sums dim products before Em is built
 
+    # the last face of each Moore basis, in the level below
+    tops = {c: E.face(c, c).matrix @ nbases[c].basis_matrix.T % p for c in range(1, m)}
+    tops[m] = bd
     faces = np.zeros((m + 1, prev.dim, dim), dtype=np.int64)
     for i in range(m + 1):
         for a in alphas:
             c = m - a.size
-            base = nbases[c].basis_matrix.T
             word, f = push_face(i, a.application_order())
-            if f is not None:
-                if f < c:
-                    continue  # the face kills the Moore component
-                if f > c or c == 0:
-                    raise StructureError("face index escaped its level")
-                base, c = E.face(c, c).matrix @ base % p, c - 1
+            if f is None:
+                base = nbases[c].basis_matrix.T
+            elif f < c:
+                continue  # the face kills the Moore component
+            elif f > c or c == 0:
+                raise StructureError("face index escaped its level")
+            else:
+                base, c = tops[c], c - 1
             block = _apply_s_chain(E, c, normal_form(word), base)
             faces[i, :, offs[a]:offs[a] + block.shape[1]] = block
 
@@ -273,21 +290,31 @@ def extend_level(E: TruncatedSimplicialAlgebra) -> TruncatedSimplicialAlgebra:
             elif val.coeffs.any():
                 raise PreconditionError("component escapes its Moore subspace")
 
-    # rows u of cols[i] are the faces d_i e_u; struct[u, v] is filled
-    # from the m + 1 faces of e_u e_v by w <- w + s_j(d_j-target - d_j w)
+    # the C-component of every product; it has no columns when NE_m = 0
+    prods = np.zeros((dim, dim, C.dim if normal else 0), dtype=np.int64)
+    for (a, b), t in nu.items():
+        oa, ob = offs[SurjIndex(a, m)], offs[SurjIndex(b, m)]
+        prods[oa:oa + t.shape[0], ob:ob + t.shape[1]] = t % p
+        prods[ob:ob + t.shape[1], oa:oa + t.shape[0]] = t.transpose(1, 0, 2) % p
+
+    # rows u of cols[i] are the faces d_i e_u; struct[u, v] is filled from
+    # its C-component and the m + 1 faces of e_u e_v by
+    # w <- w + s_j(d_j-target - d_j w)
     cols = faces.transpose(0, 2, 1)
     struct = np.zeros((dim, dim, dim), dtype=np.int64)
     step = sweep_step((m + 1) * max(dim, prev.dim) ** 2)
     for start in range(0, dim, step):
         target = bilinear(cols[:, start:start + step, None], cols[:, None], prev.structure, p)
         w = np.zeros(target.shape[1:3] + (dim,), dtype=np.int64)
+        w[..., :prods.shape[2]] = prods[start:start + step]
         for j in range(m):
             w = (w + (target[j] - w @ cols[j]) % p @ degs[j].T) % p
         if ((w @ cols[m] - target[m]) % p).any():
+            what = f"the given NE_{m}" if normal else f"NE_{m} = 0"
+            hint = "; on valid levels, NE_1 -> E_0 is no crossed module"
             raise PreconditionError(
-                f"no level {m} with NE_{m} = 0 extends these levels: forced product "
-                f"inconsistent at the top face"
-                + ("; on valid levels, NE_1 -> E_0 is no crossed module" if m == 2 else ""))
+                f"no level {m} with {what} extends these levels: forced product "
+                f"inconsistent at the top face" + (hint if m == 2 and not normal else ""))
         struct[start:start + step] = w
 
     names = tuple(f"s{a}.{t}" for a, r in zip(alphas, sizes) for t in range(r))
@@ -341,129 +368,48 @@ def concentrated_simplicial(A: Algebra, degree: int, k: int,
     return extend_to(E, k)
 
 
-def _level_one(C: Algebra, C0: Algebra, bd: Morphism, act: BilinearMap,
-               name: str) -> TruncatedSimplicialAlgebra:
-    """E_1 = C x| C0 with d_0 the projection, d_1 = boundary + projection."""
-    E1 = semidirect(act, name=f"{name}:E1")
-    dn, ds = C.dim, C0.dim
-    d0 = np.hstack([np.zeros((ds, dn), dtype=np.int64), np.eye(ds, dtype=np.int64)])
-    d1 = np.hstack([bd.matrix, np.eye(ds, dtype=np.int64)])
-    s0 = np.vstack([np.zeros((dn, ds), dtype=np.int64), np.eye(ds, dtype=np.int64)])
-    return TruncatedSimplicialAlgebra(
-        (C0, E1),
-        {(1, 0): Morphism(E1, C0, d0), (1, 1): Morphism(E1, C0, d1)},
-        {(1, 0): Morphism(C0, E1, s0)},
-        name=name)
+def _verified(report, what: str) -> None:
+    if report.verdict != PASS:
+        raise PreconditionError(f"{what} fails {[e.name for e in report.failing()]}")
+
+
+def _action_block(C: Algebra, bd: Morphism, act: BilinearMap) -> tuple:
+    """NE_1 = C over E_0 = R: products in C, s_0(r) . c = r . c."""
+    return C, bd.matrix, {((), ()): C.structure, ((0,), ()): act.tensor}
 
 
 def build_from_crossed(cm: CrossedModule, k: int = 4) -> TruncatedSimplicialAlgebra:
     """Simplicial realization of a crossed module: E_1 = C x| R and all
     higher levels forced; the Moore complex has length at most 1 and the
     extraction returns cm on the nose."""
-    rep = verify_cm(cm)
-    if rep.verdict != PASS:
-        raise PreconditionError(
-            f"crossed module fails {[e.name for e in rep.failing()]}")
-    E = _level_one(cm.C, cm.R, cm.boundary, cm.action, cm.name or "xmod")
-    return extend_to(E, k)
+    _verified(verify_cm(cm), "crossed module")
+    E = TruncatedSimplicialAlgebra((cm.R,), name=cm.name or "xmod")
+    return extend_to(extend_level(E, _action_block(cm.C, cm.boundary, cm.action)), k)
 
 
 def build_from_2crossed(t: TwoCrossedModule, k: int = 4) -> TruncatedSimplicialAlgebra:
     """Simplicial realization of a 2-crossed module.
 
-    Level 2 carries the blocks (NE_2 | s_1 C_1 | s_0 C_1 | s_1 s_0 C_0);
-    the products among the blocks are forced by the simplicial relations
-    with the Peiffer lifting supplying the one free term,
+    E_1 = C_1 x| C_0 as for a crossed module.  Level 2 carries the blocks
+    (NE_2 | s_1 C_1 | s_0 C_1 | s_1 s_0 C_0), and nu gives the
+    C_2-component of the products: x x' in C_2, s_1 y . x = y . x with the
+    degree-1 action y . x = {d_2 x (x) y} + (d_1 y) . x, s_0 y . x =
+    (d_1 y) . x, s_1 s_0 c . x = c . x, and the Peiffer lifting in
 
-        s_1 a . s_0 b  =  -{a (x) b}  +  s_1(a b),
+        s_1 a . s_0 b  =  -{a (x) b}  +  s_1(a b).
 
-    and the degree-1 action on NE_2 entering through
-    y . x = {d_2 x (x) y} + (d_1 y) . x.  Higher levels are forced.
+    The simplicial relations force every other component, and the higher
+    levels are forced.
     """
-    rep = verify_2cm(t)
-    if rep.verdict != PASS:
-        raise PreconditionError(
-            f"2-crossed module fails {[e.name for e in rep.failing()]}")
-    C2, C1, C0 = t.C2, t.C1, t.C0
-    p = C0.p
-    base = _level_one(C1, C0, t.d1, t.act_on_c1, t.name or "2xmod")
-    E1 = base.level(1)
-
-    d2m, d1m = t.d2.matrix, t.d1.matrix
-    a1, a2, L = t.act_on_c1.tensor, t.act_on_c2.tensor, t.lifting.tensor
-    n2, n1, n0 = C2.dim, C1.dim, C0.dim
-    dim = n2 + 2 * n1 + n0
-    o_nu, o_s1, o_s0, o_tau = 0, n2, n2 + n1, n2 + 2 * n1
-
-    # C1 acting on C2, derived from the lifting and the C0-action
-    act12 = (np.einsum("ra,rxq->axq", d1m, a2) % p +
-             np.einsum("sx,saq->axq", d2m, L) % p) % p
-
-    struct = np.zeros((dim, dim, dim), dtype=np.int64)
-
-    def add(block_a: int, ia: int, block_b: int, ib: int, block_out: int,
-            vec: np.ndarray) -> None:
-        struct[block_a + ia, block_b + ib, block_out:block_out + len(vec)] += vec
-        if (block_a + ia) != (block_b + ib):
-            struct[block_b + ib, block_a + ia, block_out:block_out + len(vec)] += vec
-
-    for i in range(n2):
-        for j in range(n2):
-            if i <= j:
-                add(o_nu, i, o_nu, j, o_nu, C2.structure[i, j])
-        for a in range(n1):
-            add(o_nu, i, o_s1, a, o_nu, act12[a, i])
-            add(o_nu, i, o_s0, a, o_nu, np.einsum("r,rq->q", d1m[:, a], a2[:, i, :]) % p)
-        for c in range(n0):
-            add(o_nu, i, o_tau, c, o_nu, a2[c, i])
-    for a in range(n1):
-        for b in range(n1):
-            if a <= b:
-                add(o_s1, a, o_s1, b, o_s1, C1.structure[a, b])
-                add(o_s0, a, o_s0, b, o_s0, C1.structure[a, b])
-            add(o_s1, a, o_s0, b, o_nu, (-L[a, b]) % p)
-            add(o_s1, a, o_s0, b, o_s1, C1.structure[a, b])
-        for c in range(n0):
-            add(o_s1, a, o_tau, c, o_s1, a1[c, a])
-            add(o_s0, a, o_tau, c, o_s0, a1[c, a])
-    for c in range(n0):
-        for e in range(n0):
-            if c <= e:
-                add(o_tau, c, o_tau, e, o_tau, C0.structure[c, e])
-    struct %= p
-
-    names = (tuple(f"n.{b}" for b in C2.basis_names)
-             + tuple(f"s1.{b}" for b in C1.basis_names)
-             + tuple(f"s0.{b}" for b in C1.basis_names)
-             + tuple(f"t.{b}" for b in C0.basis_names))
-    E2 = Algebra(C0.field, struct, names, None, name=f"{t.name or '2xmod'}:E2")
-
-    def block(rows, cols):
-        return np.zeros((rows, cols), dtype=np.int64)
-
-    i1 = np.eye(n1, dtype=np.int64)
-    i0 = np.eye(n0, dtype=np.int64)
-    d0 = np.block([[block(n1, n2), block(n1, n1), i1, block(n1, n0)],
-                   [block(n0, n2), block(n0, n1), block(n0, n1), i0]])
-    d1 = np.block([[block(n1, n2), i1, i1, block(n1, n0)],
-                   [block(n0, n2), block(n0, n1), block(n0, n1), i0]])
-    d2 = np.block([[d2m, i1, block(n1, n1), block(n1, n0)],
-                   [block(n0, n2), block(n0, n1), d1m, i0]])
-    s0 = np.vstack([block(n2, n1 + n0),
-                    block(n1, n1 + n0),
-                    np.hstack([i1, block(n1, n0)]),
-                    np.hstack([block(n0, n1), i0])])
-    s1 = np.vstack([block(n2, n1 + n0),
-                    np.hstack([i1, block(n1, n0)]),
-                    block(n1, n1 + n0),
-                    np.hstack([block(n0, n1), i0])])
-
-    faces = dict(base.faces)
-    degs = dict(base.degeneracies)
-    faces[(2, 0)] = Morphism(E2, E1, d0)
-    faces[(2, 1)] = Morphism(E2, E1, d1)
-    faces[(2, 2)] = Morphism(E2, E1, d2)
-    degs[(2, 0)] = Morphism(E1, E2, s0)
-    degs[(2, 1)] = Morphism(E1, E2, s1)
-    E = TruncatedSimplicialAlgebra((C0, E1, E2), faces, degs, name=base.name)
-    return extend_to(E, k)
+    _verified(verify_2cm(t), "2-crossed module")
+    E = TruncatedSimplicialAlgebra((t.C0,), name=t.name or "2xmod")
+    E = extend_level(E, _action_block(t.C1, t.d1, t.act_on_c1))
+    a2, L = t.act_on_c2.tensor, t.lifting.tensor
+    via_d1 = np.einsum("ra,rxq->axq", t.d1.matrix, a2)  # (d_1 y) . x
+    nu = {((), ()): t.C2.structure,
+          ((1,), ()): via_d1 + np.einsum("sx,saq->axq", t.d2.matrix, L),
+          ((0,), ()): via_d1,
+          ((1, 0), ()): a2,
+          ((1,), (0,)): -L}
+    bd = moore_basis(E, 1).T @ t.d2.matrix % t.C0.p  # NE_1 = C_1 inside E_1
+    return extend_to(extend_level(E, (t.C2, bd, nu)), k)

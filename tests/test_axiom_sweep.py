@@ -127,7 +127,7 @@ def test_three_crossed_and_lie_corpus_match_reference(p, monkeypatch):
 def test_tables_corpus_match_reference(p, table, monkeypatch):
     for name, E in corpus.simplicial_corpus(p).items():
         batched, reference = both(
-            monkeypatch, lambda: lines(table_identities_check(E, table, supply=SMALL)))
+            monkeypatch, lambda: lines(table_identities_check(E, table)))
         assert batched == reference, name
 
 
@@ -164,7 +164,7 @@ def test_grids_spanning_many_steps_match_reference(degree3, monkeypatch):
     assert batched == reference
     assert sum(checked for _, _, checked, *_ in batched) > 7
     batched, reference = both(
-        monkeypatch, lambda: lines(table_identities_check(degree3, 2, supply=SMALL)))
+        monkeypatch, lambda: lines(table_identities_check(degree3, 2)))
     assert batched == reference
 
 

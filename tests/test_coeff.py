@@ -9,7 +9,7 @@ from moorekit import corpus
 from moorekit.coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
                             PreconditionError, PrimeField, StructureError,
                             Supply, elements, ideal_closure, kernel, mul,
-                            null_space, quotient, rref, semidirect, subalgebra,
+                            null_space, quotient, rref, subalgebra,
                             validate_algebra)
 
 
@@ -196,61 +196,6 @@ def test_kernel_rejects_non_multiplicative():
     f = Morphism(A, Z, np.array([[0, 1]]))  # kills 1, keeps x: not multiplicative
     with pytest.raises(PreconditionError):
         kernel(f)
-
-
-def test_semidirect_trivial_cases():
-    S = corpus.zmod(2)
-    N0 = corpus.square_zero(2, 0)
-    A = semidirect(BilinearMap(S, N0, N0, np.zeros((1, 0, 0), dtype=np.int64)))
-    assert np.array_equal(A.structure, S.structure)
-
-    N = corpus.square_zero(2, 2)
-    A2 = semidirect(BilinearMap.zero(S, N, N))
-    x = A2.element([1, 0, 0])
-    assert (x * x).is_zero()
-
-
-def test_semidirect_idealization_exhaustive():
-    # (eps) inside the dual numbers with the multiplication action
-    D = corpus.dual_numbers(2)
-    I = ideal_closure(D, [D.basis_element(1)])
-    N, incl = subalgebra(D, I.basis_matrix)
-    t = np.zeros((2, 1, 1), dtype=np.int64)
-    for r in range(2):
-        t[r, 0] = I.coords(D.mul_vec(D.basis_element(r).coeffs, incl.matrix[:, 0]))
-    A = semidirect(BilinearMap(D, N, N, t))
-    assert A.dim == 3
-    assert validate_algebra(A) == []
-    elts = list(elements(A))
-    for x in elts:
-        for y in elts:
-            assert x * y == y * x
-            for z in elts:
-                assert (x * y) * z == x * (y * z)
-
-
-def test_semidirect_embeddings_and_mixed_product():
-    S = corpus.zmod(3)
-    N = corpus.square_zero(3, 2)
-    act = corpus.unital_action(S, N)
-    A = semidirect(act)
-    emb_n = Morphism(N, A, np.vstack([np.eye(2, dtype=np.int64),
-                                      np.zeros((1, 2), dtype=np.int64)]))
-    emb_s = Morphism(S, A, np.vstack([np.zeros((2, 1), dtype=np.int64),
-                                      np.eye(1, dtype=np.int64)]))
-    assert emb_n.is_multiplicative() and emb_s.is_multiplicative()
-    n, s = N.basis_element(0), S.basis_element(0)
-    prod = emb_n(n) * emb_s(s)
-    assert prod == emb_n(act(s, n))
-
-
-def test_semidirect_rejects_bad_action():
-    S = corpus.zmod(2)
-    N = corpus.dual_numbers(2)  # unital N with a non-action tensor
-    t = np.zeros((1, 2, 2), dtype=np.int64)
-    t[0, 0, 1] = 1  # e.1 = x violates s.(nn') = (s.n)n'
-    with pytest.raises(PreconditionError):
-        semidirect(BilinearMap(S, N, N, t))
 
 
 def test_elements_exhaustive_and_sampled():

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from moorekit import corpus
-from moorekit.coeff import (Algebra, Element, Ideal, Morphism,
+from moorekit import simplicial as simplicial_mod
+from moorekit.coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
                             PreconditionError, StructureError, Supply,
                             elements, rref, validate_algebra)
-from moorekit.crossed import verify_2cm, verify_cm
+from moorekit.crossed import TwoCrossedModule, verify_2cm, verify_cm
 from moorekit.document import corpus_document
 from moorekit.moore import (SurjIndex, moore, moore_basis, normal_form,
                             push_face, s_set)
-from moorekit.simplicial import (TruncatedSimplicialAlgebra, _apply_s_chain,
-                                 build_from_2crossed, build_from_crossed,
+from moorekit.simplicial import (TruncatedSimplicialAlgebra, _action_block,
+                                 _apply_s_chain, build_from_2crossed, build_from_crossed,
                                  concentrated_simplicial, constant_simplicial,
                                  decompose, degenerate_ideal,
                                  degenerate_subalgebra, extend_level, truncate,
@@ -38,13 +39,15 @@ def test_mutation_breaks_validation(built):
     assert validate_simplicial(mutated) != []
 
 
-@pytest.mark.parametrize("p", [2, 3])
-def test_builders_produce_valid_objects(p, built):
-    for name in ("ideal-pair", "zero-module", "sq0-lifting", "cubic-chain"):
-        E = built(name, p)
-        assert validate_simplicial(E) == []
-        for A in E.levels:
-            assert validate_algebra(A) == []
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_builders_produce_valid_objects(p):
+    builds = [(name, build_from_crossed, cm) for name, cm in corpus.crossed_corpus(p).items()]
+    builds += [(name, build_from_2crossed, t) for name, t in corpus.two_crossed_corpus(p).items()]
+    for name, build, obj in builds:
+        E = build(obj)
+        assert validate_simplicial(E) == [], name
+        for n, A in enumerate(E.levels):
+            assert validate_algebra(A) == [], (name, n)
 
 
 def test_truncate_examples(built):
@@ -132,7 +135,7 @@ def levelwise_tensor(E, F):
                                       maps(E.degeneracies, F.degeneracies, 1))
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_degenerate_subalgebra_matches_the_unshortened_iteration(p, built):
     objects = corpus.simplicial_corpus(p)
     objects["ideal-pair x ideal-pair"] = levelwise_tensor(built("ideal-pair", p),
@@ -360,10 +363,11 @@ def test_extend_level_matches_per_basis_reference(p):
 
 
 @pytest.mark.parametrize("p, digest", [
-    (2, "b63eca5a0c312b17752b0c7817133ed69b1b91da2325d7c99aec3a9c5abb3bac"),
-    (3, "13405c09fa6c1ccd9f7ad96092be4aa7229dc939f1c4d9ce4c4d8fb7070f78a3")])
+    (2, "773065a82a6b60774748ccb2b532e135c334688ea05aae7ac74128895d8154b2"),
+    (3, "dd728d1990238dc36a25567abc36432013728cd12e161dc353dc880acb612a94")])
 def test_corpus_document_digest_is_pinned(p, digest):
-    # computed by the per-basis extension; every forced level is in it
+    # every level is in it, forced or built from a normal block; built
+    # levels carry extend_level's s(alpha).t basis labels
     assert hashlib.sha256(corpus_document(p).encode()).hexdigest() == digest
 
 
@@ -419,3 +423,38 @@ def test_extend_level_names_the_missing_crossed_module(p, built):
     assert message.startswith("no level 2 with NE_2 = 0 extends these levels")
     assert "NE_1 -> E_0 is no crossed module" in message
     assert "invalid input data" not in message
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_extend_level_with_a_normal_block_keeps_the_top_face_guard(p):
+    # zero-module-bad fails CM2 only; given directly, past verify_cm, its
+    # level 1 exists and the forced level 2 is refused at the top face
+    cm = corpus.cm_zero_module_bad(p)
+    assert [e.name for e in verify_cm(cm).failing()] == ["CM2"]
+    E0 = TruncatedSimplicialAlgebra((cm.R,))
+    E1 = extend_level(E0, _action_block(cm.C, cm.boundary, cm.action))
+    assert validate_simplicial(E1) == []
+    with pytest.raises(PreconditionError, match="inconsistent at the top face") as info:
+        extend_level(E1)
+    assert "NE_1 -> E_0 is no crossed module" in str(info.value)
+    # the identity boundary breaks CM1, which the given level 1 itself refuses
+    bd = Morphism(cm.C, cm.R, np.eye(1, dtype=np.int64))
+    with pytest.raises(PreconditionError, match="inconsistent at the top face") as info:
+        extend_level(E0, _action_block(cm.C, bd, cm.action))
+    assert str(info.value).startswith("no level 1 with the given NE_1 extends")
+    assert "= 0" not in str(info.value)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_build_from_2crossed_past_its_verifier_refuses_a_bad_lifting(p, monkeypatch):
+    # cubic-chain with a zero lifting fails 2CM1; its level 2 is refused
+    t = corpus.tcm_cubic_chain(p)
+    zero = BilinearMap(t.C1, t.C1, t.C2, np.zeros_like(t.lifting.tensor))
+    bad = TwoCrossedModule(t.C2, t.C1, t.C0, t.d2, t.d1, t.act_on_c1, t.act_on_c2, zero)
+    assert [e.name for e in verify_2cm(bad).failing()] == ["2CM1"]
+    monkeypatch.setattr(simplicial_mod, "_verified", lambda report, what: None)
+    with pytest.raises(PreconditionError, match="inconsistent at the top face") as info:
+        build_from_2crossed(bad, 2)
+    message = str(info.value)
+    assert message.startswith("no level 2 with the given NE_2 extends")
+    assert "= 0" not in message and "no crossed module" not in message
