@@ -10,11 +10,19 @@ v - v[..., pivots] @ basis mod p and its coordinates are v[..., pivots].
 Both take stacks of vectors, leading axes being batch axes, so every
 subspace question about many vectors is one call.  Every value is
 immutable after construction and every operation is a pure function.
+
+Every contraction between algebra elements, maps and structure tensors
+is one exact product, `matmul`.  It runs in float64 BLAS when the product
+has at least _BLAS_MADDS = 2^20 multiply-adds and every sum is exact in a
+double, k (p-1)^2 < 2^53 for contraction length k; otherwise in int64,
+which numpy multiplies without BLAS and check_word_size keeps below 2^63.
+Below the floor the first BLAS call costs more than it saves.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -67,12 +75,43 @@ class PrimeField:
 
 def check_word_size(terms: int, p: int) -> None:
     """Reject p when a sum of `terms` products of two residues mod p can
-    reach 2^63.  Every contraction is reduced mod p before it is added to
-    another or contracted again, so no int64 sum is longer than the
-    dimension of one algebra."""
+    reach 2^63, the int64 guard of matmul.  Every contraction is reduced
+    mod p before it is added to another or contracted again, so no sum is
+    longer than the dimension of one algebra.  matmul uses float64 only
+    where such a sum stays below 2^53, so that guard is exact too."""
     if terms * (p - 1) ** 2 >= 2 ** 63:
         raise StructureError(
             f"modulus {p} at dim {terms}: int64 sums of products can overflow")
+
+
+# smallest product, in multiply-adds, that matmul runs in float64 BLAS
+_BLAS_MADDS = 1 << 20
+
+
+def _madds(a: np.ndarray, b: np.ndarray) -> int:
+    """The multiply-adds of np.matmul(a, b)."""
+    rows = a.shape[-2] if a.ndim > 1 else 1
+    cols = b.shape[-1] if b.ndim > 1 else 1
+    return math.prod(np.broadcast_shapes(a.shape[:-2], b.shape[:-2])) * rows * a.shape[-1] * cols
+
+
+def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p, with numpy's matmul shapes and broadcasting, for integer
+    arrays of residues (entries in (-p, p)); the result is int64 in [0, p).
+
+    Exact either way: float64 BLAS for a product of at least _BLAS_MADDS
+    multiply-adds whose contraction length k has k (p-1)^2 < 2^53, int64
+    otherwise."""
+    k = a.shape[-1]
+    # a.size * b.size / k bounds the multiply-adds and rejects small products cheaply
+    if (a.size * b.size >= _BLAS_MADDS * max(k, 1) and k * (p - 1) ** 2 < 2 ** 53
+            and _madds(a, b) >= _BLAS_MADDS):
+        # the sums are exact integers; int64 remainders are faster than float ones
+        out = np.matmul(a.astype(np.float64), b.astype(np.float64)).astype(np.int64)
+    else:
+        out = np.matmul(a, b)
+    out %= p
+    return out
 
 
 def bilinear(a: np.ndarray, b: np.ndarray, tensor: np.ndarray, p: int) -> np.ndarray:
@@ -80,13 +119,14 @@ def bilinear(a: np.ndarray, b: np.ndarray, tensor: np.ndarray, p: int) -> np.nda
 
     Leading axes of a and b are batch axes and broadcast against each
     other, so a[:, None] and b[None] give the value on every pair of rows.
-    Each of the two contractions is reduced mod p before the next."""
+    Each of the two contractions is reduced mod p before the next; when
+    the last batch axis of a has length 1 the second one is a product of
+    b's rows with each matrix of the first."""
     m, n, t = tensor.shape
-    half = a @ tensor.reshape(m, n * t)
-    half %= p
-    out = (b[..., None, :] @ half.reshape(a.shape[:-1] + (n, t)))[..., 0, :]
-    out %= p
-    return out
+    half = matmul(a, tensor.reshape(m, n * t), p).reshape(a.shape[:-1] + (n, t))
+    if a.ndim > 1 and a.shape[-2] == 1 and b.ndim > 1:
+        return matmul(b, half[..., 0, :, :], p)
+    return matmul(b[..., None, :], half, p)[..., 0, :]
 
 
 # most cells (tuples times value coordinates) one batched sweep step holds
@@ -100,7 +140,9 @@ def sweep_step(cells: int) -> int:
 
 
 def _as_array(data, p: int) -> np.ndarray:
-    arr = np.array(data, dtype=np.int64) % p
+    """data reduced mod p as a read-only int64 array; the reduction is the
+    only copy of an int64 array."""
+    arr = np.asarray(data, dtype=np.int64) % p
     arr.setflags(write=False)
     return arr
 
@@ -118,7 +160,9 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     Returns (R, pivots) where R has one row per pivot, pivot entries 1,
     zero rows dropped, rows ordered by pivot column.  This is the
     canonical form used for subspace comparison.  Each pivot column is
-    cleared from every other row by one rank-1 update.
+    cleared by one rank-1 update on the rows with a nonzero entry in it,
+    restricted to the columns from the pivot on: every row at or below
+    the pivot row is zero left of it.
     """
     A = np.array(mat, dtype=np.int64) % p
     if A.ndim == 1:
@@ -137,11 +181,13 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
         if not below.size:
             continue
         piv = row + below[0]
-        pivot = A[piv] * pow(int(A[piv, col]), p - 2, p) % p
+        pivot = A[piv, col:] * pow(int(A[piv, col]), p - 2, p) % p
         A[piv] = A[row]
-        A -= A[:, col, None] * pivot
-        A[row] = pivot
-        A %= p
+        A[row, col:] = pivot
+        hit = A[:, col].nonzero()[0]
+        hit = hit[hit != row]
+        if hit.size:
+            A[hit, col:] = (A[hit, col:] - A[hit, col, None] * pivot) % p
         pivots.append(col)
     R = A[:len(pivots)].copy()
     R.setflags(write=False)
@@ -164,7 +210,7 @@ def reduce_against(v: np.ndarray, basis: np.ndarray, pivots: Sequence[int], p: i
     rref basis; leading axes of v are batch axes.  v[..., pivots] are the
     coordinates of v when the residue is zero."""
     v = np.asarray(v, dtype=np.int64) % p
-    return (v - v[..., list(pivots)] @ basis) % p
+    return (v - matmul(v[..., list(pivots)], basis, p)) % p
 
 
 def intersect_row_spaces(U: np.ndarray, V: np.ndarray, p: int) -> np.ndarray:
@@ -319,24 +365,27 @@ class Morphism:
     def __call__(self, x: Element) -> Element:
         if x.parent is not self.source:
             raise StructureError("element not in the source algebra")
-        return Element(self.target, x.coeffs @ self.matrix.T % self.source.p)
+        return Element(self.target, matmul(x.coeffs, self.matrix.T, self.source.p))
 
     def apply_vec(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ (np.asarray(v, dtype=np.int64) % self.source.p) % self.source.p
+        p = self.source.p
+        return matmul(self.matrix, np.asarray(v, dtype=np.int64) % p, p)
 
     def compose(self, inner: Morphism) -> Morphism:
         """self after inner."""
         if inner.target is not self.source:
             raise StructureError("morphisms do not compose")
-        return Morphism(inner.source, self.target, self.matrix @ inner.matrix % self.source.p)
+        return Morphism(inner.source, self.target,
+                        matmul(self.matrix, inner.matrix, self.source.p))
 
     def is_multiplicative(self) -> bool:
         """f(e_i e_j) = f(e_i) f(e_j) on all basis pairs."""
         p, M = self.source.p, self.matrix
-        lhs = np.tensordot(self.source.structure, M, axes=([2], [1])) % p  # [i, j, k]
-        half = np.tensordot(M, self.target.structure, axes=([0], [0])) % p  # [i, b, k]
-        rhs = np.tensordot(M, half, axes=([0], [1])) % p  # [j, i, k]
-        return np.array_equal(lhs, rhs.transpose(1, 0, 2))
+        (m, n), S, T = M.shape, self.source.structure, self.target.structure
+        lhs = matmul(S.reshape(n * n, n), M.T, p).reshape(n, n, m)  # [i, j, k]
+        half = matmul(M.T, T.reshape(m, m * m), p).reshape(n, m, m)  # [i, b, k]
+        rhs = matmul(half.transpose(0, 2, 1), M, p)  # [i, k, j]
+        return np.array_equal(lhs, rhs.transpose(0, 2, 1))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Morphism) and self.source is other.source
@@ -397,7 +446,8 @@ class Ideal:
     def is_mult_closed(self) -> bool:
         """Closed under multiplication by every parent basis element."""
         A = self.parent
-        return self.contains(np.tensordot(self.basis_matrix, A.structure, axes=([1], [1])) % A.p)
+        # [i, r, k]: e_i times basis row r
+        return self.contains(matmul(self.basis_matrix, A.structure, A.p))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Ideal) and self.parent is other.parent
@@ -473,10 +523,15 @@ def validate_algebra(A: Algebra) -> list[Violation]:
     for i, j in zip(*np.nonzero(comm.any(axis=2))):
         if i <= j:
             out.append(Violation("commutativity", (int(i), int(j))))
-    left = np.einsum("ijm,mlk->ijlk", c, c) % p
-    right = np.einsum("jlm,imk->ijlk", c, c) % p
-    for i, j, l in zip(*np.nonzero(((left - right) % p).any(axis=3))):
-        out.append(Violation("associativity", (int(i), int(j), int(l))))
+    # (e_i e_j) e_l against e_i (e_j e_l), one i-chunk at a time
+    d = A.dim
+    step = sweep_step(d ** 3)
+    for start in range(0, d, step):
+        left = matmul(c[start:start + step].reshape(-1, d), c.reshape(d, d * d), p)
+        right = matmul(c.reshape(d * d, d), c[start:start + step], p)
+        bad = (left.reshape(-1, d, d, d) != right.reshape(-1, d, d, d)).any(axis=3)
+        for i, j, l in zip(*np.nonzero(bad)):
+            out.append(Violation("associativity", (start + int(i), int(j), int(l))))
     if A.identity is not None:
         e = A.identity
         eye = np.eye(A.dim, dtype=np.int64)
@@ -505,18 +560,30 @@ def ideal_closure(A: Algebra, gens: Element | np.ndarray | Iterable) -> Ideal:
     """Smallest multiplication-closed subspace containing the generators.
 
     gens is an Element or array of generators (leading axes are batch
-    axes) or an iterable of them.  Iterates span U span*(basis of A) to a
-    fixed point; monotone and idempotent in the generator set.
+    axes) or an iterable of them.  Semi-naive: each round multiplies only
+    the rows the last round added by the basis of A, a few basis elements
+    at a time, reduces the products against the current basis, and
+    eliminates the nonzero residues alone; it stops when a round adds
+    nothing or the span is all of A.
     """
+    p, d = A.p, A.dim
     parts = [gens] if isinstance(gens, (Element, np.ndarray)) else list(gens)
-    span = rref(np.vstack([np.zeros((0, A.dim), dtype=np.int64)]
-                          + [_rows(g, A.dim) for g in parts]), A.p)[0]
-    while True:
-        prods = np.tensordot(span, A.structure, axes=([1], [1])) % A.p
-        grown = rref(np.vstack([span, _rows(prods, A.dim)]), A.p)[0]
-        if grown.shape == span.shape:
-            return Ideal(A, span)
-        span = grown
+    basis, piv = rref(np.vstack([np.zeros((0, d), dtype=np.int64)]
+                                + [_rows(g, d) for g in parts]), p)
+    fresh = basis
+    while len(fresh) and len(basis) < d:
+        added = []
+        step = sweep_step(len(fresh) * d)
+        for start in range(0, d, step):
+            # [i, r, k]: e_i times fresh row r
+            prods = matmul(fresh, A.structure[start:start + step], p).reshape(-1, d)
+            res = reduce_against(prods, basis, piv, p)
+            res = res[res.any(axis=1)]
+            if len(res):
+                added.append(rref(res, p)[0])
+                basis, piv = rref(np.vstack([basis, added[-1]]), p)
+        fresh = np.vstack([np.zeros((0, d), dtype=np.int64)] + added)
+    return Ideal(A, basis)
 
 
 def kernel(f: Morphism) -> Ideal:

@@ -146,9 +146,10 @@ def _resolve(table, name, loc):
 
 
 def _morphism(src, tgt, matrix, loc) -> Morphism:
-    """The map src -> tgt by a target x source matrix; [] is the zero map."""
+    """The map src -> tgt by a target x source matrix; [] is the zero map.
+    The lists are converted once; Morphism reduces that array mod p."""
     try:
-        mat = np.array(matrix, dtype=np.int64)
+        mat = np.asarray(matrix, dtype=np.int64)
         if mat.size == 0:
             mat = np.zeros((tgt.dim, src.dim), dtype=np.int64)
         return Morphism(src, tgt, mat)

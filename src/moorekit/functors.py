@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeff import (BilinearMap, Ideal, Morphism, PreconditionError, Supply,
-                    algebras_equal, ideal_closure, intersect_row_spaces, quotient)
+                    algebras_equal, ideal_closure, intersect_row_spaces, matmul, quotient)
 from .crossed import (SIGNATURES, CrossedModule, ThreeCrossedModule, TwoCrossedModule,
                       _equivariance_entries, _evaluate, _section_columns, verify_3cm)
-from .moore import (_pairing_values, _projection_matrix, moore, moore_basis, p_set,
-                    s_word_morphism)
+from .moore import _pairing_values, _projection_matrix, moore, p_set, s_word_morphism
 from .report import (CONFIRMED, DISCREPANT, FAIL, PASS, CheckRecord)
 from .simplicial import (TruncatedSimplicialAlgebra, build_from_2crossed,
                          build_from_crossed, degenerate_ideal)
@@ -60,13 +59,13 @@ def _map_tensor(E: TruncatedSimplicialAlgebra, mc, lifts, quotients: dict,
     bx, by = lifts[left].T, lifts[right].T
     if group == "actions":
         word = s_word_morphism(E, value, tuple(range(left, value))).matrix
-        vals = E.level(value).mul_vec((bx @ word.T % p)[:, None], by[None])
+        vals = E.level(value).mul_vec(matmul(bx, word.T, p)[:, None], by[None])
     else:
         printed = "(1)(0)" if key == "()" else key
         pair = next(q for q in p_set(value) if str(q) == printed)
         vals = sign * _pairing_values(E, pair, bx, by, _projection_matrix(E, value)) % p
     coords = mc.spaces[value].coords(vals)
-    return coords @ quotients[value].T % p if value in quotients else coords
+    return matmul(coords, quotients[value].T, p) if value in quotients else coords
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +134,7 @@ def three_crossed_extraction(E: TruncatedSimplicialAlgebra,
     NE3, incl3, ne3 = mc.algebras[3], mc.inclusions[3], mc.spaces[3]
 
     D4 = degenerate_ideal(E, 4)
-    cap = intersect_row_spaces(moore_basis(E, 4), D4.basis_matrix, p)
+    cap = intersect_row_spaces(mc.spaces[4].basis_matrix, D4.basis_matrix, p)
     img = cap @ E.face(4, 4).matrix.T % p
     if not ne3.contains(img):
         raise PreconditionError("boundary image escapes NE_3: upstream bug")

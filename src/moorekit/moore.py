@@ -19,14 +19,15 @@ from __future__ import annotations
 
 import itertools
 import re
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .coeff import (Algebra, Element, Ideal, Morphism, PreconditionError,
-                    StructureError, Supply, bilinear, ideal_closure, null_space,
-                    rref, subalgebra, supply_rows, sweep_step)
+                    StructureError, Supply, bilinear, ideal_closure, matmul,
+                    null_space, rref, subalgebra, supply_rows, sweep_step)
 from .report import (CONFIRMED, DISCREPANT, FAIL, HYPOTHESIS_FAILED, PASS,
                      CheckRecord)
 
@@ -173,13 +174,36 @@ def push_face(i: int, applied: Sequence[int]) -> tuple[tuple[int, ...], int | No
 # the Moore complex
 
 
+# face kernels and Moore complexes, computed once per simplicial object:
+# the objects are immutable, and no value refers back to its object, so an
+# entry goes with its object
+_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _memo(E, key, make):
+    table = _MEMO.setdefault(E, {})
+    if key not in table:
+        table[key] = make()
+    return table[key]
+
+
+def face_kernel(E, n: int, faces) -> np.ndarray:
+    """rref basis of the intersection of ker d_i, i in faces, in E_n; all
+    of E_n when faces is empty."""
+    idx = tuple(sorted(faces))
+
+    def make():
+        A = E.level(n)
+        if not idx:
+            return rref(np.eye(A.dim, dtype=np.int64), A.p)[0]
+        return null_space(np.vstack([E.face(n, i).matrix for i in idx]), A.p)
+
+    return _memo(E, ("kernel", n, idx), make)
+
+
 def moore_basis(E, n: int) -> np.ndarray:
     """rref basis of NE_n = intersection of ker d_i, i < n (all of E_0 at n=0)."""
-    A = E.level(n)
-    if n == 0:
-        return rref(np.eye(A.dim, dtype=np.int64), A.p)[0]
-    stacked = np.vstack([E.face(n, i).matrix for i in range(n)])
-    return null_space(stacked, A.p)
+    return face_kernel(E, n, range(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +215,6 @@ class MooreComplex:
     boundaries[n] the restriction of the last face, NE_n -> NE_{n-1}.
     """
 
-    source: object
     spaces: tuple[Ideal, ...]
     algebras: tuple[Algebra, ...]
     inclusions: tuple[Morphism, ...]
@@ -213,6 +236,11 @@ class MooreComplex:
 
 
 def moore(E) -> MooreComplex:
+    """The Moore complex of E, computed once per object (_moore_complex)."""
+    return _memo(E, "moore", lambda: _moore_complex(E))
+
+
+def _moore_complex(E) -> MooreComplex:
     """Compute the Moore complex; verifies d d = 0 and ideal-ness of each NE_n."""
     spaces = []
     algebras = []
@@ -244,7 +272,7 @@ def moore(E) -> MooreComplex:
         comp = boundaries[n - 2].matrix @ boundaries[n - 1].matrix % E.level(0).p
         if comp.any():
             raise PreconditionError(f"boundary o boundary nonzero at level {n}")
-    return MooreComplex(E, tuple(spaces), tuple(algebras), tuple(inclusions),
+    return MooreComplex(tuple(spaces), tuple(algebras), tuple(inclusions),
                         tuple(boundaries))
 
 
@@ -300,7 +328,7 @@ def _projection_matrix(E, n: int) -> np.ndarray:
     A = E.level(n)
     P = np.eye(A.dim, dtype=np.int64)
     for j in range(n):
-        P = (P - E.deg(n, j).matrix @ (E.face(n, j).matrix @ P % A.p)) % A.p
+        P = (P - matmul(E.deg(n, j).matrix, matmul(E.face(n, j).matrix, P, A.p), A.p)) % A.p
     return P
 
 
@@ -312,8 +340,9 @@ def _pairing_values(E, pair: PairingIndex, bx: np.ndarray, by: np.ndarray,
     A = E.level(n)
     sa = s_word_morphism(E, n, pair.alpha.application_order()).matrix
     sb = s_word_morphism(E, n, pair.beta.application_order()).matrix
-    prods = bilinear((bx @ sa.T % A.p)[:, None], (by @ sb.T % A.p)[None], A.structure, A.p)
-    return prods @ proj.T % A.p
+    prods = bilinear(matmul(bx, sa.T, A.p)[:, None], matmul(by, sb.T, A.p)[None],
+                     A.structure, A.p)
+    return matmul(prods, proj.T, A.p)
 
 
 def pairing_ideal(E, n: int) -> Ideal:
@@ -380,14 +409,9 @@ def boundary_image_and_pairing_product(E, n: int) -> tuple[np.ndarray, np.ndarra
     mc = moore(E)
     img_cols = mc.inclusions[n - 1].matrix @ mc.boundaries[n - 1].matrix % p
     lhs = rref(img_cols.T, p)[0]
-    full = set(range(n))
 
     def kspace(idx: SurjIndex) -> np.ndarray:
-        I = sorted(full - set(idx.entries))
-        if not I:
-            return rref(np.eye(E.level(n - 1).dim, dtype=np.int64), p)[0]
-        stacked = np.vstack([E.face(n - 1, i).matrix for i in I])
-        return null_space(stacked, p)
+        return face_kernel(E, n - 1, set(range(n)) - set(idx.entries))
 
     A = E.level(n - 1)
     gens = [A.mul_vec(kspace(q.alpha)[:, None], kspace(q.beta)[None]) for q in p_set(n)]
@@ -535,8 +559,8 @@ def _sweep(tensor: np.ndarray, xs: np.ndarray, ys: np.ndarray, p: int):
     step = sweep_step(max(len(ys), rb) * m)
     for start in range(0, len(xs), step):
         chunk = xs[start:start + step]
-        half = (chunk @ flat % p).reshape(len(chunk), rb, m)
-        yield start, ys @ half % p
+        half = matmul(chunk, flat, p).reshape(len(chunk), rb, m)
+        yield start, matmul(ys, half, p)
 
 
 def table1_audit(E, supply: Supply = Supply()) -> list[CheckRecord]:
@@ -559,7 +583,7 @@ def table1_audit(E, supply: Supply = Supply()) -> list[CheckRecord]:
     faces = np.vstack([E.face(4, i).matrix for i in (4, 0, 1, 2, 3)])
     records = []
     for r in _table1_rows(E, supply):
-        tensor = np.concatenate([r.values @ faces.T % p,
+        tensor = np.concatenate([matmul(r.values, faces.T, p),
                                  _printed_values(E, r.row, *r.bases)], axis=2)
         status = CONFIRMED
         witness: tuple = ()
@@ -603,7 +627,7 @@ def lemma7_check(E, supply: Supply = Supply()) -> list[CheckRecord]:
         witness: tuple = ()
         checked = r.pairs
         ys = r.coords[1]
-        for start, vals in _sweep(r.values @ d4.T % p, r.coords[0], ys, p):
+        for start, vals in _sweep(matmul(r.values, d4.T, p), r.coords[0], ys, p):
             bad = np.argwhere(vals.any(axis=2))
             if len(bad):
                 i, j = bad[0]

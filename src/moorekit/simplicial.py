@@ -26,7 +26,7 @@ import numpy as np
 
 from .coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
                     PreconditionError, StructureError, bilinear, check_word_size,
-                    ideal_closure, rref, sweep_step)
+                    ideal_closure, matmul, rref, sweep_step)
 from .crossed import CrossedModule, TwoCrossedModule, verify_2cm, verify_cm
 from .moore import (SurjIndex, moore_basis, normal_form, push_face, s_set,
                     s_word_morphism)
@@ -159,9 +159,9 @@ def degenerate_subalgebra(E: TruncatedSimplicialAlgebra, n: int) -> np.ndarray:
     A = E.level(n)
     span = rref(np.vstack([E.deg(n, i).matrix.T for i in range(n)]), A.p)[0]
     while len(span) < A.dim:
-        left = np.einsum("ai,ijk->ajk", span, A.structure) % A.p
+        left = matmul(span, A.structure.reshape(A.dim, -1), A.p).reshape(-1, A.dim, A.dim)
         # E_n is commutative: the product of rows a <= b is formed once
-        prods = [span[a:] @ left[a] % A.p for a in range(len(span))]
+        prods = [matmul(span[a:], left[a], A.p) for a in range(len(span))]
         grown = rref(np.vstack([span] + prods), A.p)[0]
         if grown.shape == span.shape:
             break
@@ -308,8 +308,8 @@ def extend_level(E: TruncatedSimplicialAlgebra, normal=None) -> TruncatedSimplic
         w = np.zeros(target.shape[1:3] + (dim,), dtype=np.int64)
         w[..., :prods.shape[2]] = prods[start:start + step]
         for j in range(m):
-            w = (w + (target[j] - w @ cols[j]) % p @ degs[j].T) % p
-        if ((w @ cols[m] - target[m]) % p).any():
+            w = (w + matmul((target[j] - matmul(w, cols[j], p)) % p, degs[j].T, p)) % p
+        if (matmul(w, cols[m], p) != target[m]).any():
             what = f"the given NE_{m}" if normal else f"NE_{m} = 0"
             hint = "; on valid levels, NE_1 -> E_0 is no crossed module"
             raise PreconditionError(
@@ -381,7 +381,9 @@ def _action_block(C: Algebra, bd: Morphism, act: BilinearMap) -> tuple:
 def build_from_crossed(cm: CrossedModule, k: int = 4) -> TruncatedSimplicialAlgebra:
     """Simplicial realization of a crossed module: E_1 = C x| R and all
     higher levels forced; the Moore complex has length at most 1 and the
-    extraction returns cm on the nose."""
+    extraction returns cm on the nose.  k is at least 1."""
+    if k < 1:
+        raise ValueError(f"a crossed module is realized from k = 1 on, not k = {k}")
     _verified(verify_cm(cm), "crossed module")
     E = TruncatedSimplicialAlgebra((cm.R,), name=cm.name or "xmod")
     return extend_to(extend_level(E, _action_block(cm.C, cm.boundary, cm.action)), k)
@@ -399,8 +401,10 @@ def build_from_2crossed(t: TwoCrossedModule, k: int = 4) -> TruncatedSimplicialA
         s_1 a . s_0 b  =  -{a (x) b}  +  s_1(a b).
 
     The simplicial relations force every other component, and the higher
-    levels are forced.
+    levels are forced.  k is at least 2.
     """
+    if k < 2:
+        raise ValueError(f"a 2-crossed module is realized from k = 2 on, not k = {k}")
     _verified(verify_2cm(t), "2-crossed module")
     E = TruncatedSimplicialAlgebra((t.C0,), name=t.name or "2xmod")
     E = extend_level(E, _action_block(t.C1, t.d1, t.act_on_c1))

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import sys
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moorekit import coeff
 from moorekit.cli import main, make_parser, run_command
 
 S2 = ["()", "(1)", "(0)", "(1,0)"]
@@ -504,3 +506,40 @@ def test_every_corpus_document_name_is_an_entry_or_one_of_its_carriers(p):
         if section != "config":
             for name in table:
                 assert name in entries or name.split(".", 1)[0] in entries, (section, name)
+
+
+# sha256 of the whole stdout and the exit code of three commands on two
+# corpus objects, as the int64-only arithmetic printed them.  Every product
+# is exact, so they stay byte for byte the same with the default size floor
+# and with every product in float64.
+STDOUT_DIGESTS = {
+    (2, "to-3xmod", "cubic-chain"): (0, "789362e8413c209557e2a58fc6f15ccb907337ad46722a1a92810c398d68e54d"),
+    (2, "theorem5", "cubic-chain"): (0, "c11804c85b16145df28d24b5a219edb1fa555140133b519114b21e3afe28aa84"),
+    (2, "tables 4", "cubic-chain"): (0, "ac09c843a3f78694eaebda84ca6c1bc492d2e1aca2f19e944aaa30ff0778f05e"),
+    (2, "to-3xmod", "top-degree-4"): (0, "7034337d1bb589d1fd1951223e76841741a400967f0cef0bfa0291232a4ea7e7"),
+    (2, "theorem5", "top-degree-4"): (0, "899848c245374996fab55246109e6f77488d39c3205c97250825501fb5a5798b"),
+    (2, "tables 4", "top-degree-4"): (0, "ac09c843a3f78694eaebda84ca6c1bc492d2e1aca2f19e944aaa30ff0778f05e"),
+    (3, "to-3xmod", "cubic-chain"): (2, "1a4f10952d43a9e400321f8e43b79c6bc860ed3ec5ffdcafec106665565de981"),
+    (3, "theorem5", "cubic-chain"): (0, "c11804c85b16145df28d24b5a219edb1fa555140133b519114b21e3afe28aa84"),
+    (3, "tables 4", "cubic-chain"): (0, "ac09c843a3f78694eaebda84ca6c1bc492d2e1aca2f19e944aaa30ff0778f05e"),
+    (3, "to-3xmod", "top-degree-4"): (0, "f216a0ca3c92d80dd93a9bf0495330f1231ab91dfb03aee10d0fe44d70dff27d"),
+    (3, "theorem5", "top-degree-4"): (0, "899848c245374996fab55246109e6f77488d39c3205c97250825501fb5a5798b"),
+    (3, "tables 4", "top-degree-4"): (0, "ac09c843a3f78694eaebda84ca6c1bc492d2e1aca2f19e944aaa30ff0778f05e"),
+    (5, "to-3xmod", "cubic-chain"): (2, "d3b36650129993688f0b0a08336643a9ca07a7b365f15f86ff0b40c3b6676df8"),
+    (5, "theorem5", "cubic-chain"): (0, "c11804c85b16145df28d24b5a219edb1fa555140133b519114b21e3afe28aa84"),
+    (5, "tables 4", "cubic-chain"): (0, "ac09c843a3f78694eaebda84ca6c1bc492d2e1aca2f19e944aaa30ff0778f05e"),
+    (5, "to-3xmod", "top-degree-4"): (0, "16fdbad38d27c166c727fe719d27368a910e27c095d5ffb904a1d432dc9bcd1a"),
+    (5, "theorem5", "top-degree-4"): (0, "899848c245374996fab55246109e6f77488d39c3205c97250825501fb5a5798b"),
+    (5, "tables 4", "top-degree-4"): (0, "ac09c843a3f78694eaebda84ca6c1bc492d2e1aca2f19e944aaa30ff0778f05e"),
+}
+
+
+@pytest.mark.parametrize("floor", ["default", "all-float"])
+@pytest.mark.parametrize("key", list(STDOUT_DIGESTS),
+                         ids=[f"p{p}-{cmd.replace(' ', '')}-{name}" for p, cmd, name in STDOUT_DIGESTS])
+def test_stdout_digest_is_pinned(key, floor, monkeypatch):
+    if floor == "all-float":
+        monkeypatch.setattr(coeff, "_BLAS_MADDS", 0)
+    p, cmd, name = key
+    code, out = run(["--char", str(p), *cmd.split(), name])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == STDOUT_DIGESTS[key]

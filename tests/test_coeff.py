@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moorekit import corpus
+from moorekit import coeff, corpus
 from moorekit.coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
                             PreconditionError, PrimeField, StructureError,
                             Supply, elements, ideal_closure, kernel, mul,
@@ -361,3 +361,129 @@ def test_property_rref_is_canonical_under_row_mixing(p, m, n, rank, seed):
     mixed = G[rng.permutation(m)] @ A % p
     R2, pivots2 = rref(mixed, p)
     assert pivots2 == pivots and np.array_equal(R2, R)
+
+
+# ---------------------------------------------------------------------------
+# the exact product, rref and the ideal closure against references
+
+MATMUL_SHAPES = [((3, 4), (4, 5)), ((2, 3, 4), (4, 5)), ((2, 1, 3, 4), (5, 4, 2)),
+                 ((4,), (4, 5)), ((3, 4), (4,)), ((0, 4), (4, 5)), ((3, 0), (0, 5)),
+                 ((2, 0, 3, 4), (4, 5)), ((64, 128), (128, 128)), ((64, 128), (128, 127))]
+
+
+@pytest.mark.parametrize("floor", ["default", "all-float", "all-int"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65521])
+def test_matmul_equals_the_int64_product_mod_p(p, floor, monkeypatch):
+    # the last two shapes sit at 2^20 multiply-adds and just below it
+    if floor != "default":
+        monkeypatch.setattr(coeff, "_BLAS_MADDS", 0 if floor == "all-float" else 1 << 62)
+    rng = np.random.default_rng(p)
+    for sa, sb in MATMUL_SHAPES:
+        a = rng.integers(-p + 1, p, size=sa)  # residues of either sign
+        b = rng.integers(0, p, size=sb)
+        got = coeff.matmul(a, b, p)
+        want = np.matmul(a, b) % p
+        assert got.dtype == np.int64 and got.shape == want.shape, (sa, sb)
+        assert np.array_equal(got, want), (sa, sb)
+
+
+def test_matmul_keeps_int64_where_doubles_would_round():
+    # k (p-1)^2 >= 2^53 at k = 10000; 1.2M multiply-adds lie above the floor
+    p, k = 1000003, 10000
+    assert k * (p - 1) ** 2 >= 2 ** 53 and 2 * k * 60 >= coeff._BLAS_MADDS
+    rng = np.random.default_rng(0)
+    a = rng.integers(p - 1000, p, size=(2, k))
+    b = rng.integers(p - 1000, p, size=(k, 60))
+    exact = (a.astype(object) @ b.astype(object)) % p
+    assert np.array_equal(coeff.matmul(a, b, p), exact.astype(np.int64))
+    rounded = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
+    assert not np.array_equal(rounded, exact.astype(np.int64))
+
+
+def _rref_rank_one(mat, p):
+    """rref with every pivot column cleared from all rows by one rank-1
+    update, as before the targeted clearing."""
+    A = np.array(mat, dtype=np.int64) % p
+    if A.ndim == 1:
+        A = A.reshape(1, -1)
+    if A.shape[0] > A.shape[1]:
+        A = A[A.any(axis=1)]
+    m, n = A.shape
+    pivots = []
+    for col in range(n):
+        row = len(pivots)
+        if row == m:
+            break
+        below = A[row:, col].nonzero()[0]
+        if not below.size:
+            continue
+        piv = row + below[0]
+        pivot = A[piv] * pow(int(A[piv, col]), p - 2, p) % p
+        A[piv] = A[row]
+        A -= A[:, col, None] * pivot
+        A[row] = pivot
+        A %= p
+        pivots.append(col)
+    return A[:len(pivots)], tuple(pivots)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rref_matches_the_rank_one_reference(p):
+    rng = np.random.default_rng(100 + p)
+    for m, n, rank in [(5, 8, 5), (8, 5, 5), (20, 6, 3), (6, 20, 2), (12, 12, 7),
+                       (1, 4, 1), (4, 4, 0), (30, 9, 9), (9, 30, 4)]:
+        for _ in range(5):
+            mat = rng.integers(0, p, size=(m, rank)) @ rng.integers(0, p, size=(rank, n)) % p
+            R, piv = rref(mat, p)
+            R0, piv0 = _rref_rank_one(mat, p)
+            assert piv == piv0 and np.array_equal(R, R0), (m, n, rank)
+
+
+def _naive_closure(A, gens):
+    """span U span * (basis of A) to a fixed point, multiplying every row
+    of the span in every round."""
+    span = rref(np.vstack([np.zeros((0, A.dim), dtype=np.int64), gens]), A.p)[0]
+    while True:
+        prods = np.tensordot(span, A.structure, axes=([1], [1])).reshape(-1, A.dim) % A.p
+        grown = rref(np.vstack([span, prods]), A.p)[0]
+        if grown.shape == span.shape:
+            return span
+        span = grown
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ideal_closure_matches_the_naive_fixed_point(p, monkeypatch):
+    rng = np.random.default_rng(p)
+    rand = Algebra(PrimeField(p), rng.integers(0, p, size=(7, 7, 7)) * (rng.random((7, 7, 7)) < 0.1),
+                   tuple(f"e{i}" for i in range(7)))
+    algebras = [corpus.truncated_poly(p, 5), corpus.group_line(p), rand]
+    algebras += [E.level(n) for E in corpus.simplicial_corpus(p, {"cubic-chain"}).values()
+                 for n in (2, 3)]
+    for cells in (1 << 16, 7):  # one chunk of A's basis per round, then one element each
+        monkeypatch.setattr(coeff, "_SWEEP_CELLS", cells)
+        for A in algebras:
+            for r in (0, 1, 2):
+                gens = rng.integers(0, p, size=(r, A.dim))
+                got = ideal_closure(A, gens)
+                assert np.array_equal(got.basis_matrix, _naive_closure(A, gens)), (A, r)
+                assert got.is_mult_closed()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_validate_algebra_lists_violations_in_the_einsum_order(p, monkeypatch):
+    rng = np.random.default_rng(p)
+    d = 5
+    struct = rng.integers(0, p, size=(d, d, d))
+    A = Algebra(PrimeField(p), struct, tuple(f"e{i}" for i in range(d)), 0)
+    c = A.structure
+    comm = [("commutativity", (int(i), int(j)))
+            for i, j in zip(*np.nonzero(((c - c.transpose(1, 0, 2)) % p).any(axis=2))) if i <= j]
+    left = np.einsum("ijm,mlk->ijlk", c, c) % p
+    right = np.einsum("jlm,imk->ijlk", c, c) % p
+    assoc = [("associativity", tuple(map(int, t)))
+             for t in zip(*np.nonzero(((left - right) % p).any(axis=3)))]
+    want = comm + assoc + [("identity", (0,))]
+    assert len(assoc) > 10
+    for cells in (1 << 16, 7):  # all of i in one chunk, then one i per chunk
+        monkeypatch.setattr(coeff, "_SWEEP_CELLS", cells)
+        assert [(v.kind, v.indices) for v in validate_algebra(A)] == want

@@ -436,3 +436,25 @@ def test_theorem5_failure_counts_rows_outside_the_other_side(built, monkeypatch)
     assert rec.status == "fail"
     assert (rec.detail["lhs_dim"], rec.detail["rhs_dim"]) == (2, 1)
     assert (rec.detail["lhs_outside_rhs"], rec.detail["rhs_outside_lhs"]) == (2, 1)
+
+
+def test_theorem5_builds_the_moore_complex_and_each_face_kernel_once(monkeypatch):
+    # a fresh object, so that no earlier test has filled its memo
+    E = corpus.simplicial_corpus(2, {"cubic-chain"})["cubic-chain"]
+    complexes, kernels = [], []
+    real_complex, real_null = moore_module._moore_complex, moore_module.null_space
+    monkeypatch.setattr(moore_module, "_moore_complex",
+                        lambda E: complexes.append(E) or real_complex(E))
+    monkeypatch.setattr(moore_module, "null_space",
+                        lambda mat, p: kernels.append(mat.shape) or real_null(mat, p))
+    first = [theorem5_check(E, n) for n in (2, 3, 4)]
+    assert complexes == [E]
+    counted = len(kernels)
+    # one null space per distinct face set: the Moore bases of E_1..E_4 and
+    # the kernels K_I in E_{n-1}, I the complement of a pairing's entries
+    sets = {(m, tuple(range(m))) for m in range(1, 5)}
+    sets |= {(n - 1, tuple(sorted(set(range(n)) - set(s.entries))))
+             for n in (2, 3, 4) for q in p_set(n) for s in (q.alpha, q.beta)}
+    assert counted == len({key for key in sets if key[1]})
+    assert [theorem5_check(E, n) for n in (2, 3, 4)] == first
+    assert moore(E) is moore(E) and complexes == [E] and len(kernels) == counted

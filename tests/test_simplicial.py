@@ -230,6 +230,20 @@ def test_build_from_crossed_rejects_invalid():
         build_from_crossed(corpus.cm_zero_module_bad(2), 2)
 
 
+@pytest.mark.parametrize("k", [-1, 0])
+def test_build_from_crossed_refuses_k_below_1(k):
+    with pytest.raises(ValueError, match="from k = 1 on"):
+        build_from_crossed(corpus.cm_ideal_dual(2), k)
+    assert build_from_crossed(corpus.cm_ideal_dual(2), 1).k == 1
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_build_from_2crossed_refuses_k_below_2(k):
+    with pytest.raises(ValueError, match="from k = 2 on"):
+        build_from_2crossed(corpus.tcm_cubic_chain(2), k)
+    assert build_from_2crossed(corpus.tcm_cubic_chain(2), 2).k == 2
+
+
 def test_build_from_2crossed_degenerations():
     # trivial top level agrees with the crossed-module build
     cm = corpus.cm_ideal_dual(2)
