@@ -1,5 +1,9 @@
 """Batch command-line front end.
 
+Usage: moorekit [GLOBAL OPTIONS] COMMAND [ARGUMENTS]; global options come
+before the command, the command's options anywhere after it, and
+`moorekit --help` lists every command with its arguments and options.
+
 Reads one JSON document (--input FILE, '-' for stdin) or the built-in
 corpus (default, per characteristic from --char), dispatches checks and
 constructors, and streams line-delimited JSON records followed by one
@@ -12,9 +16,11 @@ ideal-pair.E0; `corpus` builds them all.  Exit codes: 0 all pass
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .coeff import PreconditionError, PrimeField, Supply, validate_algebra
 from .crossed import verify_2cm, verify_3cm, verify_cm
@@ -41,7 +47,14 @@ _INVARIANT_PREFIXES = ("complex-", "d3-multiplicative", "d2-multiplicative",
 def nonnegative(text: str) -> int:
     n = int(text)
     if n < 0:
-        raise argparse.ArgumentTypeError(f"{n} is negative")
+        raise ValueError(f"{n} is negative")
+    return n
+
+
+def positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"{n} is below 1")
     return n
 
 
@@ -50,51 +63,162 @@ def primes(text: str) -> tuple[int, ...]:
     try:
         ps = tuple(PrimeField(int(c)).p for c in text.split(","))
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text}: {exc}") from None
+        raise ValueError(f"{text}: {exc}") from None
     if len(set(ps)) < len(ps):
-        raise argparse.ArgumentTypeError(f"{text}: a prime is repeated")
+        raise ValueError(f"{text}: a prime is repeated")
     return ps
 
 
-def make_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="moorekit", description=__doc__)
-    ap.add_argument("--input", help="JSON document, '-' for stdin (default: built-in corpus)")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--budget", type=int, default=256)
-    ap.add_argument("--exhaustive-bound", type=int, default=4096)
-    ap.add_argument("--char", type=primes, default=(2,),
-                    help="comma-separated characteristics for the built-in corpus")
-    ap.add_argument("--human", action="store_true", help="render text instead of JSON")
-    sub = ap.add_subparsers(dest="command", required=True)
+class Command(NamedTuple):
+    """One command's arguments.  A positional is (attribute, spec), an option
+    "--name" maps to (spec, default); a spec is a converter, a tuple of
+    choices read with the type of its first item, or None for a flag."""
+    positionals: tuple = ()
+    options: dict = {}
+    kinds: tuple = ()  # the object kinds a named command takes, the first looked up first
 
-    def cmd(name, **kwargs):
-        return sub.add_parser(name, **kwargs)
 
-    for name in ("validate", "moore", "table1", "lemma7", "verify-xmod",
-                 "verify-2xmod", "verify-3xmod", "lie-verify"):
-        c = cmd(name)
-        c.add_argument("name")
-    c = cmd("theorem5")
-    c.add_argument("name")
-    c.add_argument("--level", type=int, choices=(2, 3, 4), default=None)
-    for name in ("to-xmod", "to-2xmod", "to-3xmod"):
-        c = cmd(name)
-        c.add_argument("name")
-        if name != "to-xmod":
-            c.add_argument("--convention", choices=("prop3", "def1"), default="prop3")
-    c = cmd("tables")
-    c.add_argument("table", type=int, choices=(2, 3, 4))
-    c.add_argument("name")
-    c.add_argument("--convention", choices=("prop3", "def1"), default="prop3")
-    c = cmd("sset")
-    c.add_argument("n", type=nonnegative)
-    c = cmd("pset")
-    c.add_argument("n", type=int, choices=(2, 3, 4))
-    cmd("pairings")
-    c = cmd("roundtrip")
-    c.add_argument("--level", choices=("1", "2", "both"), default="both")
-    cmd("corpus")
-    return ap
+GLOBAL_OPTIONS = {
+    "--input": (str, None),  # JSON document, '-' for stdin (default: built-in corpus)
+    "--seed": (int, 0),
+    "--budget": (positive, 256),
+    "--exhaustive-bound": (int, 4096),
+    "--char": (primes, (2,)),  # comma-separated characteristics for the built-in corpus
+    "--human": (None, False),  # render text instead of JSON
+}
+_NAME = ("name", str)
+_CONVENTION = {"--convention": (("prop3", "def1"), "prop3")}
+_SIMPLICIAL = ("simplicial",)
+COMMANDS = {
+    "validate": Command((_NAME,), kinds=("algebra", "lie-algebra", "simplicial")),
+    "moore": Command((_NAME,), kinds=_SIMPLICIAL),
+    "table1": Command((_NAME,), kinds=_SIMPLICIAL),
+    "lemma7": Command((_NAME,), kinds=_SIMPLICIAL),
+    "theorem5": Command((_NAME,), {"--level": ((2, 3, 4), None)}, _SIMPLICIAL),
+    "to-xmod": Command((_NAME,), kinds=_SIMPLICIAL),
+    "to-2xmod": Command((_NAME,), _CONVENTION, _SIMPLICIAL),
+    "to-3xmod": Command((_NAME,), _CONVENTION, _SIMPLICIAL),
+    "tables": Command((("table", (2, 3, 4)), _NAME), _CONVENTION, _SIMPLICIAL),
+    "verify-xmod": Command((_NAME,), kinds=("crossed",)),
+    "verify-2xmod": Command((_NAME,), kinds=("two-crossed",)),
+    "verify-3xmod": Command((_NAME,), kinds=("three-crossed",)),
+    "lie-verify": Command((_NAME,), kinds=("lie-three-crossed", "lie-algebra")),
+    "sset": Command((("n", nonnegative),)),
+    "pset": Command((("n", (2, 3, 4)),)),
+    "pairings": Command(),
+    "roundtrip": Command(options={"--level": (("1", "2", "both"), "both")}),
+    "corpus": Command(),
+}
+_NUMBER = re.compile(r"-\d+|-\d*\.\d+")  # a value, not an option, as `sset -1` needs
+
+
+class UsageError(Exception):
+    """A command line outside GLOBAL_OPTIONS and COMMANDS; main exits 64."""
+
+    def __init__(self, name: str, reason: str):
+        super().__init__(f"argument {name}: {reason}")
+
+
+class HelpRequested(Exception):
+    """-h or --help; main prints the usage and exits 0."""
+
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """The attributes of a command line (sys.argv[1:] by default): every
+    global option and the command's options at their defaults unless given
+    (the last repeat wins), `command`, and the command's positionals.
+    Options take `--opt value`, `--opt=value` and unique prefixes."""
+    args = SimpleNamespace(**{_dest(o): d for o, (_, d) in GLOBAL_OPTIONS.items()})
+    options, positionals = GLOBAL_OPTIONS, None
+    tokens = iter(sys.argv[1:] if argv is None else argv)
+    for token in tokens:
+        if not _is_option(token):
+            if positionals is None:
+                if token not in COMMANDS:
+                    raise UsageError("command", f"invalid choice: {token!r}")
+                args.command = token
+                options, positionals = COMMANDS[token].options, list(COMMANDS[token].positionals)
+                vars(args).update({_dest(o): d for o, (_, d) in options.items()})
+            elif not positionals:
+                raise UsageError(repr(token), "unexpected")
+            else:
+                name, spec = positionals.pop(0)
+                setattr(args, name, _convert(name, spec, token))
+            continue
+        opt, eq, value = token.partition("=")
+        opt = _resolve(opt, options)
+        spec = options[opt][0]
+        if spec is None:
+            if eq:
+                raise UsageError(opt, "takes no value")
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, None)
+                if value is None or _is_option(value):
+                    raise UsageError(opt, "expected one value")
+            value = _convert(opt, spec, value)
+        setattr(args, _dest(opt), value)
+    if positionals is None or positionals:
+        raise UsageError(positionals[0][0] if positionals else "command", "missing")
+    return args
+
+
+def make_parser() -> SimpleNamespace:
+    """An object whose parse_args(argv) is this module's parse_args."""
+    return SimpleNamespace(parse_args=parse_args)
+
+
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
+
+
+def _is_option(token: str) -> bool:
+    return token.startswith("-") and token != "-" and not _NUMBER.fullmatch(token)
+
+
+def _resolve(opt: str, options: dict) -> str:
+    """The option of options, or --help, that opt names exactly or by a unique prefix."""
+    names = [*options, "--help"]
+    hits = [n for n in names if n.startswith(opt)] if opt.startswith("--") and len(opt) > 2 else []
+    if opt in hits:
+        hits = [opt]
+    if opt == "-h" or hits == ["--help"]:
+        raise HelpRequested
+    if len(hits) != 1:
+        raise UsageError(opt, f"ambiguous option, could match {', '.join(hits)}" if hits
+                         else "unknown option")
+    return hits[0]
+
+
+def _convert(name: str, spec, text: str):
+    try:
+        if not isinstance(spec, tuple):
+            return spec(text)
+        value = type(spec[0])(text)
+    except ValueError as exc:
+        raise UsageError(name, str(exc)) from None
+    if value not in spec:
+        raise UsageError(name, f"invalid choice: {value!r} (choose from "
+                               f"{', '.join(map(repr, spec))})")
+    return value
+
+
+def usage() -> str:
+    """The global options and every command's arguments and options, from the tables."""
+    def option(opt, spec):
+        return f"[{opt}]" if spec is None else f"[{opt} {_metavar(_dest(opt), spec)}]"
+
+    lines = [" ".join(["usage: moorekit", *(option(o, s) for o, (s, _) in GLOBAL_OPTIONS.items()),
+                       "COMMAND ..."]), "commands:"]
+    for command, (positionals, options, _) in COMMANDS.items():
+        lines.append(" ".join(["  " + command, *(_metavar(n, s) for n, s in positionals),
+                               *(option(o, s) for o, (s, _) in options.items())]))
+    return "\n".join(lines)
+
+
+def _metavar(name: str, spec) -> str:
+    return "{" + ",".join(map(str, spec)) + "}" if isinstance(spec, tuple) else name.upper()
 
 
 def _documents(args) -> list[tuple[str, Document]]:
@@ -188,15 +312,6 @@ def run_command(args, out) -> int:
     return code
 
 
-# the object kinds each named command takes, the first looked up first
-_KINDS = {
-    "validate": ("algebra", "lie-algebra", "simplicial"),
-    "moore": ("simplicial",), "table1": ("simplicial",), "lemma7": ("simplicial",),
-    "theorem5": ("simplicial",), "tables": ("simplicial",), "to-xmod": ("simplicial",),
-    "to-2xmod": ("simplicial",), "to-3xmod": ("simplicial",),
-    "verify-xmod": ("crossed",), "verify-2xmod": ("two-crossed",),
-    "verify-3xmod": ("three-crossed",), "lie-verify": ("lie-three-crossed", "lie-algebra"),
-}
 # what a name of another kind is not, for the commands taking several kinds
 _NOT_KIND = {"validate": "validatable directly", "lie-verify": "Lie data"}
 _VALIDATORS = {"algebra": validate_algebra, "lie-algebra": validate_lie,
@@ -209,7 +324,7 @@ def _run_named(args, doc: Document, supply: Supply, extra_lines: list) -> list[C
     command answers with one hypothesis-failed record and emits no
     document."""
     command, name = args.command, args.name
-    kinds = _KINDS[command]
+    kinds = COMMANDS[command].kinds
     kind, obj = doc.lookup(name, prefer=kinds[0])
     if kind not in kinds:
         if command in _NOT_KIND:
@@ -296,11 +411,14 @@ def _render(r: CheckRecord, human: bool) -> str:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_EXIT if exc.code not in (0,) else 0
+        args = parse_args(argv)
+    except HelpRequested:
+        print(usage() + "\n\n" + __doc__, end="")
+        return 0
+    except UsageError as exc:
+        print(f"moorekit: error: {exc}", file=sys.stderr)
+        return USAGE_EXIT
     try:
         return run_command(args, sys.stdout)
     except DocumentError as exc:

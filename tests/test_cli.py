@@ -3,6 +3,8 @@ import copy
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from unittest import mock
 
@@ -543,3 +545,120 @@ def test_stdout_digest_is_pinned(key, floor, monkeypatch):
     p, cmd, name = key
     code, out = run(["--char", str(p), *cmd.split(), name])
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == STDOUT_DIGESTS[key]
+
+
+def _argparse_parser():
+    """The argparse parser the command table replaced, kept as a reference."""
+    import argparse
+    from moorekit.cli import nonnegative, primes
+    ap = argparse.ArgumentParser(prog="moorekit")
+    ap.add_argument("--input")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--budget", type=int, default=256)
+    ap.add_argument("--exhaustive-bound", type=int, default=4096)
+    ap.add_argument("--char", type=primes, default=(2,))
+    ap.add_argument("--human", action="store_true")
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name in ("validate", "moore", "table1", "lemma7", "verify-xmod",
+                 "verify-2xmod", "verify-3xmod", "lie-verify"):
+        sub.add_parser(name).add_argument("name")
+    c = sub.add_parser("theorem5")
+    c.add_argument("name")
+    c.add_argument("--level", type=int, choices=(2, 3, 4), default=None)
+    for name in ("to-xmod", "to-2xmod", "to-3xmod"):
+        c = sub.add_parser(name)
+        c.add_argument("name")
+        if name != "to-xmod":
+            c.add_argument("--convention", choices=("prop3", "def1"), default="prop3")
+    c = sub.add_parser("tables")
+    c.add_argument("table", type=int, choices=(2, 3, 4))
+    c.add_argument("name")
+    c.add_argument("--convention", choices=("prop3", "def1"), default="prop3")
+    sub.add_parser("sset").add_argument("n", type=nonnegative)
+    sub.add_parser("pset").add_argument("n", type=int, choices=(2, 3, 4))
+    sub.add_parser("pairings")
+    sub.add_parser("roundtrip").add_argument("--level", choices=("1", "2", "both"),
+                                             default="both")
+    sub.add_parser("corpus")
+    return ap
+
+
+_VALID_ARGVS = [
+    ["validate", "ideal-pair"], ["moore", "m"], ["table1", "m"], ["lemma7", "m"],
+    ["verify-xmod", "m"], ["verify-2xmod", "m"], ["verify-3xmod", "m"], ["lie-verify", "m"],
+    ["theorem5", "m"], ["theorem5", "m", "--level", "3"], ["theorem5", "--level=4", "m"],
+    ["theorem5", "--lev", "2", "m", "--level", "3"],
+    ["to-xmod", "m"], ["to-2xmod", "m"], ["to-2xmod", "m", "--convention", "def1"],
+    ["to-3xmod", "--conv=def1", "m"], ["to-3xmod", "m", "--c", "prop3"],
+    ["tables", "3", "m"], ["tables", "2", "--convention", "def1", "m"],
+    ["tables", "--co=def1", "4", "m", "--convention", "prop3"],
+    ["sset", "0"], ["sset", "4"], ["pset", "2"], ["pset", "04"], ["pairings"],
+    ["roundtrip"], ["roundtrip", "--level", "1"], ["roundtrip", "--level=2", "--le", "both"],
+    ["corpus"],
+    ["--input", "doc.json", "--seed", "7", "--budget", "3", "--exhaustive-bound", "0",
+     "--char", "2,3", "--human", "corpus"],
+    ["--input=-", "--seed=-3", "--budget=1", "--exhaustive-bound=-1", "--char=5", "moore", "-"],
+    ["--inp", "a", "--se", "1", "--bu", "9", "--ex", "2", "--ch", "3", "--hu", "sset", "1"],
+    ["--seed", "1", "--seed", "2", "--char", "2", "--char", "3,2", "--human", "--human",
+     "pairings"],
+    ["--seed", "-5", "--input", "", "sset", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _VALID_ARGVS, ids=" ".join)
+def test_command_table_reads_what_argparse_read(argv):
+    assert vars(make_parser().parse_args(argv)) == vars(_argparse_parser().parse_args(argv))
+
+
+# usage errors of both parsers: unknown command or option, a missing or extra
+# positional, a missing value, a bad conversion or a bad choice
+_INVALID_ARGVS = [
+    [], ["nope"], ["--nope", "sset", "1"], ["sset", "1", "--seed", "2"], ["-x", "sset", "1"],
+    ["sset"], ["sset", "1", "2"], ["tables", "3"], ["pairings", "x"], ["--seed"],
+    ["sset", "1", "--level"], ["--seed", "x", "sset", "1"], ["--input", "--human", "sset", "1"],
+    ["--h", "sset", "1"], ["--human=1", "sset", "1"], ["sset", "-x"], ["sset", "1.5"],
+    ["theorem5", "m", "--level", "5"], ["theorem5", "m", "--level", "both"],
+    ["roundtrip", "--level", "3"], ["tables", "5", "m"], ["to-xmod", "m", "--convention", "def1"],
+    ["to-3xmod", "m", "--convention", "other"], ["--char", "2,2", "corpus"]]
+
+
+@pytest.mark.parametrize("argv", _INVALID_ARGVS, ids=" ".join)
+def test_usage_errors_exit_64_with_nothing_on_stdout(argv, capsys):
+    with pytest.raises(SystemExit):
+        _argparse_parser().parse_args(argv)
+    capsys.readouterr()
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("moorekit: error: argument ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("budget", ["0", "-3"])
+@pytest.mark.parametrize("argv", [["table1", "module-id"], ["to-3xmod", "cubic-chain"]])
+def test_a_budget_below_one_is_a_usage_error(budget, argv, capsys):
+    assert main(["--exhaustive-bound", "1", "--budget", budget, *argv]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --budget: {budget} is below 1" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["--char", "3", "sset", "--he"]])
+def test_help_lists_every_command_and_exits_0(argv, capsys):
+    from moorekit.cli import COMMANDS
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: moorekit [--input INPUT]")
+    assert all(f"\n  {command}" in out for command in COMMANDS)
+    assert "  tables {2,3,4} NAME [--convention {prop3,def1}]\n" in out
+
+
+def test_a_job_imports_no_argument_parsing_library():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = ("import sys\n"
+              "from moorekit.cli import main\n"
+              "code = main(['--char', '2', 'sset', '4'])\n"
+              "print(code, *(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0"
