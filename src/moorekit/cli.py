@@ -165,7 +165,8 @@ def parse_args(argv=None) -> SimpleNamespace:
 
 
 def make_parser() -> SimpleNamespace:
-    """An object whose parse_args(argv) is this module's parse_args."""
+    """An object whose parse_args(argv) is this module's parse_args; the
+    benchmark's tests (bench/tests/test_checker.py) build their argv with it."""
     return SimpleNamespace(parse_args=parse_args)
 
 
@@ -360,7 +361,7 @@ def _named_records(args, kind, obj, supply: Supply, extra_lines: list) -> list[C
     elif command == "table1":
         records.extend(table1_audit(obj, supply))
     elif command == "lemma7":
-        records.extend(lemma7_check(obj, supply))
+        records.extend(lemma7_check(obj))
     elif command == "theorem5":
         levels = (args.level,) if args.level else (2, 3, 4)
         for n in levels:
@@ -380,7 +381,7 @@ def _named_records(args, kind, obj, supply: Supply, extra_lines: list) -> list[C
         records.append(CheckRecord(f"to-2xmod[{name}]", PASS,
                                    detail={"dims": [t.C2.dim, t.C1.dim, t.C0.dim]}))
     elif command == "to-3xmod":
-        outp = three_crossed_from_simplicial(obj, args.convention, supply)
+        outp = three_crossed_from_simplicial(obj, args.convention)
         b = DocumentBuilder()
         b.three_crossed(outp.structure, f"{name}-3xmod")
         extra_lines.append(b.dumps(supply))
@@ -391,11 +392,11 @@ def _named_records(args, kind, obj, supply: Supply, extra_lines: list) -> list[C
     elif command == "verify-2xmod":
         records.extend(_axiom_records(verify_2cm(obj), f"verify-2xmod[{name}]"))
     elif command == "verify-3xmod":
-        records.extend(_axiom_records(verify_3cm(obj, supply), f"verify-3xmod[{name}]"))
+        records.extend(_axiom_records(verify_3cm(obj), f"verify-3xmod[{name}]"))
     elif command == "tables":
         records.extend(table_identities_check(obj, args.table, args.convention))
     else:  # lie-verify on a Lie 3-crossed module
-        records.extend(_axiom_records(verify_lie_3cm(obj, supply), f"lie-verify[{name}]"))
+        records.extend(_axiom_records(verify_lie_3cm(obj), f"lie-verify[{name}]"))
     return records
 
 

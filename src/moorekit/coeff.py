@@ -139,6 +139,24 @@ def sweep_step(cells: int) -> int:
     return max(1, _SWEEP_CELLS // max(1, cells))
 
 
+def quadratic_points(dim: int, p: int) -> np.ndarray:
+    """The rows e_0 .. e_{dim-1}, then (p - 1) e_i when p > 2, then e_i + e_j
+    for i < j in lexicographic order; no rows for dim = 0.
+
+    A map f(x) = l(x) + q(x) on GF(p)^dim, l linear and q quadratic, is
+    zero exactly when it vanishes on these rows.  For p odd, f(e_i) and
+    f(-e_i) give l_i + q_ii and -l_i + q_ii, so both vanish since 2 is
+    invertible; for p = 2, x_i^2 = x_i folds q_ii into l_i.  Then
+    f(e_i + e_j) gives the cross coefficient q_ij.  A map F(x, y) that is
+    such a map in x for every y and in y for every x is therefore zero
+    exactly when it vanishes on every pair of rows: vanishing on the pairs
+    makes F(x, .) zero for each row x, so F(., y) vanishes on the rows for
+    every y."""
+    eye = np.eye(dim, dtype=np.int64)
+    i, j = np.triu_indices(dim, 1)
+    return np.vstack([eye, *([(p - 1) * eye] if p > 2 else []), eye[i] + eye[j]])
+
+
 def _as_array(data, p: int) -> np.ndarray:
     """data reduced mod p as a read-only int64 array; the reduction is the
     only copy of an int64 array."""
@@ -672,7 +690,9 @@ def action_violations(action: BilinearMap) -> list[Violation]:
 
 @dataclass(frozen=True)
 class Supply:
-    """Test-point configuration: exhaustive below the bound, else sampled."""
+    """Test-point configuration: exhaustive below the bound, else sampled.
+    Only the Table-1 sweep (moore.table1_audit) draws elements from it;
+    every other check is decided exactly on basis tuples."""
 
     seed: int = 0
     budget: int = 256

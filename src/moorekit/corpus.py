@@ -1,9 +1,11 @@
 """Built-in desk-scale examples: base algebras, crossed and 2-crossed
 modules, simplicial objects, and Lie data.
 
-Everything here is small enough for exhaustive element sweeps; the
-test suite resolves simplicial names through :func:`simplicial_corpus`,
-and the CLI resolves every built-in name in the document that
+Everything here is small enough that ``table1`` sweeps every element of
+each Moore component under the default supply bound; every other check
+is decided exactly on basis tuples.  The test suite resolves simplicial
+names through :func:`simplicial_corpus`, and the CLI resolves every
+built-in name in the document that
 :func:`moorekit.document.corpus_document` serializes from these builders.
 Each ``*_corpus`` function maps entry names to builders and, given
 `names`, builds only the entries so named: a named command builds the

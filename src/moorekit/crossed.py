@@ -2,9 +2,11 @@
 mechanized axiom verifiers.
 
 Every axiom in scope but 3CM6 is multilinear in each slot, so its value
-on basis tuples decides it exactly.  Each axiom is written once, on
-elements, and evaluated once on stacked basis tuples: slot i holds its
-whole basis on axis i, every operation broadcasts, and the first failing
+on basis tuples decides it exactly; 3CM6 is a linear plus a quadratic
+map in each slot, so its value on pairs of coeff.quadratic_points
+decides it exactly.  Each axiom is written once, on elements, and
+evaluated once on stacked tuples: slot i holds its whole basis (or its
+points) on axis i, every operation broadcasts, and the first failing
 tuple in C order (the order of itertools.product) is the witness.
 Stored actions are the ones the definitions declare (the base algebra
 acting on the higher ones); the action of degree-1 elements on degree-2
@@ -19,10 +21,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
-                    PreconditionError, Supply, annihilator, action_violations,
-                    ideal_closure, image_space, null_space, quotient,
-                    reduce_against, rref, square_span,
-                    subalgebra, supply_rows, sweep_step, validate_algebra)
+                    PreconditionError, annihilator, action_violations,
+                    ideal_closure, image_space, null_space, quadratic_points,
+                    quotient, reduce_against, rref, square_span,
+                    subalgebra, sweep_step, validate_algebra)
 from .report import FAIL, PASS, CheckRecord
 
 # The levels of the left argument, the right argument and the value of
@@ -436,15 +438,14 @@ def _prefixed(prefix: str, report: AxiomReport) -> list[AxiomEntry]:
     return [replace(e, name=f"{prefix}/{e.name}") for e in report.entries]
 
 
-def verify_3cm(m: ThreeCrossedModule, supply: Supply = Supply()) -> AxiomReport:
+def verify_3cm(m: ThreeCrossedModule) -> AxiomReport:
     """3CM1 through 3CM16 as printed, the degree-3 crossed module property,
     and the two equivariance tables.
 
     Each axiom is evaluated once on stacked basis tuples, which decides
-    it exactly since it is multilinear per slot; 3CM6 is quadratic in
-    each slot, so it is evaluated on the stacked element supply of C2
-    instead, and its record says whether that supply is exhaustive or
-    sampled.
+    it exactly since it is multilinear per slot; 3CM6 is linear plus
+    quadratic in each slot, so it is evaluated on pairs of
+    quadratic_points of C2, which decides it exactly too.
     """
     C3, C2, C1 = m.C3, m.C2, m.C1
     entries = _structure_entries(m, "multiplicative", "action-{}-algebra",
@@ -453,18 +454,18 @@ def verify_3cm(m: ThreeCrossedModule, supply: Supply = Supply()) -> AxiomReport:
     sub = TwoCrossedModule(C3, C2, C1, m.d3, m.d2, m.action("12"), m.action("13"),
                            m.lifting("(2)(1)"), name="top-segment")
     entries += _prefixed("3CM1", verify_2cm(sub))
-    entries += _axioms_3cm2_to_16(m, supply)
+    entries += _axioms_3cm2_to_16(m)
     entries += _equivariance_entries(m, "table3", 0)
     entries += _equivariance_entries(m, "table4", 1)
     return AxiomReport(m.name or "three-crossed-module", tuple(entries))
 
 
-def _axioms_3cm2_to_16(m: ThreeCrossedModule, supply: Supply) -> list[AxiomEntry]:
+def _axioms_3cm2_to_16(m: ThreeCrossedModule) -> list[AxiomEntry]:
     """3CM2 through 3CM16 as printed; x * y is the product of the levels,
     the multiplication or the bracket.  Each axiom is evaluated once on
-    stacked basis tuples, 3CM6 on the stacked element supply of C2 (its
-    detail gives the mode, exhaustive or sampled, by Supply.is_exhaustive;
-    the zero space's supply, the zero element, is exhaustive)."""
+    stacked basis tuples, 3CM6 on stacked pairs of quadratic_points of C2
+    (see there why that decides it); its detail gives the mode,
+    basis-exact, and its witness is a pair of elements where it fails."""
     C3, C2, C1 = m.C3, m.C2, m.C1
     d3, d2, d1 = m.d3, m.d2, m.d1
     a01, a02, a03 = m.action("01"), m.action("02"), m.action("03")
@@ -472,8 +473,7 @@ def _axioms_3cm2_to_16(m: ThreeCrossedModule, supply: Supply) -> list[AxiomEntry
     L10, L20, L21 = m.lifting("(1)(0)"), m.lifting("(2)(0)"), m.lifting("(2)(1)")
     L102, L201 = m.lifting("(1,0)(2)"), m.lifting("(2,0)(1)")
     L021, L = m.lifting("(0)(2,1)"), m.lifting("()")
-    rows, exhaustive = supply_rows(C2.dim, C2.p, supply)
-    c2_supply = Element(C2, rows)
+    points = Element(C2, quadratic_points(C2.dim, C2.p))
     return [
         _sweep("3CM2", [C1, C1],
                lambda x1, y1: (d2(L(x1, y1)), a01(d1(y1), x1) - x1 * y1)),
@@ -484,10 +484,10 @@ def _axioms_3cm2_to_16(m: ThreeCrossedModule, supply: Supply) -> list[AxiomEntry
         _sweep("3CM5", [C1, C3],
                lambda x1, y3: (L201(x1, d3(y3)),
                                L021(d3(y3), x1) + L102(x1, d3(y3)) - a03(d1(x1), y3))),
-        replace(_sweep("3CM6", [c2_supply, c2_supply],
+        replace(_sweep("3CM6", [points, points],
                        lambda x2, y2: (L201(d2(x2), y2),
                                        -L20(x2, y2) + a23(x2 * y2, L21(x2, y2)) + L10(x2, y2))),
-                detail={"mode": "exhaustive" if exhaustive else "sampled"}),
+                detail={"mode": "basis-exact"}),
         _sweep("3CM7", [C3, C3],
                lambda x3, y3: (L10(d3(x3), d3(y3)), y3 * x3)),
         _sweep("3CM8", [C3, C2],

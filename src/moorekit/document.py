@@ -36,8 +36,6 @@ class DocumentError(ValueError):
 
 @dataclass
 class Document:
-    config: Supply = dc_field(default_factory=Supply)
-    characteristics: tuple[int, ...] = (2,)
     algebras: dict = dc_field(default_factory=dict)
     lie_algebras: dict = dc_field(default_factory=dict)
     morphisms: dict = dc_field(default_factory=dict)
@@ -198,15 +196,16 @@ def load_document(text: str) -> Document:
         raise DocumentError(f"invalid JSON: {exc}", "document")
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object", "document")
+    # the config keys are checked, though no command reads them from a document
     cfg = _object(raw.get("config", {}), "config")
-    chars = cfg.get("characteristics", [2])
+    for key in ("seed", "budget", "exhaustive_bound"):
+        _int(cfg.get(key, 0), f"config.{key}")
+    chars = cfg.get("characteristics", [])
     if not isinstance(chars, list):
         raise DocumentError("expected a list of integers", "config.characteristics")
-    doc = Document(
-        config=Supply(**{key: _int(cfg.get(key, default), f"config.{key}")
-                         for key, default in (("seed", 0), ("budget", 256),
-                                              ("exhaustive_bound", 4096))}),
-        characteristics=tuple(_int(c, "config.characteristics") for c in chars))
+    for c in chars:
+        _int(c, "config.characteristics")
+    doc = Document()
 
     def section(key: str) -> dict:
         return _object(raw.get(key, {}), key)

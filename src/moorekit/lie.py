@@ -6,8 +6,8 @@ are the commutative machinery: x * y on elements of a Lie algebra
 computes [x, y].  A Lie 3-crossed module is a
 :class:`~moorekit.crossed.ThreeCrossedModule` over Lie algebras, stored,
 loaded and dumped like a commutative one, and axioms 3CM2-3CM16, which
-read the same for both products, are checked by the sweep that
-``verify_3cm`` uses.
+read the same for both products, are decided exactly by the sweep that
+``verify_3cm`` uses (3CM6 on pairs of ``coeff.quadratic_points``).
 
 The real differences stay here:
 
@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coeff import (Algebra, BilinearMap, Morphism, PrimeField, Supply,
-                    Violation)
+from .coeff import Algebra, BilinearMap, Morphism, PrimeField, Violation
 from .crossed import (AxiomReport, ThreeCrossedModule, TwoCrossedModule,
                       _axioms_3cm2_to_16, _cm_sweeps, _flag, _prefixed,
                       _structure_entries, _two_cm_sweeps, trivial_3cm)
@@ -124,10 +123,10 @@ def verify_lie_2cm(L2, L1, L0, d2, d1, a1, a2, lt,
     return AxiomReport(title, tuple(entries))
 
 
-def verify_lie_3cm(m: ThreeCrossedModule, supply: Supply = Supply()) -> AxiomReport:
+def verify_lie_3cm(m: ThreeCrossedModule) -> AxiomReport:
     """The bracketed structure checks, the degree-3 crossed module and
-    3CM1, then 3CM2-3CM16 as in ``verify_3cm``; 3CM6 runs on the element
-    supply, everything else on basis tuples."""
+    3CM1, then 3CM2-3CM16 as in ``verify_3cm``; 3CM6 runs on pairs of
+    quadratic points of C2, everything else on basis tuples."""
     entries = _structure_entries(m, "bracket-morphism", "lie-action-{}",
                                  lie_action_violations)
     entries += _prefixed("d3-crossed", verify_lie_crossed(
@@ -135,7 +134,7 @@ def verify_lie_3cm(m: ThreeCrossedModule, supply: Supply = Supply()) -> AxiomRep
     entries += _prefixed("3CM1", verify_lie_2cm(
         m.C3, m.C2, m.C1, m.d3, m.d2, m.action("12"), m.action("13"),
         m.lifting("(2)(1)")))
-    entries += _axioms_3cm2_to_16(m, supply)
+    entries += _axioms_3cm2_to_16(m)
     return AxiomReport(m.name or "lie-3cm", tuple(entries))
 
 

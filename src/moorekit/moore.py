@@ -500,67 +500,12 @@ def table1_eval(E, row: int, x: Element, y: Element) -> tuple[Element, Element]:
     return lhs, Element(E.level(3), rhs)
 
 
-# Table 1 and Lemma 7 over the element supply.  C_{alpha,beta}, its faces
-# and both sides of every row are bilinear in (x, y), so each is tabulated
-# once on pairs of Moore-basis rows; the supply pairs are then evaluated in
-# chunks of x by two contractions, x first, reducing mod p after each.
-# Every contraction sums at most dim(E_c) products of residues, which the
-# algebras' word-size check keeps below 2^63.
-
-
-@dataclass(frozen=True, eq=False)
-class _Row:
-    """One Table-1 row over the supply: the Moore bases of the two slots,
-    the supply's coordinate vectors over them (vector_supply order), and
-    C_{alpha,beta} on every pair of basis rows."""
-
-    row: int
-    pair: PairingIndex
-    p: int
-    bases: tuple[np.ndarray, np.ndarray]
-    coords: tuple[np.ndarray, np.ndarray]
-    mode: str
-    values: np.ndarray
-
-    def element(self, slot: int, i: int) -> list[int]:
-        """Coefficients of the i-th supply element of a slot (0 = x, 1 = y)."""
-        return list(map(int, self.coords[slot][i] @ self.bases[slot] % self.p))
-
-    @property
-    def pairs(self) -> int:
-        return len(self.coords[0]) * len(self.coords[1])
-
-
-def _table1_rows(E, supply: Supply):
-    """The 25 rows in printed order, each component's supply built once."""
-    p = E.level(0).p
-    proj = _projection_matrix(E, 4)
-    components: dict[int, tuple[np.ndarray, np.ndarray, bool]] = {}
-
-    def component(c: int):
-        if c not in components:
-            basis = moore_basis(E, c)
-            components[c] = (basis, *supply_rows(basis.shape[0], p, supply))
-        return components[c]
-
-    for row, pair in enumerate(p_set(4), start=1):
-        bx, xs, x_all = component(4 - pair.alpha.size)
-        by, ys, y_all = component(4 - pair.beta.size)
-        yield _Row(row, pair, p, (bx, by), (xs, ys),
-                   "exhaustive" if x_all and y_all else "sampled",
-                   _pairing_values(E, pair, bx, by, proj))
-
-
-def _sweep(tensor: np.ndarray, xs: np.ndarray, ys: np.ndarray, p: int):
-    """Yield (start, chunk) with chunk[i, j] = sum_ab xs[start + i, a]
-    ys[j, b] tensor[a, b] mod p, over chunks of x in order."""
-    ra, rb, m = tensor.shape
-    flat = tensor.reshape(ra, rb * m)
-    step = sweep_step(max(len(ys), rb) * m)
-    for start in range(0, len(xs), step):
-        chunk = xs[start:start + step]
-        half = matmul(chunk, flat, p).reshape(len(chunk), rb, m)
-        yield start, matmul(ys, half, p)
+# C_{alpha,beta}, its faces and both sides of every Table-1 row are
+# bilinear in (x, y), so each is tabulated once on pairs of Moore-basis
+# rows.  Lemma 7 is decided on those pairs; Table 1 evaluates the supply
+# pairs in chunks of x by two contractions, x first, reducing mod p after
+# each.  Every contraction sums at most dim(E_c) products of residues,
+# which the algebras' word-size check keeps below 2^63.
 
 
 def table1_audit(E, supply: Supply = Supply()) -> list[CheckRecord]:
@@ -579,40 +524,53 @@ def table1_audit(E, supply: Supply = Supply()) -> list[CheckRecord]:
     if E.k != 4:
         raise PreconditionError("table audit requires truncation level 4")
     p, d = E.level(0).p, E.level(3).dim
+    proj = _projection_matrix(E, 4)
     # d_4 first: columns [0, d) are the left side, [d, 5d) the lower faces
     faces = np.vstack([E.face(4, i).matrix for i in (4, 0, 1, 2, 3)])
+    # each component's supply coordinates, and whether they are all of it
+    supplies = {c: supply_rows(moore_basis(E, c).shape[0], p, supply) for c in (1, 2, 3)}
     records = []
-    for r in _table1_rows(E, supply):
-        tensor = np.concatenate([matmul(r.values, faces.T, p),
-                                 _printed_values(E, r.row, *r.bases)], axis=2)
+    for row, pair in enumerate(p_set(4), start=1):
+        bx, by = (moore_basis(E, 4 - s.size) for s in (pair.alpha, pair.beta))
+        (xs, x_all), (ys, y_all) = (supplies[4 - s.size] for s in (pair.alpha, pair.beta))
+        tensor = np.concatenate([matmul(_pairing_values(E, pair, bx, by, proj), faces.T, p),
+                                 _printed_values(E, row, bx, by)], axis=2)
+        rb, m = tensor.shape[1:]
+        flat = tensor.reshape(len(bx), rb * m)
+
+        def pair_of(i, j):
+            return {"x": list(map(int, xs[i] @ bx % p)), "y": list(map(int, ys[j] @ by % p))}
+
         status = CONFIRMED
         witness: tuple = ()
-        for start, vals in _sweep(tensor, *r.coords, p):
+        step = sweep_step(max(len(ys), rb) * m)
+        for start in range(0, len(xs), step):
+            chunk = xs[start:start + step]
+            vals = matmul(ys, matmul(chunk, flat, p).reshape(len(chunk), rb, m), p)
             for i, j in np.argwhere(vals[:, :, d:5 * d].any(axis=2)):
-                records.append(CheckRecord(
-                    f"table1[row={r.row}].membership", FAIL,
-                    witnesses=({"x": r.element(0, start + i), "y": r.element(1, j)},)))
+                records.append(CheckRecord(f"table1[row={row}].membership", FAIL,
+                                           witnesses=(pair_of(start + i, j),)))
             bad = np.argwhere((vals[:, :, :d] != vals[:, :, 5 * d:]).any(axis=2))
             if len(bad) and status == CONFIRMED:
                 i, j = bad[0]
                 status = DISCREPANT
-                witness = ({"x": r.element(0, start + i), "y": r.element(1, j),
-                            "lhs": list(map(int, vals[i, j, :d])),
+                witness = ({**pair_of(start + i, j), "lhs": list(map(int, vals[i, j, :d])),
                             "rhs": list(map(int, vals[i, j, 5 * d:]))},)
-        records.append(CheckRecord(f"table1[row={r.row}]", status, witnesses=witness,
-                                   detail={"pair": str(r.pair), "checked": r.pairs,
-                                           "mode": r.mode}))
+        records.append(CheckRecord(f"table1[row={row}]", status, witnesses=witness,
+                                   detail={"pair": str(pair), "checked": len(xs) * len(ys),
+                                           "mode": "exhaustive" if x_all and y_all
+                                           else "sampled"}))
     return records
 
 
-def lemma7_check(E, supply: Supply = Supply()) -> list[CheckRecord]:
+def lemma7_check(E) -> list[CheckRecord]:
     """With NE_4 = 0, every Table-1 left side must vanish identically.
 
-    The left side d_4 C_{alpha,beta} is tabulated on pairs of Moore-basis
-    rows and evaluated over the supply as in table1_audit.  A row fails
-    at its first pair in sweep order with a non-zero left side; its
-    detail gives the mode and the pairs checked, up to and including the
-    witness on a fail.
+    The left side d_4 C_{alpha,beta} is bilinear, so it vanishes exactly
+    when it vanishes on every pair of Moore-basis rows of the row's two
+    slots.  A row fails at its first pair (x outer, y inner) with a
+    non-zero left side, given as level vectors; its detail gives the mode,
+    basis-exact, and the number of basis pairs checked.
     """
     if E.k != 4:
         raise PreconditionError("check requires truncation level 4")
@@ -620,22 +578,15 @@ def lemma7_check(E, supply: Supply = Supply()) -> list[CheckRecord]:
         return [CheckRecord("lemma7", HYPOTHESIS_FAILED,
                             detail={"reason": "hypothesis fails: length > 3"})]
     p = E.level(0).p
+    proj = _projection_matrix(E, 4)
     d4 = E.face(4, 4).matrix
     records = []
-    for r in _table1_rows(E, supply):
-        status = PASS
-        witness: tuple = ()
-        checked = r.pairs
-        ys = r.coords[1]
-        for start, vals in _sweep(matmul(r.values, d4.T, p), r.coords[0], ys, p):
-            bad = np.argwhere(vals.any(axis=2))
-            if len(bad):
-                i, j = bad[0]
-                status = FAIL
-                witness = ({"row": r.row, "x": r.element(0, start + i),
-                            "y": r.element(1, j)},)
-                checked = int((start + i) * len(ys) + j + 1)
-                break
-        records.append(CheckRecord(f"lemma7[row={r.row}]", status, witnesses=witness,
-                                   detail={"mode": r.mode, "checked": checked}))
+    for row, pair in enumerate(p_set(4), start=1):
+        bx, by = (moore_basis(E, 4 - s.size) for s in (pair.alpha, pair.beta))
+        bad = np.argwhere(matmul(_pairing_values(E, pair, bx, by, proj), d4.T, p).any(axis=2))
+        witness = tuple({"row": row, "x": list(map(int, bx[i])), "y": list(map(int, by[j]))}
+                        for i, j in bad[:1])
+        records.append(CheckRecord(f"lemma7[row={row}]", FAIL if witness else PASS,
+                                   witnesses=witness,
+                                   detail={"mode": "basis-exact", "checked": len(bx) * len(by)}))
     return records

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from moorekit import corpus
-from moorekit.cli import make_parser, run_command
+from moorekit.cli import parse_args, run_command
 from moorekit.coeff import Supply, elements
 from moorekit.crossed import (verify_2cm, verify_cm, crossed_as_2cm, induced_cm,
                               multiplication_cm, ThreeCrossedModule)
@@ -84,7 +84,7 @@ def test_criterion_3_lemma7(built):
         E = built(name)
         if moore_basis(E, 4).shape[0] != 0:
             continue
-        recs = lemma7_check(E, EXHAUSTIVE)
+        recs = lemma7_check(E)
         ok = ok and all(r.status == "pass" for r in recs)
     elapsed = time.time() - t0
     verdict(3, ok and elapsed < 60,
@@ -96,7 +96,7 @@ def test_criterion_4_proposition3_pipeline(built):
     ok = True
     details = []
     for name in ("constant", "ideal-pair", "cubic-chain"):  # lengths 0, 1, 2
-        out = three_crossed_from_simplicial(built(name), supply=EXHAUSTIVE)
+        out = three_crossed_from_simplicial(built(name))
         m = out.structure
         p = m.C0.p
         ok = ok and not (m.d2.matrix @ m.d3.matrix % p).any()
@@ -198,7 +198,7 @@ def test_criterion_10_lie():
     bad = LieAlgebra(PrimeField(3), t, ("a", "b"))
     ok = ok and any(v.kind == "alternating" for v in validate_lie(bad))
     for base in (lie_abelian(3, 2), lie_heisenberg(3)):
-        ok = ok and verify_lie_3cm(degenerate_lie_3cm(base), EXHAUSTIVE).verdict == "pass"
+        ok = ok and verify_lie_3cm(degenerate_lie_3cm(base)).verdict == "pass"
     m = degenerate_lie_3cm(lie_heisenberg(3))
     actions = dict(m.actions)
     badt = np.zeros((3, 1, 1), dtype=np.int64)
@@ -206,7 +206,7 @@ def test_criterion_10_lie():
     actions["01"] = BilinearMap(m.C0, m.C1, m.C1, badt)
     mut = ThreeCrossedModule(m.C3, m.C2, m.C1, m.C0, m.d3, m.d2, m.d1,
                              actions, m.liftings)
-    ok = ok and verify_lie_3cm(mut, EXHAUSTIVE).verdict == "fail"
+    ok = ok and verify_lie_3cm(mut).verdict == "fail"
     verdict(10, ok, "Lie validation accepts abelian and heisenberg, rejects "
             "the alternating mutant; chain verifier passes degenerates and "
             "fails mutants")
@@ -215,7 +215,7 @@ def test_criterion_10_lie():
 def test_criterion_11_determinism():
     def stream(argv):
         out = io.StringIO()
-        args = make_parser().parse_args(argv)
+        args = parse_args(argv)
         run_command(args, out)
         return out.getvalue()
 

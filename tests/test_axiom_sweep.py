@@ -4,7 +4,9 @@
 ``reference_evaluate`` below is the sweep it replaced: one tuple of
 unbatched Elements at a time, in itertools.product order.  Every test
 runs a verifier or table audit twice, once as shipped and once with the
-reference patched in, and requires identical entries and records.
+reference patched in, and requires identical entries and records.  The
+3CM6 tests at the end compare its decision on pairs of quadratic points
+with a sweep over every element pair of C2 instead.
 """
 
 import itertools
@@ -15,13 +17,14 @@ import pytest
 from moorekit import coeff, corpus, crossed, functors
 from moorekit.coeff import (Algebra, BilinearMap, Element, Morphism, Supply,
                             subspace_elements, supply_rows)
-from moorekit.crossed import ThreeCrossedModule, verify_2cm, verify_3cm, verify_cm
-from moorekit.functors import table_identities_check, three_crossed_from_simplicial
+from moorekit.crossed import (SIGNATURES, ThreeCrossedModule, trivial_3cm, verify_2cm,
+                              verify_3cm, verify_cm)
+from moorekit.functors import (table_identities_check, three_crossed_extraction,
+                               three_crossed_from_simplicial)
 from moorekit.lie import verify_lie_3cm
 from moorekit.simplicial import TruncatedSimplicialAlgebra
 
 CHARS = (2, 3, 5)
-SMALL = Supply(budget=16, exhaustive_bound=256)
 
 
 def reference_evaluate(slots, fun):
@@ -114,11 +117,11 @@ def test_crossed_and_two_crossed_corpus_match_reference(p, monkeypatch):
 @pytest.mark.parametrize("p", CHARS)
 def test_three_crossed_and_lie_corpus_match_reference(p, monkeypatch):
     for name, E in corpus.simplicial_corpus(p).items():
-        m = three_crossed_from_simplicial(E, supply=SMALL).structure
-        batched, reference = both(monkeypatch, lambda: entries(verify_3cm(m, SMALL)))
+        m = three_crossed_from_simplicial(E).structure
+        batched, reference = both(monkeypatch, lambda: entries(verify_3cm(m)))
         assert batched == reference, name
     for name, m in corpus.lie_three_corpus(p).items():
-        batched, reference = both(monkeypatch, lambda: entries(verify_lie_3cm(m, SMALL)))
+        batched, reference = both(monkeypatch, lambda: entries(verify_lie_3cm(m)))
         assert batched == reference, name
 
 
@@ -148,19 +151,18 @@ def test_degree3_tensor_matches_reference_with_its_findings(degree3, monkeypatch
 @pytest.mark.parametrize("seed", [1, 2])
 def test_random_liftings_fail_past_the_first_tuple(degree3, seed, monkeypatch):
     m = with_random_liftings(three_crossed_from_simplicial(degree3).structure, seed)
-    supply = Supply(seed=seed, budget=16, exhaustive_bound=4)  # 2^6 > 4: sampled
-    batched, reference = both(monkeypatch, lambda: entries(verify_3cm(m, supply)))
+    batched, reference = both(monkeypatch, lambda: entries(verify_3cm(m)))
     assert batched == reference
     failing = [checked for _, st, checked, *_ in batched if st == "fail"]
     assert failing and max(failing) > 1
     (mode,) = [detail for name, *_, detail in batched if name == "3CM6"]
-    assert mode == {"mode": "sampled"}
+    assert mode == {"mode": "basis-exact"}
 
 
 def test_grids_spanning_many_steps_match_reference(degree3, monkeypatch):
     m = with_random_liftings(three_crossed_from_simplicial(degree3).structure, 3)
     monkeypatch.setattr(coeff, "_SWEEP_CELLS", 7)  # every grid takes several steps
-    batched, reference = both(monkeypatch, lambda: entries(verify_3cm(m, SMALL)))
+    batched, reference = both(monkeypatch, lambda: entries(verify_3cm(m)))
     assert batched == reference
     assert sum(checked for _, _, checked, *_ in batched) > 7
     batched, reference = both(
@@ -179,9 +181,9 @@ def test_supply_rows_are_the_element_supply(p, dim, supply):
     assert exhaustive == (dim == 0 or supply.is_exhaustive(dim, p))
 
 
-def test_3cm6_mode_on_corpus_is_exhaustive(built):
+def test_3cm6_mode_on_corpus_is_basis_exact(built):
     rep = verify_3cm(three_crossed_from_simplicial(built("cubic-chain")).structure)
-    assert rep.entry("3CM6").detail == {"mode": "exhaustive"}
+    assert rep.entry("3CM6").detail == {"mode": "basis-exact"}
     assert [e.name for e in rep.entries if e.detail] == ["3CM6"]
 
 
@@ -189,3 +191,125 @@ def test_evaluate_reports_the_first_differing_pair():
     A = corpus.dual_numbers(3)
     fun = lambda x, y: [(x, x), (x * y, x + y)]  # noqa: E731
     assert crossed._evaluate([A, A], fun) == reference_evaluate([A, A], fun)
+
+
+# ---------------------------------------------------------------------------
+# 3CM6 on pairs of quadratic points against every element pair of C2
+
+
+def printed_3cm6(m: ThreeCrossedModule):
+    """3CM6 as printed: (lhs, rhs) at a pair of C2 elements."""
+    d2, a23 = m.d2, m.action("23")
+    L10, L20, L21, L201 = (m.lifting(k) for k in ("(1)(0)", "(2)(0)", "(2)(1)", "(2,0)(1)"))
+    return lambda x2, y2: (L201(d2(x2), y2),
+                           -L20(x2, y2) + a23(x2 * y2, L21(x2, y2)) + L10(x2, y2))
+
+
+def holds_on_every_pair(m: ThreeCrossedModule) -> bool:
+    A = m.C2
+    every = Element(A, np.array(list(itertools.product(range(A.p), repeat=A.dim)),
+                                dtype=np.int64).reshape(A.p ** A.dim, A.dim))
+    return crossed._evaluate([every, every], printed_3cm6(m))[1] is None
+
+
+def assert_3cm6_matches_every_pair(m: ThreeCrossedModule):
+    """verify_3cm decides 3CM6 as the sweep over every element pair does,
+    and a failing witness fails the printed formula; returns the entry."""
+    assert m.C2.p ** m.C2.dim <= 4096
+    entry = verify_3cm(m).entry("3CM6")
+    assert entry.detail == {"mode": "basis-exact"}
+    assert (entry.status == "pass") == holds_on_every_pair(m), m.name
+    if entry.status == "fail":
+        lhs, rhs = printed_3cm6(m)(*(Element(m.C2, np.array(entry.witness[arg]))
+                                     for arg in ("arg0", "arg1")))
+        assert lhs != rhs
+    return entry
+
+
+@pytest.mark.parametrize("p", CHARS)
+def test_3cm6_on_corpus_extractions_matches_every_pair(p):
+    for name, E in corpus.simplicial_corpus(p).items():
+        m = three_crossed_extraction(E).structure
+        assert assert_3cm6_matches_every_pair(m).status == "pass", name
+        for seed in (1, 2):
+            assert_3cm6_matches_every_pair(with_random_liftings(m, seed))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_3cm6_on_a_degree3_tensor_matches_every_pair(p):
+    # ideal-pair (x) sq0-lifting: C2 has dim 6 and C3 dim 3
+    simp = corpus.simplicial_corpus(p)
+    m = three_crossed_extraction(tensor_simplicial(simp["ideal-pair"], simp["sq0-lifting"])).structure
+    assert assert_3cm6_matches_every_pair(m).status == "pass"
+    for seed in (1, 2):
+        assert assert_3cm6_matches_every_pair(with_random_liftings(m, seed)).status == "fail"
+
+
+def random_3cm6_data(p: int, seed: int) -> ThreeCrossedModule:
+    """Sparse random levels (dims 0, 1, 1-3, 1-2), d2, actions and liftings:
+    every map 3CM6 reads, the product of C2 included, is random."""
+    rng = np.random.default_rng(seed)
+
+    def sparse(shape):
+        return rng.integers(0, p, shape) * (rng.random(shape) < 0.15)
+
+    dims = (0, 1, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+    levels = [Algebra(coeff.PrimeField(p), sparse((d, d, d)), tuple(f"e{i}" for i in range(d)))
+              for d in dims]
+    maps = {group: {key: BilinearMap(*(levels[i] for i in sig),
+                                     sparse(tuple(levels[i].dim for i in sig)))
+                    for key, sig in table.items()}
+            for group, table in SIGNATURES.items()}
+    C0, C1, C2, C3 = levels
+    return ThreeCrossedModule(C3, C2, C1, C0, Morphism.zero(C3, C2),
+                              Morphism(C2, C1, sparse((1, C2.dim))), Morphism.zero(C1, C0),
+                              name=f"random-{p}-{seed}", **maps)
+
+
+@pytest.mark.parametrize("p", CHARS)
+def test_3cm6_on_random_data_matches_every_pair(p):
+    statuses = {assert_3cm6_matches_every_pair(random_3cm6_data(p, seed)).status
+                for seed in range(30)}
+    assert statuses == {"pass", "fail"}
+
+
+def off_basis_mutant(p: int) -> ThreeCrossedModule:
+    """C1 = C0 = 0, C3 = span(w), and every map zero but e0 . w = w,
+    L21(e0, e0) = w and, for p > 2, L20(e0, e0) = w; 3CM6 then reads
+    F(x, y) = L20(x, y) - a23(x y, L21(x, y)).
+
+    p = 2: C2 = span(e0, e1) with e0 e1 = e1 e0 = e0, so
+    F = -(x0^2 y0 y1 + x0 x1 y0^2) w: zero on every basis pair, -w at
+    (e0, e0 + e1).  p = 3: C2 = span(e0) with e0 e0 = e0, so
+    F = (x y - x^2 y^2) w: the linear and square parts cancel at (e0, e0)
+    but not at (e0, -e0)."""
+    n = 2 if p == 2 else 1
+    product = np.zeros((n, n, n), dtype=np.int64)
+    if p == 2:
+        product[0, 1, 0] = product[1, 0, 0] = 1
+    else:
+        product[0, 0, 0] = 1
+    field = coeff.PrimeField(p)
+    zero = Algebra(field, np.zeros((0, 0, 0), dtype=np.int64), ())
+    C2 = Algebra(field, product, tuple(f"e{i}" for i in range(n)))
+    C3 = Algebra(field, np.zeros((1, 1, 1), dtype=np.int64), ("w",))
+    m = trivial_3cm((zero, zero, C2, C3), f"off-basis-{p}")
+
+    def first(L):
+        t = np.zeros(L.tensor.shape, dtype=np.int64)
+        t[0, 0, 0] = 1
+        return BilinearMap(L.left, L.right, L.target, t)
+
+    liftings = {**m.liftings, "(2)(1)": first(m.lifting("(2)(1)"))}
+    if p > 2:
+        liftings["(2)(0)"] = first(m.lifting("(2)(0)"))
+    actions = {**m.actions, "23": first(m.action("23"))}
+    return ThreeCrossedModule(C3, C2, zero, zero, m.d3, m.d2, m.d1, actions, liftings,
+                              name=m.name)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_3cm6_fails_off_the_basis_only(p):
+    m = off_basis_mutant(p)
+    assert crossed._evaluate([m.C2, m.C2], printed_3cm6(m)) == (m.C2.dim ** 2, None)
+    assert assert_3cm6_matches_every_pair(m).status == "fail"

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moorekit import coeff
-from moorekit.cli import main, make_parser, run_command
+from moorekit.cli import main, parse_args, run_command
 
 S2 = ["()", "(1)", "(0)", "(1,0)"]
 S4 = ["()", "(3)", "(2)", "(3,2)", "(1)", "(3,1)", "(2,1)", "(3,2,1)",
@@ -23,7 +23,7 @@ S4 = ["()", "(3)", "(2)", "(3,2)", "(1)", "(3,1)", "(2,1)", "(3,2,1)",
 
 def run(argv):
     out = io.StringIO()
-    args = make_parser().parse_args(argv)
+    args = parse_args(argv)
     code = run_command(args, out)
     return code, out.getvalue()
 
@@ -515,22 +515,22 @@ def test_every_corpus_document_name_is_an_entry_or_one_of_its_carriers(p):
 # is exact, so they stay byte for byte the same with the default size floor
 # and with every product in float64.
 STDOUT_DIGESTS = {
-    (2, "to-3xmod", "cubic-chain"): (0, "789362e8413c209557e2a58fc6f15ccb907337ad46722a1a92810c398d68e54d"),
+    (2, "to-3xmod", "cubic-chain"): (0, "37f2300ed9b3c05df6540f8fbf1303f25f1cee7aa689045268433378832d987f"),
     (2, "theorem5", "cubic-chain"): (0, "c11804c85b16145df28d24b5a219edb1fa555140133b519114b21e3afe28aa84"),
     (2, "tables 4", "cubic-chain"): (0, "ac09c843a3f78694eaebda84ca6c1bc492d2e1aca2f19e944aaa30ff0778f05e"),
-    (2, "to-3xmod", "top-degree-4"): (0, "7034337d1bb589d1fd1951223e76841741a400967f0cef0bfa0291232a4ea7e7"),
+    (2, "to-3xmod", "top-degree-4"): (0, "735732a7a4ec2005606a2c74515b6fa1570b181ced95239f0b638ff8df85ac9b"),
     (2, "theorem5", "top-degree-4"): (0, "899848c245374996fab55246109e6f77488d39c3205c97250825501fb5a5798b"),
     (2, "tables 4", "top-degree-4"): (0, "ac09c843a3f78694eaebda84ca6c1bc492d2e1aca2f19e944aaa30ff0778f05e"),
-    (3, "to-3xmod", "cubic-chain"): (2, "1a4f10952d43a9e400321f8e43b79c6bc860ed3ec5ffdcafec106665565de981"),
+    (3, "to-3xmod", "cubic-chain"): (2, "05cccfba1a6d55699d393a3dc7075bd7b28f344e9e8ec36c60d5661772e246f6"),
     (3, "theorem5", "cubic-chain"): (0, "c11804c85b16145df28d24b5a219edb1fa555140133b519114b21e3afe28aa84"),
     (3, "tables 4", "cubic-chain"): (0, "ac09c843a3f78694eaebda84ca6c1bc492d2e1aca2f19e944aaa30ff0778f05e"),
-    (3, "to-3xmod", "top-degree-4"): (0, "f216a0ca3c92d80dd93a9bf0495330f1231ab91dfb03aee10d0fe44d70dff27d"),
+    (3, "to-3xmod", "top-degree-4"): (0, "40c973d122acb25012a03f121a26c6ac6ce73add519e6b725536477dfdb59433"),
     (3, "theorem5", "top-degree-4"): (0, "899848c245374996fab55246109e6f77488d39c3205c97250825501fb5a5798b"),
     (3, "tables 4", "top-degree-4"): (0, "ac09c843a3f78694eaebda84ca6c1bc492d2e1aca2f19e944aaa30ff0778f05e"),
-    (5, "to-3xmod", "cubic-chain"): (2, "d3b36650129993688f0b0a08336643a9ca07a7b365f15f86ff0b40c3b6676df8"),
+    (5, "to-3xmod", "cubic-chain"): (2, "a83fa119e0d27f51675e2d7f7336dc02e9d808b65df312dd60ad51835d1e1b4f"),
     (5, "theorem5", "cubic-chain"): (0, "c11804c85b16145df28d24b5a219edb1fa555140133b519114b21e3afe28aa84"),
     (5, "tables 4", "cubic-chain"): (0, "ac09c843a3f78694eaebda84ca6c1bc492d2e1aca2f19e944aaa30ff0778f05e"),
-    (5, "to-3xmod", "top-degree-4"): (0, "16fdbad38d27c166c727fe719d27368a910e27c095d5ffb904a1d432dc9bcd1a"),
+    (5, "to-3xmod", "top-degree-4"): (0, "9e0184be5a41df863ea29db594923902b66d66cda8d37aa465e7bd2960a0438b"),
     (5, "theorem5", "top-degree-4"): (0, "899848c245374996fab55246109e6f77488d39c3205c97250825501fb5a5798b"),
     (5, "tables 4", "top-degree-4"): (0, "ac09c843a3f78694eaebda84ca6c1bc492d2e1aca2f19e944aaa30ff0778f05e"),
 }
@@ -607,7 +607,7 @@ _VALID_ARGVS = [
 
 @pytest.mark.parametrize("argv", _VALID_ARGVS, ids=" ".join)
 def test_command_table_reads_what_argparse_read(argv):
-    assert vars(make_parser().parse_args(argv)) == vars(_argparse_parser().parse_args(argv))
+    assert vars(parse_args(argv)) == vars(_argparse_parser().parse_args(argv))
 
 
 # usage errors of both parsers: unknown command or option, a missing or extra

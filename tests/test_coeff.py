@@ -9,7 +9,7 @@ from moorekit import coeff, corpus
 from moorekit.coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
                             PreconditionError, PrimeField, StructureError,
                             Supply, elements, ideal_closure, kernel, mul,
-                            null_space, quotient, rref, subalgebra,
+                            null_space, quadratic_points, quotient, rref, subalgebra,
                             validate_algebra)
 
 
@@ -210,6 +210,30 @@ def test_elements_exhaustive_and_sampled():
     assert len(run1) == 256 and run1 == run2
     other = [tuple(e.coeffs) for e in elements(big, Supply(seed=1))]
     assert run1 != other
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("dim", [0, 1, 2, 3])
+def test_quadratic_points_decide_linear_plus_quadratic_maps(p, dim):
+    eye = np.eye(dim, dtype=np.int64)
+    want = [*eye, *((p - 1) * eye if p > 2 else []),
+            *(eye[i] + eye[j] for i, j in itertools.combinations(range(dim), 2))]
+    rows = quadratic_points(dim, p)
+    assert rows.shape[1] == dim and rows.tolist() == [list(v) for v in want]
+    every = np.array(list(itertools.product(range(p), repeat=dim)),
+                     dtype=np.int64).reshape(p ** dim, dim)
+    rng = np.random.default_rng(10 * p + dim)
+    verdicts = set()
+    for _ in range(100):
+        lin = rng.integers(0, p, dim) * (rng.random(dim) < 0.3)
+        quad = rng.integers(0, p, (dim, dim)) * (rng.random((dim, dim)) < 0.3)
+
+        def f(v):
+            return (v @ lin + np.einsum("ni,ij,nj->n", v, quad, v)) % p
+
+        verdicts.add(not f(every).any())
+        assert (not f(rows).any()) == (not f(every).any())
+    assert verdicts == ({True} if dim == 0 else {True, False})
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -3,15 +3,13 @@ import pytest
 
 from moorekit import corpus
 from moorekit.coeff import (BilinearMap, Element, Morphism, PreconditionError,
-                            Supply, annihilator, square_span)
+                            annihilator, square_span)
 from moorekit.crossed import (CrossedModule, ThreeCrossedModule,
                               TwoCrossedModule, crossed_as_2cm, crossed_as_3cm,
                               ideal_pair, induced_cm, multiplication_cm,
                               verify_2cm, verify_3cm, verify_cm)
 from moorekit.functors import three_crossed_from_simplicial, two_crossed_from_simplicial
 from moorekit.lie import degenerate_lie_3cm, lie_heisenberg, verify_lie_3cm
-
-SMALL = Supply(budget=16, exhaustive_bound=256)
 
 
 # ---------------------------------------------------------------------------
@@ -148,18 +146,18 @@ def test_induced_cm_from_length_two_instance(built):
 def test_verify_3cm_degenerate_over_crossed_module():
     for p in (2, 3):
         m = crossed_as_3cm(corpus.cm_ideal_dual(p))
-        assert verify_3cm(m, SMALL).verdict == "pass"
+        assert verify_3cm(m).verdict == "pass"
 
 
 def test_verify_3cm_functor_output_passes(built):
-    out = three_crossed_from_simplicial(built("cubic-chain"), supply=SMALL)
+    out = three_crossed_from_simplicial(built("cubic-chain"))
     assert out.report.verdict == "pass"
 
 
 def test_verify_3cm_mutation_breaks_3cm4(built):
     # the corpus has C3 = 0, so the degree-1 lifting is the one that can
     # carry a perturbation; 3CM4 reads it through the boundaries
-    out = three_crossed_from_simplicial(built("cubic-chain"), supply=SMALL)
+    out = three_crossed_from_simplicial(built("cubic-chain"))
     m = out.structure
     t = np.array(m.liftings["()"].tensor)
     t[1, 1, 0] = (t[1, 1, 0] + 1) % m.C2.p  # bump {w (x) w}, w = d2-image
@@ -167,13 +165,13 @@ def test_verify_3cm_mutation_breaks_3cm4(built):
     liftings["()"] = BilinearMap(m.C1, m.C1, m.C2, t)
     mutated = ThreeCrossedModule(m.C3, m.C2, m.C1, m.C0, m.d3, m.d2, m.d1,
                                  m.actions, liftings, name="mutated")
-    rep = verify_3cm(mutated, SMALL)
+    rep = verify_3cm(mutated)
     assert rep.entry("3CM4").status == "fail"
     assert rep.entry("3CM4").witness is not None
 
 
 def test_verify_3cm_lifting_key_aliases(built):
-    out = three_crossed_from_simplicial(built("ideal-pair"), supply=SMALL)
+    out = three_crossed_from_simplicial(built("ideal-pair"))
     m = out.structure
     assert m.lifting("(0)(2)") is m.lifting("(2)(0)")
 
@@ -213,13 +211,13 @@ VERIFY_LIE_3CM_NAMES = (
 
 
 def test_verify_3cm_record_names_pinned(built):
-    out = three_crossed_from_simplicial(built("cubic-chain"), supply=SMALL)
-    rep = verify_3cm(out.structure, SMALL)
+    out = three_crossed_from_simplicial(built("cubic-chain"))
+    rep = verify_3cm(out.structure)
     assert [e.name for e in rep.entries] == VERIFY_3CM_NAMES
     assert [e.name for e in out.report.entries] == VERIFY_3CM_NAMES
 
 
 def test_verify_lie_3cm_record_names_pinned():
-    rep = verify_lie_3cm(degenerate_lie_3cm(lie_heisenberg(3)), SMALL)
+    rep = verify_lie_3cm(degenerate_lie_3cm(lie_heisenberg(3)))
     assert [e.name for e in rep.entries] == VERIFY_LIE_3CM_NAMES
     assert rep.title == "degenerate(heisenberg)"

@@ -10,11 +10,9 @@ from moorekit.document import (DocumentBuilder, DocumentError, corpus_document,
                                load_document)
 from moorekit.functors import three_crossed_from_simplicial
 from moorekit.lie import LieAlgebra, verify_lie_3cm
-from moorekit.coeff import Algebra, Supply, algebras_equal
+from moorekit.coeff import Algebra, algebras_equal
 from moorekit.moore import moore
 from moorekit.simplicial import validate_simplicial
-
-SMALL = Supply(budget=16, exhaustive_bound=256)
 
 
 def _carriers(obj):
@@ -53,7 +51,7 @@ def test_corpus_document_loads_and_validates():
     for t in doc.two_crossed_modules.values():
         assert verify_2cm(t).verdict == "pass"
     for m in doc.lie_three_crossed.values():
-        assert verify_lie_3cm(m, SMALL).verdict == "pass"
+        assert verify_lie_3cm(m).verdict == "pass"
 
 
 def test_document_roundtrip_preserves_structures():
@@ -68,12 +66,12 @@ def test_document_roundtrip_preserves_structures():
 
 
 def test_three_crossed_document_roundtrip(built):
-    out = three_crossed_from_simplicial(built("cubic-chain"), supply=SMALL)
+    out = three_crossed_from_simplicial(built("cubic-chain"))
     b = DocumentBuilder()
     b.three_crossed(out.structure, "probe")
     doc = load_document(b.dumps())
     back = doc.three_crossed_modules["probe"]
-    rep = verify_3cm(back, SMALL)
+    rep = verify_3cm(back)
     assert rep.verdict == "pass"
     for key, bl in out.structure.liftings.items():
         assert np.array_equal(back.liftings[key].tensor, bl.tensor)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from moorekit import corpus, functors
-from moorekit.coeff import Supply, algebras_equal
+from moorekit.coeff import algebras_equal
 from moorekit.crossed import verify_2cm, verify_cm
 from moorekit.functors import (cm_from_simplicial, lifting_convention_audit,
                                roundtrip_check, table_identities_check,
@@ -13,8 +13,6 @@ from moorekit.functors import (cm_from_simplicial, lifting_convention_audit,
 from moorekit.moore import moore, moore_basis
 from moorekit.simplicial import (build_from_2crossed, build_from_crossed,
                                  constant_simplicial)
-
-SMALL = Supply(budget=16, exhaustive_bound=256)
 
 
 def test_cm_from_simplicial_roundtrip():
@@ -76,7 +74,7 @@ def test_roundtrips_whole_corpus(p):
 
 
 def test_three_crossed_degenerate_input(built):
-    out = three_crossed_from_simplicial(built("ideal-pair"), supply=SMALL)
+    out = three_crossed_from_simplicial(built("ideal-pair"))
     m = out.structure
     assert m.C3.dim == 0 and m.C2.dim == 0
     assert out.report.verdict == "pass"
@@ -85,7 +83,7 @@ def test_three_crossed_degenerate_input(built):
 def test_three_crossed_quotient_trivial_when_ne4_zero(built):
     E = built("cubic-chain")
     assert moore_basis(E, 4).shape[0] == 0
-    out = three_crossed_from_simplicial(E, supply=SMALL)
+    out = three_crossed_from_simplicial(E)
     assert out.provenance["divided_dim"] == 0
     assert out.structure.C3.dim == moore(E).spaces[3].dim
 
@@ -93,7 +91,7 @@ def test_three_crossed_quotient_trivial_when_ne4_zero(built):
 def test_three_crossed_pipeline_lengths_0_1_2(built):
     for name, length in (("constant", 0), ("ideal-pair", 1), ("cubic-chain", 2)):
         E = built(name)
-        out = three_crossed_from_simplicial(E, supply=SMALL)
+        out = three_crossed_from_simplicial(E)
         m = out.structure
         p = m.C0.p
         assert not (m.d2.matrix @ m.d3.matrix % p).any()
@@ -105,7 +103,7 @@ def test_three_crossed_pipeline_lengths_0_1_2(built):
 
 
 def test_three_crossed_liftings_land_in_components(built):
-    out = three_crossed_from_simplicial(built("cubic-chain"), supply=SMALL)
+    out = three_crossed_from_simplicial(built("cubic-chain"))
     m = out.structure
     assert m.liftings["()"].target is m.C2
     for key in ("(1)(0)", "(2)(0)", "(2)(1)", "(1,0)(2)", "(2,0)(1)", "(0)(2,1)"):
@@ -162,7 +160,7 @@ def test_table2_trivial_on_constant():
 
 def test_convention_audit_odd_characteristic(built):
     E = built("cubic-chain", 3)
-    recs = lifting_convention_audit(E, SMALL)
+    recs = lifting_convention_audit(E)
     by_name = {r.check: r.detail for r in recs}
     # the sign-sensitive axiom: holds under def1, fails under prop3
     assert by_name["convention[3CM2]"] == {"prop3": "fail", "def1": "pass"}

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 
-from moorekit.coeff import BilinearMap, Morphism, PrimeField, Supply
+from moorekit.coeff import BilinearMap, Morphism, PrimeField
 from moorekit.crossed import ThreeCrossedModule
 from moorekit.lie import (LieAlgebra, degenerate_lie_3cm, lie_abelian,
                           lie_action_violations, lie_heisenberg, validate_lie,
                           verify_lie_3cm, verify_lie_crossed, verify_lie_2cm)
-
-SMALL = Supply(budget=16, exhaustive_bound=256)
 
 
 def test_validate_lie_abelian_and_heisenberg():
@@ -87,7 +85,7 @@ def test_verify_lie_2cm_degenerate():
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_verify_lie_3cm_degenerate_corpus(p):
     for base in (lie_abelian(p, 2), lie_heisenberg(p)):
-        rep = verify_lie_3cm(degenerate_lie_3cm(base), SMALL)
+        rep = verify_lie_3cm(degenerate_lie_3cm(base))
         assert rep.verdict == "pass", [e.name for e in rep.failing()]
 
 
@@ -101,7 +99,7 @@ def test_verify_lie_3cm_mutant_fails_with_witness():
     actions["01"] = BilinearMap(m.C0, m.C1, m.C1, bad)
     mutated = ThreeCrossedModule(m.C3, m.C2, m.C1, m.C0, m.d3, m.d2, m.d1,
                                  actions, m.liftings, name="mutated")
-    rep = verify_lie_3cm(mutated, SMALL)
+    rep = verify_lie_3cm(mutated)
     assert rep.entry("lie-action-01").status == "fail"
     assert rep.verdict == "fail"
 
@@ -135,7 +133,7 @@ def test_verify_lie_3cm_lifting_mutant_fails():
     mutated = ThreeCrossedModule(
         L3, L2, one, m.C0, Morphism.zero(L3, L2), Morphism.zero(L2, one),
         m.d1, actions, liftings, name="mutant")
-    rep = verify_lie_3cm(mutated, SMALL)
+    rep = verify_lie_3cm(mutated)
     # the zero boundaries hide the lifting from 3CM4, but 3CM3 reads it raw:
     # {l2 (x) d2 m2}_(0)(2,1) = 0 while {l2 (x) m2}_(2)(1) - {l2 (x) m2}_(1)(0)
     # picks up the perturbation

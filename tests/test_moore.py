@@ -260,9 +260,9 @@ def test_printed_side_on_random_faces_and_degeneracies(p):
 
 
 def test_lemma7_pass_and_gate(built):
-    recs = lemma7_check(built("cubic-chain"), SMALL)
+    recs = lemma7_check(built("cubic-chain"))
     assert all(r.status == "pass" for r in recs) and len(recs) == 25
-    gate = lemma7_check(corpus.simplicial_corpus(2)["top-degree-4"], SMALL)
+    gate = lemma7_check(corpus.simplicial_corpus(2)["top-degree-4"])
     assert gate[0].status == "hypothesis-failed"
     assert "length > 3" in gate[0].detail["reason"]
 
@@ -275,13 +275,18 @@ def test_s_word_morphism_matches_composition(built):
 
 
 # ---------------------------------------------------------------------------
-# Table 1 and Lemma 7 against a plain per-pair sweep
+# Table 1 against a plain per-pair sweep over the supply, Lemma 7 against a
+# plain sweep over the pairs of Moore-basis rows
 
 SIMPLICIAL = list(corpus.simplicial_corpus(2))
 
 
 def _coeffs(z):
     return list(map(int, z.coeffs))
+
+
+def _lines(records):
+    return [r.json_line() for r in records]
 
 
 def _supply(E, c, supply):
@@ -292,17 +297,16 @@ def _supply(E, c, supply):
     return elems, r == 0 or E.level(c).p ** r <= supply.exhaustive_bound
 
 
-def reference_sweeps(E, supply):
-    """Table-1 and Lemma-7 records from one table1_eval and one in_moore
-    call per supply pair; Lemma 7's NE_4 = 0 gate is left to the caller."""
-    table1, lemma7 = [], []
+def reference_table1(E, supply):
+    """Table-1 records from one table1_eval and one in_moore call per
+    supply pair."""
+    table1 = []
     for row, pair in enumerate(p_set(4), start=1):
         xs, x_all = _supply(E, 4 - pair.alpha.size, supply)
         ys, y_all = _supply(E, 4 - pair.beta.size, supply)
         mode = "exhaustive" if x_all and y_all else "sampled"
         status, witness = "confirmed", ()
-        l7_status, l7_witness, l7_checked = "pass", (), len(xs) * len(ys)
-        for k, (x, y) in enumerate(itertools.product(xs, ys)):
+        for x, y in itertools.product(xs, ys):
             if not in_moore(E, 4, c_pairing(E, pair, x, y)):
                 table1.append(CheckRecord(f"table1[row={row}].membership", "fail",
                                           witnesses=({"x": _coeffs(x), "y": _coeffs(y)},)))
@@ -311,29 +315,45 @@ def reference_sweeps(E, supply):
                 status = "discrepant"
                 witness = ({"x": _coeffs(x), "y": _coeffs(y),
                             "lhs": _coeffs(lhs), "rhs": _coeffs(rhs)},)
-            if not lhs.is_zero() and l7_status == "pass":
-                l7_status, l7_checked = "fail", k + 1
-                l7_witness = ({"row": row, "x": _coeffs(x), "y": _coeffs(y)},)
         table1.append(CheckRecord(f"table1[row={row}]", status, witnesses=witness,
                                   detail={"pair": str(pair), "checked": len(xs) * len(ys),
                                           "mode": mode}))
-        lemma7.append(CheckRecord(f"lemma7[row={row}]", l7_status, witnesses=l7_witness,
-                                  detail={"mode": mode, "checked": l7_checked}))
-    return table1, lemma7
+    return table1
+
+
+def reference_lemma7(E):
+    """Lemma-7 records from one c_pairing and one d_4 per pair of
+    Moore-basis rows; the NE_4 = 0 gate is left to the caller."""
+    lemma7 = []
+    for row, pair in enumerate(p_set(4), start=1):
+        xs, ys = ([Element(E.level(c), v) for v in moore_basis(E, c)]
+                  for c in (4 - pair.alpha.size, 4 - pair.beta.size))
+        bad = [(x, y) for x, y in itertools.product(xs, ys)
+               if not E.face(4, 4)(c_pairing(E, pair, x, y)).is_zero()]
+        lemma7.append(CheckRecord(
+            f"lemma7[row={row}]", "fail" if bad else "pass",
+            witnesses=tuple({"row": row, "x": _coeffs(x), "y": _coeffs(y)} for x, y in bad[:1]),
+            detail={"mode": "basis-exact", "checked": len(xs) * len(ys)}))
+    return lemma7
+
+
+def assert_lemma7_matches_reference(E):
+    """lemma7_check reproduces the reference records byte for byte, or
+    answers hypothesis-failed when NE_4 != 0; returns its records."""
+    got = lemma7_check(E)
+    if moore_basis(E, 4).shape[0] == 0:
+        assert _lines(got) == _lines(reference_lemma7(E))
+    else:
+        assert [r.status for r in got] == ["hypothesis-failed"]
+    return got
 
 
 def assert_matches_reference(E, supply):
     """Both audits reproduce the reference records byte for byte; returns
     the Table-1 and Lemma-7 records."""
-    want_t1, want_l7 = reference_sweeps(E, supply)
     got_t1 = table1_audit(E, supply)
-    assert [r.json_line() for r in got_t1] == [r.json_line() for r in want_t1]
-    got_l7 = lemma7_check(E, supply)
-    if moore_basis(E, 4).shape[0] == 0:
-        assert [r.json_line() for r in got_l7] == [r.json_line() for r in want_l7]
-    else:
-        assert [r.status for r in got_l7] == ["hypothesis-failed"]
-    return got_t1, got_l7
+    assert _lines(got_t1) == _lines(reference_table1(E, supply))
+    return got_t1, assert_lemma7_matches_reference(E)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -341,6 +361,13 @@ def assert_matches_reference(E, supply):
 def test_audits_match_reference_sweep(name, p, built):
     recs, _ = assert_matches_reference(built(name, p), Supply())
     assert {r.detail["mode"] for r in recs} == {"exhaustive"}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", SIMPLICIAL)
+def test_lemma7_matches_basis_pair_reference(name, p, built):
+    recs = assert_lemma7_matches_reference(built(name, p))
+    assert {r.detail.get("mode") for r in recs} <= {"basis-exact", None}
 
 
 def test_audits_match_reference_on_sampled_supply(built):
@@ -382,7 +409,8 @@ def test_discrepant_witness_is_first_failing_pair(built, monkeypatch):
 
 def test_membership_failures_in_sweep_order(built, monkeypatch):
     # p projects onto NE_4 on any simplicial algebra, so C_{alpha,beta}
-    # leaves NE_4 only when the level-4 degeneracies are broken
+    # leaves NE_4, and Lemma 7 can fail, only when the level-4 degeneracies
+    # are broken: with NE_4 = 0, C_{alpha,beta} is zero otherwise
     E = built("module-id", 2)
     rng = np.random.default_rng(0)
     for j in range(4):
