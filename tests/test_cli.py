@@ -547,6 +547,66 @@ def test_stdout_digest_is_pinned(key, floor, monkeypatch):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == STDOUT_DIGESTS[key]
 
 
+# sha256 of the record lines (every line but an emitted document) and the
+# exit code of the commands whose documents drop out: the crossed and
+# 2-crossed extractions (to-xmod on cubic-chain and top-degree-4 divides
+# NE_1), the verifiers on every crossed and 2-crossed corpus name, and
+# both round trips.
+RECORD_DIGESTS = {
+    (2, "to-xmod", "top-degree-4"): (0, "228c8c43ecdb8bcadc50c344bed1a4a6fa3db07c8f2e5c3400d27d1a9a8c8cf0"),
+    (2, "to-xmod", "cubic-chain"): (0, "902992bb68049d7b09507bf35dc9e3100b3974dec7db22806c7cdb9a14d90d00"),
+    (2, "to-2xmod", "module-id"): (0, "61ebad4b3ac5e3b63b99e668958c512a367fd8c5e61d39e152d5635ea19ba42b"),
+    (2, "verify-xmod", "ideal-pair"): (0, "d198d6f88dacdabf1c4faade03793574d97d6389411979158684c2da4f650e75"),
+    (2, "verify-xmod", "ideal-pair-cubic"): (0, "8b10e145676b7c6b835f8fe682617aab1e4cdee78c2b30052fcdb55be6e76885"),
+    (2, "verify-xmod", "zero-module"): (0, "45491f48500e4d64ca6cb20ab5592cdf52be2369d6733b52adefd0dea3272b40"),
+    (2, "verify-xmod", "mult-zmod"): (0, "82687abc877dc8c320097fc5b5cbfbbfcd0a72ae2a541268bb7b2579f5f514f1"),
+    (2, "verify-xmod", "mult-dual"): (0, "eb273009e6ff71b4e186877ed59e5bd717e1b4c6edf2ecdde99ae53bf73673c0"),
+    (2, "verify-2xmod", "sq0-lifting"): (0, "6ad3b6b3ae5f588e0a0acb26a8bd2acbd20b87d21635da83d4980919c20f6ef2"),
+    (2, "verify-2xmod", "cubic-chain"): (0, "0f0fe156d2a163f29ef186e71f4a9b18f30ad135bf1fecd59a88b4faadca8be8"),
+    (2, "verify-2xmod", "module-id"): (0, "86133387801657dd92f6adff88ec162f27b3a6c9880ef04cd69841031ca2a0f4"),
+    (2, "verify-2xmod", "remark1-ideal-pair"): (0, "bd9c950dd880330a9dda7c8a9bf0015cb455715d2f4692e441f584a1fa6f1aa8"),
+    (2, "verify-2xmod", "remark1-zero-module"): (0, "167f4571fd4a75ba327414abe792331e8a7a0ce707c5ad1783a115711d202a78"),
+    (2, "roundtrip", ""): (0, "8e0bec67a125807cf649124735a06eeb6dac8aa75a8e1311152f81c59fe27122"),
+    (3, "to-xmod", "top-degree-4"): (0, "228c8c43ecdb8bcadc50c344bed1a4a6fa3db07c8f2e5c3400d27d1a9a8c8cf0"),
+    (3, "to-xmod", "cubic-chain"): (0, "902992bb68049d7b09507bf35dc9e3100b3974dec7db22806c7cdb9a14d90d00"),
+    (3, "to-2xmod", "module-id"): (0, "61ebad4b3ac5e3b63b99e668958c512a367fd8c5e61d39e152d5635ea19ba42b"),
+    (3, "verify-xmod", "ideal-pair"): (0, "d198d6f88dacdabf1c4faade03793574d97d6389411979158684c2da4f650e75"),
+    (3, "verify-xmod", "ideal-pair-cubic"): (0, "8b10e145676b7c6b835f8fe682617aab1e4cdee78c2b30052fcdb55be6e76885"),
+    (3, "verify-xmod", "zero-module"): (0, "45491f48500e4d64ca6cb20ab5592cdf52be2369d6733b52adefd0dea3272b40"),
+    (3, "verify-xmod", "mult-zmod"): (0, "82687abc877dc8c320097fc5b5cbfbbfcd0a72ae2a541268bb7b2579f5f514f1"),
+    (3, "verify-xmod", "mult-group-line"): (0, "01791eefafd73e2885b0da51b352e634f055f4f7442a65d0b4806978da7aa68d"),
+    (3, "verify-2xmod", "sq0-lifting"): (0, "6ad3b6b3ae5f588e0a0acb26a8bd2acbd20b87d21635da83d4980919c20f6ef2"),
+    (3, "verify-2xmod", "cubic-chain"): (0, "0f0fe156d2a163f29ef186e71f4a9b18f30ad135bf1fecd59a88b4faadca8be8"),
+    (3, "verify-2xmod", "module-id"): (0, "86133387801657dd92f6adff88ec162f27b3a6c9880ef04cd69841031ca2a0f4"),
+    (3, "verify-2xmod", "remark1-ideal-pair"): (0, "bd9c950dd880330a9dda7c8a9bf0015cb455715d2f4692e441f584a1fa6f1aa8"),
+    (3, "verify-2xmod", "remark1-zero-module"): (0, "167f4571fd4a75ba327414abe792331e8a7a0ce707c5ad1783a115711d202a78"),
+    (3, "roundtrip", ""): (0, "ec6a822b7668a895cf77ba36e44a10b37fa0cfe915b4fefaadc0be03452b47d2"),
+    (5, "to-xmod", "top-degree-4"): (0, "228c8c43ecdb8bcadc50c344bed1a4a6fa3db07c8f2e5c3400d27d1a9a8c8cf0"),
+    (5, "to-xmod", "cubic-chain"): (0, "902992bb68049d7b09507bf35dc9e3100b3974dec7db22806c7cdb9a14d90d00"),
+    (5, "to-2xmod", "module-id"): (0, "61ebad4b3ac5e3b63b99e668958c512a367fd8c5e61d39e152d5635ea19ba42b"),
+    (5, "verify-xmod", "ideal-pair"): (0, "d198d6f88dacdabf1c4faade03793574d97d6389411979158684c2da4f650e75"),
+    (5, "verify-xmod", "ideal-pair-cubic"): (0, "8b10e145676b7c6b835f8fe682617aab1e4cdee78c2b30052fcdb55be6e76885"),
+    (5, "verify-xmod", "zero-module"): (0, "45491f48500e4d64ca6cb20ab5592cdf52be2369d6733b52adefd0dea3272b40"),
+    (5, "verify-xmod", "mult-zmod"): (0, "82687abc877dc8c320097fc5b5cbfbbfcd0a72ae2a541268bb7b2579f5f514f1"),
+    (5, "verify-xmod", "mult-group-line"): (0, "01791eefafd73e2885b0da51b352e634f055f4f7442a65d0b4806978da7aa68d"),
+    (5, "verify-2xmod", "sq0-lifting"): (0, "6ad3b6b3ae5f588e0a0acb26a8bd2acbd20b87d21635da83d4980919c20f6ef2"),
+    (5, "verify-2xmod", "cubic-chain"): (0, "0f0fe156d2a163f29ef186e71f4a9b18f30ad135bf1fecd59a88b4faadca8be8"),
+    (5, "verify-2xmod", "module-id"): (0, "86133387801657dd92f6adff88ec162f27b3a6c9880ef04cd69841031ca2a0f4"),
+    (5, "verify-2xmod", "remark1-ideal-pair"): (0, "bd9c950dd880330a9dda7c8a9bf0015cb455715d2f4692e441f584a1fa6f1aa8"),
+    (5, "verify-2xmod", "remark1-zero-module"): (0, "167f4571fd4a75ba327414abe792331e8a7a0ce707c5ad1783a115711d202a78"),
+    (5, "roundtrip", ""): (0, "ec6a822b7668a895cf77ba36e44a10b37fa0cfe915b4fefaadc0be03452b47d2"),
+}
+
+
+@pytest.mark.parametrize("key", list(RECORD_DIGESTS),
+                         ids=[f"p{p}-{cmd}-{name}".rstrip("-") for p, cmd, name in RECORD_DIGESTS])
+def test_record_lines_digest_is_pinned(key):
+    p, cmd, name = key
+    code, out = run(["--char", str(p), cmd, *([name] if name else [])])
+    lines = [line for line in out.splitlines() if "check" in json.loads(line)]
+    assert (code, hashlib.sha256("\n".join(lines).encode()).hexdigest()) == RECORD_DIGESTS[key]
+
+
 def _argparse_parser():
     """The argparse parser the command table replaced, kept as a reference."""
     import argparse

@@ -5,7 +5,7 @@ import pytest
 
 from moorekit import corpus, functors
 from moorekit.coeff import algebras_equal
-from moorekit.crossed import verify_2cm, verify_cm
+from moorekit.crossed import induced_cm, verify_2cm, verify_cm
 from moorekit.functors import (cm_from_simplicial, lifting_convention_audit,
                                roundtrip_check, table_identities_check,
                                three_crossed_from_simplicial,
@@ -39,6 +39,20 @@ def test_cm_from_simplicial_quotients_longer_input(built):
     assert verify_cm(back).verdict == "pass"
     # NE_1 / closure(im d2): the image is <w>, which is already an ideal
     assert back.C.dim == 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", ["sq0-lifting", "cubic-chain", "module-id"])
+def test_cm_from_simplicial_is_the_induced_cm_at_length_two(name, p, built):
+    # Remark 2: dividing NE_1 by the boundary image of NE_2 is the crossed
+    # module induced by the 2-crossed extraction
+    E = built(name, p)
+    assert moore(E).length() == 2
+    cm, ind = cm_from_simplicial(E), induced_cm(two_crossed_from_simplicial(E))
+    assert algebras_equal(cm.C, ind.C) and algebras_equal(cm.R, ind.R)
+    assert cm.C.basis_names == ind.C.basis_names
+    assert np.array_equal(cm.boundary.matrix, ind.boundary.matrix)
+    assert np.array_equal(cm.action.tensor, ind.action.tensor)
 
 
 def test_two_crossed_from_length_one_matches_remark1(built):
