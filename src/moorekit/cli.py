@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import re
 import sys
+from dataclasses import replace
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -80,7 +81,7 @@ class Command(NamedTuple):
 
 GLOBAL_OPTIONS = {
     "--input": (str, None),  # JSON document, '-' for stdin (default: built-in corpus)
-    "--seed": (int, 0),
+    "--seed": (int, 0),  # --seed, --budget, --exhaustive-bound: the element supply of table1
     "--budget": (positive, 256),
     "--exhaustive-bound": (int, 4096),
     "--char": (primes, (2,)),  # comma-separated characteristics for the built-in corpus
@@ -227,12 +228,11 @@ def _documents(args) -> list[tuple[str, Document]]:
     holding only the entries named args.name or owning it as a carrier."""
     if args.input:
         return [("", load_document(_read_input(args.input)))]
-    supply = Supply(args.seed, args.budget, args.exhaustive_bound)
     names = {args.name, args.name.split(".", 1)[0]}
     out = []
     for p in args.char:
         label = f"@p={p}" if len(args.char) > 1 else ""
-        out.append((label, load_document(corpus_document(p, supply, names))))
+        out.append((label, load_document(corpus_document(p, names))))
     return out
 
 
@@ -259,15 +259,14 @@ def _tag(records, label):
 
 
 def _axiom_records(report, title, audit=False):
-    out = []
-    for e in report.entries:
-        status = e.status
-        if audit and status == FAIL and not e.name.startswith(_INVARIANT_PREFIXES):
-            status = DISCREPANT
-        out.append(CheckRecord(f"{title}/{e.name}", status,
-                               witnesses=(e.witness,) if e.witness else (),
-                               detail=e.detail or {}))
-    return out
+    """The report's records under `title`; with `audit`, a failing axiom
+    outside _INVARIANT_PREFIXES is a discrepancy."""
+    records = replace(report, title=title).records()
+    if not audit:
+        return records
+    return [replace(r, status=DISCREPANT)
+            if r.status == FAIL and not e.name.startswith(_INVARIANT_PREFIXES) else r
+            for r, e in zip(records, report.entries)]
 
 
 def _listing_record(kind, n, items) -> CheckRecord:
@@ -275,7 +274,6 @@ def _listing_record(kind, n, items) -> CheckRecord:
 
 
 def run_command(args, out) -> int:
-    supply = Supply(args.seed, args.budget, args.exhaustive_bound)
     records: list[CheckRecord] = []
     extra_lines: list[str] = []
 
@@ -291,7 +289,7 @@ def run_command(args, out) -> int:
             records.append(_listing_record("pairings", n, items))
     elif args.command == "corpus":
         for p in args.char:
-            extra_lines.append(corpus_document(p, supply))
+            extra_lines.append(corpus_document(p))
     elif args.command == "roundtrip":
         levels = (1, 2) if args.level == "both" else (int(args.level),)
         for p in args.char:
@@ -299,7 +297,7 @@ def run_command(args, out) -> int:
             records.extend(_tag(recs, f"@p={p}" if len(args.char) > 1 else ""))
     else:
         for label, doc in _documents(args):
-            records.extend(_tag(_run_named(args, doc, supply, extra_lines), label))
+            records.extend(_tag(_run_named(args, doc, extra_lines), label))
 
     for line in extra_lines:
         out.write(line + "\n")
@@ -319,7 +317,7 @@ _VALIDATORS = {"algebra": validate_algebra, "lie-algebra": validate_lie,
                "simplicial": validate_simplicial}
 
 
-def _run_named(args, doc: Document, supply: Supply, extra_lines: list) -> list[CheckRecord]:
+def _run_named(args, doc: Document, extra_lines: list) -> list[CheckRecord]:
     """The records of a command on one named object.  When the object
     fails the hypothesis of a construction (PreconditionError), the
     command answers with one hypothesis-failed record and emits no
@@ -333,7 +331,7 @@ def _run_named(args, doc: Document, supply: Supply, extra_lines: list) -> list[C
         raise DocumentError(f"{name!r} is a {kind}, expected {kinds[0]}", "cli")
     emitted: list[str] = []
     try:
-        records = _named_records(args, kind, obj, supply, emitted)
+        records = _named_records(args, kind, obj, emitted)
     except PreconditionError as exc:
         return [CheckRecord(f"{command}[{name}]", HYPOTHESIS_FAILED,
                             detail={"reason": str(exc)})]
@@ -341,7 +339,7 @@ def _run_named(args, doc: Document, supply: Supply, extra_lines: list) -> list[C
     return records
 
 
-def _named_records(args, kind, obj, supply: Supply, extra_lines: list) -> list[CheckRecord]:
+def _named_records(args, kind, obj, extra_lines: list) -> list[CheckRecord]:
     """The records of a command on an object of a kind it takes."""
     command, name = args.command, args.name
     records: list[CheckRecord] = []
@@ -359,7 +357,7 @@ def _named_records(args, kind, obj, supply: Supply, extra_lines: list) -> list[C
         except PreconditionError as exc:
             records.append(CheckRecord(f"moore[{name}]", FAIL, detail={"error": str(exc)}))
     elif command == "table1":
-        records.extend(table1_audit(obj, supply))
+        records.extend(table1_audit(obj, Supply(args.seed, args.budget, args.exhaustive_bound)))
     elif command == "lemma7":
         records.extend(lemma7_check(obj))
     elif command == "theorem5":
@@ -370,21 +368,21 @@ def _named_records(args, kind, obj, supply: Supply, extra_lines: list) -> list[C
         cm = cm_from_simplicial(obj)
         b = DocumentBuilder()
         b.crossed(cm, f"{name}-xmod")
-        extra_lines.append(b.dumps(supply))
+        extra_lines.append(b.dumps())
         records.append(CheckRecord(f"to-xmod[{name}]", PASS,
                                    detail={"C_dim": cm.C.dim, "R_dim": cm.R.dim}))
     elif command == "to-2xmod":
         t = two_crossed_from_simplicial(obj, args.convention)
         b = DocumentBuilder()
         b.two_crossed(t, f"{name}-2xmod")
-        extra_lines.append(b.dumps(supply))
+        extra_lines.append(b.dumps())
         records.append(CheckRecord(f"to-2xmod[{name}]", PASS,
                                    detail={"dims": [t.C2.dim, t.C1.dim, t.C0.dim]}))
     elif command == "to-3xmod":
         outp = three_crossed_from_simplicial(obj, args.convention)
         b = DocumentBuilder()
         b.three_crossed(outp.structure, f"{name}-3xmod")
-        extra_lines.append(b.dumps(supply))
+        extra_lines.append(b.dumps())
         records.append(CheckRecord(f"to-3xmod[{name}]", PASS, detail=outp.provenance))
         records.extend(_axiom_records(outp.report, f"to-3xmod[{name}]", audit=True))
     elif command == "verify-xmod":

@@ -341,9 +341,6 @@ class Element:
         self._check_parent(other)
         return Element(self.parent, self.parent.mul_vec(self.coeffs, other.coeffs))
 
-    def scale(self, c: int) -> Element:
-        return Element(self.parent, (c * self.coeffs) % self.parent.p)
-
     def is_zero(self) -> bool:
         return not self.coeffs.any()
 
@@ -384,10 +381,6 @@ class Morphism:
         if x.parent is not self.source:
             raise StructureError("element not in the source algebra")
         return Element(self.target, matmul(x.coeffs, self.matrix.T, self.source.p))
-
-    def apply_vec(self, v: np.ndarray) -> np.ndarray:
-        p = self.source.p
-        return matmul(self.matrix, np.asarray(v, dtype=np.int64) % p, p)
 
     def compose(self, inner: Morphism) -> Morphism:
         """self after inner."""

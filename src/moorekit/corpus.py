@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coeff import Algebra, BilinearMap, Element, Morphism, PrimeField
+from .coeff import Algebra, BilinearMap, Morphism, PrimeField
 from .crossed import (CrossedModule, ThreeCrossedModule, TwoCrossedModule,
                       crossed_as_2cm, ideal_pair, multiplication_cm, zero_module_cm)
 from .lie import LieAlgebra, degenerate_lie_3cm, lie_abelian, lie_heisenberg

@@ -336,21 +336,27 @@ def crossed_as_2cm(m: CrossedModule, name: str = "") -> TwoCrossedModule:
 def induced_cm(t: TwoCrossedModule) -> CrossedModule:
     """Quotient C1 by the ideal closure of the image of d2; the induced
     boundary and action form a crossed module."""
-    C1, C0 = t.C1, t.C0
-    p = C1.p
-    I = ideal_closure(C1, image_space(t.d2))
-    if (t.d1.matrix @ I.basis_matrix.T % p).any():
-        raise PreconditionError("d1 does not kill the boundary image ideal")
-    base = np.eye(C0.dim, dtype=np.int64)[:, None]
-    if not I.contains(t.act_on_c1.apply_vecs(base, I.basis_matrix[None])):
+    return _divide_cm(CrossedModule(t.C1, t.C0, t.d1, t.act_on_c1), image_space(t.d2),
+                      (t.name or "2cm") + "-induced")
+
+
+def _divide_cm(m: CrossedModule, gens, name: str) -> CrossedModule:
+    """m.C divided by the ideal closure of gens, with the boundary and the
+    action it induces on cosets; both must be well defined there."""
+    C, R = m.C, m.R
+    p = C.p
+    I = ideal_closure(C, gens)
+    if (m.boundary.matrix @ I.basis_matrix.T % p).any():
+        raise PreconditionError("the boundary does not kill the divided ideal")
+    base = np.eye(R.dim, dtype=np.int64)[:, None]
+    if not I.contains(m.action.apply_vecs(base, I.basis_matrix[None])):
         raise PreconditionError(
             "induced action ill-defined on cosets: 2CM violation upstream")
-    Q, pi = quotient(C1, I, name=(t.name or "C1") + "/im")
+    Q, pi = quotient(C, I, name=f"{C.name or 'C1'}/im")
     sections = _section_columns(pi)
-    bd = Morphism(Q, C0, t.d1.matrix @ sections % p)
-    act_tensor = t.act_on_c1.apply_vecs(base, sections.T[None]) @ pi.matrix.T % p
-    return CrossedModule(Q, C0, bd, BilinearMap(C0, Q, Q, act_tensor),
-                         name=(t.name or "2cm") + "-induced")
+    bd = Morphism(Q, R, m.boundary.matrix @ sections % p)
+    act_tensor = m.action.apply_vecs(base, sections.T[None]) @ pi.matrix.T % p
+    return CrossedModule(Q, R, bd, BilinearMap(R, Q, Q, act_tensor), name=name)
 
 
 def _section_columns(pi: Morphism) -> np.ndarray:

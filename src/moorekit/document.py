@@ -14,8 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .coeff import (Algebra, BilinearMap, Morphism, PrimeField,
-                    StructureError, Supply)
+from .coeff import Algebra, BilinearMap, Morphism, PrimeField, StructureError
 from .crossed import (SIGNATURES, CrossedModule, ThreeCrossedModule,
                       TwoCrossedModule)
 from .lie import LieAlgebra
@@ -196,7 +195,8 @@ def load_document(text: str) -> Document:
         raise DocumentError(f"invalid JSON: {exc}", "document")
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object", "document")
-    # the config keys are checked, though no command reads them from a document
+    # documents of earlier versions and of bench/inputs.py carry a config
+    # object; its keys are checked, though nothing reads them
     cfg = _object(raw.get("config", {}), "config")
     for key in ("seed", "budget", "exhaustive_bound"):
         _int(cfg.get(key, 0), f"config.{key}")
@@ -343,16 +343,11 @@ class DocumentBuilder:
                      for group, table in SIGNATURES.items()})
         self.body[section][name] = body
 
-    def dumps(self, config: Supply | None = None, characteristics=(2,)) -> str:
-        body = {"config": {"seed": (config or Supply()).seed,
-                           "budget": (config or Supply()).budget,
-                           "exhaustive_bound": (config or Supply()).exhaustive_bound,
-                           "characteristics": list(characteristics)}}
-        body.update({k: v for k, v in self.body.items() if v})
-        return json.dumps(body, sort_keys=True)
+    def dumps(self) -> str:
+        return json.dumps({k: v for k, v in self.body.items() if v}, sort_keys=True)
 
 
-def corpus_document(p: int = 2, config: Supply | None = None, names=None) -> str:
+def corpus_document(p: int = 2, names=None) -> str:
     """The built-in corpus serialized as a single-line JSON document.
 
     With `names`, only the entries whose name is in it, in every section,
@@ -371,4 +366,4 @@ def corpus_document(p: int = 2, config: Supply | None = None, names=None) -> str
         b.algebra(L, name, "lie_algebras")
     for name, m in corpus_mod.lie_three_corpus(p, names).items():
         b.three_crossed(m, name, "lie_three_crossed")
-    return b.dumps(config, characteristics=(p,))
+    return b.dumps()

@@ -24,9 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coeff import (BilinearMap, Ideal, Morphism, PreconditionError, algebras_equal,
-                    ideal_closure, intersect_row_spaces, matmul, quotient)
+                    intersect_row_spaces, matmul, quotient)
 from .crossed import (SIGNATURES, CrossedModule, ThreeCrossedModule, TwoCrossedModule,
-                      _equivariance_entries, _evaluate, _section_columns, verify_3cm)
+                      _divide_cm, _equivariance_entries, _evaluate, _section_columns,
+                      verify_3cm)
 from .moore import _pairing_values, _projection_matrix, moore, p_set, s_word_morphism
 from .report import (CONFIRMED, DISCREPANT, FAIL, PASS, CheckRecord)
 from .simplicial import (TruncatedSimplicialAlgebra, build_from_2crossed,
@@ -75,24 +76,19 @@ def _map_tensor(E: TruncatedSimplicialAlgebra, mc, lifts, quotients: dict,
 def cm_from_simplicial(E: TruncatedSimplicialAlgebra) -> CrossedModule:
     """NE_1 -> NE_0 with the degeneracy action r . c = s_0(r) c.
 
-    Inputs of Moore length above 1 are first truncated by dividing NE_1
-    by the closure of the degree-2 boundary image; the name records it.
+    Inputs of Moore length above 1 are truncated by dividing NE_1 by the
+    closure of the degree-2 boundary image, as induced_cm divides C_1 of a
+    2-crossed module (Remark 2); the name records it.
     """
     mc = moore(E)
     C0, NE1 = mc.algebras[:2]
-    p = C0.p
-    C1, bd, lifts = NE1, mc.boundaries[0], [incl.matrix for incl in mc.inclusions[:2]]
-    quotiented = mc.length() > 1
-    if quotiented:
-        I = ideal_closure(NE1, mc.boundaries[1].matrix.T)
-        C1, pi = quotient(NE1, I, name="NE1/im")
-        sections = _section_columns(pi)
-        bd = Morphism(C1, C0, bd.matrix @ sections % p)
-        lifts[1] = lifts[1] @ sections % p
-    tensor = _map_tensor(E, mc, lifts, {1: pi.matrix} if quotiented else {}, "actions", "01")
-    act = BilinearMap(C0, C1, C1, tensor)
-    name = (E.name or "simplicial") + ("-xmod/quotiented" if quotiented else "-xmod")
-    return CrossedModule(C1, C0, bd, act, name=name)
+    lifts = [incl.matrix for incl in mc.inclusions[:2]]
+    act = BilinearMap(C0, NE1, NE1, _map_tensor(E, mc, lifts, {}, "actions", "01"))
+    name = (E.name or "simplicial") + "-xmod"
+    cm = CrossedModule(NE1, C0, mc.boundaries[0], act, name=name)
+    if mc.length() > 1:
+        return _divide_cm(cm, mc.boundaries[1].matrix.T, name + "/quotiented")
+    return cm
 
 
 # ---------------------------------------------------------------------------

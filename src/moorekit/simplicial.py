@@ -78,7 +78,10 @@ class SimplicialViolation:
 
 def validate_simplicial(E: TruncatedSimplicialAlgebra) -> list[SimplicialViolation]:
     """Every violated simplicial identity with a (kind, n, i, j) witness,
-    plus multiplicativity of each face and degeneracy; empty iff valid."""
+    plus every face and degeneracy that is not multiplicative.  The levels
+    themselves are not checked: empty means the maps form a truncated
+    simplicial object, and validate_algebra on each level decides whether
+    the levels are commutative associative algebras."""
     out: list[SimplicialViolation] = []
     for n in range(1, E.k + 1):
         for i in range(n + 1):

@@ -6,11 +6,9 @@ of coefficient vectors, or of canonical rref matrices.
 """
 
 import io
-import json
 import time
 
 import numpy as np
-import pytest
 
 from moorekit import corpus
 from moorekit.cli import parse_args, run_command
@@ -21,8 +19,8 @@ from moorekit.functors import roundtrip_check, three_crossed_from_simplicial
 from moorekit.lie import (degenerate_lie_3cm, lie_abelian, lie_heisenberg,
                           validate_lie, verify_lie_3cm, LieAlgebra)
 from moorekit.moore import (lemma7_check, moore, p_set, proj_p, s_set,
-                            table1_audit, theorem5_check, in_moore, c_pairing)
-from moorekit.simplicial import decompose, degenerate_subalgebra, validate_simplicial
+                            table1_audit, theorem5_check, in_moore)
+from moorekit.simplicial import decompose, degenerate_subalgebra
 
 EXHAUSTIVE = Supply(seed=0, budget=256, exhaustive_bound=4096)
 
@@ -194,7 +192,7 @@ def test_criterion_10_lie():
     ok = ok and validate_lie(lie_heisenberg(3)) == []
     t = np.zeros((2, 2, 2), dtype=np.int64)
     t[0, 0, 1] = 1
-    from moorekit.coeff import PrimeField, BilinearMap, Morphism
+    from moorekit.coeff import PrimeField, BilinearMap
     bad = LieAlgebra(PrimeField(3), t, ("a", "b"))
     ok = ok and any(v.kind == "alternating" for v in validate_lie(bad))
     for base in (lie_abelian(3, 2), lie_heisenberg(3)):

@@ -94,7 +94,6 @@ def test_exit_code_0_for_hypothesis_failed():
 def test_exit_code_1_for_failures():
     code, out = run(["verify-xmod", "zero-module-bad"]) if False else (None, None)
     # the bad example is not in the corpus document; simulate via validate
-    import json as _json
     from moorekit.document import DocumentBuilder
     from moorekit import corpus as corpus_mod
     b = DocumentBuilder()
@@ -288,7 +287,8 @@ def test_exit_code_65_for_malformed_simplicial_key(section, key, bad, tmp_path, 
 def test_exit_code_65_for_malformed_config(key, value, tmp_path, capsys):
     from moorekit.document import corpus_document
     doc = json.loads(corpus_document(2))
-    doc["config"][key] = value
+    doc["config"] = {"seed": 0, "budget": 256, "exhaustive_bound": 4096, "characteristics": [2],
+                     key: value}
     assert _main_on_document(doc, ["validate", "ideal-pair"], tmp_path) == 65
     captured = capsys.readouterr()
     assert json.loads(captured.err)["detail"].startswith(f"config.{key}:")
@@ -505,9 +505,8 @@ def test_every_corpus_document_name_is_an_entry_or_one_of_its_carriers(p):
     assert not any("." in name for name in entries)
     doc = json.loads(corpus_document(p))
     for section, table in doc.items():
-        if section != "config":
-            for name in table:
-                assert name in entries or name.split(".", 1)[0] in entries, (section, name)
+        for name in table:
+            assert name in entries or name.split(".", 1)[0] in entries, (section, name)
 
 
 # sha256 of the whole stdout and the exit code of three commands on two
@@ -515,22 +514,22 @@ def test_every_corpus_document_name_is_an_entry_or_one_of_its_carriers(p):
 # is exact, so they stay byte for byte the same with the default size floor
 # and with every product in float64.
 STDOUT_DIGESTS = {
-    (2, "to-3xmod", "cubic-chain"): (0, "37f2300ed9b3c05df6540f8fbf1303f25f1cee7aa689045268433378832d987f"),
+    (2, "to-3xmod", "cubic-chain"): (0, "416610d4c4f86b07ca87cdf9b6eea76d199525d2577c610e6a624f0d3b435678"),
     (2, "theorem5", "cubic-chain"): (0, "c11804c85b16145df28d24b5a219edb1fa555140133b519114b21e3afe28aa84"),
     (2, "tables 4", "cubic-chain"): (0, "ac09c843a3f78694eaebda84ca6c1bc492d2e1aca2f19e944aaa30ff0778f05e"),
-    (2, "to-3xmod", "top-degree-4"): (0, "735732a7a4ec2005606a2c74515b6fa1570b181ced95239f0b638ff8df85ac9b"),
+    (2, "to-3xmod", "top-degree-4"): (0, "26d068f628ce0b499ca4849290d07ffca4f7620dce07279dd341952dc3dff5a4"),
     (2, "theorem5", "top-degree-4"): (0, "899848c245374996fab55246109e6f77488d39c3205c97250825501fb5a5798b"),
     (2, "tables 4", "top-degree-4"): (0, "ac09c843a3f78694eaebda84ca6c1bc492d2e1aca2f19e944aaa30ff0778f05e"),
-    (3, "to-3xmod", "cubic-chain"): (2, "05cccfba1a6d55699d393a3dc7075bd7b28f344e9e8ec36c60d5661772e246f6"),
+    (3, "to-3xmod", "cubic-chain"): (2, "41293a7428c31783318e97597baf17d9a9708889a25d6b00d5852d3728dee9cb"),
     (3, "theorem5", "cubic-chain"): (0, "c11804c85b16145df28d24b5a219edb1fa555140133b519114b21e3afe28aa84"),
     (3, "tables 4", "cubic-chain"): (0, "ac09c843a3f78694eaebda84ca6c1bc492d2e1aca2f19e944aaa30ff0778f05e"),
-    (3, "to-3xmod", "top-degree-4"): (0, "40c973d122acb25012a03f121a26c6ac6ce73add519e6b725536477dfdb59433"),
+    (3, "to-3xmod", "top-degree-4"): (0, "4ea2ab4f42caa74eb9e40a40c29a9ddf623bd7280dc2de1202828f4175260455"),
     (3, "theorem5", "top-degree-4"): (0, "899848c245374996fab55246109e6f77488d39c3205c97250825501fb5a5798b"),
     (3, "tables 4", "top-degree-4"): (0, "ac09c843a3f78694eaebda84ca6c1bc492d2e1aca2f19e944aaa30ff0778f05e"),
-    (5, "to-3xmod", "cubic-chain"): (2, "a83fa119e0d27f51675e2d7f7336dc02e9d808b65df312dd60ad51835d1e1b4f"),
+    (5, "to-3xmod", "cubic-chain"): (2, "a617cf5b95c8e09256da04dca7d127139d4ad82639522d7133e37523b61d7ee1"),
     (5, "theorem5", "cubic-chain"): (0, "c11804c85b16145df28d24b5a219edb1fa555140133b519114b21e3afe28aa84"),
     (5, "tables 4", "cubic-chain"): (0, "ac09c843a3f78694eaebda84ca6c1bc492d2e1aca2f19e944aaa30ff0778f05e"),
-    (5, "to-3xmod", "top-degree-4"): (0, "9e0184be5a41df863ea29db594923902b66d66cda8d37aa465e7bd2960a0438b"),
+    (5, "to-3xmod", "top-degree-4"): (0, "0d5f6001938de61c93fccbcf3fed5f94a9f6cb600caa8261bdf2359c7c964b28"),
     (5, "theorem5", "top-degree-4"): (0, "899848c245374996fab55246109e6f77488d39c3205c97250825501fb5a5798b"),
     (5, "tables 4", "top-degree-4"): (0, "ac09c843a3f78694eaebda84ca6c1bc492d2e1aca2f19e944aaa30ff0778f05e"),
 }

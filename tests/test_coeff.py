@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moorekit import coeff, corpus
-from moorekit.coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
+from moorekit.coeff import (Algebra, BilinearMap, Element, Morphism,
                             PreconditionError, PrimeField, StructureError,
                             Supply, elements, ideal_closure, kernel, mul,
                             null_space, quadratic_points, quotient, rref, subalgebra,

@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from moorekit import corpus
-from moorekit.coeff import (BilinearMap, Element, Morphism, PreconditionError,
-                            annihilator, square_span)
-from moorekit.crossed import (CrossedModule, ThreeCrossedModule,
-                              TwoCrossedModule, crossed_as_2cm, crossed_as_3cm,
-                              ideal_pair, induced_cm, multiplication_cm,
+from moorekit.coeff import BilinearMap, PreconditionError, annihilator, square_span
+from moorekit.crossed import (ThreeCrossedModule, TwoCrossedModule, crossed_as_2cm,
+                              crossed_as_3cm, induced_cm, multiplication_cm,
                               verify_2cm, verify_3cm, verify_cm)
 from moorekit.functors import three_crossed_from_simplicial, two_crossed_from_simplicial
 from moorekit.lie import degenerate_lie_3cm, lie_heisenberg, verify_lie_3cm

@@ -119,6 +119,19 @@ def test_lookup_prefers_requested_kind():
         doc.lookup("no-such-name")
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_documents_carry_no_config_and_one_still_loads(p):
+    b = DocumentBuilder()
+    b.crossed(corpus.cm_ideal_dual(p), "probe")
+    raw = json.loads(corpus_document(p))
+    assert "config" not in json.loads(b.dumps()) and "config" not in raw
+    # documents written before carry one; its keys are checked, not read
+    raw["config"] = {"seed": 7, "budget": 3, "exhaustive_bound": 4, "characteristics": [2]}
+    doc = load_document(json.dumps(raw))
+    assert algebras_equal(doc.simplicial["cubic-chain"].level(2),
+                          load_document(corpus_document(p)).simplicial["cubic-chain"].level(2))
+
+
 def test_corpus_document_deterministic():
     assert corpus_document(2) == corpus_document(2)
     assert corpus_document(3) == corpus_document(3)

@@ -377,8 +377,8 @@ def test_extend_level_matches_per_basis_reference(p):
 
 
 @pytest.mark.parametrize("p, digest", [
-    (2, "773065a82a6b60774748ccb2b532e135c334688ea05aae7ac74128895d8154b2"),
-    (3, "dd728d1990238dc36a25567abc36432013728cd12e161dc353dc880acb612a94")],
+    (2, "4c6920427a3e4bf7a0171c059461c2c098938b7e085334efe981370090e3820e"),
+    (3, "8a988e733c4c982b489e8e294056909d0bbf5e2ba21227e4097cac6199fba1a7")],
     ids=["p2", "p3"])
 def test_corpus_document_digest_is_pinned(p, digest):
     # every level is in it, forced or built from a normal block; built
