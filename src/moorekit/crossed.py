@@ -22,7 +22,7 @@ import numpy as np
 
 from .coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
                     PreconditionError, annihilator, action_violations,
-                    ideal_closure, image_space, null_space, quadratic_points,
+                    ideal_closure, image_space, matmul, null_space, quadratic_points,
                     quotient, reduce_against, rref, square_span,
                     subalgebra, sweep_step, validate_algebra)
 from .report import FAIL, PASS, CheckRecord
@@ -334,38 +334,41 @@ def crossed_as_2cm(m: CrossedModule, name: str = "") -> TwoCrossedModule:
 
 
 def induced_cm(t: TwoCrossedModule) -> CrossedModule:
-    """Quotient C1 by the ideal closure of the image of d2; the induced
-    boundary and action form a crossed module."""
-    return _divide_cm(CrossedModule(t.C1, t.C0, t.d1, t.act_on_c1), image_space(t.d2),
-                      (t.name or "2cm") + "-induced")
+    """Quotient C1 by the image of d2, an ideal; the induced boundary and
+    action form a crossed module."""
+    C1, d1, maps = _divide_top(t.d2, np.eye(t.C2.dim, dtype=np.int64), t.d1, {"01": t.act_on_c1})
+    return CrossedModule(C1, t.C0, d1, maps["01"], name=(t.name or "2cm") + "-induced")
 
 
-def _divide_cm(m: CrossedModule, gens, name: str) -> CrossedModule:
-    """m.C divided by the ideal closure of gens, with the boundary and the
-    action it induces on cosets; both must be well defined there."""
-    C, R = m.C, m.R
-    p = C.p
-    I = ideal_closure(C, gens)
-    if (m.boundary.matrix @ I.basis_matrix.T % p).any():
+def _divide_top(above: Morphism, rows, boundary: Morphism, maps: dict):
+    """Divide the top level C = boundary.source of a complex by the span I
+    of the image of rows under above : C' -> C.  I must be an ideal that
+    the boundary kills and each map with an argument in C keeps.  Returns
+    (C / I, the induced boundary, maps), each map restricted in each slot
+    taking C to the basis vectors C / I keeps and projected when valued in C.
+    """
+    top, p = boundary.source, boundary.source.p
+    if above.target is not top:
+        raise PreconditionError("the divided image lies outside the top level")
+    I = Ideal(top, matmul(rows, above.matrix.T, p))
+    if not I.is_mult_closed():
+        raise PreconditionError("the divided image does not span an ideal")
+    if (boundary.matrix @ I.basis_matrix.T % p).any():
         raise PreconditionError("the boundary does not kill the divided ideal")
-    base = np.eye(R.dim, dtype=np.int64)[:, None]
-    if not I.contains(m.action.apply_vecs(base, I.basis_matrix[None])):
-        raise PreconditionError(
-            "induced action ill-defined on cosets: 2CM violation upstream")
-    Q, pi = quotient(C, I, name=f"{C.name or 'C1'}/im")
-    sections = _section_columns(pi)
-    bd = Morphism(Q, R, m.boundary.matrix @ sections % p)
-    act_tensor = m.action.apply_vecs(base, sections.T[None]) @ pi.matrix.T % p
-    return CrossedModule(Q, R, bd, BilinearMap(R, Q, Q, act_tensor), name=name)
-
-
-def _section_columns(pi: Morphism) -> np.ndarray:
-    """Coset representatives: the matrix whose column q is the first basis
-    vector of the source of pi that pi maps to the basis vector e_q."""
-    hits = (pi.matrix[:, :, None] == np.eye(pi.target.dim, dtype=np.int64)[:, None]).all(axis=0)
-    if not hits.any(axis=0).all():
-        raise PreconditionError("projection has no basis section")
-    return (hits & (hits.cumsum(axis=0) == 1)).astype(np.int64)
+    Q, pi = quotient(top, I, name=f"{top.name}/im")
+    keep = np.delete(np.arange(top.dim), I.pivots)  # pi maps e_keep[q] to e_q
+    divided = {}
+    for key, f in maps.items():
+        t = f.tensor
+        for axis in (i for i, A in enumerate((f.left, f.right)) if A is top):
+            if not I.contains(np.tensordot(I.basis_matrix, f.tensor, (1, axis)) % p):
+                raise PreconditionError(
+                    f"induced map {key} ill-defined on cosets: it leaves the divided ideal")
+            t = np.take(t, keep, axis=axis)
+        if f.target is top:
+            t = matmul(t, pi.matrix.T, p)
+        divided[key] = BilinearMap(*(Q if A is top else A for A in (f.left, f.right, f.target)), t)
+    return Q, Morphism(Q, boundary.target, boundary.matrix[:, keep]), divided
 
 
 # ---------------------------------------------------------------------------

@@ -19,15 +19,14 @@ convention satisfies on a given instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .coeff import (BilinearMap, Ideal, Morphism, PreconditionError, algebras_equal,
-                    intersect_row_spaces, matmul, quotient)
+from .coeff import (Algebra, BilinearMap, Morphism, PreconditionError, algebras_equal,
+                    intersect_row_spaces, matmul)
 from .crossed import (SIGNATURES, CrossedModule, ThreeCrossedModule, TwoCrossedModule,
-                      _divide_cm, _equivariance_entries, _evaluate, _section_columns,
-                      verify_3cm)
+                      _divide_top, _equivariance_entries, _evaluate, verify_3cm)
 from .moore import _pairing_values, _projection_matrix, moore, p_set, s_word_morphism
 from .report import (CONFIRMED, DISCREPANT, FAIL, PASS, CheckRecord)
 from .simplicial import (TruncatedSimplicialAlgebra, build_from_2crossed,
@@ -44,76 +43,88 @@ class FunctorOutput:
     report: object = None  # AxiomReport from verify_3cm; None from the bare extraction
 
 
-def _map_tensor(E: TruncatedSimplicialAlgebra, mc, lifts, quotients: dict,
-                group: str, key: str, sign: int = 1) -> np.ndarray:
-    """The tensor of one extracted action or lifting on every pair of basis
-    elements, its levels read from SIGNATURES[group][key].
+# the maps the extraction at level m carries, as keys of SIGNATURES
+_CARRIED = {1: ("01",), 2: ("01", "02", "()"),
+            3: (*SIGNATURES["actions"], *SIGNATURES["liftings"])}
+_SIGNATURE = {**SIGNATURES["actions"], **SIGNATURES["liftings"]}
 
-    lifts[n] holds the basis of level n as columns in E_n; a level that
-    divides NE_n (of the Moore complex mc) by an ideal has its projection
-    matrix in quotients[n].  The action of C_a on C_b multiplies in E_b
-    after the degeneracy word s_{b-1}...s_a; a lifting is sign times the
-    pairing C_{alpha,beta} its key names, "()" being (1)(0) at n = 2.
+
+def _map_tensor(E: TruncatedSimplicialAlgebra, mc, key: str, sign: int = 1) -> np.ndarray:
+    """The tensor of one extracted action or lifting on every pair of Moore
+    basis elements (of the Moore complex mc of E), its levels read from
+    SIGNATURES.
+
+    The action of C_a on C_b multiplies in E_b after the degeneracy word
+    s_{b-1}...s_a; a lifting is sign times the pairing C_{alpha,beta} its
+    key names, "()" being (1)(0) at n = 2.
     """
-    left, right, value = SIGNATURES[group][key]
+    left, right, value = _SIGNATURE[key]
     p = E.level(0).p
-    bx, by = lifts[left].T, lifts[right].T
-    if group == "actions":
+    bx, by = mc.inclusions[left].matrix.T, mc.inclusions[right].matrix.T
+    if key in SIGNATURES["actions"]:
         word = s_word_morphism(E, value, tuple(range(left, value))).matrix
         vals = E.level(value).mul_vec(matmul(bx, word.T, p)[:, None], by[None])
     else:
         printed = "(1)(0)" if key == "()" else key
         pair = next(q for q in p_set(value) if str(q) == printed)
         vals = sign * _pairing_values(E, pair, bx, by, _projection_matrix(E, value)) % p
-    coords = mc.spaces[value].coords(vals)
-    return matmul(coords, quotients[value].T, p) if value in quotients else coords
+    return mc.spaces[value].coords(vals)
+
+
+def _hypercrossed(E: TruncatedSimplicialAlgebra, m: int, convention: str = PROP3):
+    """The Moore complex NE_m -> ... -> NE_0 of E with the maps _CARRIED[m]
+    and its top level divided by _divide_top: at m = 1 by d_2(NE_2) when
+    the Moore length exceeds 1, at m = 3 always, by d_4(NE_4 cap D_4).
+
+    Returns (levels, boundaries, maps, provenance): levels[n] is C_n,
+    boundaries[n - 1] is d_n : C_n -> C_{n-1}, maps is keyed by SIGNATURES
+    key, and the provenance gives the dimension of the divided ideal, and
+    at m = 3 that of NE_4 cap D_4, when the top level is divided.
+    """
+    mc, sign = moore(E), -1 if convention == PROP3 else 1
+    levels, boundaries = list(mc.algebras[:m + 1]), list(mc.boundaries[:m])
+    maps = {key: BilinearMap(*(levels[i] for i in _SIGNATURE[key]), _map_tensor(E, mc, key, sign))
+            for key in _CARRIED[m]}
+    prov = {}
+    if m == 3:
+        ne4, D4 = mc.spaces[4], degenerate_ideal(E, 4)
+        cap = intersect_row_spaces(ne4.basis_matrix, D4.basis_matrix, D4.parent.p)
+        rows = ne4.coords(cap)
+        prov["ne4_cap_d4_dim"] = int(cap.shape[0])
+    elif m == 1 and mc.length() > 1:
+        rows = np.eye(mc.spaces[2].dim, dtype=np.int64)
+    else:
+        return levels, boundaries, maps, prov
+    levels[m], boundaries[m - 1], maps = _divide_top(mc.boundaries[m], rows,
+                                                     boundaries[m - 1], maps)
+    prov["divided_dim"] = mc.algebras[m].dim - levels[m].dim
+    return levels, boundaries, maps, prov
 
 
 # ---------------------------------------------------------------------------
-# length <= 1: crossed modules
+# the extractions at levels 1, 2 and 3
 
 
 def cm_from_simplicial(E: TruncatedSimplicialAlgebra) -> CrossedModule:
     """NE_1 -> NE_0 with the degeneracy action r . c = s_0(r) c.
 
     Inputs of Moore length above 1 are truncated by dividing NE_1 by the
-    closure of the degree-2 boundary image, as induced_cm divides C_1 of a
-    2-crossed module (Remark 2); the name records it.
+    degree-2 boundary image, as induced_cm divides C_1 of a 2-crossed
+    module (Remark 2); the name records it.
     """
-    mc = moore(E)
-    C0, NE1 = mc.algebras[:2]
-    lifts = [incl.matrix for incl in mc.inclusions[:2]]
-    act = BilinearMap(C0, NE1, NE1, _map_tensor(E, mc, lifts, {}, "actions", "01"))
-    name = (E.name or "simplicial") + "-xmod"
-    cm = CrossedModule(NE1, C0, mc.boundaries[0], act, name=name)
-    if mc.length() > 1:
-        return _divide_cm(cm, mc.boundaries[1].matrix.T, name + "/quotiented")
-    return cm
-
-
-# ---------------------------------------------------------------------------
-# length <= 2: 2-crossed modules
+    (C0, C1), (d1,), maps, prov = _hypercrossed(E, 1)
+    name = (E.name or "simplicial") + "-xmod" + ("/quotiented" if prov else "")
+    return CrossedModule(C1, C0, d1, maps["01"], name=name)
 
 
 def two_crossed_from_simplicial(E: TruncatedSimplicialAlgebra,
                                 convention: str = PROP3) -> TwoCrossedModule:
     """(NE_2, NE_1, NE_0) with degeneracy actions and the pairing lifting."""
-    mc = moore(E)
-    if mc.length() > 2:
+    if moore(E).length() > 2:
         raise PreconditionError("Moore length exceeds 2")
-    sign = -1 if convention == PROP3 else 1
-    C0, C1, C2 = mc.algebras[:3]
-    lifts = [incl.matrix for incl in mc.inclusions[:3]]
-    a1, a2, lift = (BilinearMap(*(mc.algebras[i] for i in SIGNATURES[group][key]),
-                                _map_tensor(E, mc, lifts, {}, group, key, sign))
-                    for group, key in (("actions", "01"), ("actions", "02"), ("liftings", "()")))
-    return TwoCrossedModule(
-        C2, C1, C0, mc.boundaries[1], mc.boundaries[0], a1, a2, lift,
-        name=(E.name or "simplicial") + "-2xmod")
-
-
-# ---------------------------------------------------------------------------
-# any valid 4-truncation: 3-crossed modules
+    (C0, C1, C2), (d1, d2), maps, _ = _hypercrossed(E, 2, convention)
+    return TwoCrossedModule(C2, C1, C0, d2, d1, maps["01"], maps["02"], maps["()"],
+                            name=(E.name or "simplicial") + "-2xmod")
 
 
 def three_crossed_extraction(E: TruncatedSimplicialAlgebra,
@@ -123,37 +134,12 @@ def three_crossed_extraction(E: TruncatedSimplicialAlgebra,
     provenance; no axiom report."""
     if E.k != 4:
         raise PreconditionError("requires truncation level 4")
-    sign = -1 if convention == PROP3 else 1
-    mc = moore(E)
-    p = E.level(0).p
-    C0, C1, C2 = E.level(0), mc.algebras[1], mc.algebras[2]
-    NE3, incl3, ne3 = mc.algebras[3], mc.inclusions[3], mc.spaces[3]
-
-    D4 = degenerate_ideal(E, 4)
-    cap = intersect_row_spaces(mc.spaces[4].basis_matrix, D4.basis_matrix, p)
-    img = cap @ E.face(4, 4).matrix.T % p
-    if not ne3.contains(img):
-        raise PreconditionError("boundary image escapes NE_3: upstream bug")
-    B = Ideal(NE3, ne3.coords(img))
-    if not B.is_mult_closed():
-        raise PreconditionError("boundary image is not an ideal of NE_3: upstream bug")
-    C3, pi3 = quotient(NE3, B, name="NE3/im")
-    if (mc.boundaries[2].matrix @ B.basis_matrix.T % p).any():
-        raise PreconditionError("d_3 does not kill the divided ideal: upstream bug")
-    sections = _section_columns(pi3)
-    dbar3 = Morphism(C3, C2, mc.boundaries[2].matrix @ sections % p)
-    # columns: the basis of each level C_n inside E_n (C3 through the sections)
-    lifts = [mc.inclusions[n].matrix for n in range(3)] + [incl3.matrix @ sections % p]
-    levels = (C0, C1, C2, C3)
-    maps = {group: {key: BilinearMap(*(levels[i] for i in sig),
-                                     _map_tensor(E, mc, lifts, {3: pi3.matrix}, group, key, sign))
-                    for key, sig in table.items()}
-            for group, table in SIGNATURES.items()}
-    m = ThreeCrossedModule(C3, C2, C1, C0, dbar3, mc.boundaries[1],
-                           mc.boundaries[0], name=(E.name or "simplicial") + "-3xmod", **maps)
-    prov = {"source": E.name, "convention": convention,
-            "ne4_cap_d4_dim": int(cap.shape[0]), "divided_dim": int(B.dim)}
-    return FunctorOutput(m, prov)
+    (C0, C1, C2, C3), (d1, d2, d3), maps, prov = _hypercrossed(E, 3, convention)
+    m = ThreeCrossedModule(C3, C2, C1, C0, d3, d2, d1,
+                           name=(E.name or "simplicial") + "-3xmod",
+                           **{group: {key: maps[key] for key in table}
+                              for group, table in SIGNATURES.items()})
+    return FunctorOutput(m, {"source": E.name, "convention": convention, **prov})
 
 
 def three_crossed_from_simplicial(E: TruncatedSimplicialAlgebra,
@@ -277,31 +263,25 @@ def _table2_record(name: str, checked: int, failure) -> CheckRecord:
 
 def roundtrip_check(level: int, p: int = 2) -> list[CheckRecord]:
     """Build then extract every corpus item at the given level and compare
-    canonical forms on the nose."""
+    the two field by field on the nose."""
     from . import corpus as corpus_mod
-    records = []
-    if level == 1:
-        for name, cm in corpus_mod.crossed_corpus(p).items():
-            E = build_from_crossed(cm)
-            back = cm_from_simplicial(E)
-            ok = (algebras_equal(back.C, cm.C)
-                  and algebras_equal(back.R, cm.R)
-                  and np.array_equal(back.boundary.matrix, cm.boundary.matrix)
-                  and np.array_equal(back.action.tensor, cm.action.tensor))
-            records.append(CheckRecord(f"roundtrip1[{name}]", PASS if ok else FAIL))
-    elif level == 2:
-        for name, t in corpus_mod.two_crossed_corpus(p).items():
-            E = build_from_2crossed(t)
-            back = two_crossed_from_simplicial(E)
-            ok = (algebras_equal(back.C2, t.C2)
-                  and algebras_equal(back.C1, t.C1)
-                  and algebras_equal(back.C0, t.C0)
-                  and np.array_equal(back.d2.matrix, t.d2.matrix)
-                  and np.array_equal(back.d1.matrix, t.d1.matrix)
-                  and np.array_equal(back.act_on_c1.tensor, t.act_on_c1.tensor)
-                  and np.array_equal(back.act_on_c2.tensor, t.act_on_c2.tensor)
-                  and np.array_equal(back.lifting.tensor, t.lifting.tensor))
-            records.append(CheckRecord(f"roundtrip2[{name}]", PASS if ok else FAIL))
-    else:
+    if level not in (1, 2):
         raise ValueError("round trips defined at levels 1 and 2")
-    return records
+    items, build, extract = {
+        1: (corpus_mod.crossed_corpus, build_from_crossed, cm_from_simplicial),
+        2: (corpus_mod.two_crossed_corpus, build_from_2crossed, two_crossed_from_simplicial),
+    }[level]
+    return [CheckRecord(f"roundtrip{level}[{name}]", PASS if _same(extract(build(s)), s) else FAIL)
+            for name, s in items(p).items()]
+
+
+def _same(a, b) -> bool:
+    """Whether two structures of one class agree field by field: levels as
+    presentations, boundaries and bilinear maps entry by entry, names aside."""
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if not (algebras_equal(x, y) if isinstance(x, Algebra)
+                else np.array_equal(x.matrix, y.matrix) if isinstance(x, Morphism)
+                else f.name == "name" or np.array_equal(x.tensor, y.tensor)):
+            return False
+    return True

@@ -218,7 +218,7 @@ class MooreComplex:
     spaces: tuple[Ideal, ...]
     algebras: tuple[Algebra, ...]
     inclusions: tuple[Morphism, ...]
-    boundaries: tuple[Morphism, ...]  # boundaries[n]: algebras[n] -> algebras[n-1], n >= 1
+    boundaries: tuple[Morphism, ...]  # boundaries[n - 1]: algebras[n] -> algebras[n - 1]
 
     @property
     def k(self) -> int:
