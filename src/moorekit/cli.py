@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .coeff import PreconditionError, PrimeField, Supply, validate_algebra
 from .crossed import verify_2cm, verify_3cm, verify_cm
 from .document import Document, DocumentBuilder, DocumentError, corpus_document, load_document
-from .functors import (cm_from_simplicial, three_crossed_from_simplicial,
+from .functors import (crossed_extraction, three_crossed_from_simplicial,
                        two_crossed_from_simplicial, table_identities_check,
                        roundtrip_check)
 from .lie import validate_lie, verify_lie_3cm
@@ -365,12 +365,13 @@ def _named_records(args, kind, obj, extra_lines: list) -> list[CheckRecord]:
         for n in levels:
             records.append(theorem5_check(obj, n))
     elif command == "to-xmod":
-        cm = cm_from_simplicial(obj)
+        outp = crossed_extraction(obj)
+        cm = outp.structure
         b = DocumentBuilder()
         b.crossed(cm, f"{name}-xmod")
         extra_lines.append(b.dumps())
-        records.append(CheckRecord(f"to-xmod[{name}]", PASS,
-                                   detail={"C_dim": cm.C.dim, "R_dim": cm.R.dim}))
+        records.append(CheckRecord(f"to-xmod[{name}]", PASS, detail={
+            "C_dim": cm.C.dim, "R_dim": cm.R.dim, **outp.provenance}))
     elif command == "to-2xmod":
         t = two_crossed_from_simplicial(obj, args.convention)
         b = DocumentBuilder()

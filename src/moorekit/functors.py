@@ -38,7 +38,7 @@ DEF1 = "def1"
 
 @dataclass(frozen=True, eq=False)
 class FunctorOutput:
-    structure: ThreeCrossedModule
+    structure: object  # the extracted CrossedModule or ThreeCrossedModule
     provenance: dict = field(default_factory=dict)
     report: object = None  # AxiomReport from verify_3cm; None from the bare extraction
 
@@ -105,16 +105,21 @@ def _hypercrossed(E: TruncatedSimplicialAlgebra, m: int, convention: str = PROP3
 # the extractions at levels 1, 2 and 3
 
 
-def cm_from_simplicial(E: TruncatedSimplicialAlgebra) -> CrossedModule:
+def crossed_extraction(E: TruncatedSimplicialAlgebra) -> FunctorOutput:
     """NE_1 -> NE_0 with the degeneracy action r . c = s_0(r) c.
 
     Inputs of Moore length above 1 are truncated by dividing NE_1 by the
     degree-2 boundary image, as induced_cm divides C_1 of a 2-crossed
-    module (Remark 2); the name records it.
+    module (Remark 2); the name and the provenance's divided_dim record it.
     """
     (C0, C1), (d1,), maps, prov = _hypercrossed(E, 1)
     name = (E.name or "simplicial") + "-xmod" + ("/quotiented" if prov else "")
-    return CrossedModule(C1, C0, d1, maps["01"], name=name)
+    return FunctorOutput(CrossedModule(C1, C0, d1, maps["01"], name=name), prov)
+
+
+def cm_from_simplicial(E: TruncatedSimplicialAlgebra) -> CrossedModule:
+    """The crossed module of crossed_extraction."""
+    return crossed_extraction(E).structure
 
 
 def two_crossed_from_simplicial(E: TruncatedSimplicialAlgebra,

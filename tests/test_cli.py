@@ -552,8 +552,8 @@ def test_stdout_digest_is_pinned(key, floor, monkeypatch):
 # NE_1), the verifiers on every crossed and 2-crossed corpus name, and
 # both round trips.
 RECORD_DIGESTS = {
-    (2, "to-xmod", "top-degree-4"): (0, "228c8c43ecdb8bcadc50c344bed1a4a6fa3db07c8f2e5c3400d27d1a9a8c8cf0"),
-    (2, "to-xmod", "cubic-chain"): (0, "902992bb68049d7b09507bf35dc9e3100b3974dec7db22806c7cdb9a14d90d00"),
+    (2, "to-xmod", "top-degree-4"): (0, "b554c96ec7f2d261f8ea9b85c33a4bfc79cafb321007d3182da1c4656ba4dd79"),
+    (2, "to-xmod", "cubic-chain"): (0, "2612b9d79fd75e40ab4a33aed466e25bd9017d7679c652fdb58afe0e15354e17"),
     (2, "to-2xmod", "module-id"): (0, "61ebad4b3ac5e3b63b99e668958c512a367fd8c5e61d39e152d5635ea19ba42b"),
     (2, "verify-xmod", "ideal-pair"): (0, "d198d6f88dacdabf1c4faade03793574d97d6389411979158684c2da4f650e75"),
     (2, "verify-xmod", "ideal-pair-cubic"): (0, "8b10e145676b7c6b835f8fe682617aab1e4cdee78c2b30052fcdb55be6e76885"),
@@ -566,8 +566,8 @@ RECORD_DIGESTS = {
     (2, "verify-2xmod", "remark1-ideal-pair"): (0, "bd9c950dd880330a9dda7c8a9bf0015cb455715d2f4692e441f584a1fa6f1aa8"),
     (2, "verify-2xmod", "remark1-zero-module"): (0, "167f4571fd4a75ba327414abe792331e8a7a0ce707c5ad1783a115711d202a78"),
     (2, "roundtrip", ""): (0, "8e0bec67a125807cf649124735a06eeb6dac8aa75a8e1311152f81c59fe27122"),
-    (3, "to-xmod", "top-degree-4"): (0, "228c8c43ecdb8bcadc50c344bed1a4a6fa3db07c8f2e5c3400d27d1a9a8c8cf0"),
-    (3, "to-xmod", "cubic-chain"): (0, "902992bb68049d7b09507bf35dc9e3100b3974dec7db22806c7cdb9a14d90d00"),
+    (3, "to-xmod", "top-degree-4"): (0, "b554c96ec7f2d261f8ea9b85c33a4bfc79cafb321007d3182da1c4656ba4dd79"),
+    (3, "to-xmod", "cubic-chain"): (0, "2612b9d79fd75e40ab4a33aed466e25bd9017d7679c652fdb58afe0e15354e17"),
     (3, "to-2xmod", "module-id"): (0, "61ebad4b3ac5e3b63b99e668958c512a367fd8c5e61d39e152d5635ea19ba42b"),
     (3, "verify-xmod", "ideal-pair"): (0, "d198d6f88dacdabf1c4faade03793574d97d6389411979158684c2da4f650e75"),
     (3, "verify-xmod", "ideal-pair-cubic"): (0, "8b10e145676b7c6b835f8fe682617aab1e4cdee78c2b30052fcdb55be6e76885"),
@@ -580,8 +580,8 @@ RECORD_DIGESTS = {
     (3, "verify-2xmod", "remark1-ideal-pair"): (0, "bd9c950dd880330a9dda7c8a9bf0015cb455715d2f4692e441f584a1fa6f1aa8"),
     (3, "verify-2xmod", "remark1-zero-module"): (0, "167f4571fd4a75ba327414abe792331e8a7a0ce707c5ad1783a115711d202a78"),
     (3, "roundtrip", ""): (0, "ec6a822b7668a895cf77ba36e44a10b37fa0cfe915b4fefaadc0be03452b47d2"),
-    (5, "to-xmod", "top-degree-4"): (0, "228c8c43ecdb8bcadc50c344bed1a4a6fa3db07c8f2e5c3400d27d1a9a8c8cf0"),
-    (5, "to-xmod", "cubic-chain"): (0, "902992bb68049d7b09507bf35dc9e3100b3974dec7db22806c7cdb9a14d90d00"),
+    (5, "to-xmod", "top-degree-4"): (0, "b554c96ec7f2d261f8ea9b85c33a4bfc79cafb321007d3182da1c4656ba4dd79"),
+    (5, "to-xmod", "cubic-chain"): (0, "2612b9d79fd75e40ab4a33aed466e25bd9017d7679c652fdb58afe0e15354e17"),
     (5, "to-2xmod", "module-id"): (0, "61ebad4b3ac5e3b63b99e668958c512a367fd8c5e61d39e152d5635ea19ba42b"),
     (5, "verify-xmod", "ideal-pair"): (0, "d198d6f88dacdabf1c4faade03793574d97d6389411979158684c2da4f650e75"),
     (5, "verify-xmod", "ideal-pair-cubic"): (0, "8b10e145676b7c6b835f8fe682617aab1e4cdee78c2b30052fcdb55be6e76885"),

@@ -53,12 +53,12 @@ CORPUS_DIGESTS = {
     (2, "to-xmod", "ideal-pair"): (0, "5f4e51afbdba9a022f80a1284571553cbab2a29e53500619614b903d743c8090"),
     (2, "to-xmod", "ideal-pair-cubic"): (0, "055e3d799ad605bdcf8898b9f07e855d163a25a65ef782e3b7bc3e4b79818f25"),
     (2, "to-xmod", "zero-module"): (0, "991e314b601e6cd9124467332d0e1f2aff7a9d7682e1093059cd8a25bcc126c0"),
-    (2, "to-xmod", "sq0-lifting"): (0, "889ba7810f35f82a811a74854bb657799406c5d6138846ed94139d4bf27f0a78"),
-    (2, "to-xmod", "cubic-chain"): (0, "cee2375cc451dd05cf25ed771e4101f92780ee2fd4d4548a7de4ca192957de8f"),
-    (2, "to-xmod", "module-id"): (0, "add96d7ffda073e55e3fc5cf86b7f1f5dd220524ac384f70280a7e4231152229"),
+    (2, "to-xmod", "sq0-lifting"): (0, "97e1d58eea066b8561180d21095fecca03aa1632d7603f193dae9eab2c541b7d"),
+    (2, "to-xmod", "cubic-chain"): (0, "68fe4976f2d7d81fcef283cbbc6548150228e78557018cb6ce1af1efae89aad7"),
+    (2, "to-xmod", "module-id"): (0, "18b2e37afcf98c9d249f0841400d73623cf9ed727dcfa923d89a78148942cb3d"),
     (2, "to-xmod", "constant"): (0, "a9deec3f884d0b47be1a4407a14afec721a93c634ee65a69cd8bbb4407e58feb"),
-    (2, "to-xmod", "top-degree-4"): (0, "1faa772e09b962b0fb4bb33ad32b412ecef07cbe26630da72805348bb92775ff"),
-    (2, "to-xmod", "top-degree-3"): (0, "0a5734d70cfdba99b746e242e369b28820cc88cec7e59de301b78765ab2dea5a"),
+    (2, "to-xmod", "top-degree-4"): (0, "df11d5260ebe0d1c044acbcf01f7c60aa8ed9b6b8901144a8dfb878758ca12d1"),
+    (2, "to-xmod", "top-degree-3"): (0, "e04920ecf214c268b35943c5bdaf1fc712e16b6da0654c9edba0146d31b1866d"),
     (2, "to-2xmod", "ideal-pair"): (0, "97dbc8c5daa991ce0e519a807eff0943948dceedb321b61d6ecd1fe35377c8ea"),
     (2, "to-2xmod", "ideal-pair-cubic"): (0, "72c4deaeb20817332e273d78b9c32f01686aaf3305a8cd2506489cbcac17eb3e"),
     (2, "to-2xmod", "zero-module"): (0, "64a6aa7f1d241faad9a2c9e9132e3ba33cb9b1b33297f586d7296588a7a9481b"),
@@ -125,12 +125,12 @@ CORPUS_DIGESTS = {
     (3, "to-xmod", "ideal-pair"): (0, "4cb191feeed6171e440b0f2e4805f5e59684448d4ba19f50670be0413846ed4f"),
     (3, "to-xmod", "ideal-pair-cubic"): (0, "1d6e0a60ba93c51dd3e7de2f90d6a760d329547b0653b0cb14d7c7445da17834"),
     (3, "to-xmod", "zero-module"): (0, "266c388d6c2d757546e1f01c01db71e671de4f07f5b92df7c9c1eec1ba07f2d0"),
-    (3, "to-xmod", "sq0-lifting"): (0, "56f483666faf50f77755d8a002c780ba8511ae69bbbff7e2fc48e511b1db6dcd"),
-    (3, "to-xmod", "cubic-chain"): (0, "424d46f68989c3191a592b97685963f20c4f7ce4e91c6d98c3e84746d478624d"),
-    (3, "to-xmod", "module-id"): (0, "77347b0b27051ce6322a8f090906979fba17dde14da6a75c841e4d4edd99a7b7"),
+    (3, "to-xmod", "sq0-lifting"): (0, "a9d92c9ecd5840ed5fee6192752dfa5b5324877f061201a91d44fe02db79d6be"),
+    (3, "to-xmod", "cubic-chain"): (0, "d1d785ccbe220fbf4218b1dfde8ca693b1009be762de6593b0d2e4bee0dca038"),
+    (3, "to-xmod", "module-id"): (0, "aec91beda533c4f45f6fc7f628af6cabfcc4472ca917667a845982de4012ec6d"),
     (3, "to-xmod", "constant"): (0, "efd8bdddefc8072be0be8799cff2c619090b83395a79d874a02ea893c308642d"),
-    (3, "to-xmod", "top-degree-4"): (0, "700d01a6b63cb7cf7f92b6870dee2cb7fe4a2ed9e12c49c720628706bbb8ba87"),
-    (3, "to-xmod", "top-degree-3"): (0, "7692fb8557509b2f9fdfbdddaf51e639214bd6993d556b876a98987a17a3f033"),
+    (3, "to-xmod", "top-degree-4"): (0, "14724578594690ce54a539f9861d3fbc0b8f2619e2cd0cf96ff97887375ce8dd"),
+    (3, "to-xmod", "top-degree-3"): (0, "0cc1c2894418491770f6fa4b1b70f9818ea0e0bddb19aa58718d038e9e1fe267"),
     (3, "to-2xmod", "ideal-pair"): (0, "659b5ffc62e7c4a0f1258cff0ddae6d5d5369bdf1660d50abf8cb4602123b18b"),
     (3, "to-2xmod", "ideal-pair-cubic"): (0, "fbb9278de8d9a3f14cd7c45f33ab5b2755a56129f7941d575323858301400ea8"),
     (3, "to-2xmod", "zero-module"): (0, "dd5f2c80ca8ef943b6793f9b15f4ef913b2ae1b3c0a3907845c20f85b2752019"),
@@ -197,12 +197,12 @@ CORPUS_DIGESTS = {
     (5, "to-xmod", "ideal-pair"): (0, "a02e912ecd5154915606e28bd4c3700e67d502abdb88dea47b80cde9be8c4d95"),
     (5, "to-xmod", "ideal-pair-cubic"): (0, "6256cb566fe004cdfaf884c38e1d0c0e7726f277808caf9116b42b25891dd7ea"),
     (5, "to-xmod", "zero-module"): (0, "aa472fa00eb27b8fd1d2344d672732ea11a3c862bf14c18e0dc184b82b90d9ab"),
-    (5, "to-xmod", "sq0-lifting"): (0, "27ef03fc93cac9fb3a863c82550af3d5bba523d2d3a5ce468b73e034e28ce4da"),
-    (5, "to-xmod", "cubic-chain"): (0, "9ac5d4f75b4733c19d1dab1b73e84fcc7f6bdaf85373bfa56c03608fe3e1b297"),
-    (5, "to-xmod", "module-id"): (0, "02a50943c90fb524b764a44c57ebc1dee554eea9da820eca416595666fad8d2e"),
+    (5, "to-xmod", "sq0-lifting"): (0, "cc7a582a1a859a0ff34eb8c4f73171612fb09d7ad19f83e8c6ffb32dfff215ec"),
+    (5, "to-xmod", "cubic-chain"): (0, "9a966853e458c94476c6d29add043d1047efff6805cca974999a90dd9a58f86b"),
+    (5, "to-xmod", "module-id"): (0, "1df9118aaeca9da8a904023d4a2784a0183846e06e435731616752a13fbbd0c4"),
     (5, "to-xmod", "constant"): (0, "62718557f9646c85cd8c4dd00fcb4d079913b1ad413155138bdbdc5301f5dceb"),
-    (5, "to-xmod", "top-degree-4"): (0, "cc63a9530a835ed0251ba197848b6df13312fd9629e05816284237d8dafbd266"),
-    (5, "to-xmod", "top-degree-3"): (0, "eba3cee361fd83a6bca976e08681711d89342a8f10912524eb496b1483f32073"),
+    (5, "to-xmod", "top-degree-4"): (0, "1fd0ae35184a458d113d7f82c84dd193d4bf7f399643b1a69f978c76ec3639ee"),
+    (5, "to-xmod", "top-degree-3"): (0, "7b4e8c1e9b41ce5c744c4358a6798b0793cabb81de1958714e3a76d095b2a3a7"),
     (5, "to-2xmod", "ideal-pair"): (0, "162f7db95c27d1b6f19bb3fa3f16bc0247f384a659706e0ec25d29b98cabf543"),
     (5, "to-2xmod", "ideal-pair-cubic"): (0, "8c27f18c5f91687e5b726480ae560590c4111e9568b7ed68223be62ab2d961d2"),
     (5, "to-2xmod", "zero-module"): (0, "20832fbfc1e36b8e63432d770458bebc1f88adbe2afbc64385cebf075cc0c8a1"),
@@ -271,7 +271,7 @@ CORPUS_DIGESTS = {
     (5, "roundtrip", ""): (0, "557bae04808fb8a47bb2c36f37142c84874366b183e801b052eda0157d820b26"),
 }
 TENSOR_DIGESTS = {
-    "to-xmod": (0, "fdedc13fb8c8e33fdebb27ec4d1fa4d12de9d41eeb9bee371e8075ae508cf8ed"),
+    "to-xmod": (0, "b9a47a7ecac12cd6181eed52b8b5c8de100d515b20263c2afbc4914b0d81d498"),
     "to-2xmod": (0, "85e602534333d63b3ac73fa0a0bf2efd6d242ae24d73cf074b88ef240285081c"),
     "to-3xmod": (1, "32598045b8d6ec1f18ab2bfea945a6a57745bae0624c2eadc546e71a1cd60f6f"),
     "to-3xmod --convention def1": (1, "ff1abf1a33fcaab1b02816ca0a848c149debda790c5441a644c1b7f2d533a13d"),

@@ -6,7 +6,7 @@ import pytest
 from moorekit import corpus, functors
 from moorekit.coeff import algebras_equal
 from moorekit.crossed import induced_cm, verify_2cm, verify_cm
-from moorekit.functors import (cm_from_simplicial, lifting_convention_audit,
+from moorekit.functors import (cm_from_simplicial, crossed_extraction, lifting_convention_audit,
                                roundtrip_check, table_identities_check,
                                three_crossed_from_simplicial,
                                two_crossed_from_simplicial)
@@ -39,6 +39,14 @@ def test_cm_from_simplicial_quotients_longer_input(built):
     assert verify_cm(back).verdict == "pass"
     # NE_1 / closure(im d2): the image is <w>, which is already an ideal
     assert back.C.dim == 1
+
+
+@pytest.mark.parametrize("name,provenance", [("ideal-pair", {}), ("cubic-chain", {"divided_dim": 1}),
+                                             ("module-id", {"divided_dim": 2}),
+                                             ("top-degree-4", {"divided_dim": 0})])
+def test_crossed_extraction_says_whether_and_how_much_it_divided(name, provenance, built):
+    # top-degree-4 has Moore length 4 but NE_2 = 0: NE_1 is divided by zero
+    assert crossed_extraction(built(name)).provenance == provenance
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
