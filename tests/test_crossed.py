@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from moorekit import corpus
-from moorekit.coeff import BilinearMap, PreconditionError, annihilator, square_span
-from moorekit.crossed import (ThreeCrossedModule, TwoCrossedModule, crossed_as_2cm,
+from moorekit.coeff import (Algebra, BilinearMap, Morphism, PreconditionError, annihilator,
+                            square_span)
+from moorekit.crossed import (ThreeCrossedModule, TwoCrossedModule, _divide_top, crossed_as_2cm,
                               crossed_as_3cm, induced_cm, multiplication_cm,
                               verify_2cm, verify_3cm, verify_cm)
 from moorekit.functors import three_crossed_from_simplicial, two_crossed_from_simplicial
@@ -135,6 +136,56 @@ def test_induced_cm_from_length_two_instance(built):
     t = two_crossed_from_simplicial(built("cubic-chain"))
     cm = induced_cm(t)
     assert verify_cm(cm).verdict == "pass"
+
+
+def ones(shape, *entries) -> np.ndarray:
+    """The zero array of the given shape with a 1 at each entry."""
+    out = np.zeros(shape, dtype=np.int64)
+    for e in entries:
+        out[e] = 1
+    return out
+
+
+# the division of the top level by the image of the level above: each
+# chain breaks one condition the division needs, or none
+@pytest.mark.parametrize("broken,message", [
+    ("ideal", "does not span an ideal"), ("boundary", "does not kill the divided ideal"),
+    ("action", "induced map 01 ill-defined on cosets"), (None, None)])
+def test_induced_cm_guards_the_division(broken, message):
+    # C2 = <e> -> C1 = <m0, m1> -> C0 = Z/2 with d2(e) = m0, so I = <m0>
+    C0, C2 = corpus.zmod(2), corpus.square_zero(2, 1)
+    C1 = Algebra(C0.field, ones((2, 2, 2), *[(0, 0, 1)] * (broken == "ideal")), ("m0", "m1"))
+    d1 = Morphism(C1, C0, ones((1, 2), *[(0, 0)] * (broken == "boundary")))
+    act = BilinearMap(C0, C1, C1, ones((1, 2, 2), (0, 1, 1), *[(0, 0, 1)] * (broken == "action")))
+    t = TwoCrossedModule(C2, C1, C0, Morphism(C2, C1, ones((2, 1), (0, 0))), d1, act,
+                         BilinearMap.zero(C0, C2, C2), BilinearMap.zero(C1, C1, C2))
+    if broken is None:
+        cm = induced_cm(t)
+        assert cm.C.basis_names == ("m1",) and cm.action.tensor.tolist() == [[[1]]]
+        return
+    with pytest.raises(PreconditionError, match=message):
+        induced_cm(t)
+
+
+@pytest.mark.parametrize("broken,message", [
+    ("outside", "lies outside the top level"), ("boundary", "does not kill the divided ideal"),
+    ("action", "induced map 23 ill-defined on cosets"), (None, None)])
+def test_the_division_of_a_third_level_guards_it(broken, message):
+    # C4 = <e> -> C3 = <m0, m1> -> C2 = <f> with d4(e) = m0, so I = <m0>; the
+    # lifting (1)(0) is valued in C3 and only projected
+    C2, C4, C3 = (corpus.square_zero(2, n) for n in (1, 1, 2))
+    above = Morphism(C4, C3 if broken != "outside" else corpus.square_zero(2, 2), ones((2, 1), (0, 0)))
+    d3 = Morphism(C3, C2, ones((1, 2), *[(0, 0)] * (broken == "boundary")))
+    maps = {"23": BilinearMap(C2, C3, C3, ones((1, 2, 2), *[(0, 0, 1)] * (broken == "action"))),
+            "(1)(0)": BilinearMap(C2, C2, C3, ones((1, 1, 2), (0, 0, 0), (0, 0, 1)))}
+    if broken is None:
+        Q, d3q, divided = _divide_top(above, np.eye(1, dtype=np.int64), d3, maps)
+        assert Q.basis_names == ("m1",) and d3q.matrix.tolist() == [[0]]
+        assert divided["(1)(0)"].tensor.tolist() == [[[1]]]
+        assert divided["23"].left is C2 and divided["23"].right is Q
+        return
+    with pytest.raises(PreconditionError, match=message):
+        _divide_top(above, np.eye(1, dtype=np.int64), d3, maps)
 
 
 # ---------------------------------------------------------------------------

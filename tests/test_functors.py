@@ -1,10 +1,11 @@
+import copy
 import hashlib
 
 import numpy as np
 import pytest
 
 from moorekit import corpus, functors
-from moorekit.coeff import algebras_equal
+from moorekit.coeff import Algebra, BilinearMap, Morphism, algebras_equal
 from moorekit.crossed import induced_cm, verify_2cm, verify_cm
 from moorekit.functors import (cm_from_simplicial, crossed_extraction, lifting_convention_audit,
                                roundtrip_check, table_identities_check,
@@ -89,6 +90,29 @@ def test_two_crossed_from_constant_is_trivial():
 def test_roundtrips_whole_corpus(p):
     for rec in roundtrip_check(1, p) + roundtrip_check(2, p):
         assert rec.status == "pass", rec.check
+
+
+def bumped(structure, name: str, p: int):
+    """A copy of structure whose field `name`, an algebra, a boundary or a
+    bilinear map, has its first entry raised by one; nothing is revalidated."""
+    old = getattr(structure, name)
+    attr = {Algebra: "structure", Morphism: "matrix", BilinearMap: "tensor"}[type(old)]
+    values = getattr(old, attr).copy()
+    values.flat[0] = (values.flat[0] + 1) % p
+    new, out = copy.copy(old), copy.copy(structure)
+    object.__setattr__(new, attr, values)
+    object.__setattr__(out, name, new)
+    return out
+
+
+@pytest.mark.parametrize("level,name", [(1, "R"), (1, "boundary"), (1, "action"),
+                                        (2, "C0"), (2, "d1"), (2, "act_on_c1")])
+def test_a_roundtrip_fails_when_the_extraction_changes_one_field(level, name, monkeypatch):
+    extraction = {1: "cm_from_simplicial", 2: "two_crossed_from_simplicial"}[level]
+    extract = getattr(functors, extraction)
+    monkeypatch.setattr(functors, extraction, lambda E: bumped(extract(E), name, 3))
+    records = roundtrip_check(level, 3)
+    assert records and all(r.status == "fail" for r in records), [r.check for r in records]
 
 
 # ---------------------------------------------------------------------------
