@@ -1,6 +1,10 @@
-"""Passage from simplicial algebras to crossed structures: length-1 data
-gives a crossed module, length-2 a 2-crossed module, and any valid
-4-truncated object a 3-crossed module on NE_3 / d_4(NE_4 cap D_4).
+"""Passage from simplicial algebras to crossed structures through one
+hypercrossed core, _hypercrossed: the Moore complex cut at level m, the
+degeneracy actions and pairing liftings level m carries, and the top level
+divided by crossed._divide_top (Carrasco & Cegarra, JPAA 75, 1991).  At
+m = 1 it gives a crossed module, NE_1 divided by d_2(NE_2) at Moore length
+above 1; at m = 2 a 2-crossed module of Moore length at most 2; at m = 3,
+on any valid 4-truncation, a 3-crossed module on NE_3 / d_4(NE_4 cap D_4).
 
 Lifting sign conventions.  The two construction sections of the source
 material print the same liftings with opposite signs (and two of the
@@ -43,10 +47,9 @@ class FunctorOutput:
     report: object = None  # AxiomReport from verify_3cm; None from the bare extraction
 
 
-# the maps the extraction at level m carries, as keys of SIGNATURES
-_CARRIED = {1: ("01",), 2: ("01", "02", "()"),
-            3: (*SIGNATURES["actions"], *SIGNATURES["liftings"])}
 _SIGNATURE = {**SIGNATURES["actions"], **SIGNATURES["liftings"]}
+# the maps the extraction at level m carries, as keys of SIGNATURES
+_CARRIED = {1: ("01",), 2: ("01", "02", "()"), 3: tuple(_SIGNATURE)}
 
 
 def _map_tensor(E: TruncatedSimplicialAlgebra, mc, key: str, sign: int = 1) -> np.ndarray:
@@ -88,7 +91,7 @@ def _hypercrossed(E: TruncatedSimplicialAlgebra, m: int, convention: str = PROP3
     prov = {}
     if m == 3:
         ne4, D4 = mc.spaces[4], degenerate_ideal(E, 4)
-        cap = intersect_row_spaces(ne4.basis_matrix, D4.basis_matrix, D4.parent.p)
+        cap = intersect_row_spaces(ne4.basis_matrix, D4.basis_matrix, E.level(4).p)
         rows = ne4.coords(cap)
         prov["ne4_cap_d4_dim"] = int(cap.shape[0])
     elif m == 1 and mc.length() > 1:
