@@ -351,11 +351,9 @@ def _divide_top(above: Morphism, rows, boundary: Morphism, maps: dict):
     if above.target is not top:
         raise PreconditionError("the divided image lies outside the top level")
     I = Ideal(top, matmul(rows, above.matrix.T, p))
-    if not I.is_mult_closed():
-        raise PreconditionError("the divided image does not span an ideal")
+    Q, pi = quotient(top, I, name=f"{top.name}/im")  # raises unless I is an ideal
     if (boundary.matrix @ I.basis_matrix.T % p).any():
         raise PreconditionError("the boundary does not kill the divided ideal")
-    Q, pi = quotient(top, I, name=f"{top.name}/im")
     keep = np.delete(np.arange(top.dim), I.pivots)  # pi maps e_keep[q] to e_q
     divided = {}
     for key, f in maps.items():

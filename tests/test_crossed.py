@@ -149,7 +149,7 @@ def ones(shape, *entries) -> np.ndarray:
 # the division of the top level by the image of the level above: each
 # chain breaks one condition the division needs, or none
 @pytest.mark.parametrize("broken,message", [
-    ("ideal", "does not span an ideal"), ("boundary", "does not kill the divided ideal"),
+    ("ideal", "subspace is not an ideal"), ("boundary", "does not kill the divided ideal"),
     ("action", "induced map 01 ill-defined on cosets"), (None, None)])
 def test_induced_cm_guards_the_division(broken, message):
     # C2 = <e> -> C1 = <m0, m1> -> C0 = Z/2 with d2(e) = m0, so I = <m0>
