@@ -153,10 +153,13 @@ def ones(shape, *entries) -> np.ndarray:
     ("action", "induced map 01 ill-defined on cosets"), (None, None)])
 def test_induced_cm_guards_the_division(broken, message):
     # C2 = <e> -> C1 = <m0, m1> -> C0 = Z/2 with d2(e) = m0, so I = <m0>
+    def when(case, entry):
+        return [entry] if broken == case else []
+
     C0, C2 = corpus.zmod(2), corpus.square_zero(2, 1)
-    C1 = Algebra(C0.field, ones((2, 2, 2), *[(0, 0, 1)] * (broken == "ideal")), ("m0", "m1"))
-    d1 = Morphism(C1, C0, ones((1, 2), *[(0, 0)] * (broken == "boundary")))
-    act = BilinearMap(C0, C1, C1, ones((1, 2, 2), (0, 1, 1), *[(0, 0, 1)] * (broken == "action")))
+    C1 = Algebra(C0.field, ones((2, 2, 2), *when("ideal", (0, 0, 1))), ("m0", "m1"))
+    d1 = Morphism(C1, C0, ones((1, 2), *when("boundary", (0, 0))))
+    act = BilinearMap(C0, C1, C1, ones((1, 2, 2), (0, 1, 1), *when("action", (0, 0, 1))))
     t = TwoCrossedModule(C2, C1, C0, Morphism(C2, C1, ones((2, 1), (0, 0))), d1, act,
                          BilinearMap.zero(C0, C2, C2), BilinearMap.zero(C1, C1, C2))
     if broken is None:
@@ -173,10 +176,13 @@ def test_induced_cm_guards_the_division(broken, message):
 def test_the_division_of_a_third_level_guards_it(broken, message):
     # C4 = <e> -> C3 = <m0, m1> -> C2 = <f> with d4(e) = m0, so I = <m0>; the
     # lifting (1)(0) is valued in C3 and only projected
+    def when(case, entry):
+        return [entry] if broken == case else []
+
     C2, C4, C3 = (corpus.square_zero(2, n) for n in (1, 1, 2))
     above = Morphism(C4, C3 if broken != "outside" else corpus.square_zero(2, 2), ones((2, 1), (0, 0)))
-    d3 = Morphism(C3, C2, ones((1, 2), *[(0, 0)] * (broken == "boundary")))
-    maps = {"23": BilinearMap(C2, C3, C3, ones((1, 2, 2), *[(0, 0, 1)] * (broken == "action"))),
+    d3 = Morphism(C3, C2, ones((1, 2), *when("boundary", (0, 0))))
+    maps = {"23": BilinearMap(C2, C3, C3, ones((1, 2, 2), *when("action", (0, 0, 1)))),
             "(1)(0)": BilinearMap(C2, C2, C3, ones((1, 1, 2), (0, 0, 0), (0, 0, 1)))}
     if broken is None:
         Q, d3q, divided = _divide_top(above, np.eye(1, dtype=np.int64), d3, maps)
