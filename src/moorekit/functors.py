@@ -31,7 +31,7 @@ from .coeff import (Algebra, BilinearMap, Morphism, PreconditionError, algebras_
                     intersect_row_spaces, matmul)
 from .crossed import (SIGNATURES, CrossedModule, ThreeCrossedModule, TwoCrossedModule,
                       _divide_top, _equivariance_entries, _evaluate, verify_3cm)
-from .moore import _pairing_values, _projection_matrix, moore, p_set, s_word_morphism
+from .moore import moore, p_set, pairing_table, s_word_morphism
 from .report import (CONFIRMED, DISCREPANT, FAIL, PASS, CheckRecord)
 from .simplicial import (TruncatedSimplicialAlgebra, build_from_2crossed,
                          build_from_crossed, degenerate_ideal)
@@ -59,18 +59,20 @@ def _map_tensor(E: TruncatedSimplicialAlgebra, mc, key: str, sign: int = 1) -> n
 
     The action of C_a on C_b multiplies in E_b after the degeneracy word
     s_{b-1}...s_a; a lifting is sign times the pairing C_{alpha,beta} its
-    key names, "()" being (1)(0) at n = 2.
+    key names, "()" being (1)(0) at n = 2, read from pairing_table, which
+    contracts the structure tensor of each level once for all its
+    pairings.
     """
     left, right, value = _SIGNATURE[key]
     p = E.level(0).p
-    bx, by = mc.inclusions[left].matrix.T, mc.inclusions[right].matrix.T
     if key in SIGNATURES["actions"]:
+        bx, by = mc.inclusions[left].matrix.T, mc.inclusions[right].matrix.T
         word = s_word_morphism(E, value, tuple(range(left, value))).matrix
         vals = E.level(value).mul_vec(matmul(bx, word.T, p)[:, None], by[None])
     else:
         printed = "(1)(0)" if key == "()" else key
         pair = next(q for q in p_set(value) if str(q) == printed)
-        vals = sign * _pairing_values(E, pair, bx, by, _projection_matrix(E, value)) % p
+        vals = sign * pairing_table(E, value)[pair] % p
     return mc.spaces[value].coords(vals)
 
 

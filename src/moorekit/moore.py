@@ -26,8 +26,8 @@ from typing import Sequence
 import numpy as np
 
 from .coeff import (Algebra, Element, Ideal, Morphism, PreconditionError,
-                    StructureError, Supply, bilinear, ideal_closure, matmul,
-                    null_space, rref, subalgebra, supply_rows, sweep_step)
+                    StructureError, Supply, ideal_closure, matmul, null_space,
+                    rref, subalgebra, supply_rows, sweep_step)
 from .report import (CONFIRMED, DISCREPANT, FAIL, HYPOTHESIS_FAILED, PASS,
                      CheckRecord)
 
@@ -332,17 +332,75 @@ def _projection_matrix(E, n: int) -> np.ndarray:
     return P
 
 
-def _pairing_values(E, pair: PairingIndex, bx: np.ndarray, by: np.ndarray,
-                    proj: np.ndarray) -> np.ndarray:
-    """C_{alpha,beta}(u (x) v) for every row u of bx and v of by, indexed
-    [u, v, k]; proj is _projection_matrix(E, pair.n)."""
-    n = pair.n
-    A = E.level(n)
-    sa = s_word_morphism(E, n, pair.alpha.application_order()).matrix
-    sb = s_word_morphism(E, n, pair.beta.application_order()).matrix
-    prods = bilinear(matmul(bx, sa.T, A.p)[:, None], matmul(by, sb.T, A.p)[None],
-                     A.structure, A.p)
-    return matmul(prods, proj.T, A.p)
+def _stacked_products(A: Algebra, stacks: dict, jobs: Sequence[tuple]):
+    """The products in A of the rows of stacks[a] with the rows of
+    stacks[b], for each job (a, b), in pieces (job, index, values): values
+    is out[index] of the job's array out[u, v] = stacks[a][u] stacks[b][v].
+
+    Each job contracts its shorter stack with the structure tensor T, the
+    left one on the first axis of T or the right one on its second, and
+    the stacks contracted on one axis meet T together, a chunk of rows at
+    a time, each chunk only with the slices of T at the basis elements its
+    rows touch.  So a stack that several jobs share is contracted once, and
+    no step holds more than one chunk of contracted rows."""
+    p, d = A.p, A.dim
+    short = [int(len(stacks[b]) < len(stacks[a])) for a, b in jobs]
+    for side, tensor in ((0, A.structure), (1, A.structure.transpose(1, 0, 2))):
+        mine = [(job, pair[side], pair[1 - side]) for job, pair in enumerate(jobs)
+                if short[job] == side]
+        keys = list(dict.fromkeys(key for _, key, _ in mine))
+        first = dict(zip(keys, np.cumsum([0] + [len(stacks[k]) for k in keys])))
+        stack = np.vstack([np.zeros((0, d), dtype=np.int64), *(stacks[k] for k in keys)])
+        # a row's map has d^2 cells, held as residues and, on matmul's float path, as doubles
+        step = sweep_step(2 * d * d)
+        for start in range(0, len(stack), step):
+            rows = stack[start:start + step]
+            used = np.flatnonzero(rows.any(axis=0))
+            maps = matmul(rows[:, used], tensor[used].reshape(len(used), d * d), p)
+            maps = maps.reshape(len(rows), d, d)
+            for job, key, other in mine:
+                lo = max(first[key], start)
+                hi = min(first[key] + len(stacks[key]), start + len(rows))
+                if lo < hi:
+                    values = matmul(stacks[other], maps[lo - start:hi - start], p)
+                    got = slice(lo - first[key], hi - first[key])
+                    yield ((job, got, values) if side == 0
+                           else (job, (slice(None), got), values.transpose(1, 0, 2)))
+
+
+def _assembled(A: Algebra, stacks: dict, jobs: Sequence[tuple]) -> list[np.ndarray]:
+    """_stacked_products of every job as one array [u, v, k]."""
+    out = [np.zeros((len(stacks[a]), len(stacks[b]), A.dim), dtype=np.int64) for a, b in jobs]
+    for job, index, values in _stacked_products(A, stacks, jobs):
+        out[job][index] = values
+    return out
+
+
+def pairing_table(E, n: int) -> dict:
+    """C_{alpha,beta}(u (x) v) for every pairing of p_set(n), u and v
+    running over the Moore-basis rows of its two slots, indexed [u, v, k]
+    and keyed by PairingIndex; computed once per object.
+
+    Each distinct index s of the pairings lifts the Moore basis of its
+    slot into E_n once, through the degeneracies of s one at a time; the
+    lifts meet the structure tensor of E_n in one stacked pass
+    (_stacked_products), and each pairing's products are projected by p."""
+    def make():
+        A, pairs, lift = E.level(n), p_set(n), {}
+        for s in dict.fromkeys(x for q in pairs for x in (q.alpha, q.beta)):
+            level, lift[s] = n - s.size, moore_basis(E, n - s.size)
+            for j in s.application_order():
+                level += 1
+                lift[s] = matmul(lift[s], E.deg(level, j).matrix.T, A.p)
+        values = _assembled(A, lift, [(q.alpha, q.beta) for q in pairs])
+        proj = _projection_matrix(E, n)
+        table = {}
+        for q, v in zip(pairs, values):
+            table[q] = matmul(v, proj.T, A.p)
+            table[q].setflags(write=False)
+        return table
+
+    return _memo(E, ("pairings", n), make)
 
 
 def pairing_ideal(E, n: int) -> Ideal:
@@ -350,11 +408,7 @@ def pairing_ideal(E, n: int) -> Ideal:
     Moore components."""
     if not 2 <= n <= 4:
         raise ValueError("pairing ideal defined for n in 2..4")
-    A = E.level(n)
-    proj = _projection_matrix(E, n)
-    return ideal_closure(A, [_pairing_values(E, q, moore_basis(E, n - q.alpha.size),
-                                             moore_basis(E, n - q.beta.size), proj)
-                             for q in p_set(n)])
+    return ideal_closure(E.level(n), list(pairing_table(E, n).values()))
 
 
 # ---------------------------------------------------------------------------
@@ -404,18 +458,25 @@ def theorem5_check(E, n: int) -> CheckRecord:
 
 
 def boundary_image_and_pairing_product(E, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two subspaces of E_{n-1} the theorem compares, as rref bases."""
+    """The two subspaces of E_{n-1} the theorem compares, as rref bases.
+
+    The products K_I . K_J of all the pairings come from one stacked pass
+    over the structure tensor of E_{n-1} (_stacked_products), which
+    contracts each kernel at most once.  Only the rref span of the products
+    is kept, each piece of the pass reduced into it as it comes, and its
+    ideal closure is the right side."""
     p = E.level(0).p
     mc = moore(E)
     img_cols = mc.inclusions[n - 1].matrix @ mc.boundaries[n - 1].matrix % p
     lhs = rref(img_cols.T, p)[0]
-
-    def kspace(idx: SurjIndex) -> np.ndarray:
-        return face_kernel(E, n - 1, set(range(n)) - set(idx.entries))
-
-    A = E.level(n - 1)
-    gens = [A.mul_vec(kspace(q.alpha)[:, None], kspace(q.beta)[None]) for q in p_set(n)]
-    return lhs, ideal_closure(A, gens).basis_matrix
+    A, pairs = E.level(n - 1), p_set(n)
+    # K_I for the complement I of an index's entries
+    kernels = {s: face_kernel(E, n - 1, set(range(n)) - set(s.entries))
+               for q in pairs for s in (q.alpha, q.beta)}
+    span = np.zeros((0, A.dim), dtype=np.int64)
+    for _, _, values in _stacked_products(A, kernels, [(q.alpha, q.beta) for q in pairs]):
+        span = rref(np.vstack([span, *values]), p)[0]
+    return lhs, ideal_closure(A, span).basis_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +539,18 @@ def _factor_values(E, factor: str, c: int, stack: np.ndarray) -> np.ndarray:
     return total % p
 
 
-def _printed_values(E, row: int, bx: np.ndarray, by: np.ndarray) -> np.ndarray:
-    """The printed right side of a Table-1 row on every row u of bx and v
-    of by (coefficient vectors in the slots' levels), indexed [u, v, k]."""
-    A = E.level(3)
-    x, y = (_factor_values(E, factor, 4 - len(s), stack)
-            for factor, s, stack in zip(_TABLE1[row - 1], _P4[row - 1], (bx, by)))
-    return bilinear(x[:, None], y[None], A.structure, A.p)
+def _printed_values(E, stacks: dict) -> dict:
+    """The printed right side of each Table-1 row of stacks, which maps a
+    row to its (bx, by), on every row u of bx and v of by (coefficient
+    vectors in the slots' levels), indexed [u, v, k] and keyed by row.
+    The slot-x factors of all the rows meet the structure tensor of E_3 in
+    one stacked pass (_stacked_products)."""
+    factors = {row: [_factor_values(E, factor, 4 - len(s), stack)
+                     for factor, s, stack in zip(_TABLE1[row - 1], _P4[row - 1], pair)]
+               for row, pair in stacks.items()}
+    slots = {(row, i): f for row, pair in factors.items() for i, f in enumerate(pair)}
+    values = _assembled(E.level(3), slots, [((row, 0), (row, 1)) for row in factors])
+    return dict(zip(factors, values))
 
 
 def table1_eval(E, row: int, x: Element, y: Element) -> tuple[Element, Element]:
@@ -496,16 +562,18 @@ def table1_eval(E, row: int, x: Element, y: Element) -> tuple[Element, Element]:
         raise PreconditionError("table rows live at truncation level 4")
     val = c_pairing(E, p_set(4)[row - 1], x, y)
     lhs = E.face(4, 4)(val)
-    rhs = _printed_values(E, row, x.coeffs[None], y.coeffs[None])[0, 0]
+    rhs = _printed_values(E, {row: (x.coeffs[None], y.coeffs[None])})[row][0, 0]
     return lhs, Element(E.level(3), rhs)
 
 
 # C_{alpha,beta}, its faces and both sides of every Table-1 row are
 # bilinear in (x, y), so each is tabulated once on pairs of Moore-basis
-# rows.  Lemma 7 is decided on those pairs; Table 1 evaluates the supply
-# pairs in chunks of x by two contractions, x first, reducing mod p after
-# each.  Every contraction sums at most dim(E_c) products of residues,
-# which the algebras' word-size check keeps below 2^63.
+# rows: C_{alpha,beta} is read from pairing_table(E, 4), and the printed
+# sides of all 25 rows come from one call to _printed_values.  Lemma 7 is
+# decided on those pairs; Table 1 evaluates the supply pairs in chunks of
+# x by two contractions, x first, reducing mod p after each.  Every
+# contraction sums at most dim(E_c) products of residues, which the
+# algebras' word-size check keeps below 2^63.
 
 
 def table1_audit(E, supply: Supply = Supply()) -> list[CheckRecord]:
@@ -514,27 +582,31 @@ def table1_audit(E, supply: Supply = Supply()) -> list[CheckRecord]:
     The supply of an r-dimensional component is every element when p^r is
     within supply.exhaustive_bound and supply.budget seeded samples
     otherwise; each row's detail names its mode and the pairs checked.
-    C_{alpha,beta}, its faces d_0..d_4 and the printed right side are
-    tabulated once on pairs of Moore-basis rows, then every supply pair
-    is evaluated in sweep order (x outer, y inner) by batched
-    contractions.  A row is CONFIRMED, or DISCREPANT with its first
-    failing pair as witness; each pair whose composite value leaves NE_4
-    adds a membership FAIL record ahead of its row's record.
+    Per row, the left side d_4 C_{alpha,beta} and the lower faces
+    d_0..d_3 C_{alpha,beta} are the pairing table's values times the
+    faces, and the printed right side comes from _printed_values, both on
+    pairs of Moore-basis rows; every supply pair is then evaluated in
+    sweep order (x outer, y inner) by batched contractions.  A row is
+    CONFIRMED, or DISCREPANT with its first failing pair as witness; each
+    pair whose composite value leaves NE_4 adds a membership FAIL record
+    ahead of its row's record.
     """
     if E.k != 4:
         raise PreconditionError("table audit requires truncation level 4")
     p, d = E.level(0).p, E.level(3).dim
-    proj = _projection_matrix(E, 4)
+    table = pairing_table(E, 4)
     # d_4 first: columns [0, d) are the left side, [d, 5d) the lower faces
     faces = np.vstack([E.face(4, i).matrix for i in (4, 0, 1, 2, 3)])
+    bases = {row: tuple(moore_basis(E, 4 - s.size) for s in (pair.alpha, pair.beta))
+             for row, pair in enumerate(p_set(4), start=1)}
+    printed = _printed_values(E, bases)
     # each component's supply coordinates, and whether they are all of it
     supplies = {c: supply_rows(moore_basis(E, c).shape[0], p, supply) for c in (1, 2, 3)}
     records = []
     for row, pair in enumerate(p_set(4), start=1):
-        bx, by = (moore_basis(E, 4 - s.size) for s in (pair.alpha, pair.beta))
+        bx, by = bases[row]
         (xs, x_all), (ys, y_all) = (supplies[4 - s.size] for s in (pair.alpha, pair.beta))
-        tensor = np.concatenate([matmul(_pairing_values(E, pair, bx, by, proj), faces.T, p),
-                                 _printed_values(E, row, bx, by)], axis=2)
+        tensor = np.concatenate([matmul(table[pair], faces.T, p), printed[row]], axis=2)
         rb, m = tensor.shape[1:]
         flat = tensor.reshape(len(bx), rb * m)
 
@@ -568,9 +640,10 @@ def lemma7_check(E) -> list[CheckRecord]:
 
     The left side d_4 C_{alpha,beta} is bilinear, so it vanishes exactly
     when it vanishes on every pair of Moore-basis rows of the row's two
-    slots.  A row fails at its first pair (x outer, y inner) with a
-    non-zero left side, given as level vectors; its detail gives the mode,
-    basis-exact, and the number of basis pairs checked.
+    slots; C_{alpha,beta} on those pairs is read from pairing_table(E, 4).
+    A row fails at its first pair (x outer, y inner) with a non-zero left
+    side, given as level vectors; its detail gives the mode, basis-exact,
+    and the number of basis pairs checked.
     """
     if E.k != 4:
         raise PreconditionError("check requires truncation level 4")
@@ -578,12 +651,12 @@ def lemma7_check(E) -> list[CheckRecord]:
         return [CheckRecord("lemma7", HYPOTHESIS_FAILED,
                             detail={"reason": "hypothesis fails: length > 3"})]
     p = E.level(0).p
-    proj = _projection_matrix(E, 4)
+    table = pairing_table(E, 4)
     d4 = E.face(4, 4).matrix
     records = []
     for row, pair in enumerate(p_set(4), start=1):
         bx, by = (moore_basis(E, 4 - s.size) for s in (pair.alpha, pair.beta))
-        bad = np.argwhere(matmul(_pairing_values(E, pair, bx, by, proj), d4.T, p).any(axis=2))
+        bad = np.argwhere(matmul(table[pair], d4.T, p).any(axis=2))
         witness = tuple({"row": row, "x": list(map(int, bx[i])), "y": list(map(int, by[j]))}
                         for i, j in bad[:1])
         records.append(CheckRecord(f"lemma7[row={row}]", FAIL if witness else PASS,

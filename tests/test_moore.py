@@ -5,10 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from moorekit import corpus
-from moorekit.coeff import (Element, Morphism, PreconditionError, Supply, elements,
-                            subspace_elements)
-from moorekit.moore import (PairingIndex, SurjIndex, c_pairing, in_moore,
+from moorekit import coeff, corpus
+from moorekit.coeff import (Algebra, Element, Morphism, PreconditionError, PrimeField,
+                            Supply, elements, ideal_closure, subspace_elements)
+from moorekit.moore import (PairingIndex, SurjIndex, c_pairing, face_kernel, in_moore,
                             lemma7_check, moore, moore_basis, normal_form,
                             p_set, pairing_ideal, proj_p, push_face, s_set,
                             s_word_morphism, table1_audit, table1_eval,
@@ -17,6 +17,7 @@ from moorekit.report import CheckRecord
 from moorekit.simplicial import (TruncatedSimplicialAlgebra, build_from_2crossed,
                                  constant_simplicial, degenerate_ideal,
                                  degenerate_subalgebra)
+from test_axiom_sweep import tensor_simplicial
 
 # the package exports the function moore under the module's own name
 moore_module = importlib.import_module("moorekit.moore")
@@ -253,7 +254,7 @@ def test_printed_side_on_random_faces_and_degeneracies(p):
     digest = hashlib.sha256()
     for row, pair in enumerate(p_set(4), start=1):
         eyes = [np.eye(E.level(4 - s.size).dim, dtype=np.int64) for s in (pair.alpha, pair.beta)]
-        values = moore_module._printed_values(E, row, *eyes)
+        values = moore_module._printed_values(E, {row: eyes})[row]
         assert values.any(), row
         digest.update(values.astype("<i8").tobytes())
     assert digest.hexdigest() == PRINTED_DIGESTS[p]
@@ -387,11 +388,12 @@ def test_discrepant_witness_is_first_failing_pair(built, monkeypatch):
     E = built("module-id", 3)
     printed = moore_module._printed_values
 
-    def perturbed(E, row, bx, by):
-        values = printed(E, row, bx, by)
-        if row == 5:
-            values[..., 0] += np.outer(bx.sum(axis=1), by.sum(axis=1))
-            values %= 3
+    def perturbed(E, stacks):
+        values = printed(E, stacks)
+        if 5 in values:
+            bx, by = stacks[5]
+            values[5][..., 0] += np.outer(bx.sum(axis=1), by.sum(axis=1))
+            values[5] %= 3
         return values
 
     monkeypatch.setattr(moore_module, "_printed_values", perturbed)
@@ -407,16 +409,18 @@ def test_discrepant_witness_is_first_failing_pair(built, monkeypatch):
     assert w["lhs"] != w["rhs"]
 
 
-def test_membership_failures_in_sweep_order(built, monkeypatch):
+def test_membership_failures_in_sweep_order(built):
     # p projects onto NE_4 on any simplicial algebra, so C_{alpha,beta}
     # leaves NE_4, and Lemma 7 can fail, only when the level-4 degeneracies
     # are broken: with NE_4 = 0, C_{alpha,beta} is zero otherwise
+    # a new object: the pairing table of the built one is kept with it
     E = built("module-id", 2)
     rng = np.random.default_rng(0)
+    degs = dict(E.degeneracies)
     for j in range(4):
         s = E.deg(4, j)
-        monkeypatch.setitem(E.degeneracies, (4, j),
-                            Morphism(s.source, s.target, rng.integers(0, 2, s.matrix.shape)))
+        degs[(4, j)] = Morphism(s.source, s.target, rng.integers(0, 2, s.matrix.shape))
+    E = TruncatedSimplicialAlgebra(E.levels, E.faces, degs)
     recs, lemma7 = assert_matches_reference(E, Supply())
     checks = [r.check for r in recs]
     fails = [i for i, c in enumerate(checks) if c.endswith(".membership")]
@@ -486,3 +490,79 @@ def test_theorem5_builds_the_moore_complex_and_each_face_kernel_once(monkeypatch
     assert counted == len({key for key in sets if key[1]})
     assert [theorem5_check(E, n) for n in (2, 3, 4)] == first
     assert moore(E) is moore(E) and complexes == [E] and len(kernels) == counted
+
+
+# ---------------------------------------------------------------------------
+# the pairing table and the stacked products against per-pair references
+
+DEGREE3 = "ideal-pair(x)sq0-lifting"
+
+
+@pytest.fixture(scope="module")
+def table_object(built):
+    """A corpus object by name, or DEGREE3, whose degree-3 data is non-zero."""
+    cache = {}
+
+    def get(name, p):
+        if name != DEGREE3:
+            return built(name, p)
+        if p not in cache:
+            cache[p] = tensor_simplicial(built("ideal-pair", p), built("sq0-lifting", p))
+        return cache[p]
+
+    return get
+
+
+def test_table_objects_include_zero_dimensional_levels(built):
+    for name, top in (("top-degree-3", 3), ("top-degree-4", 4)):
+        E = built(name, 2)
+        assert [E.level(n).dim for n in range(2, top)] == [0] * (top - 2)
+        assert all(v.shape[2] == 0 for v in moore_module.pairing_table(E, 2).values())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", SIMPLICIAL + [DEGREE3])
+def test_pairing_table_equals_c_pairing_on_basis_rows(name, p, table_object):
+    E = table_object(name, p)
+    for n in (2, 3, 4):
+        table = moore_module.pairing_table(E, n)
+        assert list(table) == p_set(n)
+        for pair in p_set(n):
+            (cx, bx), (cy, by) = ((n - s.size, moore_basis(E, n - s.size))
+                                  for s in (pair.alpha, pair.beta))
+            want = np.zeros((len(bx), len(by), E.level(n).dim), dtype=np.int64)
+            for (i, x), (j, y) in itertools.product(enumerate(bx), enumerate(by)):
+                want[i, j] = c_pairing(E, pair, Element(E.level(cx), x),
+                                       Element(E.level(cy), y)).coeffs
+            assert np.array_equal(table[pair], want), (n, str(pair))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", SIMPLICIAL + [DEGREE3])
+def test_theorem5_product_ideal_is_the_closure_of_every_pair_product(name, p, table_object):
+    E = table_object(name, p)
+    for n in (2, 3, 4):
+        A = E.level(n - 1)
+        kernels = [[face_kernel(E, n - 1, set(range(n)) - set(s.entries))
+                    for s in (q.alpha, q.beta)] for q in p_set(n)]
+        want = ideal_closure(A, [A.mul_vec(kx[:, None], ky[None]) for kx, ky in kernels])
+        assert np.array_equal(boundary_image_and_pairing_product(E, n)[1], want.basis_matrix), n
+
+
+@pytest.mark.parametrize("floor", ["default", "all-float"])
+@pytest.mark.parametrize("p", [2, 5])
+def test_stacked_products_equal_every_pair_product(p, floor, monkeypatch):
+    # a non-commutative tensor, so a job that contracts its right stack must
+    # still multiply left by right; sparse stacks of several lengths, one
+    # empty, shared between jobs, longer than one chunk of rows
+    if floor == "all-float":
+        monkeypatch.setattr(coeff, "_BLAS_MADDS", 0)
+    rng = np.random.default_rng(p)
+    d = 40
+    A = Algebra(PrimeField(p), rng.integers(0, p, (d, d, d)), tuple(f"e{i}" for i in range(d)))
+    stacks = {r: rng.integers(0, p, (r, d)) * (rng.random((r, d)) < 0.2) for r in (0, 1, 3, 50, 90)}
+    jobs = [(50, 3), (3, 50), (90, 50), (1, 90), (0, 3), (3, 0), (50, 50), (1, 1)]
+    got = moore_module._assembled(A, stacks, jobs)
+    for (a, b), values in zip(jobs, got):
+        want = np.einsum("ui,vj,ijk->uvk", stacks[a], stacks[b], A.structure) % p
+        assert np.array_equal(values, want), (a, b)
