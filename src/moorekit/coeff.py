@@ -614,7 +614,9 @@ def quotient(A: Algebra, I: Ideal, name: str = "") -> tuple[Algebra, Morphism]:
     """Quotient algebra on the complement basis plus the projection.
 
     The coset representatives are the non-pivot coordinates of I's rref
-    basis; the projection is verified multiplicative with kernel I.
+    basis; the projection is verified multiplicative with kernel I.  When
+    A's identity is not a pivot of I it is one of the representatives, and
+    its coset is the identity of A / I.
     """
     if I.parent is not A:
         raise StructureError("ideal of a different algebra")
@@ -625,7 +627,9 @@ def quotient(A: Algebra, I: Ideal, name: str = "") -> tuple[Algebra, Morphism]:
     proj = I.residue(np.eye(A.dim, dtype=np.int64))[:, keep].T
     struct = A.structure[np.ix_(keep, keep)] @ proj.T % A.p
     names = tuple(A.basis_names[j] for j in keep)
-    Q = Algebra(A.field, struct, names, None, name or (A.name + "/I" if A.name else ""))
+    unit = (None if A.identity is None or A.identity in I.pivots
+            else int(np.searchsorted(keep, A.identity)))
+    Q = Algebra(A.field, struct, names, unit, name or (A.name + "/I" if A.name else ""))
     pi = Morphism(A, Q, proj)
     if not pi.is_multiplicative():
         raise PreconditionError("projection failed multiplicativity: subspace not an ideal")

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moorekit import coeff, corpus
-from moorekit.coeff import (Algebra, BilinearMap, Element, Morphism,
+from moorekit.coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
                             PreconditionError, PrimeField, StructureError,
-                            Supply, elements, ideal_closure, kernel, mul,
+                            Supply, algebras_equal, elements, ideal_closure, kernel, mul,
                             null_space, quadratic_points, quotient, rref, subalgebra,
                             validate_algebra)
 
@@ -169,6 +169,22 @@ def test_quotient_dual_by_eps_is_base_field():
     Q, pi = quotient(A, ideal_closure(A, [A.basis_element(1)]))
     assert Q.dim == 1 and Q.structure[0, 0, 0] == 1
     assert pi(A.basis_element(1)).is_zero()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_quotient_keeps_the_identity_when_it_is_a_representative(p):
+    # Z/p by the zero ideal is Z/p again, unital
+    A = corpus.zmod(p)
+    Q, _ = quotient(A, Ideal(A, np.zeros((0, 1), dtype=np.int64)))
+    assert (Q.dim, Q.identity) == (1, 0) and algebras_equal(Q, A)
+    # k[x]/(x^2) by (x) is k, with the coset of 1 as its identity
+    D = corpus.dual_numbers(p)
+    Q, pi = quotient(D, ideal_closure(D, [D.basis_element(1)]))
+    assert (Q.dim, Q.identity) == (1, 0)
+    assert pi(D.basis_element(D.identity)) == Q.basis_element(Q.identity)
+    # dividing by the whole algebra leaves no identity to keep
+    Q, _ = quotient(D, ideal_closure(D, [D.basis_element(0)]))
+    assert (Q.dim, Q.identity) == (0, None)
 
 
 def test_quotient_cubic_by_square_matches_dual_numbers():
