@@ -543,14 +543,13 @@ def _printed_values(E, stacks: dict) -> dict:
     """The printed right side of each Table-1 row of stacks, which maps a
     row to its (bx, by), on every row u of bx and v of by (coefficient
     vectors in the slots' levels), indexed [u, v, k] and keyed by row.
-    The slot-x factors of all the rows meet the structure tensor of E_3 in
-    one stacked pass (_stacked_products)."""
-    factors = {row: [_factor_values(E, factor, 4 - len(s), stack)
-                     for factor, s, stack in zip(_TABLE1[row - 1], _P4[row - 1], pair)]
-               for row, pair in stacks.items()}
-    slots = {(row, i): f for row, pair in factors.items() for i, f in enumerate(pair)}
-    values = _assembled(E.level(3), slots, [((row, 0), (row, 1)) for row in factors])
-    return dict(zip(factors, values))
+    The factors of all the rows meet the structure tensor of E_3 in one
+    stacked pass (_stacked_products)."""
+    slots = {(row, i): _factor_values(E, factor, 4 - len(s), stack)
+             for row, pair in stacks.items()
+             for i, (factor, s, stack) in enumerate(zip(_TABLE1[row - 1], _P4[row - 1], pair))}
+    values = _assembled(E.level(3), slots, [((row, 0), (row, 1)) for row in stacks])
+    return dict(zip(stacks, values))
 
 
 def table1_eval(E, row: int, x: Element, y: Element) -> tuple[Element, Element]:
@@ -597,13 +596,14 @@ def table1_audit(E, supply: Supply = Supply()) -> list[CheckRecord]:
     table = pairing_table(E, 4)
     # d_4 first: columns [0, d) are the left side, [d, 5d) the lower faces
     faces = np.vstack([E.face(4, i).matrix for i in (4, 0, 1, 2, 3)])
+    # the table's keys are p_set(4), in Table-1 row order
     bases = {row: tuple(moore_basis(E, 4 - s.size) for s in (pair.alpha, pair.beta))
-             for row, pair in enumerate(p_set(4), start=1)}
+             for row, pair in enumerate(table, start=1)}
     printed = _printed_values(E, bases)
     # each component's supply coordinates, and whether they are all of it
     supplies = {c: supply_rows(moore_basis(E, c).shape[0], p, supply) for c in (1, 2, 3)}
     records = []
-    for row, pair in enumerate(p_set(4), start=1):
+    for row, pair in enumerate(table, start=1):
         bx, by = bases[row]
         (xs, x_all), (ys, y_all) = (supplies[4 - s.size] for s in (pair.alpha, pair.beta))
         tensor = np.concatenate([matmul(table[pair], faces.T, p), printed[row]], axis=2)
@@ -654,9 +654,9 @@ def lemma7_check(E) -> list[CheckRecord]:
     table = pairing_table(E, 4)
     d4 = E.face(4, 4).matrix
     records = []
-    for row, pair in enumerate(p_set(4), start=1):
+    for row, (pair, values) in enumerate(table.items(), start=1):
         bx, by = (moore_basis(E, 4 - s.size) for s in (pair.alpha, pair.beta))
-        bad = np.argwhere(matmul(table[pair], d4.T, p).any(axis=2))
+        bad = np.argwhere(matmul(values, d4.T, p).any(axis=2))
         witness = tuple({"row": row, "x": list(map(int, bx[i])), "y": list(map(int, by[j]))}
                         for i, j in bad[:1])
         records.append(CheckRecord(f"lemma7[row={row}]", FAIL if witness else PASS,
