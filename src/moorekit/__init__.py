@@ -6,8 +6,7 @@ from .coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
                     PreconditionError, PrimeField, StructureError, Supply,
                     elements, ideal_closure, kernel, mul, quotient,
                     validate_algebra)
-from .crossed import (AxiomReport, CrossedModule, ThreeCrossedModule,
-                      TwoCrossedModule, induced_cm, multiplication_cm,
+from .crossed import (AxiomReport, CrossedChain, induced_cm, multiplication_cm,
                       verify_2cm, verify_3cm, verify_cm)
 from .functors import (FunctorOutput, cm_from_simplicial,
                        lifting_convention_audit, roundtrip_check,

@@ -366,37 +366,37 @@ def _named_records(args, kind, obj, extra_lines: list) -> list[CheckRecord]:
             records.append(theorem5_check(obj, n))
     elif command == "to-xmod":
         outp = crossed_extraction(obj)
-        cm = outp.structure
-        b = DocumentBuilder()
-        b.crossed(cm, f"{name}-xmod")
-        extra_lines.append(b.dumps())
+        R, C = outp.structure.levels
+        _emit(extra_lines, outp.structure, f"{name}-xmod", "crossed_modules")
         records.append(CheckRecord(f"to-xmod[{name}]", PASS, detail={
-            "C_dim": cm.C.dim, "R_dim": cm.R.dim, **outp.provenance}))
+            "C_dim": C.dim, "R_dim": R.dim, **outp.provenance}))
     elif command == "to-2xmod":
         t = two_crossed_from_simplicial(obj, args.convention)
-        b = DocumentBuilder()
-        b.two_crossed(t, f"{name}-2xmod")
-        extra_lines.append(b.dumps())
+        _emit(extra_lines, t, f"{name}-2xmod", "two_crossed_modules")
         records.append(CheckRecord(f"to-2xmod[{name}]", PASS,
-                                   detail={"dims": [t.C2.dim, t.C1.dim, t.C0.dim]}))
+                                   detail={"dims": [A.dim for A in reversed(t.levels)]}))
     elif command == "to-3xmod":
         outp = three_crossed_from_simplicial(obj, args.convention)
-        b = DocumentBuilder()
-        b.three_crossed(outp.structure, f"{name}-3xmod")
-        extra_lines.append(b.dumps())
+        _emit(extra_lines, outp.structure, f"{name}-3xmod", "three_crossed_modules")
         records.append(CheckRecord(f"to-3xmod[{name}]", PASS, detail=outp.provenance))
         records.extend(_axiom_records(outp.report, f"to-3xmod[{name}]", audit=True))
-    elif command == "verify-xmod":
-        records.extend(_axiom_records(verify_cm(obj), f"verify-xmod[{name}]"))
-    elif command == "verify-2xmod":
-        records.extend(_axiom_records(verify_2cm(obj), f"verify-2xmod[{name}]"))
-    elif command == "verify-3xmod":
-        records.extend(_axiom_records(verify_3cm(obj), f"verify-3xmod[{name}]"))
+    elif command.startswith("verify-"):
+        # read per call, so a verifier wrapped in this module's namespace is the one run
+        verify = {"verify-xmod": verify_cm, "verify-2xmod": verify_2cm,
+                  "verify-3xmod": verify_3cm}[command]
+        records.extend(_axiom_records(verify(obj), f"{command}[{name}]"))
     elif command == "tables":
         records.extend(table_identities_check(obj, args.table, args.convention))
     else:  # lie-verify on a Lie 3-crossed module
         records.extend(_axiom_records(verify_lie_3cm(obj), f"lie-verify[{name}]"))
     return records
+
+
+def _emit(extra_lines: list, m, name: str, section: str) -> None:
+    """Append the one-structure document holding m under `name` in `section`."""
+    b = DocumentBuilder()
+    b.crossed(m, name, section)
+    extra_lines.append(b.dumps())
 
 
 def _render(r: CheckRecord, human: bool) -> str:

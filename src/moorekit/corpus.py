@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .coeff import Algebra, BilinearMap, Morphism, PrimeField
-from .crossed import (CrossedModule, ThreeCrossedModule, TwoCrossedModule,
-                      crossed_as_2cm, ideal_pair, multiplication_cm, zero_module_cm)
+from .crossed import (CrossedChain, ideal_pair, multiplication_cm, zero_extension,
+                      zero_module_cm)
 from .lie import LieAlgebra, degenerate_lie_3cm, lie_abelian, lie_heisenberg
 from .simplicial import (TruncatedSimplicialAlgebra, build_from_2crossed,
                          build_from_crossed, concentrated_simplicial,
@@ -79,26 +79,26 @@ def unital_action(R: Algebra, M: Algebra) -> BilinearMap:
 # crossed modules
 
 
-def cm_ideal_dual(p: int = 2) -> CrossedModule:
+def cm_ideal_dual(p: int = 2) -> CrossedChain:
     """Inclusion of the ideal (x) in k[x]/(x^2)."""
     R = dual_numbers(p)
     return ideal_pair(R, [R.basis_element(1)], name=f"ideal-pair@Z/{p}")
 
 
-def cm_ideal_cubic(p: int = 2) -> CrossedModule:
+def cm_ideal_cubic(p: int = 2) -> CrossedChain:
     """Inclusion of the two-dimensional ideal (x) in k[x]/(x^3)."""
     R = truncated_poly(p, 3)
     return ideal_pair(R, [R.basis_element(1)], name=f"ideal-pair-cubic@Z/{p}")
 
 
-def cm_zero_module(p: int = 2) -> CrossedModule:
+def cm_zero_module(p: int = 2) -> CrossedChain:
     """Square-zero module with the zero boundary over Z/p."""
     R = zmod(p)
     M = square_zero(p, 2)
     return zero_module_cm(M, R, unital_action(R, M), name=f"zero-module@Z/{p}")
 
 
-def cm_zero_module_bad(p: int = 2) -> CrossedModule:
+def cm_zero_module_bad(p: int = 2) -> CrossedChain:
     """Zero boundary out of a non-square-zero algebra: CM2 must fail."""
     R = zmod(p)
     M = zmod(p)  # e*e = e, so the Peiffer identity cannot hold
@@ -110,20 +110,19 @@ def cm_zero_module_bad(p: int = 2) -> CrossedModule:
 # 2-crossed modules
 
 
-def tcm_square_zero_lifting(p: int = 2) -> TwoCrossedModule:
+def tcm_square_zero_lifting(p: int = 2) -> CrossedChain:
     """Zero boundaries, square-zero C2 and C1, one nonzero lifting value."""
     C0 = zmod(p)
     C1 = square_zero(p, 1, name="C1")
     C2 = square_zero(p, 1, name="C2")
     lift = np.zeros((1, 1, 1), dtype=np.int64)
     lift[0, 0, 0] = 1
-    return TwoCrossedModule(
-        C2, C1, C0, Morphism.zero(C2, C1), Morphism.zero(C1, C0),
-        unital_action(C0, C1), unital_action(C0, C2),
-        BilinearMap(C1, C1, C2, lift), name=f"sq0-lifting@Z/{p}")
+    return CrossedChain((C0, C1, C2), (Morphism.zero(C1, C0), Morphism.zero(C2, C1)),
+                        {"01": unital_action(C0, C1), "02": unital_action(C0, C2),
+                         "()": BilinearMap(C1, C1, C2, lift)}, f"sq0-lifting@Z/{p}")
 
 
-def tcm_cubic_chain(p: int = 2) -> TwoCrossedModule:
+def tcm_cubic_chain(p: int = 2) -> CrossedChain:
     """C1 the positive part of k[u]/(u^3), C2 one-dimensional, d2 hitting
     u^2, lifting {u (x) u} = v; nonzero d2 and nonzero lifting."""
     C0 = zmod(p)
@@ -134,21 +133,20 @@ def tcm_cubic_chain(p: int = 2) -> TwoCrossedModule:
     d2 = Morphism(C2, C1, np.array([[0], [1]], dtype=np.int64))  # v -> w
     lift = np.zeros((2, 2, 1), dtype=np.int64)
     lift[0, 0, 0] = 1  # {u (x) u} = v
-    return TwoCrossedModule(
-        C2, C1, C0, d2, Morphism.zero(C1, C0),
-        unital_action(C0, C1), unital_action(C0, C2),
-        BilinearMap(C1, C1, C2, lift), name=f"cubic-chain@Z/{p}")
+    return CrossedChain((C0, C1, C2), (Morphism.zero(C1, C0), d2),
+                        {"01": unital_action(C0, C1), "02": unital_action(C0, C2),
+                         "()": BilinearMap(C1, C1, C2, lift)}, f"cubic-chain@Z/{p}")
 
 
-def tcm_module_identity(p: int = 2) -> TwoCrossedModule:
+def tcm_module_identity(p: int = 2) -> CrossedChain:
     """M --id--> M --0--> R with zero lifting."""
     C0 = zmod(p)
     M = square_zero(p, 2)
     Mtop = square_zero(p, 2, name="Mtop")
-    return TwoCrossedModule(
-        Mtop, M, C0, Morphism(Mtop, M, np.eye(2, dtype=np.int64)),
-        Morphism.zero(M, C0), unital_action(C0, M), unital_action(C0, Mtop),
-        BilinearMap.zero(M, M, Mtop), name=f"module-id@Z/{p}")
+    d2 = Morphism(Mtop, M, np.eye(2, dtype=np.int64))
+    return CrossedChain((C0, M, Mtop), (Morphism.zero(M, C0), d2),
+                        {"01": unital_action(C0, M), "02": unital_action(C0, Mtop),
+                         "()": BilinearMap.zero(M, M, Mtop)}, f"module-id@Z/{p}")
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +174,7 @@ def simplicial_corpus(p: int = 2, names=None) -> dict[str, TruncatedSimplicialAl
     })
 
 
-def crossed_corpus(p: int = 2, names=None) -> dict[str, CrossedModule]:
+def crossed_corpus(p: int = 2, names=None) -> dict[str, CrossedChain]:
     builders = {
         "ideal-pair": lambda: cm_ideal_dual(p),
         "ideal-pair-cubic": lambda: cm_ideal_cubic(p),
@@ -190,13 +188,13 @@ def crossed_corpus(p: int = 2, names=None) -> dict[str, CrossedModule]:
     return _built(names, builders)
 
 
-def two_crossed_corpus(p: int = 2, names=None) -> dict[str, TwoCrossedModule]:
+def two_crossed_corpus(p: int = 2, names=None) -> dict[str, CrossedChain]:
     return _built(names, {
         "sq0-lifting": lambda: tcm_square_zero_lifting(p),
         "cubic-chain": lambda: tcm_cubic_chain(p),
         "module-id": lambda: tcm_module_identity(p),
-        "remark1-ideal-pair": lambda: crossed_as_2cm(cm_ideal_dual(p)),
-        "remark1-zero-module": lambda: crossed_as_2cm(cm_zero_module(p)),
+        "remark1-ideal-pair": lambda: zero_extension(cm_ideal_dual(p), 2),
+        "remark1-zero-module": lambda: zero_extension(cm_zero_module(p), 2),
     })
 
 
@@ -211,7 +209,7 @@ def lie_corpus(p: int = 3, names=None) -> dict[str, LieAlgebra]:
     })
 
 
-def lie_three_corpus(p: int = 3, names=None) -> dict[str, ThreeCrossedModule]:
+def lie_three_corpus(p: int = 3, names=None) -> dict[str, CrossedChain]:
     return _built(names, {
         "abelian-chain": lambda: degenerate_lie_3cm(lie_abelian(p, 2)),
         "heisenberg-chain": lambda: degenerate_lie_3cm(lie_heisenberg(p)),

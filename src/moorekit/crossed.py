@@ -1,5 +1,11 @@
-"""Crossed modules, 2-crossed modules and 3-crossed modules with
-mechanized axiom verifiers.
+"""Crossed modules, 2-crossed modules and 3-crossed modules as one type,
+CrossedChain, with mechanized axiom verifiers.
+
+A crossed chain of length m is the length-m cut of the hypercrossed
+structure of a simplicial algebra (Carrasco & Cegarra, JPAA 75, 1991):
+levels C_0..C_m, boundaries d_1..d_m, and the actions and liftings
+CARRIED[m], each typed by SIGNATURES.  Length 1 is a crossed module,
+length 2 a 2-crossed module and length 3 a 3-crossed module.
 
 Every axiom in scope but 3CM6 is multilinear in each slot, so its value
 on basis tuples decides it exactly; 3CM6 is a linear plus a quadratic
@@ -17,6 +23,7 @@ elements in a 2-crossed module is derived from the lifting,
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -28,15 +35,18 @@ from .coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
 from .report import FAIL, PASS, CheckRecord
 
 # The levels of the left argument, the right argument and the value of
-# every stored action and lifting of a 3-crossed module, keyed by the
-# ThreeCrossedModule field that holds the map.
-SIGNATURES = {
-    "actions": {"01": (0, 1, 1), "02": (0, 2, 2), "03": (0, 3, 3),
-                "12": (1, 2, 2), "13": (1, 3, 3), "23": (2, 3, 3)},
-    "liftings": {"(1)(0)": (2, 2, 3), "(2)(0)": (2, 2, 3), "(2)(1)": (2, 2, 3),
-                 "(1,0)(2)": (1, 2, 3), "(2,0)(1)": (1, 2, 3),
-                 "(0)(2,1)": (2, 1, 3), "()": (1, 1, 2)},
-}
+# every action ("ab": C_a acting on C_b) and lifting (keyed by its
+# pairing) a crossed chain can carry; "(0)(2)" names the map "(2)(0)".
+SIGNATURES = {"01": (0, 1, 1), "02": (0, 2, 2), "03": (0, 3, 3),
+              "12": (1, 2, 2), "13": (1, 3, 3), "23": (2, 3, 3),
+              "(1)(0)": (2, 2, 3), "(2)(0)": (2, 2, 3), "(2)(1)": (2, 2, 3),
+              "(1,0)(2)": (1, 2, 3), "(2,0)(1)": (1, 2, 3),
+              "(0)(2,1)": (2, 1, 3), "()": (1, 1, 2)}
+ACTIONS = tuple(key for key in SIGNATURES if key.isdigit())
+# the maps a chain of length m carries: none on a lone algebra, the
+# C_0-action on C_1 on a crossed module, also the C_0-action on C_2 and
+# the Peiffer lifting on a 2-crossed module, and all of them at m = 3
+CARRIED = {0: (), 1: ("01",), 2: ("01", "02", "()"), 3: tuple(SIGNATURES)}
 
 
 # ---------------------------------------------------------------------------
@@ -140,35 +150,96 @@ def _flag(name: str, ok: bool, detail: dict | None = None) -> AxiomEntry:
 
 
 # ---------------------------------------------------------------------------
-# crossed modules
+# crossed chains
 
 
 @dataclass(frozen=True, eq=False)
-class CrossedModule:
-    """Boundary C -> R with an R-action on C subject to CM1 and CM2."""
+class CrossedChain:
+    """A complex C_m -> ... -> C_0, 0 <= m <= 3, with the actions and
+    liftings CARRIED[m]: a crossed module at m = 1, a 2-crossed module at
+    m = 2 and a 3-crossed module at m = 3.
 
-    C: Algebra
-    R: Algebra
-    boundary: Morphism
-    action: BilinearMap  # R (x) C -> C
+    levels[n] is C_n, boundaries[n - 1] is d_n : C_n -> C_{n-1}, and
+    maps[key] is the map SIGNATURES[key] types.  The levels are
+    commutative algebras or, for a Lie chain, Lie algebras.  Every
+    boundary and map is checked to run between the levels it names.
+    """
+
+    levels: tuple[Algebra, ...]
+    boundaries: tuple[Morphism, ...] = ()
+    maps: dict = field(default_factory=dict)  # frozen, in CARRIED order
     name: str = ""
 
     def __post_init__(self):
-        if self.boundary.source is not self.C or self.boundary.target is not self.R:
-            raise PreconditionError("boundary must map C to R")
-        if (self.action.left is not self.R or self.action.right is not self.C
-                or self.action.target is not self.C):
-            raise PreconditionError("action must map R (x) C to C")
+        levels, m = tuple(self.levels), len(self.boundaries)
+        if m not in CARRIED or len(levels) != m + 1:
+            raise PreconditionError(f"{len(levels)} levels for {m} boundaries")
+        for n, d in enumerate(self.boundaries, 1):
+            if d.source is not levels[n] or d.target is not levels[n - 1]:
+                raise PreconditionError(f"d{n} must map C{n} to C{n - 1}")
+        if set(self.maps) != set(CARRIED[m]):
+            raise PreconditionError(f"a chain of length {m} carries the maps "
+                                    f"{list(CARRIED[m])}, not {list(self.maps)}")
+        for key in CARRIED[m]:
+            a, b, v = SIGNATURES[key]
+            f = self.maps[key]
+            if f.left is not levels[a] or f.right is not levels[b] or f.target is not levels[v]:
+                raise PreconditionError(f"map {key} must map C{a} (x) C{b} to C{v}")
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "boundaries", tuple(self.boundaries))
+        object.__setattr__(self, "maps",
+                           MappingProxyType({key: self.maps[key] for key in CARRIED[m]}))
+
+    @property
+    def length(self) -> int:
+        return len(self.boundaries)
+
+    def d(self, n: int) -> Morphism:
+        """The boundary d_n : C_n -> C_{n-1}."""
+        return self.boundaries[n - 1]
+
+    def map(self, key: str) -> BilinearMap:
+        return self.maps["(2)(0)" if key == "(0)(2)" else key]
 
 
-def verify_cm(m: CrossedModule) -> AxiomReport:
+def zero_extension(base: CrossedChain, m: int, tops=None, name: str = "") -> CrossedChain:
+    """The chain of length m over base: base's levels, then the levels
+    `tops` (zero algebras when not given), and zero wherever base has no
+    boundary or map.  Over a crossed module at m = 2 it is Remark 1's
+    2-crossed module with trivial top term."""
+    if tops is None:
+        tops = [Algebra(base.levels[0].field, np.zeros((0, 0, 0), dtype=np.int64), (), None, "0")
+                for _ in range(m - base.length)]
+    levels = base.levels + tuple(tops)
+    boundaries = base.boundaries + tuple(Morphism.zero(levels[n], levels[n - 1])
+                                         for n in range(base.length + 1, m + 1))
+    maps = {key: base.maps[key] if key in base.maps
+            else BilinearMap.zero(*(levels[i] for i in SIGNATURES[key]))
+            for key in CARRIED[m]}
+    return CrossedChain(levels, boundaries, maps, name or f"{base.name}+trivial-tops")
+
+
+def _top(m: CrossedChain, length: int) -> CrossedChain:
+    """The top `length` boundaries of a 3-crossed module as a crossed
+    module (length 1, acted on by C2) or a 2-crossed module (length 2,
+    acted on by C1, its lifting (2)(1))."""
+    keys = {1: {"01": "23"}, 2: {"01": "12", "02": "13", "()": "(2)(1)"}}[length]
+    return CrossedChain(m.levels[3 - length:], m.boundaries[3 - length:],
+                        {key: m.maps[of] for key, of in keys.items()}, "top-segment")
+
+
+# ---------------------------------------------------------------------------
+# crossed modules
+
+
+def verify_cm(m: CrossedChain) -> AxiomReport:
     """CM1, CM2, action laws, plus the two lemmas: the boundary image is
-    an ideal of R and acts trivially on the kernel."""
-    C, R, bd, act = m.C, m.R, m.boundary, m.action
+    an ideal of R = C_0 and acts trivially on the kernel."""
+    (R, C), bd, act = m.levels, m.d(1), m.map("01")
     entries = [
         _flag("boundary-multiplicative", bd.is_multiplicative()),
         _flag("action-algebra", not action_violations(act)),
-        *_cm_sweeps(C, R, bd, act),
+        *_cm_sweeps(m),
         _flag("image-is-ideal", Ideal(R, image_space(bd)).is_mult_closed()),
     ]
     ker = null_space(bd.matrix, C.p)
@@ -179,11 +250,11 @@ def verify_cm(m: CrossedModule) -> AxiomReport:
     return AxiomReport(m.name or "crossed-module", tuple(entries))
 
 
-def _cm_sweeps(C: Algebra, R: Algebra, bd: Morphism, act: BilinearMap,
-               prefix: str = "") -> list[AxiomEntry]:
-    """CM1 and CM2 of a boundary C -> R with an R-action on C, as entries
-    "<prefix>CM1" and "<prefix>CM2"; x * y is the product of the levels,
-    the multiplication or the bracket."""
+def _cm_sweeps(m: CrossedChain, prefix: str = "") -> list[AxiomEntry]:
+    """CM1 and CM2 of a crossed module, as entries "<prefix>CM1" and
+    "<prefix>CM2"; x * y is the product of the levels, the multiplication
+    or the bracket."""
+    (R, C), bd, act = m.levels, m.d(1), m.map("01")
     return [
         _sweep(f"{prefix}CM1", [R, C],
                lambda r, c: (bd(act(r, c)), r * bd(c))),
@@ -192,23 +263,24 @@ def _cm_sweeps(C: Algebra, R: Algebra, bd: Morphism, act: BilinearMap,
     ]
 
 
-def ideal_pair(R: Algebra, gens, name: str = "") -> CrossedModule:
+def ideal_pair(R: Algebra, gens, name: str = "") -> CrossedChain:
     """Inclusion crossed module of the ideal generated by gens in R."""
     ideal = ideal_closure(R, gens)
     C, incl = subalgebra(R, ideal.basis_matrix, name=f"{name or 'I'}")
     # R acts on the ideal by multiplication, written in ideal coordinates
     prods = R.mul_vec(np.eye(R.dim, dtype=np.int64)[:, None], incl.matrix.T[None])
     act = BilinearMap(R, C, C, ideal.coords(prods))
-    return CrossedModule(C, R, incl, act, name=name or "ideal-pair")
+    return CrossedChain((R, C), (incl,), {"01": act}, name or "ideal-pair")
 
 
-def zero_module_cm(M: Algebra, R: Algebra, action: BilinearMap, name: str = "") -> CrossedModule:
+def zero_module_cm(M: Algebra, R: Algebra, action: BilinearMap, name: str = "") -> CrossedChain:
     """Zero boundary M -> R; a crossed module exactly when M has zero
     multiplication."""
-    return CrossedModule(M, R, Morphism.zero(M, R), action, name=name or "zero-module")
+    return CrossedChain((R, M), (Morphism.zero(M, R),), {"01": action},
+                        name or "zero-module")
 
 
-def multiplication_cm(R: Algebra) -> CrossedModule:
+def multiplication_cm(R: Algebra) -> CrossedChain:
     """The multiplication crossed module mu : R -> M(R).
 
     M(R) is the solution space of delta(r r') = delta(r) r' over all
@@ -248,38 +320,16 @@ def multiplication_cm(R: Algebra) -> CrossedModule:
     # multiplication by e_i is the multiplier S[i].T
     mu = Morphism(R, MR, coords(S.transpose(0, 2, 1).reshape(d, d * d)).T)
     act = BilinearMap(MR, R, R, mats.transpose(0, 2, 1))  # delta_a(e_j) is column j
-    return CrossedModule(R, MR, mu, act, name="multiplication-cm")
+    return CrossedChain((MR, R), (mu,), {"01": act}, "multiplication-cm")
 
 
 # ---------------------------------------------------------------------------
 # 2-crossed modules
 
 
-@dataclass(frozen=True, eq=False)
-class TwoCrossedModule:
-    """Complex C2 -> C1 -> C0 with base actions and a Peiffer lifting.
-
-    Only the C0-actions are stored; C1 acts on C2 through the lifting,
-    y . x = {y (x) d2 x}.
-    """
-
-    C2: Algebra
-    C1: Algebra
-    C0: Algebra
-    d2: Morphism
-    d1: Morphism
-    act_on_c1: BilinearMap  # C0 (x) C1 -> C1
-    act_on_c2: BilinearMap  # C0 (x) C2 -> C2
-    lifting: BilinearMap    # C1 (x) C1 -> C2
-    name: str = ""
-
-    def act1_on_2(self, y: Element, x: Element) -> Element:
-        return self.lifting(y, self.d2(x))
-
-
-def verify_2cm(t: TwoCrossedModule) -> AxiomReport:
-    C2, C1, C0 = t.C2, t.C1, t.C0
-    d2, d1, a1, a2 = t.d2, t.d1, t.act_on_c1, t.act_on_c2
+def verify_2cm(t: CrossedChain) -> AxiomReport:
+    (C0, C1, C2), (d1, d2) = t.levels, t.boundaries
+    a1, a2 = t.map("01"), t.map("02")
     entries = [
         _flag("complex", not (d1.matrix @ d2.matrix % C0.p).any()),
         _flag("d2-multiplicative", d2.is_multiplicative()),
@@ -295,13 +345,13 @@ def verify_2cm(t: TwoCrossedModule) -> AxiomReport:
     return AxiomReport(t.name or "two-crossed-module", tuple(entries))
 
 
-def _two_cm_sweeps(t: TwoCrossedModule, prefix: str = "",
+def _two_cm_sweeps(t: CrossedChain, prefix: str = "",
                    omit: tuple[str, ...] = ()) -> list[AxiomEntry]:
     """2CM1 through 2CM5 but the axioms in `omit`, each as the entry
     "<prefix><axiom>"; x * y is the product of the levels, the
-    multiplication or the bracket."""
-    C2, C1, C0 = t.C2, t.C1, t.C0
-    d2, d1, a1, a2, lt = t.d2, t.d1, t.act_on_c1, t.act_on_c2, t.lifting
+    multiplication or the bracket, and C1 acts on C2 by y . x = {y (x) d2 x}."""
+    (C0, C1, C2), (d1, d2) = t.levels, t.boundaries
+    a1, a2, lt = t.map("01"), t.map("02"), t.map("()")
     axioms = [
         ("2CM1", [C1, C1],
          lambda y0, y1: (d2(lt(y0, y1)), y0 * y1 - a1(d1(y1), y0))),
@@ -311,9 +361,9 @@ def _two_cm_sweeps(t: TwoCrossedModule, prefix: str = "",
          lambda y0, y1, y2: (lt(y0, y1 * y2),
                              lt(y0 * y1, y2) + a2(d1(y2), lt(y0, y1)))),
         ("2CM4i", [C2, C1],
-         lambda x, y: (lt(d2(x), y), t.act1_on_2(y, x) - a2(d1(y), x))),
+         lambda x, y: (lt(d2(x), y), lt(y, d2(x)) - a2(d1(y), x))),
         ("2CM4ii", [C2, C1],
-         lambda x, y: (lt(y, d2(x)), t.act1_on_2(y, x))),
+         lambda x, y: (lt(y, d2(x)), lt(y, d2(x)))),
         ("2CM5", [C0, C1, C1],
          lambda z, y0, y1: [(a2(z, lt(y0, y1)), lt(a1(z, y0), y1)),
                             (a2(z, lt(y0, y1)), lt(y0, a1(z, y1)))]),
@@ -322,32 +372,24 @@ def _two_cm_sweeps(t: TwoCrossedModule, prefix: str = "",
             if name not in omit]
 
 
-def crossed_as_2cm(m: CrossedModule, name: str = "") -> TwoCrossedModule:
-    """Degenerate 2-crossed module with trivial top term and zero lifting."""
-    zero = Algebra(m.C.field, np.zeros((0, 0, 0), dtype=np.int64), (), None, "0")
-    return TwoCrossedModule(
-        zero, m.C, m.R,
-        Morphism.zero(zero, m.C), m.boundary,
-        m.action, BilinearMap.zero(m.R, zero, zero),
-        BilinearMap.zero(m.C, m.C, zero),
-        name=name or f"{m.name}+trivial-top")
-
-
-def induced_cm(t: TwoCrossedModule) -> CrossedModule:
+def induced_cm(t: CrossedChain) -> CrossedChain:
     """Quotient C1 by the image of d2, an ideal; the induced boundary and
     action form a crossed module."""
-    C1, d1, maps = _divide_top(t.d2, np.eye(t.C2.dim, dtype=np.int64), t.d1, {"01": t.act_on_c1})
-    return CrossedModule(C1, t.C0, d1, maps["01"], name=(t.name or "2cm") + "-induced")
+    bottom = CrossedChain(t.levels[:2], t.boundaries[:1], {"01": t.map("01")},
+                          (t.name or "2cm") + "-induced")
+    return _divide_top(bottom, t.d(2), np.eye(t.levels[2].dim, dtype=np.int64))
 
 
-def _divide_top(above: Morphism, rows, boundary: Morphism, maps: dict):
-    """Divide the top level C = boundary.source of a complex by the span I
-    of the image of rows under above : C' -> C.  I must be an ideal that
-    the boundary kills and each map with an argument in C keeps.  Returns
-    (C / I, the induced boundary, maps), each map restricted in each slot
-    taking C to the basis vectors C / I keeps and projected when valued in C.
+def _divide_top(chain: CrossedChain, above: Morphism, rows) -> CrossedChain:
+    """Divide the top level C of a chain by the span I of the image of rows
+    under above : C' -> C.  I must be an ideal that the top boundary kills
+    and each map with an argument in C keeps.  Returns the chain on C / I
+    with the induced top boundary and maps, each map restricted in each
+    slot taking C to the basis vectors C / I keeps and projected when
+    valued in C.
     """
-    top, p = boundary.source, boundary.source.p
+    top, boundary = chain.levels[-1], chain.boundaries[-1]
+    p = top.p
     if above.target is not top:
         raise PreconditionError("the divided image lies outside the top level")
     I = Ideal(top, matmul(rows, above.matrix.T, p))
@@ -356,7 +398,7 @@ def _divide_top(above: Morphism, rows, boundary: Morphism, maps: dict):
         raise PreconditionError("the boundary does not kill the divided ideal")
     keep = np.delete(np.arange(top.dim), I.pivots)  # pi maps e_keep[q] to e_q
     divided = {}
-    for key, f in maps.items():
+    for key, f in chain.maps.items():
         t = f.tensor
         for axis in (i for i, A in enumerate((f.left, f.right)) if A is top):
             if not I.contains(np.tensordot(I.basis_matrix, f.tensor, (1, axis)) % p):
@@ -366,77 +408,27 @@ def _divide_top(above: Morphism, rows, boundary: Morphism, maps: dict):
         if f.target is top:
             t = matmul(t, pi.matrix.T, p)
         divided[key] = BilinearMap(*(Q if A is top else A for A in (f.left, f.right, f.target)), t)
-    return Q, Morphism(Q, boundary.target, boundary.matrix[:, keep]), divided
+    return CrossedChain(chain.levels[:-1] + (Q,),
+                        chain.boundaries[:-1] + (Morphism(Q, boundary.target, boundary.matrix[:, keep]),),
+                        divided, chain.name)
 
 
 # ---------------------------------------------------------------------------
 # 3-crossed modules
 
 
-@dataclass(frozen=True, eq=False)
-class ThreeCrossedModule:
-    """Complex C3 -> C2 -> C1 -> C0 with six actions and seven liftings.
-
-    The levels are commutative algebras or, for a Lie 3-crossed module,
-    Lie algebras; SIGNATURES gives the levels each action and lifting
-    key maps between.  The keys "(0)(2)" and "(2)(0)" name the same map.
-    """
-
-    C3: Algebra
-    C2: Algebra
-    C1: Algebra
-    C0: Algebra
-    d3: Morphism
-    d2: Morphism
-    d1: Morphism
-    actions: dict = field(default_factory=dict)   # SIGNATURES["actions"]
-    liftings: dict = field(default_factory=dict)  # SIGNATURES["liftings"]
-    name: str = ""
-
-    @property
-    def levels(self) -> tuple[Algebra, ...]:
-        """(C0, C1, C2, C3): the level of degree n at index n."""
-        return (self.C0, self.C1, self.C2, self.C3)
-
-    def action(self, key: str) -> BilinearMap:
-        return self.actions[key]
-
-    def lifting(self, key: str) -> BilinearMap:
-        if key == "(0)(2)":
-            key = "(2)(0)"
-        return self.liftings[key]
-
-
-def trivial_3cm(levels, name: str, d1: Morphism | None = None,
-                a01: BilinearMap | None = None) -> ThreeCrossedModule:
-    """The 3-crossed module on levels (C0, C1, C2, C3) with the given d1
-    and C0-action on C1, and every other boundary, action and lifting
-    zero (d1 and the action are zero when not given)."""
-    maps = {group: {key: BilinearMap.zero(*(levels[i] for i in sig))
-                    for key, sig in table.items()}
-            for group, table in SIGNATURES.items()}
-    if a01 is not None:
-        maps["actions"]["01"] = a01
-    C0, C1, C2, C3 = levels
-    return ThreeCrossedModule(
-        C3, C2, C1, C0, Morphism.zero(C3, C2), Morphism.zero(C2, C1),
-        Morphism.zero(C1, C0) if d1 is None else d1, name=name, **maps)
-
-
-def _structure_entries(m: ThreeCrossedModule, morphism: str, action: str,
+def _structure_entries(m: CrossedChain, morphism: str, action: str,
                        violations) -> list[AxiomEntry]:
     """Both complex conditions, each boundary a morphism (entries
     "d<n>-<morphism>") and each action lawful by `violations` (entries
     `action` formatted with the key)."""
-    p = m.C0.p
+    p = m.levels[0].p
     entries = [
-        _flag("complex-d2d3", not (m.d2.matrix @ m.d3.matrix % p).any()),
-        _flag("complex-d1d2", not (m.d1.matrix @ m.d2.matrix % p).any()),
+        _flag("complex-d2d3", not (m.d(2).matrix @ m.d(3).matrix % p).any()),
+        _flag("complex-d1d2", not (m.d(1).matrix @ m.d(2).matrix % p).any()),
     ]
-    entries += [_flag(f"{d}-{morphism}", getattr(m, d).is_multiplicative())
-                for d in ("d3", "d2", "d1")]
-    entries += [_flag(action.format(key), not violations(m.action(key)))
-                for key in SIGNATURES["actions"]]
+    entries += [_flag(f"d{n}-{morphism}", m.d(n).is_multiplicative()) for n in (3, 2, 1)]
+    entries += [_flag(action.format(key), not violations(m.map(key))) for key in ACTIONS]
     return entries
 
 
@@ -445,7 +437,7 @@ def _prefixed(prefix: str, report: AxiomReport) -> list[AxiomEntry]:
     return [replace(e, name=f"{prefix}/{e.name}") for e in report.entries]
 
 
-def verify_3cm(m: ThreeCrossedModule) -> AxiomReport:
+def verify_3cm(m: CrossedChain) -> AxiomReport:
     """3CM1 through 3CM16 as printed, the degree-3 crossed module property,
     and the two equivariance tables.
 
@@ -454,70 +446,72 @@ def verify_3cm(m: ThreeCrossedModule) -> AxiomReport:
     quadratic in each slot, so it is evaluated on pairs of
     quadratic_points of C2, which decides it exactly too.
     """
-    C3, C2, C1 = m.C3, m.C2, m.C1
     entries = _structure_entries(m, "multiplicative", "action-{}-algebra",
                                  action_violations)
-    entries += _cm_sweeps(C3, C2, m.d3, m.action("23"), "d3-crossed-")
-    sub = TwoCrossedModule(C3, C2, C1, m.d3, m.d2, m.action("12"), m.action("13"),
-                           m.lifting("(2)(1)"), name="top-segment")
-    entries += _prefixed("3CM1", verify_2cm(sub))
-    entries += _axioms_3cm2_to_16(m)
+    entries += _cm_sweeps(_top(m, 1), "d3-crossed-")
+    entries += _prefixed("3CM1", verify_2cm(_top(m, 2)))
+    entries += _sweep_3cm2_to_16(m)
     entries += _equivariance_entries(m, "table3", 0)
     entries += _equivariance_entries(m, "table4", 1)
     return AxiomReport(m.name or "three-crossed-module", tuple(entries))
 
 
-def _axioms_3cm2_to_16(m: ThreeCrossedModule) -> list[AxiomEntry]:
-    """3CM2 through 3CM16 as printed; x * y is the product of the levels,
-    the multiplication or the bracket.  Each axiom is evaluated once on
-    stacked basis tuples, 3CM6 on stacked pairs of quadratic_points of C2
-    (see there why that decides it); its detail gives the mode,
+def _sweep_3cm2_to_16(m: CrossedChain) -> list[AxiomEntry]:
+    """The entries of _axioms_3cm2_to_16; 3CM6's detail gives its mode,
     basis-exact, and its witness is a pair of elements where it fails."""
-    C3, C2, C1 = m.C3, m.C2, m.C1
-    d3, d2, d1 = m.d3, m.d2, m.d1
-    a01, a02, a03 = m.action("01"), m.action("02"), m.action("03")
-    a12, a13, a23 = m.action("12"), m.action("13"), m.action("23")
-    L10, L20, L21 = m.lifting("(1)(0)"), m.lifting("(2)(0)"), m.lifting("(2)(1)")
-    L102, L201 = m.lifting("(1,0)(2)"), m.lifting("(2,0)(1)")
-    L021, L = m.lifting("(0)(2,1)"), m.lifting("()")
+    entries = [_sweep(*row) for row in _axioms_3cm2_to_16(m)]
+    return [replace(e, detail={"mode": "basis-exact"}) if e.name == "3CM6" else e
+            for e in entries]
+
+
+def _axioms_3cm2_to_16(m: CrossedChain) -> list[tuple]:
+    """3CM2 through 3CM16 as printed, as (name, slots, fun) rows; x * y is
+    the product of the levels, the multiplication or the bracket.  Each
+    axiom runs on its levels' bases but 3CM6, which runs on pairs of
+    quadratic_points of C2 (see there why that decides it)."""
+    _, C1, C2, C3 = m.levels
+    d1, d2, d3 = m.boundaries
+    a01, a02, a03, a12, a13, a23 = (m.map(key) for key in ACTIONS)
+    L10, L20, L21 = m.map("(1)(0)"), m.map("(2)(0)"), m.map("(2)(1)")
+    L102, L201 = m.map("(1,0)(2)"), m.map("(2,0)(1)")
+    L021, L = m.map("(0)(2,1)"), m.map("()")
     points = Element(C2, quadratic_points(C2.dim, C2.p))
     return [
-        _sweep("3CM2", [C1, C1],
-               lambda x1, y1: (d2(L(x1, y1)), a01(d1(y1), x1) - x1 * y1)),
-        _sweep("3CM3", [C2, C2],
-               lambda x2, y2: (L021(x2, d2(y2)), L21(x2, y2) - L10(x2, y2))),
-        _sweep("3CM4", [C2, C2],
-               lambda x2, y2: (d3(L10(x2, y2)), L(d2(x2), d2(y2)) + x2 * y2)),
-        _sweep("3CM5", [C1, C3],
-               lambda x1, y3: (L201(x1, d3(y3)),
-                               L021(d3(y3), x1) + L102(x1, d3(y3)) - a03(d1(x1), y3))),
-        replace(_sweep("3CM6", [points, points],
-                       lambda x2, y2: (L201(d2(x2), y2),
-                                       -L20(x2, y2) + a23(x2 * y2, L21(x2, y2)) + L10(x2, y2))),
-                detail={"mode": "basis-exact"}),
-        _sweep("3CM7", [C3, C3],
-               lambda x3, y3: (L10(d3(x3), d3(y3)), y3 * x3)),
-        _sweep("3CM8", [C3, C2],
-               lambda y3, x2: (L021(d3(y3), d2(x2)), -a13(d2(x2), y3))),
-        _sweep("3CM9", [C2, C3],
-               lambda x2, y3: (L102(d2(x2), d3(y3)), -L20(x2, d3(y3)))),
-        _sweep("3CM10", [C2, C3],
-               lambda x2, y3: (L201(d2(x2), d3(y3)),
-                               a13(d2(x2), y3) - L20(x2, d3(y3)))),
-        _sweep("3CM11", [C3, C1],
-               lambda y3, x1: (L021(d3(y3), x1), -a13(x1, y3))),
-        _sweep("3CM12", [C2, C3],
-               lambda y2, x3: (L10(y2, d3(x3)), -a23(y2, x3))),
-        _sweep("3CM13", [C3, C2],
-               lambda x3, y2: (L10(d3(x3), y2), a23(y2, x3))),
-        _sweep("3CM14", [C3, C2],
-               lambda x3, y2: (L20(d3(x3), y2), C3.zero())),
-        _sweep("3CM15", [C1, C2],
-               lambda x1, y2: (d3(L201(x1, y2)),
-                               d3(L102(x1, y2)) + L(x1, d2(y2))
-                               - a02(d1(x1), y2) + a12(x1, y2))),
-        _sweep("3CM16", [C1, C2],
-               lambda x1, y2: (d3(L021(y2, x1)), L(x1, d2(y2)) - a12(x1, y2))),
+        ("3CM2", [C1, C1],
+         lambda x1, y1: (d2(L(x1, y1)), a01(d1(y1), x1) - x1 * y1)),
+        ("3CM3", [C2, C2],
+         lambda x2, y2: (L021(x2, d2(y2)), L21(x2, y2) - L10(x2, y2))),
+        ("3CM4", [C2, C2],
+         lambda x2, y2: (d3(L10(x2, y2)), L(d2(x2), d2(y2)) + x2 * y2)),
+        ("3CM5", [C1, C3],
+         lambda x1, y3: (L201(x1, d3(y3)),
+                         L021(d3(y3), x1) + L102(x1, d3(y3)) - a03(d1(x1), y3))),
+        ("3CM6", [points, points],
+         lambda x2, y2: (L201(d2(x2), y2),
+                         -L20(x2, y2) + a23(x2 * y2, L21(x2, y2)) + L10(x2, y2))),
+        ("3CM7", [C3, C3],
+         lambda x3, y3: (L10(d3(x3), d3(y3)), y3 * x3)),
+        ("3CM8", [C3, C2],
+         lambda y3, x2: (L021(d3(y3), d2(x2)), -a13(d2(x2), y3))),
+        ("3CM9", [C2, C3],
+         lambda x2, y3: (L102(d2(x2), d3(y3)), -L20(x2, d3(y3)))),
+        ("3CM10", [C2, C3],
+         lambda x2, y3: (L201(d2(x2), d3(y3)),
+                         a13(d2(x2), y3) - L20(x2, d3(y3)))),
+        ("3CM11", [C3, C1],
+         lambda y3, x1: (L021(d3(y3), x1), -a13(x1, y3))),
+        ("3CM12", [C2, C3],
+         lambda y2, x3: (L10(y2, d3(x3)), -a23(y2, x3))),
+        ("3CM13", [C3, C2],
+         lambda x3, y2: (L10(d3(x3), y2), a23(y2, x3))),
+        ("3CM14", [C3, C2],
+         lambda x3, y2: (L20(d3(x3), y2), C3.zero())),
+        ("3CM15", [C1, C2],
+         lambda x1, y2: (d3(L201(x1, y2)),
+                         d3(L102(x1, y2)) + L(x1, d2(y2))
+                         - a02(d1(x1), y2) + a12(x1, y2))),
+        ("3CM16", [C1, C2],
+         lambda x1, y2: (d3(L021(y2, x1)), L(x1, d2(y2)) - a12(x1, y2))),
     ]
 
 
@@ -525,7 +519,7 @@ def _axioms_3cm2_to_16(m: ThreeCrossedModule) -> list[AxiomEntry]:
 _EQUIVARIANCE_ROWS = ("()", "(1,0)(2)", "(0)(2,1)", "(2,0)(1)", "(1)(0)", "(2)(0)", "(2)(1)")
 
 
-def _equivariance_entries(m: ThreeCrossedModule, title: str, z: int) -> list[AxiomEntry]:
+def _equivariance_entries(m: CrossedChain, title: str, z: int) -> list[AxiomEntry]:
     """Both equalities of each equivariance-table row, per lifting key:
     for a lifting L of signature (a, b, v) and w in C_z,
     w . L(x, y) = L(w . x, y) = L(x, w . y), where w acts on C_n by the
@@ -533,20 +527,12 @@ def _equivariance_entries(m: ThreeCrossedModule, title: str, z: int) -> list[Axi
     action of C1 on itself is declared, so it acts by multiplication.
     """
     def act(n):
-        return (lambda w, x: w * x) if n == z else m.action(f"{z}{n}")
+        return (lambda w, x: w * x) if n == z else m.map(f"{z}{n}")
 
     def row(key):
-        a, b, v = SIGNATURES["liftings"][key]
-        L, on_a, on_b, on_v = m.lifting(key), act(a), act(b), act(v)
+        a, b, v = SIGNATURES[key]
+        L, on_a, on_b, on_v = m.map(key), act(a), act(b), act(v)
         return _sweep(f"{title}[{key}]", [m.levels[z], m.levels[a], m.levels[b]],
                       lambda w, x, y: [(on_v(w, L(x, y)), L(on_a(w, x), y)),
                                        (on_v(w, L(x, y)), L(x, on_b(w, y)))])
     return [row(key) for key in _EQUIVARIANCE_ROWS]
-
-
-def crossed_as_3cm(m: CrossedModule, name: str = "") -> ThreeCrossedModule:
-    """Degenerate 3-crossed module: trivial C3 and C2 over a crossed module."""
-    zero3 = Algebra(m.C.field, np.zeros((0, 0, 0), dtype=np.int64), (), None, "0")
-    zero2 = Algebra(m.C.field, np.zeros((0, 0, 0), dtype=np.int64), (), None, "0")
-    return trivial_3cm((m.R, m.C, zero2, zero3), name or f"{m.name}+trivial-tops",
-                       d1=m.boundary, a01=m.action)

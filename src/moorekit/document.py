@@ -5,26 +5,55 @@ Structure tensors are stored as sparse [i, j, k, coeff] triples with
 omitted entries zero; matrices are dense row-major target x source.
 All integers are reduced mod p on load.  Name resolution failures and
 shape problems raise DocumentError with a location path.
+
+The four crossed sections (crossed modules, 2- and 3-crossed modules and
+Lie 3-crossed modules) hold one type, crossed.CrossedChain, and one table,
+CROSSED, gives the JSON key of each level, boundary and map of a section
+and the algebra section its levels name; one loader (_load_crossed) and
+one dumper (DocumentBuilder.crossed) read it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
 from .coeff import Algebra, BilinearMap, Morphism, PrimeField, StructureError
-from .crossed import (SIGNATURES, CrossedModule, ThreeCrossedModule,
-                      TwoCrossedModule)
+from .crossed import ACTIONS, CARRIED, SIGNATURES, CrossedChain
 from .lie import LieAlgebra
 from .simplicial import TruncatedSimplicialAlgebra
 
 # algebra section -> (carrier class, key of its structure triples)
 CARRIERS = {"algebras": (Algebra, "structure"), "lie_algebras": (LieAlgebra, "bracket")}
-# 3-crossed section -> (section of its levels, level prefix)
-THREE_CROSSED = {"three_crossed_modules": ("algebras", "C"),
-                 "lie_three_crossed": ("lie_algebras", "L")}
+
+
+class CrossedSection(NamedTuple):
+    """The JSON layout of a crossed section: the algebra section its levels
+    name, the keys of C_0..C_m and of d_1..d_m, and the path of each map of
+    CARRIED[m], a key or a (group, key) pair."""
+    algebras: str
+    levels: tuple
+    boundaries: tuple
+    maps: dict
+
+
+def _three_crossed(algebras: str, prefix: str) -> CrossedSection:
+    return CrossedSection(algebras, tuple(f"{prefix}{n}" for n in range(4)), ("d1", "d2", "d3"),
+                          {key: ("actions" if key in ACTIONS else "liftings", key)
+                           for key in CARRIED[3]})
+
+
+CROSSED = {
+    "crossed_modules": CrossedSection("algebras", ("R", "C"), ("boundary",), {"01": ("action",)}),
+    "two_crossed_modules": CrossedSection(
+        "algebras", ("C0", "C1", "C2"), ("d1", "d2"),
+        {"01": ("action_on_c1",), "02": ("action_on_c2",), "()": ("lifting",)}),
+    "three_crossed_modules": _three_crossed("algebras", "C"),
+    "lie_three_crossed": _three_crossed("lie_algebras", "L"),
+}
 
 
 class DocumentError(ValueError):
@@ -161,25 +190,24 @@ def _load_morphism(body, algebras, loc) -> Morphism:
                      body.get("matrix", []), loc)
 
 
-def _load_three_crossed(section, name, body, doc) -> ThreeCrossedModule:
-    """One body of a 3-crossed section: levels <prefix>3..<prefix>0 name
-    algebras of the section that THREE_CROSSED pairs with `section`, and
-    SIGNATURES gives the levels of each action and lifting."""
-    algebra_section, prefix = THREE_CROSSED[section]
+def _load_crossed(section, name, body, doc) -> CrossedChain:
+    """One body of a crossed section, laid out as CROSSED[section]: the
+    levels and then the boundaries top first, then the maps in CARRIED
+    order, each missing key located at its own path."""
+    spec = CROSSED[section]
     loc = f"{section}.{name}"
-    levels = tuple(_resolve(getattr(doc, algebra_section),
-                            _field(body, f"{prefix}{n}", f"{loc}.{prefix}{n}"), loc)
-                   for n in range(4))
-    d = {n: _morphism(levels[n], levels[n - 1], _field(body, f"d{n}", f"{loc}.d{n}"), loc)
-         for n in (3, 2, 1)}
+    levels = [_resolve(getattr(doc, spec.algebras), _field(body, key, f"{loc}.{key}"), loc)
+              for key in reversed(spec.levels)][::-1]
+    boundaries = [_morphism(levels[n], levels[n - 1], _field(body, key, f"{loc}.{key}"), loc)
+                  for n, key in reversed(list(enumerate(spec.boundaries, 1)))][::-1]
     maps = {}
-    for group, table in SIGNATURES.items():
-        given = _field(body, group, f"{loc}.{group}")
-        maps[group] = {key: _load_bilinear(_field(given, key, f"{loc}.{group}[{key}]"),
-                                           *(levels[i] for i in sig), f"{loc}.{group}[{key}]")
-                       for key, sig in table.items()}
-    return ThreeCrossedModule(levels[3], levels[2], levels[1], levels[0],
-                              d[3], d[2], d[1], name=name, **maps)
+    for key, path in spec.maps.items():
+        value, at = body, loc
+        for i, step in enumerate(path):
+            at += f"[{step}]" if i else f".{step}"
+            value = _field(value, step, at)
+        maps[key] = _load_bilinear(value, *(levels[i] for i in SIGNATURES[key]), at)
+    return CrossedChain(levels, boundaries, maps, name)
 
 
 def _load_bilinear(body, left, right, target, loc) -> BilinearMap:
@@ -239,29 +267,9 @@ def load_document(text: str) -> Document:
         except StructureError as exc:
             raise DocumentError(str(exc), loc)
 
-    for name, body in section("crossed_modules").items():
-        loc = f"crossed_modules.{name}"
-        C, R = (_resolve(doc.algebras, _field(body, k, f"{loc}.{k}"), loc) for k in ("C", "R"))
-        bd = _morphism(C, R, _field(body, "boundary", f"{loc}.boundary"), loc)
-        act = _load_bilinear(_field(body, "action", f"{loc}.action"), R, C, C, f"{loc}.action")
-        doc.crossed_modules[name] = CrossedModule(C, R, bd, act, name=name)
-
-    for name, body in section("two_crossed_modules").items():
-        loc = f"two_crossed_modules.{name}"
-        C2, C1, C0 = (_resolve(doc.algebras, _field(body, k, f"{loc}.{k}"), loc)
-                      for k in ("C2", "C1", "C0"))
-        d2 = _morphism(C2, C1, _field(body, "d2", f"{loc}.d2"), loc)
-        d1 = _morphism(C1, C0, _field(body, "d1", f"{loc}.d1"), loc)
-        a1, a2, lt = (_load_bilinear(_field(body, k, f"{loc}.{k}"), *sig, f"{loc}.{k}")
-                      for k, sig in (("action_on_c1", (C0, C1, C1)),
-                                     ("action_on_c2", (C0, C2, C2)),
-                                     ("lifting", (C1, C1, C2))))
-        doc.two_crossed_modules[name] = TwoCrossedModule(C2, C1, C0, d2, d1, a1, a2, lt,
-                                                         name=name)
-
-    for key in THREE_CROSSED:
+    for key in CROSSED:
         for name, body in section(key).items():
-            getattr(doc, key)[name] = _load_three_crossed(key, name, body, doc)
+            getattr(doc, key)[name] = _load_crossed(key, name, body, doc)
     return doc
 
 
@@ -313,34 +321,18 @@ class DocumentBuilder:
         self.body["simplicial"][name] = {"k": E.k, "levels": level_names,
                                          "faces": faces, "degeneracies": degs}
 
-    def crossed(self, m: CrossedModule, name: str) -> None:
-        self.body["crossed_modules"][name] = {
-            "C": self.algebra(m.C, f"{name}.C"),
-            "R": self.algebra(m.R, f"{name}.R"),
-            "boundary": _matrix(m.boundary),
-            "action": _tensor_triples(m.action.tensor)}
-
-    def two_crossed(self, t: TwoCrossedModule, name: str) -> None:
-        self.body["two_crossed_modules"][name] = {
-            "C2": self.algebra(t.C2, f"{name}.C2"),
-            "C1": self.algebra(t.C1, f"{name}.C1"),
-            "C0": self.algebra(t.C0, f"{name}.C0"),
-            "d2": _matrix(t.d2), "d1": _matrix(t.d1),
-            "action_on_c1": _tensor_triples(t.act_on_c1.tensor),
-            "action_on_c2": _tensor_triples(t.act_on_c2.tensor),
-            "lifting": _tensor_triples(t.lifting.tensor)}
-
-    def three_crossed(self, m: ThreeCrossedModule, name: str,
-                      section: str = "three_crossed_modules") -> None:
-        algebra_section, prefix = THREE_CROSSED[section]
+    def crossed(self, m: CrossedChain, name: str, section: str = "crossed_modules") -> None:
+        """Add m to a crossed section, laid out as CROSSED[section]."""
+        spec = CROSSED[section]
         # top level first: a carrier shared by two levels takes the upper name
-        body = {f"{prefix}{n}": self.algebra(m.levels[n], f"{name}.{prefix}{n}",
-                                             algebra_section)
-                for n in (3, 2, 1, 0)}
-        body.update({f"d{n}": _matrix(getattr(m, f"d{n}")) for n in (3, 2, 1)})
-        body.update({group: {key: _tensor_triples(getattr(m, group)[key].tensor)
-                             for key in table}
-                     for group, table in SIGNATURES.items()})
+        body = {key: self.algebra(A, f"{name}.{key}", spec.algebras)
+                for key, A in reversed(list(zip(spec.levels, m.levels)))}
+        body.update({key: _matrix(d) for key, d in zip(spec.boundaries, m.boundaries)})
+        for key, path in spec.maps.items():
+            at = body
+            for group in path[:-1]:
+                at = at.setdefault(group, {})
+            at[path[-1]] = _tensor_triples(m.maps[key].tensor)
         self.body[section][name] = body
 
     def dumps(self) -> str:
@@ -359,11 +351,11 @@ def corpus_document(p: int = 2, names=None) -> str:
     for name, cm in corpus_mod.crossed_corpus(p, names).items():
         b.crossed(cm, name)
     for name, t in corpus_mod.two_crossed_corpus(p, names).items():
-        b.two_crossed(t, name)
+        b.crossed(t, name, "two_crossed_modules")
     for name, E in corpus_mod.simplicial_corpus(p, names).items():
         b.simplicial(E, name)
     for name, L in corpus_mod.lie_corpus(p, names).items():
         b.algebra(L, name, "lie_algebras")
     for name, m in corpus_mod.lie_three_corpus(p, names).items():
-        b.three_crossed(m, name, "lie_three_crossed")
+        b.crossed(m, name, "lie_three_crossed")
     return b.dumps()

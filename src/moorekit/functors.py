@@ -1,10 +1,12 @@
 """Passage from simplicial algebras to crossed structures through one
-hypercrossed core, _hypercrossed: the Moore complex cut at level m, the
-degeneracy actions and pairing liftings level m carries, and the top level
-divided by crossed._divide_top (Carrasco & Cegarra, JPAA 75, 1991).  At
-m = 1 it gives a crossed module, NE_1 divided by d_2(NE_2) at Moore length
-above 1; at m = 2 a 2-crossed module of Moore length at most 2; at m = 3,
-on any valid 4-truncation, a 3-crossed module on NE_3 / d_4(NE_4 cap D_4).
+hypercrossed core, _hypercrossed, which returns the crossed chain
+(crossed.CrossedChain) of length m: the Moore complex cut at level m, the
+degeneracy actions and pairing liftings crossed.CARRIED[m], and the top
+level divided by crossed._divide_top (Carrasco & Cegarra, JPAA 75, 1991).
+At m = 1 it gives a crossed module, NE_1 divided by d_2(NE_2) at Moore
+length above 1; at m = 2 a 2-crossed module of Moore length at most 2; at
+m = 3, on any valid 4-truncation, a 3-crossed module on
+NE_3 / d_4(NE_4 cap D_4).
 
 Lifting sign conventions.  The two construction sections of the source
 material print the same liftings with opposite signs (and two of the
@@ -23,13 +25,13 @@ convention satisfies on a given instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coeff import (Algebra, BilinearMap, Morphism, PreconditionError, algebras_equal,
-                    intersect_row_spaces, matmul)
-from .crossed import (SIGNATURES, CrossedModule, ThreeCrossedModule, TwoCrossedModule,
+from .coeff import (BilinearMap, PreconditionError, algebras_equal, intersect_row_spaces,
+                    matmul)
+from .crossed import (ACTIONS, CARRIED, SIGNATURES, CrossedChain, _axioms_3cm2_to_16,
                       _divide_top, _equivariance_entries, _evaluate, verify_3cm)
 from .moore import moore, p_set, pairing_table, s_word_morphism
 from .report import (CONFIRMED, DISCREPANT, FAIL, PASS, CheckRecord)
@@ -42,14 +44,9 @@ DEF1 = "def1"
 
 @dataclass(frozen=True, eq=False)
 class FunctorOutput:
-    structure: object  # the extracted CrossedModule or ThreeCrossedModule
+    structure: CrossedChain
     provenance: dict = field(default_factory=dict)
     report: object = None  # AxiomReport from verify_3cm; None from the bare extraction
-
-
-_SIGNATURE = {**SIGNATURES["actions"], **SIGNATURES["liftings"]}
-# the maps the extraction at level m carries, as keys of SIGNATURES
-_CARRIED = {1: ("01",), 2: ("01", "02", "()"), 3: tuple(_SIGNATURE)}
 
 
 def _map_tensor(E: TruncatedSimplicialAlgebra, mc, key: str, sign: int = 1) -> np.ndarray:
@@ -63,9 +60,9 @@ def _map_tensor(E: TruncatedSimplicialAlgebra, mc, key: str, sign: int = 1) -> n
     contracts the structure tensor of each level once for all its
     pairings.
     """
-    left, right, value = _SIGNATURE[key]
+    left, right, value = SIGNATURES[key]
     p = E.level(0).p
-    if key in SIGNATURES["actions"]:
+    if key in ACTIONS:
         bx, by = mc.inclusions[left].matrix.T, mc.inclusions[right].matrix.T
         word = s_word_morphism(E, value, tuple(range(left, value))).matrix
         vals = E.level(value).mul_vec(matmul(bx, word.T, p)[:, None], by[None])
@@ -76,20 +73,22 @@ def _map_tensor(E: TruncatedSimplicialAlgebra, mc, key: str, sign: int = 1) -> n
     return mc.spaces[value].coords(vals)
 
 
-def _hypercrossed(E: TruncatedSimplicialAlgebra, m: int, convention: str = PROP3):
-    """The Moore complex NE_m -> ... -> NE_0 of E with the maps _CARRIED[m]
+def _hypercrossed(E: TruncatedSimplicialAlgebra, m: int,
+                  convention: str = PROP3) -> tuple[CrossedChain, dict]:
+    """The crossed chain NE_m -> ... -> NE_0 of E with the maps CARRIED[m]
     and its top level divided by _divide_top: at m = 1 by d_2(NE_2) when
     the Moore length exceeds 1, at m = 3 always, by d_4(NE_4 cap D_4).
 
-    Returns (levels, boundaries, maps, provenance): levels[n] is C_n,
-    boundaries[n - 1] is d_n : C_n -> C_{n-1}, maps is keyed by SIGNATURES
-    key, and the provenance gives the dimension of the divided ideal, and
-    at m = 3 that of NE_4 cap D_4, when the top level is divided.
+    Returns the chain, named after E, and its provenance: the dimension of
+    the divided ideal, and at m = 3 that of NE_4 cap D_4, when the top
+    level is divided.
     """
     mc, sign = moore(E), -1 if convention == PROP3 else 1
-    levels, boundaries = list(mc.algebras[:m + 1]), list(mc.boundaries[:m])
-    maps = {key: BilinearMap(*(levels[i] for i in _SIGNATURE[key]), _map_tensor(E, mc, key, sign))
-            for key in _CARRIED[m]}
+    levels = mc.algebras[:m + 1]
+    maps = {key: BilinearMap(*(levels[i] for i in SIGNATURES[key]), _map_tensor(E, mc, key, sign))
+            for key in CARRIED[m]}
+    chain = CrossedChain(levels, mc.boundaries[:m], maps,
+                         (E.name or "simplicial") + ("-xmod", "-2xmod", "-3xmod")[m - 1])
     prov = {}
     if m == 3:
         ne4, D4 = mc.spaces[4], degenerate_ideal(E, 4)
@@ -98,12 +97,12 @@ def _hypercrossed(E: TruncatedSimplicialAlgebra, m: int, convention: str = PROP3
         prov["ne4_cap_d4_dim"] = int(cap.shape[0])
     elif m == 1 and mc.length() > 1:
         rows = np.eye(mc.spaces[2].dim, dtype=np.int64)
+        chain = replace(chain, name=chain.name + "/quotiented")
     else:
-        return levels, boundaries, maps, prov
-    levels[m], boundaries[m - 1], maps = _divide_top(mc.boundaries[m], rows,
-                                                     boundaries[m - 1], maps)
-    prov["divided_dim"] = mc.algebras[m].dim - levels[m].dim
-    return levels, boundaries, maps, prov
+        return chain, prov
+    chain = _divide_top(chain, mc.boundaries[m], rows)
+    prov["divided_dim"] = mc.algebras[m].dim - chain.levels[m].dim
+    return chain, prov
 
 
 # ---------------------------------------------------------------------------
@@ -117,24 +116,20 @@ def crossed_extraction(E: TruncatedSimplicialAlgebra) -> FunctorOutput:
     degree-2 boundary image, as induced_cm divides C_1 of a 2-crossed
     module (Remark 2); the name and the provenance's divided_dim record it.
     """
-    (C0, C1), (d1,), maps, prov = _hypercrossed(E, 1)
-    name = (E.name or "simplicial") + "-xmod" + ("/quotiented" if prov else "")
-    return FunctorOutput(CrossedModule(C1, C0, d1, maps["01"], name=name), prov)
+    return FunctorOutput(*_hypercrossed(E, 1))
 
 
-def cm_from_simplicial(E: TruncatedSimplicialAlgebra) -> CrossedModule:
+def cm_from_simplicial(E: TruncatedSimplicialAlgebra) -> CrossedChain:
     """The crossed module of crossed_extraction."""
     return crossed_extraction(E).structure
 
 
 def two_crossed_from_simplicial(E: TruncatedSimplicialAlgebra,
-                                convention: str = PROP3) -> TwoCrossedModule:
+                                convention: str = PROP3) -> CrossedChain:
     """(NE_2, NE_1, NE_0) with degeneracy actions and the pairing lifting."""
     if moore(E).length() > 2:
         raise PreconditionError("Moore length exceeds 2")
-    (C0, C1, C2), (d1, d2), maps, _ = _hypercrossed(E, 2, convention)
-    return TwoCrossedModule(C2, C1, C0, d2, d1, maps["01"], maps["02"], maps["()"],
-                            name=(E.name or "simplicial") + "-2xmod")
+    return _hypercrossed(E, 2, convention)[0]
 
 
 def three_crossed_extraction(E: TruncatedSimplicialAlgebra,
@@ -144,11 +139,7 @@ def three_crossed_extraction(E: TruncatedSimplicialAlgebra,
     provenance; no axiom report."""
     if E.k != 4:
         raise PreconditionError("requires truncation level 4")
-    (C0, C1, C2, C3), (d1, d2, d3), maps, prov = _hypercrossed(E, 3, convention)
-    m = ThreeCrossedModule(C3, C2, C1, C0, d3, d2, d1,
-                           name=(E.name or "simplicial") + "-3xmod",
-                           **{group: {key: maps[key] for key in table}
-                              for group, table in SIGNATURES.items()})
+    m, prov = _hypercrossed(E, 3, convention)
     return FunctorOutput(m, {"source": E.name, "convention": convention, **prov})
 
 
@@ -177,34 +168,33 @@ def lifting_convention_audit(E: TruncatedSimplicialAlgebra) -> list[CheckRecord]
 # printed-table audits inside the extracted structure
 
 
-def _table2_rows(m: ThreeCrossedModule):
-    d3, d2, d1 = m.d3, m.d2, m.d1
-    a02, a03 = m.action("02"), m.action("03")
-    a12, a13, a23 = m.action("12"), m.action("13"), m.action("23")
-    L10, L20, L21 = m.lifting("(1)(0)"), m.lifting("(2)(0)"), m.lifting("(2)(1)")
-    L102, L201 = m.lifting("(1,0)(2)"), m.lifting("(2,0)(1)")
-    L021, L = m.lifting("(0)(2,1)"), m.lifting("()")
-    C1, C2, C3 = m.C1, m.C2, m.C3
+def _table2_rows(m: CrossedChain):
+    """Table 2 as (name, slots, fun) rows.  Rows 2, 6, 7, 15, 16, 18 and 20
+    are the axioms 3CM5, 3CM9, 3CM10, 3CM13, 3CM14, 3CM4 and 3CM15, with
+    the same slots and sides; row 4 is not 3CM7, whose right side is
+    y3 x3, not x3 y3."""
+    axioms = {name: (slots, fun) for name, slots, fun in _axioms_3cm2_to_16(m)}
+    _, C1, C2, C3 = m.levels
+    _, d2, d3 = m.boundaries
+    a12, a13, a23 = m.map("12"), m.map("13"), m.map("23")
+    L10, L20, L21 = m.map("(1)(0)"), m.map("(2)(0)"), m.map("(2)(1)")
+    L102, L201 = m.map("(1,0)(2)"), m.map("(2,0)(1)")
+    L021, L = m.map("(0)(2,1)"), m.map("()")
     # transposed keys: {a (x) b}_{(1)(2,0)} pairs the C2 slot with (1)
     t201 = lambda a2, b1: L201(b1, a2)  # noqa: E731
     t102 = lambda a2, b1: L102(b1, a2)  # noqa: E731
     return [
         ("row1", [C2, C2],
          lambda x2, y2: (L021(x2, d2(y2)), L10(x2, y2) + L21(x2, y2))),
-        ("row2", [C1, C3],
-         lambda x1, y3: (L201(x1, d3(y3)),
-                         L021(d3(y3), x1) + L102(x1, d3(y3)) - a03(d1(x1), y3))),
+        ("row2", *axioms["3CM5"]),
         ("row3", [C2, C2],
          lambda x2, y2: (L102(d2(x2), y2), -L20(x2, y2))),
         ("row4", [C3, C3],
          lambda x3, y3: (L10(d3(x3), d3(y3)), x3 * y3)),
         ("row5", [C2, C3],
          lambda x2, y3: (L021(d3(y3), d2(x2)), a13(d2(x2), y3))),
-        ("row6", [C2, C3],
-         lambda x2, y3: (L102(d2(x2), d3(y3)), -L20(x2, d3(y3)))),
-        ("row7", [C2, C3],
-         lambda x2, y3: (L201(d2(x2), d3(y3)),
-                         a13(d2(x2), y3) - L20(x2, d3(y3)))),
+        ("row6", *axioms["3CM9"]),
+        ("row7", *axioms["3CM10"]),
         ("row8", [C2, C2, C2],
          lambda x2, y2, yp: (L10(x2, y2 * yp),
                              L021(x2, d2(y2 * yp)) - L21(x2, y2 * yp))),
@@ -223,20 +213,14 @@ def _table2_rows(m: ThreeCrossedModule):
          lambda x2, y3: (L21(x2, d3(y3)), a23(x2, y3))),
         ("row14", [C3, C2],
          lambda x3, y2: (L21(d3(x3), y2), a13(d2(y2), x3) + a23(y2, x3))),
-        ("row15", [C3, C2],
-         lambda x3, y2: (L10(d3(x3), y2), a23(y2, x3))),
-        ("row16", [C3, C2],
-         lambda x3, y2: (L20(d3(x3), y2), C3.zero())),
+        ("row15", *axioms["3CM13"]),
+        ("row16", *axioms["3CM14"]),
         ("row17", [C2, C2],
          lambda x2, y2: (d3(L20(x2, y2)), -d3(L102(d2(x2), y2)))),
-        ("row18", [C2, C2],
-         lambda x2, y2: (d3(L10(x2, y2)), L(d2(x2), d2(y2)) + x2 * y2)),
+        ("row18", *axioms["3CM4"]),
         ("row19", [C2, C2],
          lambda x2, y2: (d3(L21(x2, y2)), a12(d2(y2), x2) - x2 * y2)),
-        ("row20", [C1, C2],
-         lambda x1, y2: (d3(L201(x1, y2)),
-                         d3(L102(x1, y2)) + L(x1, d2(y2))
-                         - a02(d1(x1), y2) + a12(x1, y2))),
+        ("row20", *axioms["3CM15"]),
         ("row21", [C1, C2],
          lambda x1, y2: (d3(L021(y2, x1)), L(x1, d2(y2)) + a12(x1, y2))),
     ]
@@ -285,13 +269,10 @@ def roundtrip_check(level: int, p: int = 2) -> list[CheckRecord]:
             for name, s in items(p).items()]
 
 
-def _same(a, b) -> bool:
-    """Whether two structures of one class agree field by field: levels as
-    presentations, boundaries and bilinear maps entry by entry, names aside."""
-    for f in fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if not (algebras_equal(x, y) if isinstance(x, Algebra)
-                else np.array_equal(x.matrix, y.matrix) if isinstance(x, Morphism)
-                else f.name == "name" or np.array_equal(x.tensor, y.tensor)):
-            return False
-    return True
+def _same(a: CrossedChain, b: CrossedChain) -> bool:
+    """Whether two chains of one length agree: levels as presentations,
+    boundaries and maps entry by entry, names aside."""
+    return (all(algebras_equal(x, y) for x, y in zip(a.levels, b.levels))
+            and all(np.array_equal(x.matrix, y.matrix)
+                    for x, y in zip(a.boundaries, b.boundaries))
+            and all(np.array_equal(a.maps[key].tensor, b.maps[key].tensor) for key in a.maps))

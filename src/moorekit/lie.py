@@ -4,10 +4,11 @@ A Lie algebra is an :class:`~moorekit.coeff.Algebra` whose structure
 tensor holds bracket constants, so elements, morphisms and bilinear maps
 are the commutative machinery: x * y on elements of a Lie algebra
 computes [x, y].  A Lie 3-crossed module is a
-:class:`~moorekit.crossed.ThreeCrossedModule` over Lie algebras, stored,
-loaded and dumped like a commutative one, and axioms 3CM2-3CM16, which
-read the same for both products, are decided exactly by the sweep that
-``verify_3cm`` uses (3CM6 on pairs of ``coeff.quadratic_points``).
+:class:`~moorekit.crossed.CrossedChain` of length 3 over Lie algebras,
+stored, loaded and dumped like a commutative one, and axioms
+3CM2-3CM16, which read the same for both products, are decided exactly
+by the rows that ``verify_3cm`` sweeps (3CM6 on pairs of
+``coeff.quadratic_points``).
 
 The real differences stay here:
 
@@ -26,10 +27,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coeff import Algebra, BilinearMap, Morphism, PrimeField, Violation
-from .crossed import (AxiomReport, ThreeCrossedModule, TwoCrossedModule,
-                      _axioms_3cm2_to_16, _cm_sweeps, _flag, _prefixed,
-                      _structure_entries, _two_cm_sweeps, trivial_3cm)
+from .coeff import Algebra, BilinearMap, PrimeField, Violation
+from .crossed import (AxiomReport, CrossedChain, _cm_sweeps, _flag, _prefixed,
+                      _structure_entries, _sweep_3cm2_to_16, _top, _two_cm_sweeps,
+                      zero_extension)
 
 
 class LieAlgebra(Algebra):
@@ -97,50 +98,45 @@ def lie_heisenberg(p: int) -> LieAlgebra:
 # Lie crossed chains
 
 
-def verify_lie_crossed(L1: LieAlgebra, L0: LieAlgebra, bd: Morphism,
-                       act: BilinearMap, title: str = "lie-crossed") -> AxiomReport:
+def verify_lie_crossed(m: CrossedChain, title: str = "lie-crossed") -> AxiomReport:
     """Boundary rule and Peiffer identity with brackets."""
     entries = [
-        _flag("boundary-bracket-morphism", bd.is_multiplicative()),
-        _flag("lie-action", not lie_action_violations(act)),
-        *_cm_sweeps(L1, L0, bd, act, "L"),
+        _flag("boundary-bracket-morphism", m.d(1).is_multiplicative()),
+        _flag("lie-action", not lie_action_violations(m.map("01"))),
+        *_cm_sweeps(m, "L"),
     ]
     return AxiomReport(title, tuple(entries))
 
 
-def verify_lie_2cm(L2, L1, L0, d2, d1, a1, a2, lt,
-                   title: str = "lie-2cm") -> AxiomReport:
+def verify_lie_2cm(t: CrossedChain, title: str = "lie-2cm") -> AxiomReport:
     """Bracketized two-crossed axioms; y . x = {y (x) d2 x} as before."""
+    d1, d2 = t.boundaries
     entries = [
-        _flag("complex", not (d1.matrix @ d2.matrix % L0.p).any()),
+        _flag("complex", not (d1.matrix @ d2.matrix % t.levels[0].p).any()),
         _flag("d2-bracket-morphism", d2.is_multiplicative()),
         _flag("d1-bracket-morphism", d1.is_multiplicative()),
-        _flag("action-l1", not lie_action_violations(a1)),
-        _flag("action-l2", not lie_action_violations(a2)),
-        *_two_cm_sweeps(TwoCrossedModule(L2, L1, L0, d2, d1, a1, a2, lt),
-                        "L", omit=("2CM4ii",)),
+        _flag("action-l1", not lie_action_violations(t.map("01"))),
+        _flag("action-l2", not lie_action_violations(t.map("02"))),
+        *_two_cm_sweeps(t, "L", omit=("2CM4ii",)),
     ]
     return AxiomReport(title, tuple(entries))
 
 
-def verify_lie_3cm(m: ThreeCrossedModule) -> AxiomReport:
+def verify_lie_3cm(m: CrossedChain) -> AxiomReport:
     """The bracketed structure checks, the degree-3 crossed module and
     3CM1, then 3CM2-3CM16 as in ``verify_3cm``; 3CM6 runs on pairs of
     quadratic points of C2, everything else on basis tuples."""
     entries = _structure_entries(m, "bracket-morphism", "lie-action-{}",
                                  lie_action_violations)
-    entries += _prefixed("d3-crossed", verify_lie_crossed(
-        m.C3, m.C2, m.d3, m.action("23"), "d3"))
-    entries += _prefixed("3CM1", verify_lie_2cm(
-        m.C3, m.C2, m.C1, m.d3, m.d2, m.action("12"), m.action("13"),
-        m.lifting("(2)(1)")))
-    entries += _axioms_3cm2_to_16(m)
+    entries += _prefixed("d3-crossed", verify_lie_crossed(_top(m, 1), "d3"))
+    entries += _prefixed("3CM1", verify_lie_2cm(_top(m, 2)))
+    entries += _sweep_3cm2_to_16(m)
     return AxiomReport(m.name or "lie-3cm", tuple(entries))
 
 
-def degenerate_lie_3cm(L0: LieAlgebra, name: str = "") -> ThreeCrossedModule:
+def degenerate_lie_3cm(L0: LieAlgebra, name: str = "") -> CrossedChain:
     """Trivial upper levels and liftings over a base Lie algebra; every
     axiom degenerates to 0 = 0."""
     zero = lie_abelian(L0.p, 0)
-    return trivial_3cm((L0, lie_abelian(L0.p, 1), zero, zero),
-                       name or f"degenerate({L0.name})")
+    return zero_extension(CrossedChain((L0,)), 3, (lie_abelian(L0.p, 1), zero, zero),
+                          name or f"degenerate({L0.name})")

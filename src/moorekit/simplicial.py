@@ -21,13 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
+from types import MappingProxyType
 
 import numpy as np
 
-from .coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
+from .coeff import (Algebra, Element, Ideal, Morphism,
                     PreconditionError, StructureError, bilinear, check_word_size,
                     ideal_closure, matmul, rref, sweep_step)
-from .crossed import CrossedModule, TwoCrossedModule, verify_2cm, verify_cm
+from .crossed import CrossedChain, verify_2cm, verify_cm
 from .moore import (SurjIndex, moore_basis, normal_form, push_face, s_set,
                     s_word_morphism)
 from .report import PASS
@@ -36,7 +37,10 @@ from .report import PASS
 @dataclass(frozen=True, eq=False)
 class TruncatedSimplicialAlgebra:
     """Levels E_0..E_k with faces (n, i): E_n -> E_{n-1} for 0 <= i <= n
-    and degeneracies (n, i): E_{n-1} -> E_n for 0 <= i <= n-1."""
+    and degeneracies (n, i): E_{n-1} -> E_n for 0 <= i <= n-1.
+
+    The object keeps read-only copies of the face and degeneracy maps it
+    is given, so the values moore._memo keeps per object cannot go stale."""
 
     levels: tuple[Algebra, ...]
     faces: dict = field(default_factory=dict)
@@ -44,6 +48,8 @@ class TruncatedSimplicialAlgebra:
     name: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "faces", MappingProxyType(dict(self.faces)))
+        object.__setattr__(self, "degeneracies", MappingProxyType(dict(self.degeneracies)))
         for n in range(1, self.k + 1):
             for i in range(n + 1):
                 f = self.faces.get((n, i))
@@ -376,23 +382,24 @@ def _verified(report, what: str) -> None:
         raise PreconditionError(f"{what} fails {[e.name for e in report.failing()]}")
 
 
-def _action_block(C: Algebra, bd: Morphism, act: BilinearMap) -> tuple:
-    """NE_1 = C over E_0 = R: products in C, s_0(r) . c = r . c."""
-    return C, bd.matrix, {((), ()): C.structure, ((0,), ()): act.tensor}
+def _action_block(t: CrossedChain) -> tuple:
+    """NE_1 = C_1 over E_0 = C_0: products in C_1, s_0(r) . c = r . c."""
+    C = t.levels[1]
+    return C, t.d(1).matrix, {((), ()): C.structure, ((0,), ()): t.map("01").tensor}
 
 
-def build_from_crossed(cm: CrossedModule, k: int = 4) -> TruncatedSimplicialAlgebra:
+def build_from_crossed(cm: CrossedChain, k: int = 4) -> TruncatedSimplicialAlgebra:
     """Simplicial realization of a crossed module: E_1 = C x| R and all
     higher levels forced; the Moore complex has length at most 1 and the
     extraction returns cm on the nose.  k is at least 1."""
     if k < 1:
         raise ValueError(f"a crossed module is realized from k = 1 on, not k = {k}")
     _verified(verify_cm(cm), "crossed module")
-    E = TruncatedSimplicialAlgebra((cm.R,), name=cm.name or "xmod")
-    return extend_to(extend_level(E, _action_block(cm.C, cm.boundary, cm.action)), k)
+    E = TruncatedSimplicialAlgebra(cm.levels[:1], name=cm.name or "xmod")
+    return extend_to(extend_level(E, _action_block(cm)), k)
 
 
-def build_from_2crossed(t: TwoCrossedModule, k: int = 4) -> TruncatedSimplicialAlgebra:
+def build_from_2crossed(t: CrossedChain, k: int = 4) -> TruncatedSimplicialAlgebra:
     """Simplicial realization of a 2-crossed module.
 
     E_1 = C_1 x| C_0 as for a crossed module.  Level 2 carries the blocks
@@ -409,14 +416,14 @@ def build_from_2crossed(t: TwoCrossedModule, k: int = 4) -> TruncatedSimplicialA
     if k < 2:
         raise ValueError(f"a 2-crossed module is realized from k = 2 on, not k = {k}")
     _verified(verify_2cm(t), "2-crossed module")
-    E = TruncatedSimplicialAlgebra((t.C0,), name=t.name or "2xmod")
-    E = extend_level(E, _action_block(t.C1, t.d1, t.act_on_c1))
-    a2, L = t.act_on_c2.tensor, t.lifting.tensor
-    via_d1 = np.einsum("ra,rxq->axq", t.d1.matrix, a2)  # (d_1 y) . x
-    nu = {((), ()): t.C2.structure,
-          ((1,), ()): via_d1 + np.einsum("sx,saq->axq", t.d2.matrix, L),
+    (C0, _, C2), (d1, d2) = t.levels, t.boundaries
+    E = extend_level(TruncatedSimplicialAlgebra((C0,), name=t.name or "2xmod"), _action_block(t))
+    a2, L = t.map("02").tensor, t.map("()").tensor
+    via_d1 = np.einsum("ra,rxq->axq", d1.matrix, a2)  # (d_1 y) . x
+    nu = {((), ()): C2.structure,
+          ((1,), ()): via_d1 + np.einsum("sx,saq->axq", d2.matrix, L),
           ((0,), ()): via_d1,
           ((1, 0), ()): a2,
           ((1,), (0,)): -L}
-    bd = moore_basis(E, 1).T @ t.d2.matrix % t.C0.p  # NE_1 = C_1 inside E_1
-    return extend_to(extend_level(E, (t.C2, bd, nu)), k)
+    bd = moore_basis(E, 1).T @ d2.matrix % C0.p  # NE_1 = C_1 inside E_1
+    return extend_to(extend_level(E, (C2, bd, nu)), k)

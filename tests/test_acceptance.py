@@ -13,8 +13,8 @@ import numpy as np
 from moorekit import corpus
 from moorekit.cli import parse_args, run_command
 from moorekit.coeff import Supply, elements
-from moorekit.crossed import (verify_2cm, verify_cm, crossed_as_2cm, induced_cm,
-                              multiplication_cm, ThreeCrossedModule)
+from moorekit.crossed import (verify_2cm, verify_cm, zero_extension, induced_cm,
+                              multiplication_cm, CrossedChain)
 from moorekit.functors import roundtrip_check, three_crossed_from_simplicial
 from moorekit.lie import (degenerate_lie_3cm, lie_abelian, lie_heisenberg,
                           validate_lie, verify_lie_3cm, LieAlgebra)
@@ -96,9 +96,9 @@ def test_criterion_4_proposition3_pipeline(built):
     for name in ("constant", "ideal-pair", "cubic-chain"):  # lengths 0, 1, 2
         out = three_crossed_from_simplicial(built(name))
         m = out.structure
-        p = m.C0.p
-        ok = ok and not (m.d2.matrix @ m.d3.matrix % p).any()
-        ok = ok and not (m.d1.matrix @ m.d2.matrix % p).any()
+        p = m.levels[0].p
+        ok = ok and not (m.d(2).matrix @ m.d(3).matrix % p).any()
+        ok = ok and not (m.d(1).matrix @ m.d(2).matrix % p).any()
         invariant_fails = [e for e in out.report.failing()
                            if e.name.startswith(("complex-", "action-",
                                                  "table3[", "table4["))
@@ -124,14 +124,14 @@ def test_criterion_5_crossed_corpus():
 
 
 def test_criterion_6_two_crossed_remarks():
-    r1 = crossed_as_2cm(corpus.cm_ideal_dual(2))
+    r1 = zero_extension(corpus.cm_ideal_dual(2), 2)
     ok = verify_2cm(r1).verdict == "pass"
     ok = ok and verify_cm(induced_cm(r1)).verdict == "pass"
     r2 = induced_cm(corpus.tcm_cubic_chain(2))
     ok = ok and verify_cm(r2).verdict == "pass"
     # remark 3: trivial lifting degeneration
     r3 = corpus.tcm_module_identity(2)
-    ok = ok and not r3.lifting.tensor.any() and verify_2cm(r3).verdict == "pass"
+    ok = ok and not r3.map("()").tensor.any() and verify_2cm(r3).verdict == "pass"
     verdict(6, ok, "remark-1 degeneration, remark-2 induced crossed module "
             "and remark-3 trivial lifting all mechanized")
 
@@ -198,12 +198,10 @@ def test_criterion_10_lie():
     for base in (lie_abelian(3, 2), lie_heisenberg(3)):
         ok = ok and verify_lie_3cm(degenerate_lie_3cm(base)).verdict == "pass"
     m = degenerate_lie_3cm(lie_heisenberg(3))
-    actions = dict(m.actions)
+    L0, L1 = m.levels[:2]
     badt = np.zeros((3, 1, 1), dtype=np.int64)
     badt[2, 0, 0] = 1
-    actions["01"] = BilinearMap(m.C0, m.C1, m.C1, badt)
-    mut = ThreeCrossedModule(m.C3, m.C2, m.C1, m.C0, m.d3, m.d2, m.d1,
-                             actions, m.liftings)
+    mut = CrossedChain(m.levels, m.boundaries, {**m.maps, "01": BilinearMap(L0, L1, L1, badt)})
     ok = ok and verify_lie_3cm(mut).verdict == "fail"
     verdict(10, ok, "Lie validation accepts abelian and heisenberg, rejects "
             "the alternating mutant; chain verifier passes degenerates and "

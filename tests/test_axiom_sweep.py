@@ -17,8 +17,8 @@ import pytest
 from moorekit import coeff, corpus, crossed, functors
 from moorekit.coeff import (Algebra, BilinearMap, Element, Morphism, Supply,
                             subspace_elements, supply_rows)
-from moorekit.crossed import (SIGNATURES, ThreeCrossedModule, trivial_3cm, verify_2cm,
-                              verify_3cm, verify_cm)
+from moorekit.crossed import (ACTIONS, SIGNATURES, CrossedChain, verify_2cm, verify_3cm,
+                              verify_cm, zero_extension)
 from moorekit.functors import (table_identities_check, three_crossed_extraction,
                                three_crossed_from_simplicial)
 from moorekit.lie import verify_lie_3cm
@@ -95,13 +95,12 @@ def degree3():
     return tensor_simplicial(simp["ideal-pair"], simp["sq0-lifting"])
 
 
-def with_random_liftings(m: ThreeCrossedModule, seed: int) -> ThreeCrossedModule:
+def with_random_liftings(m: CrossedChain, seed: int) -> CrossedChain:
     rng = np.random.default_rng(seed)
     liftings = {key: BilinearMap(L.left, L.right, L.target,
                                  rng.integers(0, L.target.p, L.tensor.shape))
-                for key, L in m.liftings.items()}
-    return ThreeCrossedModule(m.C3, m.C2, m.C1, m.C0, m.d3, m.d2, m.d1,
-                              m.actions, liftings, name="random-liftings")
+                for key, L in m.maps.items() if key not in ACTIONS}
+    return CrossedChain(m.levels, m.boundaries, {**m.maps, **liftings}, "random-liftings")
 
 
 @pytest.mark.parametrize("p", CHARS)
@@ -197,30 +196,31 @@ def test_evaluate_reports_the_first_differing_pair():
 # 3CM6 on pairs of quadratic points against every element pair of C2
 
 
-def printed_3cm6(m: ThreeCrossedModule):
+def printed_3cm6(m: CrossedChain):
     """3CM6 as printed: (lhs, rhs) at a pair of C2 elements."""
-    d2, a23 = m.d2, m.action("23")
-    L10, L20, L21, L201 = (m.lifting(k) for k in ("(1)(0)", "(2)(0)", "(2)(1)", "(2,0)(1)"))
+    d2, a23 = m.d(2), m.map("23")
+    L10, L20, L21, L201 = (m.map(k) for k in ("(1)(0)", "(2)(0)", "(2)(1)", "(2,0)(1)"))
     return lambda x2, y2: (L201(d2(x2), y2),
                            -L20(x2, y2) + a23(x2 * y2, L21(x2, y2)) + L10(x2, y2))
 
 
-def holds_on_every_pair(m: ThreeCrossedModule) -> bool:
-    A = m.C2
+def holds_on_every_pair(m: CrossedChain) -> bool:
+    A = m.levels[2]
     every = Element(A, np.array(list(itertools.product(range(A.p), repeat=A.dim)),
                                 dtype=np.int64).reshape(A.p ** A.dim, A.dim))
     return crossed._evaluate([every, every], printed_3cm6(m))[1] is None
 
 
-def assert_3cm6_matches_every_pair(m: ThreeCrossedModule):
+def assert_3cm6_matches_every_pair(m: CrossedChain):
     """verify_3cm decides 3CM6 as the sweep over every element pair does,
     and a failing witness fails the printed formula; returns the entry."""
-    assert m.C2.p ** m.C2.dim <= 4096
+    C2 = m.levels[2]
+    assert C2.p ** C2.dim <= 4096
     entry = verify_3cm(m).entry("3CM6")
     assert entry.detail == {"mode": "basis-exact"}
     assert (entry.status == "pass") == holds_on_every_pair(m), m.name
     if entry.status == "fail":
-        lhs, rhs = printed_3cm6(m)(*(Element(m.C2, np.array(entry.witness[arg]))
+        lhs, rhs = printed_3cm6(m)(*(Element(C2, np.array(entry.witness[arg]))
                                      for arg in ("arg0", "arg1")))
         assert lhs != rhs
     return entry
@@ -245,7 +245,7 @@ def test_3cm6_on_a_degree3_tensor_matches_every_pair(p):
         assert assert_3cm6_matches_every_pair(with_random_liftings(m, seed)).status == "fail"
 
 
-def random_3cm6_data(p: int, seed: int) -> ThreeCrossedModule:
+def random_3cm6_data(p: int, seed: int) -> CrossedChain:
     """Sparse random levels (dims 0, 1, 1-3, 1-2), d2, actions and liftings:
     every map 3CM6 reads, the product of C2 included, is random."""
     rng = np.random.default_rng(seed)
@@ -256,14 +256,11 @@ def random_3cm6_data(p: int, seed: int) -> ThreeCrossedModule:
     dims = (0, 1, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
     levels = [Algebra(coeff.PrimeField(p), sparse((d, d, d)), tuple(f"e{i}" for i in range(d)))
               for d in dims]
-    maps = {group: {key: BilinearMap(*(levels[i] for i in sig),
-                                     sparse(tuple(levels[i].dim for i in sig)))
-                    for key, sig in table.items()}
-            for group, table in SIGNATURES.items()}
+    maps = {key: BilinearMap(*(levels[i] for i in sig), sparse(tuple(levels[i].dim for i in sig)))
+            for key, sig in SIGNATURES.items()}
     C0, C1, C2, C3 = levels
-    return ThreeCrossedModule(C3, C2, C1, C0, Morphism.zero(C3, C2),
-                              Morphism(C2, C1, sparse((1, C2.dim))), Morphism.zero(C1, C0),
-                              name=f"random-{p}-{seed}", **maps)
+    return CrossedChain(levels, (Morphism.zero(C1, C0), Morphism(C2, C1, sparse((1, C2.dim))),
+                                 Morphism.zero(C3, C2)), maps, f"random-{p}-{seed}")
 
 
 @pytest.mark.parametrize("p", CHARS)
@@ -273,7 +270,7 @@ def test_3cm6_on_random_data_matches_every_pair(p):
     assert statuses == {"pass", "fail"}
 
 
-def off_basis_mutant(p: int) -> ThreeCrossedModule:
+def off_basis_mutant(p: int) -> CrossedChain:
     """C1 = C0 = 0, C3 = span(w), and every map zero but e0 . w = w,
     L21(e0, e0) = w and, for p > 2, L20(e0, e0) = w; 3CM6 then reads
     F(x, y) = L20(x, y) - a23(x y, L21(x, y)).
@@ -293,23 +290,22 @@ def off_basis_mutant(p: int) -> ThreeCrossedModule:
     zero = Algebra(field, np.zeros((0, 0, 0), dtype=np.int64), ())
     C2 = Algebra(field, product, tuple(f"e{i}" for i in range(n)))
     C3 = Algebra(field, np.zeros((1, 1, 1), dtype=np.int64), ("w",))
-    m = trivial_3cm((zero, zero, C2, C3), f"off-basis-{p}")
+    m = zero_extension(CrossedChain((zero,)), 3, (zero, C2, C3), f"off-basis-{p}")
 
     def first(L):
         t = np.zeros(L.tensor.shape, dtype=np.int64)
         t[0, 0, 0] = 1
         return BilinearMap(L.left, L.right, L.target, t)
 
-    liftings = {**m.liftings, "(2)(1)": first(m.lifting("(2)(1)"))}
+    maps = {**m.maps, "(2)(1)": first(m.map("(2)(1)")), "23": first(m.map("23"))}
     if p > 2:
-        liftings["(2)(0)"] = first(m.lifting("(2)(0)"))
-    actions = {**m.actions, "23": first(m.action("23"))}
-    return ThreeCrossedModule(C3, C2, zero, zero, m.d3, m.d2, m.d1, actions, liftings,
-                              name=m.name)
+        maps["(2)(0)"] = first(m.map("(2)(0)"))
+    return CrossedChain(m.levels, m.boundaries, maps, m.name)
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_3cm6_fails_off_the_basis_only(p):
     m = off_basis_mutant(p)
-    assert crossed._evaluate([m.C2, m.C2], printed_3cm6(m)) == (m.C2.dim ** 2, None)
+    C2 = m.levels[2]
+    assert crossed._evaluate([C2, C2], printed_3cm6(m)) == (C2.dim ** 2, None)
     assert assert_3cm6_matches_every_pair(m).status == "fail"

@@ -210,14 +210,14 @@ def test_exit_code_65_for_bad_algebra_prime(p, tmp_path, capsys):
 
 def _three_crossed_body(section):
     from moorekit import corpus
-    from moorekit.crossed import crossed_as_3cm
+    from moorekit.crossed import zero_extension
     from moorekit.document import DocumentBuilder
     from moorekit.lie import degenerate_lie_3cm, lie_heisenberg
     b = DocumentBuilder()
     if section == "three_crossed_modules":
-        b.three_crossed(crossed_as_3cm(corpus.cm_ideal_dual(3)), "m")
+        b.crossed(zero_extension(corpus.cm_ideal_dual(3), 3), "m", section)
     else:
-        b.three_crossed(degenerate_lie_3cm(lie_heisenberg(3)), "m", section)
+        b.crossed(degenerate_lie_3cm(lie_heisenberg(3)), "m", section)
     return json.loads(b.dumps())
 
 
@@ -244,28 +244,69 @@ def test_exit_code_65_for_missing_three_crossed_key(section, command, level, pat
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("section, command, name, key", [
-    ("crossed_modules", "verify-xmod", "ideal-pair", "C"),
-    ("crossed_modules", "verify-xmod", "ideal-pair", "action"),
-    ("two_crossed_modules", "verify-2xmod", "cubic-chain", "lifting")])
-def test_exit_code_65_for_missing_crossed_key(section, command, name, key, tmp_path, capsys):
+# every JSON key of a level, a boundary and a map of each crossed section,
+# a grouped map as "<group>[<key>]", with an entry of that section
+_ACTION_KEYS = ["01", "02", "03", "12", "13", "23"]
+_LIFTING_KEYS = ["(1)(0)", "(2)(0)", "(2)(1)", "(1,0)(2)", "(2,0)(1)", "(0)(2,1)", "()"]
+
+
+def _three_crossed_keys(prefix):
+    return ([f"{prefix}{n}" for n in range(4)] + ["d1", "d2", "d3"]
+            + [f"actions[{k}]" for k in _ACTION_KEYS] + [f"liftings[{k}]" for k in _LIFTING_KEYS])
+
+
+_CROSSED_KEYS = [
+    ("crossed_modules", "verify-xmod", "ideal-pair", ["C", "R", "boundary", "action"]),
+    ("two_crossed_modules", "verify-2xmod", "cubic-chain",
+     ["C2", "C1", "C0", "d2", "d1", "action_on_c1", "action_on_c2", "lifting"]),
+    ("three_crossed_modules", "verify-3xmod", "m", _three_crossed_keys("C")),
+    ("lie_three_crossed", "lie-verify", "heisenberg-chain", _three_crossed_keys("L")),
+]
+
+
+def _crossed_document(section):
+    """A document holding an entry of the crossed section: the corpus, or
+    for 3-crossed modules, which it lacks, one built here."""
     from moorekit.document import corpus_document
-    doc = json.loads(corpus_document(2))
-    del doc[section][name][key]
+    if section == "three_crossed_modules":
+        return _three_crossed_body(section)
+    return json.loads(corpus_document(2))
+
+
+def _entry_holding(body, key):
+    """(object, key in it) of the JSON key "<key>" or "<group>[<key>]" of a body."""
+    group, _, inner = key.partition("[")
+    return (body[group], inner[:-1]) if inner else (body, key)
+
+
+@pytest.mark.parametrize("section, command, name, key",
+                         [(section, command, name, key) for section, command, name, keys
+                          in _CROSSED_KEYS for key in keys])
+def test_exit_code_65_for_missing_crossed_key(section, command, name, key, tmp_path, capsys):
+    doc = _crossed_document(section)
+    holder, inner = _entry_holding(doc[section][name], key)
+    del holder[inner]
     assert _main_on_document(doc, [command, name], tmp_path) == 65
     captured = capsys.readouterr()
     assert json.loads(captured.err)["detail"].startswith(f"{section}.{name}.{key}:")
+    assert captured.out == ""
 
 
+@pytest.mark.parametrize("section, command, name, key", [
+    ("crossed_modules", "verify-xmod", "ideal-pair", "action"),
+    ("two_crossed_modules", "verify-2xmod", "cubic-chain", "lifting"),
+    ("three_crossed_modules", "verify-3xmod", "m", "liftings[()]"),
+    ("lie_three_crossed", "lie-verify", "heisenberg-chain", "actions[01]")])
 @pytest.mark.parametrize("entry", [[0, 0, 0, "a"], [0, 0, 0], 7, {"no": "triples"}],
                          ids=["non-integer", "three-long", "not-a-list", "no-triples"])
-def test_exit_code_65_for_malformed_three_crossed_map(entry, tmp_path, capsys):
-    doc = _three_crossed_body("lie_three_crossed")
-    doc["lie_three_crossed"]["m"]["actions"]["01"] = (entry if isinstance(entry, dict)
-                                                      else [entry])
-    assert _main_on_document(doc, ["lie-verify", "m"], tmp_path) == 65
+def test_exit_code_65_for_malformed_three_crossed_map(entry, section, command, name, key,
+                                                      tmp_path, capsys):
+    doc = _crossed_document(section)
+    holder, inner = _entry_holding(doc[section][name], key)
+    holder[inner] = entry if isinstance(entry, dict) else [entry]
+    assert _main_on_document(doc, [command, name], tmp_path) == 65
     captured = capsys.readouterr()
-    assert json.loads(captured.err)["detail"].startswith("lie_three_crossed.m.actions[01]")
+    assert json.loads(captured.err)["detail"].startswith(f"{section}.{name}.{key}")
 
 
 @pytest.mark.parametrize("section, key", [("faces", "1,0"), ("degeneracies", "2,1")])

@@ -4,9 +4,8 @@ import pytest
 from moorekit import corpus
 from moorekit.coeff import (Algebra, BilinearMap, Morphism, PreconditionError, annihilator,
                             square_span)
-from moorekit.crossed import (ThreeCrossedModule, TwoCrossedModule, _divide_top, crossed_as_2cm,
-                              crossed_as_3cm, induced_cm, multiplication_cm,
-                              verify_2cm, verify_3cm, verify_cm)
+from moorekit.crossed import (CrossedChain, _divide_top, induced_cm, multiplication_cm,
+                              verify_2cm, verify_3cm, verify_cm, zero_extension)
 from moorekit.functors import three_crossed_from_simplicial, two_crossed_from_simplicial
 from moorekit.lie import degenerate_lie_3cm, lie_heisenberg, verify_lie_3cm
 
@@ -35,12 +34,13 @@ def test_verify_cm_zero_module_fails_cm2_with_witness():
 
 def test_ideal_pair_action_is_multiplication():
     cm = corpus.cm_ideal_dual(2)
-    eps = cm.R.basis_element(1)
-    one = cm.R.basis_element(0)
-    c = cm.C.basis_element(0)
-    assert cm.boundary(c) == eps
-    assert cm.action(one, c) == c
-    assert cm.action(eps, c).is_zero()
+    (R, C), action = cm.levels, cm.map("01")
+    eps = R.basis_element(1)
+    one = R.basis_element(0)
+    c = C.basis_element(0)
+    assert cm.d(1)(c) == eps
+    assert action(one, c) == c
+    assert action(eps, c).is_zero()
 
 
 def test_image_ideal_lemma_is_checked():
@@ -56,8 +56,8 @@ def test_image_ideal_lemma_is_checked():
 
 def test_multiplication_cm_zmod():
     cm = multiplication_cm(corpus.zmod(2))
-    assert cm.R.dim == 1  # M(Z/2) is one-dimensional
-    assert np.array_equal(cm.boundary.matrix, np.eye(1, dtype=np.int64))
+    assert cm.levels[0].dim == 1  # M(Z/2) is one-dimensional
+    assert np.array_equal(cm.d(1).matrix, np.eye(1, dtype=np.int64))
     assert verify_cm(cm).verdict == "pass"
 
 
@@ -66,10 +66,10 @@ def test_multiplication_cm_group_line(p):
     R = corpus.group_line(p)
     assert annihilator(R).shape[0] == 0  # unital, so Ann(R) = 0
     cm = multiplication_cm(R)
-    assert cm.R.dim == 2
+    assert cm.levels[0].dim == 2
     # mu injective since Ann(R) = 0
     from moorekit.coeff import null_space
-    assert null_space(cm.boundary.matrix, p).shape[0] == 0
+    assert null_space(cm.d(1).matrix, p).shape[0] == 0
     assert verify_cm(cm).verdict == "pass"
 
 
@@ -77,9 +77,9 @@ def test_multiplication_cm_identity_multiplier():
     R = corpus.group_line(3)
     cm = multiplication_cm(R)
     one = R.basis_element(0)
-    mu1 = cm.boundary(one)
+    mu1 = cm.d(1)(one)
     for r in R.basis():
-        assert cm.action(mu1, r) == r  # delta_1 acts as the identity
+        assert cm.map("01")(mu1, r) == r  # delta_1 acts as the identity
 
 
 def test_multiplication_cm_square_full_hypothesis():
@@ -94,7 +94,7 @@ def test_multiplication_cm_square_full_hypothesis():
 
 
 def test_verify_2cm_remark1_degeneration():
-    t = crossed_as_2cm(corpus.cm_ideal_dual(2))
+    t = zero_extension(corpus.cm_ideal_dual(2), 2)
     assert verify_2cm(t).verdict == "pass"
 
 
@@ -109,26 +109,26 @@ def test_verify_2cm_detects_zeroed_lifting(built):
     E = built("cubic-chain")
     t = two_crossed_from_simplicial(E)
     assert verify_2cm(t).verdict == "pass"
-    mutated = TwoCrossedModule(
-        t.C2, t.C1, t.C0, t.d2, t.d1, t.act_on_c1, t.act_on_c2,
-        BilinearMap.zero(t.C1, t.C1, t.C2), name="mutated")
+    _, C1, C2 = t.levels
+    mutated = CrossedChain(t.levels, t.boundaries,
+                           {**t.maps, "()": BilinearMap.zero(C1, C1, C2)}, "mutated")
     rep = verify_2cm(mutated)
     assert rep.entry("2CM1").status == "fail"
     assert rep.entry("2CM1").witness is not None
 
 
 def test_induced_cm_zero_boundary_returns_same():
-    t = crossed_as_2cm(corpus.cm_ideal_dual(2))
+    t = zero_extension(corpus.cm_ideal_dual(2), 2)
     cm = induced_cm(t)
-    assert cm.C.dim == t.C1.dim
-    assert np.array_equal(cm.boundary.matrix, t.d1.matrix)
+    assert cm.levels[1].dim == t.levels[1].dim
+    assert np.array_equal(cm.d(1).matrix, t.d(1).matrix)
     assert verify_cm(cm).verdict == "pass"
 
 
 def test_induced_cm_surjective_boundary_collapses():
     t = corpus.tcm_module_identity(2)  # d2 the identity, so image is all of C1
     cm = induced_cm(t)
-    assert cm.C.dim == 0
+    assert cm.levels[1].dim == 0
     assert verify_cm(cm).verdict == "pass"
 
 
@@ -160,11 +160,12 @@ def test_induced_cm_guards_the_division(broken, message):
     C1 = Algebra(C0.field, ones((2, 2, 2), *when("ideal", (0, 0, 1))), ("m0", "m1"))
     d1 = Morphism(C1, C0, ones((1, 2), *when("boundary", (0, 0))))
     act = BilinearMap(C0, C1, C1, ones((1, 2, 2), (0, 1, 1), *when("action", (0, 0, 1))))
-    t = TwoCrossedModule(C2, C1, C0, Morphism(C2, C1, ones((2, 1), (0, 0))), d1, act,
-                         BilinearMap.zero(C0, C2, C2), BilinearMap.zero(C1, C1, C2))
+    t = CrossedChain((C0, C1, C2), (d1, Morphism(C2, C1, ones((2, 1), (0, 0)))),
+                     {"01": act, "02": BilinearMap.zero(C0, C2, C2),
+                      "()": BilinearMap.zero(C1, C1, C2)})
     if broken is None:
         cm = induced_cm(t)
-        assert cm.C.basis_names == ("m1",) and cm.action.tensor.tolist() == [[[1]]]
+        assert cm.levels[1].basis_names == ("m1",) and cm.map("01").tensor.tolist() == [[[1]]]
         return
     with pytest.raises(PreconditionError, match=message):
         induced_cm(t)
@@ -182,16 +183,21 @@ def test_the_division_of_a_third_level_guards_it(broken, message):
     C2, C4, C3 = (corpus.square_zero(2, n) for n in (1, 1, 2))
     above = Morphism(C4, C3 if broken != "outside" else corpus.square_zero(2, 2), ones((2, 1), (0, 0)))
     d3 = Morphism(C3, C2, ones((1, 2), *when("boundary", (0, 0))))
-    maps = {"23": BilinearMap(C2, C3, C3, ones((1, 2, 2), *when("action", (0, 0, 1)))),
-            "(1)(0)": BilinearMap(C2, C2, C3, ones((1, 1, 2), (0, 0, 0), (0, 0, 1)))}
+    # the top of a 3-crossed module over C1 = C0 = 0 with every other map zero
+    zero = Algebra(C2.field, np.zeros((0, 0, 0), dtype=np.int64), ())
+    chain = zero_extension(CrossedChain((zero,)), 3, (zero, C2, C3))
+    chain = CrossedChain(chain.levels, chain.boundaries[:2] + (d3,), {**chain.maps, **{
+        "23": BilinearMap(C2, C3, C3, ones((1, 2, 2), *when("action", (0, 0, 1)))),
+        "(1)(0)": BilinearMap(C2, C2, C3, ones((1, 1, 2), (0, 0, 0), (0, 0, 1)))}})
     if broken is None:
-        Q, d3q, divided = _divide_top(above, np.eye(1, dtype=np.int64), d3, maps)
-        assert Q.basis_names == ("m1",) and d3q.matrix.tolist() == [[0]]
-        assert divided["(1)(0)"].tensor.tolist() == [[[1]]]
-        assert divided["23"].left is C2 and divided["23"].right is Q
+        divided = _divide_top(chain, above, np.eye(1, dtype=np.int64))
+        Q = divided.levels[3]
+        assert Q.basis_names == ("m1",) and divided.d(3).matrix.tolist() == [[0]]
+        assert divided.map("(1)(0)").tensor.tolist() == [[[1]]]
+        assert divided.map("23").left is C2 and divided.map("23").right is Q
         return
     with pytest.raises(PreconditionError, match=message):
-        _divide_top(above, np.eye(1, dtype=np.int64), d3, maps)
+        _divide_top(chain, above, np.eye(1, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +206,7 @@ def test_the_division_of_a_third_level_guards_it(broken, message):
 
 def test_verify_3cm_degenerate_over_crossed_module():
     for p in (2, 3):
-        m = crossed_as_3cm(corpus.cm_ideal_dual(p))
+        m = zero_extension(corpus.cm_ideal_dual(p), 3)
         assert verify_3cm(m).verdict == "pass"
 
 
@@ -214,12 +220,11 @@ def test_verify_3cm_mutation_breaks_3cm4(built):
     # carry a perturbation; 3CM4 reads it through the boundaries
     out = three_crossed_from_simplicial(built("cubic-chain"))
     m = out.structure
-    t = np.array(m.liftings["()"].tensor)
-    t[1, 1, 0] = (t[1, 1, 0] + 1) % m.C2.p  # bump {w (x) w}, w = d2-image
-    liftings = dict(m.liftings)
-    liftings["()"] = BilinearMap(m.C1, m.C1, m.C2, t)
-    mutated = ThreeCrossedModule(m.C3, m.C2, m.C1, m.C0, m.d3, m.d2, m.d1,
-                                 m.actions, liftings, name="mutated")
+    _, C1, C2, _ = m.levels
+    t = np.array(m.map("()").tensor)
+    t[1, 1, 0] = (t[1, 1, 0] + 1) % C2.p  # bump {w (x) w}, w = d2-image
+    mutated = CrossedChain(m.levels, m.boundaries,
+                           {**m.maps, "()": BilinearMap(C1, C1, C2, t)}, "mutated")
     rep = verify_3cm(mutated)
     assert rep.entry("3CM4").status == "fail"
     assert rep.entry("3CM4").witness is not None
@@ -228,7 +233,7 @@ def test_verify_3cm_mutation_breaks_3cm4(built):
 def test_verify_3cm_lifting_key_aliases(built):
     out = three_crossed_from_simplicial(built("ideal-pair"))
     m = out.structure
-    assert m.lifting("(0)(2)") is m.lifting("(2)(0)")
+    assert m.map("(0)(2)") is m.map("(2)(0)")
 
 
 def test_axiom_report_records(built):

@@ -57,24 +57,24 @@ def test_corpus_document_loads_and_validates():
 def test_document_roundtrip_preserves_structures():
     t = corpus.tcm_cubic_chain(3)
     b = DocumentBuilder()
-    b.two_crossed(t, "probe")
+    b.crossed(t, "probe", "two_crossed_modules")
     doc = load_document(b.dumps())
     back = doc.two_crossed_modules["probe"]
-    assert algebras_equal(back.C1, t.C1)
-    assert np.array_equal(back.lifting.tensor, t.lifting.tensor)
-    assert np.array_equal(back.d2.matrix, t.d2.matrix)
+    assert algebras_equal(back.levels[1], t.levels[1])
+    assert np.array_equal(back.map("()").tensor, t.map("()").tensor)
+    assert np.array_equal(back.d(2).matrix, t.d(2).matrix)
 
 
 def test_three_crossed_document_roundtrip(built):
     out = three_crossed_from_simplicial(built("cubic-chain"))
     b = DocumentBuilder()
-    b.three_crossed(out.structure, "probe")
+    b.crossed(out.structure, "probe", "three_crossed_modules")
     doc = load_document(b.dumps())
     back = doc.three_crossed_modules["probe"]
     rep = verify_3cm(back)
     assert rep.verdict == "pass"
-    for key, bl in out.structure.liftings.items():
-        assert np.array_equal(back.liftings[key].tensor, bl.tensor)
+    for key, bl in out.structure.maps.items():
+        assert np.array_equal(back.map(key).tensor, bl.tensor)
 
 
 def test_simplicial_document_roundtrip(built):

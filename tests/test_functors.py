@@ -19,17 +19,17 @@ from moorekit.simplicial import (build_from_2crossed, build_from_crossed,
 def test_cm_from_simplicial_roundtrip():
     cm = corpus.cm_ideal_dual(2)
     back = cm_from_simplicial(build_from_crossed(cm, 4))
-    assert algebras_equal(back.C, cm.C)
-    assert algebras_equal(back.R, cm.R)
-    assert np.array_equal(back.boundary.matrix, cm.boundary.matrix)
-    assert np.array_equal(back.action.tensor, cm.action.tensor)
+    assert algebras_equal(back.levels[1], cm.levels[1])
+    assert algebras_equal(back.levels[0], cm.levels[0])
+    assert np.array_equal(back.d(1).matrix, cm.d(1).matrix)
+    assert np.array_equal(back.map("01").tensor, cm.map("01").tensor)
 
 
 def test_cm_from_simplicial_constant_is_zero_module():
     E = constant_simplicial(corpus.dual_numbers(2), 2)
     back = cm_from_simplicial(E)
-    assert back.C.dim == 0
-    assert algebras_equal(back.R, corpus.dual_numbers(2))
+    assert back.levels[1].dim == 0
+    assert algebras_equal(back.levels[0], corpus.dual_numbers(2))
     assert verify_cm(back).verdict == "pass"
 
 
@@ -39,7 +39,7 @@ def test_cm_from_simplicial_quotients_longer_input(built):
     assert back.name.endswith("/quotiented")
     assert verify_cm(back).verdict == "pass"
     # NE_1 / closure(im d2): the image is <w>, which is already an ideal
-    assert back.C.dim == 1
+    assert back.levels[1].dim == 1
 
 
 @pytest.mark.parametrize("name,provenance", [("ideal-pair", {}), ("cubic-chain", {"divided_dim": 1}),
@@ -58,31 +58,32 @@ def test_cm_from_simplicial_is_the_induced_cm_at_length_two(name, p, built):
     E = built(name, p)
     assert moore(E).length() == 2
     cm, ind = cm_from_simplicial(E), induced_cm(two_crossed_from_simplicial(E))
-    assert algebras_equal(cm.C, ind.C) and algebras_equal(cm.R, ind.R)
-    assert cm.C.basis_names == ind.C.basis_names
-    assert np.array_equal(cm.boundary.matrix, ind.boundary.matrix)
-    assert np.array_equal(cm.action.tensor, ind.action.tensor)
+    (R, C), (indR, indC) = cm.levels, ind.levels
+    assert algebras_equal(C, indC) and algebras_equal(R, indR)
+    assert C.basis_names == indC.basis_names
+    assert np.array_equal(cm.d(1).matrix, ind.d(1).matrix)
+    assert np.array_equal(cm.map("01").tensor, ind.map("01").tensor)
 
 
 def test_two_crossed_from_length_one_matches_remark1(built):
     E = built("ideal-pair")
     t = two_crossed_from_simplicial(E)
-    assert t.C2.dim == 0
+    assert t.levels[2].dim == 0
     assert verify_2cm(t).verdict == "pass"
 
 
 def test_two_crossed_roundtrip_includes_lifting():
     t = corpus.tcm_cubic_chain(3)
     back = two_crossed_from_simplicial(build_from_2crossed(t, 4))
-    assert np.array_equal(back.lifting.tensor, t.lifting.tensor)
-    assert np.array_equal(back.d2.matrix, t.d2.matrix)
+    assert np.array_equal(back.map("()").tensor, t.map("()").tensor)
+    assert np.array_equal(back.d(2).matrix, t.d(2).matrix)
     assert verify_2cm(back).verdict == "pass"
 
 
 def test_two_crossed_from_constant_is_trivial():
     E = constant_simplicial(corpus.dual_numbers(2), 4)
     t = two_crossed_from_simplicial(E)
-    assert t.C2.dim == 0 and t.C1.dim == 0
+    assert t.levels[2].dim == 0 and t.levels[1].dim == 0
     assert verify_2cm(t).verdict == "pass"
 
 
@@ -92,25 +93,29 @@ def test_roundtrips_whole_corpus(p):
         assert rec.status == "pass", rec.check
 
 
-def bumped(structure, name: str, p: int):
-    """A copy of structure whose field `name`, an algebra, a boundary or a
-    bilinear map, has its first entry raised by one; nothing is revalidated."""
-    old = getattr(structure, name)
+def bumped(chain, field: str, key, p: int):
+    """A copy of chain whose levels, boundaries or maps (field) entry `key`,
+    an algebra, a boundary or a bilinear map, has its first entry raised by
+    one; nothing is revalidated."""
+    entries = dict(chain.maps) if field == "maps" else list(getattr(chain, field))
+    old = entries[key]
     attr = {Algebra: "structure", Morphism: "matrix", BilinearMap: "tensor"}[type(old)]
     values = getattr(old, attr).copy()
     values.flat[0] = (values.flat[0] + 1) % p
-    new, out = copy.copy(old), copy.copy(structure)
+    new, out = copy.copy(old), copy.copy(chain)
     object.__setattr__(new, attr, values)
-    object.__setattr__(out, name, new)
+    entries[key] = new
+    object.__setattr__(out, field, entries)
     return out
 
 
-@pytest.mark.parametrize("level,name", [(1, "R"), (1, "boundary"), (1, "action"),
-                                        (2, "C0"), (2, "d1"), (2, "act_on_c1")])
-def test_a_roundtrip_fails_when_the_extraction_changes_one_field(level, name, monkeypatch):
+@pytest.mark.parametrize("level,field,key", [(1, "levels", 0), (1, "boundaries", 0),
+                                             (1, "maps", "01"), (2, "levels", 0),
+                                             (2, "boundaries", 0), (2, "maps", "01")])
+def test_a_roundtrip_fails_when_the_extraction_changes_one_field(level, field, key, monkeypatch):
     extraction = {1: "cm_from_simplicial", 2: "two_crossed_from_simplicial"}[level]
     extract = getattr(functors, extraction)
-    monkeypatch.setattr(functors, extraction, lambda E: bumped(extract(E), name, 3))
+    monkeypatch.setattr(functors, extraction, lambda E: bumped(extract(E), field, key, 3))
     records = roundtrip_check(level, 3)
     assert records and all(r.status == "fail" for r in records), [r.check for r in records]
 
@@ -122,7 +127,7 @@ def test_a_roundtrip_fails_when_the_extraction_changes_one_field(level, name, mo
 def test_three_crossed_degenerate_input(built):
     out = three_crossed_from_simplicial(built("ideal-pair"))
     m = out.structure
-    assert m.C3.dim == 0 and m.C2.dim == 0
+    assert m.levels[3].dim == 0 and m.levels[2].dim == 0
     assert out.report.verdict == "pass"
 
 
@@ -131,7 +136,7 @@ def test_three_crossed_quotient_trivial_when_ne4_zero(built):
     assert moore_basis(E, 4).shape[0] == 0
     out = three_crossed_from_simplicial(E)
     assert out.provenance["divided_dim"] == 0
-    assert out.structure.C3.dim == moore(E).spaces[3].dim
+    assert out.structure.levels[3].dim == moore(E).spaces[3].dim
 
 
 def test_three_crossed_pipeline_lengths_0_1_2(built):
@@ -139,9 +144,9 @@ def test_three_crossed_pipeline_lengths_0_1_2(built):
         E = built(name)
         out = three_crossed_from_simplicial(E)
         m = out.structure
-        p = m.C0.p
-        assert not (m.d2.matrix @ m.d3.matrix % p).any()
-        assert not (m.d1.matrix @ m.d2.matrix % p).any()
+        p = m.levels[0].p
+        assert not (m.d(2).matrix @ m.d(3).matrix % p).any()
+        assert not (m.d(1).matrix @ m.d(2).matrix % p).any()
         bad = [e for e in out.report.failing()
                if e.name.startswith(("complex-", "action-", "table3[", "table4["))
                or "multiplicative" in e.name]
@@ -151,9 +156,9 @@ def test_three_crossed_pipeline_lengths_0_1_2(built):
 def test_three_crossed_liftings_land_in_components(built):
     out = three_crossed_from_simplicial(built("cubic-chain"))
     m = out.structure
-    assert m.liftings["()"].target is m.C2
+    assert m.map("()").target is m.levels[2]
     for key in ("(1)(0)", "(2)(0)", "(2)(1)", "(1,0)(2)", "(2,0)(1)", "(0)(2,1)"):
-        assert m.liftings[key].target is m.C3
+        assert m.map(key).target is m.levels[3]
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from moorekit.coeff import BilinearMap, Morphism, PrimeField
-from moorekit.crossed import ThreeCrossedModule
+from moorekit.crossed import CrossedChain, zero_extension
 from moorekit.lie import (LieAlgebra, degenerate_lie_3cm, lie_abelian,
                           lie_action_violations, lie_heisenberg, validate_lie,
                           verify_lie_3cm, verify_lie_crossed, verify_lie_2cm)
@@ -61,7 +61,7 @@ def test_verify_lie_crossed_inclusion():
     incl = Morphism(sub, L, np.array([[0, 0], [1, 0], [0, 1]], dtype=np.int64))
     act = np.zeros((3, 2, 2), dtype=np.int64)
     act[0, 0, 1] = 1  # [x, y] = z
-    rep = verify_lie_crossed(sub, L, incl, BilinearMap(L, sub, sub, act))
+    rep = verify_lie_crossed(CrossedChain((L, sub), (incl,), {"01": BilinearMap(L, sub, sub, act)}))
     assert rep.entry("LCM1").status == "pass"
     assert rep.entry("lie-action").status == "pass"
     # LCM2 (Peiffer with brackets) fails: the abelianized ideal forgets [y,z]=0
@@ -73,12 +73,7 @@ def test_verify_lie_2cm_degenerate():
     zero = lie_abelian(3, 0)
     one = lie_abelian(3, 1)
     base = lie_heisenberg(3)
-    rep = verify_lie_2cm(zero, one, base,
-                         Morphism.zero(zero, one),
-                         Morphism.zero(one, base),
-                         BilinearMap.zero(base, one, one),
-                         BilinearMap.zero(base, zero, zero),
-                         BilinearMap.zero(one, one, zero))
+    rep = verify_lie_2cm(zero_extension(CrossedChain((base,)), 2, (one, zero)))
     assert rep.verdict == "pass"
 
 
@@ -93,12 +88,11 @@ def test_verify_lie_3cm_mutant_fails_with_witness():
     # let the central element of heisenberg act nontrivially: the
     # homomorphism law [x,y].a = x.(y.a) - y.(x.a) breaks
     m = degenerate_lie_3cm(lie_heisenberg(3))
-    actions = dict(m.actions)
+    L0, L1 = m.levels[:2]
     bad = np.zeros((3, 1, 1), dtype=np.int64)
     bad[2, 0, 0] = 1
-    actions["01"] = BilinearMap(m.C0, m.C1, m.C1, bad)
-    mutated = ThreeCrossedModule(m.C3, m.C2, m.C1, m.C0, m.d3, m.d2, m.d1,
-                                 actions, m.liftings, name="mutated")
+    mutated = CrossedChain(m.levels, m.boundaries,
+                           {**m.maps, "01": BilinearMap(L0, L1, L1, bad)}, "mutated")
     rep = verify_lie_3cm(mutated)
     assert rep.entry("lie-action-01").status == "fail"
     assert rep.verdict == "fail"
@@ -106,33 +100,16 @@ def test_verify_lie_3cm_mutant_fails_with_witness():
 
 def test_verify_lie_3cm_lifting_mutant_fails():
     m = degenerate_lie_3cm(lie_heisenberg(3))
-    liftings = dict(m.liftings)
     # make the (1)(0) lifting land in a fattened L3 and perturb one entry
     L3 = lie_abelian(3, 1)
     L2 = lie_abelian(3, 1)
-    one = m.C1
+    chain = zero_extension(CrossedChain(m.levels[:2], m.boundaries[:1], {"01": m.map("01")}),
+                           3, (L2, L3))
     t = np.zeros((1, 1, 1), dtype=np.int64)
     t[0, 0, 0] = 1
-    actions = {
-        "01": m.actions["01"],
-        "02": BilinearMap.zero(m.C0, L2, L2),
-        "03": BilinearMap.zero(m.C0, L3, L3),
-        "12": BilinearMap.zero(one, L2, L2),
-        "13": BilinearMap.zero(one, L3, L3),
-        "23": BilinearMap.zero(L2, L3, L3),
-    }
-    liftings = {
-        "(1)(0)": BilinearMap(L2, L2, L3, t),  # nonzero on a zero complex
-        "(2)(0)": BilinearMap.zero(L2, L2, L3),
-        "(2)(1)": BilinearMap.zero(L2, L2, L3),
-        "(1,0)(2)": BilinearMap.zero(one, L2, L3),
-        "(2,0)(1)": BilinearMap.zero(one, L2, L3),
-        "(0)(2,1)": BilinearMap.zero(L2, one, L3),
-        "()": BilinearMap.zero(one, one, L2),
-    }
-    mutated = ThreeCrossedModule(
-        L3, L2, one, m.C0, Morphism.zero(L3, L2), Morphism.zero(L2, one),
-        m.d1, actions, liftings, name="mutant")
+    # nonzero on a zero complex
+    mutated = CrossedChain(chain.levels, chain.boundaries,
+                           {**chain.maps, "(1)(0)": BilinearMap(L2, L2, L3, t)}, "mutant")
     rep = verify_lie_3cm(mutated)
     # the zero boundaries hide the lifting from 3CM4, but 3CM3 reads it raw:
     # {l2 (x) d2 m2}_(0)(2,1) = 0 while {l2 (x) m2}_(2)(1) - {l2 (x) m2}_(1)(0)

@@ -8,7 +8,7 @@ from moorekit import simplicial as simplicial_mod
 from moorekit.coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
                             PreconditionError, StructureError, Supply,
                             elements, rref, validate_algebra)
-from moorekit.crossed import TwoCrossedModule, verify_2cm, verify_cm
+from moorekit.crossed import CrossedChain, verify_2cm, verify_cm, zero_extension
 from moorekit.document import corpus_document
 from moorekit.moore import (SurjIndex, moore, moore_basis, normal_form,
                             push_face, s_set)
@@ -20,6 +20,25 @@ from moorekit.simplicial import (TruncatedSimplicialAlgebra, _action_block,
                                  validate_simplicial)
 
 SMALL = Supply(budget=24, exhaustive_bound=512)
+
+
+def test_faces_and_degeneracies_are_read_only_copies(built):
+    # moore(E) and the other values memoised per object read E's maps, so
+    # neither E nor the caller may change them after construction
+    E = built("ideal-pair")
+    faces, degs = dict(E.faces), dict(E.degeneracies)
+    F = TruncatedSimplicialAlgebra(E.levels, faces, degs, name="copy")
+    with pytest.raises(TypeError):
+        F.faces[(1, 0)] = F.faces[(1, 1)]
+    with pytest.raises(TypeError):
+        F.degeneracies[(1, 0)] = F.degeneracies[(1, 0)]
+    faces[(1, 0)] = Morphism.zero(E.level(1), E.level(0))
+    del degs[(2, 1)]
+    mc, expected = moore(F), moore(E)
+    assert [s.dim for s in mc.spaces] == [s.dim for s in expected.spaces]
+    for a, b in zip(mc.boundaries, expected.boundaries):
+        assert np.array_equal(a.matrix, b.matrix)
+    assert F.faces == E.faces and F.degeneracies == E.degeneracies
 
 
 def test_constant_object_is_valid():
@@ -247,7 +266,7 @@ def test_build_from_2crossed_refuses_k_below_2(k):
 def test_build_from_2crossed_degenerations():
     # trivial top level agrees with the crossed-module build
     cm = corpus.cm_ideal_dual(2)
-    t = corpus.crossed_as_2cm(cm)
+    t = zero_extension(cm, 2)
     assert verify_2cm(t).verdict == "pass"
     Ea = build_from_2crossed(t, 3)
     Eb = build_from_crossed(cm, 3)
@@ -267,8 +286,8 @@ def test_build_from_2crossed_moore_data(built):
     E = built("cubic-chain")
     mc = moore(E)
     assert [s.dim for s in mc.spaces] == [1, 2, 1, 0, 0]
-    assert np.array_equal(mc.boundaries[1].matrix, t.d2.matrix)
-    assert np.array_equal(mc.boundaries[0].matrix, t.d1.matrix)
+    assert np.array_equal(mc.boundaries[1].matrix, t.d(2).matrix)
+    assert np.array_equal(mc.boundaries[0].matrix, t.d(1).matrix)
 
 
 def test_concentrated_objects():
@@ -446,16 +465,17 @@ def test_extend_level_with_a_normal_block_keeps_the_top_face_guard(p):
     # level 1 exists and the forced level 2 is refused at the top face
     cm = corpus.cm_zero_module_bad(p)
     assert [e.name for e in verify_cm(cm).failing()] == ["CM2"]
-    E0 = TruncatedSimplicialAlgebra((cm.R,))
-    E1 = extend_level(E0, _action_block(cm.C, cm.boundary, cm.action))
+    (R, C), action = cm.levels, cm.map("01")
+    E0 = TruncatedSimplicialAlgebra((R,))
+    E1 = extend_level(E0, _action_block(cm))
     assert validate_simplicial(E1) == []
     with pytest.raises(PreconditionError, match="inconsistent at the top face") as info:
         extend_level(E1)
     assert "NE_1 -> E_0 is no crossed module" in str(info.value)
     # the identity boundary breaks CM1, which the given level 1 itself refuses
-    bd = Morphism(cm.C, cm.R, np.eye(1, dtype=np.int64))
+    bd = Morphism(C, R, np.eye(1, dtype=np.int64))
     with pytest.raises(PreconditionError, match="inconsistent at the top face") as info:
-        extend_level(E0, _action_block(cm.C, bd, cm.action))
+        extend_level(E0, _action_block(CrossedChain(cm.levels, (bd,), {"01": action})))
     assert str(info.value).startswith("no level 1 with the given NE_1 extends")
     assert "= 0" not in str(info.value)
 
@@ -464,8 +484,9 @@ def test_extend_level_with_a_normal_block_keeps_the_top_face_guard(p):
 def test_build_from_2crossed_past_its_verifier_refuses_a_bad_lifting(p, monkeypatch):
     # cubic-chain with a zero lifting fails 2CM1; its level 2 is refused
     t = corpus.tcm_cubic_chain(p)
-    zero = BilinearMap(t.C1, t.C1, t.C2, np.zeros_like(t.lifting.tensor))
-    bad = TwoCrossedModule(t.C2, t.C1, t.C0, t.d2, t.d1, t.act_on_c1, t.act_on_c2, zero)
+    _, C1, C2 = t.levels
+    zero = BilinearMap(C1, C1, C2, np.zeros_like(t.map("()").tensor))
+    bad = CrossedChain(t.levels, t.boundaries, {**t.maps, "()": zero})
     assert [e.name for e in verify_2cm(bad).failing()] == ["2CM1"]
     monkeypatch.setattr(simplicial_mod, "_verified", lambda report, what: None)
     with pytest.raises(PreconditionError, match="inconsistent at the top face") as info:
