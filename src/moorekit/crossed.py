@@ -190,10 +190,6 @@ class CrossedChain:
         object.__setattr__(self, "maps",
                            MappingProxyType({key: self.maps[key] for key in CARRIED[m]}))
 
-    @property
-    def length(self) -> int:
-        return len(self.boundaries)
-
     def d(self, n: int) -> Morphism:
         """The boundary d_n : C_n -> C_{n-1}."""
         return self.boundaries[n - 1]
@@ -207,12 +203,13 @@ def zero_extension(base: CrossedChain, m: int, tops=None, name: str = "") -> Cro
     `tops` (zero algebras when not given), and zero wherever base has no
     boundary or map.  Over a crossed module at m = 2 it is Remark 1's
     2-crossed module with trivial top term."""
+    low = len(base.boundaries)
     if tops is None:
         tops = [Algebra(base.levels[0].field, np.zeros((0, 0, 0), dtype=np.int64), (), None, "0")
-                for _ in range(m - base.length)]
+                for _ in range(m - low)]
     levels = base.levels + tuple(tops)
     boundaries = base.boundaries + tuple(Morphism.zero(levels[n], levels[n - 1])
-                                         for n in range(base.length + 1, m + 1))
+                                         for n in range(low + 1, m + 1))
     maps = {key: base.maps[key] if key in base.maps
             else BilinearMap.zero(*(levels[i] for i in SIGNATURES[key]))
             for key in CARRIED[m]}
