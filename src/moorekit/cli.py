@@ -26,9 +26,7 @@ from typing import NamedTuple
 from .coeff import PreconditionError, PrimeField, Supply, validate_algebra
 from .crossed import verify_2cm, verify_3cm, verify_cm
 from .document import Document, DocumentBuilder, DocumentError, corpus_document, load_document
-from .functors import (crossed_extraction, three_crossed_from_simplicial,
-                       two_crossed_from_simplicial, table_identities_check,
-                       roundtrip_check)
+from .functors import hypercrossed, roundtrip_check, table_identities_check
 from .lie import validate_lie, verify_lie_3cm
 from .moore import (lemma7_check, moore, p_set, s_set, table1_audit,
                     theorem5_check)
@@ -313,8 +311,6 @@ def run_command(args, out) -> int:
 
 # what a name of another kind is not, for the commands taking several kinds
 _NOT_KIND = {"validate": "validatable directly", "lie-verify": "Lie data"}
-_VALIDATORS = {"algebra": validate_algebra, "lie-algebra": validate_lie,
-               "simplicial": validate_simplicial}
 
 
 def _run_named(args, doc: Document, extra_lines: list) -> list[CheckRecord]:
@@ -345,7 +341,10 @@ def _named_records(args, kind, obj, extra_lines: list) -> list[CheckRecord]:
     records: list[CheckRecord] = []
 
     if command == "validate" or kind == "lie-algebra":
-        bad = _VALIDATORS[kind](obj)
+        # read per call, so a validator wrapped in this module's namespace is the one run
+        validate = {"algebra": validate_algebra, "lie-algebra": validate_lie,
+                    "simplicial": validate_simplicial}[kind]
+        bad = validate(obj)
         records.append(CheckRecord(f"{command}[{name}]", PASS if not bad else FAIL,
                                    witnesses=tuple(str(v) for v in bad[:5])))
     elif command == "moore":
@@ -365,21 +364,22 @@ def _named_records(args, kind, obj, extra_lines: list) -> list[CheckRecord]:
         for n in levels:
             records.append(theorem5_check(obj, n))
     elif command == "to-xmod":
-        outp = crossed_extraction(obj)
-        R, C = outp.structure.levels
-        _emit(extra_lines, outp.structure, f"{name}-xmod", "crossed_modules")
+        cm, prov = hypercrossed(obj, 1)
+        R, C = cm.levels
+        _emit(extra_lines, cm, f"{name}-xmod", "crossed_modules")
         records.append(CheckRecord(f"to-xmod[{name}]", PASS, detail={
-            "C_dim": C.dim, "R_dim": R.dim, **outp.provenance}))
+            "C_dim": C.dim, "R_dim": R.dim, **prov}))
     elif command == "to-2xmod":
-        t = two_crossed_from_simplicial(obj, args.convention)
+        t = hypercrossed(obj, 2, args.convention)[0]
         _emit(extra_lines, t, f"{name}-2xmod", "two_crossed_modules")
         records.append(CheckRecord(f"to-2xmod[{name}]", PASS,
                                    detail={"dims": [A.dim for A in reversed(t.levels)]}))
     elif command == "to-3xmod":
-        outp = three_crossed_from_simplicial(obj, args.convention)
-        _emit(extra_lines, outp.structure, f"{name}-3xmod", "three_crossed_modules")
-        records.append(CheckRecord(f"to-3xmod[{name}]", PASS, detail=outp.provenance))
-        records.extend(_axiom_records(outp.report, f"to-3xmod[{name}]", audit=True))
+        m, prov = hypercrossed(obj, 3, args.convention)
+        _emit(extra_lines, m, f"{name}-3xmod", "three_crossed_modules")
+        records.append(CheckRecord(f"to-3xmod[{name}]", PASS, detail={
+            "source": obj.name, "convention": args.convention, **prov}))
+        records.extend(_axiom_records(verify_3cm(m), f"to-3xmod[{name}]", audit=True))
     elif command.startswith("verify-"):
         # read per call, so a verifier wrapped in this module's namespace is the one run
         verify = {"verify-xmod": verify_cm, "verify-2xmod": verify_2cm,

@@ -20,9 +20,8 @@ from .coeff import Algebra, BilinearMap, Morphism, PrimeField
 from .crossed import (CrossedChain, ideal_pair, multiplication_cm, zero_extension,
                       zero_module_cm)
 from .lie import LieAlgebra, degenerate_lie_3cm, lie_abelian, lie_heisenberg
-from .simplicial import (TruncatedSimplicialAlgebra, build_from_2crossed,
-                         build_from_crossed, concentrated_simplicial,
-                         constant_simplicial)
+from .simplicial import (TruncatedSimplicialAlgebra, concentrated_simplicial,
+                         constant_simplicial, realize)
 
 
 # ---------------------------------------------------------------------------
@@ -162,12 +161,12 @@ def _built(names, builders: dict) -> dict:
 def simplicial_corpus(p: int = 2, names=None) -> dict[str, TruncatedSimplicialAlgebra]:
     """The k = 4 test objects used across the suite, keyed by name."""
     return _built(names, {
-        "ideal-pair": lambda: build_from_crossed(cm_ideal_dual(p)),
-        "ideal-pair-cubic": lambda: build_from_crossed(cm_ideal_cubic(p)),
-        "zero-module": lambda: build_from_crossed(cm_zero_module(p)),
-        "sq0-lifting": lambda: build_from_2crossed(tcm_square_zero_lifting(p)),
-        "cubic-chain": lambda: build_from_2crossed(tcm_cubic_chain(p)),
-        "module-id": lambda: build_from_2crossed(tcm_module_identity(p)),
+        "ideal-pair": lambda: realize(cm_ideal_dual(p)),
+        "ideal-pair-cubic": lambda: realize(cm_ideal_cubic(p)),
+        "zero-module": lambda: realize(cm_zero_module(p)),
+        "sq0-lifting": lambda: realize(tcm_square_zero_lifting(p)),
+        "cubic-chain": lambda: realize(tcm_cubic_chain(p)),
+        "module-id": lambda: realize(tcm_module_identity(p)),
         "constant": lambda: constant_simplicial(dual_numbers(p), 4),
         "top-degree-4": lambda: concentrated_simplicial(square_zero(p, 1), 4, 4),
         "top-degree-3": lambda: concentrated_simplicial(square_zero(p, 1), 3, 4),

@@ -1,17 +1,18 @@
 """Passage from simplicial algebras to crossed structures through one
-hypercrossed core, _hypercrossed, which returns the crossed chain
+hypercrossed core, `hypercrossed(E, m)`, which returns the crossed chain
 (crossed.CrossedChain) of length m: the Moore complex cut at level m, the
 degeneracy actions and pairing liftings crossed.CARRIED[m], and the top
 level divided by crossed._divide_top (Carrasco & Cegarra, JPAA 75, 1991).
 At m = 1 it gives a crossed module, NE_1 divided by d_2(NE_2) at Moore
 length above 1; at m = 2 a 2-crossed module of Moore length at most 2; at
 m = 3, on any valid 4-truncation, a 3-crossed module on
-NE_3 / d_4(NE_4 cap D_4).
+NE_3 / d_4(NE_4 cap D_4).  simplicial.realize goes the other way at
+lengths 1 and 2.
 
 Lifting sign conventions.  The two construction sections of the source
 material print the same liftings with opposite signs (and two of the
 printed closed forms do not even land in the normal subspace as
-written).  Both extractions therefore define every lifting through the
+written).  The extraction therefore defines every lifting through the
 composite hypercrossed pairing, which provably lands where it must:
 
     prop3 convention:  {x (x) y} = -p(s_alpha x . s_beta y)   (default)
@@ -25,7 +26,7 @@ convention satisfies on a given instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,18 +36,10 @@ from .crossed import (ACTIONS, CARRIED, SIGNATURES, CrossedChain, _axioms_3cm2_t
                       _divide_top, _equivariance_entries, _evaluate, verify_3cm)
 from .moore import moore, p_set, pairing_table, s_word_morphism
 from .report import (CONFIRMED, DISCREPANT, FAIL, PASS, CheckRecord)
-from .simplicial import (TruncatedSimplicialAlgebra, build_from_2crossed,
-                         build_from_crossed, degenerate_ideal)
+from .simplicial import TruncatedSimplicialAlgebra, degenerate_ideal, realize
 
 PROP3 = "prop3"
 DEF1 = "def1"
-
-
-@dataclass(frozen=True, eq=False)
-class FunctorOutput:
-    structure: CrossedChain
-    provenance: dict = field(default_factory=dict)
-    report: object = None  # AxiomReport from verify_3cm; None from the bare extraction
 
 
 def _map_tensor(E: TruncatedSimplicialAlgebra, mc, key: str, sign: int = 1) -> np.ndarray:
@@ -73,17 +66,24 @@ def _map_tensor(E: TruncatedSimplicialAlgebra, mc, key: str, sign: int = 1) -> n
     return mc.spaces[value].coords(vals)
 
 
-def _hypercrossed(E: TruncatedSimplicialAlgebra, m: int,
-                  convention: str = PROP3) -> tuple[CrossedChain, dict]:
+def hypercrossed(E: TruncatedSimplicialAlgebra, m: int,
+                 convention: str = PROP3) -> tuple[CrossedChain, dict]:
     """The crossed chain NE_m -> ... -> NE_0 of E with the maps CARRIED[m]
     and its top level divided by _divide_top: at m = 1 by d_2(NE_2) when
     the Moore length exceeds 1, at m = 3 always, by d_4(NE_4 cap D_4).
 
     Returns the chain, named after E, and its provenance: the dimension of
     the divided ideal, and at m = 3 that of NE_4 cap D_4, when the top
-    level is divided.
+    level is divided.  E is truncated at level m or above, at level 4
+    exactly when m = 3, and of Moore length at most 2 when m = 2.
     """
+    if m == 3 and E.k != 4:
+        raise PreconditionError("requires truncation level 4")
+    if E.k < m:
+        raise PreconditionError(f"requires truncation level {m} or above")
     mc, sign = moore(E), -1 if convention == PROP3 else 1
+    if m == 2 and mc.length() > 2:
+        raise PreconditionError("Moore length exceeds 2")
     levels = mc.algebras[:m + 1]
     maps = {key: BilinearMap(*(levels[i] for i in SIGNATURES[key]), _map_tensor(E, mc, key, sign))
             for key in CARRIED[m]}
@@ -105,56 +105,9 @@ def _hypercrossed(E: TruncatedSimplicialAlgebra, m: int,
     return chain, prov
 
 
-# ---------------------------------------------------------------------------
-# the extractions at levels 1, 2 and 3
-
-
-def crossed_extraction(E: TruncatedSimplicialAlgebra) -> FunctorOutput:
-    """NE_1 -> NE_0 with the degeneracy action r . c = s_0(r) c.
-
-    Inputs of Moore length above 1 are truncated by dividing NE_1 by the
-    degree-2 boundary image, as induced_cm divides C_1 of a 2-crossed
-    module (Remark 2); the name and the provenance's divided_dim record it.
-    """
-    return FunctorOutput(*_hypercrossed(E, 1))
-
-
-def cm_from_simplicial(E: TruncatedSimplicialAlgebra) -> CrossedChain:
-    """The crossed module of crossed_extraction."""
-    return crossed_extraction(E).structure
-
-
-def two_crossed_from_simplicial(E: TruncatedSimplicialAlgebra,
-                                convention: str = PROP3) -> CrossedChain:
-    """(NE_2, NE_1, NE_0) with degeneracy actions and the pairing lifting."""
-    if moore(E).length() > 2:
-        raise PreconditionError("Moore length exceeds 2")
-    return _hypercrossed(E, 2, convention)[0]
-
-
-def three_crossed_extraction(E: TruncatedSimplicialAlgebra,
-                             convention: str = PROP3) -> FunctorOutput:
-    """The quotient complex NE_3/d_4(NE_4 cap D_4) -> NE_2 -> NE_1 -> NE_0
-    with degeneracy actions and the seven pairing liftings, and its
-    provenance; no axiom report."""
-    if E.k != 4:
-        raise PreconditionError("requires truncation level 4")
-    m, prov = _hypercrossed(E, 3, convention)
-    return FunctorOutput(m, {"source": E.name, "convention": convention, **prov})
-
-
-def three_crossed_from_simplicial(E: TruncatedSimplicialAlgebra,
-                                  convention: str = PROP3) -> FunctorOutput:
-    """three_crossed_extraction with the axiom report attached as an
-    audit finding; verify_3cm decides every axiom exactly, 3CM6 included."""
-    out = three_crossed_extraction(E, convention)
-    return FunctorOutput(out.structure, out.provenance, verify_3cm(out.structure))
-
-
 def lifting_convention_audit(E: TruncatedSimplicialAlgebra) -> list[CheckRecord]:
     """Which printed axioms hold under each lifting sign convention."""
-    reports = {conv: three_crossed_from_simplicial(E, conv).report
-               for conv in (PROP3, DEF1)}
+    reports = {conv: verify_3cm(hypercrossed(E, 3, conv)[0]) for conv in (PROP3, DEF1)}
     names = [e.name for e in reports[PROP3].entries]
     out = []
     for nm in names:
@@ -232,7 +185,7 @@ def table_identities_check(E: TruncatedSimplicialAlgebra, table: int,
     structure; CONFIRMED or DISCREPANT per row with a minimal witness."""
     if table not in (2, 3, 4):
         raise ValueError("tables 2, 3 and 4 are defined")
-    m = three_crossed_extraction(E, convention).structure
+    m = hypercrossed(E, 3, convention)[0]
     if table == 2:
         return [_table2_record(name, *_evaluate(slots, fun))
                 for name, slots, fun in _table2_rows(m)]
@@ -261,12 +214,10 @@ def roundtrip_check(level: int, p: int = 2) -> list[CheckRecord]:
     from . import corpus as corpus_mod
     if level not in (1, 2):
         raise ValueError("round trips defined at levels 1 and 2")
-    items, build, extract = {
-        1: (corpus_mod.crossed_corpus, build_from_crossed, cm_from_simplicial),
-        2: (corpus_mod.two_crossed_corpus, build_from_2crossed, two_crossed_from_simplicial),
-    }[level]
-    return [CheckRecord(f"roundtrip{level}[{name}]", PASS if _same(extract(build(s)), s) else FAIL)
-            for name, s in items(p).items()]
+    items = (corpus_mod.crossed_corpus, corpus_mod.two_crossed_corpus)[level - 1](p)
+    return [CheckRecord(f"roundtrip{level}[{name}]",
+                        PASS if _same(hypercrossed(realize(s), level)[0], s) else FAIL)
+            for name, s in items.items()]
 
 
 def _same(a: CrossedChain, b: CrossedChain) -> bool:

@@ -435,6 +435,9 @@ def theorem5_check(E, n: int) -> CheckRecord:
     # simplicial imports this module, so the helper is resolved at call time
     from .simplicial import degenerate_subalgebra
     name = f"theorem5[n={n}]"
+    if n > E.k:
+        return CheckRecord(name, HYPOTHESIS_FAILED,
+                           detail={"reason": f"requires truncation level {n}"})
     interp = {"K_I": "intersection of ker d_i over I = complement of alpha entries",
               "D_n": "subalgebra generated by the degeneracy images"}
     D = degenerate_subalgebra(E, n)

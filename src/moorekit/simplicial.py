@@ -1,7 +1,7 @@
 """Truncated simplicial algebras: validation against the simplicial
 identities, truncation, degenerate ideals and subalgebras, the semidirect
-element decomposition, and one level builder that realizes crossed and
-2-crossed data as simplicial algebras.
+element decomposition, one level builder, and `realize`, which realizes
+crossed and 2-crossed modules as simplicial algebras.
 
 Every built level is E_m = (+)_{alpha in S(m)} s_alpha NE_{m-#alpha}.
 `extend_level` appends it, given its normal block NE_m, the last face of
@@ -13,8 +13,9 @@ started from its normal component.  The consistency of the top face is
 checked during construction.  It fails exactly when no such level
 extends the given levels, which happens on valid simplicial data too:
 cubic-chain cut at level 1 is valid, but its NE_1 -> E_0 is no crossed
-module, so no level 2 with NE_2 = 0 exists.  A crossed module is one
-call above E_0 = R, a 2-crossed module two calls above E_0 = C_0.
+module, so no level 2 with NE_2 = 0 exists.  `realize` starts from
+E_0 = C_0 and appends the normal block NE_n = C_n of each level n of the
+chain (`_normal_block`).
 """
 
 from __future__ import annotations
@@ -382,48 +383,46 @@ def _verified(report, what: str) -> None:
         raise PreconditionError(f"{what} fails {[e.name for e in report.failing()]}")
 
 
-def _action_block(t: CrossedChain) -> tuple:
-    """NE_1 = C_1 over E_0 = C_0: products in C_1, s_0(r) . c = r . c."""
-    C = t.levels[1]
-    return C, t.d(1).matrix, {((), ()): C.structure, ((0,), ()): t.map("01").tensor}
+def _normal_block(E: TruncatedSimplicialAlgebra, t: CrossedChain, n: int) -> tuple:
+    """The normal block (C_n, bd, nu) that extend_level appends to E as
+    NE_n: bd is d_n embedded into E_{n-1} through the Moore basis of
+    NE_{n-1} = C_{n-1}, nu the C_n-component of the products of blocks.
 
-
-def build_from_crossed(cm: CrossedChain, k: int = 4) -> TruncatedSimplicialAlgebra:
-    """Simplicial realization of a crossed module: E_1 = C x| R and all
-    higher levels forced; the Moore complex has length at most 1 and the
-    extraction returns cm on the nose.  k is at least 1."""
-    if k < 1:
-        raise ValueError(f"a crossed module is realized from k = 1 on, not k = {k}")
-    _verified(verify_cm(cm), "crossed module")
-    E = TruncatedSimplicialAlgebra(cm.levels[:1], name=cm.name or "xmod")
-    return extend_to(extend_level(E, _action_block(cm)), k)
-
-
-def build_from_2crossed(t: CrossedChain, k: int = 4) -> TruncatedSimplicialAlgebra:
-    """Simplicial realization of a 2-crossed module.
-
-    E_1 = C_1 x| C_0 as for a crossed module.  Level 2 carries the blocks
-    (NE_2 | s_1 C_1 | s_0 C_1 | s_1 s_0 C_0), and nu gives the
-    C_2-component of the products: x x' in C_2, s_1 y . x = y . x with the
-    degree-1 action y . x = {d_2 x (x) y} + (d_1 y) . x, s_0 y . x =
-    (d_1 y) . x, s_1 s_0 c . x = c . x, and the Peiffer lifting in
+    At n = 1, E_1 = C_1 x| C_0: products in C_1 and s_0(r) . c = r . c.
+    At n = 2 the blocks are (NE_2 | s_1 C_1 | s_0 C_1 | s_1 s_0 C_0), and
+    nu gives x x' in C_2, s_1 y . x = y . x with the degree-1 action
+    y . x = {d_2 x (x) y} + (d_1 y) . x, s_0 y . x = (d_1 y) . x,
+    s_1 s_0 c . x = c . x, and the Peiffer lifting in
 
         s_1 a . s_0 b  =  -{a (x) b}  +  s_1(a b).
-
-    The simplicial relations force every other component, and the higher
-    levels are forced.  k is at least 2.
     """
-    if k < 2:
-        raise ValueError(f"a 2-crossed module is realized from k = 2 on, not k = {k}")
-    _verified(verify_2cm(t), "2-crossed module")
-    (C0, _, C2), (d1, d2) = t.levels, t.boundaries
-    E = extend_level(TruncatedSimplicialAlgebra((C0,), name=t.name or "2xmod"), _action_block(t))
+    C, d = t.levels[n], t.d(n).matrix
+    bd = moore_basis(E, n - 1).T @ d % C.p
+    if n == 1:
+        return C, bd, {((), ()): C.structure, ((0,), ()): t.map("01").tensor}
     a2, L = t.map("02").tensor, t.map("()").tensor
-    via_d1 = np.einsum("ra,rxq->axq", d1.matrix, a2)  # (d_1 y) . x
-    nu = {((), ()): C2.structure,
-          ((1,), ()): via_d1 + np.einsum("sx,saq->axq", d2.matrix, L),
-          ((0,), ()): via_d1,
-          ((1, 0), ()): a2,
-          ((1,), (0,)): -L}
-    bd = moore_basis(E, 1).T @ d2.matrix % C0.p  # NE_1 = C_1 inside E_1
-    return extend_to(extend_level(E, (C2, bd, nu)), k)
+    via_d1 = np.einsum("ra,rxq->axq", t.d(1).matrix, a2)  # (d_1 y) . x
+    return C, bd, {((), ()): C.structure,
+                   ((1,), ()): via_d1 + np.einsum("sx,saq->axq", d, L),
+                   ((0,), ()): via_d1,
+                   ((1, 0), ()): a2,
+                   ((1,), (0,)): -L}
+
+
+def realize(t: CrossedChain, k: int = 4) -> TruncatedSimplicialAlgebra:
+    """Simplicial realization of a crossed module or 2-crossed module t of
+    length m: E_0 = C_0, each level n <= m carries the normal block
+    NE_n = C_n, and the levels above m are forced.  The Moore complex is
+    t's complex and the extraction at length m returns t on the nose.
+    k is at least m."""
+    m = len(t.boundaries)
+    if m not in (1, 2):
+        raise ValueError(f"chains of length 1 and 2 are realized, not of length {m}")
+    if k < m:
+        raise ValueError(f"a chain of length {m} is realized from k = {m} on, not k = {k}")
+    verify = verify_cm if m == 1 else verify_2cm
+    _verified(verify(t), ("crossed module", "2-crossed module")[m - 1])
+    E = TruncatedSimplicialAlgebra(t.levels[:1], name=t.name or ("xmod", "2xmod")[m - 1])
+    for n in range(1, m + 1):
+        E = extend_level(E, _normal_block(E, t, n))
+    return extend_to(E, k)

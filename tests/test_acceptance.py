@@ -13,9 +13,9 @@ import numpy as np
 from moorekit import corpus
 from moorekit.cli import parse_args, run_command
 from moorekit.coeff import Supply, elements
-from moorekit.crossed import (verify_2cm, verify_cm, zero_extension, induced_cm,
+from moorekit.crossed import (verify_2cm, verify_3cm, verify_cm, zero_extension, induced_cm,
                               multiplication_cm, CrossedChain)
-from moorekit.functors import roundtrip_check, three_crossed_from_simplicial
+from moorekit.functors import hypercrossed, roundtrip_check
 from moorekit.lie import (degenerate_lie_3cm, lie_abelian, lie_heisenberg,
                           validate_lie, verify_lie_3cm, LieAlgebra)
 from moorekit.moore import (lemma7_check, moore, p_set, proj_p, s_set,
@@ -94,17 +94,17 @@ def test_criterion_4_proposition3_pipeline(built):
     ok = True
     details = []
     for name in ("constant", "ideal-pair", "cubic-chain"):  # lengths 0, 1, 2
-        out = three_crossed_from_simplicial(built(name))
-        m = out.structure
+        m = hypercrossed(built(name), 3)[0]
+        report = verify_3cm(m)
         p = m.levels[0].p
         ok = ok and not (m.d(2).matrix @ m.d(3).matrix % p).any()
         ok = ok and not (m.d(1).matrix @ m.d(2).matrix % p).any()
-        invariant_fails = [e for e in out.report.failing()
+        invariant_fails = [e for e in report.failing()
                            if e.name.startswith(("complex-", "action-",
                                                  "table3[", "table4["))
                            or "multiplicative" in e.name]
         ok = ok and not invariant_fails
-        audit = [e for e in out.report.failing() if e not in invariant_fails]
+        audit = [e for e in report.failing() if e not in invariant_fails]
         ok = ok and all(e.witness is not None for e in audit)
         details.append(f"{name}: {len(audit)} audit findings")
     verdict(4, ok, "d o d = 0, liftings bilinear and equivariant, no "

@@ -19,8 +19,7 @@ from moorekit.coeff import (Algebra, BilinearMap, Element, Morphism, Supply,
                             subspace_elements, supply_rows)
 from moorekit.crossed import (ACTIONS, SIGNATURES, CrossedChain, verify_2cm, verify_3cm,
                               verify_cm, zero_extension)
-from moorekit.functors import (table_identities_check, three_crossed_extraction,
-                               three_crossed_from_simplicial)
+from moorekit.functors import hypercrossed, table_identities_check
 from moorekit.lie import verify_lie_3cm
 from moorekit.simplicial import TruncatedSimplicialAlgebra
 
@@ -116,7 +115,7 @@ def test_crossed_and_two_crossed_corpus_match_reference(p, monkeypatch):
 @pytest.mark.parametrize("p", CHARS)
 def test_three_crossed_and_lie_corpus_match_reference(p, monkeypatch):
     for name, E in corpus.simplicial_corpus(p).items():
-        m = three_crossed_from_simplicial(E).structure
+        m = hypercrossed(E, 3)[0]
         batched, reference = both(monkeypatch, lambda: entries(verify_3cm(m)))
         assert batched == reference, name
     for name, m in corpus.lie_three_corpus(p).items():
@@ -135,7 +134,7 @@ def test_tables_corpus_match_reference(p, table, monkeypatch):
 
 def test_degree3_tensor_matches_reference_with_its_findings(degree3, monkeypatch):
     batched, reference = both(
-        monkeypatch, lambda: entries(three_crossed_from_simplicial(degree3).report))
+        monkeypatch, lambda: entries(verify_3cm(hypercrossed(degree3, 3)[0])))
     assert batched == reference
     status = {name: st for name, st, *_ in batched}
     assert status["3CM15"] == "fail" and status["table4[()]"] == "fail"
@@ -149,7 +148,7 @@ def test_degree3_tensor_matches_reference_with_its_findings(degree3, monkeypatch
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_random_liftings_fail_past_the_first_tuple(degree3, seed, monkeypatch):
-    m = with_random_liftings(three_crossed_from_simplicial(degree3).structure, seed)
+    m = with_random_liftings(hypercrossed(degree3, 3)[0], seed)
     batched, reference = both(monkeypatch, lambda: entries(verify_3cm(m)))
     assert batched == reference
     failing = [checked for _, st, checked, *_ in batched if st == "fail"]
@@ -159,7 +158,7 @@ def test_random_liftings_fail_past_the_first_tuple(degree3, seed, monkeypatch):
 
 
 def test_grids_spanning_many_steps_match_reference(degree3, monkeypatch):
-    m = with_random_liftings(three_crossed_from_simplicial(degree3).structure, 3)
+    m = with_random_liftings(hypercrossed(degree3, 3)[0], 3)
     monkeypatch.setattr(coeff, "_SWEEP_CELLS", 7)  # every grid takes several steps
     batched, reference = both(monkeypatch, lambda: entries(verify_3cm(m)))
     assert batched == reference
@@ -181,7 +180,7 @@ def test_supply_rows_are_the_element_supply(p, dim, supply):
 
 
 def test_3cm6_mode_on_corpus_is_basis_exact(built):
-    rep = verify_3cm(three_crossed_from_simplicial(built("cubic-chain")).structure)
+    rep = verify_3cm(hypercrossed(built("cubic-chain"), 3)[0])
     assert rep.entry("3CM6").detail == {"mode": "basis-exact"}
     assert [e.name for e in rep.entries if e.detail] == ["3CM6"]
 
@@ -229,7 +228,7 @@ def assert_3cm6_matches_every_pair(m: CrossedChain):
 @pytest.mark.parametrize("p", CHARS)
 def test_3cm6_on_corpus_extractions_matches_every_pair(p):
     for name, E in corpus.simplicial_corpus(p).items():
-        m = three_crossed_extraction(E).structure
+        m = hypercrossed(E, 3)[0]
         assert assert_3cm6_matches_every_pair(m).status == "pass", name
         for seed in (1, 2):
             assert_3cm6_matches_every_pair(with_random_liftings(m, seed))
@@ -239,7 +238,7 @@ def test_3cm6_on_corpus_extractions_matches_every_pair(p):
 def test_3cm6_on_a_degree3_tensor_matches_every_pair(p):
     # ideal-pair (x) sq0-lifting: C2 has dim 6 and C3 dim 3
     simp = corpus.simplicial_corpus(p)
-    m = three_crossed_extraction(tensor_simplicial(simp["ideal-pair"], simp["sq0-lifting"])).structure
+    m = hypercrossed(tensor_simplicial(simp["ideal-pair"], simp["sq0-lifting"]), 3)[0]
     assert assert_3cm6_matches_every_pair(m).status == "pass"
     for seed in (1, 2):
         assert assert_3cm6_matches_every_pair(with_random_liftings(m, seed)).status == "fail"

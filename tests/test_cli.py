@@ -762,3 +762,44 @@ def test_a_job_imports_no_argument_parsing_library():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.splitlines()[-1] == "0"
+
+
+@pytest.fixture(scope="module")
+def short_truncations(tmp_path_factory):
+    """Paths of the documents holding cubic-chain at p = 2 cut at k = 0..3 as E."""
+    from moorekit import corpus
+    from moorekit.document import DocumentBuilder
+    from moorekit.simplicial import truncate
+    E = corpus.simplicial_corpus(2, {"cubic-chain"})["cubic-chain"]
+    paths = {}
+    for k in range(4):
+        b = DocumentBuilder()
+        b.simplicial(truncate(E, k), "E")
+        paths[k] = tmp_path_factory.mktemp(f"k{k}") / "doc.json"
+        paths[k].write_text(b.dumps())
+    return paths
+
+
+@pytest.mark.parametrize("argv", [["moore"], ["validate"], ["theorem5"], ["theorem5", "--level", "2"],
+                                  ["table1"], ["lemma7"], ["to-xmod"], ["to-2xmod"], ["to-3xmod"],
+                                  ["tables", "2"]], ids=" ".join)
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_a_short_truncation_is_answered_without_a_traceback(k, argv, short_truncations):
+    code, _, err = _main(["--input", str(short_truncations[k]), *argv, "E"])
+    assert code in (0, 2) and err == "", (code, err)
+
+
+def test_theorem5_above_the_truncation_is_a_hypothesis_record(short_truncations):
+    code, out, _ = _main(["--input", str(short_truncations[3]), "theorem5", "E"])
+    assert code == 0
+    assert records(out)[2] == {"check": "theorem5[n=4]", "status": "hypothesis-failed",
+                               "witnesses": [],
+                               "detail": {"reason": "requires truncation level 4"}}
+
+
+def test_validate_reads_the_validator_per_call(monkeypatch):
+    from moorekit import cli
+    seen, validate = [], cli.validate_simplicial
+    monkeypatch.setattr(cli, "validate_simplicial", lambda E: seen.append(E) or validate(E))
+    assert run(["validate", "ideal-pair"])[0] == 0
+    assert len(seen) == 1

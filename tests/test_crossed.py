@@ -6,7 +6,7 @@ from moorekit.coeff import (Algebra, BilinearMap, Morphism, PreconditionError, a
                             square_span)
 from moorekit.crossed import (CrossedChain, _divide_top, induced_cm, multiplication_cm,
                               verify_2cm, verify_3cm, verify_cm, zero_extension)
-from moorekit.functors import three_crossed_from_simplicial, two_crossed_from_simplicial
+from moorekit.functors import hypercrossed
 from moorekit.lie import degenerate_lie_3cm, lie_heisenberg, verify_lie_3cm
 
 
@@ -107,7 +107,7 @@ def test_verify_2cm_corpus():
 def test_verify_2cm_detects_zeroed_lifting(built):
     # extraction from a length-2 object, then zero the lifting: 2CM1 breaks
     E = built("cubic-chain")
-    t = two_crossed_from_simplicial(E)
+    t = hypercrossed(E, 2)[0]
     assert verify_2cm(t).verdict == "pass"
     _, C1, C2 = t.levels
     mutated = CrossedChain(t.levels, t.boundaries,
@@ -133,7 +133,7 @@ def test_induced_cm_surjective_boundary_collapses():
 
 
 def test_induced_cm_from_length_two_instance(built):
-    t = two_crossed_from_simplicial(built("cubic-chain"))
+    t = hypercrossed(built("cubic-chain"), 2)[0]
     cm = induced_cm(t)
     assert verify_cm(cm).verdict == "pass"
 
@@ -211,15 +211,14 @@ def test_verify_3cm_degenerate_over_crossed_module():
 
 
 def test_verify_3cm_functor_output_passes(built):
-    out = three_crossed_from_simplicial(built("cubic-chain"))
-    assert out.report.verdict == "pass"
+    m = hypercrossed(built("cubic-chain"), 3)[0]
+    assert verify_3cm(m).verdict == "pass"
 
 
 def test_verify_3cm_mutation_breaks_3cm4(built):
     # the corpus has C3 = 0, so the degree-1 lifting is the one that can
     # carry a perturbation; 3CM4 reads it through the boundaries
-    out = three_crossed_from_simplicial(built("cubic-chain"))
-    m = out.structure
+    m = hypercrossed(built("cubic-chain"), 3)[0]
     _, C1, C2, _ = m.levels
     t = np.array(m.map("()").tensor)
     t[1, 1, 0] = (t[1, 1, 0] + 1) % C2.p  # bump {w (x) w}, w = d2-image
@@ -231,8 +230,7 @@ def test_verify_3cm_mutation_breaks_3cm4(built):
 
 
 def test_verify_3cm_lifting_key_aliases(built):
-    out = three_crossed_from_simplicial(built("ideal-pair"))
-    m = out.structure
+    m = hypercrossed(built("ideal-pair"), 3)[0]
     assert m.map("(0)(2)") is m.map("(2)(0)")
 
 
@@ -271,10 +269,8 @@ VERIFY_LIE_3CM_NAMES = (
 
 
 def test_verify_3cm_record_names_pinned(built):
-    out = three_crossed_from_simplicial(built("cubic-chain"))
-    rep = verify_3cm(out.structure)
+    rep = verify_3cm(hypercrossed(built("cubic-chain"), 3)[0])
     assert [e.name for e in rep.entries] == VERIFY_3CM_NAMES
-    assert [e.name for e in out.report.entries] == VERIFY_3CM_NAMES
 
 
 def test_verify_lie_3cm_record_names_pinned():

@@ -8,7 +8,7 @@ from moorekit import corpus
 from moorekit.crossed import verify_2cm, verify_3cm, verify_cm
 from moorekit.document import (DocumentBuilder, DocumentError, corpus_document,
                                load_document)
-from moorekit.functors import three_crossed_from_simplicial
+from moorekit.functors import hypercrossed
 from moorekit.lie import LieAlgebra, verify_lie_3cm
 from moorekit.coeff import Algebra, algebras_equal
 from moorekit.moore import moore
@@ -66,14 +66,14 @@ def test_document_roundtrip_preserves_structures():
 
 
 def test_three_crossed_document_roundtrip(built):
-    out = three_crossed_from_simplicial(built("cubic-chain"))
+    m = hypercrossed(built("cubic-chain"), 3)[0]
     b = DocumentBuilder()
-    b.crossed(out.structure, "probe", "three_crossed_modules")
+    b.crossed(m, "probe", "three_crossed_modules")
     doc = load_document(b.dumps())
     back = doc.three_crossed_modules["probe"]
     rep = verify_3cm(back)
     assert rep.verdict == "pass"
-    for key, bl in out.structure.maps.items():
+    for key, bl in m.maps.items():
         assert np.array_equal(back.map(key).tensor, bl.tensor)
 
 

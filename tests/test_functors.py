@@ -7,18 +7,29 @@ import pytest
 from moorekit import corpus, functors
 from moorekit.coeff import Algebra, BilinearMap, Morphism, algebras_equal
 from moorekit.crossed import induced_cm, verify_2cm, verify_cm
-from moorekit.functors import (cm_from_simplicial, crossed_extraction, lifting_convention_audit,
-                               roundtrip_check, table_identities_check,
-                               three_crossed_from_simplicial,
-                               two_crossed_from_simplicial)
+from moorekit.crossed import verify_3cm
+from moorekit.functors import (hypercrossed, lifting_convention_audit, roundtrip_check,
+                               table_identities_check)
 from moorekit.moore import moore, moore_basis
-from moorekit.simplicial import (build_from_2crossed, build_from_crossed,
-                                 constant_simplicial)
+from moorekit.simplicial import constant_simplicial, realize
 
 
-def test_cm_from_simplicial_roundtrip():
-    cm = corpus.cm_ideal_dual(2)
-    back = cm_from_simplicial(build_from_crossed(cm, 4))
+def chains(level):
+    """(name, p, chain) for every crossed (level 1) or 2-crossed (level 2)
+    corpus entry at p = 2, 3 and 5."""
+    corpora = (corpus.crossed_corpus, corpus.two_crossed_corpus)[level - 1]
+    return [(name, p, t) for p in (2, 3, 5) for name, t in corpora(p).items()]
+
+
+def cases(level):
+    """The chains of `level` with every truncation k = level..4."""
+    return [pytest.param(t, k, id=f"{name}@p={p},k={k}")
+            for name, p, t in chains(level) for k in range(level, 5)]
+
+
+@pytest.mark.parametrize("cm,k", cases(1))
+def test_cm_from_simplicial_roundtrip(cm, k):
+    back = hypercrossed(realize(cm, k), 1)[0]
     assert algebras_equal(back.levels[1], cm.levels[1])
     assert algebras_equal(back.levels[0], cm.levels[0])
     assert np.array_equal(back.d(1).matrix, cm.d(1).matrix)
@@ -27,7 +38,7 @@ def test_cm_from_simplicial_roundtrip():
 
 def test_cm_from_simplicial_constant_is_zero_module():
     E = constant_simplicial(corpus.dual_numbers(2), 2)
-    back = cm_from_simplicial(E)
+    back = hypercrossed(E, 1)[0]
     assert back.levels[1].dim == 0
     assert algebras_equal(back.levels[0], corpus.dual_numbers(2))
     assert verify_cm(back).verdict == "pass"
@@ -35,7 +46,7 @@ def test_cm_from_simplicial_constant_is_zero_module():
 
 def test_cm_from_simplicial_quotients_longer_input(built):
     E = built("cubic-chain")  # Moore length 2
-    back = cm_from_simplicial(E)
+    back = hypercrossed(E, 1)[0]
     assert back.name.endswith("/quotiented")
     assert verify_cm(back).verdict == "pass"
     # NE_1 / closure(im d2): the image is <w>, which is already an ideal
@@ -47,7 +58,7 @@ def test_cm_from_simplicial_quotients_longer_input(built):
                                              ("top-degree-4", {"divided_dim": 0})])
 def test_crossed_extraction_says_whether_and_how_much_it_divided(name, provenance, built):
     # top-degree-4 has Moore length 4 but NE_2 = 0: NE_1 is divided by zero
-    assert crossed_extraction(built(name)).provenance == provenance
+    assert hypercrossed(built(name), 1)[1] == provenance
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -57,7 +68,7 @@ def test_cm_from_simplicial_is_the_induced_cm_at_length_two(name, p, built):
     # module induced by the 2-crossed extraction
     E = built(name, p)
     assert moore(E).length() == 2
-    cm, ind = cm_from_simplicial(E), induced_cm(two_crossed_from_simplicial(E))
+    cm, ind = hypercrossed(E, 1)[0], induced_cm(hypercrossed(E, 2)[0])
     (R, C), (indR, indC) = cm.levels, ind.levels
     assert algebras_equal(C, indC) and algebras_equal(R, indR)
     assert C.basis_names == indC.basis_names
@@ -67,14 +78,14 @@ def test_cm_from_simplicial_is_the_induced_cm_at_length_two(name, p, built):
 
 def test_two_crossed_from_length_one_matches_remark1(built):
     E = built("ideal-pair")
-    t = two_crossed_from_simplicial(E)
+    t = hypercrossed(E, 2)[0]
     assert t.levels[2].dim == 0
     assert verify_2cm(t).verdict == "pass"
 
 
-def test_two_crossed_roundtrip_includes_lifting():
-    t = corpus.tcm_cubic_chain(3)
-    back = two_crossed_from_simplicial(build_from_2crossed(t, 4))
+@pytest.mark.parametrize("t,k", cases(2))
+def test_two_crossed_roundtrip_includes_lifting(t, k):
+    back = hypercrossed(realize(t, k), 2)[0]
     assert np.array_equal(back.map("()").tensor, t.map("()").tensor)
     assert np.array_equal(back.d(2).matrix, t.d(2).matrix)
     assert verify_2cm(back).verdict == "pass"
@@ -82,7 +93,7 @@ def test_two_crossed_roundtrip_includes_lifting():
 
 def test_two_crossed_from_constant_is_trivial():
     E = constant_simplicial(corpus.dual_numbers(2), 4)
-    t = two_crossed_from_simplicial(E)
+    t = hypercrossed(E, 2)[0]
     assert t.levels[2].dim == 0 and t.levels[1].dim == 0
     assert verify_2cm(t).verdict == "pass"
 
@@ -113,9 +124,13 @@ def bumped(chain, field: str, key, p: int):
                                              (1, "maps", "01"), (2, "levels", 0),
                                              (2, "boundaries", 0), (2, "maps", "01")])
 def test_a_roundtrip_fails_when_the_extraction_changes_one_field(level, field, key, monkeypatch):
-    extraction = {1: "cm_from_simplicial", 2: "two_crossed_from_simplicial"}[level]
-    extract = getattr(functors, extraction)
-    monkeypatch.setattr(functors, extraction, lambda E: bumped(extract(E), field, key, 3))
+    extract = functors.hypercrossed
+
+    def changed(E, m, *args):
+        chain, prov = extract(E, m, *args)
+        return bumped(chain, field, key, 3), prov
+
+    monkeypatch.setattr(functors, "hypercrossed", changed)
     records = roundtrip_check(level, 3)
     assert records and all(r.status == "fail" for r in records), [r.check for r in records]
 
@@ -125,37 +140,34 @@ def test_a_roundtrip_fails_when_the_extraction_changes_one_field(level, field, k
 
 
 def test_three_crossed_degenerate_input(built):
-    out = three_crossed_from_simplicial(built("ideal-pair"))
-    m = out.structure
+    m = hypercrossed(built("ideal-pair"), 3)[0]
     assert m.levels[3].dim == 0 and m.levels[2].dim == 0
-    assert out.report.verdict == "pass"
+    assert verify_3cm(m).verdict == "pass"
 
 
 def test_three_crossed_quotient_trivial_when_ne4_zero(built):
     E = built("cubic-chain")
     assert moore_basis(E, 4).shape[0] == 0
-    out = three_crossed_from_simplicial(E)
-    assert out.provenance["divided_dim"] == 0
-    assert out.structure.levels[3].dim == moore(E).spaces[3].dim
+    m, prov = hypercrossed(E, 3)
+    assert prov["divided_dim"] == 0
+    assert m.levels[3].dim == moore(E).spaces[3].dim
 
 
 def test_three_crossed_pipeline_lengths_0_1_2(built):
     for name, length in (("constant", 0), ("ideal-pair", 1), ("cubic-chain", 2)):
         E = built(name)
-        out = three_crossed_from_simplicial(E)
-        m = out.structure
+        m = hypercrossed(E, 3)[0]
         p = m.levels[0].p
         assert not (m.d(2).matrix @ m.d(3).matrix % p).any()
         assert not (m.d(1).matrix @ m.d(2).matrix % p).any()
-        bad = [e for e in out.report.failing()
+        bad = [e for e in verify_3cm(m).failing()
                if e.name.startswith(("complex-", "action-", "table3[", "table4["))
                or "multiplicative" in e.name]
         assert bad == []  # implementation invariants hold exactly
 
 
 def test_three_crossed_liftings_land_in_components(built):
-    out = three_crossed_from_simplicial(built("cubic-chain"))
-    m = out.structure
+    m = hypercrossed(built("cubic-chain"), 3)[0]
     assert m.map("()").target is m.levels[2]
     for key in ("(1)(0)", "(2)(0)", "(2)(1)", "(1,0)(2)", "(2,0)(1)", "(0)(2,1)"):
         assert m.map(key).target is m.levels[3]
@@ -222,6 +234,6 @@ def test_convention_audit_odd_characteristic(built):
 def test_convention_audit_2cm1_side(built):
     # the printed 2CM1 needs the prop3 sign: def1 extraction fails it
     E = built("cubic-chain", 3)
-    assert verify_2cm(two_crossed_from_simplicial(E, "prop3")).verdict == "pass"
-    rep = verify_2cm(two_crossed_from_simplicial(E, "def1"))
+    assert verify_2cm(hypercrossed(E, 2, "prop3")[0]).verdict == "pass"
+    rep = verify_2cm(hypercrossed(E, 2, "def1")[0])
     assert rep.entry("2CM1").status == "fail"

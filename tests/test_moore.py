@@ -14,9 +14,8 @@ from moorekit.moore import (PairingIndex, SurjIndex, c_pairing, face_kernel, in_
                             s_word_morphism, table1_audit, table1_eval,
                             boundary_image_and_pairing_product, theorem5_check)
 from moorekit.report import CheckRecord
-from moorekit.simplicial import (TruncatedSimplicialAlgebra, build_from_2crossed,
-                                 constant_simplicial, degenerate_ideal,
-                                 degenerate_subalgebra)
+from moorekit.simplicial import (TruncatedSimplicialAlgebra, constant_simplicial,
+                                 degenerate_ideal, degenerate_subalgebra, realize)
 from test_axiom_sweep import tensor_simplicial
 
 # the package exports the function moore under the module's own name
@@ -239,7 +238,7 @@ PRINTED_DIGESTS = {
 
 
 def randomized_module_id(p):
-    E = build_from_2crossed(corpus.tcm_module_identity(p), 4)
+    E = realize(corpus.tcm_module_identity(p), 4)
     rng = np.random.default_rng(p)
 
     def rand(maps):

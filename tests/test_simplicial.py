@@ -12,11 +12,10 @@ from moorekit.crossed import CrossedChain, verify_2cm, verify_cm, zero_extension
 from moorekit.document import corpus_document
 from moorekit.moore import (SurjIndex, moore, moore_basis, normal_form,
                             push_face, s_set)
-from moorekit.simplicial import (TruncatedSimplicialAlgebra, _action_block,
-                                 _apply_s_chain, build_from_2crossed, build_from_crossed,
+from moorekit.simplicial import (TruncatedSimplicialAlgebra, _apply_s_chain, _normal_block,
                                  concentrated_simplicial, constant_simplicial,
                                  decompose, degenerate_ideal,
-                                 degenerate_subalgebra, extend_level, truncate,
+                                 degenerate_subalgebra, extend_level, realize, truncate,
                                  validate_simplicial)
 
 SMALL = Supply(budget=24, exhaustive_bound=512)
@@ -60,10 +59,9 @@ def test_mutation_breaks_validation(built):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_builders_produce_valid_objects(p):
-    builds = [(name, build_from_crossed, cm) for name, cm in corpus.crossed_corpus(p).items()]
-    builds += [(name, build_from_2crossed, t) for name, t in corpus.two_crossed_corpus(p).items()]
-    for name, build, obj in builds:
-        E = build(obj)
+    chains = [*corpus.crossed_corpus(p).items(), *corpus.two_crossed_corpus(p).items()]
+    for name, obj in chains:
+        E = realize(obj)
         assert validate_simplicial(E) == [], name
         for n, A in enumerate(E.levels):
             assert validate_algebra(A) == [], (name, n)
@@ -81,8 +79,8 @@ def test_truncate_examples(built):
 
 def test_truncate_commutes_with_builder():
     cm = corpus.cm_ideal_dual(2)
-    full = truncate(build_from_crossed(cm, 4), 2)
-    short = build_from_crossed(cm, 2)
+    full = truncate(realize(cm, 4), 2)
+    short = realize(cm, 2)
     for n in range(3):
         assert np.array_equal(full.level(n).structure, short.level(n).structure)
     for key in short.faces:
@@ -231,14 +229,14 @@ def test_normal_part_of_degenerate_lies_in_cap(built):
 
 def test_build_from_crossed_properties():
     cm = corpus.cm_ideal_dual(2)
-    E = build_from_crossed(cm, 4)
+    E = realize(cm, 4)
     assert E.level(1).dim == 3
     mc = moore(E)
     assert mc.length() <= 1
     assert [s.dim for s in mc.spaces] == [2, 1, 0, 0, 0]
 
     zero_cm = corpus.cm_zero_module(2)
-    E2 = build_from_crossed(zero_cm, 2)
+    E2 = realize(zero_cm, 2)
     sq = moore(E2).algebras[1]
     assert not sq.structure.any()  # the module block stays square-zero
 
@@ -246,21 +244,28 @@ def test_build_from_crossed_properties():
 def test_build_from_crossed_rejects_invalid():
     from moorekit.coeff import PreconditionError
     with pytest.raises(PreconditionError):
-        build_from_crossed(corpus.cm_zero_module_bad(2), 2)
+        realize(corpus.cm_zero_module_bad(2), 2)
 
 
 @pytest.mark.parametrize("k", [-1, 0])
 def test_build_from_crossed_refuses_k_below_1(k):
     with pytest.raises(ValueError, match="from k = 1 on"):
-        build_from_crossed(corpus.cm_ideal_dual(2), k)
-    assert build_from_crossed(corpus.cm_ideal_dual(2), 1).k == 1
+        realize(corpus.cm_ideal_dual(2), k)
+    assert realize(corpus.cm_ideal_dual(2), 1).k == 1
 
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_build_from_2crossed_refuses_k_below_2(k):
     with pytest.raises(ValueError, match="from k = 2 on"):
-        build_from_2crossed(corpus.tcm_cubic_chain(2), k)
-    assert build_from_2crossed(corpus.tcm_cubic_chain(2), 2).k == 2
+        realize(corpus.tcm_cubic_chain(2), k)
+    assert realize(corpus.tcm_cubic_chain(2), 2).k == 2
+
+
+def test_realize_refuses_a_chain_of_another_length():
+    cm = corpus.cm_ideal_dual(2)
+    for chain in (CrossedChain(cm.levels[:1]), zero_extension(cm, 3)):
+        with pytest.raises(ValueError, match="chains of length 1 and 2 are realized"):
+            realize(chain)
 
 
 def test_build_from_2crossed_degenerations():
@@ -268,8 +273,8 @@ def test_build_from_2crossed_degenerations():
     cm = corpus.cm_ideal_dual(2)
     t = zero_extension(cm, 2)
     assert verify_2cm(t).verdict == "pass"
-    Ea = build_from_2crossed(t, 3)
-    Eb = build_from_crossed(cm, 3)
+    Ea = realize(t, 3)
+    Eb = realize(cm, 3)
     for n in range(4):
         assert np.array_equal(Ea.level(n).structure, Eb.level(n).structure)
     for key, mor in Eb.faces.items():
@@ -277,7 +282,7 @@ def test_build_from_2crossed_degenerations():
 
     # trivial lifting and boundaries: levelwise direct sums (block product)
     t2 = corpus.tcm_module_identity(2)
-    E = build_from_2crossed(t2, 2)
+    E = realize(t2, 2)
     assert moore(E).length() == 2
 
 
@@ -446,10 +451,10 @@ def test_extend_level_rejects_inconsistent_top_face(p, built):
 def test_extend_level_names_the_missing_crossed_module(p, built):
     # cubic-chain cut at level 1 is valid simplicial data, but u * u = w != 0
     # under d1 = 0 breaks CM2, so no level 2 with NE_2 = 0 extends it
-    from moorekit.functors import cm_from_simplicial
+    from moorekit.functors import hypercrossed
     below = truncate(built("cubic-chain", p), 1)
     assert validate_simplicial(below) == []
-    assert verify_cm(cm_from_simplicial(below)).verdict != "pass"
+    assert verify_cm(hypercrossed(below, 1)[0]).verdict != "pass"
     with pytest.raises(PreconditionError) as info:
         extend_level(below)
     message = str(info.value)
@@ -467,7 +472,7 @@ def test_extend_level_with_a_normal_block_keeps_the_top_face_guard(p):
     assert [e.name for e in verify_cm(cm).failing()] == ["CM2"]
     (R, C), action = cm.levels, cm.map("01")
     E0 = TruncatedSimplicialAlgebra((R,))
-    E1 = extend_level(E0, _action_block(cm))
+    E1 = extend_level(E0, _normal_block(E0, cm, 1))
     assert validate_simplicial(E1) == []
     with pytest.raises(PreconditionError, match="inconsistent at the top face") as info:
         extend_level(E1)
@@ -475,7 +480,7 @@ def test_extend_level_with_a_normal_block_keeps_the_top_face_guard(p):
     # the identity boundary breaks CM1, which the given level 1 itself refuses
     bd = Morphism(C, R, np.eye(1, dtype=np.int64))
     with pytest.raises(PreconditionError, match="inconsistent at the top face") as info:
-        extend_level(E0, _action_block(CrossedChain(cm.levels, (bd,), {"01": action})))
+        extend_level(E0, _normal_block(E0, CrossedChain(cm.levels, (bd,), {"01": action}), 1))
     assert str(info.value).startswith("no level 1 with the given NE_1 extends")
     assert "= 0" not in str(info.value)
 
@@ -490,7 +495,7 @@ def test_build_from_2crossed_past_its_verifier_refuses_a_bad_lifting(p, monkeypa
     assert [e.name for e in verify_2cm(bad).failing()] == ["2CM1"]
     monkeypatch.setattr(simplicial_mod, "_verified", lambda report, what: None)
     with pytest.raises(PreconditionError, match="inconsistent at the top face") as info:
-        build_from_2crossed(bad, 2)
+        realize(bad, 2)
     message = str(info.value)
     assert message.startswith("no level 2 with the given NE_2 extends")
     assert "= 0" not in message and "no crossed module" not in message
