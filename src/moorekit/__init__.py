@@ -14,8 +14,7 @@ from .lie import LieAlgebra, validate_lie, verify_lie_3cm
 from .moore import (MooreComplex, PairingIndex, SurjIndex, c_pairing,
                     lemma7_check, moore, p_set, pairing_ideal, proj_p, s_set,
                     table1_eval, theorem5_check)
-from .simplicial import (Decomposition, TruncatedSimplicialAlgebra, decompose,
-                         degenerate_ideal, degenerate_subalgebra, realize, truncate,
-                         validate_simplicial)
+from .simplicial import (TruncatedSimplicialAlgebra, decompose, degenerate_ideal,
+                         degenerate_subalgebra, realize, truncate, validate_simplicial)
 
 __version__ = "0.1.0"

@@ -26,7 +26,7 @@ from typing import NamedTuple
 from .coeff import PreconditionError, PrimeField, Supply, validate_algebra
 from .crossed import verify_2cm, verify_3cm, verify_cm
 from .document import Document, DocumentBuilder, DocumentError, corpus_document, load_document
-from .functors import hypercrossed, roundtrip_check, table_identities_check
+from .functors import DEF1, PROP3, hypercrossed, roundtrip_check, table_identities_check
 from .lie import validate_lie, verify_lie_3cm
 from .moore import (lemma7_check, moore, p_set, s_set, table1_audit,
                     theorem5_check)
@@ -86,7 +86,7 @@ GLOBAL_OPTIONS = {
     "--human": (None, False),  # render text instead of JSON
 }
 _NAME = ("name", str)
-_CONVENTION = {"--convention": (("prop3", "def1"), "prop3")}
+_CONVENTION = {"--convention": ((PROP3, DEF1), PROP3)}
 _SIMPLICIAL = ("simplicial",)
 COMMANDS = {
     "validate": Command((_NAME,), kinds=("algebra", "lie-algebra", "simplicial")),

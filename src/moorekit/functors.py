@@ -4,7 +4,8 @@ hypercrossed core, `hypercrossed(E, m)`, which returns the crossed chain
 degeneracy actions and pairing liftings crossed.CARRIED[m], and the top
 level divided by crossed._divide_top (Carrasco & Cegarra, JPAA 75, 1991).
 At m = 1 it gives a crossed module, NE_1 divided by d_2(NE_2) at Moore
-length above 1; at m = 2 a 2-crossed module of Moore length at most 2; at
+length above 1, and at k = 1, with no level 2 to force CM2, only when
+verify_cm passes; at m = 2 a 2-crossed module of Moore length at most 2; at
 m = 3, on any valid 4-truncation, a 3-crossed module on
 NE_3 / d_4(NE_4 cap D_4).  simplicial.realize goes the other way at
 lengths 1 and 2.
@@ -33,10 +34,10 @@ import numpy as np
 from .coeff import (BilinearMap, PreconditionError, algebras_equal, intersect_row_spaces,
                     matmul)
 from .crossed import (ACTIONS, CARRIED, SIGNATURES, CrossedChain, _axioms_3cm2_to_16,
-                      _divide_top, _equivariance_entries, _evaluate, verify_3cm)
+                      _divide_top, _equivariance_entries, _evaluate, verify_3cm, verify_cm)
 from .moore import moore, p_set, pairing_table, s_word_morphism
 from .report import (CONFIRMED, DISCREPANT, FAIL, PASS, CheckRecord)
-from .simplicial import TruncatedSimplicialAlgebra, degenerate_ideal, realize
+from .simplicial import TruncatedSimplicialAlgebra, _verified, degenerate_ideal, realize
 
 PROP3 = "prop3"
 DEF1 = "def1"
@@ -75,7 +76,8 @@ def hypercrossed(E: TruncatedSimplicialAlgebra, m: int,
     Returns the chain, named after E, and its provenance: the dimension of
     the divided ideal, and at m = 3 that of NE_4 cap D_4, when the top
     level is divided.  E is truncated at level m or above, at level 4
-    exactly when m = 3, and of Moore length at most 2 when m = 2.
+    exactly when m = 3, and of Moore length at most 2 when m = 2; at
+    m = k = 1 the chain passes verify_cm.
     """
     if m == 3 and E.k != 4:
         raise PreconditionError("requires truncation level 4")
@@ -89,6 +91,8 @@ def hypercrossed(E: TruncatedSimplicialAlgebra, m: int,
             for key in CARRIED[m]}
     chain = CrossedChain(levels, mc.boundaries[:m], maps,
                          (E.name or "simplicial") + ("-xmod", "-2xmod", "-3xmod")[m - 1])
+    if m == E.k == 1:
+        _verified(verify_cm(chain), "NE_1 -> NE_0 of a 1-truncation")
     prov = {}
     if m == 3:
         ne4, D4 = mc.spaces[4], degenerate_ideal(E, 4)

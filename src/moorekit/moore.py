@@ -174,9 +174,10 @@ def push_face(i: int, applied: Sequence[int]) -> tuple[tuple[int, ...], int | No
 # the Moore complex
 
 
-# face kernels and Moore complexes, computed once per simplicial object:
-# the objects are immutable, and no value refers back to its object, so an
-# entry goes with its object
+# face kernels, Moore complexes, degeneracy words, decompositions and
+# pairing tables, computed once per simplicial object: the objects are
+# immutable, and no value refers back to its object, so an entry goes with
+# its object
 _MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -293,15 +294,17 @@ def proj_p(E, n: int, x: Element) -> Element:
 
 def s_word_morphism(E, target_level: int, word: Sequence[int]) -> Morphism:
     """Composite degeneracy morphism for a word in application order,
-    landing in E_{target_level}."""
-    start = target_level - len(word)
-    A = E.level(start)
-    m = Morphism.identity(A)
-    lvl = start
-    for j in word:
-        m = E.deg(lvl + 1, j).compose(m)
-        lvl += 1
-    return m
+    landing in E_{target_level}; computed once per object and word, from
+    the morphism of the word without its last letter."""
+    word = tuple(word)
+
+    def make():
+        if not word:
+            return Morphism.identity(E.level(target_level))
+        outer = E.deg(target_level, word[-1])
+        return outer.compose(s_word_morphism(E, target_level - 1, word[:-1])) if word[1:] else outer
+
+    return _memo(E, ("word", target_level, word), make)
 
 
 def in_moore(E, n: int, x: Element) -> bool:
@@ -382,16 +385,14 @@ def pairing_table(E, n: int) -> dict:
     and keyed by PairingIndex; computed once per object.
 
     Each distinct index s of the pairings lifts the Moore basis of its
-    slot into E_n once, through the degeneracies of s one at a time; the
-    lifts meet the structure tensor of E_n in one stacked pass
-    (_stacked_products), and each pairing's products are projected by p."""
+    slot into E_n once, through s_word_morphism; the lifts meet the
+    structure tensor of E_n in one stacked pass (_stacked_products), and
+    each pairing's products are projected by p."""
     def make():
-        A, pairs, lift = E.level(n), p_set(n), {}
-        for s in dict.fromkeys(x for q in pairs for x in (q.alpha, q.beta)):
-            level, lift[s] = n - s.size, moore_basis(E, n - s.size)
-            for j in s.application_order():
-                level += 1
-                lift[s] = matmul(lift[s], E.deg(level, j).matrix.T, A.p)
+        A, pairs = E.level(n), p_set(n)
+        lift = {s: matmul(moore_basis(E, n - s.size),
+                          s_word_morphism(E, n, s.application_order()).matrix.T, A.p)
+                for s in dict.fromkeys(x for q in pairs for x in (q.alpha, q.beta))}
         values = _assembled(A, lift, [(q.alpha, q.beta) for q in pairs])
         proj = _projection_matrix(E, n)
         table = {}

@@ -1,21 +1,22 @@
 """Truncated simplicial algebras: validation against the simplicial
 identities, truncation, degenerate ideals and subalgebras, the semidirect
-element decomposition, one level builder, and `realize`, which realizes
-crossed and 2-crossed modules as simplicial algebras.
+decomposition, one level builder, and `realize`, which realizes crossed
+and 2-crossed modules as simplicial algebras.
 
-Every built level is E_m = (+)_{alpha in S(m)} s_alpha NE_{m-#alpha}.
-`extend_level` appends it, given its normal block NE_m, the last face of
-that block and the normal component of the products between blocks, or
-with NE_m = 0.  Everything else is forced: the faces and degeneracies
-follow the simplicial identities, and each product is recovered from
-its faces by the standard filling w <- w + s_j(d_j-target - d_j w),
-started from its normal component.  The consistency of the top face is
-checked during construction.  It fails exactly when no such level
-extends the given levels, which happens on valid simplicial data too:
-cubic-chain cut at level 1 is valid, but its NE_1 -> E_0 is no crossed
-module, so no level 2 with NE_2 = 0 exists.  `realize` starts from
-E_0 = C_0 and appends the normal block NE_n = C_n of each level n of the
-chain (`_normal_block`).
+Every built level is E_m = (+)_{alpha in S(m)} s_alpha NE_{m-#alpha}, and
+`decompose(E, n)` gives the matrices that split E_n so.  `extend_level`
+appends a level, given its normal block NE_m, the last face of that block
+and the normal component of the products between blocks, or with
+NE_m = 0.  Everything else is forced: the faces follow the simplicial
+identities through moore.s_word_morphism, the degeneracies route
+decompose(E, m - 1), and each product is recovered from its faces by the
+standard filling w <- w + s_j(d_j-target - d_j w), started from its
+normal component.  The consistency of the top face is checked during
+construction.  It fails exactly when no such level extends the given
+levels, which happens on valid simplicial data too: cubic-chain cut at
+level 1 is valid, but its NE_1 -> E_0 is no crossed module, so no level 2
+with NE_2 = 0 exists.  `realize` starts from E_0 = C_0 and appends the
+normal block NE_n = C_n of each level n of the chain (`_normal_block`).
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .coeff import (Algebra, Element, Ideal, Morphism,
-                    PreconditionError, StructureError, bilinear, check_word_size,
-                    ideal_closure, matmul, rref, sweep_step)
+from .coeff import (Algebra, Ideal, Morphism, PreconditionError, StructureError,
+                    bilinear, check_word_size, ideal_closure, matmul, rref, sweep_step)
 from .crossed import CrossedChain, verify_2cm, verify_cm
-from .moore import (SurjIndex, moore_basis, normal_form, push_face, s_set,
+from .moore import (SurjIndex, _memo, moore_basis, normal_form, push_face, s_set,
                     s_word_morphism)
 from .report import PASS
 
@@ -180,59 +180,35 @@ def degenerate_subalgebra(E: TruncatedSimplicialAlgebra, n: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the semidirect element decomposition
+# the semidirect decomposition
 
 
-@dataclass(frozen=True, eq=False)
-class Decomposition:
-    """x = normal_part + sum_alpha s_alpha(components[alpha]), peeled in
-    the bracketing order (the j = 0 block splits off first)."""
+def decompose(E: TruncatedSimplicialAlgebra, n: int) -> dict:
+    """E_n = (+)_{alpha in S(n)} s_alpha NE_{n-#alpha} as matrices: for
+    every alpha of S(n), in the printed order (the empty index first), the
+    matrix M_alpha that sends x in E_n to its component in NE_{n-#alpha},
+    so x = sum_alpha s_alpha M_alpha x; computed once per object.  The
+    blocks are peeled in the bracketing order, j = 0 first, each splitting
+    d_j of what is left by decompose(E, n - 1); the rest is M_() = p."""
+    def make():
+        p, rest, out = E.level(0).p, np.eye(E.level(n).dim, dtype=np.int64), {}
+        for j in range(n):
+            u = matmul(E.face(n, j).matrix, rest, p)
+            for gamma, M in decompose(E, n - 1).items():
+                word = normal_form(gamma.application_order() + (j,))
+                if min(word) == j:  # keys with smaller entries were peeled already
+                    out[SurjIndex(word[::-1], n)] = matmul(M, u, p)
+            rest = (rest - matmul(E.deg(n, j).matrix, u, p)) % p
+        out[SurjIndex((), n)] = rest
+        for M in out.values():
+            M.setflags(write=False)
+        return {a: out[a] for a in s_set(n)}
 
-    level: int
-    normal_part: Element
-    components: dict  # SurjIndex -> Element of E_{level - #alpha}
-
-    def reassemble(self, E: TruncatedSimplicialAlgebra) -> Element:
-        x = self.normal_part
-        for alpha, val in self.components.items():
-            x = x + s_word_morphism(E, self.level, alpha.application_order())(val)
-        return x
-
-
-def decompose(E: TruncatedSimplicialAlgebra, n: int, x: Element) -> Decomposition:
-    """Peel x in E_n into its normal part and degeneracy components.
-
-    x may be a basis stack (leading batch axes, see Element): every part
-    is then the stack of the parts of its rows."""
-    if x.parent is not E.level(n):
-        raise StructureError("element not at the stated level")
-    comps: dict[SurjIndex, Element] = {}
-    y = x
-    for j in range(n):
-        u = E.face(n, j)(y)
-        sub = decompose(E, n - 1, u)
-        comps[SurjIndex((j,), n)] = sub.normal_part
-        for gamma, val in sub.components.items():
-            word = normal_form(list(gamma.application_order()) + [j])
-            if min(word) == j:  # keys with smaller entries were peeled already
-                comps[SurjIndex(tuple(reversed(word)), n)] = val
-        y = y - E.deg(n, j)(u)
-    ordered = {a: comps[a] for a in s_set(n) if a.size > 0}
-    return Decomposition(n, y, ordered)
+    return _memo(E, ("decompose", n), make)
 
 
 # ---------------------------------------------------------------------------
 # level extension with a zero or a given normal part
-
-
-def _apply_s_chain(E, start: int, word, v: np.ndarray) -> np.ndarray:
-    """The degeneracy word (application order) on the columns of v in E_start."""
-    vec = np.asarray(v, dtype=np.int64)
-    lvl = start
-    for j in word:
-        vec = E.deg(lvl + 1, j).matrix @ vec % E.level(0).p
-        lvl += 1
-    return vec
 
 
 def extend_level(E: TruncatedSimplicialAlgebra, normal=None) -> TruncatedSimplicialAlgebra:
@@ -247,16 +223,16 @@ def extend_level(E: TruncatedSimplicialAlgebra, normal=None) -> TruncatedSimplic
     those two blocks, a tensor indexed [alpha row, beta row, C]; the pair
     (beta, alpha) is its mirror and an unlisted pair is zero.
 
-    Each stage works on basis stacks: faces follow the simplicial
-    identities symbolically on whole Moore bases, degeneracies route one
-    decomposition of the basis of the level below, and every product is
-    filled from its faces at once, in steps over the first factor,
-    starting from its normal component.  Raises when the forced product
-    is inconsistent at the top face: no such level exists, as for
+    Each stage works on whole bases: the faces follow the simplicial
+    identities symbolically on the Moore bases, each rewritten word
+    evaluated by s_word_morphism; s_j sends x in E_{m-1} to the blocks
+    s_j s_gamma of the matrices M_gamma of decompose(E, m - 1); and every
+    product is filled from its faces at once, in steps over the first
+    factor, starting from its normal component.  Raises when the forced
+    product is inconsistent at the top face: no such level exists, as for
     cubic-chain cut at level 1, whose NE_1 -> E_0 is no crossed module.
     """
-    m = E.k + 1
-    p = E.level(0).p
+    m, p = E.k + 1, E.level(0).p
     prev = E.level(m - 1)
     C, bd, nu = normal or (None, None, {})
     nbases = {c: Ideal(E.level(c), moore_basis(E, c)) for c in range(m)}
@@ -282,22 +258,17 @@ def extend_level(E: TruncatedSimplicialAlgebra, normal=None) -> TruncatedSimplic
                 raise StructureError("face index escaped its level")
             else:
                 base, c = tops[c], c - 1
-            block = _apply_s_chain(E, c, normal_form(word), base)
+            block = matmul(s_word_morphism(E, m - 1, normal_form(word)).matrix, base, p)
             faces[i, :, offs[a]:offs[a] + block.shape[1]] = block
 
-    dec = decompose(E, m - 1, Element(prev, np.eye(prev.dim, dtype=np.int64)))
     degs = np.zeros((m, dim, prev.dim), dtype=np.int64)
     for j in range(m):
-        pieces = [(SurjIndex((j,), m), dec.normal_part)]
-        for gamma, val in dec.components.items():
-            word = normal_form(list(gamma.application_order()) + [j])
-            pieces.append((SurjIndex(tuple(reversed(word)), m), val))
-        for alpha, val in pieces:
-            c = m - alpha.size
-            r = nbases[c].dim
-            if r:
-                degs[j, offs[alpha]:offs[alpha] + r] = nbases[c].coords(val.coeffs).T
-            elif val.coeffs.any():
+        for gamma, M in decompose(E, m - 1).items():
+            alpha = SurjIndex(normal_form(gamma.application_order() + (j,))[::-1], m)
+            basis = nbases[m - alpha.size]
+            if basis.dim:
+                degs[j, offs[alpha]:offs[alpha] + basis.dim] = basis.coords(M.T).T
+            elif M.any():
                 raise PreconditionError("component escapes its Moore subspace")
 
     # the C-component of every product; it has no columns when NE_m = 0
@@ -392,9 +363,9 @@ def _normal_block(E: TruncatedSimplicialAlgebra, t: CrossedChain, n: int) -> tup
     At n = 2 the blocks are (NE_2 | s_1 C_1 | s_0 C_1 | s_1 s_0 C_0), and
     nu gives x x' in C_2, s_1 y . x = y . x with the degree-1 action
     y . x = {d_2 x (x) y} + (d_1 y) . x, s_0 y . x = (d_1 y) . x,
-    s_1 s_0 c . x = c . x, and the Peiffer lifting in
-
-        s_1 a . s_0 b  =  -{a (x) b}  +  s_1(a b).
+    s_1 s_0 c . x = c . x, and the Peiffer lifting in s_1 a . s_0 b =
+    -{a (x) b} + s_1(a b), which inverts the prop3 extraction
+    {a (x) b} = -p(s_1 a . s_0 b).
     """
     C, d = t.levels[n], t.d(n).matrix
     bd = moore_basis(E, n - 1).T @ d % C.p
@@ -412,9 +383,9 @@ def _normal_block(E: TruncatedSimplicialAlgebra, t: CrossedChain, n: int) -> tup
 def realize(t: CrossedChain, k: int = 4) -> TruncatedSimplicialAlgebra:
     """Simplicial realization of a crossed module or 2-crossed module t of
     length m: E_0 = C_0, each level n <= m carries the normal block
-    NE_n = C_n, and the levels above m are forced.  The Moore complex is
-    t's complex and the extraction at length m returns t on the nose.
-    k is at least m."""
+    NE_n = C_n, and the levels above m are forced, k >= m.  It inverts the
+    prop3 extraction: the Moore complex is t's complex, hypercrossed(E, m)
+    returns t on the nose, and its def1 reading negates t's lifting."""
     m = len(t.boundaries)
     if m not in (1, 2):
         raise ValueError(f"chains of length 1 and 2 are realized, not of length {m}")

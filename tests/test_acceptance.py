@@ -18,8 +18,8 @@ from moorekit.crossed import (verify_2cm, verify_3cm, verify_cm, zero_extension,
 from moorekit.functors import hypercrossed, roundtrip_check
 from moorekit.lie import (degenerate_lie_3cm, lie_abelian, lie_heisenberg,
                           validate_lie, verify_lie_3cm, LieAlgebra)
-from moorekit.moore import (lemma7_check, moore, p_set, proj_p, s_set,
-                            table1_audit, theorem5_check, in_moore)
+from moorekit.moore import (SurjIndex, lemma7_check, moore, p_set, proj_p, s_set,
+                            s_word_morphism, table1_audit, theorem5_check, in_moore)
 from moorekit.simplicial import decompose, degenerate_subalgebra
 
 EXHAUSTIVE = Supply(seed=0, budget=256, exhaustive_bound=4096)
@@ -173,12 +173,15 @@ def test_criterion_9_moore_structure(built):
             comp = mc.boundaries[n - 2].matrix @ mc.boundaries[n - 1].matrix % p
             ok = ok and not comp.any()
         for n in (1, 2, 3):
+            dec = decompose(E, n)
             for x in elements(E.level(n), EXHAUSTIVE):
                 y = proj_p(E, n, x)
                 ok = ok and proj_p(E, n, y) == y
-                dec = decompose(E, n, x)
-                ok = ok and dec.reassemble(E) == x
-                ok = ok and in_moore(E, n, dec.normal_part)
+                back = sum(s_word_morphism(E, n, a.application_order()).matrix
+                           @ (M @ x.coeffs % p) for a, M in dec.items()) % p
+                ok = ok and np.array_equal(back, x.coeffs)
+                normal = E.level(n).element(dec[SurjIndex((), n)] @ x.coeffs % p)
+                ok = ok and in_moore(E, n, normal)
             if not ok:
                 break
     elapsed = time.time() - t0

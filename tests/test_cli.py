@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moorekit import coeff
+from moorekit import coeff, corpus
 from moorekit.cli import main, parse_args, run_command
 
 S2 = ["()", "(1)", "(0)", "(1,0)"]
@@ -795,6 +795,31 @@ def test_theorem5_above_the_truncation_is_a_hypothesis_record(short_truncations)
     assert records(out)[2] == {"check": "theorem5[n=4]", "status": "hypothesis-failed",
                                "witnesses": [],
                                "detail": {"reason": "requires truncation level 4"}}
+
+
+def test_to_xmod_refuses_a_1_truncation_that_is_no_crossed_module(short_truncations):
+    # cubic-chain|1 has no d_2(NE_2) to divide by, and its NE_1 -> NE_0 fails CM2;
+    # cut at k = 2 or 3 it is divided by d_2(NE_2) and passes
+    code, out, _ = _main(["--input", str(short_truncations[1]), "to-xmod", "E"])
+    assert code == 0
+    assert records(out)[0] == {"check": "to-xmod[E]", "status": "hypothesis-failed",
+                               "witnesses": [], "detail": {
+                                   "reason": "NE_1 -> NE_0 of a 1-truncation fails ['CM2']"}}
+    for k in (2, 3):
+        code, out, _ = _main(["--input", str(short_truncations[k]), "to-xmod", "E"])
+        assert code == 0 and records(out)[1]["status"] == "pass"
+
+
+@pytest.mark.parametrize("name", list(corpus.crossed_corpus(2)))
+def test_to_xmod_on_a_realized_1_truncation_passes(name, tmp_path):
+    # a crossed module realized at k = 1 is extracted back from its document
+    from moorekit.document import DocumentBuilder
+    from moorekit.simplicial import realize
+    b = DocumentBuilder()
+    b.simplicial(realize(corpus.crossed_corpus(2)[name], 1), "E")
+    (tmp_path / "doc.json").write_text(b.dumps())
+    code, out, _ = _main(["--input", str(tmp_path / "doc.json"), "to-xmod", "E"])
+    assert code == 0 and records(out)[-2]["status"] == "pass"
 
 
 def test_validate_reads_the_validator_per_call(monkeypatch):

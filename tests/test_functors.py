@@ -1,5 +1,6 @@
 import copy
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,6 +90,14 @@ def test_two_crossed_roundtrip_includes_lifting(t, k):
     assert np.array_equal(back.map("()").tensor, t.map("()").tensor)
     assert np.array_equal(back.d(2).matrix, t.d(2).matrix)
     assert verify_2cm(back).verdict == "pass"
+
+
+@pytest.mark.parametrize("name,p,t", chains(2), ids=[f"{n}@p={p}" for n, p, _ in chains(2)])
+def test_realize_inverts_prop3_and_def1_negates_the_lifting(name, p, t):
+    # realize inverts the prop3 extraction; def1 reads the lifting with the other sign
+    lifting = t.map("()")
+    negated = replace(t, maps={**t.maps, "()": replace(lifting, tensor=-lifting.tensor % p)})
+    assert functors._same(hypercrossed(realize(t), 2, functors.DEF1)[0], negated)
 
 
 def test_two_crossed_from_constant_is_trivial():

@@ -272,6 +272,8 @@ def test_s_word_morphism_matches_composition(built):
     m = s_word_morphism(E, 2, (0, 1))  # s_1 s_0
     direct = E.deg(2, 1).compose(E.deg(1, 0))
     assert np.array_equal(m.matrix, direct.matrix)
+    # computed once per object and word, and read-only
+    assert s_word_morphism(E, 2, [0, 1]) is m and not m.matrix.flags.writeable
 
 
 # ---------------------------------------------------------------------------

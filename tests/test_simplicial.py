@@ -5,14 +5,14 @@ import pytest
 
 from moorekit import corpus
 from moorekit import simplicial as simplicial_mod
-from moorekit.coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
+from moorekit.coeff import (Algebra, BilinearMap, Ideal, Morphism,
                             PreconditionError, StructureError, Supply,
                             elements, rref, validate_algebra)
 from moorekit.crossed import CrossedChain, verify_2cm, verify_cm, zero_extension
 from moorekit.document import corpus_document
-from moorekit.moore import (SurjIndex, moore, moore_basis, normal_form,
-                            push_face, s_set)
-from moorekit.simplicial import (TruncatedSimplicialAlgebra, _apply_s_chain, _normal_block,
+from moorekit.moore import (SurjIndex, _projection_matrix, moore, moore_basis, normal_form,
+                            push_face, s_set, s_word_morphism)
+from moorekit.simplicial import (TruncatedSimplicialAlgebra, _normal_block,
                                  concentrated_simplicial, constant_simplicial,
                                  decompose, degenerate_ideal,
                                  degenerate_subalgebra, extend_level, realize, truncate,
@@ -191,40 +191,61 @@ def test_decompose_trivial_cases(built):
     E = built("cubic-chain")
     mc = moore(E)
     # normal elements decompose to themselves
-    v = mc.spaces[2].basis_elements()[0]
-    dec = decompose(E, 2, v)
-    assert dec.normal_part == v
-    assert all(val.is_zero() for val in dec.components.values())
+    v = mc.spaces[2].basis_matrix[0]
+    dec = decompose(E, 2)
+    assert list(dec) == s_set(2)
+    assert np.array_equal(dec[SurjIndex((), 2)] @ v % 2, v)
+    assert all(not (M @ v % 2).any() for a, M in dec.items() if a.size)
     # a pure degeneracy image is recovered in the (0) slot
-    a = mc.spaces[0].basis_elements()[0]
-    img = E.deg(1, 0)(a)
-    dec1 = decompose(E, 1, img)
-    assert dec1.normal_part.is_zero()
-    key = next(k for k in dec1.components if k.entries == (0,))
-    assert dec1.components[key] == a
+    a = mc.spaces[0].basis_matrix[0]
+    img = E.deg(1, 0).matrix @ a % 2
+    dec1 = decompose(E, 1)
+    assert not (dec1[SurjIndex((), 1)] @ img % 2).any()
+    assert np.array_equal(dec1[SurjIndex((0,), 1)] @ img % 2, a)
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_decompose_reassembles_exhaustively(p, built):
     E = built("cubic-chain", p)
     for n in range(1, 5):
+        dec = decompose(E, n)
         for x in elements(E.level(n), SMALL):
-            dec = decompose(E, n, x)
-            assert dec.reassemble(E) == x
-            assert all(E.face(n, i)(dec.normal_part).is_zero() for i in range(n))
-            for alpha, val in dec.components.items():
+            parts = {alpha: M @ x.coeffs % p for alpha, M in dec.items()}
+            back = sum(s_word_morphism(E, n, alpha.application_order()).matrix @ v
+                       for alpha, v in parts.items()) % p
+            assert np.array_equal(back, x.coeffs)
+            assert all(not (E.face(n, i).matrix @ parts[SurjIndex((), n)] % p).any()
+                       for i in range(n))
+            for alpha, v in parts.items():
                 c = n - alpha.size
-                assert all(E.face(c, i)(val).is_zero() for i in range(c))
+                assert all(not (E.face(c, i).matrix @ v % p).any() for i in range(c))
 
 
 def test_normal_part_of_degenerate_lies_in_cap(built):
     E = built("cubic-chain")
     for n in (2, 3):
         D = degenerate_ideal(E, n)
-        for row in D.basis_matrix:
-            x = E.level(n).element(row)
-            dec = decompose(E, n, x)
-            assert D.contains(dec.normal_part)  # normal part stays inside D_n
+        normal = decompose(E, n)[SurjIndex((), n)]
+        # normal part stays inside D_n
+        assert D.contains((normal @ D.basis_matrix.T % 2).T)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_decomposition_matrices_split_every_level(p):
+    """sum_alpha s_alpha M_alpha is the identity of E_n, each M_alpha lands
+    in NE_{n-#alpha}, and M_() is the projection p of _projection_matrix."""
+    for name, E in corpus.simplicial_corpus(p).items():
+        for n in range(E.k + 1):
+            dec = decompose(E, n)
+            assert list(dec) == s_set(n)
+            total = sum(s_word_morphism(E, n, alpha.application_order()).matrix @ M
+                        for alpha, M in dec.items()) % p
+            assert np.array_equal(total, np.eye(E.level(n).dim, dtype=np.int64)), (name, n)
+            for alpha, M in dec.items():
+                c = n - alpha.size
+                assert M.shape == (E.level(c).dim, E.level(n).dim)
+                assert Ideal(E.level(c), moore_basis(E, c)).contains(M.T % p), (name, n, alpha)
+            assert np.array_equal(dec[SurjIndex((), n)], _projection_matrix(E, n)), (name, n)
 
 
 def test_build_from_crossed_properties():
@@ -310,11 +331,19 @@ def test_concentrated_objects():
 
 
 def reference_extend_level(E):
-    """Per-basis reference for extend_level: one decompose per basis
-    element and degeneracy, and the product tensor filled one (u, v) pair
-    at a time.  Returns the new level's structure, faces and degeneracies."""
+    """Per-basis reference for extend_level: degeneracy words applied one
+    degeneracy at a time, the decomposition matrices read one column per
+    basis element and degeneracy, and the product tensor filled one (u, v)
+    pair at a time.  Returns the new level's structure, faces and
+    degeneracies."""
     m = E.k + 1
     p = E.level(0).p
+
+    def apply_s_chain(start, word, v):
+        for lvl, j in enumerate(word, start + 1):
+            v = E.deg(lvl, j).matrix @ v % p
+        return v
+
     prev = E.level(m - 1)
     nbases = {c: Ideal(E.level(c), moore_basis(E, c)) for c in range(m)}
     alphas = [a for a in s_set(m) if a.size > 0]
@@ -334,12 +363,12 @@ def reference_extend_level(E):
             word = normal_form(word)
             for t in range(base.shape[0]):
                 if f is None:
-                    M[:, offs[a] + t] = _apply_s_chain(E, c, word, base[t])
+                    M[:, offs[a] + t] = apply_s_chain(c, word, base[t])
                 elif f == c:
                     if c == 0:
                         raise StructureError("face reached level -1")
                     w = E.face(c, c).matrix @ base[t] % p
-                    M[:, offs[a] + t] = _apply_s_chain(E, c - 1, word, w)
+                    M[:, offs[a] + t] = apply_s_chain(c - 1, word, w)
                 elif f > c:
                     raise StructureError("face index escaped its level")
         face_mats[i] = M
@@ -348,17 +377,14 @@ def reference_extend_level(E):
     for j in range(m):
         M = np.zeros((dim, prev.dim), dtype=np.int64)
         for t in range(prev.dim):
-            dec = decompose(E, m - 1, prev.basis_element(t))
-            pieces = [(SurjIndex((j,), m), dec.normal_part)]
-            for gamma, val in dec.components.items():
+            for gamma, D in decompose(E, m - 1).items():
                 word = normal_form(list(gamma.application_order()) + [j])
-                pieces.append((SurjIndex(tuple(reversed(word)), m), val))
-            for alpha, val in pieces:
+                alpha, val = SurjIndex(tuple(reversed(word)), m), D[:, t]
                 c = m - alpha.size
                 r = nbases[c].dim
                 if r:
-                    M[offs[alpha]:offs[alpha] + r, t] = nbases[c].coords(val.coeffs)
-                elif val.coeffs.any():
+                    M[offs[alpha]:offs[alpha] + r, t] = nbases[c].coords(val)
+                elif val.any():
                     raise PreconditionError("component escapes its Moore subspace")
         deg_mats[j] = M
 
@@ -411,21 +437,6 @@ def test_corpus_document_digest_is_pinned(p, digest):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_decompose_on_basis_stack_matches_rows(p, built):
-    for name in ("cubic-chain", "module-id", "ideal-pair"):
-        E = built(name, p)
-        for n in range(E.k + 1):
-            A = E.level(n)
-            stack = decompose(E, n, Element(A, np.eye(A.dim, dtype=np.int64)))
-            for t in range(A.dim):
-                row = decompose(E, n, A.basis_element(t))
-                assert np.array_equal(stack.normal_part.coeffs[t], row.normal_part.coeffs)
-                assert list(stack.components) == list(row.components)
-                for alpha, val in row.components.items():
-                    assert np.array_equal(stack.components[alpha].coeffs[t], val.coeffs)
-
-
-@pytest.mark.parametrize("p", [2, 3])
 def test_extend_level_rejects_inconsistent_top_face(p, built):
     E = truncate(built("module-id", p), 2)
     E2 = E.level(2)
@@ -454,7 +465,8 @@ def test_extend_level_names_the_missing_crossed_module(p, built):
     from moorekit.functors import hypercrossed
     below = truncate(built("cubic-chain", p), 1)
     assert validate_simplicial(below) == []
-    assert verify_cm(hypercrossed(below, 1)[0]).verdict != "pass"
+    with pytest.raises(PreconditionError, match=r"fails \['CM2'\]"):
+        hypercrossed(below, 1)
     with pytest.raises(PreconditionError) as info:
         extend_level(below)
     message = str(info.value)
