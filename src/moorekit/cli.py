@@ -11,12 +11,15 @@ summary record.  A named command on the built-in corpus builds only the
 entries of that name, or of the entry owning a carrier name such as
 ideal-pair.E0; `corpus` builds them all.  Exit codes: 0 all pass
 (hypothesis-gated reports count as pass), 1 at least one check failed,
-2 audit discrepancies only, 64 usage, 65 parse or name-resolution error.
+2 audit discrepancies only, 64 usage, 65 parse or name-resolution error,
+141 (128 + SIGPIPE, as a shell reports it) when the reader of stdout goes
+away, as in `moorekit corpus | head -c 10`: the rest is dropped silently.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from dataclasses import replace
@@ -36,6 +39,7 @@ from .simplicial import validate_simplicial
 
 USAGE_EXIT = 64
 PARSE_EXIT = 65
+BROKEN_PIPE_EXIT = 141
 
 # axiom names whose failure on a paper construction is an audit finding,
 # not an artifact failure (everything structural stays a hard failure)
@@ -227,11 +231,8 @@ def _documents(args) -> list[tuple[str, Document]]:
     if args.input:
         return [("", load_document(_read_input(args.input)))]
     names = {args.name, args.name.split(".", 1)[0]}
-    out = []
-    for p in args.char:
-        label = f"@p={p}" if len(args.char) > 1 else ""
-        out.append((label, load_document(corpus_document(p, names))))
-    return out
+    return [(f"@p={p}" if len(args.char) > 1 else "", load_document(corpus_document(p, names)))
+            for p in args.char]
 
 
 def _read_input(path: str) -> str:
@@ -306,6 +307,7 @@ def run_command(args, out) -> int:
                           detail={"records": len(records), "exit": code})
     if args.command != "corpus":
         out.write(_render(summary, args.human) + "\n")
+    out.flush()  # a closed pipe shows here, not when the interpreter exits
     return code
 
 
@@ -425,6 +427,9 @@ def main(argv=None) -> int:
         print(json.dumps({"check": "document", "status": "error",
                           "detail": str(exc)}), file=sys.stderr)
         return PARSE_EXIT
+    except BrokenPipeError:  # what is still buffered would go to the closed pipe at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE_EXIT
 
 
 if __name__ == "__main__":

@@ -16,7 +16,10 @@ is one exact product, `matmul`.  It runs in float64 BLAS when the product
 has at least _BLAS_MADDS = 2^20 multiply-adds and every sum is exact in a
 double, k (p-1)^2 < 2^53 for contraction length k; otherwise in int64,
 which numpy multiplies without BLAS and check_word_size keeps below 2^63.
-Below the floor the first BLAS call costs more than it saves.
+Below the floor the first BLAS call costs more than it saves.  The
+package's other contractions are `einsum` calls outside this module:
+lie.validate_lie, the linear system of crossed.multiplication_cm and
+simplicial._normal_block.
 """
 
 from __future__ import annotations
@@ -656,29 +659,6 @@ def subalgebra(A: Algebra, span_rows: np.ndarray, name: str = "") -> tuple[Algeb
     names = tuple(f"{name or 'v'}{i}" for i in range(r))
     S = Algebra(A.field, struct, names, int(unit[0]) if unit.size else None, name)
     return S, Morphism(S, A, R.T)
-
-
-# ---------------------------------------------------------------------------
-# module actions
-
-
-def action_violations(action: BilinearMap) -> list[Violation]:
-    """Failures of s.(n n') = (s.n) n' and (s s').n = s.(s'.n) on basis triples."""
-    S, N = action.left, action.right
-    p = N.p
-    t = action.tensor
-    out: list[Violation] = []
-    # s.(n n') vs (s.n) n'
-    lhs = np.einsum("nmk,skq->snmq", N.structure, t) % p
-    rhs = np.einsum("snk,kmq->snmq", t, N.structure) % p
-    for s, n, m in zip(*np.nonzero(((lhs - rhs) % p).any(axis=3))):
-        out.append(Violation("module", (int(s), int(n), int(m))))
-    # (s s').n vs s.(s'.n)
-    lhs2 = np.einsum("stk,knq->stnq", S.structure, t) % p
-    rhs2 = np.einsum("tnk,skq->stnq", t, t) % p
-    for s, tt, n in zip(*np.nonzero(((lhs2 - rhs2) % p).any(axis=3))):
-        out.append(Violation("associative-action", (int(s), int(tt), int(n))))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ crossed structures and Lie structures in one file.
 
 Structure tensors are stored as sparse [i, j, k, coeff] triples with
 omitted entries zero; matrices are dense row-major target x source.
-All integers are reduced mod p on load.  Name resolution failures and
-shape problems raise DocumentError with a location path.
+Every number passes one reader, _ints, which refuses fractions and numbers
+beyond int64; coefficients are reduced mod p.  Name resolution failures,
+shape problems and refused numbers raise DocumentError with a location path.
 
 The four crossed sections (crossed modules, 2- and 3-crossed modules and
 Lie 3-crossed modules) hold one type, crossed.CrossedChain, and one table,
@@ -107,11 +108,24 @@ def _object(value, loc) -> dict:
     return value
 
 
-def _int(value, loc) -> int:
+def _ints(value, loc) -> np.ndarray:
+    """value, numbers in nested lists, as int64; fractions and numbers beyond int64 are refused."""
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise DocumentError(f"{value!r} is not an integer", loc) from None
+        arr = np.asarray(value)
+        if arr.dtype.kind in "bi" or arr.dtype.kind == "f" and (
+                not arr.size or ((arr == np.trunc(arr)) & (abs(arr) < 2.0 ** 63)).all()):
+            return arr.astype(np.int64, copy=False)
+    except ValueError:  # a ragged list
+        pass
+    shown = "an entry" if isinstance(value, list) else repr(value)
+    raise DocumentError(f"{shown} is not a 64-bit integer", loc)
+
+
+def _int(value, loc) -> int:
+    """One number, read by _ints."""
+    if isinstance(value, list):
+        raise DocumentError(f"{value!r} is not a 64-bit integer", loc)
+    return int(_ints(value, loc))
 
 
 def _level_index(key, loc) -> tuple[int, int]:
@@ -124,14 +138,11 @@ def _level_index(key, loc) -> tuple[int, int]:
 
 
 def _dense_tensor(triples, shape, p, loc) -> np.ndarray:
-    if not isinstance(triples, list):
+    arr = _ints(triples, loc) if isinstance(triples, list) else None
+    if arr is None or arr.size and arr.shape[1:] != (4,):
         raise DocumentError("structure must be a list of [i, j, k, coeff]", loc)
     t = np.zeros(shape, dtype=np.int64)
-    for entry in triples:
-        try:
-            i, j, k, c = (int(v) for v in entry)
-        except (TypeError, ValueError):
-            raise DocumentError(f"structure entry {entry} is not [i, j, k, coeff]", loc) from None
+    for i, j, k, c in arr.tolist():
         if not (0 <= i < shape[0] and 0 <= j < shape[1] and 0 <= k < shape[2]):
             raise DocumentError(f"index ({i},{j},{k}) outside dim {shape}", loc)
         t[i, j, k] = c % p
@@ -141,18 +152,20 @@ def _dense_tensor(triples, shape, p, loc) -> np.ndarray:
 def _load_algebra(section, name, body) -> Algebra:
     cls, key = CARRIERS[section]
     loc = f"{section}.{name}"
+    p = _int(_field(body, "p", loc), f"{loc}.p")
+    dim = _int(_field(body, "dim", loc), f"{loc}.dim")
     try:
-        fld = PrimeField(int(body["p"]))
-        dim = int(body["dim"])
+        fld = PrimeField(p)
         basis = tuple(str(b) for b in body.get("basis", [f"e{i}" for i in range(dim)]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise DocumentError(f"bad algebra header: {exc}", loc)
     if len(basis) != dim:
         raise DocumentError(f"{len(basis)} basis labels for dim {dim}", loc)
     struct = _dense_tensor(body.get(key, []), (dim, dim, dim), fld.p, loc)
     identity = body.get("identity") if cls is Algebra else None
+    identity = None if identity is None else _int(identity, f"{loc}.identity")
     try:
-        return cls(fld, struct, basis, None if identity is None else int(identity), name=name)
+        return cls(fld, struct, basis, identity, name=name)
     except (TypeError, ValueError) as exc:
         raise DocumentError(str(exc), loc)
 
@@ -174,12 +187,10 @@ def _resolve(table, name, loc):
 def _morphism(src, tgt, matrix, loc) -> Morphism:
     """The map src -> tgt by a target x source matrix; [] is the zero map.
     The lists are converted once; Morphism reduces that array mod p."""
+    mat = _ints(matrix, loc)
     try:
-        mat = np.asarray(matrix, dtype=np.int64)
-        if mat.size == 0:
-            mat = np.zeros((tgt.dim, src.dim), dtype=np.int64)
-        return Morphism(src, tgt, mat)
-    except (TypeError, ValueError, OverflowError) as exc:
+        return Morphism(src, tgt, mat if mat.size else np.zeros((tgt.dim, src.dim), dtype=np.int64))
+    except ValueError as exc:
         raise DocumentError(str(exc), loc)
 
 
@@ -229,10 +240,8 @@ def load_document(text: str) -> Document:
     for key in ("seed", "budget", "exhaustive_bound"):
         _int(cfg.get(key, 0), f"config.{key}")
     chars = cfg.get("characteristics", [])
-    if not isinstance(chars, list):
+    if not isinstance(chars, list) or _ints(chars, "config.characteristics").ndim > 1:
         raise DocumentError("expected a list of integers", "config.characteristics")
-    for c in chars:
-        _int(c, "config.characteristics")
     doc = Document()
 
     def section(key: str) -> dict:
@@ -246,11 +255,8 @@ def load_document(text: str) -> Document:
 
     for name, body in section("simplicial").items():
         loc = f"simplicial.{name}"
-        try:
-            k = int(body["k"])
-            level_names = body["levels"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DocumentError(f"bad simplicial header: {exc}", loc)
+        k = _int(_field(body, "k", loc), f"{loc}.k")
+        level_names = _field(body, "levels", loc)
         if k < 0:
             raise DocumentError(f"truncation level {k} is negative", f"{loc}.k")
         if not isinstance(level_names, list) or len(level_names) != k + 1:

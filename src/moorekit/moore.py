@@ -175,9 +175,9 @@ def push_face(i: int, applied: Sequence[int]) -> tuple[tuple[int, ...], int | No
 
 
 # face kernels, Moore complexes, degeneracy words, decompositions and
-# pairing tables, computed once per simplicial object: the objects are
-# immutable, and no value refers back to its object, so an entry goes with
-# its object
+# pairing tables, computed once per simplicial object and handed down to
+# the objects that extend it (_hand_down): the objects are immutable, and
+# no value refers back to its object, so an entry goes with its object
 _MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -186,6 +186,13 @@ def _memo(E, key, make):
     if key not in table:
         table[key] = make()
     return table[key]
+
+
+def _hand_down(E, F):
+    """F, a fresh extension of E by a level, given every memo entry of E
+    but its Moore complex: the others concern levels F shares with E."""
+    _MEMO[F] = {key: value for key, value in _MEMO.get(E, {}).items() if key != "moore"}
+    return F
 
 
 def face_kernel(E, n: int, faces) -> np.ndarray:

@@ -30,8 +30,8 @@ import numpy as np
 from .coeff import (Algebra, Ideal, Morphism, PreconditionError, StructureError,
                     bilinear, check_word_size, ideal_closure, matmul, rref, sweep_step)
 from .crossed import CrossedChain, verify_2cm, verify_cm
-from .moore import (SurjIndex, _memo, moore_basis, normal_form, push_face, s_set,
-                    s_word_morphism)
+from .moore import (SurjIndex, _hand_down, _memo, moore_basis, normal_form, push_face,
+                    s_set, s_word_morphism)
 from .report import PASS
 
 
@@ -302,7 +302,8 @@ def extend_level(E: TruncatedSimplicialAlgebra, normal=None) -> TruncatedSimplic
     Em = Algebra(E.level(0).field, struct, names, None, name=f"E{m}")
     new_faces = E.faces | {(m, i): Morphism(Em, prev, faces[i]) for i in range(m + 1)}
     new_degs = E.degeneracies | {(m, j): Morphism(prev, Em, degs[j]) for j in range(m)}
-    return TruncatedSimplicialAlgebra(E.levels + (Em,), new_faces, new_degs, name=E.name)
+    return _hand_down(E, TruncatedSimplicialAlgebra(E.levels + (Em,), new_faces, new_degs,
+                                                    name=E.name))
 
 
 def extend_to(E: TruncatedSimplicialAlgebra, k: int) -> TruncatedSimplicialAlgebra:

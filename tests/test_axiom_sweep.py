@@ -5,8 +5,10 @@
 unbatched Elements at a time, in itertools.product order.  Every test
 runs a verifier or table audit twice, once as shipped and once with the
 reference patched in, and requires identical entries and records.  The
-3CM6 tests at the end compare its decision on pairs of quadratic points
-with a sweep over every element pair of C2 instead.
+3CM6 tests compare its decision on pairs of quadratic points with a
+sweep over every element pair of C2 instead, and the action-law tests at
+the end compare the rows of both carriers with the tensor checkers they
+replaced.
 """
 
 import itertools
@@ -15,12 +17,12 @@ import numpy as np
 import pytest
 
 from moorekit import coeff, corpus, crossed, functors
-from moorekit.coeff import (Algebra, BilinearMap, Element, Morphism, Supply,
+from moorekit.coeff import (Algebra, BilinearMap, Element, Morphism, Supply, Violation,
                             subspace_elements, supply_rows)
 from moorekit.crossed import (ACTIONS, SIGNATURES, CrossedChain, verify_2cm, verify_3cm,
                               verify_cm, zero_extension)
 from moorekit.functors import hypercrossed, table_identities_check
-from moorekit.lie import verify_lie_3cm
+from moorekit.lie import LieAlgebra, _lie_action_laws, verify_lie_3cm
 from moorekit.simplicial import TruncatedSimplicialAlgebra
 
 CHARS = (2, 3, 5)
@@ -308,3 +310,92 @@ def test_3cm6_fails_off_the_basis_only(p):
     C2 = m.levels[2]
     assert crossed._evaluate([C2, C2], printed_3cm6(m)) == (C2.dim ** 2, None)
     assert assert_3cm6_matches_every_pair(m).status == "fail"
+
+
+# ---------------------------------------------------------------------------
+# the action laws against the tensor checkers the rows replaced
+
+
+def action_violations(action: BilinearMap) -> list[Violation]:
+    """Failures of s.(n n') = (s.n) n' and (s s').n = s.(s'.n) on basis triples."""
+    S, N = action.left, action.right
+    p = N.p
+    t = action.tensor
+    out: list[Violation] = []
+    # s.(n n') vs (s.n) n'
+    lhs = np.einsum("nmk,skq->snmq", N.structure, t) % p
+    rhs = np.einsum("snk,kmq->snmq", t, N.structure) % p
+    for s, n, m in zip(*np.nonzero(((lhs - rhs) % p).any(axis=3))):
+        out.append(Violation("module", (int(s), int(n), int(m))))
+    # (s s').n vs s.(s'.n)
+    lhs2 = np.einsum("stk,knq->stnq", S.structure, t) % p
+    rhs2 = np.einsum("tnk,skq->stnq", t, t) % p
+    for s, tt, n in zip(*np.nonzero(((lhs2 - rhs2) % p).any(axis=3))):
+        out.append(Violation("associative-action", (int(s), int(tt), int(n))))
+    return out
+
+
+def lie_action_violations(act: BilinearMap) -> list[Violation]:
+    """Failures of x.[a,b] = [x.a, b] + [a, x.b] and
+    [x,y].a = x.(y.a) - y.(x.a) on basis triples."""
+    Lx, M = act.left, act.right
+    p = M.p
+    t = act.tensor
+    out: list[Violation] = []
+    lhs = np.einsum("abk,xkq->xabq", M.structure, t) % p
+    rhs = (np.einsum("xak,kbq->xabq", t, M.structure) % p
+           + np.einsum("xbk,akq->xabq", t, M.structure) % p) % p
+    for x, a, b in zip(*np.nonzero(((lhs - rhs) % p).any(axis=3))):
+        out.append(Violation("derivation", (int(x), int(a), int(b))))
+    lhs2 = np.einsum("xyk,kaq->xyaq", Lx.structure, t) % p
+    rhs2 = (np.einsum("yak,xkq->xyaq", t, t) % p
+            - np.einsum("xak,ykq->xyaq", t, t) % p) % p
+    for x, y, a in zip(*np.nonzero(((lhs2 - rhs2) % p).any(axis=3))):
+        out.append(Violation("homomorphism", (int(x), int(y), int(a))))
+    return out
+
+
+# each carrier: its row, its reference, and the kind of violation that
+# spans the second acting slot (the others span the second acted-on slot)
+CARRIERS = [(Algebra, crossed._action_laws, action_violations, "module"),
+            (LieAlgebra, _lie_action_laws, lie_action_violations, "derivation")]
+
+
+def random_action(cls, p: int, dims: tuple[int, int], rng) -> BilinearMap:
+    """An action of a random dims[0]-dimensional structure on a random
+    dims[1]-dimensional one, every constant non-zero with probability 1/4."""
+    def sparse(shape):
+        return rng.integers(1, p, shape) * (rng.random(shape) < 0.25)
+
+    S, N = (cls(coeff.PrimeField(p), sparse((d, d, d)), tuple(f"e{i}" for i in range(d)))
+            for d in dims)
+    return BilinearMap(S, N, N, sparse((dims[0], dims[1], dims[1])))
+
+
+def first_failing_tuple(violations, spans_second_acting_slot: str):
+    """The first (s, s', n, n') in C order where a reference violation
+    fails: a violation (s, n, n') holds for every s', and (s, s', n) for
+    every n', so its first tuple puts 0 there."""
+    return min(((v.indices[0], 0, *v.indices[1:]) if v.kind == spans_second_acting_slot
+                else (*v.indices, 0) for v in violations), default=None)
+
+
+@pytest.mark.parametrize("p", CHARS)
+@pytest.mark.parametrize("cls, row, reference, spanning", CARRIERS)
+def test_action_laws_pass_exactly_when_the_tensor_checker_finds_nothing(
+        p, cls, row, reference, spanning):
+    rng = np.random.default_rng(p)
+    statuses = []
+    for dims in itertools.product(range(4), repeat=2):
+        for _ in range(6):
+            act = random_action(cls, p, dims, rng)
+            entry = row("action", act)
+            want = first_failing_tuple(reference(act), spanning)
+            statuses.append((min(dims) > 0, entry.status))
+            assert (entry.status == "pass") == (want is None), (dims, entry)
+            if want is not None:
+                sizes = (dims[0], dims[0], dims[1], dims[1])
+                assert entry.witness == {f"arg{i}": list(np.eye(d, dtype=int)[j])
+                                         for i, (d, j) in enumerate(zip(sizes, want))}
+    # both verdicts occur where neither space is zero
+    assert statuses.count((True, "pass")) >= 10 and statuses.count((True, "fail")) >= 30

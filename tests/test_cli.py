@@ -208,6 +208,21 @@ def test_exit_code_65_for_bad_algebra_prime(p, tmp_path, capsys):
     assert "algebras.A" in captured.err and captured.out == ""
 
 
+def test_a_failing_action_law_names_its_first_failing_tuple(tmp_path, capsys):
+    # R = k[x]/(x^2) acts on a square-zero line by x.c = c and 1.c = 0, so
+    # (1 x).c = c but 1.(x.c) = 0
+    R = {"p": 2, "dim": 2, "basis": ["1", "x"], "identity": 0,
+         "structure": [[0, 0, 0, 1], [0, 1, 1, 1], [1, 0, 1, 1]]}
+    doc = {"algebras": {"R": R, "C": {"p": 2, "dim": 1}},
+           "crossed_modules": {"unital-fails": {"R": "R", "C": "C", "boundary": [],
+                                                "action": [[1, 0, 0, 1]]}}}
+    assert _main_on_document(doc, ["verify-xmod", "unital-fails"], tmp_path) == 1
+    entry = next(r for r in records(capsys.readouterr().out)
+                 if r["check"].endswith("/action-algebra"))
+    assert entry["status"] == "fail"
+    assert entry["witnesses"] == [{"arg0": [1, 0], "arg1": [0, 1], "arg2": [1], "arg3": [1]}]
+
+
 def _three_crossed_body(section):
     from moorekit import corpus
     from moorekit.crossed import zero_extension
@@ -334,6 +349,37 @@ def test_exit_code_65_for_malformed_config(key, value, tmp_path, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.err)["detail"].startswith(f"config.{key}:")
     assert captured.out == ""
+
+
+# every number is read by one reader: a fraction is refused, not truncated,
+# and a number beyond a double (1e400) or int64 is refused, not raised
+@pytest.mark.parametrize("value", ["1.5", "2.9", "1e400", "9223372036854775808"])
+@pytest.mark.parametrize("path, where", [
+    (("algebras", "ideal-pair.R", "structure", 0, 3), "algebras.ideal-pair.R"),
+    (("algebras", "ideal-pair.R", "structure", 1, 1), "algebras.ideal-pair.R"),
+    (("lie_algebras", "heisenberg", "bracket", 0, 3), "lie_algebras.heisenberg"),
+    (("algebras", "ideal-pair.R", "p"), "algebras.ideal-pair.R.p"),
+    (("algebras", "ideal-pair.R", "dim"), "algebras.ideal-pair.R.dim"),
+    (("algebras", "ideal-pair.R", "identity"), "algebras.ideal-pair.R.identity"),
+    (("simplicial", "ideal-pair", "k"), "simplicial.ideal-pair.k"),
+    (("simplicial", "ideal-pair", "faces", "1,0", "matrix", 0, 0),
+     "simplicial.ideal-pair.faces[1,0]"),
+    (("crossed_modules", "ideal-pair", "boundary", 1, 0), "crossed_modules.ideal-pair"),
+    (("crossed_modules", "ideal-pair", "action", 0, 3), "crossed_modules.ideal-pair.action"),
+    (("config", "seed"), "config.seed"),
+    (("config", "characteristics", 0), "config.characteristics")])
+def test_exit_code_65_for_a_number_that_is_no_64_bit_integer(path, where, value, tmp_path,
+                                                             capsys):
+    from moorekit.document import corpus_document
+    doc = json.loads(corpus_document(2))
+    doc["config"] = {"seed": 0, "characteristics": [2]}
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = "@number@"
+    (tmp_path / "doc.json").write_text(json.dumps(doc).replace('"@number@"', value))
+    assert main(["--input", str(tmp_path / "doc.json"), "validate", "ideal-pair"]) == 65
+    assert _document_error(capsys).startswith(where + ":")
 
 
 @pytest.mark.parametrize("name", ["top-degree-3", "top-degree-4"])
@@ -762,6 +808,25 @@ def test_a_job_imports_no_argument_parsing_library():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.splitlines()[-1] == "0"
+
+
+# a short listing stays in the stdout buffer until main flushes it; the
+# corpus at two primes is written past the buffer
+@pytest.mark.parametrize("argv", [["sset", "2"], ["--char", "2,3", "corpus"]], ids=" ".join)
+def test_a_closed_pipe_exits_quietly_with_the_documented_status(argv):
+    from moorekit import cli
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the child writes
+    try:
+        done = subprocess.run([sys.executable, "-m", "moorekit.cli", *argv], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert b"Traceback" not in done.stderr and b"Exception ignored" not in done.stderr
+    assert done.stderr == b""
+    assert done.returncode == cli.BROKEN_PIPE_EXIT == 141
 
 
 @pytest.fixture(scope="module")

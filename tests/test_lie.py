@@ -3,9 +3,9 @@ import pytest
 
 from moorekit.coeff import BilinearMap, Morphism, PrimeField
 from moorekit.crossed import CrossedChain, zero_extension
-from moorekit.lie import (LieAlgebra, degenerate_lie_3cm, lie_abelian,
-                          lie_action_violations, lie_heisenberg, validate_lie,
-                          verify_lie_3cm, verify_lie_crossed, verify_lie_2cm)
+from moorekit.lie import (LieAlgebra, _lie_action_laws, degenerate_lie_3cm, lie_abelian,
+                          lie_heisenberg, validate_lie, verify_lie_3cm, verify_lie_crossed,
+                          verify_lie_2cm)
 
 
 def test_validate_lie_abelian_and_heisenberg():
@@ -49,9 +49,16 @@ def test_validate_lie_rejects_jacobi_violation():
 def test_lie_action_laws():
     L = lie_heisenberg(3)
     adj = BilinearMap(L, L, L, L.structure)  # adjoint action is a Lie action
-    assert lie_action_violations(adj) == []
+    entry = _lie_action_laws("lie-action", adj)
+    assert (entry.status, entry.checked, entry.witness) == ("pass", 3 ** 4, None)
     bad = BilinearMap(L, L, L, np.ones((3, 3, 3), dtype=np.int64))
-    assert lie_action_violations(bad) != []
+    entry = _lie_action_laws("lie-action", bad)
+    # x.[x, x] = 0, but [x.x, x] + [x, x.x] = [x+y+z, x] + [x, x+y+z] = 0 too;
+    # [x, x].x = 0 against x.(x.x) - x.(x.x) = 0: the first tuple passes, and
+    # x.[x, y] = x.z = x+y+z against [x+y+z, y] + [x, x+y+z] = 2z fails
+    assert entry.status == "fail"
+    assert entry.witness == {"arg0": [1, 0, 0], "arg1": [1, 0, 0],
+                             "arg2": [1, 0, 0], "arg3": [0, 1, 0]}
 
 
 def test_verify_lie_crossed_inclusion():

@@ -472,19 +472,22 @@ def test_theorem5_failure_counts_rows_outside_the_other_side(built, monkeypatch)
 
 
 def test_theorem5_builds_the_moore_complex_and_each_face_kernel_once(monkeypatch):
-    # a fresh object, so that no earlier test has filled its memo
-    E = corpus.simplicial_corpus(2, {"cubic-chain"})["cubic-chain"]
     complexes, kernels = [], []
     real_complex, real_null = moore_module._moore_complex, moore_module.null_space
     monkeypatch.setattr(moore_module, "_moore_complex",
                         lambda E: complexes.append(E) or real_complex(E))
     monkeypatch.setattr(moore_module, "null_space",
                         lambda mat, p: kernels.append(mat.shape) or real_null(mat, p))
+    # a fresh object, built under the counters: extend_level hands the
+    # kernels of the levels it extends down to the object it returns
+    E = corpus.simplicial_corpus(2, {"cubic-chain"})["cubic-chain"]
     first = [theorem5_check(E, n) for n in (2, 3, 4)]
     assert complexes == [E]
     counted = len(kernels)
-    # one null space per distinct face set: the Moore bases of E_1..E_4 and
-    # the kernels K_I in E_{n-1}, I the complement of a pairing's entries
+    # at most one null space per distinct face set over building and
+    # theorem5: the Moore bases of E_1..E_4, which building reads too, and
+    # the kernels K_I in E_{n-1}, I the complement of a pairing's entries;
+    # theorem5 needs every one of them, so each is computed exactly once
     sets = {(m, tuple(range(m))) for m in range(1, 5)}
     sets |= {(n - 1, tuple(sorted(set(range(n)) - set(s.entries))))
              for n in (2, 3, 4) for q in p_set(n) for s in (q.alpha, q.beta)}
