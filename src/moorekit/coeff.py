@@ -17,9 +17,9 @@ has at least _BLAS_MADDS = 2^20 multiply-adds and every sum is exact in a
 double, k (p-1)^2 < 2^53 for contraction length k; otherwise in int64,
 which numpy multiplies without BLAS and check_word_size keeps below 2^63.
 Below the floor the first BLAS call costs more than it saves.  The
-package's other contractions are `einsum` calls outside this module:
-lie.validate_lie, the linear system of crossed.multiplication_cm and
-simplicial._normal_block.
+package writes no other matrix product; its only `einsum` calls, the two
+outer products that build the linear system of crossed.multiplication_cm,
+sum over no index.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -68,12 +68,6 @@ class PrimeField:
         check_word_size(1, self.p)
         if not _is_prime(self.p):
             raise StructureError(f"modulus {self.p} is not prime")
-
-    def inv(self, a: int) -> int:
-        a = a % self.p
-        if a == 0:
-            raise ZeroDivisionError("no inverse of 0")
-        return pow(a, self.p - 2, self.p)
 
 
 def check_word_size(terms: int, p: int) -> None:
@@ -243,7 +237,7 @@ def intersect_row_spaces(U: np.ndarray, V: np.ndarray, p: int) -> np.ndarray:
     pairs = null_space(stacked, p)
     if pairs.shape[0] == 0:
         return np.zeros((0, U.shape[1]), dtype=np.int64)
-    vecs = pairs[:, : U.shape[0]] @ U % p
+    vecs = matmul(pairs[:, : U.shape[0]], U, p)
     return rref(vecs, p)[0]
 
 
@@ -293,12 +287,6 @@ class Algebra:
         v[i] = 1
         return Element(self, v)
 
-    def basis(self) -> list[Element]:
-        return [self.basis_element(i) for i in range(self.dim)]
-
-    def element(self, coeffs) -> Element:
-        return Element(self, coeffs)
-
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return bilinear(a, b, self.structure, self.p)
 
@@ -344,9 +332,6 @@ class Element:
         self._check_parent(other)
         return Element(self.parent, self.parent.mul_vec(self.coeffs, other.coeffs))
 
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, Element) and self.parent is other.parent
                 and np.array_equal(self.coeffs, other.coeffs))
@@ -356,11 +341,6 @@ class Element:
 
     def __repr__(self):
         return f"Element({self.coeffs.tolist()})"
-
-
-def mul(a: Element, b: Element) -> Element:
-    """Product in the ambient algebra; commutative by validated structure."""
-    return a * b
 
 
 @dataclass(frozen=True, eq=False)
@@ -446,9 +426,6 @@ class Ideal:
         axes, and a stack lies in it when every one of its vectors does."""
         return not self.residue(x).any()
 
-    def basis_elements(self) -> list[Element]:
-        return [Element(self.parent, r) for r in self.basis_matrix]
-
     def coords(self, x: Element | np.ndarray) -> np.ndarray:
         """Coordinates of x in the rref basis, x[..., pivots]; leading axes
         of x are batch axes, and every vector must lie in the subspace."""
@@ -496,10 +473,6 @@ class BilinearMap:
         return Element(self.target, bilinear(x.coeffs, y.coeffs, self.tensor,
                                                  self.target.p))
 
-    def apply_vecs(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        p = self.target.p
-        return bilinear(u % p, v % p, self.tensor, p)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, BilinearMap) and self.left is other.left
                 and self.right is other.right and self.target is other.target
@@ -512,10 +485,6 @@ class BilinearMap:
     def zero(left: Algebra, right: Algebra, target: Algebra) -> BilinearMap:
         return BilinearMap(left, right, target,
                            np.zeros((left.dim, right.dim, target.dim), dtype=np.int64))
-
-    @staticmethod
-    def from_multiplication(A: Algebra) -> BilinearMap:
-        return BilinearMap(A, A, A, A.structure)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +597,7 @@ def quotient(A: Algebra, I: Ideal, name: str = "") -> tuple[Algebra, Morphism]:
     keep = np.delete(np.arange(A.dim), I.pivots)
     # projection: reduce mod I, then read the surviving coordinates
     proj = I.residue(np.eye(A.dim, dtype=np.int64))[:, keep].T
-    struct = A.structure[np.ix_(keep, keep)] @ proj.T % A.p
+    struct = matmul(A.structure[np.ix_(keep, keep)], proj.T, A.p)
     names = tuple(A.basis_names[j] for j in keep)
     unit = (None if A.identity is None or A.identity in I.pivots
             else int(np.searchsorted(keep, A.identity)))
@@ -682,38 +651,14 @@ class Supply:
 
 def supply_rows(dim: int, p: int, supply: Supply = Supply()) -> tuple[np.ndarray, bool]:
     """The supply's coordinate vectors of a dim-dimensional space over Z/p
-    as the rows of one array, in vector_supply order, and whether they are
-    all of it.  The zero space's supply is the zero vector alone."""
-    if dim == 0:
-        return np.zeros((1, 0), dtype=np.int64), True
-    rows = np.array(list(vector_supply(dim, p, supply)), dtype=np.int64)
-    return rows.reshape(-1, dim), supply.is_exhaustive(dim, p)
-
-
-def elements(A: Algebra, supply: Supply = Supply()) -> Iterator[Element]:
-    """All p^dim elements when small, else seeded pseudo-random elements."""
-    yield from (Element(A, v) for v in vector_supply(A.dim, A.p, supply))
-
-
-def vector_supply(dim: int, p: int, supply: Supply = Supply()) -> Iterator[np.ndarray]:
-    if supply.is_exhaustive(dim, p):
-        for tup in itertools.product(range(p), repeat=dim):
-            yield np.array(tup, dtype=np.int64)
-    else:
-        rng = random.Random(supply.seed)
-        for _ in range(supply.budget):
-            yield np.array([rng.randrange(p) for _ in range(dim)], dtype=np.int64)
-
-
-def subspace_elements(parent: Algebra, basis: np.ndarray,
-                      supply: Supply = Supply()) -> Iterator[Element]:
-    """Elements of a subspace, enumerated through coordinate vectors."""
-    r = basis.shape[0]
-    if r == 0:
-        yield parent.zero()
-        return
-    for coords in vector_supply(r, parent.p, supply):
-        yield Element(parent, coords @ basis % parent.p)
+    as the rows of one array, and whether they are all of it: all p^dim in
+    lexicographic order within the bound, else supply.budget draws of
+    random.Random(supply.seed); the zero space's supply is its zero vector."""
+    every = dim == 0 or supply.is_exhaustive(dim, p)
+    rng = random.Random(supply.seed)
+    rows = (list(itertools.product(range(p), repeat=dim)) if every else
+            [[rng.randrange(p) for _ in range(dim)] for _ in range(supply.budget)])
+    return np.array(rows, dtype=np.int64).reshape(len(rows), dim), every
 
 
 def algebras_equal(A: Algebra, B: Algebra) -> bool:

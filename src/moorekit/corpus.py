@@ -97,14 +97,6 @@ def cm_zero_module(p: int = 2) -> CrossedChain:
     return zero_module_cm(M, R, unital_action(R, M), name=f"zero-module@Z/{p}")
 
 
-def cm_zero_module_bad(p: int = 2) -> CrossedChain:
-    """Zero boundary out of a non-square-zero algebra: CM2 must fail."""
-    R = zmod(p)
-    M = zmod(p)  # e*e = e, so the Peiffer identity cannot hold
-    act = BilinearMap.zero(R, M, M)
-    return zero_module_cm(M, R, act, name=f"zero-module-bad@Z/{p}")
-
-
 # ---------------------------------------------------------------------------
 # 2-crossed modules
 

@@ -317,7 +317,7 @@ def multiplication_cm(R: Algebra) -> CrossedChain:
             raise PreconditionError("composition leaves the multiplier space")
         return flat[..., pivots]
 
-    struct = coords((mats[:, None] @ mats[None] % p).reshape(mdim, mdim, d * d))
+    struct = coords(matmul(mats[:, None], mats[None], p).reshape(mdim, mdim, d * d))
     if not np.array_equal(struct, struct.transpose(1, 0, 2)):
         raise PreconditionError(
             "audit finding: multiplier composition is not commutative under the hypothesis")
@@ -339,7 +339,7 @@ def verify_2cm(t: CrossedChain) -> AxiomReport:
     (C0, C1, C2), (d1, d2) = t.levels, t.boundaries
     a1, a2 = t.map("01"), t.map("02")
     entries = [
-        _flag("complex", not (d1.matrix @ d2.matrix % C0.p).any()),
+        _flag("complex", not matmul(d1.matrix, d2.matrix, C0.p).any()),
         _flag("d2-multiplicative", d2.is_multiplicative()),
         _flag("d1-multiplicative", d1.is_multiplicative()),
         _action_laws("action-c1-algebra", a1),
@@ -402,14 +402,14 @@ def _divide_top(chain: CrossedChain, above: Morphism, rows) -> CrossedChain:
         raise PreconditionError("the divided image lies outside the top level")
     I = Ideal(top, matmul(rows, above.matrix.T, p))
     Q, pi = quotient(top, I, name=f"{top.name}/im")  # raises unless I is an ideal
-    if (boundary.matrix @ I.basis_matrix.T % p).any():
+    if matmul(boundary.matrix, I.basis_matrix.T, p).any():
         raise PreconditionError("the boundary does not kill the divided ideal")
     keep = np.delete(np.arange(top.dim), I.pivots)  # pi maps e_keep[q] to e_q
     divided = {}
     for key, f in chain.maps.items():
         t = f.tensor
         for axis in (i for i, A in enumerate((f.left, f.right)) if A is top):
-            if not I.contains(np.tensordot(I.basis_matrix, f.tensor, (1, axis)) % p):
+            if not I.contains(matmul(I.basis_matrix, np.moveaxis(f.tensor, axis, 1), p)):
                 raise PreconditionError(
                     f"induced map {key} ill-defined on cosets: it leaves the divided ideal")
             t = np.take(t, keep, axis=axis)
@@ -429,8 +429,8 @@ def _structure_entries(m: CrossedChain, morphism: str) -> list[AxiomEntry]:
     """Both complex conditions and each boundary a morphism (entries
     "d<n>-<morphism>")."""
     p = m.levels[0].p
-    return [_flag("complex-d2d3", not (m.d(2).matrix @ m.d(3).matrix % p).any()),
-            _flag("complex-d1d2", not (m.d(1).matrix @ m.d(2).matrix % p).any()),
+    return [_flag("complex-d2d3", not matmul(m.d(2).matrix, m.d(3).matrix, p).any()),
+            _flag("complex-d1d2", not matmul(m.d(1).matrix, m.d(2).matrix, p).any()),
             *(_flag(f"d{n}-{morphism}", m.d(n).is_multiplicative()) for n in (3, 2, 1))]
 
 

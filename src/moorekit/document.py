@@ -4,8 +4,9 @@ crossed structures and Lie structures in one file.
 Structure tensors are stored as sparse [i, j, k, coeff] triples with
 omitted entries zero; matrices are dense row-major target x source.
 Every number passes one reader, _ints, which refuses fractions and numbers
-beyond int64; coefficients are reduced mod p.  Name resolution failures,
-shape problems and refused numbers raise DocumentError with a location path.
+beyond int64; coefficients are reduced mod p.  JSON booleans and a dim
+beyond MAX_CELLS are refused too.  Name resolution failures, shape problems
+and refused values raise DocumentError with a location path.
 
 The four crossed sections (crossed modules, 2- and 3-crossed modules and
 Lie 3-crossed modules) hold one type, crossed.CrossedChain, and one table,
@@ -29,6 +30,9 @@ from .simplicial import TruncatedSimplicialAlgebra
 
 # algebra section -> (carrier class, key of its structure triples)
 CARRIERS = {"algebras": (Algebra, "structure"), "lie_algebras": (LieAlgebra, "bracket")}
+
+# most cells, dim^3, of a dense structure tensor: 1 GiB of int64 at dim 512
+MAX_CELLS = 1 << 27
 
 
 class CrossedSection(NamedTuple):
@@ -108,6 +112,20 @@ def _object(value, loc) -> dict:
     return value
 
 
+def _refuse_booleans(raw) -> None:
+    """A DocumentError at the first JSON boolean of a parsed document, at its
+    path; load_document walks only a text that holds `true` or `false`."""
+    stack = [(raw, "")]
+    while stack:
+        value, loc = stack.pop()
+        if isinstance(value, bool):
+            raise DocumentError(f"{json.dumps(value)} refused: a document holds no booleans", loc)
+        if isinstance(value, dict):
+            stack.extend((v, f"{loc}.{k}" if loc else k) for k, v in reversed(value.items()))
+        elif isinstance(value, list):
+            stack.extend((v, f"{loc}[{i}]") for i, v in reversed(list(enumerate(value))))
+
+
 def _ints(value, loc) -> np.ndarray:
     """value, numbers in nested lists, as int64; fractions and numbers beyond int64 are refused."""
     try:
@@ -154,9 +172,12 @@ def _load_algebra(section, name, body) -> Algebra:
     loc = f"{section}.{name}"
     p = _int(_field(body, "p", loc), f"{loc}.p")
     dim = _int(_field(body, "dim", loc), f"{loc}.dim")
+    if dim ** 3 > MAX_CELLS:
+        raise DocumentError(f"dim {dim} exceeds {MAX_CELLS} structure cells", f"{loc}.dim")
     try:
         fld = PrimeField(p)
-        basis = tuple(str(b) for b in body.get("basis", [f"e{i}" for i in range(dim)]))
+        labels = body["basis"] if "basis" in body else [f"e{i}" for i in range(dim)]
+        basis = tuple(str(b) for b in labels)
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"bad algebra header: {exc}", loc)
     if len(basis) != dim:
@@ -234,6 +255,8 @@ def load_document(text: str) -> Document:
         raise DocumentError(f"invalid JSON: {exc}", "document")
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object", "document")
+    if "true" in text or "false" in text:
+        _refuse_booleans(raw)
     # documents of earlier versions and of bench/inputs.py carry a config
     # object; its keys are checked, though nothing reads them
     cfg = _object(raw.get("config", {}), "config")

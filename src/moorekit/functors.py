@@ -21,8 +21,8 @@ composite hypercrossed pairing, which provably lands where it must:
 
 wherever the printed formulas type-check they agree with these values;
 the remaining printed variants are judged by the table audits, never
-silently adopted.  `lifting_convention_audit` reports which axioms each
-convention satisfies on a given instance.
+silently adopted.  Which axioms each convention satisfies on an instance
+is read from verify_3cm on the extraction under each (`--convention`).
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ import numpy as np
 from .coeff import (BilinearMap, PreconditionError, algebras_equal, intersect_row_spaces,
                     matmul)
 from .crossed import (ACTIONS, CARRIED, SIGNATURES, CrossedChain, _axioms_3cm2_to_16,
-                      _divide_top, _equivariance_entries, _evaluate, verify_3cm, verify_cm)
+                      _divide_top, _equivariance_entries, _evaluate, verify_cm)
 from .moore import moore, p_set, pairing_table, s_word_morphism
-from .report import (CONFIRMED, DISCREPANT, FAIL, PASS, CheckRecord)
+from .report import CONFIRMED, DISCREPANT, FAIL, PASS, CheckRecord
 from .simplicial import TruncatedSimplicialAlgebra, _verified, degenerate_ideal, realize
 
 PROP3 = "prop3"
@@ -107,18 +107,6 @@ def hypercrossed(E: TruncatedSimplicialAlgebra, m: int,
     chain = _divide_top(chain, mc.boundaries[m], rows)
     prov["divided_dim"] = mc.algebras[m].dim - chain.levels[m].dim
     return chain, prov
-
-
-def lifting_convention_audit(E: TruncatedSimplicialAlgebra) -> list[CheckRecord]:
-    """Which printed axioms hold under each lifting sign convention."""
-    reports = {conv: verify_3cm(hypercrossed(E, 3, conv)[0]) for conv in (PROP3, DEF1)}
-    names = [e.name for e in reports[PROP3].entries]
-    out = []
-    for nm in names:
-        statuses = {conv: reports[conv].entry(nm).status for conv in reports}
-        status = CONFIRMED if PASS in statuses.values() else DISCREPANT
-        out.append(CheckRecord(f"convention[{nm}]", status, detail=statuses))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .coeff import (Algebra, Element, Ideal, Morphism, PreconditionError,
+from .coeff import (Algebra, Ideal, Morphism, PreconditionError,
                     StructureError, Supply, ideal_closure, matmul, null_space,
                     rref, subalgebra, supply_rows, sweep_step)
 from .report import (CONFIRMED, DISCREPANT, FAIL, HYPOTHESIS_FAILED, PASS,
@@ -270,15 +270,14 @@ def _moore_complex(E) -> MooreComplex:
     for n in range(1, E.k + 1):
         # last face restricted to NE_n, in the rref coordinates of NE_{n-1}
         d_last = E.face(n, n)
-        img = inclusions[n].matrix.T @ d_last.matrix.T % E.level(n).p
+        img = matmul(inclusions[n].matrix.T, d_last.matrix.T, E.level(n).p)
         if not spaces[n - 1].contains(img):
             raise PreconditionError(
                 f"boundary image escapes NE_{n - 1}; invalid simplicial data")
         mat = spaces[n - 1].coords(img).T
         boundaries.append(Morphism(algebras[n], algebras[n - 1], mat))
     for n in range(2, E.k + 1):
-        comp = boundaries[n - 2].matrix @ boundaries[n - 1].matrix % E.level(0).p
-        if comp.any():
+        if matmul(boundaries[n - 2].matrix, boundaries[n - 1].matrix, E.level(0).p).any():
             raise PreconditionError(f"boundary o boundary nonzero at level {n}")
     return MooreComplex(tuple(spaces), tuple(algebras), tuple(inclusions),
                         tuple(boundaries))
@@ -286,17 +285,6 @@ def _moore_complex(E) -> MooreComplex:
 
 # ---------------------------------------------------------------------------
 # the projection p and the hypercrossed pairings
-
-
-def proj_p(E, n: int, x: Element) -> Element:
-    """Apply (1 - s_j d_j) for j = 0, ..., n-1; the result kills all faces
-    below n and is idempotent."""
-    if n < 1:
-        raise ValueError("projection defined for n >= 1")
-    y = x
-    for j in range(n):
-        y = y - E.deg(n, j)(E.face(n, j)(y))
-    return y
 
 
 def s_word_morphism(E, target_level: int, word: Sequence[int]) -> Morphism:
@@ -314,27 +302,8 @@ def s_word_morphism(E, target_level: int, word: Sequence[int]) -> Morphism:
     return _memo(E, ("word", target_level, word), make)
 
 
-def in_moore(E, n: int, x: Element) -> bool:
-    """Membership in NE_n: all faces d_i, i < n, vanish."""
-    return all(E.face(n, i)(x).is_zero() for i in range(n))
-
-
-def c_pairing(E, pair: PairingIndex, x: Element, y: Element) -> Element:
-    """C_{alpha,beta}(x (x) y) = p(s_alpha(x) . s_beta(y)), bilinear, valued
-    in NE_n for the ambient n of the pairing."""
-    n = pair.n
-    ca, cb = n - pair.alpha.size, n - pair.beta.size
-    if x.parent is not E.level(ca) or not in_moore(E, ca, x):
-        raise PreconditionError(f"first argument not in NE_{ca}")
-    if y.parent is not E.level(cb) or not in_moore(E, cb, y):
-        raise PreconditionError(f"second argument not in NE_{cb}")
-    sx = s_word_morphism(E, n, pair.alpha.application_order())(x)
-    sy = s_word_morphism(E, n, pair.beta.application_order())(y)
-    return proj_p(E, n, sx * sy)
-
-
 def _projection_matrix(E, n: int) -> np.ndarray:
-    """Matrix of the projection p on E_n, composed as in proj_p."""
+    """Matrix of the projection p on E_n: the composite of 1 - s_j d_j, j = 0 first."""
     A = E.level(n)
     P = np.eye(A.dim, dtype=np.int64)
     for j in range(n):
@@ -411,14 +380,6 @@ def pairing_table(E, n: int) -> dict:
     return _memo(E, ("pairings", n), make)
 
 
-def pairing_ideal(E, n: int) -> Ideal:
-    """Ideal of E_n generated by pairing values on spanning sets of the
-    Moore components."""
-    if not 2 <= n <= 4:
-        raise ValueError("pairing ideal defined for n in 2..4")
-    return ideal_closure(E.level(n), list(pairing_table(E, n).values()))
-
-
 # ---------------------------------------------------------------------------
 # Theorem-5 style boundary comparison
 
@@ -478,7 +439,7 @@ def boundary_image_and_pairing_product(E, n: int) -> tuple[np.ndarray, np.ndarra
     ideal closure is the right side."""
     p = E.level(0).p
     mc = moore(E)
-    img_cols = mc.inclusions[n - 1].matrix @ mc.boundaries[n - 1].matrix % p
+    img_cols = matmul(mc.inclusions[n - 1].matrix, mc.boundaries[n - 1].matrix, p)
     lhs = rref(img_cols.T, p)[0]
     A, pairs = E.level(n - 1), p_set(n)
     # K_I for the complement I of an index's entries
@@ -543,9 +504,9 @@ def _factor_values(E, factor: str, c: int, stack: np.ndarray) -> np.ndarray:
         v, level = stack, c
         for op in reversed(term.lstrip("+- ").split()):
             if op[0] == "d":
-                v, level = v @ E.face(level, int(op[1:])).matrix.T % p, level - 1
+                v, level = matmul(v, E.face(level, int(op[1:])).matrix.T, p), level - 1
             elif op[0] == "s":
-                v, level = v @ E.deg(level + 1, int(op[1:])).matrix.T % p, level + 1
+                v, level = matmul(v, E.deg(level + 1, int(op[1:])).matrix.T, p), level + 1
         total = total - v if term.startswith("-") else total + v
     return total % p
 
@@ -561,19 +522,6 @@ def _printed_values(E, stacks: dict) -> dict:
              for i, (factor, s, stack) in enumerate(zip(_TABLE1[row - 1], _P4[row - 1], pair))}
     values = _assembled(E.level(3), slots, [((row, 0), (row, 1)) for row in stacks])
     return dict(zip(stacks, values))
-
-
-def table1_eval(E, row: int, x: Element, y: Element) -> tuple[Element, Element]:
-    """Composite left side d_4(C_{alpha,beta}(x (x) y)) and the printed
-    right side of the given Table-1 row, both as elements of E_3."""
-    if not 1 <= row <= 25:
-        raise ValueError(f"row {row} outside 1..25")
-    if E.k != 4:
-        raise PreconditionError("table rows live at truncation level 4")
-    val = c_pairing(E, p_set(4)[row - 1], x, y)
-    lhs = E.face(4, 4)(val)
-    rhs = _printed_values(E, {row: (x.coeffs[None], y.coeffs[None])})[row][0, 0]
-    return lhs, Element(E.level(3), rhs)
 
 
 # C_{alpha,beta}, its faces and both sides of every Table-1 row are
@@ -622,7 +570,7 @@ def table1_audit(E, supply: Supply = Supply()) -> list[CheckRecord]:
         flat = tensor.reshape(len(bx), rb * m)
 
         def pair_of(i, j):
-            return {"x": list(map(int, xs[i] @ bx % p)), "y": list(map(int, ys[j] @ by % p))}
+            return {"x": matmul(xs[i], bx, p).tolist(), "y": matmul(ys[j], by, p).tolist()}
 
         status = CONFIRMED
         witness: tuple = ()

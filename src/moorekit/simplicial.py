@@ -97,7 +97,6 @@ def validate_simplicial(E: TruncatedSimplicialAlgebra) -> list[SimplicialViolati
         for i in range(n):
             if not E.deg(n, i).is_multiplicative():
                 out.append(SimplicialViolation("degeneracy-not-morphism", n, i, -1))
-    p = E.level(0).p
 
     def eq(a: Morphism, b: Morphism) -> bool:
         return np.array_equal(a.matrix, b.matrix)
@@ -122,9 +121,7 @@ def validate_simplicial(E: TruncatedSimplicialAlgebra) -> list[SimplicialViolati
             for i in range(n + 1):
                 comp = E.face(n, i).compose(E.deg(n, j))
                 if i == j or i == j + 1:
-                    ok = np.array_equal(comp.matrix, np.eye(E.level(n - 1).dim,
-                                                            dtype=np.int64) % p)
-                    if not ok:
+                    if not np.array_equal(comp.matrix, np.eye(E.level(n - 1).dim, dtype=np.int64)):
                         out.append(SimplicialViolation("ds-identity", n, i, j))
                 elif i < j:
                     rhs = E.deg(n - 1, j - 1).compose(E.face(n - 1, i))
@@ -243,7 +240,7 @@ def extend_level(E: TruncatedSimplicialAlgebra, normal=None) -> TruncatedSimplic
     check_word_size(dim, p)  # the fill sums dim products before Em is built
 
     # the last face of each Moore basis, in the level below
-    tops = {c: E.face(c, c).matrix @ nbases[c].basis_matrix.T % p for c in range(1, m)}
+    tops = {c: matmul(E.face(c, c).matrix, nbases[c].basis_matrix.T, p) for c in range(1, m)}
     tops[m] = bd
     faces = np.zeros((m + 1, prev.dim, dim), dtype=np.int64)
     for i in range(m + 1):
@@ -368,14 +365,14 @@ def _normal_block(E: TruncatedSimplicialAlgebra, t: CrossedChain, n: int) -> tup
     -{a (x) b} + s_1(a b), which inverts the prop3 extraction
     {a (x) b} = -p(s_1 a . s_0 b).
     """
-    C, d = t.levels[n], t.d(n).matrix
-    bd = moore_basis(E, n - 1).T @ d % C.p
+    C, d, p = t.levels[n], t.d(n).matrix, t.levels[n].p
+    bd = matmul(moore_basis(E, n - 1).T, d, p)
     if n == 1:
         return C, bd, {((), ()): C.structure, ((0,), ()): t.map("01").tensor}
     a2, L = t.map("02").tensor, t.map("()").tensor
-    via_d1 = np.einsum("ra,rxq->axq", t.d(1).matrix, a2)  # (d_1 y) . x
+    via_d1 = matmul(t.d(1).matrix.T, a2.transpose(1, 0, 2), p).transpose(1, 0, 2)  # (d_1 y) . x
     return C, bd, {((), ()): C.structure,
-                   ((1,), ()): via_d1 + np.einsum("sx,saq->axq", d, L),
+                   ((1,), ()): via_d1 + matmul(d.T, L.transpose(1, 0, 2), p),
                    ((0,), ()): via_d1,
                    ((1, 0), ()): a2,
                    ((1,), (0,)): -L}

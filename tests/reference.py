@@ -1,0 +1,77 @@
+"""Element-at-a-time references that the tests compare moorekit's tensor
+paths against: the projection p, membership in the Moore complex, the
+hypercrossed pairing C_{alpha,beta} and both sides of a Table-1 row, each
+on one pair of elements; the element supply as Element values; and a
+crossed module that fails CM2.
+
+moore.pairing_table computes every C_{alpha,beta} on whole Moore bases;
+these functions compute one value at a time through the simplicial maps
+themselves, so an agreement of the two is a check of the tables.
+"""
+
+import importlib
+
+from moorekit.coeff import BilinearMap, Element, PreconditionError, Supply, supply_rows
+from moorekit.corpus import zmod
+from moorekit.crossed import CrossedChain, zero_module_cm
+from moorekit.moore import PairingIndex, p_set, s_word_morphism
+
+# the package exports the function moore under the module's own name; the
+# module is looked up at call time, so a test may patch _printed_values
+moore_module = importlib.import_module("moorekit.moore")
+
+
+def proj_p(E, n: int, x: Element) -> Element:
+    """Apply (1 - s_j d_j) for j = 0, ..., n-1; the result kills all faces
+    below n and is idempotent."""
+    if n < 1:
+        raise ValueError("projection defined for n >= 1")
+    y = x
+    for j in range(n):
+        y = y - E.deg(n, j)(E.face(n, j)(y))
+    return y
+
+
+def in_moore(E, n: int, x: Element) -> bool:
+    """Membership in NE_n: all faces d_i, i < n, vanish."""
+    return not any(E.face(n, i)(x).coeffs.any() for i in range(n))
+
+
+def c_pairing(E, pair: PairingIndex, x: Element, y: Element) -> Element:
+    """C_{alpha,beta}(x (x) y) = p(s_alpha(x) . s_beta(y)), bilinear, valued
+    in NE_n for the ambient n of the pairing."""
+    n = pair.n
+    ca, cb = n - pair.alpha.size, n - pair.beta.size
+    if x.parent is not E.level(ca) or not in_moore(E, ca, x):
+        raise PreconditionError(f"first argument not in NE_{ca}")
+    if y.parent is not E.level(cb) or not in_moore(E, cb, y):
+        raise PreconditionError(f"second argument not in NE_{cb}")
+    sx = s_word_morphism(E, n, pair.alpha.application_order())(x)
+    sy = s_word_morphism(E, n, pair.beta.application_order())(y)
+    return proj_p(E, n, sx * sy)
+
+
+def table1_eval(E, row: int, x: Element, y: Element) -> tuple[Element, Element]:
+    """Composite left side d_4(C_{alpha,beta}(x (x) y)) and the printed
+    right side of the given Table-1 row, both as elements of E_3."""
+    if not 1 <= row <= 25:
+        raise ValueError(f"row {row} outside 1..25")
+    if E.k != 4:
+        raise PreconditionError("table rows live at truncation level 4")
+    val = c_pairing(E, p_set(4)[row - 1], x, y)
+    lhs = E.face(4, 4)(val)
+    rhs = moore_module._printed_values(E, {row: (x.coeffs[None], y.coeffs[None])})[row][0, 0]
+    return lhs, Element(E.level(3), rhs)
+
+
+def elements(A, supply: Supply = Supply()) -> list[Element]:
+    """The supply of A (coeff.supply_rows) as elements, in its order."""
+    return [Element(A, v) for v in supply_rows(A.dim, A.p, supply)[0]]
+
+
+def cm_zero_module_bad(p: int = 2) -> CrossedChain:
+    """Zero boundary out of a non-square-zero algebra: CM2 must fail."""
+    R = zmod(p)
+    M = zmod(p)  # e*e = e, so the Peiffer identity cannot hold
+    act = BilinearMap.zero(R, M, M)
+    return zero_module_cm(M, R, act, name=f"zero-module-bad@Z/{p}")

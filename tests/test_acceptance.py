@@ -12,15 +12,16 @@ import numpy as np
 
 from moorekit import corpus
 from moorekit.cli import parse_args, run_command
-from moorekit.coeff import Supply, elements
+from moorekit.coeff import Element, Supply
 from moorekit.crossed import (verify_2cm, verify_3cm, verify_cm, zero_extension, induced_cm,
                               multiplication_cm, CrossedChain)
 from moorekit.functors import hypercrossed, roundtrip_check
 from moorekit.lie import (degenerate_lie_3cm, lie_abelian, lie_heisenberg,
                           validate_lie, verify_lie_3cm, LieAlgebra)
-from moorekit.moore import (SurjIndex, lemma7_check, moore, p_set, proj_p, s_set,
-                            s_word_morphism, table1_audit, theorem5_check, in_moore)
+from moorekit.moore import (SurjIndex, lemma7_check, moore, p_set, s_set,
+                            s_word_morphism, table1_audit, theorem5_check)
 from moorekit.simplicial import decompose, degenerate_subalgebra
+from reference import cm_zero_module_bad, elements, in_moore, proj_p
 
 EXHAUSTIVE = Supply(seed=0, budget=256, exhaustive_bound=4096)
 
@@ -116,7 +117,7 @@ def test_criterion_5_crossed_corpus():
             multiplication_cm(corpus.zmod(2)),
             multiplication_cm(corpus.group_line(3))]
     ok = all(verify_cm(m).verdict == "pass" for m in mods)
-    bad = verify_cm(corpus.cm_zero_module_bad(2))
+    bad = verify_cm(cm_zero_module_bad(2))
     entry = bad.entry("CM2")
     ok = ok and entry.status == "fail" and entry.witness is not None
     verdict(5, ok, "ideal pair, zero module and both multiplication crossed "
@@ -180,7 +181,7 @@ def test_criterion_9_moore_structure(built):
                 back = sum(s_word_morphism(E, n, a.application_order()).matrix
                            @ (M @ x.coeffs % p) for a, M in dec.items()) % p
                 ok = ok and np.array_equal(back, x.coeffs)
-                normal = E.level(n).element(dec[SurjIndex((), n)] @ x.coeffs % p)
+                normal = Element(E.level(n), dec[SurjIndex((), n)] @ x.coeffs % p)
                 ok = ok and in_moore(E, n, normal)
             if not ok:
                 break

@@ -12,13 +12,14 @@ replaced.
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from moorekit import coeff, corpus, crossed, functors
 from moorekit.coeff import (Algebra, BilinearMap, Element, Morphism, Supply, Violation,
-                            subspace_elements, supply_rows)
+                            supply_rows)
 from moorekit.crossed import (ACTIONS, SIGNATURES, CrossedChain, verify_2cm, verify_3cm,
                               verify_cm, zero_extension)
 from moorekit.functors import hypercrossed, table_identities_check
@@ -31,7 +32,7 @@ CHARS = (2, 3, 5)
 def reference_evaluate(slots, fun):
     """Per-tuple sweep: the first tuple in product order where any pair
     differs, (checked, (arguments, lhs, rhs)) as _evaluate returns them."""
-    bases = [s.basis() if isinstance(s, Algebra) else
+    bases = [[s.basis_element(i) for i in range(s.dim)] if isinstance(s, Algebra) else
              [Element(s.parent, row) for row in s.coeffs] for s in slots]
     checked = 0
     for tup in itertools.product(*bases):
@@ -173,10 +174,14 @@ def test_grids_spanning_many_steps_match_reference(degree3, monkeypatch):
 @pytest.mark.parametrize("p, dim, supply", [(2, 3, Supply()), (3, 2, Supply(exhaustive_bound=4)),
                                             (5, 0, Supply(exhaustive_bound=0))])
 def test_supply_rows_are_the_element_supply(p, dim, supply):
-    A = Algebra(coeff.PrimeField(p), np.zeros((dim, dim, dim), dtype=np.int64),
-                tuple(f"e{i}" for i in range(dim)))
+    # every vector in lexicographic order within the bound, else budget
+    # vectors of random.Random(seed) draws; the zero space's is its zero vector
     rows, exhaustive = supply_rows(dim, p, supply)
-    want = [e.coeffs for e in subspace_elements(A, np.eye(dim, dtype=np.int64), supply)]
+    if dim == 0 or supply.is_exhaustive(dim, p):
+        want = list(itertools.product(range(p), repeat=dim))
+    else:
+        rng = random.Random(supply.seed)
+        want = [[rng.randrange(p) for _ in range(dim)] for _ in range(supply.budget)]
     assert np.array_equal(rows, np.array(want, dtype=np.int64).reshape(len(want), dim))
     assert exhaustive == (dim == 0 or supply.is_exhaustive(dim, p))
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from moorekit import coeff, corpus
 from moorekit.cli import main, parse_args, run_command
+from reference import cm_zero_module_bad
 
 S2 = ["()", "(1)", "(0)", "(1,0)"]
 S4 = ["()", "(3)", "(2)", "(3,2)", "(1)", "(3,1)", "(2,1)", "(3,2,1)",
@@ -95,9 +96,8 @@ def test_exit_code_1_for_failures():
     code, out = run(["verify-xmod", "zero-module-bad"]) if False else (None, None)
     # the bad example is not in the corpus document; simulate via validate
     from moorekit.document import DocumentBuilder
-    from moorekit import corpus as corpus_mod
     b = DocumentBuilder()
-    b.crossed(corpus_mod.cm_zero_module_bad(2), "bad")
+    b.crossed(cm_zero_module_bad(2), "bad")
     import tempfile, os
     with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as fh:
         fh.write(b.dumps())
@@ -351,35 +351,83 @@ def test_exit_code_65_for_malformed_config(key, value, tmp_path, capsys):
     assert captured.out == ""
 
 
-# every number is read by one reader: a fraction is refused, not truncated,
-# and a number beyond a double (1e400) or int64 is refused, not raised
-@pytest.mark.parametrize("value", ["1.5", "2.9", "1e400", "9223372036854775808"])
-@pytest.mark.parametrize("path, where", [
-    (("algebras", "ideal-pair.R", "structure", 0, 3), "algebras.ideal-pair.R"),
-    (("algebras", "ideal-pair.R", "structure", 1, 1), "algebras.ideal-pair.R"),
-    (("lie_algebras", "heisenberg", "bracket", 0, 3), "lie_algebras.heisenberg"),
-    (("algebras", "ideal-pair.R", "p"), "algebras.ideal-pair.R.p"),
-    (("algebras", "ideal-pair.R", "dim"), "algebras.ideal-pair.R.dim"),
-    (("algebras", "ideal-pair.R", "identity"), "algebras.ideal-pair.R.identity"),
-    (("simplicial", "ideal-pair", "k"), "simplicial.ideal-pair.k"),
-    (("simplicial", "ideal-pair", "faces", "1,0", "matrix", 0, 0),
-     "simplicial.ideal-pair.faces[1,0]"),
-    (("crossed_modules", "ideal-pair", "boundary", 1, 0), "crossed_modules.ideal-pair"),
-    (("crossed_modules", "ideal-pair", "action", 0, 3), "crossed_modules.ideal-pair.action"),
-    (("config", "seed"), "config.seed"),
-    (("config", "characteristics", 0), "config.characteristics")])
-def test_exit_code_65_for_a_number_that_is_no_64_bit_integer(path, where, value, tmp_path,
-                                                             capsys):
+# one site of each kind a document holds a number at, as a path into the document
+NUMBER_SITES = [
+    ("algebras", "ideal-pair.R", "structure", 0, 3),
+    ("algebras", "ideal-pair.R", "structure", 1, 1),
+    ("lie_algebras", "heisenberg", "bracket", 0, 3),
+    ("algebras", "ideal-pair.R", "p"),
+    ("algebras", "ideal-pair.R", "dim"),
+    ("algebras", "ideal-pair.R", "identity"),
+    ("simplicial", "ideal-pair", "k"),
+    ("simplicial", "ideal-pair", "faces", "1,0", "matrix", 0, 0),
+    ("crossed_modules", "ideal-pair", "boundary", 1, 0),
+    ("crossed_modules", "ideal-pair", "action", 0, 3),
+    ("config", "seed"),
+    ("config", "characteristics", 0)]
+
+
+def _validate_with(path, value, tmp_path) -> int:
+    """main on `validate ideal-pair` over the p = 2 corpus document with the
+    JSON text `value` at `path`."""
     from moorekit.document import corpus_document
     doc = json.loads(corpus_document(2))
     doc["config"] = {"seed": 0, "characteristics": [2]}
     node = doc
     for step in path[:-1]:
         node = node[step]
-    node[path[-1]] = "@number@"
-    (tmp_path / "doc.json").write_text(json.dumps(doc).replace('"@number@"', value))
-    assert main(["--input", str(tmp_path / "doc.json"), "validate", "ideal-pair"]) == 65
+    node[path[-1]] = "@value@"
+    (tmp_path / "doc.json").write_text(json.dumps(doc).replace('"@value@"', value))
+    return main(["--input", str(tmp_path / "doc.json"), "validate", "ideal-pair"])
+
+
+# every number is read by one reader: a fraction is refused, not truncated,
+# and a number beyond a double (1e400) or int64 is refused, not raised
+@pytest.mark.parametrize("value", ["1.5", "2.9", "1e400", "9223372036854775808"])
+@pytest.mark.parametrize("path, where", zip(NUMBER_SITES, [
+    "algebras.ideal-pair.R", "algebras.ideal-pair.R", "lie_algebras.heisenberg",
+    "algebras.ideal-pair.R.p", "algebras.ideal-pair.R.dim", "algebras.ideal-pair.R.identity",
+    "simplicial.ideal-pair.k", "simplicial.ideal-pair.faces[1,0]", "crossed_modules.ideal-pair",
+    "crossed_modules.ideal-pair.action", "config.seed", "config.characteristics"]))
+def test_exit_code_65_for_a_number_that_is_no_64_bit_integer(path, where, value, tmp_path,
+                                                             capsys):
+    assert _validate_with(path, value, tmp_path) == 65
     assert _document_error(capsys).startswith(where + ":")
+
+
+# a JSON boolean is no number, so it is refused where it stands instead of
+# loading as 0 or 1; so is one in place of a name or a basis label
+@pytest.mark.parametrize("value", ["true", "false"])
+@pytest.mark.parametrize("path", NUMBER_SITES + [("algebras", "ideal-pair.R", "basis", 0),
+                                                 ("simplicial", "ideal-pair", "levels", 1)])
+def test_exit_code_65_for_a_json_boolean(path, value, tmp_path, capsys):
+    assert _validate_with(path, value, tmp_path) == 65
+    where = path[0] + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in path[1:])
+    assert _document_error(capsys) == f"{where}: {value} refused: a document holds no booleans"
+
+
+# the loader runs in a child whose address space is capped at 1 GiB, so a
+# loader that allocates for the dim fails there and not on the machine
+_CAPPED_VALIDATE = """import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from moorekit.cli import main
+sys.exit(main(["--input", sys.argv[1], "validate", "A"]))
+"""
+
+
+@pytest.mark.parametrize("dim, labels", [(513, None), (10 ** 9, None), (10 ** 9, ["a"])])
+def test_exit_code_65_for_a_dim_beyond_the_cell_bound(dim, labels, tmp_path):
+    body = {"p": 2, "dim": dim, **({"basis": labels} if labels else {})}
+    (tmp_path / "doc.json").write_text(json.dumps({"algebras": {"A": body}}))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_VALIDATE, str(tmp_path / "doc.json")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 65, proc.stderr[-2000:]
+    from moorekit.document import MAX_CELLS
+    assert MAX_CELLS == 512 ** 3
+    detail = json.loads(proc.stderr)["detail"]
+    assert detail == f"algebras.A.dim: dim {dim} exceeds {MAX_CELLS} structure cells"
 
 
 @pytest.mark.parametrize("name", ["top-degree-3", "top-degree-4"])

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from moorekit import coeff, corpus
 from moorekit.coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
                             PreconditionError, PrimeField, StructureError,
-                            Supply, algebras_equal, elements, ideal_closure, kernel, mul,
+                            Supply, algebras_equal, ideal_closure, kernel,
                             null_space, quadratic_points, quotient, rref, subalgebra,
-                            validate_algebra)
+                            supply_rows, validate_algebra)
+from reference import elements
 
 
 def poly_mul_mod(a, b, rel, p):
@@ -32,14 +33,13 @@ def poly_mul_mod(a, b, rel, p):
 def test_prime_field_rejects_composite():
     with pytest.raises(StructureError):
         PrimeField(6)
-    assert PrimeField(97).inv(3) * 3 % 97 == 1
 
 
 def test_mul_dual_numbers_nilpotent():
     A = corpus.dual_numbers(2)
     eps = A.basis_element(1)
-    assert mul(eps, eps).is_zero()
-    assert mul(A.zero(), eps).is_zero()
+    assert not (eps * eps).coeffs.any()
+    assert not (A.zero() * eps).coeffs.any()
 
 
 def test_mul_group_line_against_poly_oracle():
@@ -48,7 +48,7 @@ def test_mul_group_line_against_poly_oracle():
     for a in itertools.product(range(3), repeat=2):
         for b in itertools.product(range(3), repeat=2):
             want = poly_mul_mod(list(a), list(b), [1, 0], 3)
-            got = A.element(a) * A.element(b)
+            got = Element(A, a) * Element(A, b)
             assert list(got.coeffs) == want
     t = A.basis_element(1)
     assert t * t == A.basis_element(0)
@@ -61,8 +61,8 @@ def test_mul_vec_reduces_after_each_contraction():
     A = Algebra(PrimeField(p), np.full((dim, dim, dim), p - 1), tuple("abcd"))
     top = np.full(dim, p - 1)
     assert list(A.mul_vec(top, top)) == [p - dim * dim] * dim
-    f = BilinearMap.from_multiplication(A)
-    assert list(f.apply_vecs(top, top)) == [p - dim * dim] * dim
+    f = BilinearMap(A, A, A, A.structure)
+    assert list(f(Element(A, top), Element(A, top)).coeffs) == [p - dim * dim] * dim
 
 
 def test_is_multiplicative_at_a_large_prime():
@@ -104,7 +104,7 @@ def test_word_size_limit_rejects_overflowing_primes():
 def test_mul_parent_mismatch():
     A, B = corpus.dual_numbers(2), corpus.dual_numbers(3)
     with pytest.raises(StructureError):
-        mul(A.basis_element(0), B.basis_element(0))
+        A.basis_element(0) * B.basis_element(0)
 
 
 def test_validate_algebra_accepts_quotient_ring():
@@ -150,7 +150,7 @@ def test_ideal_closure_idempotent_and_monotone():
     B = corpus.truncated_poly(3, 4)
     gens = [B.basis_element(2)]
     I = ideal_closure(B, gens)
-    again = ideal_closure(B, I.basis_elements())
+    again = ideal_closure(B, [Element(B, r) for r in I.basis_matrix])
     assert I == again
     bigger = ideal_closure(B, gens + [B.basis_element(1)])
     assert bigger.contains(I.basis_matrix)
@@ -168,7 +168,7 @@ def test_quotient_dual_by_eps_is_base_field():
     A = corpus.dual_numbers(2)
     Q, pi = quotient(A, ideal_closure(A, [A.basis_element(1)]))
     assert Q.dim == 1 and Q.structure[0, 0, 0] == 1
-    assert pi(A.basis_element(1)).is_zero()
+    assert not pi(A.basis_element(1)).coeffs.any()
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -214,18 +214,16 @@ def test_kernel_rejects_non_multiplicative():
         kernel(f)
 
 
-def test_elements_exhaustive_and_sampled():
-    Z = corpus.zmod(2)
-    assert sorted(tuple(e.coeffs) for e in elements(Z)) == [(0,), (1,)]
-    D = corpus.dual_numbers(2)
-    assert len(list(elements(D))) == 4
+def test_supply_rows_exhaustive_and_sampled():
+    rows, every = supply_rows(1, 2)
+    assert rows.tolist() == [[0], [1]] and every
+    rows, every = supply_rows(2, 2)
+    assert len(rows) == 4 and every
 
-    big = corpus.square_zero(2, 20)
-    run1 = [tuple(e.coeffs) for e in elements(big)]
-    run2 = [tuple(e.coeffs) for e in elements(big)]
-    assert len(run1) == 256 and run1 == run2
-    other = [tuple(e.coeffs) for e in elements(big, Supply(seed=1))]
-    assert run1 != other
+    run1, every = supply_rows(20, 2)
+    assert run1.shape == (256, 20) and not every
+    assert np.array_equal(run1, supply_rows(20, 2)[0])
+    assert not np.array_equal(run1, supply_rows(20, 2, Supply(seed=1))[0])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -281,7 +279,7 @@ def test_quotient_projection_is_multiplicative_with_kernel(p):
        st.lists(st.integers(0, 4), min_size=3, max_size=3))
 def test_property_ring_laws_truncated_poly(a, b, c):
     A = corpus.truncated_poly(5, 3)
-    x, y, z = A.element(a), A.element(b), A.element(c)
+    x, y, z = Element(A, a), Element(A, b), Element(A, c)
     assert x * y == y * x
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
@@ -291,7 +289,7 @@ def test_property_ring_laws_truncated_poly(a, b, c):
 @given(st.lists(st.integers(0, 2), min_size=4, max_size=4))
 def test_property_ideal_closure_contains_generator(vec):
     A = corpus.truncated_poly(3, 4)
-    g = A.element(vec)
+    g = Element(A, vec)
     I = ideal_closure(A, [g])
     assert I.contains(g)
     assert I.is_mult_closed()

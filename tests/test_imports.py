@@ -61,3 +61,88 @@ def test_orphaned_private_names_finds_a_helper_no_module_reads():
 def test_every_private_name_of_the_package_is_read_by_some_module():
     sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
     assert orphaned_private_names(sources) == []
+
+
+def _reads(tree) -> set:
+    """The names a tree reads, as a name or as an attribute."""
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def unread_public_functions(sources: dict, readers: list, exported: set) -> list[str]:
+    """The public functions and methods defined in the modules of sources
+    (module name -> source; dunder names aside) whose name no module of
+    sources and no source in readers reads and exported does not hold."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set(exported).union(*map(_reads, trees.values()), *(_reads(ast.parse(r)) for r in readers))
+    out = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs = [(node.name, node.name)]
+            elif isinstance(node, ast.ClassDef):
+                defs = [(f"{node.name}.{f.name}", f.name) for f in node.body
+                        if isinstance(f, ast.FunctionDef)]
+            else:
+                defs = []
+            out += [f"{module}.{qual}" for qual, name in defs
+                    if not name.startswith("_") and name not in read]
+    return sorted(out)
+
+
+def raw_products(source: str) -> list[str]:
+    """Each matrix product of a module written outside coeff.matmul, as
+    "<function>: <form>": the @ operator, np.matmul, np.dot, np.tensordot
+    and np.einsum, each with the qualified name of the function around it."""
+    forms = {"matmul": "np.matmul", "dot": "np.dot", "tensordot": "np.tensordot",
+             "einsum": "np.einsum"}
+    out = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            out.append(f"{where}: @")
+        if isinstance(node, ast.Attribute) and node.attr in forms:
+            out.append(f"{where}: {forms[node.attr]}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_unread_public_functions_finds_a_function_only_tests_read():
+    sources = {"a": "def used(): pass\ndef orphan(): pass\ndef _private(): pass\n"
+                    "class C:\n    def __init__(self): pass\n    def method(self): pass\n"
+                    "    def spare(self): pass\n",
+               "b": "from a import used\nused()\n"}
+    assert unread_public_functions(sources, ["x.method()\n"], {"orphan"}) == ["a.C.spare"]
+
+
+def test_every_public_function_of_the_package_is_read_outside_the_tests():
+    # a function that only tests read belongs in the tests (tests/reference.py)
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")
+               if p.name != "__init__.py"}
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = {a.asname or a.name for node in ast.walk(init) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    readers = [p.read_text(encoding="utf-8") for p in (PACKAGE.parent.parent / "bench").rglob("*.py")]
+    assert unread_public_functions(sources, readers, exported) == []
+
+
+def test_raw_products_finds_each_form_in_its_function():
+    source = ("import numpy as np\ndef f(a):\n    return a @ a % 2\n"
+              "class K:\n    def g(self, a):\n        a @= a\n        return np.dot(a, np.einsum('ij->i', a))\n"
+              "def h(a):\n    return np.tensordot(a, a, 1) + np.matmul(a, a)\n")
+    assert raw_products(source) == ["f: @", "K.g: @", "K.g: np.dot", "K.g: np.einsum",
+                                    "h: np.tensordot", "h: np.matmul"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_every_matrix_product_goes_through_matmul(module):
+    # coeff.matmul chooses int64 or float64 and guards the word size for every
+    # product; multiplication_cm's two outer products sum over no index
+    allowed = {"coeff.py": ["matmul: np.matmul", "matmul: np.matmul"],
+               "crossed.py": ["multiplication_cm: np.einsum", "multiplication_cm: np.einsum"]}
+    assert raw_products((PACKAGE / module).read_text(encoding="utf-8")) == allowed.get(module, [])

@@ -23,7 +23,7 @@ def test_heisenberg_jacobi_by_hand():
             for l in range(3):
                 a, b, c = L.basis_element(i), L.basis_element(j), L.basis_element(l)
                 total = (a * b) * c + (b * c) * a + (c * a) * b
-                assert total.is_zero()
+                assert not total.coeffs.any()
 
 
 def test_validate_lie_rejects_alternating_violation():

@@ -7,7 +7,7 @@ from moorekit import corpus
 from moorekit import simplicial as simplicial_mod
 from moorekit.coeff import (Algebra, BilinearMap, Ideal, Morphism,
                             PreconditionError, StructureError, Supply,
-                            elements, rref, validate_algebra)
+                            rref, validate_algebra)
 from moorekit.crossed import CrossedChain, verify_2cm, verify_cm, zero_extension
 from moorekit.document import corpus_document
 from moorekit.moore import (SurjIndex, _projection_matrix, moore, moore_basis, normal_form,
@@ -17,6 +17,7 @@ from moorekit.simplicial import (TruncatedSimplicialAlgebra, _normal_block,
                                  decompose, degenerate_ideal,
                                  degenerate_subalgebra, extend_level, realize, truncate,
                                  validate_simplicial)
+from reference import cm_zero_module_bad, elements
 
 SMALL = Supply(budget=24, exhaustive_bound=512)
 
@@ -265,7 +266,7 @@ def test_build_from_crossed_properties():
 def test_build_from_crossed_rejects_invalid():
     from moorekit.coeff import PreconditionError
     with pytest.raises(PreconditionError):
-        realize(corpus.cm_zero_module_bad(2), 2)
+        realize(cm_zero_module_bad(2), 2)
 
 
 @pytest.mark.parametrize("k", [-1, 0])
@@ -480,7 +481,7 @@ def test_extend_level_names_the_missing_crossed_module(p, built):
 def test_extend_level_with_a_normal_block_keeps_the_top_face_guard(p):
     # zero-module-bad fails CM2 only; given directly, past verify_cm, its
     # level 1 exists and the forced level 2 is refused at the top face
-    cm = corpus.cm_zero_module_bad(p)
+    cm = cm_zero_module_bad(p)
     assert [e.name for e in verify_cm(cm).failing()] == ["CM2"]
     (R, C), action = cm.levels, cm.map("01")
     E0 = TruncatedSimplicialAlgebra((R,))
