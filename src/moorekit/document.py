@@ -146,18 +146,23 @@ def _int(value, loc) -> int:
     return int(_ints(value, loc))
 
 
-def _level_index(key, loc) -> tuple[int, int]:
-    """A face or degeneracy key "n,i" as (n, i)."""
+def _level_index(key, group, k, loc) -> tuple[int, int]:
+    """A face or degeneracy key "n,i" as (n, i): 1 <= n <= k, and 0 <= i <= n
+    for a face, 0 <= i <= n - 1 for a degeneracy."""
     try:
         n, i = (int(v) for v in key.split(","))
     except ValueError:
         raise DocumentError(f"key {key!r} is not \"n,i\"", loc) from None
+    face = group == "faces"
+    if not (1 <= n <= k and 0 <= i <= (n if face else n - 1)):
+        bound = "n" if face else "n - 1"
+        raise DocumentError(f"key {key!r} outside 1 <= n <= {k}, 0 <= i <= {bound}", loc)
     return n, i
 
 
 def _dense_tensor(triples, shape, p, loc) -> np.ndarray:
     arr = _ints(triples, loc) if isinstance(triples, list) else None
-    if arr is None or arr.size and arr.shape[1:] != (4,):
+    if arr is None or arr.shape != (0,) and arr.shape[1:] != (4,):
         raise DocumentError("structure must be a list of [i, j, k, coeff]", loc)
     t = np.zeros(shape, dtype=np.int64)
     for i, j, k, c in arr.tolist():
@@ -177,9 +182,11 @@ def _load_algebra(section, name, body) -> Algebra:
     try:
         fld = PrimeField(p)
         labels = body["basis"] if "basis" in body else [f"e{i}" for i in range(dim)]
-        basis = tuple(str(b) for b in labels)
     except (TypeError, ValueError) as exc:
         raise DocumentError(f"bad algebra header: {exc}", loc)
+    if not isinstance(labels, list) or any(isinstance(b, (list, dict)) for b in labels):
+        raise DocumentError("basis must be a list of labels", f"{loc}.basis")
+    basis = tuple(str(b) for b in labels)
     if len(basis) != dim:
         raise DocumentError(f"{len(basis)} basis labels for dim {dim}", loc)
     struct = _dense_tensor(body.get(key, []), (dim, dim, dim), fld.p, loc)
@@ -206,11 +213,14 @@ def _resolve(table, name, loc):
 
 
 def _morphism(src, tgt, matrix, loc) -> Morphism:
-    """The map src -> tgt by a target x source matrix; [] is the zero map.
-    The lists are converted once; Morphism reduces that array mod p."""
+    """The map src -> tgt by a target x source matrix; [] is the zero map,
+    and any other matrix has the map's shape.  The lists are converted once;
+    Morphism reduces that array mod p."""
     mat = _ints(matrix, loc)
+    if mat.shape == (0,):
+        mat = np.zeros((tgt.dim, src.dim), dtype=np.int64)
     try:
-        return Morphism(src, tgt, mat if mat.size else np.zeros((tgt.dim, src.dim), dtype=np.int64))
+        return Morphism(src, tgt, mat)
     except ValueError as exc:
         raise DocumentError(str(exc), loc)
 
@@ -287,7 +297,7 @@ def load_document(text: str) -> Document:
         levels = tuple(_resolve(doc.algebras, nm, loc) for nm in level_names)
         maps = {}
         for group in ("faces", "degeneracies"):
-            maps[group] = {_level_index(key, f"{loc}.{group}[{key}]"):
+            maps[group] = {_level_index(key, group, k, f"{loc}.{group}[{key}]"):
                            _load_morphism(mor, doc.algebras, f"{loc}.{group}[{key}]")
                            for key, mor in _object(body.get(group, {}), f"{loc}.{group}").items()}
         try:

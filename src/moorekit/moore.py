@@ -17,6 +17,7 @@ composite applies j = 0, ..., n-1 in that order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 import weakref
@@ -65,14 +66,18 @@ class SurjIndex:
 
 
 def s_set(n: int) -> list[SurjIndex]:
-    """All 2^n surjection indices at level n, in the printed order."""
+    """All 2^n surjection indices at level n, in the printed order; a fresh
+    list of the indices _s_set(n) sorted once per process."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    subsets = []
-    for r in range(n + 1):
-        for combo in itertools.combinations(range(n), r):
-            subsets.append(SurjIndex(tuple(reversed(combo)), n))
-    return sorted(subsets, key=SurjIndex.order_key)
+    return list(_s_set(n))
+
+
+@functools.cache
+def _s_set(n: int) -> tuple[SurjIndex, ...]:
+    subsets = [SurjIndex(tuple(reversed(combo)), n)
+               for r in range(n + 1) for combo in itertools.combinations(range(n), r)]
+    return tuple(sorted(subsets, key=SurjIndex.order_key))
 
 
 @dataclass(frozen=True)
@@ -174,10 +179,12 @@ def push_face(i: int, applied: Sequence[int]) -> tuple[tuple[int, ...], int | No
 # the Moore complex
 
 
-# face kernels, Moore complexes, degeneracy words, decompositions and
-# pairing tables, computed once per simplicial object and handed down to
-# the objects that extend it (_hand_down): the objects are immutable, and
-# no value refers back to its object, so an entry goes with its object
+# face kernels, the Moore spaces NE_n as Ideals (_moore_space), Moore
+# complexes, degeneracy words, decompositions and pairing tables, computed
+# once per simplicial object and handed down to the objects that extend it
+# (_hand_down): the objects are immutable, and no value refers back to its
+# object, so an entry goes with its object.  What depends on the level
+# alone, as s_set and simplicial's index plans, is kept once per process.
 _MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -212,6 +219,13 @@ def face_kernel(E, n: int, faces) -> np.ndarray:
 def moore_basis(E, n: int) -> np.ndarray:
     """rref basis of NE_n = intersection of ker d_i, i < n (all of E_0 at n=0)."""
     return face_kernel(E, n, range(n))
+
+
+def _moore_space(E, n: int) -> Ideal:
+    """NE_n as an Ideal of E_n, computed once per object: extend_level reads
+    the Moore spaces of every level below the new one, and _moore_complex
+    the same spaces of the object it is given."""
+    return _memo(E, ("space", n), lambda: Ideal(E.level(n), moore_basis(E, n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,15 +268,14 @@ def _moore_complex(E) -> MooreComplex:
     algebras = []
     inclusions = []
     for n in range(E.k + 1):
-        basis = moore_basis(E, n)
-        ideal = Ideal(E.level(n), basis)
+        ideal = _moore_space(E, n)
         if not ideal.is_mult_closed():
             raise PreconditionError(f"NE_{n} is not an ideal; invalid simplicial data")
         if n == 0:
             # NE_0 is all of E_0; keep the level algebra itself
             sub, incl = E.level(0), Morphism.identity(E.level(0))
         else:
-            sub, incl = subalgebra(E.level(n), basis, name=f"NE{n}")
+            sub, incl = subalgebra(E.level(n), ideal.basis_matrix, name=f"NE{n}")
         spaces.append(ideal)
         algebras.append(sub)
         inclusions.append(incl)

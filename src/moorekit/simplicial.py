@@ -17,10 +17,18 @@ levels, which happens on valid simplicial data too: cubic-chain cut at
 level 1 is valid, but its NE_1 -> E_0 is no crossed module, so no level 2
 with NE_2 = 0 exists.  `realize` starts from E_0 = C_0 and appends the
 normal block NE_n = C_n of each level n of the chain (`_normal_block`).
+
+Where a face or a degeneracy sends each block s_alpha NE_c is fixed by the
+simplicial identities and depends on the level alone.  Those index plans,
+_face_plan and _deg_plan, are built on first use and kept once per
+process, as moore.s_set is.  What depends on the object, its Moore spaces,
+degeneracy words and decompositions, is kept once per object in
+moore._memo and handed down to each object extend_level returns.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import accumulate
 from types import MappingProxyType
@@ -30,8 +38,8 @@ import numpy as np
 from .coeff import (Algebra, Ideal, Morphism, PreconditionError, StructureError,
                     bilinear, check_word_size, ideal_closure, matmul, rref, sweep_step)
 from .crossed import CrossedChain, verify_2cm, verify_cm
-from .moore import (SurjIndex, _hand_down, _memo, moore_basis, normal_form, push_face,
-                    s_set, s_word_morphism)
+from .moore import (SurjIndex, _hand_down, _memo, _moore_space, moore_basis, normal_form,
+                    push_face, s_set, s_word_morphism)
 from .report import PASS
 
 
@@ -186,15 +194,18 @@ def decompose(E: TruncatedSimplicialAlgebra, n: int) -> dict:
     matrix M_alpha that sends x in E_n to its component in NE_{n-#alpha},
     so x = sum_alpha s_alpha M_alpha x; computed once per object.  The
     blocks are peeled in the bracketing order, j = 0 first, each splitting
-    d_j of what is left by decompose(E, n - 1); the rest is M_() = p."""
+    d_j of what is left by decompose(E, n - 1), read once, with the index
+    s_j s_gamma of each block taken from _deg_plan(n); the rest is
+    M_() = p."""
     def make():
         p, rest, out = E.level(0).p, np.eye(E.level(n).dim, dtype=np.int64), {}
+        below, plan = (decompose(E, n - 1), _deg_plan(n)) if n else ({}, {})
         for j in range(n):
             u = matmul(E.face(n, j).matrix, rest, p)
-            for gamma, M in decompose(E, n - 1).items():
-                word = normal_form(gamma.application_order() + (j,))
-                if min(word) == j:  # keys with smaller entries were peeled already
-                    out[SurjIndex(word[::-1], n)] = matmul(M, u, p)
+            for gamma, M in below.items():
+                alpha = plan[gamma][j]
+                if alpha.entries[-1] == j:  # keys with smaller entries were peeled already
+                    out[alpha] = matmul(M, u, p)
             rest = (rest - matmul(E.deg(n, j).matrix, u, p)) % p
         out[SurjIndex((), n)] = rest
         for M in out.values():
@@ -202,6 +213,41 @@ def decompose(E: TruncatedSimplicialAlgebra, n: int) -> dict:
         return {a: out[a] for a in s_set(n)}
 
     return _memo(E, ("decompose", n), make)
+
+
+# ---------------------------------------------------------------------------
+# index plans, once per process: they depend on the level alone
+
+
+@functools.cache
+def _face_plan(m: int, normal: bool) -> MappingProxyType:
+    """Where each face d_i of level m sends the blocks s_alpha NE_c, c =
+    m - #alpha, alpha in S(m) nonempty, or also empty when `normal`: keyed
+    by each distinct block (word, c, top), the normal-form degeneracy word
+    into E_{m-1}, in application order, the Moore component c, and whether
+    the top face d_c of NE_c comes first; the value is every (i, alpha)
+    that block fills.  A face that kills the component fills nothing."""
+    alphas, blocks = [a for a in s_set(m) if a.size or normal], {}
+    for i in range(m + 1):
+        for a in alphas:
+            c = m - a.size
+            word, f = push_face(i, a.application_order())
+            if f is not None and f < c:
+                continue  # the face kills the Moore component
+            if f is not None and (f > c or c == 0):
+                raise StructureError("face index escaped its level")
+            blocks.setdefault((normal_form(word), c, f is not None), []).append((i, a))
+    return MappingProxyType({key: tuple(fills) for key, fills in blocks.items()})
+
+
+@functools.cache
+def _deg_plan(m: int) -> MappingProxyType:
+    """For every gamma of S(m - 1), in the printed order, the index alpha
+    of S(m) that s_j s_gamma is, for j = 0..m-1."""
+    return MappingProxyType({
+        gamma: tuple(SurjIndex(normal_form(gamma.application_order() + (j,))[::-1], m)
+                     for j in range(m))
+        for gamma in s_set(m - 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -220,19 +266,23 @@ def extend_level(E: TruncatedSimplicialAlgebra, normal=None) -> TruncatedSimplic
     those two blocks, a tensor indexed [alpha row, beta row, C]; the pair
     (beta, alpha) is its mirror and an unlisted pair is zero.
 
-    Each stage works on whole bases: the faces follow the simplicial
-    identities symbolically on the Moore bases, each rewritten word
-    evaluated by s_word_morphism; s_j sends x in E_{m-1} to the blocks
-    s_j s_gamma of the matrices M_gamma of decompose(E, m - 1); and every
-    product is filled from its faces at once, in steps over the first
-    factor, starting from its normal component.  Raises when the forced
-    product is inconsistent at the top face: no such level exists, as for
-    cubic-chain cut at level 1, whose NE_1 -> E_0 is no crossed module.
+    Each stage works on whole bases and reads the index plans of level m.
+    The faces follow the simplicial identities symbolically on the Moore
+    bases (_face_plan): each distinct block (word, c, top) is one product
+    of s_word_morphism with the Moore basis of NE_c, or with its top face,
+    placed at every (i, alpha) it fills.  s_j sends x in E_{m-1} to the
+    blocks s_j s_gamma (_deg_plan) of the matrices M_gamma of
+    decompose(E, m - 1), and the coordinates of each M_gamma in its Moore
+    basis are solved once and placed for every j.  Every product is filled
+    from its faces at once, in steps over the first factor, starting from
+    its normal component.  Raises when the forced product is inconsistent
+    at the top face: no such level exists, as for cubic-chain cut at
+    level 1, whose NE_1 -> E_0 is no crossed module.
     """
     m, p = E.k + 1, E.level(0).p
     prev = E.level(m - 1)
     C, bd, nu = normal or (None, None, {})
-    nbases = {c: Ideal(E.level(c), moore_basis(E, c)) for c in range(m)}
+    nbases = {c: _moore_space(E, c) for c in range(m)}
     alphas = [a for a in s_set(m) if a.size or normal]
     sizes = [nbases[m - a.size].dim if a.size else C.dim for a in alphas]
     offs = dict(zip(alphas, accumulate([0] + sizes)))
@@ -243,30 +293,23 @@ def extend_level(E: TruncatedSimplicialAlgebra, normal=None) -> TruncatedSimplic
     tops = {c: matmul(E.face(c, c).matrix, nbases[c].basis_matrix.T, p) for c in range(1, m)}
     tops[m] = bd
     faces = np.zeros((m + 1, prev.dim, dim), dtype=np.int64)
-    for i in range(m + 1):
-        for a in alphas:
-            c = m - a.size
-            word, f = push_face(i, a.application_order())
-            if f is None:
-                base = nbases[c].basis_matrix.T
-            elif f < c:
-                continue  # the face kills the Moore component
-            elif f > c or c == 0:
-                raise StructureError("face index escaped its level")
-            else:
-                base, c = tops[c], c - 1
-            block = matmul(s_word_morphism(E, m - 1, normal_form(word)).matrix, base, p)
-            faces[i, :, offs[a]:offs[a] + block.shape[1]] = block
+    for (word, c, top), fills in _face_plan(m, normal is not None).items():
+        base = tops[c] if top else nbases[c].basis_matrix.T
+        if base.shape[1]:  # an empty component fills no column
+            block = matmul(s_word_morphism(E, m - 1, word).matrix, base, p)
+            for i, a in fills:
+                faces[i, :, offs[a]:offs[a] + block.shape[1]] = block
 
     degs = np.zeros((m, dim, prev.dim), dtype=np.int64)
-    for j in range(m):
-        for gamma, M in decompose(E, m - 1).items():
-            alpha = SurjIndex(normal_form(gamma.application_order() + (j,))[::-1], m)
-            basis = nbases[m - alpha.size]
-            if basis.dim:
-                degs[j, offs[alpha]:offs[alpha] + basis.dim] = basis.coords(M.T).T
-            elif M.any():
-                raise PreconditionError("component escapes its Moore subspace")
+    plan = _deg_plan(m)
+    for gamma, M in decompose(E, m - 1).items():
+        basis = nbases[m - 1 - gamma.size]
+        if basis.dim:
+            coords = basis.coords(M.T).T
+            for j, alpha in enumerate(plan[gamma]):
+                degs[j, offs[alpha]:offs[alpha] + basis.dim] = coords
+        elif M.any():
+            raise PreconditionError("component escapes its Moore subspace")
 
     # the C-component of every product; it has no columns when NE_m = 0
     prods = np.zeros((dim, dim, C.dim if normal else 0), dtype=np.int64)

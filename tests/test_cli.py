@@ -208,6 +208,14 @@ def test_exit_code_65_for_bad_algebra_prime(p, tmp_path, capsys):
     assert "algebras.A" in captured.err and captured.out == ""
 
 
+# only [] holds no triples; an empty list inside it is no [i, j, k, coeff]
+@pytest.mark.parametrize("structure", [[[]], [[[]]]], ids=["empty-triple", "nested-empty"])
+def test_exit_code_65_for_nested_empty_structure_triples(structure, tmp_path, capsys):
+    body = {"p": 2, "dim": 1, "structure": structure}
+    assert _main_on_document({"algebras": {"A": body}}, ["validate", "A"], tmp_path) == 65
+    assert _document_error(capsys) == "algebras.A: structure must be a list of [i, j, k, coeff]"
+
+
 def test_a_failing_action_law_names_its_first_failing_tuple(tmp_path, capsys):
     # R = k[x]/(x^2) acts on a square-zero line by x.c = c and 1.c = 0, so
     # (1 x).c = c but 1.(x.c) = 0
@@ -312,8 +320,9 @@ def test_exit_code_65_for_missing_crossed_key(section, command, name, key, tmp_p
     ("two_crossed_modules", "verify-2xmod", "cubic-chain", "lifting"),
     ("three_crossed_modules", "verify-3xmod", "m", "liftings[()]"),
     ("lie_three_crossed", "lie-verify", "heisenberg-chain", "actions[01]")])
-@pytest.mark.parametrize("entry", [[0, 0, 0, "a"], [0, 0, 0], 7, {"no": "triples"}],
-                         ids=["non-integer", "three-long", "not-a-list", "no-triples"])
+@pytest.mark.parametrize("entry", [[0, 0, 0, "a"], [0, 0, 0], 7, {"no": "triples"}, []],
+                         ids=["non-integer", "three-long", "not-a-list", "no-triples",
+                              "empty-triple"])
 def test_exit_code_65_for_malformed_three_crossed_map(entry, section, command, name, key,
                                                       tmp_path, capsys):
     doc = _crossed_document(section)
@@ -336,6 +345,40 @@ def test_exit_code_65_for_malformed_simplicial_key(section, key, bad, tmp_path, 
     where = f"simplicial.ideal-pair.{section}[{bad}]"
     assert json.loads(captured.err)["detail"].startswith(where + ":")
     assert captured.out == ""
+
+
+# a face (n, i) has 1 <= n <= k and 0 <= i <= n, a degeneracy 0 <= i <= n - 1
+@pytest.mark.parametrize("section, bad", [
+    ("faces", "9,0"), ("faces", "1,-1"), ("faces", "0,0"), ("faces", "2,3"),
+    ("degeneracies", "5,0"), ("degeneracies", "2,2"), ("degeneracies", "1,-1")])
+def test_exit_code_65_for_a_simplicial_key_outside_the_truncation(section, bad, tmp_path,
+                                                                  capsys):
+    from moorekit.document import corpus_document
+    doc = json.loads(corpus_document(2))
+    maps = doc["simplicial"]["ideal-pair"][section]
+    maps[bad] = maps["1,0"]
+    assert _main_on_document(doc, ["validate", "ideal-pair"], tmp_path) == 65
+    bound = "n" if section == "faces" else "n - 1"
+    assert _document_error(capsys) == (f"simplicial.ideal-pair.{section}[{bad}]: key '{bad}' "
+                                       f"outside 1 <= n <= 4, 0 <= i <= {bound}")
+
+
+@pytest.mark.parametrize("labels", ['"ab"', '{"a": 0, "b": 1}', '[["a"], "b"]', '["a", {}]'],
+                         ids=["string", "object", "list-label", "object-label"])
+def test_exit_code_65_for_a_basis_that_is_no_list_of_labels(labels, tmp_path, capsys):
+    assert _validate_with(("algebras", "ideal-pair.E0", "basis"), labels, tmp_path) == 65
+    assert _document_error(capsys) == "algebras.ideal-pair.E0.basis: basis must be a list of labels"
+
+
+# only [] is the zero map; an empty row list stands for a map of its own shape
+@pytest.mark.parametrize("matrix, shape", [("[[]]", (1, 0)), ("[[], []]", (2, 0)),
+                                           ("[[0, 0, 0]]", (1, 3))],
+                         ids=["one-empty-row", "two-empty-rows", "one-row"])
+def test_exit_code_65_for_a_face_matrix_of_another_shape(matrix, shape, tmp_path, capsys):
+    path = ("simplicial", "ideal-pair", "faces", "1,0", "matrix")
+    assert _validate_with(path, matrix, tmp_path) == 65
+    assert _document_error(capsys) == (
+        f"simplicial.ideal-pair.faces[1,0]: matrix shape {shape}, expected (2, 3)")
 
 
 @pytest.mark.parametrize("key, value", [("seed", "x"), ("budget", [1]), ("exhaustive_bound", None),

@@ -12,7 +12,7 @@ from moorekit.functors import hypercrossed
 from moorekit.lie import LieAlgebra, verify_lie_3cm
 from moorekit.coeff import Algebra, algebras_equal
 from moorekit.moore import moore
-from moorekit.simplicial import validate_simplicial
+from moorekit.simplicial import concentrated_simplicial, validate_simplicial
 
 
 def _carriers(obj):
@@ -85,6 +85,26 @@ def test_simplicial_document_roundtrip(built):
     back = doc.simplicial["probe"]
     assert validate_simplicial(back) == []
     assert [s.dim for s in moore(back).spaces] == [2, 1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_empty_matrices_round_trip_at_their_shapes(dim):
+    # a map out of a zero level dumps as [] into a zero level, as [[]] into a
+    # line and as [[], []] into a plane; each loads back at its own shape
+    E = concentrated_simplicial(corpus.square_zero(2, dim), 2, 2)
+    b = DocumentBuilder()
+    b.simplicial(E, "probe")
+    body = json.loads(b.dumps())["simplicial"]["probe"]
+    back = load_document(b.dumps()).simplicial["probe"]
+    shapes = set()
+    for group in ("faces", "degeneracies"):
+        for (n, i), mor in getattr(E, group).items():
+            rows, cols = mor.matrix.shape
+            if cols == 0:
+                assert body[group][f"{n},{i}"]["matrix"] == [[]] * rows
+                shapes.add((rows, cols))
+            assert getattr(back, group)[(n, i)].matrix.shape == (rows, cols)
+    assert shapes == {(0, 0), (dim, 0)}
 
 
 def test_load_reduces_mod_p():

@@ -45,6 +45,16 @@ def test_s_set_printed_orders():
         assert len(s_set(n)) == 2 ** n
 
 
+def test_s_set_returns_a_fresh_list_each_call():
+    # the sorted indices are kept once per process; a caller's list is its own
+    first = s_set(3)
+    first.reverse()
+    first.append(SurjIndex((0,), 1))
+    del first[:2]
+    assert [str(a) for a in s_set(3)] == S3
+    assert s_set(3) is not s_set(3)
+
+
 def test_p_set_printed_lists():
     assert [str(q) for q in p_set(2)] == ["(1)(0)"]
     assert [str(q) for q in p_set(3)] == P3

@@ -331,14 +331,17 @@ def test_concentrated_objects():
 # batched level extension against the per-basis reference
 
 
-def reference_extend_level(E):
+def reference_extend_level(E, normal=None):
     """Per-basis reference for extend_level: degeneracy words applied one
     degeneracy at a time, the decomposition matrices read one column per
     basis element and degeneracy, and the product tensor filled one (u, v)
-    pair at a time.  Returns the new level's structure, faces and
-    degeneracies."""
+    pair at a time.  With normal = (C, bd, nu) the empty index is the first
+    block, NE_m = C: bd is its top face, its other faces vanish, and each
+    product starts from its C-component in nu.  Returns the new level's
+    structure, faces and degeneracies."""
     m = E.k + 1
     p = E.level(0).p
+    C, bd, nu = normal or (None, None, {})
 
     def apply_s_chain(start, word, v):
         for lvl, j in enumerate(word, start + 1):
@@ -347,17 +350,22 @@ def reference_extend_level(E):
 
     prev = E.level(m - 1)
     nbases = {c: Ideal(E.level(c), moore_basis(E, c)) for c in range(m)}
-    alphas = [a for a in s_set(m) if a.size > 0]
-    offs = {}
+    alphas = [a for a in s_set(m) if a.size > 0 or normal]
+    offs, sizes = {}, {}
     dim = 0
     for a in alphas:
         offs[a] = dim
-        dim += nbases[m - a.size].dim
+        sizes[a] = nbases[m - a.size].dim if a.size else C.dim
+        dim += sizes[a]
 
     face_mats = {}
     for i in range(m + 1):
         M = np.zeros((prev.dim, dim), dtype=np.int64)
         for a in alphas:
+            if not a.size:
+                if i == m:
+                    M[:, :C.dim] = bd % p
+                continue
             c = m - a.size
             base = nbases[c].basis_matrix
             word, f = push_face(i, a.application_order())
@@ -389,12 +397,26 @@ def reference_extend_level(E):
                     raise PreconditionError("component escapes its Moore subspace")
         deg_mats[j] = M
 
+    def block(u):
+        """(entries of the block holding basis element u, u's row in it)"""
+        a = next(a for a in alphas if offs[a] <= u < offs[a] + sizes[a])
+        return a.entries, u - offs[a]
+
+    def normal_component(u, v):
+        (a, x), (b, y) = block(u), block(v)
+        if (a, b) in nu:
+            return nu[(a, b)][x, y] % p
+        if (b, a) in nu:
+            return nu[(b, a)][y, x] % p
+        return np.zeros(C.dim if normal else 0, dtype=np.int64)
+
     struct = np.zeros((dim, dim, dim), dtype=np.int64)
     for u in range(dim):
         fu = [face_mats[i][:, u] for i in range(m + 1)]
         for v in range(u, dim):
             target = [prev.mul_vec(fu[i], face_mats[i][:, v]) for i in range(m + 1)]
             w = np.zeros(dim, dtype=np.int64)
+            w[:C.dim if normal else 0] = normal_component(u, v)
             for j in range(m):
                 w = (w + deg_mats[j] @ ((target[j] - face_mats[j] @ w) % p)) % p
             if ((face_mats[m] @ w - target[m]) % p).any():
@@ -425,6 +447,24 @@ def test_extend_level_matches_per_basis_reference(p):
                 assert np.array_equal(ext.face(n, i).matrix, face_mats[i]), (name, n, i)
             for j in range(n):
                 assert np.array_equal(ext.deg(n, j).matrix, deg_mats[j]), (name, n, j)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_normal_levels_match_per_basis_reference(p):
+    # the levels 1..m that realize builds from a chain's normal blocks, each
+    # against the reference given the same block
+    chains = [*corpus.crossed_corpus(p).items(), *corpus.two_crossed_corpus(p).items()]
+    assert len(chains) == 10
+    for name, t in chains:
+        E = realize(t)
+        for n in range(1, len(t.boundaries) + 1):
+            below = truncate(E, n - 1)
+            struct, face_mats, deg_mats = reference_extend_level(below, _normal_block(below, t, n))
+            assert np.array_equal(E.level(n).structure, struct), (name, n)
+            for i in range(n + 1):
+                assert np.array_equal(E.face(n, i).matrix, face_mats[i]), (name, n, i)
+            for j in range(n):
+                assert np.array_equal(E.deg(n, j).matrix, deg_mats[j]), (name, n, j)
 
 
 @pytest.mark.parametrize("p, digest", [
