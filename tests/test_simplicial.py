@@ -342,6 +342,7 @@ def reference_extend_level(E, normal=None):
     m = E.k + 1
     p = E.level(0).p
     C, bd, nu = normal or (None, None, {})
+    cdim = C.dim if normal else 0
 
     def apply_s_chain(start, word, v):
         for lvl, j in enumerate(word, start + 1):
@@ -355,7 +356,7 @@ def reference_extend_level(E, normal=None):
     dim = 0
     for a in alphas:
         offs[a] = dim
-        sizes[a] = nbases[m - a.size].dim if a.size else C.dim
+        sizes[a] = nbases[m - a.size].dim if a.size else cdim
         dim += sizes[a]
 
     face_mats = {}
@@ -364,7 +365,7 @@ def reference_extend_level(E, normal=None):
         for a in alphas:
             if not a.size:
                 if i == m:
-                    M[:, :C.dim] = bd % p
+                    M[:, :cdim] = bd % p
                 continue
             c = m - a.size
             base = nbases[c].basis_matrix
@@ -408,7 +409,7 @@ def reference_extend_level(E, normal=None):
             return nu[(a, b)][x, y] % p
         if (b, a) in nu:
             return nu[(b, a)][y, x] % p
-        return np.zeros(C.dim if normal else 0, dtype=np.int64)
+        return np.zeros(cdim, dtype=np.int64)
 
     struct = np.zeros((dim, dim, dim), dtype=np.int64)
     for u in range(dim):
@@ -416,7 +417,7 @@ def reference_extend_level(E, normal=None):
         for v in range(u, dim):
             target = [prev.mul_vec(fu[i], face_mats[i][:, v]) for i in range(m + 1)]
             w = np.zeros(dim, dtype=np.int64)
-            w[:C.dim if normal else 0] = normal_component(u, v)
+            w[:cdim] = normal_component(u, v)
             for j in range(m):
                 w = (w + deg_mats[j] @ ((target[j] - face_mats[j] @ w) % p)) % p
             if ((face_mats[m] @ w - target[m]) % p).any():
