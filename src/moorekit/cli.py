@@ -54,6 +54,17 @@ def nonnegative(text: str) -> int:
     return n
 
 
+SSET_MAX = 16  # `sset n` builds its 2^n indices before it prints one
+
+
+def sset_level(text: str) -> int:
+    """The n of `sset n`, from 0 to SSET_MAX."""
+    n = nonnegative(text)
+    if n > SSET_MAX:
+        raise ValueError(f"{n} is above {SSET_MAX}")
+    return n
+
+
 def positive(text: str) -> int:
     n = int(text)
     if n < 1:
@@ -106,7 +117,7 @@ COMMANDS = {
     "verify-2xmod": Command((_NAME,), kinds=("two-crossed",)),
     "verify-3xmod": Command((_NAME,), kinds=("three-crossed",)),
     "lie-verify": Command((_NAME,), kinds=("lie-three-crossed", "lie-algebra")),
-    "sset": Command((("n", nonnegative),)),
+    "sset": Command((("n", sset_level),)),
     "pset": Command((("n", (2, 3, 4)),)),
     "pairings": Command(),
     "roundtrip": Command(options={"--level": (("1", "2", "both"), "both")}),
@@ -353,7 +364,7 @@ def _named_records(args, kind, obj, extra_lines: list) -> list[CheckRecord]:
         try:
             mc = moore(obj)
             records.append(CheckRecord(f"moore[{name}]", PASS,
-                                       detail={"dims": [s.dim for s in mc.spaces],
+                                       detail={"dims": [A.dim for A in mc.algebras],
                                                "length": mc.length()}))
         except PreconditionError as exc:
             records.append(CheckRecord(f"moore[{name}]", FAIL, detail={"error": str(exc)}))

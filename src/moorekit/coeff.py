@@ -336,9 +336,6 @@ class Element:
         return (isinstance(other, Element) and self.parent is other.parent
                 and np.array_equal(self.coeffs, other.coeffs))
 
-    def __hash__(self):
-        return hash((id(self.parent), self.coeffs.tobytes()))
-
     def __repr__(self):
         return f"Element({self.coeffs.tolist()})"
 
@@ -385,9 +382,6 @@ class Morphism:
         return (isinstance(other, Morphism) and self.source is other.source
                 and self.target is other.target
                 and np.array_equal(self.matrix, other.matrix))
-
-    def __hash__(self):
-        return hash((id(self.source), id(self.target), self.matrix.tobytes()))
 
     @staticmethod
     def identity(A: Algebra) -> Morphism:
@@ -444,9 +438,6 @@ class Ideal:
         return (isinstance(other, Ideal) and self.parent is other.parent
                 and np.array_equal(self.basis_matrix, other.basis_matrix))
 
-    def __hash__(self):
-        return hash((id(self.parent), self.basis_matrix.tobytes()))
-
     def __repr__(self):
         return f"<Ideal dim={self.dim} of {self.parent!r}>"
 
@@ -477,9 +468,6 @@ class BilinearMap:
         return (isinstance(other, BilinearMap) and self.left is other.left
                 and self.right is other.right and self.target is other.target
                 and np.array_equal(self.tensor, other.tensor))
-
-    def __hash__(self):
-        return hash(self.tensor.tobytes())
 
     @staticmethod
     def zero(left: Algebra, right: Algebra, target: Algebra) -> BilinearMap:

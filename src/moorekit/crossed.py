@@ -38,7 +38,7 @@ from .report import FAIL, PASS, CheckRecord
 
 # The levels of the left argument, the right argument and the value of
 # every action ("ab": C_a acting on C_b) and lifting (keyed by its
-# pairing) a crossed chain can carry; "(0)(2)" names the map "(2)(0)".
+# pairing) a crossed chain can carry.
 SIGNATURES = {"01": (0, 1, 1), "02": (0, 2, 2), "03": (0, 3, 3),
               "12": (1, 2, 2), "13": (1, 3, 3), "23": (2, 3, 3),
               "(1)(0)": (2, 2, 3), "(2)(0)": (2, 2, 3), "(2)(1)": (2, 2, 3),
@@ -72,12 +72,6 @@ class AxiomReport:
     @property
     def verdict(self) -> str:
         return PASS if all(e.status == PASS for e in self.entries) else FAIL
-
-    def entry(self, name: str) -> AxiomEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
 
     def failing(self) -> list[AxiomEntry]:
         return [e for e in self.entries if e.status != PASS]
@@ -147,8 +141,8 @@ def _sweep(name: str, slots, fun) -> AxiomEntry:
     return AxiomEntry(name, FAIL, checked, failure[0])
 
 
-def _flag(name: str, ok: bool, detail: dict | None = None) -> AxiomEntry:
-    return AxiomEntry(name, PASS if ok else FAIL, 1, None if ok else (detail or {}))
+def _flag(name: str, ok: bool) -> AxiomEntry:
+    return AxiomEntry(name, PASS if ok else FAIL, 1, None if ok else {})
 
 
 def _action_laws(name: str, act: BilinearMap) -> AxiomEntry:
@@ -206,7 +200,7 @@ class CrossedChain:
         return self.boundaries[n - 1]
 
     def map(self, key: str) -> BilinearMap:
-        return self.maps["(2)(0)" if key == "(0)(2)" else key]
+        return self.maps[key]
 
 
 def zero_extension(base: CrossedChain, m: int, tops=None, name: str = "") -> CrossedChain:
@@ -378,14 +372,6 @@ def _two_cm_sweeps(t: CrossedChain, prefix: str = "",
     ]
     return [_sweep(prefix + name, slots, fun) for name, slots, fun in axioms
             if name not in omit]
-
-
-def induced_cm(t: CrossedChain) -> CrossedChain:
-    """Quotient C1 by the image of d2, an ideal; the induced boundary and
-    action form a crossed module."""
-    bottom = CrossedChain(t.levels[:2], t.boundaries[:1], {"01": t.map("01")},
-                          (t.name or "2cm") + "-induced")
-    return _divide_top(bottom, t.d(2), np.eye(t.levels[2].dim, dtype=np.int64))
 
 
 def _divide_top(chain: CrossedChain, above: Morphism, rows) -> CrossedChain:

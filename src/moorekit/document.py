@@ -2,11 +2,15 @@
 crossed structures and Lie structures in one file.
 
 Structure tensors are stored as sparse [i, j, k, coeff] triples with
-omitted entries zero; matrices are dense row-major target x source.
-Every number passes one reader, _ints, which refuses fractions and numbers
-beyond int64; coefficients are reduced mod p.  JSON booleans and a dim
-beyond MAX_CELLS are refused too.  Name resolution failures, shape problems
-and refused values raise DocumentError with a location path.
+omitted entries zero; matrices are dense row-major target x source; a face
+or degeneracy is keyed "n,i" in canonical form, "1,0" and not " 1,0" or
+"01,0".  Every number passes one reader, _ints, which refuses fractions
+and numbers beyond int64; coefficients are reduced mod p.  A document
+gives every value once: a key repeated in one object, a triple (i, j, k)
+repeated in one structure and an identity given to a Lie algebra are
+refused, as are JSON booleans and a dim beyond MAX_CELLS.  Name resolution
+failures, shape problems and refused values raise DocumentError with a
+location path.
 
 The four crossed sections (crossed modules, 2- and 3-crossed modules and
 Lie 3-crossed modules) hold one type, crossed.CrossedChain, and one table,
@@ -17,12 +21,14 @@ one dumper (DocumentBuilder.crossed) read it.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 import numpy as np
 
+from . import corpus
 from .coeff import Algebra, BilinearMap, Morphism, PrimeField, StructureError
 from .crossed import ACTIONS, CARRIED, SIGNATURES, CrossedChain
 from .lie import LieAlgebra
@@ -112,14 +118,36 @@ def _object(value, loc) -> dict:
     return value
 
 
-def _refuse_booleans(raw) -> None:
-    """A DocumentError at the first JSON boolean of a parsed document, at its
-    path; load_document walks only a text that holds `true` or `false`."""
+class _Repeated(dict):
+    """A JSON object that gives its key `key` more than once, as parsed by
+    _object_pairs: the last value of each key."""
+    key: str
+
+
+def _object_pairs(pairs: list, marked: list) -> dict:
+    """The object_pairs_hook of load_document: a JSON object as a dict, or
+    as a _Repeated, also appended to `marked`, when it gives a key twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set = set()
+        obj = _Repeated(obj)
+        obj.key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        marked.append(obj)
+    return obj
+
+
+def _refuse_booleans_and_repeats(raw) -> None:
+    """A DocumentError at the first JSON boolean or object that repeats a key
+    (_Repeated) of a parsed document, at its path, in document order;
+    load_document walks only a text that holds `true` or `false` or where
+    _object_pairs met a repeated key."""
     stack = [(raw, "")]
     while stack:
         value, loc = stack.pop()
         if isinstance(value, bool):
             raise DocumentError(f"{json.dumps(value)} refused: a document holds no booleans", loc)
+        if isinstance(value, _Repeated):
+            raise DocumentError(f"key {value.key!r} given twice", loc or "document")
         if isinstance(value, dict):
             stack.extend((v, f"{loc}.{k}" if loc else k) for k, v in reversed(value.items()))
         elif isinstance(value, list):
@@ -147,10 +175,13 @@ def _int(value, loc) -> int:
 
 
 def _level_index(key, group, k, loc) -> tuple[int, int]:
-    """A face or degeneracy key "n,i" as (n, i): 1 <= n <= k, and 0 <= i <= n
-    for a face, 0 <= i <= n - 1 for a degeneracy."""
+    """A face or degeneracy key "n,i" as (n, i): canonical, as
+    f"{n},{i}" writes it, with 1 <= n <= k, and 0 <= i <= n for a face,
+    0 <= i <= n - 1 for a degeneracy."""
     try:
         n, i = (int(v) for v in key.split(","))
+        if key != f"{n},{i}":
+            raise ValueError(key)
     except ValueError:
         raise DocumentError(f"key {key!r} is not \"n,i\"", loc) from None
     face = group == "faces"
@@ -164,10 +195,13 @@ def _dense_tensor(triples, shape, p, loc) -> np.ndarray:
     arr = _ints(triples, loc) if isinstance(triples, list) else None
     if arr is None or arr.shape != (0,) and arr.shape[1:] != (4,):
         raise DocumentError("structure must be a list of [i, j, k, coeff]", loc)
-    t = np.zeros(shape, dtype=np.int64)
+    t, seen = np.zeros(shape, dtype=np.int64), set()
     for i, j, k, c in arr.tolist():
         if not (0 <= i < shape[0] and 0 <= j < shape[1] and 0 <= k < shape[2]):
             raise DocumentError(f"index ({i},{j},{k}) outside dim {shape}", loc)
+        if (i, j, k) in seen:
+            raise DocumentError(f"triple ({i},{j},{k}) given twice", loc)
+        seen.add((i, j, k))
         t[i, j, k] = c % p
     return t
 
@@ -190,7 +224,9 @@ def _load_algebra(section, name, body) -> Algebra:
     if len(basis) != dim:
         raise DocumentError(f"{len(basis)} basis labels for dim {dim}", loc)
     struct = _dense_tensor(body.get(key, []), (dim, dim, dim), fld.p, loc)
-    identity = body.get("identity") if cls is Algebra else None
+    identity = body.get("identity")
+    if identity is not None and cls is not Algebra:
+        raise DocumentError("a Lie algebra has no identity", f"{loc}.identity")
     identity = None if identity is None else _int(identity, f"{loc}.identity")
     try:
         return cls(fld, struct, basis, identity, name=name)
@@ -259,14 +295,15 @@ def _load_bilinear(body, left, right, target, loc) -> BilinearMap:
 
 
 def load_document(text: str) -> Document:
+    marked: list = []
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=functools.partial(_object_pairs, marked=marked))
     except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError(f"invalid JSON: {exc}", "document")
     if not isinstance(raw, dict):
         raise DocumentError("document must be a JSON object", "document")
-    if "true" in text or "false" in text:
-        _refuse_booleans(raw)
+    if marked or "true" in text or "false" in text:
+        _refuse_booleans_and_repeats(raw)
     # documents of earlier versions and of bench/inputs.py carry a config
     # object; its keys are checked, though nothing reads them
     cfg = _object(raw.get("config", {}), "config")
@@ -385,16 +422,15 @@ def corpus_document(p: int = 2, names=None) -> str:
     are built and serialized; a named command passes its name and the entry
     that owns a carrier name (``ideal-pair`` for ``ideal-pair.E0``), so its
     name resolves as in the whole corpus."""
-    from . import corpus as corpus_mod
     b = DocumentBuilder()
-    for name, cm in corpus_mod.crossed_corpus(p, names).items():
+    for name, cm in corpus.crossed_corpus(p, names).items():
         b.crossed(cm, name)
-    for name, t in corpus_mod.two_crossed_corpus(p, names).items():
+    for name, t in corpus.two_crossed_corpus(p, names).items():
         b.crossed(t, name, "two_crossed_modules")
-    for name, E in corpus_mod.simplicial_corpus(p, names).items():
+    for name, E in corpus.simplicial_corpus(p, names).items():
         b.simplicial(E, name)
-    for name, L in corpus_mod.lie_corpus(p, names).items():
+    for name, L in corpus.lie_corpus(p, names).items():
         b.algebra(L, name, "lie_algebras")
-    for name, m in corpus_mod.lie_three_corpus(p, names).items():
+    for name, m in corpus.lie_three_corpus(p, names).items():
         b.crossed(m, name, "lie_three_crossed")
     return b.dumps()

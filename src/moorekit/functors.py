@@ -31,11 +31,12 @@ from dataclasses import replace
 
 import numpy as np
 
+from . import corpus
 from .coeff import (BilinearMap, PreconditionError, algebras_equal, intersect_row_spaces,
                     matmul)
 from .crossed import (ACTIONS, CARRIED, SIGNATURES, CrossedChain, _axioms_3cm2_to_16,
                       _divide_top, _equivariance_entries, _evaluate, verify_cm)
-from .moore import moore, p_set, pairing_table, s_word_morphism
+from .moore import _moore_space, moore, p_set, pairing_table, s_word_morphism
 from .report import CONFIRMED, DISCREPANT, FAIL, PASS, CheckRecord
 from .simplicial import TruncatedSimplicialAlgebra, _verified, degenerate_ideal, realize
 
@@ -43,10 +44,9 @@ PROP3 = "prop3"
 DEF1 = "def1"
 
 
-def _map_tensor(E: TruncatedSimplicialAlgebra, mc, key: str, sign: int = 1) -> np.ndarray:
+def _map_tensor(E: TruncatedSimplicialAlgebra, key: str, sign: int = 1) -> np.ndarray:
     """The tensor of one extracted action or lifting on every pair of Moore
-    basis elements (of the Moore complex mc of E), its levels read from
-    SIGNATURES.
+    basis elements of E, its levels read from SIGNATURES.
 
     The action of C_a on C_b multiplies in E_b after the degeneracy word
     s_{b-1}...s_a; a lifting is sign times the pairing C_{alpha,beta} its
@@ -57,14 +57,14 @@ def _map_tensor(E: TruncatedSimplicialAlgebra, mc, key: str, sign: int = 1) -> n
     left, right, value = SIGNATURES[key]
     p = E.level(0).p
     if key in ACTIONS:
-        bx, by = mc.inclusions[left].matrix.T, mc.inclusions[right].matrix.T
+        bx, by = _moore_space(E, left).basis_matrix, _moore_space(E, right).basis_matrix
         word = s_word_morphism(E, value, tuple(range(left, value))).matrix
         vals = E.level(value).mul_vec(matmul(bx, word.T, p)[:, None], by[None])
     else:
         printed = "(1)(0)" if key == "()" else key
         pair = next(q for q in p_set(value) if str(q) == printed)
         vals = sign * pairing_table(E, value)[pair] % p
-    return mc.spaces[value].coords(vals)
+    return _moore_space(E, value).coords(vals)
 
 
 def hypercrossed(E: TruncatedSimplicialAlgebra, m: int,
@@ -87,7 +87,7 @@ def hypercrossed(E: TruncatedSimplicialAlgebra, m: int,
     if m == 2 and mc.length() > 2:
         raise PreconditionError("Moore length exceeds 2")
     levels = mc.algebras[:m + 1]
-    maps = {key: BilinearMap(*(levels[i] for i in SIGNATURES[key]), _map_tensor(E, mc, key, sign))
+    maps = {key: BilinearMap(*(levels[i] for i in SIGNATURES[key]), _map_tensor(E, key, sign))
             for key in CARRIED[m]}
     chain = CrossedChain(levels, mc.boundaries[:m], maps,
                          (E.name or "simplicial") + ("-xmod", "-2xmod", "-3xmod")[m - 1])
@@ -95,12 +95,12 @@ def hypercrossed(E: TruncatedSimplicialAlgebra, m: int,
         _verified(verify_cm(chain), "NE_1 -> NE_0 of a 1-truncation")
     prov = {}
     if m == 3:
-        ne4, D4 = mc.spaces[4], degenerate_ideal(E, 4)
+        ne4, D4 = _moore_space(E, 4), degenerate_ideal(E, 4)
         cap = intersect_row_spaces(ne4.basis_matrix, D4.basis_matrix, E.level(4).p)
         rows = ne4.coords(cap)
         prov["ne4_cap_d4_dim"] = int(cap.shape[0])
     elif m == 1 and mc.length() > 1:
-        rows = np.eye(mc.spaces[2].dim, dtype=np.int64)
+        rows = np.eye(mc.algebras[2].dim, dtype=np.int64)
         chain = replace(chain, name=chain.name + "/quotiented")
     else:
         return chain, prov
@@ -203,10 +203,9 @@ def _table2_record(name: str, checked: int, failure) -> CheckRecord:
 def roundtrip_check(level: int, p: int = 2) -> list[CheckRecord]:
     """Build then extract every corpus item at the given level and compare
     the two field by field on the nose."""
-    from . import corpus as corpus_mod
     if level not in (1, 2):
         raise ValueError("round trips defined at levels 1 and 2")
-    items = (corpus_mod.crossed_corpus, corpus_mod.two_crossed_corpus)[level - 1](p)
+    items = (corpus.crossed_corpus, corpus.two_crossed_corpus)[level - 1](p)
     return [CheckRecord(f"roundtrip{level}[{name}]",
                         PASS if _same(hypercrossed(realize(s), level)[0], s) else FAIL)
             for name, s in items.items()]

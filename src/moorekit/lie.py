@@ -83,17 +83,17 @@ def lie_heisenberg(p: int) -> LieAlgebra:
 # Lie crossed chains
 
 
-def verify_lie_crossed(m: CrossedChain, title: str = "lie-crossed") -> AxiomReport:
+def verify_lie_crossed(m: CrossedChain) -> AxiomReport:
     """Boundary rule and Peiffer identity with brackets."""
     entries = [
         _flag("boundary-bracket-morphism", m.d(1).is_multiplicative()),
         _lie_action_laws("lie-action", m.map("01")),
         *_cm_sweeps(m, "L"),
     ]
-    return AxiomReport(title, tuple(entries))
+    return AxiomReport("lie-crossed", tuple(entries))
 
 
-def verify_lie_2cm(t: CrossedChain, title: str = "lie-2cm") -> AxiomReport:
+def verify_lie_2cm(t: CrossedChain) -> AxiomReport:
     """Bracketized two-crossed axioms; y . x = {y (x) d2 x} as before."""
     d1, d2 = t.boundaries
     entries = [
@@ -104,7 +104,7 @@ def verify_lie_2cm(t: CrossedChain, title: str = "lie-2cm") -> AxiomReport:
         _lie_action_laws("action-l2", t.map("02")),
         *_two_cm_sweeps(t, "L", omit=("2CM4ii",)),
     ]
-    return AxiomReport(title, tuple(entries))
+    return AxiomReport("lie-2cm", tuple(entries))
 
 
 def verify_lie_3cm(m: CrossedChain) -> AxiomReport:
@@ -113,7 +113,7 @@ def verify_lie_3cm(m: CrossedChain) -> AxiomReport:
     quadratic points of C2, everything else on basis tuples."""
     entries = _structure_entries(m, "bracket-morphism")
     entries += [_lie_action_laws(f"lie-action-{key}", m.map(key)) for key in ACTIONS]
-    entries += _prefixed("d3-crossed", verify_lie_crossed(_top(m, 1), "d3"))
+    entries += _prefixed("d3-crossed", verify_lie_crossed(_top(m, 1)))
     entries += _prefixed("3CM1", verify_lie_2cm(_top(m, 2)))
     entries += _sweep_3cm2_to_16(m)
     return AxiomReport(m.name or "lie-3cm", tuple(entries))

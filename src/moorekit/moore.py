@@ -179,12 +179,14 @@ def push_face(i: int, applied: Sequence[int]) -> tuple[tuple[int, ...], int | No
 # the Moore complex
 
 
-# face kernels, the Moore spaces NE_n as Ideals (_moore_space), Moore
-# complexes, degeneracy words, decompositions and pairing tables, computed
-# once per simplicial object and handed down to the objects that extend it
-# (_hand_down): the objects are immutable, and no value refers back to its
-# object, so an entry goes with its object.  What depends on the level
-# alone, as s_set and simplicial's index plans, is kept once per process.
+# face kernels (moore_basis among them), the Moore spaces NE_n as Ideals
+# (_moore_space, the one handle on NE_n that the package passes around),
+# Moore complexes, degeneracy words, decompositions and pairing tables,
+# computed once per simplicial object and handed down to the objects that
+# extend it (_hand_down): the objects are immutable, and no value refers
+# back to its object, so an entry goes with its object.  What depends on
+# the level alone, as s_set and simplicial's index plans, is kept once per
+# process.
 _MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -232,29 +234,17 @@ def _moore_space(E, n: int) -> Ideal:
 class MooreComplex:
     """Normal chain complex of a truncated simplicial algebra.
 
-    spaces[n] is NE_n as an Ideal of E_n; algebras[n] realizes NE_n as
-    an algebra on the rref basis, with inclusions[n] the embedding and
-    boundaries[n] the restriction of the last face, NE_n -> NE_{n-1}.
+    algebras[n] realizes NE_n as an algebra on the rref basis of
+    _moore_space(E, n) (E_0 itself at n = 0), and boundaries[n - 1] is the
+    restriction of the last face, NE_n -> NE_{n-1}, in those bases.
     """
 
-    spaces: tuple[Ideal, ...]
     algebras: tuple[Algebra, ...]
-    inclusions: tuple[Morphism, ...]
     boundaries: tuple[Morphism, ...]  # boundaries[n - 1]: algebras[n] -> algebras[n - 1]
 
-    @property
-    def k(self) -> int:
-        return len(self.spaces) - 1
-
     def length(self) -> int:
-        top = 0
-        for n in range(self.k + 1):
-            if n >= 1 and self.spaces[n].dim > 0:
-                top = n
-        return top
-
-    def boundary(self, n: int) -> Morphism:
-        return self.boundaries[n - 1]
+        """The highest n >= 1 with NE_n != 0, or 0."""
+        return max((n for n, A in enumerate(self.algebras) if n and A.dim), default=0)
 
 
 def moore(E) -> MooreComplex:
@@ -264,36 +254,27 @@ def moore(E) -> MooreComplex:
 
 def _moore_complex(E) -> MooreComplex:
     """Compute the Moore complex; verifies d d = 0 and ideal-ness of each NE_n."""
-    spaces = []
     algebras = []
-    inclusions = []
     for n in range(E.k + 1):
-        ideal = _moore_space(E, n)
-        if not ideal.is_mult_closed():
+        ne = _moore_space(E, n)
+        if not ne.is_mult_closed():
             raise PreconditionError(f"NE_{n} is not an ideal; invalid simplicial data")
-        if n == 0:
-            # NE_0 is all of E_0; keep the level algebra itself
-            sub, incl = E.level(0), Morphism.identity(E.level(0))
-        else:
-            sub, incl = subalgebra(E.level(n), ideal.basis_matrix, name=f"NE{n}")
-        spaces.append(ideal)
-        algebras.append(sub)
-        inclusions.append(incl)
+        # NE_0 is all of E_0; keep the level algebra itself
+        algebras.append(subalgebra(E.level(n), ne.basis_matrix, name=f"NE{n}")[0] if n
+                        else E.level(0))
     boundaries = []
     for n in range(1, E.k + 1):
         # last face restricted to NE_n, in the rref coordinates of NE_{n-1}
-        d_last = E.face(n, n)
-        img = matmul(inclusions[n].matrix.T, d_last.matrix.T, E.level(n).p)
-        if not spaces[n - 1].contains(img):
+        below = _moore_space(E, n - 1)
+        img = matmul(_moore_space(E, n).basis_matrix, E.face(n, n).matrix.T, E.level(n).p)
+        if not below.contains(img):
             raise PreconditionError(
                 f"boundary image escapes NE_{n - 1}; invalid simplicial data")
-        mat = spaces[n - 1].coords(img).T
-        boundaries.append(Morphism(algebras[n], algebras[n - 1], mat))
+        boundaries.append(Morphism(algebras[n], algebras[n - 1], below.coords(img).T))
     for n in range(2, E.k + 1):
         if matmul(boundaries[n - 2].matrix, boundaries[n - 1].matrix, E.level(0).p).any():
             raise PreconditionError(f"boundary o boundary nonzero at level {n}")
-    return MooreComplex(tuple(spaces), tuple(algebras), tuple(inclusions),
-                        tuple(boundaries))
+    return MooreComplex(tuple(algebras), tuple(boundaries))
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +432,8 @@ def boundary_image_and_pairing_product(E, n: int) -> tuple[np.ndarray, np.ndarra
     is kept, each piece of the pass reduced into it as it comes, and its
     ideal closure is the right side."""
     p = E.level(0).p
-    mc = moore(E)
-    img_cols = matmul(mc.inclusions[n - 1].matrix, mc.boundaries[n - 1].matrix, p)
-    lhs = rref(img_cols.T, p)[0]
+    img = matmul(moore(E).boundaries[n - 1].matrix.T, _moore_space(E, n - 1).basis_matrix, p)
+    lhs = rref(img, p)[0]
     A, pairs = E.level(n - 1), p_set(n)
     # K_I for the complement I of an index's entries
     kernels = {s: face_kernel(E, n - 1, set(range(n)) - set(s.entries))

@@ -1,5 +1,5 @@
 """Truncated simplicial algebras: validation against the simplicial
-identities, truncation, degenerate ideals and subalgebras, the semidirect
+identities, degenerate ideals and subalgebras, the semidirect
 decomposition, one level builder, and `realize`, which realizes crossed
 and 2-crossed modules as simplicial algebras.
 
@@ -140,17 +140,6 @@ def validate_simplicial(E: TruncatedSimplicialAlgebra) -> list[SimplicialViolati
                     if not eq(comp, rhs):
                         out.append(SimplicialViolation("sd", n, i, j))
     return out
-
-
-def truncate(E: TruncatedSimplicialAlgebra, m: int) -> TruncatedSimplicialAlgebra:
-    """Forget all levels above m."""
-    if not 0 <= m <= E.k:
-        raise ValueError(f"truncation level {m} outside 0..{E.k}")
-    return TruncatedSimplicialAlgebra(
-        E.levels[:m + 1],
-        {key: f for key, f in E.faces.items() if key[0] <= m},
-        {key: s for key, s in E.degeneracies.items() if key[0] <= m},
-        name=f"{E.name}|{m}" if E.name else "")
 
 
 def degenerate_ideal(E: TruncatedSimplicialAlgebra, n: int) -> Ideal:

@@ -1,20 +1,27 @@
-"""Element-at-a-time references that the tests compare moorekit's tensor
-paths against: the projection p, membership in the Moore complex, the
-hypercrossed pairing C_{alpha,beta} and both sides of a Table-1 row, each
-on one pair of elements; the element supply as Element values; and a
-crossed module that fails CM2.
+"""What the tests read and moorekit does not: element-at-a-time
+references that the tests compare moorekit's tensor paths against (the
+projection p, membership in the Moore complex, the hypercrossed pairing
+C_{alpha,beta} and both sides of a Table-1 row, each on one pair of
+elements), the element supply as Element values, a crossed module that
+fails CM2, an axiom report's entry by name, the truncation of a simplicial
+object and the crossed module a 2-crossed module induces.
 
 moore.pairing_table computes every C_{alpha,beta} on whole Moore bases;
 these functions compute one value at a time through the simplicial maps
 themselves, so an agreement of the two is a check of the tables.
+hypercrossed(E, 1) divides NE_1 by d_2(NE_2) on its own path, and the
+tests compare it with induced_cm(hypercrossed(E, 2)).
 """
 
 import importlib
 
+import numpy as np
+
 from moorekit.coeff import BilinearMap, Element, PreconditionError, Supply, supply_rows
 from moorekit.corpus import zmod
-from moorekit.crossed import CrossedChain, zero_module_cm
+from moorekit.crossed import AxiomEntry, AxiomReport, CrossedChain, _divide_top, zero_module_cm
 from moorekit.moore import PairingIndex, p_set, s_word_morphism
+from moorekit.simplicial import TruncatedSimplicialAlgebra
 
 # the package exports the function moore under the module's own name; the
 # module is looked up at call time, so a test may patch _printed_values
@@ -75,3 +82,30 @@ def cm_zero_module_bad(p: int = 2) -> CrossedChain:
     M = zmod(p)  # e*e = e, so the Peiffer identity cannot hold
     act = BilinearMap.zero(R, M, M)
     return zero_module_cm(M, R, act, name=f"zero-module-bad@Z/{p}")
+
+
+def named_entry(report: AxiomReport, name: str) -> AxiomEntry:
+    """The entry of a report under a name."""
+    for e in report.entries:
+        if e.name == name:
+            return e
+    raise KeyError(name)
+
+
+def truncate(E: TruncatedSimplicialAlgebra, m: int) -> TruncatedSimplicialAlgebra:
+    """Forget all levels above m."""
+    if not 0 <= m <= E.k:
+        raise ValueError(f"truncation level {m} outside 0..{E.k}")
+    return TruncatedSimplicialAlgebra(
+        E.levels[:m + 1],
+        {key: f for key, f in E.faces.items() if key[0] <= m},
+        {key: s for key, s in E.degeneracies.items() if key[0] <= m},
+        name=f"{E.name}|{m}" if E.name else "")
+
+
+def induced_cm(t: CrossedChain) -> CrossedChain:
+    """Quotient C1 by the image of d2, an ideal; the induced boundary and
+    action form a crossed module."""
+    bottom = CrossedChain(t.levels[:2], t.boundaries[:1], {"01": t.map("01")},
+                          (t.name or "2cm") + "-induced")
+    return _divide_top(bottom, t.d(2), np.eye(t.levels[2].dim, dtype=np.int64))

@@ -13,7 +13,7 @@ import numpy as np
 from moorekit import corpus
 from moorekit.cli import parse_args, run_command
 from moorekit.coeff import Element, Supply
-from moorekit.crossed import (verify_2cm, verify_3cm, verify_cm, zero_extension, induced_cm,
+from moorekit.crossed import (verify_2cm, verify_3cm, verify_cm, zero_extension,
                               multiplication_cm, CrossedChain)
 from moorekit.functors import hypercrossed, roundtrip_check
 from moorekit.lie import (degenerate_lie_3cm, lie_abelian, lie_heisenberg,
@@ -21,7 +21,7 @@ from moorekit.lie import (degenerate_lie_3cm, lie_abelian, lie_heisenberg,
 from moorekit.moore import (SurjIndex, lemma7_check, moore, p_set, s_set,
                             s_word_morphism, table1_audit, theorem5_check)
 from moorekit.simplicial import decompose, degenerate_subalgebra
-from reference import cm_zero_module_bad, elements, in_moore, proj_p
+from reference import cm_zero_module_bad, elements, in_moore, induced_cm, named_entry, proj_p
 
 EXHAUSTIVE = Supply(seed=0, budget=256, exhaustive_bound=4096)
 
@@ -118,7 +118,7 @@ def test_criterion_5_crossed_corpus():
             multiplication_cm(corpus.group_line(3))]
     ok = all(verify_cm(m).verdict == "pass" for m in mods)
     bad = verify_cm(cm_zero_module_bad(2))
-    entry = bad.entry("CM2")
+    entry = named_entry(bad, "CM2")
     ok = ok and entry.status == "fail" and entry.witness is not None
     verdict(5, ok, "ideal pair, zero module and both multiplication crossed "
             "modules pass; the mutant fails CM2 with a witness")

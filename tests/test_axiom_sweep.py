@@ -25,6 +25,7 @@ from moorekit.crossed import (ACTIONS, SIGNATURES, CrossedChain, verify_2cm, ver
 from moorekit.functors import hypercrossed, table_identities_check
 from moorekit.lie import LieAlgebra, _lie_action_laws, verify_lie_3cm
 from moorekit.simplicial import TruncatedSimplicialAlgebra
+from reference import named_entry
 
 CHARS = (2, 3, 5)
 
@@ -188,7 +189,7 @@ def test_supply_rows_are_the_element_supply(p, dim, supply):
 
 def test_3cm6_mode_on_corpus_is_basis_exact(built):
     rep = verify_3cm(hypercrossed(built("cubic-chain"), 3)[0])
-    assert rep.entry("3CM6").detail == {"mode": "basis-exact"}
+    assert named_entry(rep, "3CM6").detail == {"mode": "basis-exact"}
     assert [e.name for e in rep.entries if e.detail] == ["3CM6"]
 
 
@@ -222,7 +223,7 @@ def assert_3cm6_matches_every_pair(m: CrossedChain):
     and a failing witness fails the printed formula; returns the entry."""
     C2 = m.levels[2]
     assert C2.p ** C2.dim <= 4096
-    entry = verify_3cm(m).entry("3CM6")
+    entry = named_entry(verify_3cm(m), "3CM6")
     assert entry.detail == {"mode": "basis-exact"}
     assert (entry.status == "pass") == holds_on_every_pair(m), m.name
     if entry.status == "fail":

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from moorekit import coeff, corpus
 from moorekit.cli import main, parse_args, run_command
-from reference import cm_zero_module_bad
+from reference import cm_zero_module_bad, truncate
 
 S2 = ["()", "(1)", "(0)", "(1,0)"]
 S4 = ["()", "(3)", "(2)", "(3,2)", "(1)", "(3,1)", "(2,1)", "(3,2,1)",
@@ -119,7 +119,8 @@ def test_exit_code_64_for_usage(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["sset", "-1"], "-1 is negative"), (["pset", "5"], "invalid choice: 5"),
+    (["sset", "-1"], "-1 is negative"), (["sset", "17"], "argument n: 17 is above 16"),
+    (["pset", "5"], "invalid choice: 5"),
     (["--char", "x", "validate", "ideal-pair"], "invalid literal for int()"),
     (["--char", "4", "validate", "ideal-pair"], "modulus 4 is not prime"),
     (["--char", "2,x", "corpus"], "invalid literal for int()"),
@@ -334,7 +335,8 @@ def test_exit_code_65_for_malformed_three_crossed_map(entry, section, command, n
 
 
 @pytest.mark.parametrize("section, key", [("faces", "1,0"), ("degeneracies", "2,1")])
-@pytest.mark.parametrize("bad", ["x", "1", "1,0,2", "1,y"])
+# int() reads " 1,0" and "01,0" as (1, 0), but neither is written "n,i"
+@pytest.mark.parametrize("bad", ["x", "1", "1,0,2", "1,y", " 1,0", "01,0"])
 def test_exit_code_65_for_malformed_simplicial_key(section, key, bad, tmp_path, capsys):
     from moorekit.document import corpus_document
     doc = json.loads(corpus_document(2))
@@ -447,6 +449,23 @@ def test_exit_code_65_for_a_json_boolean(path, value, tmp_path, capsys):
     assert _validate_with(path, value, tmp_path) == 65
     where = path[0] + "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in path[1:])
     assert _document_error(capsys) == f"{where}: {value} refused: a document holds no booleans"
+
+
+# a document gives every value once: a repeated key, a repeated triple and
+# the identity of a Lie algebra are refused where they stand, not
+# overwritten or dropped
+@pytest.mark.parametrize("path, value, error", [
+    (("algebras", "ideal-pair.R", "p"), '2, "p": 3', "algebras.ideal-pair.R: key 'p' given twice"),
+    (("config",), '{}, "config": {}', "document: key 'config' given twice"),
+    (("algebras", "ideal-pair.R", "structure"), "[[0, 1, 1, 1], [1, 0, 1, 1], [0, 1, 1, 0]]",
+     "algebras.ideal-pair.R: triple (0,1,1) given twice"),
+    (("lie_algebras", "heisenberg", "identity"), '"x"',
+     "lie_algebras.heisenberg.identity: a Lie algebra has no identity")],
+    ids=["repeated-key", "repeated-top-key", "repeated-triple", "lie-identity"])
+def test_exit_code_65_for_a_value_given_twice_or_never_read(path, value, error, tmp_path,
+                                                             capsys):
+    assert _validate_with(path, value, tmp_path) == 65
+    assert _document_error(capsys) == error
 
 
 # the loader runs in a child whose address space is capped at 1 GiB, so a
@@ -787,7 +806,7 @@ def test_record_lines_digest_is_pinned(key):
 def _argparse_parser():
     """The argparse parser the command table replaced, kept as a reference."""
     import argparse
-    from moorekit.cli import nonnegative, primes
+    from moorekit.cli import primes, sset_level
     ap = argparse.ArgumentParser(prog="moorekit")
     ap.add_argument("--input")
     ap.add_argument("--seed", type=int, default=0)
@@ -811,7 +830,7 @@ def _argparse_parser():
     c.add_argument("table", type=int, choices=(2, 3, 4))
     c.add_argument("name")
     c.add_argument("--convention", choices=("prop3", "def1"), default="prop3")
-    sub.add_parser("sset").add_argument("n", type=nonnegative)
+    sub.add_parser("sset").add_argument("n", type=sset_level)
     sub.add_parser("pset").add_argument("n", type=int, choices=(2, 3, 4))
     sub.add_parser("pairings")
     sub.add_parser("roundtrip").add_argument("--level", choices=("1", "2", "both"),
@@ -829,7 +848,7 @@ _VALID_ARGVS = [
     ["to-3xmod", "--conv=def1", "m"], ["to-3xmod", "m", "--c", "prop3"],
     ["tables", "3", "m"], ["tables", "2", "--convention", "def1", "m"],
     ["tables", "--co=def1", "4", "m", "--convention", "prop3"],
-    ["sset", "0"], ["sset", "4"], ["pset", "2"], ["pset", "04"], ["pairings"],
+    ["sset", "0"], ["sset", "4"], ["sset", "16"], ["pset", "2"], ["pset", "04"], ["pairings"],
     ["roundtrip"], ["roundtrip", "--level", "1"], ["roundtrip", "--level=2", "--le", "both"],
     ["corpus"],
     ["--input", "doc.json", "--seed", "7", "--budget", "3", "--exhaustive-bound", "0",
@@ -856,7 +875,7 @@ _INVALID_ARGVS = [
     ["--h", "sset", "1"], ["--human=1", "sset", "1"], ["sset", "-x"], ["sset", "1.5"],
     ["theorem5", "m", "--level", "5"], ["theorem5", "m", "--level", "both"],
     ["roundtrip", "--level", "3"], ["tables", "5", "m"], ["to-xmod", "m", "--convention", "def1"],
-    ["to-3xmod", "m", "--convention", "other"], ["--char", "2,2", "corpus"]]
+    ["to-3xmod", "m", "--convention", "other"], ["--char", "2,2", "corpus"], ["sset", "17"]]
 
 
 @pytest.mark.parametrize("argv", _INVALID_ARGVS, ids=" ".join)
@@ -925,7 +944,6 @@ def short_truncations(tmp_path_factory):
     """Paths of the documents holding cubic-chain at p = 2 cut at k = 0..3 as E."""
     from moorekit import corpus
     from moorekit.document import DocumentBuilder
-    from moorekit.simplicial import truncate
     E = corpus.simplicial_corpus(2, {"cubic-chain"})["cubic-chain"]
     paths = {}
     for k in range(4):

@@ -84,7 +84,7 @@ def test_simplicial_document_roundtrip(built):
     doc = load_document(b.dumps())
     back = doc.simplicial["probe"]
     assert validate_simplicial(back) == []
-    assert [s.dim for s in moore(back).spaces] == [2, 1, 0, 0, 0]
+    assert [A.dim for A in moore(back).algebras] == [2, 1, 0, 0, 0]
 
 
 @pytest.mark.parametrize("dim", [1, 2])

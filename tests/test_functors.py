@@ -7,11 +7,12 @@ import pytest
 
 from moorekit import corpus, crossed, functors
 from moorekit.coeff import Algebra, BilinearMap, Morphism, algebras_equal
-from moorekit.crossed import induced_cm, verify_2cm, verify_cm
+from moorekit.crossed import verify_2cm, verify_cm
 from moorekit.crossed import verify_3cm
 from moorekit.functors import hypercrossed, roundtrip_check, table_identities_check
 from moorekit.moore import moore, moore_basis
 from moorekit.simplicial import constant_simplicial, realize
+from reference import induced_cm, named_entry
 
 
 def chains(level):
@@ -158,7 +159,7 @@ def test_three_crossed_quotient_trivial_when_ne4_zero(built):
     assert moore_basis(E, 4).shape[0] == 0
     m, prov = hypercrossed(E, 3)
     assert prov["divided_dim"] == 0
-    assert m.levels[3].dim == moore(E).spaces[3].dim
+    assert m.levels[3].dim == moore(E).algebras[3].dim
 
 
 def test_three_crossed_pipeline_lengths_0_1_2(built):
@@ -248,4 +249,4 @@ def test_convention_audit_2cm1_side(built):
     E = built("cubic-chain", 3)
     assert verify_2cm(hypercrossed(E, 2, "prop3")[0]).verdict == "pass"
     rep = verify_2cm(hypercrossed(E, 2, "def1")[0])
-    assert rep.entry("2CM1").status == "fail"
+    assert named_entry(rep, "2CM1").status == "fail"

@@ -95,11 +95,11 @@ def test_push_face_rules():
 def test_moore_of_constant_and_lengths(built):
     E = constant_simplicial(corpus.dual_numbers(2), 4)
     mc = moore(E)
-    assert [s.dim for s in mc.spaces] == [2, 0, 0, 0, 0]
+    assert [A.dim for A in mc.algebras] == [2, 0, 0, 0, 0]
     assert mc.length() == 0
 
     mc2 = moore(built("ideal-pair"))
-    assert [s.dim for s in mc2.spaces] == [2, 1, 0, 0, 0]
+    assert [A.dim for A in mc2.algebras] == [2, 1, 0, 0, 0]
     assert mc2.length() == 1
 
     mc3 = moore(built("cubic-chain"))
@@ -113,10 +113,9 @@ def test_moore_of_constant_and_lengths(built):
 
 def test_proj_p_fixes_normal_and_kills_degenerate(built):
     E = built("cubic-chain")
-    mc = moore(E)
-    v = Element(E.level(2), mc.spaces[2].basis_matrix[0])
+    v = Element(E.level(2), moore_basis(E, 2)[0])
     assert proj_p(E, 2, v) == v
-    a = Element(E.level(0), mc.spaces[0].basis_matrix[0])
+    a = Element(E.level(0), moore_basis(E, 0)[0])
     assert not proj_p(E, 1, E.deg(1, 0)(a)).coeffs.any()
 
 

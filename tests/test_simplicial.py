@@ -15,9 +15,9 @@ from moorekit.moore import (SurjIndex, _projection_matrix, moore, moore_basis, n
 from moorekit.simplicial import (TruncatedSimplicialAlgebra, _normal_block,
                                  concentrated_simplicial, constant_simplicial,
                                  decompose, degenerate_ideal,
-                                 degenerate_subalgebra, extend_level, realize, truncate,
+                                 degenerate_subalgebra, extend_level, realize,
                                  validate_simplicial)
-from reference import cm_zero_module_bad, elements
+from reference import cm_zero_module_bad, elements, truncate
 
 SMALL = Supply(budget=24, exhaustive_bound=512)
 
@@ -35,7 +35,7 @@ def test_faces_and_degeneracies_are_read_only_copies(built):
     faces[(1, 0)] = Morphism.zero(E.level(1), E.level(0))
     del degs[(2, 1)]
     mc, expected = moore(F), moore(E)
-    assert [s.dim for s in mc.spaces] == [s.dim for s in expected.spaces]
+    assert [A.dim for A in mc.algebras] == [A.dim for A in expected.algebras]
     for a, b in zip(mc.boundaries, expected.boundaries):
         assert np.array_equal(a.matrix, b.matrix)
     assert F.faces == E.faces and F.degeneracies == E.degeneracies
@@ -45,7 +45,7 @@ def test_constant_object_is_valid():
     E = constant_simplicial(corpus.dual_numbers(2), 4)
     assert validate_simplicial(E) == []
     mc = moore(E)
-    assert [s.dim for s in mc.spaces] == [2, 0, 0, 0, 0]
+    assert [A.dim for A in mc.algebras] == [2, 0, 0, 0, 0]
 
 
 def test_mutation_breaks_validation(built):
@@ -190,15 +190,14 @@ def test_semidirect_dimension_identity(built):
 
 def test_decompose_trivial_cases(built):
     E = built("cubic-chain")
-    mc = moore(E)
     # normal elements decompose to themselves
-    v = mc.spaces[2].basis_matrix[0]
+    v = moore_basis(E, 2)[0]
     dec = decompose(E, 2)
     assert list(dec) == s_set(2)
     assert np.array_equal(dec[SurjIndex((), 2)] @ v % 2, v)
     assert all(not (M @ v % 2).any() for a, M in dec.items() if a.size)
     # a pure degeneracy image is recovered in the (0) slot
-    a = mc.spaces[0].basis_matrix[0]
+    a = moore_basis(E, 0)[0]
     img = E.deg(1, 0).matrix @ a % 2
     dec1 = decompose(E, 1)
     assert not (dec1[SurjIndex((), 1)] @ img % 2).any()
@@ -255,7 +254,7 @@ def test_build_from_crossed_properties():
     assert E.level(1).dim == 3
     mc = moore(E)
     assert mc.length() <= 1
-    assert [s.dim for s in mc.spaces] == [2, 1, 0, 0, 0]
+    assert [A.dim for A in mc.algebras] == [2, 1, 0, 0, 0]
 
     zero_cm = corpus.cm_zero_module(2)
     E2 = realize(zero_cm, 2)
@@ -312,7 +311,7 @@ def test_build_from_2crossed_moore_data(built):
     t = corpus.tcm_cubic_chain(2)
     E = built("cubic-chain")
     mc = moore(E)
-    assert [s.dim for s in mc.spaces] == [1, 2, 1, 0, 0]
+    assert [A.dim for A in mc.algebras] == [1, 2, 1, 0, 0]
     assert np.array_equal(mc.boundaries[1].matrix, t.d(2).matrix)
     assert np.array_equal(mc.boundaries[0].matrix, t.d(1).matrix)
 
@@ -324,7 +323,7 @@ def test_concentrated_objects():
     E3 = concentrated_simplicial(corpus.square_zero(2, 1), 3, 4)
     assert validate_simplicial(E3) == []
     mc = moore(E3)
-    assert [s.dim for s in mc.spaces] == [0, 0, 0, 1, 0]
+    assert [A.dim for A in mc.algebras] == [0, 0, 0, 1, 0]
 
 
 # ---------------------------------------------------------------------------
