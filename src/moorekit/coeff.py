@@ -4,8 +4,10 @@ An algebra is presented by a rank-3 tensor of structure constants over a
 prime field: e_i * e_j = sum_k c[i,j,k] e_k.  All linear algebra (row
 reduction, kernels, quotients) is exact field arithmetic; subspaces are
 kept in reduced row echelon form so that subspace equality is matrix
-equality.  Membership, coordinates and residues against an rref basis
-(basis, pivots) are one formula: the residue of v is
+equality.  An Ideal is the one value holding a subspace, as its rref
+basis and pivots: a basis already in rref is kept as given and any other
+is reduced once.  Membership, coordinates and residues against an rref
+basis (basis, pivots) are one formula: the residue of v is
 v - v[..., pivots] @ basis mod p and its coordinates are v[..., pivots].
 Both take stacks of vectors, leading axes being batch axes, so every
 subspace question about many vectors is one call.  Every value is
@@ -394,16 +396,25 @@ class Morphism:
 
 @dataclass(frozen=True, eq=False)
 class Ideal:
-    """Subspace of an algebra, closed under multiplication, in rref form."""
+    """Subspace of an algebra, closed under multiplication, as its rref
+    basis and pivots.  A basis already in rref is kept as given, reduced
+    mod p, and any other is reduced once, so basis_matrix is rref(M)[0]
+    for the M it is given; pivots is computed, never given."""
 
     parent: Algebra
     basis_matrix: np.ndarray
-    pivots: tuple[int, ...] = field(default=())
+    pivots: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        R, piv = rref(_rows(self.basis_matrix, self.parent.dim), self.parent.p)
+        R = _as_array(_rows(self.basis_matrix, self.parent.dim), self.parent.p)
+        lead = (R != 0).argmax(axis=1) if len(R) else np.zeros(0, dtype=np.int64)
+        # rref exactly when the leading columns strictly increase and carry
+        # the identity; a zero row's leading entry, read at column 0, is 0
+        if not ((np.diff(lead) > 0).all()
+                and np.array_equal(R[:, lead], np.eye(len(R), dtype=np.int64))):
+            R, lead = rref(R, self.parent.p)
         object.__setattr__(self, "basis_matrix", R)
-        object.__setattr__(self, "pivots", piv)
+        object.__setattr__(self, "pivots", tuple(map(int, lead)))
 
     @property
     def dim(self) -> int:
@@ -566,10 +577,6 @@ def kernel(f: Morphism) -> Ideal:
     return ideal
 
 
-def image_space(f: Morphism) -> np.ndarray:
-    return rref(f.matrix.T, f.source.p)[0]
-
-
 def quotient(A: Algebra, I: Ideal, name: str = "") -> tuple[Algebra, Morphism]:
     """Quotient algebra on the complement basis plus the projection.
 
@@ -598,17 +605,21 @@ def quotient(A: Algebra, I: Ideal, name: str = "") -> tuple[Algebra, Morphism]:
     return Q, pi
 
 
-def subalgebra(A: Algebra, span_rows: np.ndarray, name: str = "") -> tuple[Algebra, Morphism]:
-    """Algebra structure on a multiplication-closed subspace plus inclusion.
+def subalgebra(A: Algebra, I: Ideal, name: str = "") -> tuple[Algebra, Morphism]:
+    """Algebra structure on a multiplication-closed subspace I of A plus
+    the inclusion.
 
-    The chosen basis is the rref basis of the subspace, so two calls on
-    equal subspaces produce identical structure constants.
+    The chosen basis is I's rref basis, read with its pivots and
+    membership and reduced no further, so two calls on equal subspaces
+    produce identical structure constants.
     """
-    R, piv = rref(_rows(span_rows, A.dim), A.p)
+    if I.parent is not A:
+        raise StructureError("subspace of a different algebra")
+    R = I.basis_matrix
     prods = A.mul_vec(R[:, None], R[None])
-    if reduce_against(prods, R, piv, A.p).any():
+    if not I.contains(prods):
         raise PreconditionError("subspace not closed under multiplication")
-    struct = prods[..., list(piv)]
+    struct = prods[..., list(I.pivots)]
     r = R.shape[0]
     eye = np.eye(r, dtype=np.int64)
     unit = np.flatnonzero((struct == eye).all(axis=(1, 2))

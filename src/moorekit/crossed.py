@@ -31,9 +31,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .coeff import (Algebra, BilinearMap, Element, Ideal, Morphism, PreconditionError,
-                    annihilator, ideal_closure, image_space, matmul, null_space,
-                    quadratic_points, quotient, reduce_against, rref, square_span,
-                    subalgebra, sweep_step, validate_algebra)
+                    annihilator, ideal_closure, matmul, null_space, quadratic_points, quotient,
+                    reduce_against, rref, square_span, subalgebra, sweep_step, validate_algebra)
 from .report import FAIL, PASS, CheckRecord
 
 # The levels of the left argument, the right argument and the value of
@@ -242,7 +241,7 @@ def verify_cm(m: CrossedChain) -> AxiomReport:
         _flag("boundary-multiplicative", bd.is_multiplicative()),
         _action_laws("action-algebra", act),
         *_cm_sweeps(m),
-        _flag("image-is-ideal", Ideal(R, image_space(bd)).is_mult_closed()),
+        _flag("image-is-ideal", Ideal(R, bd.matrix.T).is_mult_closed()),
     ]
     ker = null_space(bd.matrix, C.p)
     entries.append(_sweep(
@@ -268,7 +267,7 @@ def _cm_sweeps(m: CrossedChain, prefix: str = "") -> list[AxiomEntry]:
 def ideal_pair(R: Algebra, gens, name: str = "") -> CrossedChain:
     """Inclusion crossed module of the ideal generated by gens in R."""
     ideal = ideal_closure(R, gens)
-    C, incl = subalgebra(R, ideal.basis_matrix, name=f"{name or 'I'}")
+    C, incl = subalgebra(R, ideal, name=f"{name or 'I'}")
     # R acts on the ideal by multiplication, written in ideal coordinates
     prods = R.mul_vec(np.eye(R.dim, dtype=np.int64)[:, None], incl.matrix.T[None])
     act = BilinearMap(R, C, C, ideal.coords(prods))

@@ -36,7 +36,7 @@ from .coeff import (BilinearMap, PreconditionError, algebras_equal, intersect_ro
                     matmul)
 from .crossed import (ACTIONS, CARRIED, SIGNATURES, CrossedChain, _axioms_3cm2_to_16,
                       _divide_top, _equivariance_entries, _evaluate, verify_cm)
-from .moore import _moore_space, moore, p_set, pairing_table, s_word_morphism
+from .moore import moore, moore_space, p_set, pairing_table, s_word_morphism
 from .report import CONFIRMED, DISCREPANT, FAIL, PASS, CheckRecord
 from .simplicial import TruncatedSimplicialAlgebra, _verified, degenerate_ideal, realize
 
@@ -57,14 +57,14 @@ def _map_tensor(E: TruncatedSimplicialAlgebra, key: str, sign: int = 1) -> np.nd
     left, right, value = SIGNATURES[key]
     p = E.level(0).p
     if key in ACTIONS:
-        bx, by = _moore_space(E, left).basis_matrix, _moore_space(E, right).basis_matrix
+        bx, by = moore_space(E, left).basis_matrix, moore_space(E, right).basis_matrix
         word = s_word_morphism(E, value, tuple(range(left, value))).matrix
         vals = E.level(value).mul_vec(matmul(bx, word.T, p)[:, None], by[None])
     else:
         printed = "(1)(0)" if key == "()" else key
         pair = next(q for q in p_set(value) if str(q) == printed)
         vals = sign * pairing_table(E, value)[pair] % p
-    return _moore_space(E, value).coords(vals)
+    return moore_space(E, value).coords(vals)
 
 
 def hypercrossed(E: TruncatedSimplicialAlgebra, m: int,
@@ -95,7 +95,7 @@ def hypercrossed(E: TruncatedSimplicialAlgebra, m: int,
         _verified(verify_cm(chain), "NE_1 -> NE_0 of a 1-truncation")
     prov = {}
     if m == 3:
-        ne4, D4 = _moore_space(E, 4), degenerate_ideal(E, 4)
+        ne4, D4 = moore_space(E, 4), degenerate_ideal(E, 4)
         cap = intersect_row_spaces(ne4.basis_matrix, D4.basis_matrix, E.level(4).p)
         rows = ne4.coords(cap)
         prov["ne4_cap_d4_dim"] = int(cap.shape[0])

@@ -179,10 +179,10 @@ def push_face(i: int, applied: Sequence[int]) -> tuple[tuple[int, ...], int | No
 # the Moore complex
 
 
-# face kernels (moore_basis among them), the Moore spaces NE_n as Ideals
-# (_moore_space, the one handle on NE_n that the package passes around),
-# Moore complexes, degeneracy words, decompositions and pairing tables,
-# computed once per simplicial object and handed down to the objects that
+# face kernels as Ideals, one entry per NE_n among them (moore_space, the
+# one handle on NE_n that the package passes around), Moore complexes,
+# degeneracy words, decompositions and pairing tables, computed once per
+# simplicial object and handed down to the objects that
 # extend it (_hand_down): the objects are immutable, and no value refers
 # back to its object, so an entry goes with its object.  What depends on
 # the level alone, as s_set and simplicial's index plans, is kept once per
@@ -204,30 +204,23 @@ def _hand_down(E, F):
     return F
 
 
-def face_kernel(E, n: int, faces) -> np.ndarray:
-    """rref basis of the intersection of ker d_i, i in faces, in E_n; all
-    of E_n when faces is empty."""
-    idx = tuple(sorted(faces))
+def face_kernel(E, n: int, faces) -> Ideal:
+    """The intersection of ker d_i, i in faces, as an Ideal of E_n, all of
+    E_n when faces is empty; computed once per object and face set."""
+    idx, A = tuple(sorted(faces)), E.level(n)
 
     def make():
-        A = E.level(n)
-        if not idx:
-            return rref(np.eye(A.dim, dtype=np.int64), A.p)[0]
-        return null_space(np.vstack([E.face(n, i).matrix for i in idx]), A.p)
+        return Ideal(A, null_space(np.vstack([E.face(n, i).matrix for i in idx]), A.p)
+                     if idx else np.eye(A.dim, dtype=np.int64))
 
     return _memo(E, ("kernel", n, idx), make)
 
 
-def moore_basis(E, n: int) -> np.ndarray:
-    """rref basis of NE_n = intersection of ker d_i, i < n (all of E_0 at n=0)."""
+def moore_space(E, n: int) -> Ideal:
+    """NE_n = intersection of ker d_i, i < n, as an Ideal of E_n (all of E_0
+    at n = 0): extend_level reads the Moore spaces of every level below the
+    new one, and _moore_complex the same spaces of the object it is given."""
     return face_kernel(E, n, range(n))
-
-
-def _moore_space(E, n: int) -> Ideal:
-    """NE_n as an Ideal of E_n, computed once per object: extend_level reads
-    the Moore spaces of every level below the new one, and _moore_complex
-    the same spaces of the object it is given."""
-    return _memo(E, ("space", n), lambda: Ideal(E.level(n), moore_basis(E, n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,8 +228,9 @@ class MooreComplex:
     """Normal chain complex of a truncated simplicial algebra.
 
     algebras[n] realizes NE_n as an algebra on the rref basis of
-    _moore_space(E, n) (E_0 itself at n = 0), and boundaries[n - 1] is the
-    restriction of the last face, NE_n -> NE_{n-1}, in those bases.
+    moore_space(E, n), the one memo entry of NE_n (E_0 itself at n = 0),
+    and boundaries[n - 1] is the restriction of the last face,
+    NE_n -> NE_{n-1}, in those bases.
     """
 
     algebras: tuple[Algebra, ...]
@@ -256,17 +250,16 @@ def _moore_complex(E) -> MooreComplex:
     """Compute the Moore complex; verifies d d = 0 and ideal-ness of each NE_n."""
     algebras = []
     for n in range(E.k + 1):
-        ne = _moore_space(E, n)
+        ne = moore_space(E, n)
         if not ne.is_mult_closed():
             raise PreconditionError(f"NE_{n} is not an ideal; invalid simplicial data")
         # NE_0 is all of E_0; keep the level algebra itself
-        algebras.append(subalgebra(E.level(n), ne.basis_matrix, name=f"NE{n}")[0] if n
-                        else E.level(0))
+        algebras.append(subalgebra(E.level(n), ne, name=f"NE{n}")[0] if n else E.level(0))
     boundaries = []
     for n in range(1, E.k + 1):
         # last face restricted to NE_n, in the rref coordinates of NE_{n-1}
-        below = _moore_space(E, n - 1)
-        img = matmul(_moore_space(E, n).basis_matrix, E.face(n, n).matrix.T, E.level(n).p)
+        below = moore_space(E, n - 1)
+        img = matmul(moore_space(E, n).basis_matrix, E.face(n, n).matrix.T, E.level(n).p)
         if not below.contains(img):
             raise PreconditionError(
                 f"boundary image escapes NE_{n - 1}; invalid simplicial data")
@@ -360,7 +353,7 @@ def pairing_table(E, n: int) -> dict:
     each pairing's products are projected by p."""
     def make():
         A, pairs = E.level(n), p_set(n)
-        lift = {s: matmul(moore_basis(E, n - s.size),
+        lift = {s: matmul(moore_space(E, n - s.size).basis_matrix,
                           s_word_morphism(E, n, s.application_order()).matrix.T, A.p)
                 for s in dict.fromkeys(x for q in pairs for x in (q.alpha, q.beta))}
         values = _assembled(A, lift, [(q.alpha, q.beta) for q in pairs])
@@ -410,38 +403,33 @@ def theorem5_check(E, n: int) -> CheckRecord:
                                    "codim": E.level(n).dim - int(D.shape[0]),
                                    **interp})
     lhs, rhs = boundary_image_and_pairing_product(E, n)
-    if lhs.shape == rhs.shape and np.array_equal(lhs, rhs):
-        return CheckRecord(name, PASS, detail={"dim": int(lhs.shape[0]), **interp})
-    A = E.level(n - 1)
-    lhs_ideal = Ideal(A, lhs)
-    rhs_ideal = Ideal(A, rhs)
-    only_l = int(rhs_ideal.residue(lhs).any(axis=1).sum())
-    only_r = int(lhs_ideal.residue(rhs).any(axis=1).sum())
+    if lhs == rhs:
+        return CheckRecord(name, PASS, detail={"dim": lhs.dim, **interp})
+    only_l = int(rhs.residue(lhs.basis_matrix).any(axis=1).sum())
+    only_r = int(lhs.residue(rhs.basis_matrix).any(axis=1).sum())
     return CheckRecord(name, FAIL,
-                       detail={"lhs_dim": int(lhs.shape[0]), "rhs_dim": int(rhs.shape[0]),
+                       detail={"lhs_dim": lhs.dim, "rhs_dim": rhs.dim,
                                "lhs_outside_rhs": only_l, "rhs_outside_lhs": only_r,
                                **interp})
 
 
-def boundary_image_and_pairing_product(E, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two subspaces of E_{n-1} the theorem compares, as rref bases.
+def boundary_image_and_pairing_product(E, n: int) -> tuple[Ideal, Ideal]:
+    """The two subspaces of E_{n-1} the theorem compares, as Ideals.
 
     The products K_I . K_J of all the pairings come from one stacked pass
     over the structure tensor of E_{n-1} (_stacked_products), which
     contracts each kernel at most once.  Only the rref span of the products
     is kept, each piece of the pass reduced into it as it comes, and its
     ideal closure is the right side."""
-    p = E.level(0).p
-    img = matmul(moore(E).boundaries[n - 1].matrix.T, _moore_space(E, n - 1).basis_matrix, p)
-    lhs = rref(img, p)[0]
-    A, pairs = E.level(n - 1), p_set(n)
+    p, A, pairs = E.level(0).p, E.level(n - 1), p_set(n)
+    img = matmul(moore(E).boundaries[n - 1].matrix.T, moore_space(E, n - 1).basis_matrix, p)
     # K_I for the complement I of an index's entries
-    kernels = {s: face_kernel(E, n - 1, set(range(n)) - set(s.entries))
+    kernels = {s: face_kernel(E, n - 1, set(range(n)) - set(s.entries)).basis_matrix
                for q in pairs for s in (q.alpha, q.beta)}
     span = np.zeros((0, A.dim), dtype=np.int64)
     for _, _, values in _stacked_products(A, kernels, [(q.alpha, q.beta) for q in pairs]):
         span = rref(np.vstack([span, *values]), p)[0]
-    return lhs, ideal_closure(A, span).basis_matrix
+    return Ideal(A, img), ideal_closure(A, span)
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +537,11 @@ def table1_audit(E, supply: Supply = Supply()) -> list[CheckRecord]:
     # d_4 first: columns [0, d) are the left side, [d, 5d) the lower faces
     faces = np.vstack([E.face(4, i).matrix for i in (4, 0, 1, 2, 3)])
     # the table's keys are p_set(4), in Table-1 row order
-    bases = {row: tuple(moore_basis(E, 4 - s.size) for s in (pair.alpha, pair.beta))
+    bases = {row: tuple(moore_space(E, 4 - s.size).basis_matrix for s in (pair.alpha, pair.beta))
              for row, pair in enumerate(table, start=1)}
     printed = _printed_values(E, bases)
     # each component's supply coordinates, and whether they are all of it
-    supplies = {c: supply_rows(moore_basis(E, c).shape[0], p, supply) for c in (1, 2, 3)}
+    supplies = {c: supply_rows(moore_space(E, c).dim, p, supply) for c in (1, 2, 3)}
     records = []
     for row, pair in enumerate(table, start=1):
         bx, by = bases[row]
@@ -599,7 +587,7 @@ def lemma7_check(E) -> list[CheckRecord]:
     """
     if E.k != 4:
         raise PreconditionError("check requires truncation level 4")
-    if moore_basis(E, 4).shape[0] != 0:
+    if moore_space(E, 4).dim:
         return [CheckRecord("lemma7", HYPOTHESIS_FAILED,
                             detail={"reason": "hypothesis fails: length > 3"})]
     p = E.level(0).p
@@ -607,7 +595,7 @@ def lemma7_check(E) -> list[CheckRecord]:
     d4 = E.face(4, 4).matrix
     records = []
     for row, (pair, values) in enumerate(table.items(), start=1):
-        bx, by = (moore_basis(E, 4 - s.size) for s in (pair.alpha, pair.beta))
+        bx, by = (moore_space(E, 4 - s.size).basis_matrix for s in (pair.alpha, pair.beta))
         bad = np.argwhere(matmul(values, d4.T, p).any(axis=2))
         witness = tuple({"row": row, "x": list(map(int, bx[i])), "y": list(map(int, by[j]))}
                         for i, j in bad[:1])

@@ -21,9 +21,10 @@ normal block NE_n = C_n of each level n of the chain (`_normal_block`).
 Where a face or a degeneracy sends each block s_alpha NE_c is fixed by the
 simplicial identities and depends on the level alone.  Those index plans,
 _face_plan and _deg_plan, are built on first use and kept once per
-process, as moore.s_set is.  What depends on the object, its Moore spaces,
-degeneracy words and decompositions, is kept once per object in
-moore._memo and handed down to each object extend_level returns.
+process, as moore.s_set is.  What depends on the object, its Moore spaces
+(one Ideal per NE_n, moore.moore_space, which extend_level and
+_normal_block read), degeneracy words and decompositions, is kept once per
+object in moore._memo and handed down to each object extend_level returns.
 """
 
 from __future__ import annotations
@@ -38,8 +39,8 @@ import numpy as np
 from .coeff import (Algebra, Ideal, Morphism, PreconditionError, StructureError,
                     bilinear, check_word_size, ideal_closure, matmul, rref, sweep_step)
 from .crossed import CrossedChain, verify_2cm, verify_cm
-from .moore import (SurjIndex, _hand_down, _memo, _moore_space, moore_basis, normal_form,
-                    push_face, s_set, s_word_morphism)
+from .moore import (SurjIndex, _hand_down, _memo, moore_space, normal_form, push_face, s_set,
+                    s_word_morphism)
 from .report import PASS
 
 
@@ -271,7 +272,7 @@ def extend_level(E: TruncatedSimplicialAlgebra, normal=None) -> TruncatedSimplic
     m, p = E.k + 1, E.level(0).p
     prev = E.level(m - 1)
     C, bd, nu = normal or (None, None, {})
-    nbases = {c: _moore_space(E, c) for c in range(m)}
+    nbases = {c: moore_space(E, c) for c in range(m)}
     alphas = [a for a in s_set(m) if a.size or normal]
     sizes = [nbases[m - a.size].dim if a.size else C.dim for a in alphas]
     offs = dict(zip(alphas, accumulate([0] + sizes)))
@@ -398,7 +399,7 @@ def _normal_block(E: TruncatedSimplicialAlgebra, t: CrossedChain, n: int) -> tup
     {a (x) b} = -p(s_1 a . s_0 b).
     """
     C, d, p = t.levels[n], t.d(n).matrix, t.levels[n].p
-    bd = matmul(moore_basis(E, n - 1).T, d, p)
+    bd = matmul(moore_space(E, n - 1).basis_matrix.T, d, p)
     if n == 1:
         return C, bd, {((), ()): C.structure, ((0,), ()): t.map("01").tensor}
     a2, L = t.map("02").tensor, t.map("()").tensor

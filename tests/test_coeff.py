@@ -325,7 +325,7 @@ def test_zero_dimensional_algebra_subspaces():
     assert ideal_closure(Z0, [Z0.zero()]) == I
     Q, pi = quotient(Z0, I)
     assert Q.dim == 0 and pi.matrix.shape == (0, 0)
-    S, incl = subalgebra(Z0, np.zeros((0, 0), dtype=np.int64))
+    S, incl = subalgebra(Z0, Ideal(Z0, np.zeros((0, 0), dtype=np.int64)))
     assert S.dim == 0 and S.identity is None and incl.matrix.shape == (0, 0)
     assert null_space(np.zeros((0, 0), dtype=np.int64), 2).shape == (0, 0)
     assert null_space(np.zeros((4, 0), dtype=np.int64), 2).shape == (0, 0)
@@ -341,7 +341,7 @@ def test_empty_generator_stacks(p):
     assert zero.basis_matrix.shape == (0, 3)
     Q, pi = quotient(B, zero)
     assert np.array_equal(Q.structure, B.structure)
-    S, incl = subalgebra(B, np.zeros((0, 3), dtype=np.int64))
+    S, incl = subalgebra(B, Ideal(B, np.zeros((0, 3), dtype=np.int64)))
     assert S.dim == 0 and incl.matrix.shape == (3, 0)
     assert np.array_equal(null_space(np.zeros((0, 3), dtype=np.int64), p),
                           np.eye(3, dtype=np.int64))
@@ -399,6 +399,61 @@ def test_property_rref_is_canonical_under_row_mixing(p, m, n, rank, seed):
     mixed = G[rng.permutation(m)] @ A % p
     R2, pivots2 = rref(mixed, p)
     assert pivots2 == pivots and np.array_equal(R2, R)
+
+
+def _near_rref(R, p, rng) -> list:
+    """Mutants of an rref basis R, each in rref but for one flaw: a leading
+    2, a pivot column left uncleared, two rows swapped, a zero row and a
+    repeated row; those R is too short for are left out."""
+    out = []
+    if len(R):
+        r = rng.integers(len(R))
+        if p > 2:
+            out.append(np.vstack([R[:r], 2 * R[r] % p, R[r + 1:]]))
+        out.append(np.insert(R, r, 0, axis=0))
+        out.append(np.insert(R, r, R[r], axis=0))
+    if len(R) > 1:
+        r, t = sorted(rng.choice(len(R), 2, replace=False))
+        uncleared = R.copy()
+        uncleared[r] = (R[r] + R[t]) % p
+        out += [uncleared, R[[*range(r), t, *range(r + 1, t), r, *range(t + 1, len(R))]]]
+    return out
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 3, 5, 3000017]), m=st.integers(0, 7), n=st.integers(0, 7),
+       rank=st.integers(0, 7), seed=st.integers(0, 2 ** 32 - 1))
+def test_property_ideal_has_the_rref_basis_and_pivots(p, m, n, rank, seed):
+    rng = np.random.default_rng(seed)
+    A = Algebra(PrimeField(p), np.zeros((n, n, n), dtype=np.int64), tuple(f"e{i}" for i in range(n)))
+    k = min(rank, n)
+    M = rng.integers(0, p, (m, k)) @ rng.integers(0, p, (k, n)) % p
+    R = rref(M, p)[0]
+    for given in [M, R, *_near_rref(R, p, rng)]:
+        ideal = Ideal(A, given)
+        want, pivots = rref(given, p)
+        assert np.array_equal(ideal.basis_matrix, want) and ideal.pivots == pivots
+
+
+def test_ideal_keeps_an_rref_basis_without_reducing_it(monkeypatch):
+    A = corpus.truncated_poly(3, 4)
+    R, pivots = rref(np.array([[1, 2, 0, 0], [0, 0, 1, 5]]), 3)
+
+    def refuse(mat, p):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(coeff, "rref", refuse)
+    ideal = Ideal(A, R)
+    assert np.array_equal(ideal.basis_matrix, R) and ideal.pivots == pivots == (0, 2)
+    assert Ideal(A, np.zeros((0, 4), dtype=np.int64)).pivots == ()
+    with pytest.raises(AssertionError, match="rref called"):
+        Ideal(A, R[::-1])
+
+
+def test_ideal_pivots_are_computed_not_given():
+    A = corpus.truncated_poly(2, 3)
+    with pytest.raises(TypeError):
+        Ideal(A, np.eye(3, dtype=np.int64), pivots=())
 
 
 # ---------------------------------------------------------------------------

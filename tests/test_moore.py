@@ -9,7 +9,7 @@ from moorekit import coeff, corpus
 from moorekit.coeff import (Algebra, Element, Morphism, PreconditionError, PrimeField,
                             Supply, ideal_closure, supply_rows)
 from moorekit.moore import (PairingIndex, SurjIndex, face_kernel, lemma7_check, moore,
-                            moore_basis, normal_form, p_set, push_face, s_set,
+                            moore_space, normal_form, p_set, push_face, s_set,
                             s_word_morphism, table1_audit,
                             boundary_image_and_pairing_product, theorem5_check)
 from moorekit.report import CheckRecord
@@ -113,9 +113,9 @@ def test_moore_of_constant_and_lengths(built):
 
 def test_proj_p_fixes_normal_and_kills_degenerate(built):
     E = built("cubic-chain")
-    v = Element(E.level(2), moore_basis(E, 2)[0])
+    v = Element(E.level(2), moore_space(E, 2).basis_matrix[0])
     assert proj_p(E, 2, v) == v
-    a = Element(E.level(0), moore_basis(E, 0)[0])
+    a = Element(E.level(0), moore_space(E, 0).basis_matrix[0])
     assert not proj_p(E, 1, E.deg(1, 0)(a)).coeffs.any()
 
 
@@ -134,7 +134,7 @@ def test_c_pairing_zero_and_membership(built):
     pair = p_set(3)[4]  # (2)(1)
     z2 = E.level(2).zero()
     assert not c_pairing(E, pair, z2, z2).coeffs.any()
-    v = Element(E.level(2), moore_basis(E, 2)[0])
+    v = Element(E.level(2), moore_space(E, 2).basis_matrix[0])
     val = c_pairing(E, pair, v, v)
     assert in_moore(E, 3, val)
 
@@ -154,7 +154,7 @@ def test_c_pairing_printed_closed_forms_n3(p, built):
     # s1 x (s0 y - s1 y) + s2(x y), exhaustively over NE_2
     E = built("cubic-chain", p)
     s0, s1, s2 = (E.deg(3, i) for i in range(3))
-    ne2 = moore_basis(E, 2)
+    ne2 = moore_space(E, 2).basis_matrix
     A2 = E.level(2)
     supply = [Element(A2, c @ ne2 % p) for c in
               ([i] for i in range(p))]
@@ -183,7 +183,7 @@ def test_pairing_ideal_examples(built):
     E = built("cubic-chain")
     I2 = pairing_ideal(E, 2)
     from moorekit.coeff import Ideal, intersect_row_spaces
-    cap = intersect_row_spaces(moore_basis(E, 2),
+    cap = intersect_row_spaces(moore_space(E, 2).basis_matrix,
                                degenerate_ideal(E, 2).basis_matrix, 2)
     assert Ideal(E.level(2), cap).contains(I2.basis_matrix)
 
@@ -200,7 +200,7 @@ def test_theorem5_pass_and_gate(built):
     E = built("module-id")
     assert degenerate_ideal(E, 2).dim == E.level(2).dim
     lhs, rhs = boundary_image_and_pairing_product(E, 2)
-    assert (lhs.shape[0], rhs.shape[0]) == (2, 0)
+    assert (lhs.dim, rhs.dim) == (2, 0)
     assert degenerate_subalgebra(E, 2).shape[0] == 5
     rec = theorem5_check(E, 2)
     assert rec.status == "hypothesis-failed"
@@ -214,7 +214,7 @@ def test_table1_row20_and_zero(built):
     lhs, rhs = table1_eval(E, 20, z3, z3)
     assert not lhs.coeffs.any() and not rhs.coeffs.any()
     # row 20 closed form x3(s2 d3 y3 - y3) at the only available points
-    ne3 = moore_basis(E, 3)
+    ne3 = moore_space(E, 3).basis_matrix
     assert ne3.shape[0] == 0  # nothing above length 2 in the corpus
     with pytest.raises(ValueError):
         table1_eval(E, 26, z3, z3)
@@ -223,7 +223,7 @@ def test_table1_row20_and_zero(built):
 def test_table1_row4_exhaustive(built):
     # row 4: (2,1,0)(3) with x1 in NE_1, y3 in NE_3
     E = built("cubic-chain")
-    ne1 = moore_basis(E, 1)
+    ne1 = moore_space(E, 1).basis_matrix
     y3 = E.level(3).zero()
     for c in range(2):
         for d in range(2):
@@ -307,7 +307,7 @@ def _lines(records):
 
 def _supply(E, c, supply):
     """Supply elements of NE_c, and whether they are all of NE_c."""
-    basis, p = moore_basis(E, c), E.level(c).p
+    basis, p = moore_space(E, c).basis_matrix, E.level(c).p
     rows, every = supply_rows(basis.shape[0], p, supply)
     return [Element(E.level(c), v @ basis % p) for v in rows], every
 
@@ -341,7 +341,7 @@ def reference_lemma7(E):
     Moore-basis rows; the NE_4 = 0 gate is left to the caller."""
     lemma7 = []
     for row, pair in enumerate(p_set(4), start=1):
-        xs, ys = ([Element(E.level(c), v) for v in moore_basis(E, c)]
+        xs, ys = ([Element(E.level(c), v) for v in moore_space(E, c).basis_matrix]
                   for c in (4 - pair.alpha.size, 4 - pair.beta.size))
         bad = [(x, y) for x, y in itertools.product(xs, ys)
                if E.face(4, 4)(c_pairing(E, pair, x, y)).coeffs.any()]
@@ -356,7 +356,7 @@ def assert_lemma7_matches_reference(E):
     """lemma7_check reproduces the reference records byte for byte, or
     answers hypothesis-failed when NE_4 != 0; returns its records."""
     got = lemma7_check(E)
-    if moore_basis(E, 4).shape[0] == 0:
+    if moore_space(E, 4).dim == 0:
         assert _lines(got) == _lines(reference_lemma7(E))
     else:
         assert [r.status for r in got] == ["hypothesis-failed"]
@@ -466,14 +466,14 @@ def test_theorem5_on_zero_lower_levels(name, p):
 def test_theorem5_failure_counts_rows_outside_the_other_side(built, monkeypatch):
     # no corpus object reaches the failing branch, so feed it two subspaces
     # of E_1: span(e0, e1) and span(e1 + e2), each row counted on its own
-    from moorekit.coeff import rref
+    from moorekit.coeff import Ideal
     moore_mod = importlib.import_module("moorekit.moore")
     simplicial_mod = importlib.import_module("moorekit.simplicial")
     E = built("cubic-chain", 3)
     A = E.level(1)
     assert A.dim >= 3
-    lhs = rref(np.eye(A.dim, dtype=np.int64)[:2], 3)[0]
-    rhs = rref(np.eye(A.dim, dtype=np.int64)[1] + np.eye(A.dim, dtype=np.int64)[2], 3)[0]
+    lhs = Ideal(A, np.eye(A.dim, dtype=np.int64)[:2])
+    rhs = Ideal(A, np.eye(A.dim, dtype=np.int64)[1] + np.eye(A.dim, dtype=np.int64)[2])
     monkeypatch.setattr(simplicial_mod, "degenerate_subalgebra",
                         lambda E, n: np.eye(E.level(n).dim, dtype=np.int64))
     monkeypatch.setattr(moore_mod, "boundary_image_and_pairing_product",
@@ -482,6 +482,13 @@ def test_theorem5_failure_counts_rows_outside_the_other_side(built, monkeypatch)
     assert rec.status == "fail"
     assert (rec.detail["lhs_dim"], rec.detail["rhs_dim"]) == (2, 1)
     assert (rec.detail["lhs_outside_rhs"], rec.detail["rhs_outside_lhs"]) == (2, 1)
+
+
+def test_moore_space_is_the_face_kernel_of_the_faces_below(built):
+    E = built("cubic-chain")
+    for n in range(E.k + 1):
+        assert moore_space(E, n) is face_kernel(E, n, range(n))
+    assert moore_space(E, 0).basis_matrix.tolist() == np.eye(E.level(0).dim).tolist()
 
 
 def test_theorem5_builds_the_moore_complex_and_each_face_kernel_once(monkeypatch):
@@ -545,7 +552,7 @@ def test_pairing_table_equals_c_pairing_on_basis_rows(name, p, table_object):
         table = moore_module.pairing_table(E, n)
         assert list(table) == p_set(n)
         for pair in p_set(n):
-            (cx, bx), (cy, by) = ((n - s.size, moore_basis(E, n - s.size))
+            (cx, bx), (cy, by) = ((n - s.size, moore_space(E, n - s.size).basis_matrix)
                                   for s in (pair.alpha, pair.beta))
             want = np.zeros((len(bx), len(by), E.level(n).dim), dtype=np.int64)
             for (i, x), (j, y) in itertools.product(enumerate(bx), enumerate(by)):
@@ -560,10 +567,10 @@ def test_theorem5_product_ideal_is_the_closure_of_every_pair_product(name, p, ta
     E = table_object(name, p)
     for n in (2, 3, 4):
         A = E.level(n - 1)
-        kernels = [[face_kernel(E, n - 1, set(range(n)) - set(s.entries))
+        kernels = [[face_kernel(E, n - 1, set(range(n)) - set(s.entries)).basis_matrix
                     for s in (q.alpha, q.beta)] for q in p_set(n)]
         want = ideal_closure(A, [A.mul_vec(kx[:, None], ky[None]) for kx, ky in kernels])
-        assert np.array_equal(boundary_image_and_pairing_product(E, n)[1], want.basis_matrix), n
+        assert boundary_image_and_pairing_product(E, n)[1] == want, n
 
 
 @pytest.mark.parametrize("floor", ["default", "all-float"])

@@ -10,7 +10,7 @@ from moorekit.coeff import (Algebra, BilinearMap, Ideal, Morphism,
                             rref, validate_algebra)
 from moorekit.crossed import CrossedChain, verify_2cm, verify_cm, zero_extension
 from moorekit.document import corpus_document
-from moorekit.moore import (SurjIndex, _projection_matrix, moore, moore_basis, normal_form,
+from moorekit.moore import (SurjIndex, _projection_matrix, moore, moore_space, normal_form,
                             push_face, s_set, s_word_morphism)
 from moorekit.simplicial import (TruncatedSimplicialAlgebra, _normal_block,
                                  concentrated_simplicial, constant_simplicial,
@@ -177,27 +177,27 @@ def test_degeneracy_span_codimension_matches_moore(built):
         for n in range(1, 5):
             rows = np.vstack([E.deg(n, i).matrix.T for i in range(n)])
             span_dim = rref(rows, 2)[0].shape[0]
-            assert E.level(n).dim - span_dim == moore_basis(E, n).shape[0]
+            assert E.level(n).dim - span_dim == moore_space(E, n).dim
 
 
 def test_semidirect_dimension_identity(built):
     for name in ("cubic-chain", "module-id"):
         E = built(name)
         for n in range(5):
-            total = sum(moore_basis(E, n - a.size).shape[0] for a in s_set(n))
+            total = sum(moore_space(E, n - a.size).dim for a in s_set(n))
             assert total == E.level(n).dim
 
 
 def test_decompose_trivial_cases(built):
     E = built("cubic-chain")
     # normal elements decompose to themselves
-    v = moore_basis(E, 2)[0]
+    v = moore_space(E, 2).basis_matrix[0]
     dec = decompose(E, 2)
     assert list(dec) == s_set(2)
     assert np.array_equal(dec[SurjIndex((), 2)] @ v % 2, v)
     assert all(not (M @ v % 2).any() for a, M in dec.items() if a.size)
     # a pure degeneracy image is recovered in the (0) slot
-    a = moore_basis(E, 0)[0]
+    a = moore_space(E, 0).basis_matrix[0]
     img = E.deg(1, 0).matrix @ a % 2
     dec1 = decompose(E, 1)
     assert not (dec1[SurjIndex((), 1)] @ img % 2).any()
@@ -244,7 +244,7 @@ def test_decomposition_matrices_split_every_level(p):
             for alpha, M in dec.items():
                 c = n - alpha.size
                 assert M.shape == (E.level(c).dim, E.level(n).dim)
-                assert Ideal(E.level(c), moore_basis(E, c)).contains(M.T % p), (name, n, alpha)
+                assert moore_space(E, c).contains(M.T % p), (name, n, alpha)
             assert np.array_equal(dec[SurjIndex((), n)], _projection_matrix(E, n)), (name, n)
 
 
@@ -319,7 +319,7 @@ def test_build_from_2crossed_moore_data(built):
 def test_concentrated_objects():
     E4 = concentrated_simplicial(corpus.square_zero(2, 1), 4, 4)
     assert validate_simplicial(E4) == []
-    assert moore_basis(E4, 4).shape[0] == 1
+    assert moore_space(E4, 4).dim == 1
     E3 = concentrated_simplicial(corpus.square_zero(2, 1), 3, 4)
     assert validate_simplicial(E3) == []
     mc = moore(E3)
@@ -349,7 +349,7 @@ def reference_extend_level(E, normal=None):
         return v
 
     prev = E.level(m - 1)
-    nbases = {c: Ideal(E.level(c), moore_basis(E, c)) for c in range(m)}
+    nbases = {c: moore_space(E, c) for c in range(m)}
     alphas = [a for a in s_set(m) if a.size > 0 or normal]
     offs, sizes = {}, {}
     dim = 0
