@@ -6,7 +6,8 @@ omitted entries zero; matrices are dense row-major target x source; a face
 or degeneracy is keyed "n,i" in canonical form, "1,0" and not " 1,0" or
 "01,0".  Every number passes one reader, _ints, which refuses fractions
 and numbers beyond int64; coefficients are reduced mod p.  A document
-gives every value once: a key repeated in one object, a triple (i, j, k)
+gives every value once and every key it gives is read: a key repeated in
+one object or outside its object's schema (_known), a triple (i, j, k)
 repeated in one structure and an identity given to a Lie algebra are
 refused, as are JSON booleans and a dim beyond MAX_CELLS.  Name resolution
 failures, shape problems and refused values raise DocumentError with a
@@ -118,6 +119,16 @@ def _object(value, loc) -> dict:
     return value
 
 
+def _known(body, keys, loc) -> dict:
+    """body when it is a JSON object (_object) whose every key is one of
+    `keys`, else a DocumentError at `loc` naming the first other key: a key
+    no loader reads, such as a misspelt "matrx", would load as zero data."""
+    extra = [key for key in _object(body, loc) if key not in keys]
+    if extra:
+        raise DocumentError(f"unknown key {extra[0]!r}", loc)
+    return body
+
+
 class _Repeated(dict):
     """A JSON object that gives its key `key` more than once, as parsed by
     _object_pairs: the last value of each key."""
@@ -209,6 +220,7 @@ def _dense_tensor(triples, shape, p, loc) -> np.ndarray:
 def _load_algebra(section, name, body) -> Algebra:
     cls, key = CARRIERS[section]
     loc = f"{section}.{name}"
+    body = _known(body, ("p", "dim", "basis", key, "identity"), loc)
     p = _int(_field(body, "p", loc), f"{loc}.p")
     dim = _int(_field(body, "dim", loc), f"{loc}.dim")
     if dim ** 3 > MAX_CELLS:
@@ -262,7 +274,7 @@ def _morphism(src, tgt, matrix, loc) -> Morphism:
 
 
 def _load_morphism(body, algebras, loc) -> Morphism:
-    body = _object(body, loc)
+    body = _known(body, ("source", "target", "matrix"), loc)
     return _morphism(_resolve(algebras, _field(body, "source", loc), loc),
                      _resolve(algebras, _field(body, "target", loc), loc),
                      body.get("matrix", []), loc)
@@ -272,8 +284,13 @@ def _load_crossed(section, name, body, doc) -> CrossedChain:
     """One body of a crossed section, laid out as CROSSED[section]: the
     levels and then the boundaries top first, then the maps in CARRIED
     order, each missing key located at its own path."""
-    spec = CROSSED[section]
-    loc = f"{section}.{name}"
+    spec, loc, groups = CROSSED[section], f"{section}.{name}", {}
+    for path in spec.maps.values():
+        groups.setdefault(path[0], []).extend(path[1:])
+    body = _known(body, (*spec.levels, *spec.boundaries, *groups), loc)
+    for group, keys in groups.items():
+        if keys and group in body:
+            _known(body[group], keys, f"{loc}.{group}")
     levels = [_resolve(getattr(doc, spec.algebras), _field(body, key, f"{loc}.{key}"), loc)
               for key in reversed(spec.levels)][::-1]
     boundaries = [_morphism(levels[n], levels[n - 1], _field(body, key, f"{loc}.{key}"), loc)
@@ -289,7 +306,8 @@ def _load_crossed(section, name, body, doc) -> CrossedChain:
 
 
 def _load_bilinear(body, left, right, target, loc) -> BilinearMap:
-    triples = _field(body, "triples", f"{loc}.triples") if isinstance(body, dict) else body
+    triples = (_field(_known(body, ("triples",), loc), "triples", f"{loc}.triples")
+               if isinstance(body, dict) else body)
     tensor = _dense_tensor(triples, (left.dim, right.dim, target.dim), target.p, loc)
     return BilinearMap(left, right, target, tensor)
 
@@ -304,9 +322,11 @@ def load_document(text: str) -> Document:
         raise DocumentError("document must be a JSON object", "document")
     if marked or "true" in text or "false" in text:
         _refuse_booleans_and_repeats(raw)
+    _known(raw, ("config", "morphisms", "simplicial", *CARRIERS, *CROSSED), "document")
     # documents of earlier versions and of bench/inputs.py carry a config
     # object; its keys are checked, though nothing reads them
-    cfg = _object(raw.get("config", {}), "config")
+    cfg = _known(raw.get("config", {}), ("seed", "budget", "exhaustive_bound", "characteristics"),
+                 "config")
     for key in ("seed", "budget", "exhaustive_bound"):
         _int(cfg.get(key, 0), f"config.{key}")
     chars = cfg.get("characteristics", [])
@@ -325,6 +345,7 @@ def load_document(text: str) -> Document:
 
     for name, body in section("simplicial").items():
         loc = f"simplicial.{name}"
+        body = _known(body, ("k", "levels", "faces", "degeneracies"), loc)
         k = _int(_field(body, "k", loc), f"{loc}.k")
         level_names = _field(body, "levels", loc)
         if k < 0:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coeff import Algebra, BilinearMap, PrimeField, Violation, matmul
+from .coeff import Algebra, BilinearMap, PrimeField, Violation, matmul, sweep_step
 from .crossed import (ACTIONS, AxiomEntry, AxiomReport, CrossedChain, _cm_sweeps, _flag,
                       _prefixed, _structure_entries, _sweep, _sweep_3cm2_to_16, _top,
                       _two_cm_sweeps, zero_extension)
@@ -46,14 +46,24 @@ def validate_lie(L: LieAlgebra) -> list[Violation]:
     for i, j in zip(*np.nonzero(anti.any(axis=2))):
         if i < j:
             out.append(Violation("antisymmetry", (int(i), int(j))))
-    # [[e_i, e_j], e_l] at [i, j, l], and its two cyclic rotations
-    jj = matmul(c.reshape(d * d, d), c.reshape(d, d * d), p).reshape(d, d, d, d)
-    jac = (jj + jj.transpose(2, 0, 1, 3) + jj.transpose(1, 2, 0, 3)) % p
-    for i, j, l in zip(*np.nonzero(jac.any(axis=3))):
-        trip = (int(i), int(j), int(l))
-        rots = [trip, trip[1:] + trip[:1], trip[2:] + trip[:2]]
-        if trip == min(rots):  # one witness per cyclic class
-            out.append(Violation("jacobi", trip))
+    # [[e_i, e_j], e_l] + [[e_j, e_l], e_i] + [[e_l, e_i], e_j] at [i, j, l],
+    # one i-chunk from s at a time, each term formed with i in its own slot;
+    # only j, l >= s are formed, since a triple leads its cyclic class
+    # only when i <= j and i <= l
+    step = sweep_step(d ** 3)
+    for s in range(0, d, step):
+        e, n = d - s, min(step, d - s)
+        tail = c[:, s:].reshape(d, e * d)
+        ijl = matmul(c[s:s + n, s:].reshape(n * e, d), tail, p).reshape(n, e, e, d)
+        jli = matmul(c[s:, s:].reshape(e * e, d), c[:, s:s + n].reshape(d, n * d), p)
+        lij = matmul(c[s:, s:s + n].reshape(e * n, d), tail, p).reshape(e, n, e, d)
+        jac = (ijl + jli.reshape(e, e, n, d).transpose(2, 0, 1, 3)
+               + lij.transpose(1, 2, 0, 3)) % p
+        for i, j, l in zip(*np.nonzero(jac.any(axis=3))):
+            trip = (s + int(i), s + int(j), s + int(l))
+            rots = [trip, trip[1:] + trip[:1], trip[2:] + trip[:2]]
+            if trip == min(rots):  # one witness per cyclic class
+                out.append(Violation("jacobi", trip))
     return out
 
 

@@ -4,7 +4,8 @@ projection p, membership in the Moore complex, the hypercrossed pairing
 C_{alpha,beta} and both sides of a Table-1 row, each on one pair of
 elements), the element supply as Element values, a crossed module that
 fails CM2, an axiom report's entry by name, the truncation of a simplicial
-object and the crossed module a 2-crossed module induces.
+object, the crossed module a 2-crossed module induces, and validate_lie's
+Jacobi check on the whole d^4 tensor at once.
 
 moore.pairing_table computes every C_{alpha,beta} on whole Moore bases;
 these functions compute one value at a time through the simplicial maps
@@ -17,7 +18,8 @@ import importlib
 
 import numpy as np
 
-from moorekit.coeff import BilinearMap, Element, PreconditionError, Supply, supply_rows
+from moorekit.coeff import (BilinearMap, Element, PreconditionError, Supply, Violation, matmul,
+                            supply_rows)
 from moorekit.corpus import zmod
 from moorekit.crossed import AxiomEntry, AxiomReport, CrossedChain, _divide_top, zero_module_cm
 from moorekit.moore import PairingIndex, p_set, s_word_morphism
@@ -109,3 +111,23 @@ def induced_cm(t: CrossedChain) -> CrossedChain:
     bottom = CrossedChain(t.levels[:2], t.boundaries[:1], {"01": t.map("01")},
                           (t.name or "2cm") + "-induced")
     return _divide_top(bottom, t.d(2), np.eye(t.levels[2].dim, dtype=np.int64))
+
+
+def validate_lie_dense(L) -> list[Violation]:
+    """lie.validate_lie with every [[e_i, e_j], e_l] formed at once, then
+    two transposed copies: d^4 cells each."""
+    p, c, d = L.p, L.structure, L.dim
+    out = [Violation("alternating", (i,)) for i in range(d) if c[i, i].any()]
+    anti = (c + c.transpose(1, 0, 2)) % p
+    for i, j in zip(*np.nonzero(anti.any(axis=2))):
+        if i < j:
+            out.append(Violation("antisymmetry", (int(i), int(j))))
+    # [[e_i, e_j], e_l] at [i, j, l], and its two cyclic rotations
+    jj = matmul(c.reshape(d * d, d), c.reshape(d, d * d), p).reshape(d, d, d, d)
+    jac = (jj + jj.transpose(2, 0, 1, 3) + jj.transpose(1, 2, 0, 3)) % p
+    for i, j, l in zip(*np.nonzero(jac.any(axis=3))):
+        trip = (int(i), int(j), int(l))
+        rots = [trip, trip[1:] + trip[:1], trip[2:] + trip[:2]]
+        if trip == min(rots):  # one witness per cyclic class
+            out.append(Violation("jacobi", trip))
+    return out

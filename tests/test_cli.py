@@ -451,8 +451,9 @@ def test_exit_code_65_for_a_json_boolean(path, value, tmp_path, capsys):
     assert _document_error(capsys) == f"{where}: {value} refused: a document holds no booleans"
 
 
-# a document gives every value once: a repeated key, a repeated triple and
-# the identity of a Lie algebra are refused where they stand, not
+# a document gives every value once and every key it gives is read: a
+# repeated key, a repeated triple, the identity of a Lie algebra and a key
+# outside its object's schema are refused where they stand, not
 # overwritten or dropped
 @pytest.mark.parametrize("path, value, error", [
     (("algebras", "ideal-pair.R", "p"), '2, "p": 3', "algebras.ideal-pair.R: key 'p' given twice"),
@@ -460,8 +461,26 @@ def test_exit_code_65_for_a_json_boolean(path, value, tmp_path, capsys):
     (("algebras", "ideal-pair.R", "structure"), "[[0, 1, 1, 1], [1, 0, 1, 1], [0, 1, 1, 0]]",
      "algebras.ideal-pair.R: triple (0,1,1) given twice"),
     (("lie_algebras", "heisenberg", "identity"), '"x"',
-     "lie_algebras.heisenberg.identity: a Lie algebra has no identity")],
-    ids=["repeated-key", "repeated-top-key", "repeated-triple", "lie-identity"])
+     "lie_algebras.heisenberg.identity: a Lie algebra has no identity"),
+    (("lie_algebras", "heisenberg", "structure"), "[[0, 1, 2, 1]]",
+     "lie_algebras.heisenberg: unknown key 'structure'"),
+    (("algebras", "ideal-pair.R", "bracket"), "[[0, 0, 0, 1]]",
+     "algebras.ideal-pair.R: unknown key 'bracket'"),
+    (("algebras", "ideal-pair.R", "idenity"), "0", "algebras.ideal-pair.R: unknown key 'idenity'"),
+    (("simplicial", "ideal-pair", "faces", "1,0", "matrx"), "[[1, 0, 0], [0, 1, 0]]",
+     "simplicial.ideal-pair.faces[1,0]: unknown key 'matrx'"),
+    (("simplicial", "ideal-pair", "facez"), "{}", "simplicial.ideal-pair: unknown key 'facez'"),
+    (("algebra",), "{}", "document: unknown key 'algebra'"),
+    (("config", "sead"), "1", "config: unknown key 'sead'"),
+    (("crossed_modules", "ideal-pair", "actoin"), "[]",
+     "crossed_modules.ideal-pair: unknown key 'actoin'"),
+    (("crossed_modules", "ideal-pair", "action"), '{"triples": [], "tripels": []}',
+     "crossed_modules.ideal-pair.action: unknown key 'tripels'"),
+    (("lie_three_crossed", "heisenberg-chain", "actions", "21"), "[]",
+     "lie_three_crossed.heisenberg-chain.actions: unknown key '21'")],
+    ids=["repeated-key", "repeated-top-key", "repeated-triple", "lie-identity",
+         "lie-structure", "algebra-bracket", "idenity", "morphism-matrx", "simplicial-facez",
+         "top-level-algebra", "config-key", "crossed-key", "bilinear-key", "grouped-map-key"])
 def test_exit_code_65_for_a_value_given_twice_or_never_read(path, value, error, tmp_path,
                                                              capsys):
     assert _validate_with(path, value, tmp_path) == 65

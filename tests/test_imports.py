@@ -1,4 +1,5 @@
 import ast
+import json
 import pathlib
 
 import pytest
@@ -192,3 +193,41 @@ def test_every_matrix_product_goes_through_matmul(module):
     allowed = {"coeff.py": ["matmul: np.matmul", "matmul: np.matmul"],
                "crossed.py": ["multiplication_cm: np.einsum", "multiplication_cm: np.einsum"]}
     assert raw_products((PACKAGE / module).read_text(encoding="utf-8")) == allowed.get(module, [])
+
+
+def defined_functions(source: str) -> set:
+    """The functions a module defines at the top level and the methods of
+    its top-level classes, by name."""
+    tree = ast.parse(source)
+    return ({node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+            | {f.name for node in tree.body if isinstance(node, ast.ClassDef)
+               for f in node.body if isinstance(f, ast.FunctionDef)})
+
+
+def test_defined_functions_reads_functions_and_methods():
+    source = "def f(): pass\nclass K:\n    def g(self): pass\n    x = 1\ny = 2\n"
+    assert defined_functions(source) == {"f", "g"}
+
+
+# per-layer names of BENCHMARK.json whose function is gone, so they read 0 in
+# every traced run; the next change to the benchmark drops or swaps them and
+# empties this set
+STALE_PER_LAYER = {"moore.c_pairing.calls", "moore.c_pairing.self_s", "moore.proj_p.calls",
+                   "functors.cm_from_simplicial.self_s",
+                   "functors.two_crossed_from_simplicial.self_s",
+                   "functors.three_crossed_from_simplicial.self_s"}
+
+
+def test_every_per_layer_function_name_is_defined_in_its_module():
+    # reads BENCHMARK.json and does not change it: a name <module>.<name>.calls
+    # or .self_s is a function or method the tracer looks up by that name
+    bench = json.loads((PACKAGE.parent.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    stale = set()
+    for metric in bench["per_layer"]:
+        module, _, rest = metric["name"].partition(".")
+        name, _, counter = rest.partition(".")
+        if counter in ("calls", "self_s"):
+            path = PACKAGE / f"{module}.py"
+            if not path.exists() or name not in defined_functions(path.read_text(encoding="utf-8")):
+                stale.add(metric["name"])
+    assert stale == STALE_PER_LAYER

@@ -1,12 +1,15 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from moorekit.coeff import BilinearMap, Morphism, PrimeField
+from moorekit.coeff import BilinearMap, Morphism, PrimeField, matmul, rref
 from moorekit.crossed import CrossedChain, zero_extension
 from moorekit.lie import (LieAlgebra, _lie_action_laws, degenerate_lie_3cm, lie_abelian,
                           lie_heisenberg, validate_lie, verify_lie_3cm, verify_lie_crossed,
                           verify_lie_2cm)
-from reference import named_entry
+from reference import named_entry, validate_lie_dense
 
 
 def test_validate_lie_abelian_and_heisenberg():
@@ -45,6 +48,63 @@ def test_validate_lie_rejects_jacobi_violation():
     t[0, 2, 2] = -1 % 5
     bad = LieAlgebra(PrimeField(5), t, ("x", "y", "z"))
     assert any(v.kind == "jacobi" for v in validate_lie(bad))
+
+
+def _gl_in_random_basis(n: int, p: int, rng) -> np.ndarray:
+    """The bracket tensor of gl_n, [E_ij, E_kl] = d_jk E_il - d_li E_kj, in
+    a random basis of dim n^2: a valid Lie algebra of no special shape."""
+    d = n * n
+    c = np.zeros((d, d, d), dtype=np.int64)
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        c[i * n + j, k * n + l, i * n + l] += j == k
+        c[i * n + j, k * n + l, k * n + j] -= l == i
+    while True:
+        P = rng.integers(0, p, (d, d))
+        R, pivots = rref(np.hstack([P, np.eye(d, dtype=np.int64)]), p)
+        if pivots[:d] == tuple(range(d)):
+            break
+    Q = R[:, d:]  # P^-1: f_a = sum_i P[a, i] E_i and E_k = sum_b Q[k, b] f_b
+    c = matmul(P, c.reshape(d, d * d), p).reshape(d, d, d)
+    c = matmul(P, c.transpose(1, 0, 2).reshape(d, d * d), p).reshape(d, d, d)
+    return matmul(c.transpose(1, 0, 2), Q, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_validate_lie_witnesses_equal_the_dense_formula(n, p):
+    # n = 5 gives dim 25, more than one i-chunk of the sweep
+    rng = np.random.default_rng(100 * n + p)
+    c = _gl_in_random_basis(n, p, rng)
+    d = n * n
+    mutants = [c, rng.integers(0, p, (d, d, d))]
+    for _ in range(4):
+        a, b, k = rng.integers(0, d, 3)
+        one = c.copy()
+        one[a, b, k] = (one[a, b, k] + 1) % p  # breaks antisymmetry as well
+        both = one.copy()
+        both[b, a, k] = (both[b, a, k] - 1) % p
+        mutants += [one, both]
+    found = set()
+    for t in mutants:
+        L = LieAlgebra(PrimeField(p), t, tuple(f"e{i}" for i in range(d)))
+        got = validate_lie(L)
+        assert got == validate_lie_dense(L)
+        found.update(v.kind for v in got)
+    assert validate_lie(LieAlgebra(PrimeField(p), c, tuple(f"e{i}" for i in range(d)))) == []
+    assert "jacobi" in found and "antisymmetry" in found
+
+
+def test_validate_lie_peak_memory_at_dim_50():
+    rng = np.random.default_rng(3)
+    d = 50
+    L = LieAlgebra(PrimeField(3), rng.integers(0, 3, (d, d, d)), tuple(f"e{i}" for i in range(d)))
+    tracemalloc.start()
+    try:
+        assert validate_lie(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20, peak
 
 
 def test_lie_action_laws():
