@@ -396,7 +396,7 @@ class Morphism:
 
 @dataclass(frozen=True, eq=False)
 class Ideal:
-    """Subspace of an algebra, closed under multiplication, as its rref
+    """Subspace of an algebra, an ideal when is_mult_closed, as its rref
     basis and pivots.  A basis already in rref is kept as given, reduced
     mod p, and any other is reduced once, so basis_matrix is rref(M)[0]
     for the M it is given; pivots is computed, never given."""

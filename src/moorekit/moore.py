@@ -182,11 +182,10 @@ def push_face(i: int, applied: Sequence[int]) -> tuple[tuple[int, ...], int | No
 # face kernels as Ideals, one entry per NE_n among them (moore_space, the
 # one handle on NE_n that the package passes around), Moore complexes,
 # degeneracy words, decompositions and pairing tables, computed once per
-# simplicial object and handed down to the objects that
-# extend it (_hand_down): the objects are immutable, and no value refers
-# back to its object, so an entry goes with its object.  What depends on
-# the level alone, as s_set and simplicial's index plans, is kept once per
-# process.
+# simplicial object and handed down to the objects that extend it
+# (_hand_down): the objects are immutable, and no value refers back to its
+# object, so an entry goes with its object.  What depends on the level
+# alone, as s_set and simplicial's index plans, is kept once per process.
 _MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
