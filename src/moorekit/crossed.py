@@ -7,32 +7,50 @@ levels C_0..C_m, boundaries d_1..d_m, and the actions and liftings
 CARRIED[m], each typed by SIGNATURES.  Length 1 is a crossed module,
 length 2 a 2-crossed module and length 3 a 3-crossed module.
 
+Every identity a verifier or table audit sweeps is one string
+"<slots>: <side> = <side> [= <side>]" in one table per family: _CM,
+_TWO_CM, _THREE_CM, Tables 3-4 in _EQUIVARIANCE (made from SIGNATURES)
+and Table 2 in functors._TABLE2.  A slot's last digit is its level: x1
+runs over the basis of C1 unless the caller passes a stack for it.  A
+side is a Python expression over the slots, calls of the _OPERATIONS
+(d1..d3, the actions a01..a23, the liftings L + the digits of their key:
+L, L10, L20, L21, L102, L201, L021), + - * (x * y is the product of the
+level, the multiplication or the bracket) and unary -; a side 0, never
+the first, is the zero of the first side's level.  The printed transposes
+{a (x) b}_{(1)(2,0)} and _{(2)(1,0)} are L201 and L102 with their
+arguments swapped.  A tuple fails where the first side differs from any
+other.  Each string is parsed once per process (ast.parse, never eval),
+and _identity turns it and a chain into the (slots, fun) _evaluate takes.
+
 Every axiom in scope but 3CM6 is multilinear in each slot, so its value
 on basis tuples decides it exactly; 3CM6 is a linear plus a quadratic
 map in each slot, so its value on pairs of coeff.quadratic_points
-decides it exactly.  Each axiom is written once, on elements, and
-evaluated once on stacked tuples: slot i holds its whole basis (or its
-points) on axis i, every operation broadcasts, and the first failing
-tuple in C order (the order of itertools.product) is the witness.  The
-action laws are such rows too, one per carrier (_action_laws here,
-lie._lie_action_laws for Lie chains); only the complex conditions and
-the multiplicativity of the boundaries stay checks on whole matrices.
-Stored actions are the ones the definitions declare (the base algebra
-acting on the higher ones); the action of degree-1 elements on degree-2
-elements in a 2-crossed module is derived from the lifting,
-{y (x) d2 x} = y . x, and likewise one level up.
+decides it exactly.  Each identity is evaluated once on stacked tuples:
+slot i holds its whole basis (or its points) on axis i, every operation
+broadcasts, and the first failing tuple in C order (the order of
+itertools.product) is the witness.  The action laws are such rows too,
+one per carrier (_action_laws here, lie._lie_action_laws for Lie
+chains), laws of one action rather than printed identities; only the
+complex conditions and the multiplicativity of the boundaries stay
+checks on whole matrices.  Stored actions are the ones the definitions
+declare (the base algebra acting on the higher ones); the action of
+degree-1 elements on degree-2 elements in a 2-crossed module is derived
+from the lifting, {y (x) d2 x} = y . x, and likewise one level up.
 """
 
 from __future__ import annotations
 
+import ast
+import operator
 from dataclasses import dataclass, field, replace
+from functools import cache
 from types import MappingProxyType
 
 import numpy as np
 
 from .coeff import (Algebra, BilinearMap, Element, Ideal, Morphism, PreconditionError,
                     annihilator, ideal_closure, matmul, null_space, quadratic_points, quotient,
-                    reduce_against, rref, square_span, subalgebra, sweep_step, validate_algebra)
+                    reduce_against, square_span, subalgebra, sweep_step, validate_algebra)
 from .report import FAIL, PASS, CheckRecord
 
 # The levels of the left argument, the right argument and the value of
@@ -48,6 +66,13 @@ ACTIONS = tuple(key for key in SIGNATURES if key.isdigit())
 # C_0-action on C_1 on a crossed module, also the C_0-action on C_2 and
 # the Peiffer lifting on a 2-crossed module, and all of them at m = 3
 CARRIED = {0: (), 1: ("01",), 2: ("01", "02", "()"), 3: tuple(SIGNATURES)}
+# the identity language's name of each map: "a" + the key of an action,
+# "L" + the digits of the key of a lifting
+_NAMES = {key: f"a{key}" if key in ACTIONS else "L" + "".join(filter(str.isdigit, key))
+          for key in SIGNATURES}
+# every operation by name: a boundary d<n> as n, a map as its key
+_OPERATIONS = {**{f"d{n}": n for n in (1, 2, 3)}, **{name: key for key, name in _NAMES.items()}}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +179,54 @@ def _action_laws(name: str, act: BilinearMap) -> AxiomEntry:
 
 
 # ---------------------------------------------------------------------------
+# identities (the language of the module docstring)
+
+
+@cache
+def _parse(text: str) -> tuple[tuple[str, ...], tuple[ast.expr, ...]]:
+    """The slot names and the side trees of an identity."""
+    slots, _, sides = text.partition(":")
+    return (tuple(slot.strip() for slot in slots.split(",")),
+            tuple(ast.parse(side.strip(), mode="eval").body for side in sides.split("=")))
+
+
+def _term(node: ast.expr, chain: CrossedChain, env: dict):
+    """The value of a side's tree at the slot values env; None for 0."""
+    if isinstance(node, ast.Call):
+        op = _OPERATIONS[node.func.id]
+        f = chain.boundaries[op - 1] if isinstance(op, int) else chain.maps[op]
+        return f(*[_term(arg, chain, env) for arg in node.args])
+    if isinstance(node, ast.Name):
+        return env[node.id]
+    if isinstance(node, ast.BinOp):
+        return _BINARY[type(node.op)](_term(node.left, chain, env), _term(node.right, chain, env))
+    if isinstance(node, ast.UnaryOp):
+        return -_term(node.operand, chain, env)
+    return None  # the constant 0
+
+
+def _identity(chain: CrossedChain, text: str, stacks=None) -> tuple[list, object]:
+    """The (slots, fun) pair _evaluate takes for an identity on a chain:
+    the slots are the levels the slot names end in, or the given stacks,
+    and fun pairs the first side with each other side."""
+    names, sides = _parse(text)
+
+    def fun(*args):
+        env = dict(zip(names, args))
+        first, *rest = [_term(side, chain, env) for side in sides]
+        return [(first, first.parent.zero() if v is None else v) for v in rest]
+    return stacks or [chain.levels[int(name[-1])] for name in names], fun
+
+
+def _sweeps(chain: CrossedChain, table: dict, prefix: str = "", omit=(),
+            stacks=None) -> list[AxiomEntry]:
+    """The entry "<prefix><name>" of each identity of a table but those in
+    omit, swept on its levels' bases or on stacks[name]."""
+    return [_sweep(prefix + name, *_identity(chain, text, (stacks or {}).get(name)))
+            for name, text in table.items() if name not in omit]
+
+
+# ---------------------------------------------------------------------------
 # crossed chains
 
 
@@ -233,35 +306,27 @@ def _top(m: CrossedChain, length: int) -> CrossedChain:
 # crossed modules
 
 
+# CM1, CM2 and the lemma that the boundary image acts trivially on the
+# kernel, whose k1 runs over a basis of ker d1
+_KERNEL = "image-acts-trivially-on-kernel"
+_CM = {"CM1": "r0, c1: d1(a01(r0, c1)) = r0 * d1(c1)",
+       "CM2": "c1, k1: a01(d1(c1), k1) = c1 * k1",
+       _KERNEL: "c1, k1: a01(d1(c1), k1) = 0"}
+
+
 def verify_cm(m: CrossedChain) -> AxiomReport:
     """CM1, CM2, action laws, plus the two lemmas: the boundary image is
     an ideal of R = C_0 and acts trivially on the kernel."""
-    (R, C), bd, act = m.levels, m.d(1), m.map("01")
+    (R, C), bd = m.levels, m.d(1)
+    kernel = Element(C, null_space(bd.matrix, C.p))
     entries = [
         _flag("boundary-multiplicative", bd.is_multiplicative()),
-        _action_laws("action-algebra", act),
-        *_cm_sweeps(m),
+        _action_laws("action-algebra", m.map("01")),
+        *_sweeps(m, _CM, omit=(_KERNEL,)),
         _flag("image-is-ideal", Ideal(R, bd.matrix.T).is_mult_closed()),
+        _sweep(_KERNEL, *_identity(m, _CM[_KERNEL], [C, kernel])),
     ]
-    ker = null_space(bd.matrix, C.p)
-    entries.append(_sweep(
-        "image-acts-trivially-on-kernel",
-        [C, Element(C, ker)],
-        lambda c, k: (act(bd(c), k), C.zero())))
     return AxiomReport(m.name or "crossed-module", tuple(entries))
-
-
-def _cm_sweeps(m: CrossedChain, prefix: str = "") -> list[AxiomEntry]:
-    """CM1 and CM2 of a crossed module, as entries "<prefix>CM1" and
-    "<prefix>CM2"; x * y is the product of the levels, the multiplication
-    or the bracket."""
-    (R, C), bd, act = m.levels, m.d(1), m.map("01")
-    return [
-        _sweep(f"{prefix}CM1", [R, C],
-               lambda r, c: (bd(act(r, c)), r * bd(c))),
-        _sweep(f"{prefix}CM2", [C, C],
-               lambda c, c2: (act(bd(c), c2), c * c2)),
-    ]
 
 
 def ideal_pair(R: Algebra, gens, name: str = "") -> CrossedChain:
@@ -303,7 +368,7 @@ def multiplication_cm(R: Algebra) -> CrossedChain:
     basis_flat = null_space(blocks.reshape(d ** 3, d * d) % p, p)
     mdim = basis_flat.shape[0]
     mats = basis_flat.reshape(mdim, d, d)
-    pivots = list(rref(basis_flat, p)[1])
+    pivots = [int(np.flatnonzero(row)[0]) for row in basis_flat]  # null_space is in rref
 
     def coords(flat: np.ndarray) -> np.ndarray:
         if reduce_against(flat, basis_flat, pivots, p).any():
@@ -328,49 +393,29 @@ def multiplication_cm(R: Algebra) -> CrossedChain:
 # 2-crossed modules
 
 
+# the equivariance of both boundaries, then 2CM1-2CM5; C1 acts on C2 by
+# y . x = {y (x) d2 x}
+_TWO_CM = {"d2-equivariant": "z0, x2: d2(a02(z0, x2)) = a01(z0, d2(x2))",
+           "d1-equivariant": "z0, y1: d1(a01(z0, y1)) = z0 * d1(y1)",
+           "2CM1": "x1, y1: d2(L(x1, y1)) = x1 * y1 - a01(d1(y1), x1)",
+           "2CM2": "x2, y2: L(d2(x2), d2(y2)) = x2 * y2",
+           "2CM3": "x1, y1, z1: L(x1, y1 * z1) = L(x1 * y1, z1) + a02(d1(z1), L(x1, y1))",
+           "2CM4i": "x2, y1: L(d2(x2), y1) = L(y1, d2(x2)) - a02(d1(y1), x2)",
+           "2CM4ii": "x2, y1: L(y1, d2(x2)) = L(y1, d2(x2))",
+           "2CM5": "z0, x1, y1: a02(z0, L(x1, y1)) = L(a01(z0, x1), y1) = L(x1, a01(z0, y1))"}
+
+
 def verify_2cm(t: CrossedChain) -> AxiomReport:
-    (C0, C1, C2), (d1, d2) = t.levels, t.boundaries
-    a1, a2 = t.map("01"), t.map("02")
+    (C0, _, _), (d1, d2) = t.levels, t.boundaries
     entries = [
         _flag("complex", not matmul(d1.matrix, d2.matrix, C0.p).any()),
         _flag("d2-multiplicative", d2.is_multiplicative()),
         _flag("d1-multiplicative", d1.is_multiplicative()),
-        _action_laws("action-c1-algebra", a1),
-        _action_laws("action-c2-algebra", a2),
-        _sweep("d2-equivariant", [C0, C2],
-               lambda z, x: (d2(a2(z, x)), a1(z, d2(x)))),
-        _sweep("d1-equivariant", [C0, C1],
-               lambda z, y: (d1(a1(z, y)), z * d1(y))),
-        *_two_cm_sweeps(t),
+        _action_laws("action-c1-algebra", t.map("01")),
+        _action_laws("action-c2-algebra", t.map("02")),
+        *_sweeps(t, _TWO_CM),
     ]
     return AxiomReport(t.name or "two-crossed-module", tuple(entries))
-
-
-def _two_cm_sweeps(t: CrossedChain, prefix: str = "",
-                   omit: tuple[str, ...] = ()) -> list[AxiomEntry]:
-    """2CM1 through 2CM5 but the axioms in `omit`, each as the entry
-    "<prefix><axiom>"; x * y is the product of the levels, the
-    multiplication or the bracket, and C1 acts on C2 by y . x = {y (x) d2 x}."""
-    (C0, C1, C2), (d1, d2) = t.levels, t.boundaries
-    a1, a2, lt = t.map("01"), t.map("02"), t.map("()")
-    axioms = [
-        ("2CM1", [C1, C1],
-         lambda y0, y1: (d2(lt(y0, y1)), y0 * y1 - a1(d1(y1), y0))),
-        ("2CM2", [C2, C2],
-         lambda x1, x2: (lt(d2(x1), d2(x2)), x1 * x2)),
-        ("2CM3", [C1, C1, C1],
-         lambda y0, y1, y2: (lt(y0, y1 * y2),
-                             lt(y0 * y1, y2) + a2(d1(y2), lt(y0, y1)))),
-        ("2CM4i", [C2, C1],
-         lambda x, y: (lt(d2(x), y), lt(y, d2(x)) - a2(d1(y), x))),
-        ("2CM4ii", [C2, C1],
-         lambda x, y: (lt(y, d2(x)), lt(y, d2(x)))),
-        ("2CM5", [C0, C1, C1],
-         lambda z, y0, y1: [(a2(z, lt(y0, y1)), lt(a1(z, y0), y1)),
-                            (a2(z, lt(y0, y1)), lt(y0, a1(z, y1)))]),
-    ]
-    return [_sweep(prefix + name, slots, fun) for name, slots, fun in axioms
-            if name not in omit]
 
 
 def _divide_top(chain: CrossedChain, above: Morphism, rows) -> CrossedChain:
@@ -424,6 +469,46 @@ def _prefixed(prefix: str, report: AxiomReport) -> list[AxiomEntry]:
     return [replace(e, name=f"{prefix}/{e.name}") for e in report.entries]
 
 
+# 3CM2-3CM16 as printed; 3CM6 runs on pairs of quadratic_points of C2
+_THREE_CM = {
+    "3CM2": "x1, y1: d2(L(x1, y1)) = a01(d1(y1), x1) - x1 * y1",
+    "3CM3": "x2, y2: L021(x2, d2(y2)) = L21(x2, y2) - L10(x2, y2)",
+    "3CM4": "x2, y2: d3(L10(x2, y2)) = L(d2(x2), d2(y2)) + x2 * y2",
+    "3CM5": "x1, y3: L201(x1, d3(y3)) = L021(d3(y3), x1) + L102(x1, d3(y3)) - a03(d1(x1), y3)",
+    "3CM6": "x2, y2: L201(d2(x2), y2) = -L20(x2, y2) + a23(x2 * y2, L21(x2, y2)) + L10(x2, y2)",
+    "3CM7": "x3, y3: L10(d3(x3), d3(y3)) = y3 * x3",
+    "3CM8": "y3, x2: L021(d3(y3), d2(x2)) = -a13(d2(x2), y3)",
+    "3CM9": "x2, y3: L102(d2(x2), d3(y3)) = -L20(x2, d3(y3))",
+    "3CM10": "x2, y3: L201(d2(x2), d3(y3)) = a13(d2(x2), y3) - L20(x2, d3(y3))",
+    "3CM11": "y3, x1: L021(d3(y3), x1) = -a13(x1, y3)",
+    "3CM12": "y2, x3: L10(y2, d3(x3)) = -a23(y2, x3)",
+    "3CM13": "x3, y2: L10(d3(x3), y2) = a23(y2, x3)",
+    "3CM14": "x3, y2: L20(d3(x3), y2) = 0",
+    "3CM15": "x1, y2: d3(L201(x1, y2)) = d3(L102(x1, y2)) + L(x1, d2(y2)) - a02(d1(x1), y2)"
+             " + a12(x1, y2)",
+    "3CM16": "x1, y2: d3(L021(y2, x1)) = L(x1, d2(y2)) - a12(x1, y2)",
+}
+
+
+def _equivariance(key: str, z: int) -> str:
+    """The row of a lifting L in Table 3 (z = 0) or 4 (z = 1): for L of
+    signature (a, b, v) and w in C_z, w . L(x, y) = L(w . x, y) = L(x, w . y),
+    where w acts on C_n by the action a<z><n>, or by the product when
+    n = z, since no action of C1 on itself is declared."""
+    (a, b, v), L = SIGNATURES[key], _NAMES[key]
+
+    def act(n, x):
+        return f"w{z} * {x}" if n == z else f"a{z}{n}(w{z}, {x})"
+    return (f"w{z}, x{a}, y{b}: {act(v, f'{L}(x{a}, y{b})')} = {L}({act(a, f'x{a}')}, y{b})"
+            f" = {L}(x{a}, {act(b, f'y{b}')})")
+
+
+# Tables 3 and 4 by table, their rows in printed order
+_EQUIVARIANCE = {t: {f"table{t}[{key}]": _equivariance(key, t - 3) for key in
+                     ("()", "(1,0)(2)", "(0)(2,1)", "(2,0)(1)", "(1)(0)", "(2)(0)", "(2)(1)")}
+                 for t in (3, 4)}
+
+
 def verify_3cm(m: CrossedChain) -> AxiomReport:
     """3CM1 through 3CM16 as printed, the degree-3 crossed module property,
     and the two equivariance tables.
@@ -435,91 +520,18 @@ def verify_3cm(m: CrossedChain) -> AxiomReport:
     """
     entries = _structure_entries(m, "multiplicative")
     entries += [_action_laws(f"action-{key}-algebra", m.map(key)) for key in ACTIONS]
-    entries += _cm_sweeps(_top(m, 1), "d3-crossed-")
+    entries += _sweeps(_top(m, 1), _CM, "d3-crossed-", omit=(_KERNEL,))
     entries += _prefixed("3CM1", verify_2cm(_top(m, 2)))
     entries += _sweep_3cm2_to_16(m)
-    entries += _equivariance_entries(m, "table3", 0)
-    entries += _equivariance_entries(m, "table4", 1)
+    entries += _sweeps(m, _EQUIVARIANCE[3]) + _sweeps(m, _EQUIVARIANCE[4])
     return AxiomReport(m.name or "three-crossed-module", tuple(entries))
 
 
 def _sweep_3cm2_to_16(m: CrossedChain) -> list[AxiomEntry]:
-    """The entries of _axioms_3cm2_to_16; 3CM6's detail gives its mode,
+    """The entries of _THREE_CM; 3CM6's detail gives its mode,
     basis-exact, and its witness is a pair of elements where it fails."""
-    entries = [_sweep(*row) for row in _axioms_3cm2_to_16(m)]
+    C2 = m.levels[2]
+    points = Element(C2, quadratic_points(C2.dim, C2.p))
+    entries = _sweeps(m, _THREE_CM, stacks={"3CM6": [points, points]})
     return [replace(e, detail={"mode": "basis-exact"}) if e.name == "3CM6" else e
             for e in entries]
-
-
-def _axioms_3cm2_to_16(m: CrossedChain) -> list[tuple]:
-    """3CM2 through 3CM16 as printed, as (name, slots, fun) rows; x * y is
-    the product of the levels, the multiplication or the bracket.  Each
-    axiom runs on its levels' bases but 3CM6, which runs on pairs of
-    quadratic_points of C2 (see there why that decides it)."""
-    _, C1, C2, C3 = m.levels
-    d1, d2, d3 = m.boundaries
-    a01, a02, a03, a12, a13, a23 = (m.map(key) for key in ACTIONS)
-    L10, L20, L21 = m.map("(1)(0)"), m.map("(2)(0)"), m.map("(2)(1)")
-    L102, L201 = m.map("(1,0)(2)"), m.map("(2,0)(1)")
-    L021, L = m.map("(0)(2,1)"), m.map("()")
-    points = Element(C2, quadratic_points(C2.dim, C2.p))
-    return [
-        ("3CM2", [C1, C1],
-         lambda x1, y1: (d2(L(x1, y1)), a01(d1(y1), x1) - x1 * y1)),
-        ("3CM3", [C2, C2],
-         lambda x2, y2: (L021(x2, d2(y2)), L21(x2, y2) - L10(x2, y2))),
-        ("3CM4", [C2, C2],
-         lambda x2, y2: (d3(L10(x2, y2)), L(d2(x2), d2(y2)) + x2 * y2)),
-        ("3CM5", [C1, C3],
-         lambda x1, y3: (L201(x1, d3(y3)),
-                         L021(d3(y3), x1) + L102(x1, d3(y3)) - a03(d1(x1), y3))),
-        ("3CM6", [points, points],
-         lambda x2, y2: (L201(d2(x2), y2),
-                         -L20(x2, y2) + a23(x2 * y2, L21(x2, y2)) + L10(x2, y2))),
-        ("3CM7", [C3, C3],
-         lambda x3, y3: (L10(d3(x3), d3(y3)), y3 * x3)),
-        ("3CM8", [C3, C2],
-         lambda y3, x2: (L021(d3(y3), d2(x2)), -a13(d2(x2), y3))),
-        ("3CM9", [C2, C3],
-         lambda x2, y3: (L102(d2(x2), d3(y3)), -L20(x2, d3(y3)))),
-        ("3CM10", [C2, C3],
-         lambda x2, y3: (L201(d2(x2), d3(y3)),
-                         a13(d2(x2), y3) - L20(x2, d3(y3)))),
-        ("3CM11", [C3, C1],
-         lambda y3, x1: (L021(d3(y3), x1), -a13(x1, y3))),
-        ("3CM12", [C2, C3],
-         lambda y2, x3: (L10(y2, d3(x3)), -a23(y2, x3))),
-        ("3CM13", [C3, C2],
-         lambda x3, y2: (L10(d3(x3), y2), a23(y2, x3))),
-        ("3CM14", [C3, C2],
-         lambda x3, y2: (L20(d3(x3), y2), C3.zero())),
-        ("3CM15", [C1, C2],
-         lambda x1, y2: (d3(L201(x1, y2)),
-                         d3(L102(x1, y2)) + L(x1, d2(y2))
-                         - a02(d1(x1), y2) + a12(x1, y2))),
-        ("3CM16", [C1, C2],
-         lambda x1, y2: (d3(L021(y2, x1)), L(x1, d2(y2)) - a12(x1, y2))),
-    ]
-
-
-# the printed row order of Tables 3 and 4
-_EQUIVARIANCE_ROWS = ("()", "(1,0)(2)", "(0)(2,1)", "(2,0)(1)", "(1)(0)", "(2)(0)", "(2)(1)")
-
-
-def _equivariance_entries(m: CrossedChain, title: str, z: int) -> list[AxiomEntry]:
-    """Both equalities of each equivariance-table row, per lifting key:
-    for a lifting L of signature (a, b, v) and w in C_z,
-    w . L(x, y) = L(w . x, y) = L(x, w . y), where w acts on C_n by the
-    stored action "<z><n>".  Table 3 has z = 0; Table 4 has z = 1, and no
-    action of C1 on itself is declared, so it acts by multiplication.
-    """
-    def act(n):
-        return (lambda w, x: w * x) if n == z else m.map(f"{z}{n}")
-
-    def row(key):
-        a, b, v = SIGNATURES[key]
-        L, on_a, on_b, on_v = m.map(key), act(a), act(b), act(v)
-        return _sweep(f"{title}[{key}]", [m.levels[z], m.levels[a], m.levels[b]],
-                      lambda w, x, y: [(on_v(w, L(x, y)), L(on_a(w, x), y)),
-                                       (on_v(w, L(x, y)), L(x, on_b(w, y)))])
-    return [row(key) for key in _EQUIVARIANCE_ROWS]

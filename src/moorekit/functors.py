@@ -22,7 +22,13 @@ composite hypercrossed pairing, which provably lands where it must:
 wherever the printed formulas type-check they agree with these values;
 the remaining printed variants are judged by the table audits, never
 silently adopted.  Which axioms each convention satisfies on an instance
-is read from verify_3cm on the extraction under each (`--convention`).
+is read from verify_3cm on the extraction under each (`--convention`),
+and any other convention is refused.
+
+The table audits sweep strings of crossed's identity language: Tables 3
+and 4 are crossed._EQUIVARIANCE, and Table 2 is _TABLE2, whose rows 2, 6,
+7, 15, 16, 18 and 20 name the axioms they share (3CM5, 3CM9, 3CM10,
+3CM13, 3CM14, 3CM4, 3CM15) instead of writing them again.
 """
 
 from __future__ import annotations
@@ -34,8 +40,8 @@ import numpy as np
 from . import corpus
 from .coeff import (BilinearMap, PreconditionError, algebras_equal, intersect_row_spaces,
                     matmul)
-from .crossed import (ACTIONS, CARRIED, SIGNATURES, CrossedChain, _axioms_3cm2_to_16,
-                      _divide_top, _equivariance_entries, _evaluate, verify_cm)
+from .crossed import (ACTIONS, CARRIED, SIGNATURES, _EQUIVARIANCE, _THREE_CM, CrossedChain,
+                      _divide_top, _evaluate, _identity, _sweeps, verify_cm)
 from .moore import moore, moore_space, p_set, pairing_table, s_word_morphism
 from .report import CONFIRMED, DISCREPANT, FAIL, PASS, CheckRecord
 from .simplicial import TruncatedSimplicialAlgebra, _verified, degenerate_ideal, realize
@@ -79,6 +85,8 @@ def hypercrossed(E: TruncatedSimplicialAlgebra, m: int,
     exactly when m = 3, and of Moore length at most 2 when m = 2; at
     m = k = 1 the chain passes verify_cm.
     """
+    if convention not in (PROP3, DEF1):
+        raise ValueError(f"unknown lifting convention {convention!r}: use {PROP3!r} or {DEF1!r}")
     if m == 3 and E.k != 4:
         raise PreconditionError("requires truncation level 4")
     if E.k < m:
@@ -113,62 +121,33 @@ def hypercrossed(E: TruncatedSimplicialAlgebra, m: int,
 # printed-table audits inside the extracted structure
 
 
-def _table2_rows(m: CrossedChain):
-    """Table 2 as (name, slots, fun) rows.  Rows 2, 6, 7, 15, 16, 18 and 20
-    are the axioms 3CM5, 3CM9, 3CM10, 3CM13, 3CM14, 3CM4 and 3CM15, with
-    the same slots and sides; row 4 is not 3CM7, whose right side is
-    y3 x3, not x3 y3."""
-    axioms = {name: (slots, fun) for name, slots, fun in _axioms_3cm2_to_16(m)}
-    _, C1, C2, C3 = m.levels
-    _, d2, d3 = m.boundaries
-    a12, a13, a23 = m.map("12"), m.map("13"), m.map("23")
-    L10, L20, L21 = m.map("(1)(0)"), m.map("(2)(0)"), m.map("(2)(1)")
-    L102, L201 = m.map("(1,0)(2)"), m.map("(2,0)(1)")
-    L021, L = m.map("(0)(2,1)"), m.map("()")
-    # transposed keys: {a (x) b}_{(1)(2,0)} pairs the C2 slot with (1)
-    t201 = lambda a2, b1: L201(b1, a2)  # noqa: E731
-    t102 = lambda a2, b1: L102(b1, a2)  # noqa: E731
-    return [
-        ("row1", [C2, C2],
-         lambda x2, y2: (L021(x2, d2(y2)), L10(x2, y2) + L21(x2, y2))),
-        ("row2", *axioms["3CM5"]),
-        ("row3", [C2, C2],
-         lambda x2, y2: (L102(d2(x2), y2), -L20(x2, y2))),
-        ("row4", [C3, C3],
-         lambda x3, y3: (L10(d3(x3), d3(y3)), x3 * y3)),
-        ("row5", [C2, C3],
-         lambda x2, y3: (L021(d3(y3), d2(x2)), a13(d2(x2), y3))),
-        ("row6", *axioms["3CM9"]),
-        ("row7", *axioms["3CM10"]),
-        ("row8", [C2, C2, C2],
-         lambda x2, y2, yp: (L10(x2, y2 * yp),
-                             L021(x2, d2(y2 * yp)) - L21(x2, y2 * yp))),
-        ("row9", [C2, C2, C2],
-         lambda xp, x2, y2: (L10(xp * x2, y2),
-                             L021(xp * x2, d2(y2)) - L21(xp * x2, y2))),
-        ("row10", [C2, C2, C2],
-         lambda x2, y2, yp: (L21(x2, y2 * yp),
-                             t201(x2, d2(y2 * yp)) + L20(x2, y2 * yp) - L10(x2, y2 * yp))),
-        ("row11", [C2, C2, C2],
-         lambda x2, xp, y2: (L21(x2 * xp, y2),
-                             t201(x2 * xp, d2(y2)) + L20(x2 * xp, y2) - L10(x2 * xp, y2))),
-        ("row12", [C2, C2, C2],
-         lambda x2, y2, yp: (L20(x2, y2 * yp), -t102(x2, d2(y2 * yp)))),
-        ("row13", [C2, C3],
-         lambda x2, y3: (L21(x2, d3(y3)), a23(x2, y3))),
-        ("row14", [C3, C2],
-         lambda x3, y2: (L21(d3(x3), y2), a13(d2(y2), x3) + a23(y2, x3))),
-        ("row15", *axioms["3CM13"]),
-        ("row16", *axioms["3CM14"]),
-        ("row17", [C2, C2],
-         lambda x2, y2: (d3(L20(x2, y2)), -d3(L102(d2(x2), y2)))),
-        ("row18", *axioms["3CM4"]),
-        ("row19", [C2, C2],
-         lambda x2, y2: (d3(L21(x2, y2)), a12(d2(y2), x2) - x2 * y2)),
-        ("row20", *axioms["3CM15"]),
-        ("row21", [C1, C2],
-         lambda x1, y2: (d3(L021(y2, x1)), L(x1, d2(y2)) + a12(x1, y2))),
-    ]
+# Table 2, a row either an identity or the axiom it shares; row 4 is not
+# 3CM7, whose right side is y3 x3
+_TABLE2 = {
+    "row1": "x2, y2: L021(x2, d2(y2)) = L10(x2, y2) + L21(x2, y2)",
+    "row2": "3CM5",
+    "row3": "x2, y2: L102(d2(x2), y2) = -L20(x2, y2)",
+    "row4": "x3, y3: L10(d3(x3), d3(y3)) = x3 * y3",
+    "row5": "x2, y3: L021(d3(y3), d2(x2)) = a13(d2(x2), y3)",
+    "row6": "3CM9",
+    "row7": "3CM10",
+    "row8": "x2, y2, z2: L10(x2, y2 * z2) = L021(x2, d2(y2 * z2)) - L21(x2, y2 * z2)",
+    "row9": "w2, x2, y2: L10(w2 * x2, y2) = L021(w2 * x2, d2(y2)) - L21(w2 * x2, y2)",
+    "row10": "x2, y2, z2: L21(x2, y2 * z2) = L201(d2(y2 * z2), x2) + L20(x2, y2 * z2)"
+             " - L10(x2, y2 * z2)",
+    "row11": "x2, w2, y2: L21(x2 * w2, y2) = L201(d2(y2), x2 * w2) + L20(x2 * w2, y2)"
+             " - L10(x2 * w2, y2)",
+    "row12": "x2, y2, z2: L20(x2, y2 * z2) = -L102(d2(y2 * z2), x2)",
+    "row13": "x2, y3: L21(x2, d3(y3)) = a23(x2, y3)",
+    "row14": "x3, y2: L21(d3(x3), y2) = a13(d2(y2), x3) + a23(y2, x3)",
+    "row15": "3CM13",
+    "row16": "3CM14",
+    "row17": "x2, y2: d3(L20(x2, y2)) = -d3(L102(d2(x2), y2))",
+    "row18": "3CM4",
+    "row19": "x2, y2: d3(L21(x2, y2)) = a12(d2(y2), x2) - x2 * y2",
+    "row20": "3CM15",
+    "row21": "x1, y2: d3(L021(y2, x1)) = L(x1, d2(y2)) + a12(x1, y2)",
+}
 
 
 def table_identities_check(E: TruncatedSimplicialAlgebra, table: int,
@@ -177,13 +156,17 @@ def table_identities_check(E: TruncatedSimplicialAlgebra, table: int,
     structure; CONFIRMED or DISCREPANT per row with a minimal witness."""
     if table not in (2, 3, 4):
         raise ValueError("tables 2, 3 and 4 are defined")
-    m = hypercrossed(E, 3, convention)[0]
+    return _table_records(hypercrossed(E, 3, convention)[0], table)
+
+
+def _table_records(m: CrossedChain, table: int) -> list[CheckRecord]:
+    """The records of Table 2, 3 or 4 on a 3-crossed module."""
     if table == 2:
-        return [_table2_record(name, *_evaluate(slots, fun))
-                for name, slots, fun in _table2_rows(m)]
+        return [_table2_record(name, *_evaluate(*_identity(m, _THREE_CM.get(row, row))))
+                for name, row in _TABLE2.items()]
     return [CheckRecord(e.name, CONFIRMED if e.status == PASS else DISCREPANT,
                         witnesses=(e.witness,) if e.witness else ())
-            for e in _equivariance_entries(m, f"table{table}", table - 3)]
+            for e in _sweeps(m, _EQUIVARIANCE[table])]
 
 
 def _table2_record(name: str, checked: int, failure) -> CheckRecord:

@@ -5,10 +5,11 @@ tensor holds bracket constants, so elements, morphisms and bilinear maps
 are the commutative machinery: x * y on elements of a Lie algebra
 computes [x, y].  A Lie 3-crossed module is a
 :class:`~moorekit.crossed.CrossedChain` of length 3 over Lie algebras,
-stored, loaded and dumped like a commutative one, and axioms
-3CM2-3CM16, which read the same for both products, are decided exactly
-by the rows that ``verify_3cm`` sweeps (3CM6 on pairs of
-``coeff.quadratic_points``).
+stored, loaded and dumped like a commutative one.  Its verifiers read
+crossed's identity tables, which read the same for both products:
+3CM2-3CM16 are ``crossed._THREE_CM`` as ``verify_3cm`` sweeps it (3CM6
+on pairs of ``coeff.quadratic_points``), and the degree-3 crossed
+module and 3CM1 are ``crossed._CM`` and ``crossed._TWO_CM``.
 
 The real differences stay here:
 
@@ -18,9 +19,9 @@ The real differences stay here:
 * actions: by derivations, as a Lie homomorphism into them, swept as one
   row over basis tuples (``_lie_action_laws``);
 * ``verify_lie_3cm`` checks the degree-3 crossed module with brackets
-  (``verify_lie_crossed``) and 3CM1 as a Lie 2-crossed module
-  (``verify_lie_2cm``, which has no 2CM4ii), and has no equivariance
-  tables.
+  (``verify_lie_crossed``, without the kernel lemma) and 3CM1 as a Lie
+  2-crossed module (``verify_lie_2cm``, without 2CM4ii and the boundary
+  equivariances), and has no equivariance tables.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from __future__ import annotations
 import numpy as np
 
 from .coeff import Algebra, BilinearMap, PrimeField, Violation, matmul, sweep_step
-from .crossed import (ACTIONS, AxiomEntry, AxiomReport, CrossedChain, _cm_sweeps, _flag,
-                      _prefixed, _structure_entries, _sweep, _sweep_3cm2_to_16, _top,
-                      _two_cm_sweeps, zero_extension)
+from .crossed import (ACTIONS, _CM, _KERNEL, _TWO_CM, AxiomEntry, AxiomReport, CrossedChain,
+                      _flag, _prefixed, _structure_entries, _sweep, _sweep_3cm2_to_16, _sweeps,
+                      _top, zero_extension)
 
 
 class LieAlgebra(Algebra):
@@ -98,7 +99,7 @@ def verify_lie_crossed(m: CrossedChain) -> AxiomReport:
     entries = [
         _flag("boundary-bracket-morphism", m.d(1).is_multiplicative()),
         _lie_action_laws("lie-action", m.map("01")),
-        *_cm_sweeps(m, "L"),
+        *_sweeps(m, _CM, "L", omit=(_KERNEL,)),
     ]
     return AxiomReport("lie-crossed", tuple(entries))
 
@@ -112,7 +113,7 @@ def verify_lie_2cm(t: CrossedChain) -> AxiomReport:
         _flag("d1-bracket-morphism", d1.is_multiplicative()),
         _lie_action_laws("action-l1", t.map("01")),
         _lie_action_laws("action-l2", t.map("02")),
-        *_two_cm_sweeps(t, "L", omit=("2CM4ii",)),
+        *_sweeps(t, _TWO_CM, "L", omit=("d2-equivariant", "d1-equivariant", "2CM4ii")),
     ]
     return AxiomReport("lie-2cm", tuple(entries))
 

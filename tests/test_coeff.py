@@ -401,6 +401,19 @@ def test_property_rref_is_canonical_under_row_mixing(p, m, n, rank, seed):
     assert pivots2 == pivots and np.array_equal(R2, R)
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(p=st.sampled_from([2, 3, 5, 3000017]), m=st.integers(0, 7), n=st.integers(1, 7),
+       density=st.floats(0, 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_property_null_space_rows_lead_at_the_rref_pivots(p, m, n, density, seed):
+    # multiplication_cm reads the pivots of a null_space basis off the
+    # leading column of each row instead of reducing the basis again
+    rng = np.random.default_rng(seed)
+    basis = null_space(rng.integers(0, p, (m, n)) * (rng.random((m, n)) < density), p)
+    R, pivots = rref(basis, p)
+    assert np.array_equal(basis, R)
+    assert tuple(int(np.flatnonzero(row)[0]) for row in basis) == pivots
+
+
 def _near_rref(R, p, rng) -> list:
     """Mutants of an rref basis R, each in rref but for one flaw: a leading
     2, a pivot column left uncleared, two rows swapped, a zero row and a

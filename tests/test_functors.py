@@ -100,6 +100,23 @@ def test_realize_inverts_prop3_and_def1_negates_the_lifting(name, p, t):
     assert functors._same(hypercrossed(realize(t), 2, functors.DEF1)[0], negated)
 
 
+@pytest.mark.parametrize("convention", ["Prop3", "typo"])
+def test_an_unknown_lifting_convention_is_refused(convention, built):
+    # it used to extract under def1
+    E = built("sq0-lifting", 3)
+    with pytest.raises(ValueError, match="'prop3' or 'def1'"):
+        hypercrossed(E, 2, convention)
+    with pytest.raises(ValueError, match="'prop3' or 'def1'"):
+        table_identities_check(E, 2, convention)
+
+
+def test_both_lifting_conventions_extract_their_sign(built):
+    E = built("sq0-lifting", 3)
+    assert hypercrossed(E, 2)[0].map("()").tensor.tolist() == [[[1]]]
+    assert hypercrossed(E, 2, functors.PROP3)[0].map("()").tensor.tolist() == [[[1]]]
+    assert hypercrossed(E, 2, functors.DEF1)[0].map("()").tensor.tolist() == [[[2]]]
+
+
 def test_two_crossed_from_constant_is_trivial():
     E = constant_simplicial(corpus.dual_numbers(2), 4)
     t = hypercrossed(E, 2)[0]
