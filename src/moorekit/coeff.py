@@ -297,6 +297,11 @@ class Algebra:
         return f"<{label} dim={self.dim} over Z/{self.p}>"
 
 
+class LieAlgebra(Algebra):
+    """Finite-dimensional Lie algebra by bracket structure constants:
+    [e_i, e_j] = sum_k structure[i, j, k] e_k; ``identity`` is always None."""
+
+
 @dataclass(frozen=True, eq=False)
 class Element:
     """Coefficient vector in a fixed algebra.

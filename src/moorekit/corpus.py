@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coeff import Algebra, BilinearMap, Morphism, PrimeField
+from .coeff import Algebra, BilinearMap, LieAlgebra, Morphism, PrimeField
 from .crossed import (CrossedChain, ideal_pair, multiplication_cm, zero_extension,
                       zero_module_cm)
-from .lie import LieAlgebra, degenerate_lie_3cm, lie_abelian, lie_heisenberg
+from .lie import degenerate_lie_3cm, lie_abelian, lie_heisenberg
 from .simplicial import (TruncatedSimplicialAlgebra, concentrated_simplicial,
                          constant_simplicial, realize)
 

@@ -29,10 +29,17 @@ decides it exactly.  Each identity is evaluated once on stacked tuples:
 slot i holds its whole basis (or its points) on axis i, every operation
 broadcasts, and the first failing tuple in C order (the order of
 itertools.product) is the witness.  The action laws are such rows too,
-one per carrier (_action_laws here, lie._lie_action_laws for Lie
-chains), laws of one action rather than printed identities; only the
-complex conditions and the multiplicativity of the boundaries stay
-checks on whole matrices.  Stored actions are the ones the definitions
+laws of one action rather than printed identities; only the complex
+conditions and the multiplicativity of the boundaries stay checks on
+whole matrices.
+
+The levels of a chain are all commutative algebras or all Lie algebras
+(coeff.LieAlgebra), and x * y is then the product or the bracket, so
+each axiom is read once with each.  The verifiers read the carrier in
+two places only: _action_laws sweeps the laws of an action by algebra
+maps or, over Lie algebras, by derivations, and verify_3cm adds Tables
+3-4 on commutative chains only, since the printed tables are the
+commutative equivariances.  Stored actions are the ones the definitions
 declare (the base algebra acting on the higher ones); the action of
 degree-1 elements on degree-2 elements in a 2-crossed module is derived
 from the lifting, {y (x) d2 x} = y . x, and likewise one level up.
@@ -48,9 +55,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .coeff import (Algebra, BilinearMap, Element, Ideal, Morphism, PreconditionError,
-                    annihilator, ideal_closure, matmul, null_space, quadratic_points, quotient,
-                    reduce_against, square_span, subalgebra, sweep_step, validate_algebra)
+from .coeff import (Algebra, BilinearMap, Element, Ideal, LieAlgebra, Morphism,
+                    PreconditionError, annihilator, ideal_closure, matmul, null_space,
+                    quadratic_points, quotient, reduce_against, square_span, subalgebra,
+                    sweep_step, validate_algebra)
 from .report import FAIL, PASS, CheckRecord
 
 # The levels of the left argument, the right argument and the value of
@@ -170,12 +178,19 @@ def _flag(name: str, ok: bool) -> AxiomEntry:
 
 
 def _action_laws(name: str, act: BilinearMap) -> AxiomEntry:
-    """s.(n n') = (s.n) n' and (s s').n = s.(s'.n) for an action of S on
-    N, swept over the basis tuples (s, s', n, n')."""
+    """The laws of an action of S on N, swept over the basis tuples
+    (s, s', n, n'): s.(n n') = (s.n) n' and (s s').n = s.(s'.n) for
+    algebras; for Lie algebras, an action by derivations through a Lie
+    homomorphism, s.[n, n'] = [s.n, n'] + [n, s.n'] and
+    [s, s'].n = s.(s'.n) - s'.(s.n)."""
     S, N = act.left, act.right
-    return _sweep(name, [S, S, N, N],
-                  lambda s, s2, n, n2: [(act(s, n * n2), act(s, n) * n2),
-                                        (act(s * s2, n), act(s, act(s2, n)))])
+
+    def laws(s, s2, n, n2):
+        if isinstance(N, LieAlgebra):
+            return [(act(s, n * n2), act(s, n) * n2 + n * act(s, n2)),
+                    (act(s * s2, n), act(s, act(s2, n)) - act(s2, act(s, n)))]
+        return [(act(s, n * n2), act(s, n) * n2), (act(s * s2, n), act(s, act(s2, n)))]
+    return _sweep(name, [S, S, N, N], laws)
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +252,8 @@ class CrossedChain:
     m = 2 and a 3-crossed module at m = 3.
 
     levels[n] is C_n, boundaries[n - 1] is d_n : C_n -> C_{n-1}, and
-    maps[key] is the map SIGNATURES[key] types.  The levels are
-    commutative algebras or, for a Lie chain, Lie algebras.  Every
+    maps[key] is the map SIGNATURES[key] types.  The levels are all
+    commutative algebras or, for a Lie chain, all Lie algebras.  Every
     boundary and map is checked to run between the levels it names.
     """
 
@@ -251,6 +266,8 @@ class CrossedChain:
         levels, m = tuple(self.levels), len(self.boundaries)
         if m not in CARRIED or len(levels) != m + 1:
             raise PreconditionError(f"{len(levels)} levels for {m} boundaries")
+        if len({type(level) for level in levels}) > 1:
+            raise PreconditionError("a chain's levels must be all algebras or all Lie algebras")
         for n, d in enumerate(self.boundaries, 1):
             if d.source is not levels[n] or d.target is not levels[n - 1]:
                 raise PreconditionError(f"d{n} must map C{n} to C{n - 1}")
@@ -277,12 +294,12 @@ class CrossedChain:
 
 def zero_extension(base: CrossedChain, m: int, tops=None, name: str = "") -> CrossedChain:
     """The chain of length m over base: base's levels, then the levels
-    `tops` (zero algebras when not given), and zero wherever base has no
-    boundary or map.  Over a crossed module at m = 2 it is Remark 1's
-    2-crossed module with trivial top term."""
-    low = len(base.boundaries)
+    `tops` (zero algebras of base's carrier when not given), and zero
+    wherever base has no boundary or map.  Over a crossed module at m = 2
+    it is Remark 1's 2-crossed module with trivial top term."""
+    low, C0 = len(base.boundaries), base.levels[0]
     if tops is None:
-        tops = [Algebra(base.levels[0].field, np.zeros((0, 0, 0), dtype=np.int64), (), None, "0")
+        tops = [type(C0)(C0.field, np.zeros((0, 0, 0), dtype=np.int64), (), None, "0")
                 for _ in range(m - low)]
     levels = base.levels + tuple(tops)
     boundaries = base.boundaries + tuple(Morphism.zero(levels[n], levels[n - 1])
@@ -455,13 +472,12 @@ def _divide_top(chain: CrossedChain, above: Morphism, rows) -> CrossedChain:
 # 3-crossed modules
 
 
-def _structure_entries(m: CrossedChain, morphism: str) -> list[AxiomEntry]:
-    """Both complex conditions and each boundary a morphism (entries
-    "d<n>-<morphism>")."""
+def _structure_entries(m: CrossedChain) -> list[AxiomEntry]:
+    """Both complex conditions and each boundary multiplicative."""
     p = m.levels[0].p
     return [_flag("complex-d2d3", not matmul(m.d(2).matrix, m.d(3).matrix, p).any()),
             _flag("complex-d1d2", not matmul(m.d(1).matrix, m.d(2).matrix, p).any()),
-            *(_flag(f"d{n}-{morphism}", m.d(n).is_multiplicative()) for n in (3, 2, 1))]
+            *(_flag(f"d{n}-multiplicative", m.d(n).is_multiplicative()) for n in (3, 2, 1))]
 
 
 def _prefixed(prefix: str, report: AxiomReport) -> list[AxiomEntry]:
@@ -511,19 +527,20 @@ _EQUIVARIANCE = {t: {f"table{t}[{key}]": _equivariance(key, t - 3) for key in
 
 def verify_3cm(m: CrossedChain) -> AxiomReport:
     """3CM1 through 3CM16 as printed, the degree-3 crossed module property,
-    and the two equivariance tables.
+    and, on a commutative chain, the two equivariance tables.
 
     Each axiom is evaluated once on stacked basis tuples, which decides
     it exactly since it is multilinear per slot; 3CM6 is linear plus
     quadratic in each slot, so it is evaluated on pairs of
     quadratic_points of C2, which decides it exactly too.
     """
-    entries = _structure_entries(m, "multiplicative")
+    entries = _structure_entries(m)
     entries += [_action_laws(f"action-{key}-algebra", m.map(key)) for key in ACTIONS]
     entries += _sweeps(_top(m, 1), _CM, "d3-crossed-", omit=(_KERNEL,))
     entries += _prefixed("3CM1", verify_2cm(_top(m, 2)))
     entries += _sweep_3cm2_to_16(m)
-    entries += _sweeps(m, _EQUIVARIANCE[3]) + _sweeps(m, _EQUIVARIANCE[4])
+    if not isinstance(m.levels[0], LieAlgebra):
+        entries += _sweeps(m, _EQUIVARIANCE[3]) + _sweeps(m, _EQUIVARIANCE[4])
     return AxiomReport(m.name or "three-crossed-module", tuple(entries))
 
 

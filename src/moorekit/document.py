@@ -30,9 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import corpus
-from .coeff import Algebra, BilinearMap, Morphism, PrimeField, StructureError
+from .coeff import Algebra, BilinearMap, LieAlgebra, Morphism, PrimeField, StructureError
 from .crossed import ACTIONS, CARRIED, SIGNATURES, CrossedChain
-from .lie import LieAlgebra
 from .simplicial import TruncatedSimplicialAlgebra
 
 # algebra section -> (carrier class, key of its structure triples)

@@ -1,42 +1,30 @@
 """Lie algebras over Z/p and the Lie side of 3-crossed modules.
 
-A Lie algebra is an :class:`~moorekit.coeff.Algebra` whose structure
-tensor holds bracket constants, so elements, morphisms and bilinear maps
-are the commutative machinery: x * y on elements of a Lie algebra
-computes [x, y].  A Lie 3-crossed module is a
-:class:`~moorekit.crossed.CrossedChain` of length 3 over Lie algebras,
-stored, loaded and dumped like a commutative one.  Its verifiers read
-crossed's identity tables, which read the same for both products:
-3CM2-3CM16 are ``crossed._THREE_CM`` as ``verify_3cm`` sweeps it (3CM6
-on pairs of ``coeff.quadratic_points``), and the degree-3 crossed
-module and 3CM1 are ``crossed._CM`` and ``crossed._TWO_CM``.
+A Lie algebra is a :class:`~moorekit.coeff.LieAlgebra`, an
+:class:`~moorekit.coeff.Algebra` whose structure tensor holds bracket
+constants, so elements, morphisms and bilinear maps are the commutative
+machinery: x * y on elements of a Lie algebra computes [x, y].  A Lie
+3-crossed module is a :class:`~moorekit.crossed.CrossedChain` of length 3
+over Lie algebras, stored, loaded and dumped like a commutative one, and
+verified by ``crossed.verify_3cm`` under the same record names.
 
-The real differences stay here:
+What differs by carrier:
 
 * structure: alternating and Jacobi (``validate_lie``) instead of
   associativity and commutativity.  Alternating is enforced directly
   ([x, x] = 0 on basis vectors), which also covers characteristic 2;
-* actions: by derivations, as a Lie homomorphism into them, swept as one
-  row over basis tuples (``_lie_action_laws``);
-* ``verify_lie_3cm`` checks the degree-3 crossed module with brackets
-  (``verify_lie_crossed``, without the kernel lemma) and 3CM1 as a Lie
-  2-crossed module (``verify_lie_2cm``, without 2CM4ii and the boundary
-  equivariances), and has no equivariance tables.
+* actions: by derivations, as a Lie homomorphism into them, the rows
+  ``crossed._action_laws`` sweeps over Lie algebras;
+* no equivariance tables: Tables 3-4 print the commutative
+  equivariances, and ``verify_3cm`` adds them on commutative chains only.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .coeff import Algebra, BilinearMap, PrimeField, Violation, matmul, sweep_step
-from .crossed import (ACTIONS, _CM, _KERNEL, _TWO_CM, AxiomEntry, AxiomReport, CrossedChain,
-                      _flag, _prefixed, _structure_entries, _sweep, _sweep_3cm2_to_16, _sweeps,
-                      _top, zero_extension)
-
-
-class LieAlgebra(Algebra):
-    """Finite-dimensional Lie algebra by bracket structure constants:
-    [e_i, e_j] = sum_k structure[i, j, k] e_k; ``identity`` is always None."""
+from .coeff import LieAlgebra, PrimeField, Violation, matmul, sweep_step
+from .crossed import AxiomReport, CrossedChain, verify_3cm, zero_extension
 
 
 def validate_lie(L: LieAlgebra) -> list[Violation]:
@@ -68,15 +56,6 @@ def validate_lie(L: LieAlgebra) -> list[Violation]:
     return out
 
 
-def _lie_action_laws(name: str, act: BilinearMap) -> AxiomEntry:
-    """x.[a, b] = [x.a, b] + [a, x.b] and [x, y].a = x.(y.a) - y.(x.a) for
-    an action of L on M, swept over the basis tuples (x, y, a, b)."""
-    L, M = act.left, act.right
-    return _sweep(name, [L, L, M, M],
-                  lambda x, y, a, b: [(act(x, a * b), act(x, a) * b + a * act(x, b)),
-                                      (act(x * y, a), act(x, act(y, a)) - act(y, act(x, a)))])
-
-
 def lie_abelian(p: int, dim: int) -> LieAlgebra:
     return LieAlgebra(PrimeField(p), np.zeros((dim, dim, dim), dtype=np.int64),
                       tuple(f"a{i}" for i in range(dim)), name=f"abelian({dim})")
@@ -94,40 +73,10 @@ def lie_heisenberg(p: int) -> LieAlgebra:
 # Lie crossed chains
 
 
-def verify_lie_crossed(m: CrossedChain) -> AxiomReport:
-    """Boundary rule and Peiffer identity with brackets."""
-    entries = [
-        _flag("boundary-bracket-morphism", m.d(1).is_multiplicative()),
-        _lie_action_laws("lie-action", m.map("01")),
-        *_sweeps(m, _CM, "L", omit=(_KERNEL,)),
-    ]
-    return AxiomReport("lie-crossed", tuple(entries))
-
-
-def verify_lie_2cm(t: CrossedChain) -> AxiomReport:
-    """Bracketized two-crossed axioms; y . x = {y (x) d2 x} as before."""
-    d1, d2 = t.boundaries
-    entries = [
-        _flag("complex", not matmul(d1.matrix, d2.matrix, t.levels[0].p).any()),
-        _flag("d2-bracket-morphism", d2.is_multiplicative()),
-        _flag("d1-bracket-morphism", d1.is_multiplicative()),
-        _lie_action_laws("action-l1", t.map("01")),
-        _lie_action_laws("action-l2", t.map("02")),
-        *_sweeps(t, _TWO_CM, "L", omit=("d2-equivariant", "d1-equivariant", "2CM4ii")),
-    ]
-    return AxiomReport("lie-2cm", tuple(entries))
-
-
 def verify_lie_3cm(m: CrossedChain) -> AxiomReport:
-    """The bracketed structure checks, the degree-3 crossed module and
-    3CM1, then 3CM2-3CM16 as in ``verify_3cm``; 3CM6 runs on pairs of
-    quadratic points of C2, everything else on basis tuples."""
-    entries = _structure_entries(m, "bracket-morphism")
-    entries += [_lie_action_laws(f"lie-action-{key}", m.map(key)) for key in ACTIONS]
-    entries += _prefixed("d3-crossed", verify_lie_crossed(_top(m, 1)))
-    entries += _prefixed("3CM1", verify_lie_2cm(_top(m, 2)))
-    entries += _sweep_3cm2_to_16(m)
-    return AxiomReport(m.name or "lie-3cm", tuple(entries))
+    """A Lie 3-crossed module checked by ``verify_3cm``, which reads the
+    bracket from its levels."""
+    return verify_3cm(m)
 
 
 def degenerate_lie_3cm(L0: LieAlgebra, name: str = "") -> CrossedChain:

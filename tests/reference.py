@@ -15,16 +15,18 @@ tests compare it with induced_cm(hypercrossed(E, 2)).
 
 The identity rows at the end are every identity of the verifiers and the
 table audits written as Python lambdas on elements, as the package wrote
-them before they became strings of crossed's identity language; the tests
-sweep both forms on random chains and compare the entries.
+them before they became strings of crossed's identity language, and the
+action laws of both carriers as the package wrote them before one verifier
+read both; the tests sweep both forms on random chains and compare the
+entries.
 """
 
 import importlib
 
 import numpy as np
 
-from moorekit.coeff import (BilinearMap, Element, PreconditionError, Supply, Violation, matmul,
-                            null_space, quadratic_points, supply_rows)
+from moorekit.coeff import (BilinearMap, Element, LieAlgebra, PreconditionError, Supply,
+                            Violation, matmul, null_space, quadratic_points, supply_rows)
 from moorekit.corpus import zmod
 from moorekit.crossed import (SIGNATURES, AxiomEntry, AxiomReport, CrossedChain, _divide_top,
                               zero_module_cm)
@@ -171,6 +173,22 @@ def two_cm_rows(t: CrossedChain) -> dict:
                  lambda z, y0, y1: [(a2(z, lt(y0, y1)), lt(a1(z, y0), y1)),
                                     (a2(z, lt(y0, y1)), lt(y0, a1(z, y1)))]),
     }
+
+
+def action_rows(m: CrossedChain, names: dict) -> dict:
+    """The laws of each action names keys, under the entry name it gives:
+    s.(n n') = (s.n) n' and (s s').n = s.(s'.n) on algebras, and on Lie
+    algebras x.[a, b] = [x.a, b] + [a, x.b] and [x, y].a = x.(y.a) - y.(x.a)."""
+    def row(act):
+        S, N = act.left, act.right
+        if isinstance(N, LieAlgebra):
+            return ([S, S, N, N],
+                    lambda x, y, a, b: [(act(x, a * b), act(x, a) * b + a * act(x, b)),
+                                        (act(x * y, a), act(x, act(y, a)) - act(y, act(x, a)))])
+        return ([S, S, N, N],
+                lambda s, s2, n, n2: [(act(s, n * n2), act(s, n) * n2),
+                                      (act(s * s2, n), act(s, act(s2, n)))])
+    return {name: row(m.map(key)) for key, name in names.items()}
 
 
 def _maps(m: CrossedChain):

@@ -21,12 +21,12 @@ DIGESTS = {
     ("corpus", 5, ""): (0, "08d4b567a4774a22a0e8148c79dc70ff2a74203d247955bc010d7ffef0a38a67"),
     ("lie-verify", 2, "abelian"): (0, "369e5e98e8f51a2cd423704ac9ebc669c1d2fe9acb2ec9259a410d5a01b74ace"),
     ("lie-verify", 2, "heisenberg"): (0, "9bced75152385a1ba7983decac0b7bbd1eaa1658933e54c0d2119c52caf93cce"),
-    ("lie-verify", 2, "abelian-chain"): (0, "ac558b137608aba5b7312e2411b898d1efa57166bb90742c2ccea2382b745e28"),
-    ("lie-verify", 2, "heisenberg-chain"): (0, "66fa7cb986127146cab1884a8b2c4e1ac8350b0e5e9fd612b7d389b1284b7493"),
+    ("lie-verify", 2, "abelian-chain"): (0, "d55ad12f503266b77310549e9e2ff4c9af017c6c01f3ed1f4e0a75f259076c81"),
+    ("lie-verify", 2, "heisenberg-chain"): (0, "8ad825f935b56cd0e108798598d5119efd749618af71929c9b1d3953b76f7a44"),
     ("lie-verify", 3, "abelian"): (0, "369e5e98e8f51a2cd423704ac9ebc669c1d2fe9acb2ec9259a410d5a01b74ace"),
     ("lie-verify", 3, "heisenberg"): (0, "9bced75152385a1ba7983decac0b7bbd1eaa1658933e54c0d2119c52caf93cce"),
-    ("lie-verify", 3, "abelian-chain"): (0, "ac558b137608aba5b7312e2411b898d1efa57166bb90742c2ccea2382b745e28"),
-    ("lie-verify", 3, "heisenberg-chain"): (0, "66fa7cb986127146cab1884a8b2c4e1ac8350b0e5e9fd612b7d389b1284b7493"),
+    ("lie-verify", 3, "abelian-chain"): (0, "d55ad12f503266b77310549e9e2ff4c9af017c6c01f3ed1f4e0a75f259076c81"),
+    ("lie-verify", 3, "heisenberg-chain"): (0, "8ad825f935b56cd0e108798598d5119efd749618af71929c9b1d3953b76f7a44"),
     ("verify-3xmod", 2, "cubic-chain-3xmod"): (0, "cce88aa45586374162e0e583aefd7074c6fbec9788825038c7662496a1e4b939"),
     ("verify-3xmod", 3, "cubic-chain-3xmod"): (1, "22cdb06fb42ca780d2dd0d3c0d2231b5f441011c581658a45714f2aa8dccf3b4"),
 }

@@ -6,9 +6,9 @@ is an operation that a chain of the table's length carries, every term is
 well typed by the levels of SIGNATURES, and each slot lies in the chain
 and is read.  It also finds the identities whose sides are the same tree,
 which hold on every chain.  The reference tests sweep the verifiers and
-the table audits on seeded random chains, where most identities fail,
-and compare every identity's entry (witness included) with the sweep of
-its lambda in tests/reference.py.
+the table audits on seeded random chains of both carriers, where most
+identities fail, and compare every identity's and every action law's entry
+(witness included) with the sweep of its lambda in tests/reference.py.
 """
 
 import ast
@@ -18,12 +18,13 @@ import numpy as np
 import pytest
 
 from moorekit import crossed, functors
-from moorekit.coeff import Algebra, BilinearMap, Morphism, PrimeField
-from moorekit.crossed import (CARRIED, SIGNATURES, CrossedChain, _top, verify_2cm, verify_3cm,
-                              verify_cm)
+from moorekit.coeff import Algebra, BilinearMap, LieAlgebra, Morphism, PrimeField
+from moorekit.crossed import (ACTIONS, CARRIED, SIGNATURES, CrossedChain, _top, verify_2cm,
+                              verify_3cm, verify_cm)
 from moorekit.lie import verify_lie_3cm
 from moorekit.report import CONFIRMED, DISCREPANT, PASS, CheckRecord
-from reference import cm_rows, equivariance_rows, table2_rows, three_cm_rows, two_cm_rows
+from reference import (action_rows, cm_rows, equivariance_rows, table2_rows, three_cm_rows,
+                       two_cm_rows)
 
 # Table 2's rows that are axioms, by reference
 TABLE2_AXIOMS = {"row2": "3CM5", "row6": "3CM9", "row7": "3CM10", "row15": "3CM13",
@@ -148,8 +149,9 @@ def test_each_identity_is_parsed_once_per_process():
 # the tables against the lambdas on random chains
 
 
-def random_chain(length: int, p: int, seed: int) -> CrossedChain:
-    """Random levels of dims 1-3, and random boundaries and maps CARRIED[length],
+def random_chain(length: int, p: int, seed: int, carrier=Algebra) -> CrossedChain:
+    """Random levels of the carrier class and dims 1-3, with alternating
+    brackets on Lie algebras, and random boundaries and maps CARRIED[length],
     each entry nonzero with one random density per chain."""
     rng = np.random.default_rng([length, p, seed])
     density = rng.uniform(0.2, 0.9)
@@ -157,7 +159,11 @@ def random_chain(length: int, p: int, seed: int) -> CrossedChain:
     def rand(shape):
         return rng.integers(0, p, shape) * (rng.random(shape) < density)
 
-    levels = [Algebra(PrimeField(p), rand((d, d, d)), tuple(f"e{i}" for i in range(d)))
+    def structure(d):
+        c = rand((d, d, d))
+        return c - c.transpose(1, 0, 2) if carrier is LieAlgebra else c
+
+    levels = [carrier(PrimeField(p), structure(d), tuple(f"e{i}" for i in range(d)))
               for d in rng.integers(1, 4, length + 1)]
     boundaries = [Morphism(levels[n], levels[n - 1], rand((levels[n - 1].dim, levels[n].dim)))
                   for n in range(1, length + 1)]
@@ -167,26 +173,25 @@ def random_chain(length: int, p: int, seed: int) -> CrossedChain:
     return CrossedChain(levels, boundaries, maps, f"random-{length}-{p}-{seed}")
 
 
-def swept(rows: dict, prefix: str = "", omit=()) -> dict:
+def swept(rows: dict, prefix: str = "") -> dict:
     """name -> (status, checked, witness, detail) of each lambda row,
     3CM6 with the detail the verifiers give it."""
     out = {}
     for name, (slots, fun) in rows.items():
-        if name not in omit:
-            e = crossed._sweep(prefix + name, slots, fun)
-            out[e.name] = (e.status, e.checked, e.witness,
-                           {"mode": "basis-exact"} if e.name == "3CM6" else None)
+        e = crossed._sweep(prefix + name, slots, fun)
+        out[e.name] = (e.status, e.checked, e.witness,
+                       {"mode": "basis-exact"} if e.name == "3CM6" else None)
     return out
 
 
 def assert_entries_match(report, reference: dict) -> None:
-    """Every identity entry of the report is the lambda row's entry, and
-    the report's other entries are its structure and action checks."""
+    """Every identity and action-law entry of the report is the lambda
+    row's entry, and the report's other entries are its structure checks."""
     got = {e.name: (e.status, e.checked, e.witness, e.detail) for e in report.entries}
     assert len(got) == len(report.entries)
     for name, want in reference.items():
         assert got[name] == want, name
-    assert all(re.search("complex|multiplicative|morphism|action|ideal", name)
+    assert all(re.search("complex|multiplicative|ideal", name)
                for name in set(got) - set(reference))
 
 
@@ -213,31 +218,41 @@ def test_every_identity_evaluates_as_its_lambda(p):
                     == crossed._evaluate(slots, fun), name
 
 
+# the entry name of each action law of the crossed and 2-crossed verifiers
+CM_ACTIONS = {"01": "action-algebra"}
+TWO_CM_ACTIONS = {"01": "action-c1-algebra", "02": "action-c2-algebra"}
+CARRIERS = (Algebra, LieAlgebra)
+
+
+@pytest.mark.parametrize("carrier", CARRIERS, ids=lambda c: c.__name__)
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_crossed_and_two_crossed_verifiers_match_the_lambdas(p):
+def test_crossed_and_two_crossed_verifiers_match_the_lambdas(p, carrier):
     for seed in SEEDS:
-        m = random_chain(1, p, seed)
-        assert_entries_match(verify_cm(m), swept(cm_rows(m)))
-        t = random_chain(2, p, seed)
-        assert_entries_match(verify_2cm(t), swept(two_cm_rows(t)))
+        m = random_chain(1, p, seed, carrier)
+        assert_entries_match(verify_cm(m), swept({**cm_rows(m), **action_rows(m, CM_ACTIONS)}))
+        t = random_chain(2, p, seed, carrier)
+        assert_entries_match(verify_2cm(t),
+                             swept({**two_cm_rows(t), **action_rows(t, TWO_CM_ACTIONS)}))
 
 
+@pytest.mark.parametrize("carrier", CARRIERS, ids=lambda c: c.__name__)
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_three_crossed_verifiers_match_the_lambdas(p):
+def test_three_crossed_verifiers_match_the_lambdas(p, carrier):
+    # Tables 3-4 print the commutative equivariances, so only commutative
+    # chains sweep them
     statuses = set()
     for seed in SEEDS:
-        m = random_chain(3, p, seed)
-        cm = dict(cm_rows(_top(m, 1)))
+        m = random_chain(3, p, seed, carrier)
+        top, cm = _top(m, 2), dict(cm_rows(_top(m, 1)))
         del cm["image-acts-trivially-on-kernel"]
-        shared = swept(three_cm_rows(m))
-        want = {**swept(cm, "d3-crossed-"), **swept(two_cm_rows(_top(m, 2)), "3CM1/"),
-                **shared, **swept(equivariance_rows(m, 3)), **swept(equivariance_rows(m, 4))}
-        assert_entries_match(verify_3cm(m), want)
-        statuses |= {status for status, *_ in want.values()}
-        lie = {**swept(cm, "d3-crossed/L"), **shared,
-               **swept(two_cm_rows(_top(m, 2)), "3CM1/L",
-                       omit=("d2-equivariant", "d1-equivariant", "2CM4ii"))}
-        assert_entries_match(verify_lie_3cm(m), lie)
+        want = {**swept(action_rows(m, {key: f"action-{key}-algebra" for key in ACTIONS})),
+                **swept(cm, "d3-crossed-"),
+                **swept({**two_cm_rows(top), **action_rows(top, TWO_CM_ACTIONS)}, "3CM1/"),
+                **swept(three_cm_rows(m))}
+        if carrier is Algebra:
+            want |= {**swept(equivariance_rows(m, 3)), **swept(equivariance_rows(m, 4))}
+        assert_entries_match((verify_3cm if carrier is Algebra else verify_lie_3cm)(m), want)
+        statuses |= {status for name, (status, *_) in want.items() if name != "3CM1/2CM4ii"}
     assert statuses == {"pass", "fail"}
 
 

@@ -71,6 +71,34 @@ def _reads(tree) -> tuple[set, set]:
             {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
 
 
+def reads_of(source: str, names: set) -> set:
+    """The names of the set that a module imports or reads as a name or an
+    attribute."""
+    tree = ast.parse(source)
+    named, attributes = _reads(tree)
+    imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for a in node.names}
+    return (named | attributes | imported) & names
+
+
+def test_reads_of_finds_an_import_a_name_and_an_attribute():
+    source = "from .c import _sweep, other\nimport c\nc._evaluate(_identity)\n"
+    assert reads_of(source, {"_sweep", "_sweeps", "_identity", "_evaluate"}) \
+        == {"_sweep", "_identity", "_evaluate"}
+
+
+# one verifier path: the sweep and the identity evaluator are read by crossed,
+# which defines them, and by functors, whose table audits sweep Tables 2-4
+SWEEP = {"_sweep", "_sweeps", "_identity", "_evaluate"}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_only_crossed_and_functors_read_the_sweep(module):
+    allowed = {"crossed.py", "functors.py"}
+    read = reads_of((PACKAGE / module).read_text(encoding="utf-8"), SWEEP)
+    assert read == set() or module in allowed, sorted(read)
+
+
 def unread_public_functions(sources: dict, readers: list) -> list[str]:
     """The public functions and methods defined in the modules of sources
     (module name -> source; dunder names aside) that no module of sources

@@ -1,14 +1,18 @@
+import io
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from moorekit.coeff import BilinearMap, Morphism, PrimeField, matmul, rref
-from moorekit.crossed import CrossedChain, zero_extension
-from moorekit.lie import (LieAlgebra, _lie_action_laws, degenerate_lie_3cm, lie_abelian,
-                          lie_heisenberg, validate_lie, verify_lie_3cm, verify_lie_crossed,
-                          verify_lie_2cm)
+from moorekit.coeff import BilinearMap, LieAlgebra, Morphism, PrimeField, matmul, rref
+from moorekit.cli import parse_args, run_command
+from moorekit.crossed import (SIGNATURES, CrossedChain, _action_laws, verify_2cm, verify_cm,
+                              zero_extension)
+from moorekit.document import DocumentBuilder
+from moorekit.lie import (degenerate_lie_3cm, lie_abelian, lie_heisenberg, validate_lie,
+                          verify_lie_3cm)
 from reference import named_entry, validate_lie_dense
 
 
@@ -110,10 +114,10 @@ def test_validate_lie_peak_memory_at_dim_50():
 def test_lie_action_laws():
     L = lie_heisenberg(3)
     adj = BilinearMap(L, L, L, L.structure)  # adjoint action is a Lie action
-    entry = _lie_action_laws("lie-action", adj)
+    entry = _action_laws("lie-action", adj)
     assert (entry.status, entry.checked, entry.witness) == ("pass", 3 ** 4, None)
     bad = BilinearMap(L, L, L, np.ones((3, 3, 3), dtype=np.int64))
-    entry = _lie_action_laws("lie-action", bad)
+    entry = _action_laws("lie-action", bad)
     # x.[x, x] = 0, but [x.x, x] + [x, x.x] = [x+y+z, x] + [x, x+y+z] = 0 too;
     # [x, x].x = 0 against x.(x.x) - x.(x.x) = 0: the first tuple passes, and
     # x.[x, y] = x.z = x+y+z against [x+y+z, y] + [x, x+y+z] = 2z fails
@@ -122,27 +126,68 @@ def test_lie_action_laws():
                              "arg2": [1, 0, 0], "arg3": [0, 1, 0]}
 
 
-def test_verify_lie_crossed_inclusion():
+def test_verify_cm_lie_inclusion():
     # abelian ideal inside heisenberg: span(y, z) with the adjoint action
     L = lie_heisenberg(3)
     sub = lie_abelian(3, 2)  # coordinates (y, z)
     incl = Morphism(sub, L, np.array([[0, 0], [1, 0], [0, 1]], dtype=np.int64))
     act = np.zeros((3, 2, 2), dtype=np.int64)
     act[0, 0, 1] = 1  # [x, y] = z
-    rep = verify_lie_crossed(CrossedChain((L, sub), (incl,), {"01": BilinearMap(L, sub, sub, act)}))
-    assert named_entry(rep, "LCM1").status == "pass"
-    assert named_entry(rep, "lie-action").status == "pass"
-    # LCM2 (Peiffer with brackets) fails: the abelianized ideal forgets [y,z]=0
+    rep = verify_cm(CrossedChain((L, sub), (incl,), {"01": BilinearMap(L, sub, sub, act)}))
+    assert named_entry(rep, "CM1").status == "pass"
+    assert named_entry(rep, "action-algebra").status == "pass"
+    # CM2 (Peiffer with brackets) fails: the abelianized ideal forgets [y,z]=0
     # but ad(y) z = 0 = [y,z], so it actually passes here
     assert rep.verdict == "pass"
 
 
-def test_verify_lie_2cm_degenerate():
+def test_verify_2cm_lie_degenerate():
     zero = lie_abelian(3, 0)
     one = lie_abelian(3, 1)
     base = lie_heisenberg(3)
-    rep = verify_lie_2cm(zero_extension(CrossedChain((base,)), 2, (one, zero)))
+    rep = verify_2cm(zero_extension(CrossedChain((base,)), 2, (one, zero)))
     assert rep.verdict == "pass"
+
+
+def abelian_chain(dims, boundary, action, name="") -> CrossedChain:
+    """The Lie chain over Z/3 on abelian levels of the dims, every boundary
+    and map zero but boundary = (n, matrix of d_n) and action = (key, tensor)."""
+    levels = [lie_abelian(3, d) for d in dims]
+    zero = zero_extension(CrossedChain(levels[:1]), len(dims) - 1, levels[1:])
+    (n, matrix), (key, tensor) = boundary, action
+    d = Morphism(levels[n], levels[n - 1], np.array(matrix, dtype=np.int64))
+    act = BilinearMap(*(levels[i] for i in SIGNATURES[key]), np.array(tensor, dtype=np.int64))
+    return CrossedChain(zero.levels, zero.boundaries[:n - 1] + (d,) + zero.boundaries[n:],
+                        {**zero.maps, key: act}, name)
+
+
+def test_verify_2cm_finds_a_lie_d1_that_is_not_equivariant():
+    # L0 abelian on z0, z1, L1 = <y>, L2 = 0, d1(y) = z0 and z1 . y = y:
+    # d1(z1 . y) = z0, but [z1, d1(y)] = 0
+    t = abelian_chain((2, 1, 0), (1, [[1], [0]]), ("01", [[[0]], [[1]]]))
+    rep = verify_2cm(t)
+    assert [e.name for e in rep.failing()] == ["d1-equivariant"]
+    assert named_entry(rep, "d1-equivariant").witness == {"arg0": [0, 1], "arg1": [1]}
+
+
+@pytest.mark.parametrize("n, key, dims, entry", [
+    (3, "13", (0, 2, 1, 1), "3CM1/d2-equivariant"),
+    (2, "12", (0, 2, 1, 0), "3CM1/d1-equivariant")])
+def test_lie_verify_finds_a_boundary_that_is_not_equivariant(n, key, dims, entry, tmp_path):
+    # L1 abelian on z0, z1, L_n = <y>, d_n(y) the first basis vector of
+    # L_{n-1} and z1 . y = y: d_n(z1 . y) = d_n(y) != 0, but z1 . d_n(y) = 0
+    matrix = [[1]] + [[0]] * (dims[n - 1] - 1)
+    m = abelian_chain(dims, (n, matrix), (key, [[[0]], [[1]]]), "m")
+    b = DocumentBuilder()
+    b.crossed(m, "m", "lie_three_crossed")
+    path = tmp_path / "chain.json"
+    path.write_text(b.dumps())
+    out = io.StringIO()
+    assert run_command(parse_args(["--input", str(path), "lie-verify", "m"]), out) == 1
+    records = {r["check"]: r for r in map(json.loads, out.getvalue().splitlines())}
+    record = records[f"lie-verify[m]/{entry}"]
+    assert record["status"] == "fail"
+    assert record["witnesses"] == [{"arg0": [0, 1], "arg1": [1]}]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -162,7 +207,7 @@ def test_verify_lie_3cm_mutant_fails_with_witness():
     mutated = CrossedChain(m.levels, m.boundaries,
                            {**m.maps, "01": BilinearMap(L0, L1, L1, bad)}, "mutated")
     rep = verify_lie_3cm(mutated)
-    assert named_entry(rep, "lie-action-01").status == "fail"
+    assert named_entry(rep, "action-01-algebra").status == "fail"
     assert rep.verdict == "fail"
 
 
