@@ -9,7 +9,7 @@ from .coeff import (Algebra, BilinearMap, Element, Ideal, LieAlgebra, Morphism,
 from .crossed import (AxiomReport, CrossedChain, multiplication_cm, verify_2cm, verify_3cm,
                       verify_cm)
 from .functors import hypercrossed, roundtrip_check, table_identities_check
-from .lie import validate_lie, verify_lie_3cm
+from .lie import verify_lie_3cm
 from .moore import (MooreComplex, PairingIndex, SurjIndex, lemma7_check, moore, p_set,
                     s_set, theorem5_check)
 from .simplicial import (TruncatedSimplicialAlgebra, decompose, degenerate_ideal,

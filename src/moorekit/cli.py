@@ -30,7 +30,7 @@ from .coeff import PreconditionError, PrimeField, Supply, validate_algebra
 from .crossed import verify_2cm, verify_3cm, verify_cm
 from .document import Document, DocumentBuilder, DocumentError, corpus_document, load_document
 from .functors import DEF1, PROP3, hypercrossed, roundtrip_check, table_identities_check
-from .lie import validate_lie, verify_lie_3cm
+from .lie import verify_lie_3cm
 from .moore import (lemma7_check, moore, p_set, s_set, table1_audit,
                     theorem5_check)
 from .report import (DISCREPANT, FAIL, HYPOTHESIS_FAILED, PASS, CheckRecord,
@@ -335,9 +335,10 @@ def _run_named(args, doc: Document, extra_lines: list) -> list[CheckRecord]:
     kinds = COMMANDS[command].kinds
     kind, obj = doc.lookup(name, prefer=kinds[0])
     if kind not in kinds:
+        is_a = f"{name!r} is {'an' if kind[0] in 'aeiou' else 'a'} {kind}"
         if command in _NOT_KIND:
-            raise DocumentError(f"{name!r} is a {kind}, not {_NOT_KIND[command]}", command)
-        raise DocumentError(f"{name!r} is a {kind}, expected {kinds[0]}", "cli")
+            raise DocumentError(f"{is_a}, not {_NOT_KIND[command]}", command)
+        raise DocumentError(f"{is_a}, expected {kinds[0]}", "cli")
     emitted: list[str] = []
     try:
         records = _named_records(args, kind, obj, emitted)
@@ -355,7 +356,7 @@ def _named_records(args, kind, obj, extra_lines: list) -> list[CheckRecord]:
 
     if command == "validate" or kind == "lie-algebra":
         # read per call, so a validator wrapped in this module's namespace is the one run
-        validate = {"algebra": validate_algebra, "lie-algebra": validate_lie,
+        validate = {"algebra": validate_algebra, "lie-algebra": validate_algebra,
                     "simplicial": validate_simplicial}[kind]
         bad = validate(obj)
         records.append(CheckRecord(f"{command}[{name}]", PASS if not bad else FAIL,

@@ -272,6 +272,8 @@ class Algebra:
         check_word_size(dim, self.field.p)
         if self.identity is not None and not (0 <= self.identity < dim):
             raise StructureError("identity index out of range")
+        if self.identity is not None and isinstance(self, LieAlgebra):
+            raise StructureError("a Lie algebra has no identity")
 
     @property
     def dim(self) -> int:
@@ -502,28 +504,41 @@ class Violation:
 
 
 def validate_algebra(A: Algebra) -> list[Violation]:
-    """Commutativity / associativity / identity violations; empty iff valid."""
-    p = A.p
-    out: list[Violation] = []
-    c = A.structure
-    comm = (c - c.transpose(1, 0, 2)) % p
-    for i, j in zip(*np.nonzero(comm.any(axis=2))):
-        if i <= j:
-            out.append(Violation("commutativity", (int(i), int(j))))
-    # (e_i e_j) e_l against e_i (e_j e_l), one i-chunk at a time
-    d = A.dim
+    """The violations of the laws of A's carrier, empty iff A is valid: on an
+    Algebra commutativity (i <= j), associativity and the identity; on a
+    LieAlgebra, read with the bracket, alternating ([e_i, e_i] = 0, which
+    also covers characteristic 2), antisymmetry (i < j) and Jacobi, one
+    witness per cyclic class."""
+    lie = isinstance(A, LieAlgebra)
+    p, c, d = A.p, A.structure, A.dim
+    out = [Violation("alternating", (i,)) for i in range(d) if lie and c[i, i].any()]
+    two = (c + c.transpose(1, 0, 2) if lie else c - c.transpose(1, 0, 2)) % p
+    for i, j in zip(*np.nonzero(two.any(axis=2))):
+        if i < j or i == j and not lie:
+            out.append(Violation("antisymmetry" if lie else "commutativity", (int(i), int(j))))
+    # (e_i e_j) e_l at [i, j, l], one i-chunk from s at a time, against
+    # e_i (e_j e_l) or against -[[e_j, e_l], e_i] - [[e_l, e_i], e_j]; Jacobi
+    # forms only j, l >= s: a triple leads its cyclic class only if i <= j, l
     step = sweep_step(d ** 3)
-    for start in range(0, d, step):
-        left = matmul(c[start:start + step].reshape(-1, d), c.reshape(d, d * d), p)
-        right = matmul(c.reshape(d * d, d), c[start:start + step], p)
-        bad = (left.reshape(-1, d, d, d) != right.reshape(-1, d, d, d)).any(axis=3)
-        for i, j, l in zip(*np.nonzero(bad)):
-            out.append(Violation("associativity", (start + int(i), int(j), int(l))))
-    if A.identity is not None:
-        e = A.identity
-        eye = np.eye(A.dim, dtype=np.int64)
-        if not (np.array_equal(c[e] % p, eye) and np.array_equal(c[:, e] % p, eye)):
-            out.append(Violation("identity", (e,)))
+    for s in range(0, d, step):
+        n, lo = min(step, d - s), s if lie else 0
+        e = d - lo
+        tail = c[:, lo:].reshape(d, e * d)
+        ijl = matmul(c[s:s + n, lo:].reshape(n * e, d), tail, p).reshape(n, e, e, d)
+        if lie:
+            jli = matmul(c[s:, s:].reshape(e * e, d), c[:, s:s + n].reshape(d, n * d), p)
+            lij = matmul(c[s:, s:s + n].reshape(e * n, d), tail, p).reshape(e, n, e, d)
+            other = -(jli.reshape(e, e, n, d).transpose(2, 0, 1, 3)
+                      + lij.transpose(1, 2, 0, 3)) % p
+        else:
+            other = matmul(c.reshape(d * d, d), c[s:s + n], p).reshape(n, d, d, d)
+        for i, j, l in zip(*np.nonzero((ijl != other).any(axis=3))):
+            trip = (s + int(i), lo + int(j), lo + int(l))
+            if not lie or trip == min(trip, trip[1:] + trip[:1], trip[2:] + trip[:2]):
+                out.append(Violation("jacobi" if lie else "associativity", trip))
+    u, eye = A.identity, np.eye(d, dtype=np.int64)
+    if u is not None and not (np.array_equal(c[u], eye) and np.array_equal(c[:, u], eye)):
+        out.append(Violation("identity", (u,)))
     return out
 
 
@@ -601,7 +616,7 @@ def quotient(A: Algebra, I: Ideal, name: str = "") -> tuple[Algebra, Morphism]:
     names = tuple(A.basis_names[j] for j in keep)
     unit = (None if A.identity is None or A.identity in I.pivots
             else int(np.searchsorted(keep, A.identity)))
-    Q = Algebra(A.field, struct, names, unit, name or (A.name + "/I" if A.name else ""))
+    Q = type(A)(A.field, struct, names, unit, name or (A.name + "/I" if A.name else ""))
     pi = Morphism(A, Q, proj)
     if not pi.is_multiplicative():
         raise PreconditionError("projection failed multiplicativity: subspace not an ideal")
@@ -627,10 +642,11 @@ def subalgebra(A: Algebra, I: Ideal, name: str = "") -> tuple[Algebra, Morphism]
     struct = prods[..., list(I.pivots)]
     r = R.shape[0]
     eye = np.eye(r, dtype=np.int64)
-    unit = np.flatnonzero((struct == eye).all(axis=(1, 2))
+    # a Lie algebra has no identity
+    unit = np.flatnonzero((struct == eye).all(axis=(1, 2)) & (not isinstance(A, LieAlgebra))
                           & (struct.transpose(1, 0, 2) == eye).all(axis=(1, 2)))
     names = tuple(f"{name or 'v'}{i}" for i in range(r))
-    S = Algebra(A.field, struct, names, int(unit[0]) if unit.size else None, name)
+    S = type(A)(A.field, struct, names, int(unit[0]) if unit.size else None, name)
     return S, Morphism(S, A, R.T)
 
 

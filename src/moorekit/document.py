@@ -1,5 +1,6 @@
-"""JSON document format: named algebras, morphisms, simplicial objects,
-crossed structures and Lie structures in one file.
+"""JSON document format: named algebras, simplicial objects, crossed
+structures and Lie structures in one file; a morphism is read only where
+an object holds one, as a face, degeneracy or boundary.
 
 Structure tensors are stored as sparse [i, j, k, coeff] triples with
 omitted entries zero; matrices are dense row-major target x source; a face
@@ -77,7 +78,6 @@ class DocumentError(ValueError):
 class Document:
     algebras: dict = dc_field(default_factory=dict)
     lie_algebras: dict = dc_field(default_factory=dict)
-    morphisms: dict = dc_field(default_factory=dict)
     simplicial: dict = dc_field(default_factory=dict)
     crossed_modules: dict = dc_field(default_factory=dict)
     two_crossed_modules: dict = dc_field(default_factory=dict)
@@ -93,7 +93,7 @@ class Document:
         """
         sections = [
             ("algebra", self.algebras), ("lie-algebra", self.lie_algebras),
-            ("morphism", self.morphisms), ("simplicial", self.simplicial),
+            ("simplicial", self.simplicial),
             ("crossed", self.crossed_modules),
             ("two-crossed", self.two_crossed_modules),
             ("three-crossed", self.three_crossed_modules),
@@ -321,7 +321,7 @@ def load_document(text: str) -> Document:
         raise DocumentError("document must be a JSON object", "document")
     if marked or "true" in text or "false" in text:
         _refuse_booleans_and_repeats(raw)
-    _known(raw, ("config", "morphisms", "simplicial", *CARRIERS, *CROSSED), "document")
+    _known(raw, ("config", "simplicial", *CARRIERS, *CROSSED), "document")
     # documents of earlier versions and of bench/inputs.py carry a config
     # object; its keys are checked, though nothing reads them
     cfg = _known(raw.get("config", {}), ("seed", "budget", "exhaustive_bound", "characteristics"),
@@ -339,8 +339,6 @@ def load_document(text: str) -> Document:
     for key in CARRIERS:
         for name, body in section(key).items():
             getattr(doc, key)[name] = _load_algebra(key, name, body)
-    for name, body in section("morphisms").items():
-        doc.morphisms[name] = _load_morphism(body, doc.algebras, f"morphisms.{name}")
 
     for name, body in section("simplicial").items():
         loc = f"simplicial.{name}"
@@ -385,10 +383,9 @@ class DocumentBuilder:
     """Accumulates structures and emits the JSON document body."""
 
     def __init__(self):
-        self.body = {"algebras": {}, "lie_algebras": {}, "morphisms": {},
-                     "simplicial": {}, "crossed_modules": {},
-                     "two_crossed_modules": {}, "three_crossed_modules": {},
-                     "lie_three_crossed": {}}
+        self.body = {"algebras": {}, "lie_algebras": {}, "simplicial": {},
+                     "crossed_modules": {}, "two_crossed_modules": {},
+                     "three_crossed_modules": {}, "lie_three_crossed": {}}
         self._alg_names: dict[int, str] = {}
         self._keep: list = []  # pin registered objects so ids stay unique
 

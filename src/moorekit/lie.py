@@ -10,9 +10,9 @@ verified by ``crossed.verify_3cm`` under the same record names.
 
 What differs by carrier:
 
-* structure: alternating and Jacobi (``validate_lie``) instead of
-  associativity and commutativity.  Alternating is enforced directly
-  ([x, x] = 0 on basis vectors), which also covers characteristic 2;
+* structure: ``coeff.validate_algebra`` reads the bracket and checks
+  alternating, antisymmetry and Jacobi instead of commutativity,
+  associativity and the identity, which a Lie algebra does not have;
 * actions: by derivations, as a Lie homomorphism into them, the rows
   ``crossed._action_laws`` sweeps over Lie algebras;
 * no equivariance tables: Tables 3-4 print the commutative
@@ -23,37 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .coeff import LieAlgebra, PrimeField, Violation, matmul, sweep_step
+from .coeff import LieAlgebra, PrimeField
 from .crossed import AxiomReport, CrossedChain, verify_3cm, zero_extension
-
-
-def validate_lie(L: LieAlgebra) -> list[Violation]:
-    """Alternating and Jacobi violations; empty iff L is a Lie algebra."""
-    p, c, d = L.p, L.structure, L.dim
-    out = [Violation("alternating", (i,)) for i in range(d) if c[i, i].any()]
-    anti = (c + c.transpose(1, 0, 2)) % p
-    for i, j in zip(*np.nonzero(anti.any(axis=2))):
-        if i < j:
-            out.append(Violation("antisymmetry", (int(i), int(j))))
-    # [[e_i, e_j], e_l] + [[e_j, e_l], e_i] + [[e_l, e_i], e_j] at [i, j, l],
-    # one i-chunk from s at a time, each term formed with i in its own slot;
-    # only j, l >= s are formed, since a triple leads its cyclic class
-    # only when i <= j and i <= l
-    step = sweep_step(d ** 3)
-    for s in range(0, d, step):
-        e, n = d - s, min(step, d - s)
-        tail = c[:, s:].reshape(d, e * d)
-        ijl = matmul(c[s:s + n, s:].reshape(n * e, d), tail, p).reshape(n, e, e, d)
-        jli = matmul(c[s:, s:].reshape(e * e, d), c[:, s:s + n].reshape(d, n * d), p)
-        lij = matmul(c[s:, s:s + n].reshape(e * n, d), tail, p).reshape(e, n, e, d)
-        jac = (ijl + jli.reshape(e, e, n, d).transpose(2, 0, 1, 3)
-               + lij.transpose(1, 2, 0, 3)) % p
-        for i, j, l in zip(*np.nonzero(jac.any(axis=3))):
-            trip = (s + int(i), s + int(j), s + int(l))
-            rots = [trip, trip[1:] + trip[:1], trip[2:] + trip[:2]]
-            if trip == min(rots):  # one witness per cyclic class
-                out.append(Violation("jacobi", trip))
-    return out
 
 
 def lie_abelian(p: int, dim: int) -> LieAlgebra:

@@ -4,8 +4,8 @@ projection p, membership in the Moore complex, the hypercrossed pairing
 C_{alpha,beta} and both sides of a Table-1 row, each on one pair of
 elements), the element supply as Element values, a crossed module that
 fails CM2, an axiom report's entry by name, the truncation of a simplicial
-object, the crossed module a 2-crossed module induces, and validate_lie's
-Jacobi check on the whole d^4 tensor at once.
+object, the crossed module a 2-crossed module induces, and the level laws of
+validate_algebra on the whole d^4 tensor at once, for each carrier.
 
 moore.pairing_table computes every C_{alpha,beta} on whole Moore bases;
 these functions compute one value at a time through the simplicial maps
@@ -121,9 +121,25 @@ def induced_cm(t: CrossedChain) -> CrossedChain:
     return _divide_top(bottom, t.d(2), np.eye(t.levels[2].dim, dtype=np.int64))
 
 
+def validate_algebra_dense(A) -> list[Violation]:
+    """coeff.validate_algebra on an Algebra with (e_i e_j) e_l and
+    e_i (e_j e_l) formed at once by einsum: d^4 cells each."""
+    p, c, d = A.p, A.structure, A.dim
+    out = [Violation("commutativity", (int(i), int(j)))
+           for i, j in zip(*np.nonzero(((c - c.transpose(1, 0, 2)) % p).any(axis=2))) if i <= j]
+    left = np.einsum("ijm,mlk->ijlk", c, c) % p
+    right = np.einsum("jlm,imk->ijlk", c, c) % p
+    out += [Violation("associativity", tuple(map(int, t)))
+            for t in zip(*np.nonzero(((left - right) % p).any(axis=3)))]
+    e, eye = A.identity, np.eye(d, dtype=np.int64)
+    if e is not None and not (np.array_equal(c[e], eye) and np.array_equal(c[:, e], eye)):
+        out.append(Violation("identity", (e,)))
+    return out
+
+
 def validate_lie_dense(L) -> list[Violation]:
-    """lie.validate_lie with every [[e_i, e_j], e_l] formed at once, then
-    two transposed copies: d^4 cells each."""
+    """coeff.validate_algebra on a LieAlgebra with every [[e_i, e_j], e_l]
+    formed at once, then two transposed copies: d^4 cells each."""
     p, c, d = L.p, L.structure, L.dim
     out = [Violation("alternating", (i,)) for i in range(d) if c[i, i].any()]
     anti = (c + c.transpose(1, 0, 2)) % p

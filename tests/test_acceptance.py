@@ -12,12 +12,12 @@ import numpy as np
 
 from moorekit import corpus
 from moorekit.cli import parse_args, run_command
-from moorekit.coeff import Element, Supply
+from moorekit.coeff import Element, Supply, validate_algebra
 from moorekit.crossed import (verify_2cm, verify_3cm, verify_cm, zero_extension,
                               multiplication_cm, CrossedChain)
 from moorekit.functors import hypercrossed, roundtrip_check
 from moorekit.lie import (degenerate_lie_3cm, lie_abelian, lie_heisenberg,
-                          validate_lie, verify_lie_3cm, LieAlgebra)
+                          verify_lie_3cm, LieAlgebra)
 from moorekit.moore import (SurjIndex, lemma7_check, moore, p_set, s_set,
                             s_word_morphism, table1_audit, theorem5_check)
 from moorekit.simplicial import decompose, degenerate_subalgebra
@@ -192,13 +192,13 @@ def test_criterion_9_moore_structure(built):
 
 
 def test_criterion_10_lie():
-    ok = validate_lie(lie_abelian(3, 2)) == []
-    ok = ok and validate_lie(lie_heisenberg(3)) == []
+    ok = validate_algebra(lie_abelian(3, 2)) == []
+    ok = ok and validate_algebra(lie_heisenberg(3)) == []
     t = np.zeros((2, 2, 2), dtype=np.int64)
     t[0, 0, 1] = 1
     from moorekit.coeff import PrimeField, BilinearMap
     bad = LieAlgebra(PrimeField(3), t, ("a", "b"))
-    ok = ok and any(v.kind == "alternating" for v in validate_lie(bad))
+    ok = ok and any(v.kind == "alternating" for v in validate_algebra(bad))
     for base in (lie_abelian(3, 2), lie_heisenberg(3)):
         ok = ok and verify_lie_3cm(degenerate_lie_3cm(base)).verdict == "pass"
     m = degenerate_lie_3cm(lie_heisenberg(3))

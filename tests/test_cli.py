@@ -487,6 +487,14 @@ def test_exit_code_65_for_a_value_given_twice_or_never_read(path, value, error, 
     assert _document_error(capsys) == error
 
 
+def test_exit_code_65_for_a_morphisms_section(tmp_path, capsys):
+    # a morphism stands only where an object holds one, as a face,
+    # degeneracy or boundary; a section of named morphisms is refused
+    f = {"source": "ideal-pair.R", "target": "ideal-pair.R", "matrix": []}
+    assert _validate_with(("morphisms",), json.dumps({"f": f}), tmp_path) == 65
+    assert _document_error(capsys) == "document: unknown key 'morphisms'"
+
+
 # the loader runs in a child whose address space is capped at 1 GiB, so a
 # loader that allocates for the dim fails there and not on the machine
 _CAPPED_VALIDATE = """import resource, sys
@@ -621,6 +629,8 @@ def test_exit_code_65_for_a_negative_truncation_level(command, tmp_path, capsys)
     (["verify-xmod", "constant"], "cli: 'constant' is a simplicial, expected crossed"),
     (["verify-3xmod", "cubic-chain"], "cli: 'cubic-chain' is a simplicial, expected three-crossed"),
     (["moore", "mult-zmod"], "cli: 'mult-zmod' is a crossed, expected simplicial"),
+    (["moore", "ideal-pair.E0"], "cli: 'ideal-pair.E0' is an algebra, expected simplicial"),
+    (["lie-verify", "ideal-pair.E0"], "lie-verify: 'ideal-pair.E0' is an algebra, not Lie data"),
     (["validate", "mult-zmod"], "validate: 'mult-zmod' is a crossed, not validatable directly"),
     (["lie-verify", "mult-zmod"], "lie-verify: 'mult-zmod' is a crossed, not Lie data")])
 def test_exit_code_65_for_a_name_of_another_kind(argv, detail, capsys):

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moorekit import coeff, corpus
-from moorekit.coeff import (Algebra, BilinearMap, Element, Ideal, Morphism,
+from moorekit.coeff import (Algebra, BilinearMap, Element, Ideal, LieAlgebra, Morphism,
                             PreconditionError, PrimeField, StructureError,
                             Supply, algebras_equal, ideal_closure, kernel,
                             null_space, quadratic_points, quotient, rref, subalgebra,
                             supply_rows, validate_algebra)
-from reference import elements
+from reference import elements, validate_algebra_dense, validate_lie_dense
 
 
 def poly_mul_mod(a, b, rel, p):
@@ -581,15 +581,40 @@ def test_validate_algebra_lists_violations_in_the_einsum_order(p, monkeypatch):
     d = 5
     struct = rng.integers(0, p, size=(d, d, d))
     A = Algebra(PrimeField(p), struct, tuple(f"e{i}" for i in range(d)), 0)
-    c = A.structure
-    comm = [("commutativity", (int(i), int(j)))
-            for i, j in zip(*np.nonzero(((c - c.transpose(1, 0, 2)) % p).any(axis=2))) if i <= j]
-    left = np.einsum("ijm,mlk->ijlk", c, c) % p
-    right = np.einsum("jlm,imk->ijlk", c, c) % p
-    assoc = [("associativity", tuple(map(int, t)))
-             for t in zip(*np.nonzero(((left - right) % p).any(axis=3)))]
-    want = comm + assoc + [("identity", (0,))]
-    assert len(assoc) > 10
+    want = [(v.kind, v.indices) for v in validate_algebra_dense(A)]
+    assert want[-1] == ("identity", (0,))
+    assert sum(kind == "associativity" for kind, _ in want) > 10
     for cells in (1 << 16, 7):  # all of i in one chunk, then one i per chunk
         monkeypatch.setattr(coeff, "_SWEEP_CELLS", cells)
         assert [(v.kind, v.indices) for v in validate_algebra(A)] == want
+
+
+def _random_levels(p, d, density, rng):
+    """Random structure tensors of both carriers: a raw and an antisymmetrised
+    bracket, a raw product with no identity, a symmetrised one with a true
+    identity, and a raw one claiming an identity it may not have."""
+    t = rng.integers(0, p, (d, d, d)) * (rng.random((d, d, d)) < density)
+    names, fld = tuple(f"e{i}" for i in range(d)), PrimeField(p)
+    anti = t - t.transpose(1, 0, 2)
+    sym = t + t.transpose(1, 0, 2)
+    unit = int(rng.integers(0, d)) if d else None
+    if d:
+        sym[unit] = sym[:, unit] = np.eye(d, dtype=np.int64)
+    return [LieAlgebra(fld, t, names), LieAlgebra(fld, anti, names), Algebra(fld, t, names),
+            Algebra(fld, sym, names, unit), Algebra(fld, t, names, unit)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_validate_algebra_equals_the_dense_reference_of_its_carrier(p, monkeypatch):
+    rng = np.random.default_rng(p)
+    cases = [A for d in range(9) for density in (0.05, 0.3, 1)
+             for A in _random_levels(p, d, density, rng)]
+    want = [(validate_lie_dense if isinstance(A, LieAlgebra) else validate_algebra_dense)(A)
+            for A in cases]
+    kinds = {v.kind for bad in want for v in bad}
+    assert kinds >= {"alternating", "antisymmetry", "jacobi", "commutativity",
+                     "associativity", "identity"}
+    assert sum(not bad for bad in want) > len(cases) // 10
+    for cells in (1 << 16, 7):  # all of i in one chunk, then one i per chunk
+        monkeypatch.setattr(coeff, "_SWEEP_CELLS", cells)
+        assert [validate_algebra(A) for A in cases] == want

@@ -124,9 +124,9 @@ def test_document_errors_carry_location():
     with pytest.raises(DocumentError) as err2:
         load_document(json.dumps({
             "algebras": {"A": {"p": 2, "dim": 1, "basis": ["e"]}},
-            "morphisms": {"f": {"source": "A", "target": "missing",
-                                "matrix": [[1]]}}}))
-    assert "missing" in str(err2.value)
+            "simplicial": {"E": {"k": 1, "levels": ["A", "A"], "faces": {
+                "1,0": {"source": "A", "target": "missing", "matrix": [[1]]}}}}}))
+    assert "missing" in str(err2.value) and "simplicial.E.faces[1,0]" in str(err2.value)
 
 
 def test_lookup_prefers_requested_kind():

@@ -6,20 +6,42 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from moorekit.coeff import BilinearMap, LieAlgebra, Morphism, PrimeField, matmul, rref
+from moorekit.coeff import (BilinearMap, Ideal, LieAlgebra, Morphism, PrimeField, StructureError,
+                            matmul, quotient, rref, subalgebra, validate_algebra)
 from moorekit.cli import parse_args, run_command
 from moorekit.crossed import (SIGNATURES, CrossedChain, _action_laws, verify_2cm, verify_cm,
                               zero_extension)
 from moorekit.document import DocumentBuilder
-from moorekit.lie import (degenerate_lie_3cm, lie_abelian, lie_heisenberg, validate_lie,
-                          verify_lie_3cm)
+from moorekit.lie import degenerate_lie_3cm, lie_abelian, lie_heisenberg, verify_lie_3cm
 from reference import named_entry, validate_lie_dense
 
 
 def test_validate_lie_abelian_and_heisenberg():
-    assert validate_lie(lie_abelian(3, 4)) == []
+    assert validate_algebra(lie_abelian(3, 4)) == []
     for p in (2, 3, 5):
-        assert validate_lie(lie_heisenberg(p)) == []
+        assert validate_algebra(lie_heisenberg(p)) == []
+
+
+def _heisenberg_squared(p: int) -> LieAlgebra:
+    """h + h on x1, y1, z1, x2, y2, z2, each [x, y] = z."""
+    h, c = lie_heisenberg(p).structure, np.zeros((6, 6, 6), dtype=np.int64)
+    c[:3, :3, :3] = c[3:, 3:, 3:] = h
+    return LieAlgebra(PrimeField(p), c, ("x1", "y1", "z1", "x2", "y2", "z2"))
+
+
+def test_quotient_and_subalgebra_of_a_lie_algebra_are_lie_algebras():
+    L = _heisenberg_squared(3)
+    z2 = Ideal(L, np.eye(6, dtype=np.int64)[5:])  # central
+    Q, _ = quotient(L, z2)
+    S, _ = subalgebra(L, Ideal(L, np.eye(6, dtype=np.int64)[[0, 1, 2, 5]]))
+    for M in (Q, S):
+        assert type(M) is LieAlgebra and M.identity is None
+        assert M.structure.any() and validate_algebra(M) == []
+
+
+def test_a_lie_algebra_refuses_an_identity():
+    with pytest.raises(StructureError, match="no identity"):
+        LieAlgebra(PrimeField(3), np.zeros((2, 2, 2), dtype=np.int64), ("a", "b"), 0)
 
 
 def test_heisenberg_jacobi_by_hand():
@@ -38,7 +60,7 @@ def test_validate_lie_rejects_alternating_violation():
     t = np.zeros((2, 2, 2), dtype=np.int64)
     t[0, 0, 1] = 1  # [e0, e0] = e1
     bad = LieAlgebra(PrimeField(3), t, ("a", "b"))
-    kinds = [v.kind for v in validate_lie(bad)]
+    kinds = [v.kind for v in validate_algebra(bad)]
     assert "alternating" in kinds
 
 
@@ -51,7 +73,7 @@ def test_validate_lie_rejects_jacobi_violation():
     t[2, 0, 2] = 1
     t[0, 2, 2] = -1 % 5
     bad = LieAlgebra(PrimeField(5), t, ("x", "y", "z"))
-    assert any(v.kind == "jacobi" for v in validate_lie(bad))
+    assert any(v.kind == "jacobi" for v in validate_algebra(bad))
 
 
 def _gl_in_random_basis(n: int, p: int, rng) -> np.ndarray:
@@ -91,10 +113,10 @@ def test_validate_lie_witnesses_equal_the_dense_formula(n, p):
     found = set()
     for t in mutants:
         L = LieAlgebra(PrimeField(p), t, tuple(f"e{i}" for i in range(d)))
-        got = validate_lie(L)
+        got = validate_algebra(L)
         assert got == validate_lie_dense(L)
         found.update(v.kind for v in got)
-    assert validate_lie(LieAlgebra(PrimeField(p), c, tuple(f"e{i}" for i in range(d)))) == []
+    assert validate_algebra(LieAlgebra(PrimeField(p), c, tuple(f"e{i}" for i in range(d)))) == []
     assert "jacobi" in found and "antisymmetry" in found
 
 
@@ -104,7 +126,7 @@ def test_validate_lie_peak_memory_at_dim_50():
     L = LieAlgebra(PrimeField(3), rng.integers(0, 3, (d, d, d)), tuple(f"e{i}" for i in range(d)))
     tracemalloc.start()
     try:
-        assert validate_lie(L)
+        assert validate_algebra(L)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
