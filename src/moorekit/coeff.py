@@ -1,7 +1,11 @@
 """Exact arithmetic for finite-dimensional commutative algebras over Z/p.
 
-An algebra is presented by a rank-3 tensor of structure constants over a
-prime field: e_i * e_j = sum_k c[i,j,k] e_k.  All linear algebra (row
+An algebra is presented by structure constants over a prime field,
+e_i * e_j = sum_k c[i,j,k] e_k, held as their nonzero triples (i, j, k, c)
+in C order; the dense rank-3 tensor is a view built on first read.  The
+level laws (validate_algebra) and the loader read the triples alone, so a
+sparse level of a document never has its d^3 cells made unless a dense
+contraction reads them.  All linear algebra (row
 reduction, kernels, quotients) is exact field arithmetic; subspaces are
 kept in reduced row echelon form so that subspace equality is matrix
 equality.  An Ideal is the one value holding a subspace, as its rref
@@ -247,33 +251,107 @@ def intersect_row_spaces(U: np.ndarray, V: np.ndarray, p: int) -> np.ndarray:
 # algebras, elements, morphisms
 
 
-@dataclass(frozen=True, eq=False)
-class Algebra:
-    """Commutative algebra over Z/p given by structure constants.
+def checked_triples(rows, shape: tuple, p: int) -> np.ndarray:
+    """The entries of a tensor of `shape` given as rows [i, j, k, c], as an
+    (nnz, 4) int64 array of its nonzero entries in C order of
+    (i, j, k), c reduced mod p.  The first row, in the given order, whose
+    (i, j, k) lies outside the shape or repeats an earlier row's is refused,
+    also when its coefficient is 0."""
+    arr = np.asarray(rows, dtype=np.int64)
+    arr = arr.reshape(0, 4) if arr.shape == (0,) else arr
+    if arr.ndim != 2 or arr.shape[1] != 4:
+        raise StructureError("structure must be a list of [i, j, k, coeff]")
+    idx = arr[:, :3]
+    outside = ((idx < 0) | (idx >= shape)).any(axis=1)
+    stop = int(outside.argmax()) if outside.any() else len(arr)
+    key = np.ravel_multi_index(idx[:stop].T, shape)
+    order = np.argsort(key, kind="stable")
+    # a stable sort puts each repeat after the row it repeats
+    repeat = key[order[1:]] == key[order[:-1]]
+    if repeat.any():
+        raise StructureError("triple ({},{},{}) given twice".format(*idx[order[1:][repeat].min()]))
+    if stop < len(arr):
+        raise StructureError("index ({},{},{}) outside dim {}".format(*idx[stop], shape))
+    out = arr[order]
+    out[:, 3] %= p
+    return out[out[:, 3] != 0]
 
-    ``structure[i, j, k]`` is the e_k coefficient of e_i * e_j.  The
-    algebra is not required to be unital; ``identity`` is optional
-    metadata naming a verified two-sided identity basis element.
+
+def triples_of(t: np.ndarray) -> np.ndarray:
+    """The nonzero entries of a tensor of residues as rows [i, j, k, c] in
+    C order of (i, j, k)."""
+    idx = np.nonzero(t)
+    return np.column_stack([*idx, t[idx]])
+
+
+def dense_of(triples: np.ndarray, shape: tuple) -> np.ndarray:
+    """The tensor of `shape` whose nonzero entries are the rows [i, j, k, c]
+    of triples, each (i, j, k) given once."""
+    t = np.zeros(shape, dtype=np.int64)
+    t[tuple(triples[:, :3].T)] = triples[:, 3]
+    return t
+
+
+@dataclass(frozen=True, eq=False, init=False)
+class Algebra:
+    """Commutative algebra over Z/p given by its nonzero structure constants.
+
+    ``triples`` is the one stored multiplication: the rows [i, j, k, c],
+    c != 0, with e_i * e_j = sum c e_k over the rows of (i, j), in C order
+    of (i, j, k) and reduced mod p.  ``structure`` is its read-only dense
+    view, ``structure[i, j, k]`` the e_k coefficient of e_i * e_j, built on
+    first read and kept; an algebra built from a dense array (the
+    constructor) keeps that array, reduced mod p, as its view, and
+    ``Algebra.from_triples`` builds none until it is read.  The algebra is
+    not required to be unital; ``identity`` is optional metadata naming a
+    verified two-sided identity basis element.
     """
 
     field: PrimeField
-    structure: np.ndarray
+    triples: np.ndarray
     basis_names: tuple[str, ...]
     identity: int | None = None
     name: str = ""
 
-    def __post_init__(self):
-        dim = len(self.basis_names)
-        arr = _as_array(self.structure, self.field.p)
-        if arr.shape != (dim, dim, dim):
+    def __init__(self, field: PrimeField, structure, basis_names: tuple[str, ...],
+                 identity: int | None = None, name: str = ""):
+        dense, dim = _as_array(structure, field.p), len(basis_names)
+        if dense.shape != (dim, dim, dim):
             raise StructureError(
-                f"structure tensor shape {arr.shape} does not match dim {dim}")
-        object.__setattr__(self, "structure", arr)
-        check_word_size(dim, self.field.p)
-        if self.identity is not None and not (0 <= self.identity < dim):
+                f"structure tensor shape {dense.shape} does not match dim {dim}")
+        self._set(field, triples_of(dense), basis_names, identity, name, dense)
+
+    @classmethod
+    def from_triples(cls, field: PrimeField, rows, basis_names: tuple[str, ...],
+                     identity: int | None = None, name: str = "") -> Algebra:
+        """The algebra whose structure tensor has the entries `rows`, each
+        [i, j, k, c] given once (checked_triples)."""
+        dim = len(basis_names)
+        A = cls.__new__(cls)
+        A._set(field, checked_triples(rows, (dim, dim, dim), field.p), basis_names,
+               identity, name, None)
+        return A
+
+    def _set(self, field, triples, basis_names, identity, name, dense) -> None:
+        for key, value in (("field", field), ("triples", triples),
+                           ("basis_names", tuple(basis_names)), ("identity", identity),
+                           ("name", name), ("_dense", dense)):
+            object.__setattr__(self, key, value)
+        triples.setflags(write=False)
+        check_word_size(self.dim, self.field.p)
+        if self.identity is not None and not (0 <= self.identity < self.dim):
             raise StructureError("identity index out of range")
         if self.identity is not None and isinstance(self, LieAlgebra):
             raise StructureError("a Lie algebra has no identity")
+
+    @property
+    def structure(self) -> np.ndarray:
+        """The dense view of ``triples``, built on first read."""
+        if self._dense is None:
+            dense = dense_of(self.triples, (self.dim,) * 3)
+            dense.setflags(write=False)
+            object.__setattr__(self, "_dense", dense)
+        return self._dense
 
     @property
     def dim(self) -> int:
@@ -300,8 +378,9 @@ class Algebra:
 
 
 class LieAlgebra(Algebra):
-    """Finite-dimensional Lie algebra by bracket structure constants:
-    [e_i, e_j] = sum_k structure[i, j, k] e_k; ``identity`` is always None."""
+    """Finite-dimensional Lie algebra by bracket structure constants, held
+    as an Algebra's are: [e_i, e_j] = sum_k structure[i, j, k] e_k;
+    ``identity`` is always None."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,14 +407,14 @@ class Element:
 
     def __add__(self, other: Element) -> Element:
         self._check_parent(other)
-        return Element(self.parent, (self.coeffs + other.coeffs) % self.parent.p)
+        return Element(self.parent, self.coeffs + other.coeffs)
 
     def __sub__(self, other: Element) -> Element:
         self._check_parent(other)
-        return Element(self.parent, (self.coeffs - other.coeffs) % self.parent.p)
+        return Element(self.parent, self.coeffs - other.coeffs)
 
     def __neg__(self) -> Element:
-        return Element(self.parent, (-self.coeffs) % self.parent.p)
+        return Element(self.parent, -self.coeffs)
 
     def __mul__(self, other: Element) -> Element:
         self._check_parent(other)
@@ -503,23 +582,92 @@ class Violation:
     indices: tuple[int, ...]
 
 
-def validate_algebra(A: Algebra) -> list[Violation]:
-    """The violations of the laws of A's carrier, empty iff A is valid: on an
-    Algebra commutativity (i <= j), associativity and the identity; on a
-    LieAlgebra, read with the bracket, alternating ([e_i, e_i] = 0, which
-    also covers characteristic 2), antisymmetry (i < j) and Jacobi, one
-    witness per cyclic class."""
-    lie = isinstance(A, LieAlgebra)
-    p, c, d = A.p, A.structure, A.dim
-    out = [Violation("alternating", (i,)) for i in range(d) if lie and c[i, i].any()]
-    two = (c + c.transpose(1, 0, 2) if lie else c - c.transpose(1, 0, 2)) % p
-    for i, j in zip(*np.nonzero(two.any(axis=2))):
-        if i < j or i == j and not lie:
-            out.append(Violation("antisymmetry" if lie else "commutativity", (int(i), int(j))))
-    # (e_i e_j) e_l at [i, j, l], one i-chunk from s at a time, against
-    # e_i (e_j e_l) or against -[[e_j, e_l], e_i] - [[e_l, e_i], e_j]; Jacobi
-    # forms only j, l >= s: a triple leads its cyclic class only if i <= j, l
-    step = sweep_step(d ** 3)
+# the three-index law of each carrier, (e_i e_j) e_l = e_i (e_j e_l) and
+# [[e_i, e_j], e_l] + [[e_j, e_l], e_i] + [[e_l, e_i], e_j] = 0, as its
+# name and terms (slot, r, sign): the products (e_a e_b) e_c when slot is 0
+# and e_c (e_a e_b) when it is 1, read at (i, j, l) = (a, b, c), (c, a, b)
+# or (b, c, a) for r = 0, 1 or 2
+_LAWS = {False: ("associativity", ((0, 0, 1), (1, 1, -1))),
+         True: ("jacobi", ((0, 0, 1), (0, 1, 1), (0, 2, 1)))}
+
+# the law is swept on the triples from dim _LAW_DIM on, unless that costs
+# more than the dense sweep, _JOIN_MADDS of whose multiply-adds cost as much
+# as one product of two triples; below the floor the sparse sweep's fixed
+# cost of about 0.25 ms, some 150 numpy calls, outweighs the dense one
+_LAW_DIM = 10
+_JOIN_MADDS = 256
+
+
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct entries of an ascending array of codes >= 0.  Not
+    np.unique: numpy 2's reads np.ma.is_masked, and the first read imports
+    numpy.ma, about 1 MiB and 10 ms in a fresh process."""
+    return codes[np.diff(codes, prepend=-1) != 0]
+
+
+def _nonzero_sums(codes: np.ndarray, values: np.ndarray, p: int) -> np.ndarray:
+    """The distinct codes, ascending, whose values sum to nonzero mod p."""
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    starts = np.flatnonzero(np.diff(codes, prepend=-1))
+    return codes[starts][np.add.reduceat(values[order], starts) % p != 0]
+
+
+def _products(t1: np.ndarray, t2: np.ndarray, slot: int, d: int, p: int):
+    """For each row (a, b, m, x) of t1 and each row of t2 with m at position
+    `slot`, its other index c, its target k and its coefficient y: the
+    indices (a, b, c, k) and the value x y mod p of the e_k term of
+    (e_a e_b) e_c when slot is 0, of e_c (e_a e_b) when it is 1."""
+    t2 = t2[np.argsort(t2[:, slot], kind="stable")]
+    starts = np.searchsorted(t2[:, slot], np.arange(d + 1))
+    n = (starts[1:] - starts[:-1])[t1[:, 2]]
+    rep = np.repeat(np.arange(len(t1)), n)
+    q = np.arange(n.sum()) + np.repeat(starts[t1[:, 2]] - np.cumsum(n) + n, n)
+    return (t1[rep, 0], t1[rep, 1], t2[q, 1 - slot], t2[q, 2]), t1[rep, 3] * t2[q, 3] % p
+
+
+def _law_sparse(t: np.ndarray, d: int, p: int, lie: bool) -> list | None:
+    """The triples (i, j, l), in C order, at which the carrier's law fails,
+    each Jacobi class at its leader, formed from the products of pairs of
+    triples alone, a chunk of i at a time: both sides vanish unless e_i e_j
+    or e_j e_l is a nonzero product.  None below dim _LAW_DIM and when those
+    products cost more than the dense sweep."""
+    if d < _LAW_DIM:
+        return None
+    terms = _LAWS[lie][1]
+    # each term's rows at i come from the t1 rows with a = i (r = 0) or
+    # b = i (r = 2), or from the t2 rows whose other index is i (r = 1)
+    select = [(0, 0) if r == 0 else (0, 1) if r == 2 else (1, 1 - slot) for slot, r, _ in terms]
+    per_i = np.zeros(d)
+    for (slot, _, _), (side, col) in zip(terms, select):
+        meet, count = (2, slot)[side], (slot, 2)[side]
+        weights = np.bincount(t[:, count], minlength=d)[t[:, meet]]
+        per_i += np.bincount(t[:, col], weights=weights, minlength=d)
+    if per_i.sum() * _JOIN_MADDS > d ** 5:
+        return None
+    out, lo, total = [], 0, np.cumsum(per_i)
+    while lo < d:
+        hi = max(lo + 1, int(np.searchsorted(total, total[lo] - per_i[lo] + _SWEEP_CELLS, "right")))
+        codes, values = [], []
+        for (slot, r, sign), (side, col) in zip(terms, select):
+            sel = t[(t[:, col] >= lo) & (t[:, col] < hi)]
+            abc, v = _products(*((sel, t) if side == 0 else (t, sel)), slot, d, p)
+            i, j, l = abc[-r % 3], abc[(1 - r) % 3], abc[(2 - r) % 3]
+            keep = (i < j) & (i < l) | (i == j) & (i <= l) if lie else slice(None)
+            codes.append((((i * d + j) * d + l) * d + abc[3])[keep])
+            values.append((v if sign > 0 else p - v)[keep])
+        trips = _distinct(_nonzero_sums(np.concatenate(codes), np.concatenate(values), p) // d)
+        out += [tuple(map(int, x)) for x in zip(*np.unravel_index(trips, (d, d, d)))]
+        lo = hi
+    return out
+
+
+def _law_dense(c: np.ndarray, d: int, p: int, lie: bool) -> list:
+    """_law_sparse's triples from the dense tensor c, one i-chunk at a time:
+    (e_i e_j) e_l at [i, j, l] against e_i (e_j e_l) or against
+    -[[e_j, e_l], e_i] - [[e_l, e_i], e_j]; Jacobi forms only j, l >= s,
+    since a triple leads its cyclic class only if i <= j, l."""
+    out, step = [], sweep_step(d ** 3)
     for s in range(0, d, step):
         n, lo = min(step, d - s), s if lie else 0
         e = d - lo
@@ -535,10 +683,40 @@ def validate_algebra(A: Algebra) -> list[Violation]:
         for i, j, l in zip(*np.nonzero((ijl != other).any(axis=3))):
             trip = (s + int(i), lo + int(j), lo + int(l))
             if not lie or trip == min(trip, trip[1:] + trip[:1], trip[2:] + trip[:2]):
-                out.append(Violation("jacobi" if lie else "associativity", trip))
-    u, eye = A.identity, np.eye(d, dtype=np.int64)
-    if u is not None and not (np.array_equal(c[u], eye) and np.array_equal(c[:, u], eye)):
-        out.append(Violation("identity", (u,)))
+                out.append(trip)
+    return out
+
+
+def validate_algebra(A: Algebra) -> list[Violation]:
+    """The violations of the laws of A's carrier, empty iff A is valid: on an
+    Algebra commutativity (i <= j), associativity and the identity; on a
+    LieAlgebra, read with the bracket, alternating ([e_i, e_i] = 0, which
+    also covers characteristic 2), antisymmetry (i < j) and Jacobi, one
+    witness per cyclic class.  Every law but the three-index one is read on
+    the triples; that one too (_law_sparse) unless the products of pairs of
+    triples cost more than the dense sweep (_law_dense)."""
+    lie = isinstance(A, LieAlgebra)
+    p, t, d = A.p, A.triples, A.dim
+    i, j, k, c = t.T
+    out = [Violation("alternating", (int(x),)) for x in _distinct(i[i == j])] if lie else []
+    # c[i, j, k] - c[j, i, k], or + on a Lie algebra, at the pairs (i, j)
+    two = _nonzero_sums(np.concatenate([(i * d + j) * d + k, (j * d + i) * d + k]),
+                        np.concatenate([c, c if lie else p - c]), p) // max(d, 1)
+    for x, y in zip(*np.unravel_index(_distinct(two), (d, d))):
+        if x < y or x == y and not lie:
+            out.append(Violation("antisymmetry" if lie else "commutativity", (int(x), int(y))))
+    law, _ = _LAWS[lie]
+    trips = _law_sparse(t, d, p, lie)
+    if trips is None:
+        trips = _law_dense(A.structure, d, p, lie)
+    out += [Violation(law, trip) for trip in trips]
+    u = A.identity
+    if u is not None:
+        # e_u e_j = e_j e_u = e_j: the rows of u are (u, j, j, 1) and (j, u, j, 1)
+        unit = np.c_[np.arange(d), np.arange(d), np.ones(d, dtype=np.int64)]
+        if not (np.array_equal(t[t[:, 0] == u, 1:], unit)
+                and np.array_equal(t[t[:, 1] == u][:, [0, 2, 3]], unit)):
+            out.append(Violation("identity", (u,)))
     return out
 
 
@@ -682,7 +860,8 @@ def supply_rows(dim: int, p: int, supply: Supply = Supply()) -> tuple[np.ndarray
 
 
 def algebras_equal(A: Algebra, B: Algebra) -> bool:
-    """On-the-nose equality of presentations (prime, dim, structure, identity)."""
+    """On-the-nose equality of presentations (prime, dim, structure, identity),
+    read on the triples."""
     return (A.p == B.p and A.dim == B.dim
-            and np.array_equal(A.structure, B.structure)
+            and np.array_equal(A.triples, B.triples)
             and A.identity == B.identity)

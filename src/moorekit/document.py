@@ -3,7 +3,10 @@ structures and Lie structures in one file; a morphism is read only where
 an object holds one, as a face, degeneracy or boundary.
 
 Structure tensors are stored as sparse [i, j, k, coeff] triples with
-omitted entries zero; matrices are dense row-major target x source; a face
+omitted entries zero, and an algebra is loaded as its triples
+(coeff.Algebra.from_triples), with no dense d^3 tensor; one vectorised
+checker, coeff.checked_triples, reads the triples of algebras and of
+bilinear maps.  Matrices are dense row-major target x source; a face
 or degeneracy is keyed "n,i" in canonical form, "1,0" and not " 1,0" or
 "01,0".  Every number passes one reader, _ints, which refuses fractions
 and numbers beyond int64; coefficients are reduced mod p.  A document
@@ -31,7 +34,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import corpus
-from .coeff import Algebra, BilinearMap, LieAlgebra, Morphism, PrimeField, StructureError
+from .coeff import (Algebra, BilinearMap, LieAlgebra, Morphism, PrimeField, StructureError,
+                    checked_triples, dense_of, triples_of)
 from .crossed import ACTIONS, CARRIED, SIGNATURES, CrossedChain
 from .simplicial import TruncatedSimplicialAlgebra
 
@@ -201,19 +205,12 @@ def _level_index(key, group, k, loc) -> tuple[int, int]:
     return n, i
 
 
-def _dense_tensor(triples, shape, p, loc) -> np.ndarray:
-    arr = _ints(triples, loc) if isinstance(triples, list) else None
-    if arr is None or arr.shape != (0,) and arr.shape[1:] != (4,):
+def _triple_rows(triples, loc) -> np.ndarray:
+    """A JSON list of [i, j, k, coeff] rows as an int64 array, read by _ints;
+    coeff.checked_triples checks the rows, and no dense cell is made."""
+    if not isinstance(triples, list):
         raise DocumentError("structure must be a list of [i, j, k, coeff]", loc)
-    t, seen = np.zeros(shape, dtype=np.int64), set()
-    for i, j, k, c in arr.tolist():
-        if not (0 <= i < shape[0] and 0 <= j < shape[1] and 0 <= k < shape[2]):
-            raise DocumentError(f"index ({i},{j},{k}) outside dim {shape}", loc)
-        if (i, j, k) in seen:
-            raise DocumentError(f"triple ({i},{j},{k}) given twice", loc)
-        seen.add((i, j, k))
-        t[i, j, k] = c % p
-    return t
+    return _ints(triples, loc)
 
 
 def _load_algebra(section, name, body) -> Algebra:
@@ -234,13 +231,13 @@ def _load_algebra(section, name, body) -> Algebra:
     basis = tuple(str(b) for b in labels)
     if len(basis) != dim:
         raise DocumentError(f"{len(basis)} basis labels for dim {dim}", loc)
-    struct = _dense_tensor(body.get(key, []), (dim, dim, dim), fld.p, loc)
+    rows = _triple_rows(body.get(key, []), loc)
     identity = body.get("identity")
     if identity is not None and cls is not Algebra:
         raise DocumentError("a Lie algebra has no identity", f"{loc}.identity")
     identity = None if identity is None else _int(identity, f"{loc}.identity")
     try:
-        return cls(fld, struct, basis, identity, name=name)
+        return cls.from_triples(fld, rows, basis, identity, name=name)
     except (TypeError, ValueError) as exc:
         raise DocumentError(str(exc), loc)
 
@@ -307,8 +304,12 @@ def _load_crossed(section, name, body, doc) -> CrossedChain:
 def _load_bilinear(body, left, right, target, loc) -> BilinearMap:
     triples = (_field(_known(body, ("triples",), loc), "triples", f"{loc}.triples")
                if isinstance(body, dict) else body)
-    tensor = _dense_tensor(triples, (left.dim, right.dim, target.dim), target.p, loc)
-    return BilinearMap(left, right, target, tensor)
+    shape = (left.dim, right.dim, target.dim)
+    try:
+        rows = checked_triples(_triple_rows(triples, loc), shape, target.p)
+    except StructureError as exc:
+        raise DocumentError(str(exc), loc) from None
+    return BilinearMap(left, right, target, dense_of(rows, shape))
 
 
 def load_document(text: str) -> Document:
@@ -371,10 +372,6 @@ def load_document(text: str) -> Document:
 # dumping
 
 
-def _tensor_triples(t: np.ndarray) -> list:
-    return [[*ijk, c] for ijk, c in zip(np.argwhere(t).tolist(), t[t != 0].tolist())]
-
-
 def _matrix(m: Morphism) -> list:
     return m.matrix.tolist()
 
@@ -393,7 +390,7 @@ class DocumentBuilder:
         if id(A) in self._alg_names:
             return self._alg_names[id(A)]
         body = {"p": A.p, "dim": A.dim, "basis": list(A.basis_names),
-                CARRIERS[section][1]: _tensor_triples(A.structure)}
+                CARRIERS[section][1]: A.triples.tolist()}
         if A.identity is not None:
             body["identity"] = A.identity
         self.body[section][name] = body
@@ -425,7 +422,7 @@ class DocumentBuilder:
             at = body
             for group in path[:-1]:
                 at = at.setdefault(group, {})
-            at[path[-1]] = _tensor_triples(m.maps[key].tensor)
+            at[path[-1]] = triples_of(m.maps[key].tensor).tolist()
         self.body[section][name] = body
 
     def dumps(self) -> str:

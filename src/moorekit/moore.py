@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .coeff import (Algebra, Ideal, Morphism, PreconditionError,
-                    StructureError, Supply, ideal_closure, matmul, null_space,
-                    rref, subalgebra, supply_rows, sweep_step)
+                    StructureError, Supply, check_word_size, ideal_closure, matmul,
+                    null_space, rref, subalgebra, supply_rows, sweep_step)
 from .report import (CONFIRMED, DISCREPANT, FAIL, HYPOTHESIS_FAILED, PASS,
                      CheckRecord)
 
@@ -297,17 +297,27 @@ def _projection_matrix(E, n: int) -> np.ndarray:
     return P
 
 
+# smallest level dim at which _stacked_products forms its products from the
+# level's triples; below it the dense contraction is faster
+_TRIPLES_DIM = 32
+
+
 def _stacked_products(A: Algebra, stacks: dict, jobs: Sequence[tuple]):
     """The products in A of the rows of stacks[a] with the rows of
     stacks[b], for each job (a, b), in pieces (job, index, values): values
     is out[index] of the job's array out[u, v] = stacks[a][u] stacks[b][v].
 
-    Each job contracts its shorter stack with the structure tensor T, the
-    left one on the first axis of T or the right one on its second, and
-    the stacks contracted on one axis meet T together, a chunk of rows at
-    a time, each chunk only with the slices of T at the basis elements its
-    rows touch.  So a stack that several jobs share is contracted once, and
-    no step holds more than one chunk of contracted rows."""
+    At dim _TRIPLES_DIM and above the products are read off A's triples
+    (_triple_products).  Below it each job contracts its shorter stack with
+    the structure tensor T, the left one on the first axis of T or the
+    right one on its second, and the stacks contracted on one axis meet T
+    together, a chunk of rows at a time, each chunk only with the slices of
+    T at the basis elements its rows touch.  So a stack that several jobs
+    share is contracted once, and no step holds more than one chunk of
+    contracted rows."""
+    if A.dim >= _TRIPLES_DIM:
+        yield from _triple_products(A, stacks, jobs)
+        return
     p, d = A.p, A.dim
     short = [int(len(stacks[b]) < len(stacks[a])) for a, b in jobs]
     for side, tensor in ((0, A.structure), (1, A.structure.transpose(1, 0, 2))):
@@ -331,6 +341,30 @@ def _stacked_products(A: Algebra, stacks: dict, jobs: Sequence[tuple]):
                     got = slice(lo - first[key], hi - first[key])
                     yield ((job, got, values) if side == 0
                            else (job, (slice(None), got), values.transpose(1, 0, 2)))
+
+
+def _triple_products(A: Algebra, stacks: dict, jobs: Sequence[tuple]):
+    """_stacked_products from the triples (i, j, k, c) of A, sorted by k:
+    out[u, v, k] is the segment sum over the triples of k of
+    (x_u[i] c mod p) y_v[j], for x_u a row of stacks[a] and y_v one of
+    stacks[b].  Each stack is gathered once, and a job takes a chunk of
+    its left rows at a time, so no step holds more than _SWEEP_CELLS
+    products."""
+    p, d, t = A.p, A.dim, A.triples
+    check_word_size(len(t), p)
+    t = t[np.argsort(t[:, 2], kind="stable")]
+    ks, starts = np.unique(t[:, 2], return_index=True)
+    left = {a: stacks[a][:, t[:, 0]] * t[:, 3] % p for a in dict.fromkeys(a for a, _ in jobs)}
+    right = {b: stacks[b][:, t[:, 1]] for b in dict.fromkeys(b for _, b in jobs)}
+    for job, (a, b) in enumerate(jobs):
+        x, y = left[a], right[b]
+        step = sweep_step(len(y) * len(t))
+        for lo in range(0, len(x), step):
+            rows = x[lo:lo + step]
+            values = np.zeros((len(rows), len(y), d), dtype=np.int64)
+            if len(t):
+                values[..., ks] = np.add.reduceat(rows[:, None] * y[None], starts, axis=2) % p
+            yield job, slice(lo, lo + step), values
 
 
 def _assembled(A: Algebra, stacks: dict, jobs: Sequence[tuple]) -> list[np.ndarray]:

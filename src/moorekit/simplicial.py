@@ -37,7 +37,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .coeff import (Algebra, Ideal, Morphism, PreconditionError, StructureError,
-                    bilinear, check_word_size, ideal_closure, matmul, rref, sweep_step)
+                    bilinear, check_word_size, ideal_closure, matmul, rref, sweep_step,
+                    validate_algebra)
 from .crossed import CrossedChain, verify_2cm, verify_cm
 from .moore import (SurjIndex, _hand_down, _memo, moore_space, normal_form, push_face, s_set,
                     s_word_morphism)
@@ -92,13 +93,22 @@ class SimplicialViolation:
     j: int
 
 
-def validate_simplicial(E: TruncatedSimplicialAlgebra) -> list[SimplicialViolation]:
-    """Every violated simplicial identity with a (kind, n, i, j) witness,
-    plus every face and degeneracy that is not multiplicative.  The levels
-    themselves are not checked: empty means the maps form a truncated
-    simplicial object, and validate_algebra on each level decides whether
-    the levels are commutative associative algebras."""
-    out: list[SimplicialViolation] = []
+@dataclass(frozen=True)
+class LevelViolation:
+    """A violation of the laws of the level E_n (coeff.validate_algebra)."""
+    n: int
+    kind: str
+    indices: tuple[int, ...]
+
+
+def validate_simplicial(E: TruncatedSimplicialAlgebra) -> list:
+    """Every violation of the laws of a level, as a LevelViolation, level by
+    level, then every violated simplicial identity with a (kind, n, i, j)
+    witness and every face and degeneracy that is not multiplicative, as a
+    SimplicialViolation: empty means the levels are algebras of their
+    carrier and the maps form a truncated simplicial object."""
+    out: list = [LevelViolation(n, v.kind, v.indices)
+                 for n, A in enumerate(E.levels) for v in validate_algebra(A)]
     for n in range(1, E.k + 1):
         for i in range(n + 1):
             if not E.face(n, i).is_multiplicative():
@@ -362,7 +372,7 @@ def concentrated_simplicial(A: Algebra, degree: int, k: int,
     be consistent; used to manufacture nonzero Moore parts in a chosen
     degree.
     """
-    if A.structure.any():
+    if len(A.triples):
         raise PreconditionError("concentrated levels require zero multiplication")
     zero = Algebra(A.field, np.zeros((0, 0, 0), dtype=np.int64), (), None, "0")
     levels = (zero,) * degree + (A,)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -1023,6 +1024,28 @@ def test_to_xmod_on_a_realized_1_truncation_passes(name, tmp_path):
     (tmp_path / "doc.json").write_text(b.dumps())
     code, out, _ = _main(["--input", str(tmp_path / "doc.json"), "to-xmod", "E"])
     assert code == 0 and records(out)[-2]["status"] == "pass"
+
+
+def test_validate_reports_the_violations_of_each_level(tmp_path):
+    # the constant object on e0 e1 = e0 over Z/2: its maps are identities, and
+    # each level fails commutativity at (0, 1) and associativity at (0, 1, 1)
+    from moorekit.coeff import Algebra, PrimeField
+    from moorekit.document import DocumentBuilder
+    from moorekit.simplicial import constant_simplicial
+    c = np.zeros((2, 2, 2), dtype=np.int64)
+    c[0, 1, 0] = 1
+    b = DocumentBuilder()
+    b.simplicial(constant_simplicial(Algebra(PrimeField(2), c, ("e0", "e1")), 2), "E")
+    (tmp_path / "doc.json").write_text(b.dumps())
+    code, out, _ = _main(["--input", str(tmp_path / "doc.json"), "validate", "E"])
+    assert code == 1
+    assert records(out)[0] == {
+        "check": "validate[E]", "status": "fail", "witnesses": [
+            "LevelViolation(n=0, kind='commutativity', indices=(0, 1))",
+            "LevelViolation(n=0, kind='associativity', indices=(0, 1, 1))",
+            "LevelViolation(n=1, kind='commutativity', indices=(0, 1))",
+            "LevelViolation(n=1, kind='associativity', indices=(0, 1, 1))",
+            "LevelViolation(n=2, kind='commutativity', indices=(0, 1))"]}
 
 
 def test_validate_reads_the_validator_per_call(monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moorekit import coeff, corpus
+from moorekit.document import DocumentBuilder
 from moorekit.coeff import (Algebra, BilinearMap, Element, Ideal, LieAlgebra, Morphism,
                             PreconditionError, PrimeField, StructureError,
                             Supply, algebras_equal, ideal_closure, kernel,
@@ -618,3 +619,50 @@ def test_validate_algebra_equals_the_dense_reference_of_its_carrier(p, monkeypat
     for cells in (1 << 16, 7):  # all of i in one chunk, then one i per chunk
         monkeypatch.setattr(coeff, "_SWEEP_CELLS", cells)
         assert [validate_algebra(A) for A in cases] == want
+
+
+@pytest.mark.parametrize("path", ["triples", "dense"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_both_law_sweeps_equal_the_dense_reference(p, path, monkeypatch):
+    # _LAW_DIM and _JOIN_MADDS 0 sweep every law on the triples, _JOIN_MADDS 2^62
+    # every nonzero one densely; sparse levels of dim 40 take several chunks
+    # of i at the default _SWEEP_CELLS
+    monkeypatch.setattr(coeff, "_LAW_DIM", 0)
+    monkeypatch.setattr(coeff, "_JOIN_MADDS", 0 if path == "triples" else 1 << 62)
+    rng = np.random.default_rng(10 + p)
+    cases = [A for d in range(9) for density in (0.05, 0.3, 1)
+             for A in _random_levels(p, d, density, rng)]
+    cases += _random_levels(p, 40, 0.002, rng)
+    for cells in (1 << 16, 7):
+        monkeypatch.setattr(coeff, "_SWEEP_CELLS", cells)
+        for A in cases if cells > 7 else cases[:-5]:
+            want = (validate_lie_dense if isinstance(A, LieAlgebra) else validate_algebra_dense)(A)
+            assert validate_algebra(A) == want, (A, cells)
+
+
+def _dumped(A: Algebra) -> str:
+    b = DocumentBuilder()
+    b.algebra(A, "A", "lie_algebras" if isinstance(A, LieAlgebra) else "algebras")
+    return b.dumps()
+
+
+@pytest.mark.parametrize("cls", [Algebra, LieAlgebra])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_an_algebra_born_from_triples_equals_one_born_dense(p, cls):
+    # unreduced coefficients, some of them 0 mod p, given in a shuffled order
+    rng = np.random.default_rng(p)
+    sizes = [(d, density) for d in range(9) for density in (0.05, 0.3, 1)]
+    for d, density in sizes + [(40, 0.002), (55, 0.001), (70, 0.0005)]:
+        t = rng.integers(-2 * p, 2 * p, (d, d, d)) * (rng.random((d, d, d)) < density)
+        names = tuple(f"e{i}" for i in range(d))
+        rows = np.column_stack([np.argwhere(t), t[t != 0]])
+        dense = cls(PrimeField(p), t, names)
+        born = cls.from_triples(PrimeField(p), rows[rng.permutation(len(rows))], names)
+        assert np.array_equal(born.triples, dense.triples), (d, density)
+        assert np.array_equal(born.structure, dense.structure)
+        assert np.array_equal(dense.structure, t % p)
+        assert not born.structure.flags.writeable and not born.triples.flags.writeable
+        assert algebras_equal(born, dense) and algebras_equal(dense, born)
+        x, y = rng.integers(0, p, (2, 6, d))
+        assert np.array_equal(born.mul_vec(x[:, None], y[None]), dense.mul_vec(x[:, None], y[None]))
+        assert _dumped(born) == _dumped(dense)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from moorekit.document import (DocumentBuilder, DocumentError, corpus_document,
                                load_document)
 from moorekit.functors import hypercrossed
 from moorekit.lie import LieAlgebra, verify_lie_3cm
-from moorekit.coeff import Algebra, algebras_equal
+from moorekit.coeff import Algebra, algebras_equal, validate_algebra
 from moorekit.moore import moore
 from moorekit.simplicial import concentrated_simplicial, validate_simplicial
 
@@ -167,3 +168,71 @@ def test_corpus_document_entries_have_the_requested_characteristic(p):
         if isinstance(section, dict):
             for name, obj in section.items():
                 assert {A.p for A in _carriers(obj)} == {p}, (f.name, name)
+
+
+# every refusal of a structure's triples, on an algebra and on a crossed
+# module's action; the first failing triple in document order is named
+_BAD_TRIPLES = [
+    ([[0, 0, 0, 1], [0, 2, 0, 1]], "index (0,2,0) outside dim {shape}"),
+    ([[0, 0, -1, 1]], "index (0,0,-1) outside dim {shape}"),
+    ([[0, 1, 0, 1], [9, 0, 0, 1], [0, 1, 0, 1]], "index (9,0,0) outside dim {shape}"),
+    ([[0, 1, 0, 1], [1, 1, 1, 1], [0, 1, 0, 1], [9, 0, 0, 1]], "triple (0,1,0) given twice"),
+    ([[1, 0, 1, 0], [1, 0, 1, 0]], "triple (1,0,1) given twice"),
+    ([[1, 1, 1, 1], [0, 0, 0, 1], [1, 1, 1, 2], [0, 0, 0, 1]], "triple (1,1,1) given twice"),
+    ([[0, 0, 0, 1.5]], "an entry is not a 64-bit integer"),
+    ([[0, 0, 0, 1], [0, 1]], "an entry is not a 64-bit integer"),
+    ("0 0 0 1", "structure must be a list of [i, j, k, coeff]"),
+    ([[0, 0, 1]], "structure must be a list of [i, j, k, coeff]"),
+    ([0, 0, 0, 1], "structure must be a list of [i, j, k, coeff]"),
+]
+
+
+@pytest.mark.parametrize("triples, error", _BAD_TRIPLES)
+def test_the_loader_refuses_bad_triples_with_their_message(triples, error):
+    algebra = {"p": 3, "dim": 2, "structure": triples}
+    with pytest.raises(DocumentError) as err:
+        load_document(json.dumps({"algebras": {"A": algebra}}))
+    assert str(err.value) == "algebras.A: " + error.format(shape=(2, 2, 2))
+    doc = {"algebras": {"R": {"p": 3, "dim": 2}, "C": {"p": 3, "dim": 2}},
+           "crossed_modules": {"X": {"R": "R", "C": "C", "boundary": [], "action": triples}}}
+    with pytest.raises(DocumentError) as err:
+        load_document(json.dumps(doc))
+    assert str(err.value) == "crossed_modules.X.action: " + error.format(shape=(2, 2, 2))
+
+
+def test_the_loader_refuses_a_boolean_coefficient():
+    with pytest.raises(DocumentError) as err:
+        load_document('{"algebras": {"A": {"p": 3, "dim": 2, "structure": [[0, 0, 0, true]]}}}')
+    assert str(err.value) == ("algebras.A.structure[0][3]: true refused: "
+                              "a document holds no booleans")
+
+
+def test_the_loader_keeps_the_nonzero_triples_in_c_order():
+    text = json.dumps({"algebras": {"A": {"p": 3, "dim": 2, "structure": [
+        [1, 1, 0, 4], [0, 1, 1, 3], [0, 0, 1, -1], [1, 0, 0, 2]]}}})
+    A = load_document(text).algebras["A"]
+    assert A.triples.tolist() == [[0, 0, 1, 2], [1, 0, 0, 2], [1, 1, 0, 1]]
+    assert not A.triples.flags.writeable and not A.structure.flags.writeable
+    assert A.structure[0, 1].tolist() == [0, 0] and A.structure[0, 0, 1] == 2
+
+
+def test_loading_a_sparse_algebra_of_dim_128_allocates_no_dense_tensor():
+    # 128^3 int64 cells are 16 MiB; 1000 triples are about 32 KiB as int64;
+    # validating the algebra reads its triples too
+    rng = np.random.default_rng(0)
+    cells = rng.choice(128 ** 3, 1000, replace=False)
+    rows = np.column_stack([np.array(np.unravel_index(cells, (128,) * 3)).T,
+                            rng.integers(1, 5, 1000)])
+    text = json.dumps({"algebras": {"A": {"p": 5, "dim": 128, "structure": rows.tolist()}}})
+    tracemalloc.start()
+    try:
+        doc = load_document(text)
+        loaded = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        bad = validate_algebra(doc.algebras["A"])
+        validated = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded < 4 << 20 and validated < 4 << 20, (loaded, validated)
+    assert len(doc.algebras["A"].triples) == 1000
+    assert {v.kind for v in bad} == {"commutativity", "associativity"}

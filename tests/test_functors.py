@@ -139,8 +139,12 @@ def bumped(chain, field: str, key, p: int):
     attr = {Algebra: "structure", Morphism: "matrix", BilinearMap: "tensor"}[type(old)]
     values = getattr(old, attr).copy()
     values.flat[0] = (values.flat[0] + 1) % p
-    new, out = copy.copy(old), copy.copy(chain)
-    object.__setattr__(new, attr, values)
+    out = copy.copy(chain)
+    if attr == "structure":  # an algebra stores its triples, built from the array
+        new = Algebra(old.field, values, old.basis_names, old.identity, old.name)
+    else:
+        new = copy.copy(old)
+        object.__setattr__(new, attr, values)
     entries[key] = new
     object.__setattr__(out, field, entries)
     return out

@@ -573,17 +573,22 @@ def test_theorem5_product_ideal_is_the_closure_of_every_pair_product(name, p, ta
         assert boundary_image_and_pairing_product(E, n)[1] == want, n
 
 
+@pytest.mark.parametrize("path", ["dense", "triples"])
 @pytest.mark.parametrize("floor", ["default", "all-float"])
 @pytest.mark.parametrize("p", [2, 5])
-def test_stacked_products_equal_every_pair_product(p, floor, monkeypatch):
+def test_stacked_products_equal_every_pair_product(p, floor, path, monkeypatch):
     # a non-commutative tensor, so a job that contracts its right stack must
     # still multiply left by right; sparse stacks of several lengths, one
-    # empty, shared between jobs, longer than one chunk of rows
+    # empty, shared between jobs, longer than one chunk of rows; the dim
+    # floor of the triples put at 41 (a full tensor) and at 40 (5 % of it)
     if floor == "all-float":
         monkeypatch.setattr(coeff, "_BLAS_MADDS", 0)
-    rng = np.random.default_rng(p)
     d = 40
-    A = Algebra(PrimeField(p), rng.integers(0, p, (d, d, d)), tuple(f"e{i}" for i in range(d)))
+    monkeypatch.setattr(moore_module, "_TRIPLES_DIM", d + (path == "dense"))
+    rng = np.random.default_rng(p)
+    full = rng.integers(0, p, (d, d, d))
+    A = Algebra(PrimeField(p), full if path == "dense" else full * (rng.random(full.shape) < 0.05),
+                tuple(f"e{i}" for i in range(d)))
     stacks = {r: rng.integers(0, p, (r, d)) * (rng.random((r, d)) < 0.2) for r in (0, 1, 3, 50, 90)}
     jobs = [(50, 3), (3, 50), (90, 50), (1, 90), (0, 3), (3, 0), (50, 50), (1, 1)]
     got = moore_module._assembled(A, stacks, jobs)

@@ -6,13 +6,14 @@ import pytest
 from moorekit import corpus
 from moorekit import simplicial as simplicial_mod
 from moorekit.coeff import (Algebra, BilinearMap, Ideal, Morphism,
-                            PreconditionError, StructureError, Supply,
+                            PreconditionError, PrimeField, StructureError, Supply,
                             rref, validate_algebra)
 from moorekit.crossed import CrossedChain, verify_2cm, verify_cm, zero_extension
 from moorekit.document import corpus_document
 from moorekit.moore import (SurjIndex, _projection_matrix, moore, moore_space, normal_form,
                             push_face, s_set, s_word_morphism)
-from moorekit.simplicial import (TruncatedSimplicialAlgebra, _normal_block,
+from moorekit.simplicial import (LevelViolation, SimplicialViolation,
+                                 TruncatedSimplicialAlgebra, _normal_block,
                                  concentrated_simplicial, constant_simplicial,
                                  decompose, degenerate_ideal,
                                  degenerate_subalgebra, extend_level, realize,
@@ -46,6 +47,21 @@ def test_constant_object_is_valid():
     assert validate_simplicial(E) == []
     mc = moore(E)
     assert [A.dim for A in mc.algebras] == [2, 0, 0, 0, 0]
+
+
+def test_validate_simplicial_lists_the_violations_of_each_level_first():
+    # e0 e1 = e0 over Z/2 is neither commutative nor associative; the constant
+    # object on it has identities for maps, so only its levels fail
+    c = np.zeros((2, 2, 2), dtype=np.int64)
+    c[0, 1, 0] = 1
+    A = Algebra(PrimeField(2), c, ("e0", "e1"))
+    assert validate_simplicial(constant_simplicial(A, 2)) == [
+        LevelViolation(n, kind, indices) for n in range(3)
+        for kind, indices in (("commutativity", (0, 1)), ("associativity", (0, 1, 1)))]
+    E = constant_simplicial(A, 1)
+    faces = {**E.faces, (1, 0): Morphism.zero(A, A)}
+    got = validate_simplicial(TruncatedSimplicialAlgebra(E.levels, faces, E.degeneracies))
+    assert got[:4] == validate_simplicial(E) and got[4:] == [SimplicialViolation("ds-identity", 1, 0, 0)]
 
 
 def test_mutation_breaks_validation(built):
