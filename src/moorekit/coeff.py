@@ -17,15 +17,16 @@ Both take stacks of vectors, leading axes being batch axes, so every
 subspace question about many vectors is one call.  Every value is
 immutable after construction and every operation is a pure function.
 
-Every contraction between algebra elements, maps and structure tensors
-is one exact product, `matmul`.  It runs in float64 BLAS when the product
-has at least _BLAS_MADDS = 2^20 multiply-adds and every sum is exact in a
-double, k (p-1)^2 < 2^53 for contraction length k; otherwise in int64,
-which numpy multiplies without BLAS and check_word_size keeps below 2^63.
-Below the floor the first BLAS call costs more than it saves.  The
-package writes no other matrix product; its only `einsum` calls, the two
-outer products that build the linear system of crossed.multiplication_cm,
-sum over no index.
+Every product of stacks of algebra elements is one call, Algebra.mul_vec:
+below dim _TRIPLES_DIM it contracts the dense view (bilinear), and from
+that dim on it sums the products of the triples' coefficients in segments
+of equal target k.  Every other contraction between elements, maps and
+structure tensors is one exact product, `matmul`.  It runs in float64
+BLAS when the product has at least _BLAS_MADDS = 2^20 multiply-adds and
+every sum is exact in a double, k (p-1)^2 < 2^53 for contraction length
+k; otherwise in int64, which numpy multiplies without BLAS and
+check_word_size keeps below 2^63.  Below the floor the first BLAS call
+costs more than it saves.  The package writes no other matrix product.
 """
 
 from __future__ import annotations
@@ -292,6 +293,11 @@ def dense_of(triples: np.ndarray, shape: tuple) -> np.ndarray:
     return t
 
 
+# smallest dim at which mul_vec forms its products from the triples; below
+# it the dense contraction is faster
+_TRIPLES_DIM = 32
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class Algebra:
     """Commutative algebra over Z/p given by its nonzero structure constants.
@@ -335,7 +341,7 @@ class Algebra:
     def _set(self, field, triples, basis_names, identity, name, dense) -> None:
         for key, value in (("field", field), ("triples", triples),
                            ("basis_names", tuple(basis_names)), ("identity", identity),
-                           ("name", name), ("_dense", dense)):
+                           ("name", name), ("_dense", dense), ("_by_k", None)):
             object.__setattr__(self, key, value)
         triples.setflags(write=False)
         check_word_size(self.dim, self.field.p)
@@ -352,6 +358,16 @@ class Algebra:
             dense.setflags(write=False)
             object.__setattr__(self, "_dense", dense)
         return self._dense
+
+    def _k_order(self) -> tuple:
+        """The columns i, j and c of the triples sorted by k, the distinct k
+        and the start of each k's segment; built on first use and kept."""
+        if self._by_k is None:
+            check_word_size(len(self.triples), self.p)
+            i, j, k, c = self.triples[np.argsort(self.triples[:, 2], kind="stable")].T.copy()
+            starts = np.flatnonzero(np.diff(k, prepend=-1))
+            object.__setattr__(self, "_by_k", (i, j, c, k[starts], starts))
+        return self._by_k
 
     @property
     def dim(self) -> int:
@@ -370,7 +386,33 @@ class Algebra:
         return Element(self, v)
 
     def mul_vec(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return bilinear(a, b, self.structure, self.p)
+        """The products a b mod p of residue vectors; leading axes of a and
+        b are batch axes and broadcast as in bilinear, so a[:, None] and
+        b[None] give the product of every pair of rows.
+
+        Below dim _TRIPLES_DIM this is bilinear on the dense view.  From
+        that dim on it is read off the triples (i, j, k, c) sorted by k:
+        the e_k coefficient is the segment sum over the triples of k of
+        (a[i] c mod p) b[j], in one step or a chunk of the first batch
+        axis longer than 1 at a time, so no step holds more than
+        _SWEEP_CELLS products unless one entry of that axis does."""
+        if self.dim < _TRIPLES_DIM:
+            return bilinear(a, b, self.structure, self.p)
+        p, (i, j, c, ks, starts) = self.p, self._k_order()
+        x, y = np.take(a, i, axis=-1) * c % p, np.take(b, j, axis=-1)
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        out = np.zeros(shape[:-1] + (self.dim,), dtype=np.int64)
+        ax = next((n for n, size in enumerate(shape[:-1]) if size > 1), None)
+        if ax is None or math.prod(shape) <= _SWEEP_CELLS:
+            out[..., ks] = np.add.reduceat(x * y, starts, axis=-1) % p
+            return out
+        x, y = (v.reshape((1,) * (len(shape) - v.ndim) + v.shape) for v in (x, y))
+        step = sweep_step(math.prod(shape[ax + 1:]))
+        for lo in range(0, shape[ax], step):
+            at = (slice(None),) * ax + (slice(lo, lo + step),)
+            x_at, y_at = (v[at] if v.shape[ax] > 1 else v for v in (x, y))
+            out[at + (Ellipsis, ks)] = np.add.reduceat(x_at * y_at, starts, axis=-1) % p
+        return out
 
     def __repr__(self):
         label = self.name or type(self).__name__
@@ -459,12 +501,10 @@ class Morphism:
 
     def is_multiplicative(self) -> bool:
         """f(e_i e_j) = f(e_i) f(e_j) on all basis pairs."""
-        p, M = self.source.p, self.matrix
-        (m, n), S, T = M.shape, self.source.structure, self.target.structure
-        lhs = matmul(S.reshape(n * n, n), M.T, p).reshape(n, n, m)  # [i, j, k]
-        half = matmul(M.T, T.reshape(m, m * m), p).reshape(n, m, m)  # [i, b, k]
-        rhs = matmul(half.transpose(0, 2, 1), M, p)  # [i, k, j]
-        return np.array_equal(lhs, rhs.transpose(0, 2, 1))
+        (m, n), images = self.matrix.shape, self.matrix.T
+        lhs = matmul(self.source.structure.reshape(n * n, n), images, self.source.p)
+        rhs = self.target.mul_vec(images[:, None], images[None])
+        return np.array_equal(lhs.reshape(n, n, m), rhs)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Morphism) and self.source is other.source

@@ -381,7 +381,8 @@ def multiplication_cm(R: Algebra) -> CrossedChain:
     # (i, j, a) per basis pair and coordinate, one column per entry X[c, b]
     eye = np.eye(d, dtype=np.int64)
     S = R.structure
-    blocks = np.einsum("ac,ijb->ijacb", eye, S) - np.einsum("cja,bi->ijacb", S, eye)
+    blocks = (S[:, :, None, None, :] * eye[None, None, :, :, None]
+              - eye[:, None, None, None, :] * S.transpose(1, 2, 0)[None, :, :, :, None])
     basis_flat = null_space(blocks.reshape(d ** 3, d * d) % p, p)
     mdim = basis_flat.shape[0]
     mats = basis_flat.reshape(mdim, d, d)

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .coeff import (Algebra, Ideal, Morphism, PreconditionError,
-                    StructureError, Supply, check_word_size, ideal_closure, matmul,
+                    StructureError, Supply, ideal_closure, matmul,
                     null_space, rref, subalgebra, supply_rows, sweep_step)
 from .report import (CONFIRMED, DISCREPANT, FAIL, HYPOTHESIS_FAILED, PASS,
                      CheckRecord)
@@ -297,103 +297,24 @@ def _projection_matrix(E, n: int) -> np.ndarray:
     return P
 
 
-# smallest level dim at which _stacked_products forms its products from the
-# level's triples; below it the dense contraction is faster
-_TRIPLES_DIM = 32
-
-
-def _stacked_products(A: Algebra, stacks: dict, jobs: Sequence[tuple]):
-    """The products in A of the rows of stacks[a] with the rows of
-    stacks[b], for each job (a, b), in pieces (job, index, values): values
-    is out[index] of the job's array out[u, v] = stacks[a][u] stacks[b][v].
-
-    At dim _TRIPLES_DIM and above the products are read off A's triples
-    (_triple_products).  Below it each job contracts its shorter stack with
-    the structure tensor T, the left one on the first axis of T or the
-    right one on its second, and the stacks contracted on one axis meet T
-    together, a chunk of rows at a time, each chunk only with the slices of
-    T at the basis elements its rows touch.  So a stack that several jobs
-    share is contracted once, and no step holds more than one chunk of
-    contracted rows."""
-    if A.dim >= _TRIPLES_DIM:
-        yield from _triple_products(A, stacks, jobs)
-        return
-    p, d = A.p, A.dim
-    short = [int(len(stacks[b]) < len(stacks[a])) for a, b in jobs]
-    for side, tensor in ((0, A.structure), (1, A.structure.transpose(1, 0, 2))):
-        mine = [(job, pair[side], pair[1 - side]) for job, pair in enumerate(jobs)
-                if short[job] == side]
-        keys = list(dict.fromkeys(key for _, key, _ in mine))
-        first = dict(zip(keys, np.cumsum([0] + [len(stacks[k]) for k in keys])))
-        stack = np.vstack([np.zeros((0, d), dtype=np.int64), *(stacks[k] for k in keys)])
-        # a row's map has d^2 cells, held as residues and, on matmul's float path, as doubles
-        step = sweep_step(2 * d * d)
-        for start in range(0, len(stack), step):
-            rows = stack[start:start + step]
-            used = np.flatnonzero(rows.any(axis=0))
-            maps = matmul(rows[:, used], tensor[used].reshape(len(used), d * d), p)
-            maps = maps.reshape(len(rows), d, d)
-            for job, key, other in mine:
-                lo = max(first[key], start)
-                hi = min(first[key] + len(stacks[key]), start + len(rows))
-                if lo < hi:
-                    values = matmul(stacks[other], maps[lo - start:hi - start], p)
-                    got = slice(lo - first[key], hi - first[key])
-                    yield ((job, got, values) if side == 0
-                           else (job, (slice(None), got), values.transpose(1, 0, 2)))
-
-
-def _triple_products(A: Algebra, stacks: dict, jobs: Sequence[tuple]):
-    """_stacked_products from the triples (i, j, k, c) of A, sorted by k:
-    out[u, v, k] is the segment sum over the triples of k of
-    (x_u[i] c mod p) y_v[j], for x_u a row of stacks[a] and y_v one of
-    stacks[b].  Each stack is gathered once, and a job takes a chunk of
-    its left rows at a time, so no step holds more than _SWEEP_CELLS
-    products."""
-    p, d, t = A.p, A.dim, A.triples
-    check_word_size(len(t), p)
-    t = t[np.argsort(t[:, 2], kind="stable")]
-    ks, starts = np.unique(t[:, 2], return_index=True)
-    left = {a: stacks[a][:, t[:, 0]] * t[:, 3] % p for a in dict.fromkeys(a for a, _ in jobs)}
-    right = {b: stacks[b][:, t[:, 1]] for b in dict.fromkeys(b for _, b in jobs)}
-    for job, (a, b) in enumerate(jobs):
-        x, y = left[a], right[b]
-        step = sweep_step(len(y) * len(t))
-        for lo in range(0, len(x), step):
-            rows = x[lo:lo + step]
-            values = np.zeros((len(rows), len(y), d), dtype=np.int64)
-            if len(t):
-                values[..., ks] = np.add.reduceat(rows[:, None] * y[None], starts, axis=2) % p
-            yield job, slice(lo, lo + step), values
-
-
-def _assembled(A: Algebra, stacks: dict, jobs: Sequence[tuple]) -> list[np.ndarray]:
-    """_stacked_products of every job as one array [u, v, k]."""
-    out = [np.zeros((len(stacks[a]), len(stacks[b]), A.dim), dtype=np.int64) for a, b in jobs]
-    for job, index, values in _stacked_products(A, stacks, jobs):
-        out[job][index] = values
-    return out
-
-
 def pairing_table(E, n: int) -> dict:
     """C_{alpha,beta}(u (x) v) for every pairing of p_set(n), u and v
     running over the Moore-basis rows of its two slots, indexed [u, v, k]
     and keyed by PairingIndex; computed once per object.
 
     Each distinct index s of the pairings lifts the Moore basis of its
-    slot into E_n once, through s_word_morphism; the lifts meet the
-    structure tensor of E_n in one stacked pass (_stacked_products), and
-    each pairing's products are projected by p."""
+    slot into E_n once, through s_word_morphism; each pairing multiplies
+    the lifts of its two slots in E_n (Algebra.mul_vec), and its products
+    are projected by p."""
     def make():
         A, pairs = E.level(n), p_set(n)
         lift = {s: matmul(moore_space(E, n - s.size).basis_matrix,
                           s_word_morphism(E, n, s.application_order()).matrix.T, A.p)
                 for s in dict.fromkeys(x for q in pairs for x in (q.alpha, q.beta))}
-        values = _assembled(A, lift, [(q.alpha, q.beta) for q in pairs])
         proj = _projection_matrix(E, n)
         table = {}
-        for q, v in zip(pairs, values):
-            table[q] = matmul(v, proj.T, A.p)
+        for q in pairs:
+            table[q] = matmul(A.mul_vec(lift[q.alpha][:, None], lift[q.beta][None]), proj.T, A.p)
             table[q].setflags(write=False)
         return table
 
@@ -449,18 +370,18 @@ def theorem5_check(E, n: int) -> CheckRecord:
 def boundary_image_and_pairing_product(E, n: int) -> tuple[Ideal, Ideal]:
     """The two subspaces of E_{n-1} the theorem compares, as Ideals.
 
-    The products K_I . K_J of all the pairings come from one stacked pass
-    over the structure tensor of E_{n-1} (_stacked_products), which
-    contracts each kernel at most once.  Only the rref span of the products
-    is kept, each piece of the pass reduced into it as it comes, and its
-    ideal closure is the right side."""
+    The products K_I . K_J are formed one pairing at a time in E_{n-1}
+    (Algebra.mul_vec).  Only the rref span of the products is kept, each
+    pairing's products reduced into it as they come, and its ideal
+    closure is the right side."""
     p, A, pairs = E.level(0).p, E.level(n - 1), p_set(n)
     img = matmul(moore(E).boundaries[n - 1].matrix.T, moore_space(E, n - 1).basis_matrix, p)
     # K_I for the complement I of an index's entries
     kernels = {s: face_kernel(E, n - 1, set(range(n)) - set(s.entries)).basis_matrix
                for q in pairs for s in (q.alpha, q.beta)}
     span = np.zeros((0, A.dim), dtype=np.int64)
-    for _, _, values in _stacked_products(A, kernels, [(q.alpha, q.beta) for q in pairs]):
+    for q in pairs:
+        values = A.mul_vec(kernels[q.alpha][:, None], kernels[q.beta][None])
         span = rref(np.vstack([span, *values]), p)[0]
     return Ideal(A, img), ideal_closure(A, span)
 
@@ -528,24 +449,25 @@ def _factor_values(E, factor: str, c: int, stack: np.ndarray) -> np.ndarray:
 def _printed_values(E, stacks: dict) -> dict:
     """The printed right side of each Table-1 row of stacks, which maps a
     row to its (bx, by), on every row u of bx and v of by (coefficient
-    vectors in the slots' levels), indexed [u, v, k] and keyed by row.
-    The factors of all the rows meet the structure tensor of E_3 in one
-    stacked pass (_stacked_products)."""
-    slots = {(row, i): _factor_values(E, factor, 4 - len(s), stack)
-             for row, pair in stacks.items()
-             for i, (factor, s, stack) in enumerate(zip(_TABLE1[row - 1], _P4[row - 1], pair))}
-    values = _assembled(E.level(3), slots, [((row, 0), (row, 1)) for row in stacks])
-    return dict(zip(stacks, values))
+    vectors in the slots' levels), indexed [u, v, k] and keyed by row:
+    the two factors of a row are multiplied in E_3 (Algebra.mul_vec)."""
+    out = {}
+    for row, pair in stacks.items():
+        x, y = (_factor_values(E, factor, 4 - len(s), stack)
+                for factor, s, stack in zip(_TABLE1[row - 1], _P4[row - 1], pair))
+        out[row] = E.level(3).mul_vec(x[:, None], y[None])
+    return out
 
 
 # C_{alpha,beta}, its faces and both sides of every Table-1 row are
 # bilinear in (x, y), so each is tabulated once on pairs of Moore-basis
 # rows: C_{alpha,beta} is read from pairing_table(E, 4), and the printed
-# sides of all 25 rows come from one call to _printed_values.  Lemma 7 is
-# decided on those pairs; Table 1 evaluates the supply pairs in chunks of
-# x by two contractions, x first, reducing mod p after each.  Every
-# contraction sums at most dim(E_c) products of residues, which the
-# algebras' word-size check keeps below 2^63.
+# sides of all 25 rows come from one call to _printed_values; both form
+# their products with Algebra.mul_vec.  Lemma 7 is decided on those pairs;
+# Table 1 evaluates the supply pairs in chunks of x by two contractions, x
+# first, reducing mod p after each.  Every contraction sums at most
+# dim(E_c) products of residues, and every segment sum of mul_vec at most
+# the level's triples, which the algebras' word-size checks keep below 2^63.
 
 
 def table1_audit(E, supply: Supply = Supply()) -> list[CheckRecord]:

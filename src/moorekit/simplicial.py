@@ -37,7 +37,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .coeff import (Algebra, Ideal, Morphism, PreconditionError, StructureError,
-                    bilinear, check_word_size, ideal_closure, matmul, rref, sweep_step,
+                    check_word_size, ideal_closure, matmul, rref, sweep_step,
                     validate_algebra)
 from .crossed import CrossedChain, verify_2cm, verify_cm
 from .moore import (SurjIndex, _hand_down, _memo, moore_space, normal_form, push_face, s_set,
@@ -174,10 +174,9 @@ def degenerate_subalgebra(E: TruncatedSimplicialAlgebra, n: int) -> np.ndarray:
     A = E.level(n)
     span = rref(np.vstack([E.deg(n, i).matrix.T for i in range(n)]), A.p)[0]
     while len(span) < A.dim:
-        left = matmul(span, A.structure.reshape(A.dim, -1), A.p).reshape(-1, A.dim, A.dim)
-        # E_n is commutative: the product of rows a <= b is formed once
-        prods = [matmul(span[a:], left[a], A.p) for a in range(len(span))]
-        grown = rref(np.vstack([span] + prods), A.p)[0]
+        # E_n is commutative: the product of rows a <= b is kept once
+        prods = A.mul_vec(span[:, None], span[None])[np.triu_indices(len(span))]
+        grown = rref(np.vstack([span, prods]), A.p)[0]
         if grown.shape == span.shape:
             break
         span = grown
@@ -325,7 +324,7 @@ def extend_level(E: TruncatedSimplicialAlgebra, normal=None) -> TruncatedSimplic
     struct = np.zeros((dim, dim, dim), dtype=np.int64)
     step = sweep_step((m + 1) * max(dim, prev.dim) ** 2)
     for start in range(0, dim, step):
-        target = bilinear(cols[:, start:start + step, None], cols[:, None], prev.structure, p)
+        target = prev.mul_vec(cols[:, start:start + step, None], cols[:, None])
         w = np.zeros(target.shape[1:3] + (dim,), dtype=np.int64)
         w[..., :prods.shape[2]] = prods[start:start + step]
         for j in range(m):

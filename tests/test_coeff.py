@@ -55,15 +55,54 @@ def test_mul_group_line_against_poly_oracle():
     assert t * t == A.basis_element(0)
 
 
-def test_mul_vec_reduces_after_each_contraction():
+@pytest.mark.parametrize("floor", [0, 32])
+def test_mul_vec_reduces_after_each_contraction(floor, monkeypatch):
     # every coefficient is -1: each product coordinate is -(dim^2) mod p,
-    # while one unreduced sum of dim^2 (p-1)^3 terms overflows int64
+    # while one unreduced sum of dim^2 (p-1)^3 terms overflows int64; with
+    # the triples' dim floor at 0 the segment sums are checked too
+    monkeypatch.setattr(coeff, "_TRIPLES_DIM", floor)
     p, dim = 1000003, 4
     A = Algebra(PrimeField(p), np.full((dim, dim, dim), p - 1), tuple("abcd"))
     top = np.full(dim, p - 1)
     assert list(A.mul_vec(top, top)) == [p - dim * dim] * dim
     f = BilinearMap(A, A, A, A.structure)
     assert list(f(Element(A, top), Element(A, top)).coeffs) == [p - dim * dim] * dim
+
+
+# a full tensor on the triples costs seconds per case, so it runs dense only
+@pytest.mark.parametrize("path, kind", [("dense", "full"), ("dense", "sparse"),
+                                        ("triples", "sparse"), ("dense", "zero"),
+                                        ("triples", "zero"), ("dense", "lie"), ("triples", "lie")])
+@pytest.mark.parametrize("floor", ["default", "all-float"])
+@pytest.mark.parametrize("p", [2, 5, 7])
+def test_mul_vec_equals_every_pair_product(p, floor, path, kind, monkeypatch):
+    # a non-commutative full tensor, 5 % of it, no triples at all and a Lie
+    # bracket, on either side of the triples' dim floor; sparse stacks of
+    # several lengths, one empty, longer than one chunk of rows, multiplied
+    # on every pair of rows; a vector by a vector, and three-axis grids as
+    # crossed._evaluate passes them, one of them with a leading axis of 1
+    if floor == "all-float":
+        monkeypatch.setattr(coeff, "_BLAS_MADDS", 0)
+    d = 40
+    monkeypatch.setattr(coeff, "_TRIPLES_DIM", d + (path == "dense"))
+    rng = np.random.default_rng(p)
+    full = rng.integers(0, p, (d, d, d))
+    sparse = full * (rng.random(full.shape) < 0.05)
+    tensor = {"full": full, "sparse": sparse, "zero": 0 * full,
+              "lie": sparse - sparse.transpose(1, 0, 2)}[kind]
+    A = (LieAlgebra if kind == "lie" else Algebra)(PrimeField(p), tensor,
+                                                    tuple(f"e{i}" for i in range(d)))
+    stacks = {r: rng.integers(0, p, (r, d)) * (rng.random((r, d)) < 0.2) for r in (0, 1, 3, 50, 90)}
+    jobs = [(50, 3), (3, 50), (90, 50), (1, 90), (0, 3), (3, 0), (50, 50), (1, 1)]
+    pairs = [(stacks[a][:, None], stacks[b][None]) for a, b in jobs]
+    pairs += [(stacks[3][0], stacks[3][1]),
+              (stacks[3].reshape(3, 1, 1, d), stacks[50].reshape(1, 1, 50, d)),
+              (stacks[50].reshape(1, 50, 1, d), stacks[90].reshape(1, 1, 90, d))]
+    for x, y in pairs:
+        half = np.einsum("...i,ijk->...jk", x, A.structure)
+        want = np.einsum("...j,...jk->...k", y, half) % p
+        got = A.mul_vec(x, y)
+        assert got.shape == want.shape and np.array_equal(got, want), (x.shape, y.shape)
 
 
 def test_is_multiplicative_at_a_large_prime():

@@ -217,10 +217,49 @@ def test_raw_products_finds_each_form_in_its_function():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_every_matrix_product_goes_through_matmul(module):
     # coeff.matmul chooses int64 or float64 and guards the word size for every
-    # product; multiplication_cm's two outer products sum over no index
-    allowed = {"coeff.py": ["matmul: np.matmul", "matmul: np.matmul"],
-               "crossed.py": ["multiplication_cm: np.einsum", "multiplication_cm: np.einsum"]}
+    # product
+    allowed = {"coeff.py": ["matmul: np.matmul", "matmul: np.matmul"]}
     assert raw_products((PACKAGE / module).read_text(encoding="utf-8")) == allowed.get(module, [])
+
+
+def structure_reads(source: str) -> list[str]:
+    """Each read of an algebra's dense tensor in a module, as "<function>:
+    <form>": the attribute .structure and the name or attribute bilinear,
+    each with the qualified name of the function around it."""
+    out = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}" if where else node.name
+        if isinstance(node, ast.Attribute) and node.attr in ("structure", "bilinear"):
+            out.append(f"{where}: .{node.attr}")
+        if isinstance(node, ast.Name) and node.id == "bilinear" and isinstance(node.ctx, ast.Load):
+            out.append(f"{where}: bilinear")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_structure_reads_finds_each_form_in_its_function():
+    source = ("from .coeff import bilinear\nimport coeff\ndef f(A):\n    return A.structure\n"
+              "class K:\n    def g(self, a):\n        return bilinear(a, a, self.A.structure, 2)\n"
+              "def h(a, structure):\n"
+              "    return coeff.bilinear(a, a, structure, 2) + a.mul_vec(a, a)\n")
+    assert structure_reads(source) == ["f: .structure", "K.g: bilinear", "K.g: .structure",
+                                       "h: .bilinear"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")
+                                          if p.name != "coeff.py"))
+def test_every_product_of_elements_goes_through_mul_vec(module):
+    # Algebra.mul_vec chooses the dense view or the triples for every product
+    # of elements; the normal block hands C's tensor on as the nu block, and
+    # the multiplier system of multiplication_cm is built from the tensor
+    allowed = {"simplicial.py": ["_normal_block: .structure", "_normal_block: .structure"],
+               "crossed.py": ["multiplication_cm: .structure"]}
+    assert structure_reads((PACKAGE / module).read_text(encoding="utf-8")) == allowed.get(module, [])
 
 
 def defined_functions(source: str) -> set:

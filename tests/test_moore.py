@@ -571,27 +571,3 @@ def test_theorem5_product_ideal_is_the_closure_of_every_pair_product(name, p, ta
                     for s in (q.alpha, q.beta)] for q in p_set(n)]
         want = ideal_closure(A, [A.mul_vec(kx[:, None], ky[None]) for kx, ky in kernels])
         assert boundary_image_and_pairing_product(E, n)[1] == want, n
-
-
-@pytest.mark.parametrize("path", ["dense", "triples"])
-@pytest.mark.parametrize("floor", ["default", "all-float"])
-@pytest.mark.parametrize("p", [2, 5])
-def test_stacked_products_equal_every_pair_product(p, floor, path, monkeypatch):
-    # a non-commutative tensor, so a job that contracts its right stack must
-    # still multiply left by right; sparse stacks of several lengths, one
-    # empty, shared between jobs, longer than one chunk of rows; the dim
-    # floor of the triples put at 41 (a full tensor) and at 40 (5 % of it)
-    if floor == "all-float":
-        monkeypatch.setattr(coeff, "_BLAS_MADDS", 0)
-    d = 40
-    monkeypatch.setattr(moore_module, "_TRIPLES_DIM", d + (path == "dense"))
-    rng = np.random.default_rng(p)
-    full = rng.integers(0, p, (d, d, d))
-    A = Algebra(PrimeField(p), full if path == "dense" else full * (rng.random(full.shape) < 0.05),
-                tuple(f"e{i}" for i in range(d)))
-    stacks = {r: rng.integers(0, p, (r, d)) * (rng.random((r, d)) < 0.2) for r in (0, 1, 3, 50, 90)}
-    jobs = [(50, 3), (3, 50), (90, 50), (1, 90), (0, 3), (3, 0), (50, 50), (1, 1)]
-    got = moore_module._assembled(A, stacks, jobs)
-    for (a, b), values in zip(jobs, got):
-        want = np.einsum("ui,vj,ijk->uvk", stacks[a], stacks[b], A.structure) % p
-        assert np.array_equal(values, want), (a, b)
