@@ -80,9 +80,10 @@ class PrimeField:
 def check_word_size(terms: int, p: int) -> None:
     """Reject p when a sum of `terms` products of two residues mod p can
     reach 2^63, the int64 guard of matmul.  Every contraction is reduced
-    mod p before it is added to another or contracted again, so no sum is
-    longer than the dimension of one algebra.  matmul uses float64 only
-    where such a sum stays below 2^53, so that guard is exact too."""
+    mod p before it is added to another or contracted again, so no sum but
+    mul_vec's segment sums (which check their own length) is longer than
+    one algebra's dim.  matmul uses float64 only where such a sum stays
+    below 2^53, so that guard is exact too."""
     if terms * (p - 1) ** 2 >= 2 ** 63:
         raise StructureError(
             f"modulus {p} at dim {terms}: int64 sums of products can overflow")
@@ -361,12 +362,13 @@ class Algebra:
 
     def _k_order(self) -> tuple:
         """The columns i, j and c of the triples sorted by k, the distinct k
-        and the start of each k's segment; built on first use and kept."""
+        and the start of each k's segment, built on first use and kept; ()
+        when a sum over the longest segment can reach check_word_size's 2^63."""
         if self._by_k is None:
-            check_word_size(len(self.triples), self.p)
             i, j, k, c = self.triples[np.argsort(self.triples[:, 2], kind="stable")].T.copy()
             starts = np.flatnonzero(np.diff(k, prepend=-1))
-            object.__setattr__(self, "_by_k", (i, j, c, k[starts], starts))
+            fits = int(np.diff(starts, append=len(k)).max(initial=0)) * (self.p - 1) ** 2 < 2 ** 63
+            object.__setattr__(self, "_by_k", (i, j, c, k[starts], starts) if fits else ())
         return self._by_k
 
     @property
@@ -390,29 +392,38 @@ class Algebra:
         b are batch axes and broadcast as in bilinear, so a[:, None] and
         b[None] give the product of every pair of rows.
 
-        Below dim _TRIPLES_DIM this is bilinear on the dense view.  From
-        that dim on it is read off the triples (i, j, k, c) sorted by k:
-        the e_k coefficient is the segment sum over the triples of k of
-        (a[i] c mod p) b[j], in one step or a chunk of the first batch
-        axis longer than 1 at a time, so no step holds more than
-        _SWEEP_CELLS products unless one entry of that axis does."""
-        if self.dim < _TRIPLES_DIM:
+        Below dim _TRIPLES_DIM, and where a segment sum could overflow
+        (_k_order), this is bilinear on the dense view.  Otherwise it is
+        read off the triples (i, j, k, c) sorted by k: the e_k coefficient
+        is the segment sum over the triples of k of (a[i] c mod p) b[j]."""
+        by_k = self._k_order() if self.dim >= _TRIPLES_DIM else ()
+        if not by_k:
             return bilinear(a, b, self.structure, self.p)
-        p, (i, j, c, ks, starts) = self.p, self._k_order()
+        p, (i, j, c, _, _) = self.p, by_k
         x, y = np.take(a, i, axis=-1) * c % p, np.take(b, j, axis=-1)
         shape = np.broadcast_shapes(x.shape, y.shape)
         out = np.zeros(shape[:-1] + (self.dim,), dtype=np.int64)
-        ax = next((n for n, size in enumerate(shape[:-1]) if size > 1), None)
-        if ax is None or math.prod(shape) <= _SWEEP_CELLS:
-            out[..., ks] = np.add.reduceat(x * y, starts, axis=-1) % p
-            return out
         x, y = (v.reshape((1,) * (len(shape) - v.ndim) + v.shape) for v in (x, y))
+        self._segment_sums(x, y, out)
+        return out
+
+    def _segment_sums(self, x, y, out) -> None:
+        """Write the segment sums of x y, the gathered (a[i] c mod p) and
+        b[j], into out: in one step if the products fit in _SWEEP_CELLS, else
+        a chunk of the first batch axis longer than 1 at a time, each split
+        again so.  Only one batch entry's products can exceed the bound; x
+        and y hold the triple count times the entries of a and of b."""
+        _, _, _, ks, starts = self._by_k
+        shape = out.shape[:-1] + x.shape[-1:]
+        ax = None if math.prod(shape) <= _SWEEP_CELLS else next(
+            (n for n, size in enumerate(shape[:-1]) if size > 1), None)
+        if ax is None:
+            out[..., ks] = np.add.reduceat(x * y, starts, axis=-1) % self.p
+            return
         step = sweep_step(math.prod(shape[ax + 1:]))
         for lo in range(0, shape[ax], step):
             at = (slice(None),) * ax + (slice(lo, lo + step),)
-            x_at, y_at = (v[at] if v.shape[ax] > 1 else v for v in (x, y))
-            out[at + (Ellipsis, ks)] = np.add.reduceat(x_at * y_at, starts, axis=-1) % p
-        return out
+            self._segment_sums(*(v[at] if v.shape[ax] > 1 else v for v in (x, y)), out[at])
 
     def __repr__(self):
         label = self.name or type(self).__name__

@@ -466,8 +466,8 @@ def _printed_values(E, stacks: dict) -> dict:
 # their products with Algebra.mul_vec.  Lemma 7 is decided on those pairs;
 # Table 1 evaluates the supply pairs in chunks of x by two contractions, x
 # first, reducing mod p after each.  Every contraction sums at most
-# dim(E_c) products of residues, and every segment sum of mul_vec at most
-# the level's triples, which the algebras' word-size checks keep below 2^63.
+# dim(E_c) products of residues, which the algebras' word-size checks keep
+# below 2^63; mul_vec sums a segment of triples only where that sum fits.
 
 
 def table1_audit(E, supply: Supply = Supply()) -> list[CheckRecord]:

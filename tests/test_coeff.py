@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -103,6 +104,45 @@ def test_mul_vec_equals_every_pair_product(p, floor, path, kind, monkeypatch):
         want = np.einsum("...j,...jk->...k", y, half) % p
         got = A.mul_vec(x, y)
         assert got.shape == want.shape and np.array_equal(got, want), (x.shape, y.shape)
+
+
+def test_mul_vec_contracts_densely_where_a_segment_sum_could_overflow(monkeypatch):
+    # with the triples' floor at 0, at p = 2^31 - 1: the full dim-2 tensor
+    # has segments of 4 triples, whose sums can reach 4 (p-1)^2 >= 2^63, so
+    # it is contracted densely; the idempotents e_i e_i = e_i have segments
+    # of one triple and are read off the triples; both are exact
+    monkeypatch.setattr(coeff, "_TRIPLES_DIM", 0)
+    dense, calls = coeff.bilinear, []
+    monkeypatch.setattr(coeff, "bilinear", lambda *args: calls.append(args) or dense(*args))
+    p = 2 ** 31 - 1
+    top = np.full(2, p - 1)
+    full = Algebra(PrimeField(p), np.full((2, 2, 2), p - 1), ("a", "b"))
+    assert list(full.mul_vec(top, top)) == [p - 4] * 2 and len(calls) == 1
+    idem = np.zeros((2, 2, 2), dtype=np.int64)
+    idem[[0, 1], [0, 1], [0, 1]] = p - 1
+    A = Algebra(PrimeField(p), idem, ("a", "b"))
+    assert list(A.mul_vec(top, top)) == [p - 1] * 2 and len(calls) == 1
+
+
+def test_mul_vec_bounds_its_steps_on_every_batch_axis():
+    # products of every pair of columns per face, as extend_level asks for
+    # them: one face alone is 40 x 40 x 2553 products, so the steps split
+    # the face and the row axes too; a chunk of faces alone held 33 MB
+    p, d = 5, 40
+    rng = np.random.default_rng(0)
+    t = rng.integers(0, p, (d, d, d)) * (rng.random((d, d, d)) < 0.05)
+    A = Algebra(PrimeField(p), t, tuple(f"e{i}" for i in range(d)))
+    cols = rng.integers(0, p, (4, d, d))
+    A.mul_vec(cols[:1, :1, None], cols[:1, None])
+    tracemalloc.start()
+    try:
+        got = A.mul_vec(cols[:, :, None], cols[:, None])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = np.einsum("fuj,fvk,jki->fuvi", cols, cols, t) % p
+    assert np.array_equal(got, want)
+    assert peak < 16 << 20, peak
 
 
 def test_is_multiplicative_at_a_large_prime():
