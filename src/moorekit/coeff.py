@@ -2,20 +2,19 @@
 
 An algebra is presented by structure constants over a prime field,
 e_i * e_j = sum_k c[i,j,k] e_k, held as their nonzero triples (i, j, k, c)
-in C order; the dense rank-3 tensor is a view built on first read.  The
-level laws (validate_algebra) and the loader read the triples alone, so a
-sparse level of a document never has its d^3 cells made unless a dense
-contraction reads them.  All linear algebra (row
-reduction, kernels, quotients) is exact field arithmetic; subspaces are
-kept in reduced row echelon form so that subspace equality is matrix
-equality.  An Ideal is the one value holding a subspace, as its rref
-basis and pivots: a basis already in rref is kept as given and any other
-is reduced once.  Membership, coordinates and residues against an rref
-basis (basis, pivots) are one formula: the residue of v is
-v - v[..., pivots] @ basis mod p and its coordinates are v[..., pivots].
-Both take stacks of vectors, leading axes being batch axes, so every
-subspace question about many vectors is one call.  Every value is
-immutable after construction and every operation is a pure function.
+in C order.  Its dense rank-3 tensor is a view built on first read, and
+only Algebra.mul_vec's dense branch and validate_algebra's dense law
+sweep read it.  All linear algebra (row reduction, kernels, quotients) is
+exact field arithmetic; subspaces are kept in reduced row echelon form so
+that subspace equality is matrix equality.  An Ideal is the one value
+holding a subspace, as its rref basis and pivots: a basis already in rref
+is kept as given and any other is reduced once.  Membership, coordinates
+and residues against an rref basis (basis, pivots) are one formula: the
+residue of v is v - v[..., pivots] @ basis mod p and its coordinates are
+v[..., pivots].  Both take stacks of vectors, leading axes being batch
+axes, so every subspace question about many vectors is one call.  Every
+value is immutable after construction and every operation is a pure
+function.
 
 Every product of stacks of algebra elements is one call, Algebra.mul_vec:
 below dim _TRIPLES_DIM it contracts the dense view (bilinear), and from
@@ -511,11 +510,13 @@ class Morphism:
                         matmul(self.matrix, inner.matrix, self.source.p))
 
     def is_multiplicative(self) -> bool:
-        """f(e_i e_j) = f(e_i) f(e_j) on all basis pairs."""
-        (m, n), images = self.matrix.shape, self.matrix.T
-        lhs = matmul(self.source.structure.reshape(n * n, n), images, self.source.p)
-        rhs = self.target.mul_vec(images[:, None], images[None])
-        return np.array_equal(lhs.reshape(n, n, m), rhs)
+        """f(e_i e_j) = f(e_i) f(e_j) on all basis pairs; the left side sums
+        c f(e_k) over the source's triples (i, j, k, c)."""
+        (m, n), images, p = self.matrix.shape, self.matrix.T, self.source.p
+        i, j, k, c = self.source.triples.T
+        lhs = np.zeros((n, n, m), dtype=np.int64)
+        np.add.at(lhs, (i, j), c[:, None] * images[k] % p)
+        return np.array_equal(lhs % p, self.target.mul_vec(images[:, None], images[None]))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Morphism) and self.source is other.source
@@ -577,10 +578,9 @@ class Ideal:
         return v[..., list(self.pivots)] % self.parent.p
 
     def is_mult_closed(self) -> bool:
-        """Closed under multiplication by every parent basis element."""
-        A = self.parent
-        # [i, r, k]: e_i times basis row r
-        return self.contains(matmul(self.basis_matrix, A.structure, A.p))
+        """Closed under multiplication by every parent basis element: the
+        subspace is its own ideal closure, which contains it."""
+        return len(_closure(self.parent, self.basis_matrix, True)) == self.dim
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Ideal) and self.parent is other.parent
@@ -771,56 +771,48 @@ def validate_algebra(A: Algebra) -> list[Violation]:
     return out
 
 
-def annihilator(A: Algebra) -> np.ndarray:
-    """rref basis of {x : x * A = 0}."""
-    # x * e_i = sum_j x_j c[j, i, :]; stack the maps x -> x * e_i
-    return null_space(A.structure.transpose(1, 2, 0).reshape(A.dim ** 2, A.dim), A.p)
-
-
-def square_span(A: Algebra) -> np.ndarray:
-    """rref basis of the span of all basis products (the subspace A*A)."""
-    rows = A.structure.reshape(A.dim * A.dim, A.dim)
-    return rref(rows, A.p)[0]
-
-
 # ---------------------------------------------------------------------------
 # ideals, quotients, kernels, subalgebras
 
 
 def ideal_closure(A: Algebra, gens: Element | np.ndarray | Iterable) -> Ideal:
-    """Smallest multiplication-closed subspace containing the generators.
+    """Smallest multiplication-closed subspace containing the generators,
+    an Element or array of them (leading axes are batch axes) or an
+    iterable of those: _closure with A's basis as multipliers."""
+    return Ideal(A, _closure(A, gens, True))
 
-    gens is an Element or array of generators (leading axes are batch
-    axes) or an iterable of them.  Semi-naive: each round multiplies only
-    the rows the last round added by the basis of A, a few basis elements
-    at a time, reduces the products against the current basis, and
-    eliminates the nonzero residues alone; it stops when a round adds
-    nothing or the span is all of A.
-    """
+
+def _closure(A: Algebra, gens, ideal: bool) -> np.ndarray:
+    """The rref basis of the span of gens closed under products with A's
+    basis when `ideal`, else with its own elements: the one fixed-point
+    loop over products.
+    Semi-naive: a round multiplies only the rows the last one added by the
+    multipliers (A's basis, or the span as the round starts), a few at a
+    time through A.mul_vec, and eliminates the products' nonzero residues
+    mod the span; it stops when a round adds nothing or the span is A."""
     p, d = A.p, A.dim
     parts = [gens] if isinstance(gens, (Element, np.ndarray)) else list(gens)
     basis, piv = rref(np.vstack([np.zeros((0, d), dtype=np.int64)]
                                 + [_rows(g, d) for g in parts]), p)
     fresh = basis
     while len(fresh) and len(basis) < d:
-        added = []
+        added, by = [], np.eye(d, dtype=np.int64) if ideal else basis
         step = sweep_step(len(fresh) * d)
-        for start in range(0, d, step):
-            # [i, r, k]: e_i times fresh row r
-            prods = matmul(fresh, A.structure[start:start + step], p).reshape(-1, d)
+        for start in range(0, len(by), step):
+            # [i, r]: multiplier i times fresh row r
+            prods = A.mul_vec(by[start:start + step, None], fresh[None]).reshape(-1, d)
             res = reduce_against(prods, basis, piv, p)
             res = res[res.any(axis=1)]
             if len(res):
                 added.append(rref(res, p)[0])
                 basis, piv = rref(np.vstack([basis, added[-1]]), p)
         fresh = np.vstack([np.zeros((0, d), dtype=np.int64)] + added)
-    return Ideal(A, basis)
+    return basis
 
 
 def kernel(f: Morphism) -> Ideal:
     """Null space of a multiplicative morphism, returned as an Ideal."""
-    ker = null_space(f.matrix, f.source.p)
-    ideal = Ideal(f.source, ker)
+    ideal = Ideal(f.source, null_space(f.matrix, f.source.p))
     if not ideal.is_mult_closed():
         raise PreconditionError("kernel not closed under multiplication: f is not multiplicative")
     return ideal
@@ -840,8 +832,9 @@ def quotient(A: Algebra, I: Ideal, name: str = "") -> tuple[Algebra, Morphism]:
         raise PreconditionError("subspace is not an ideal")
     keep = np.delete(np.arange(A.dim), I.pivots)
     # projection: reduce mod I, then read the surviving coordinates
-    proj = I.residue(np.eye(A.dim, dtype=np.int64))[:, keep].T
-    struct = matmul(A.structure[np.ix_(keep, keep)], proj.T, A.p)
+    eye = np.eye(A.dim, dtype=np.int64)
+    proj = I.residue(eye)[:, keep].T
+    struct = matmul(A.mul_vec(eye[keep, None], eye[None, keep]), proj.T, A.p)
     names = tuple(A.basis_names[j] for j in keep)
     unit = (None if A.identity is None or A.identity in I.pivots
             else int(np.searchsorted(keep, A.identity)))

@@ -56,8 +56,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .coeff import (Algebra, BilinearMap, Element, Ideal, LieAlgebra, Morphism,
-                    PreconditionError, annihilator, ideal_closure, matmul, null_space,
-                    quadratic_points, quotient, reduce_against, square_span, subalgebra,
+                    PreconditionError, ideal_closure, matmul, null_space,
+                    quadratic_points, quotient, reduce_against, subalgebra,
                     sweep_step, validate_algebra)
 from .report import FAIL, PASS, CheckRecord
 
@@ -371,16 +371,17 @@ def multiplication_cm(R: Algebra) -> CrossedChain:
     R^2 = R, verified by rank computation; composition is re-verified
     commutative.
     """
-    p = R.p
-    d = R.dim
-    ann_zero = annihilator(R).shape[0] == 0
-    square_full = square_span(R).shape[0] == d
+    p, d = R.p, R.dim
+    eye = np.eye(d, dtype=np.int64)
+    S = R.mul_vec(eye[:, None], eye[None])  # S[i, j]: e_i e_j
+    # Ann(R) = 0 when no x has x e_i = sum_j x_j S[j, i] = 0 for every i, and
+    # R^2 = R when the products S[i, j] span R: a null space of dim 0 each
+    ann_zero, square_full = (not null_space(M.reshape(d * d, d), p).shape[0]
+                             for M in (S.transpose(1, 2, 0), S))
     if not (ann_zero or square_full):
         raise PreconditionError("hypothesis Ann(R) = 0 or R^2 = R fails")
     # delta as a d x d matrix X: X @ (e_i e_j) = (X @ e_i) * e_j, one row
     # (i, j, a) per basis pair and coordinate, one column per entry X[c, b]
-    eye = np.eye(d, dtype=np.int64)
-    S = R.structure
     blocks = (S[:, :, None, None, :] * eye[None, None, :, :, None]
               - eye[:, None, None, None, :] * S.transpose(1, 2, 0)[None, :, :, :, None])
     basis_flat = null_space(blocks.reshape(d ** 3, d * d) % p, p)

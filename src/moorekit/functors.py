@@ -70,7 +70,10 @@ def _map_tensor(E: TruncatedSimplicialAlgebra, key: str, sign: int = 1) -> np.nd
         printed = "(1)(0)" if key == "()" else key
         pair = next(q for q in p_set(value) if str(q) == printed)
         vals = sign * pairing_table(E, value)[pair] % p
-    return moore_space(E, value).coords(vals)
+    ne = moore_space(E, value)
+    if not ne.contains(vals):
+        raise PreconditionError(f"map {key} leaves NE_{value}; invalid simplicial data")
+    return ne.coords(vals)
 
 
 def hypercrossed(E: TruncatedSimplicialAlgebra, m: int,

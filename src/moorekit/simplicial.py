@@ -36,9 +36,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .coeff import (Algebra, Ideal, Morphism, PreconditionError, StructureError,
-                    check_word_size, ideal_closure, matmul, rref, sweep_step,
-                    validate_algebra)
+from .coeff import (Algebra, Ideal, Morphism, PreconditionError, StructureError, _closure,
+                    check_word_size, ideal_closure, matmul, sweep_step, validate_algebra)
 from .crossed import CrossedChain, verify_2cm, verify_cm
 from .moore import (SurjIndex, _hand_down, _memo, moore_space, normal_form, push_face, s_set,
                     s_word_morphism)
@@ -162,25 +161,14 @@ def degenerate_ideal(E: TruncatedSimplicialAlgebra, n: int) -> Ideal:
 
 def degenerate_subalgebra(E: TruncatedSimplicialAlgebra, n: int) -> np.ndarray:
     """rref basis of the subalgebra of E_n generated by the degeneracy
-    images s_i(E_{n-1}).
-
-    Iterates span U span*span to a fixed point, or until the span is all
-    of E_n.  Unlike degenerate_ideal it multiplies only degenerate elements
-    with each other, so it is not all of E_n merely because s_0 carries a
-    unit of E_{n-1} to E_n.
+    images s_i(E_{n-1}): the closure loop of degenerate_ideal with the span
+    as multiplier (coeff._closure).  Unlike degenerate_ideal it multiplies
+    only degenerate elements with each other, so it is not all of E_n
+    merely because s_0 carries a unit of E_{n-1} to E_n.
     """
     if not 1 <= n <= E.k:
         raise ValueError(f"level {n} outside 1..{E.k}")
-    A = E.level(n)
-    span = rref(np.vstack([E.deg(n, i).matrix.T for i in range(n)]), A.p)[0]
-    while len(span) < A.dim:
-        # E_n is commutative: the product of rows a <= b is kept once
-        prods = A.mul_vec(span[:, None], span[None])[np.triu_indices(len(span))]
-        grown = rref(np.vstack([span, prods]), A.p)[0]
-        if grown.shape == span.shape:
-            break
-        span = grown
-    return span
+    return _closure(E.level(n), [E.deg(n, i).matrix.T for i in range(n)], False)
 
 
 # ---------------------------------------------------------------------------
@@ -409,11 +397,13 @@ def _normal_block(E: TruncatedSimplicialAlgebra, t: CrossedChain, n: int) -> tup
     """
     C, d, p = t.levels[n], t.d(n).matrix, t.levels[n].p
     bd = matmul(moore_space(E, n - 1).basis_matrix.T, d, p)
+    eye = np.eye(C.dim, dtype=np.int64)
+    table = C.mul_vec(eye[:, None], eye[None])  # the products of basis pairs
     if n == 1:
-        return C, bd, {((), ()): C.structure, ((0,), ()): t.map("01").tensor}
+        return C, bd, {((), ()): table, ((0,), ()): t.map("01").tensor}
     a2, L = t.map("02").tensor, t.map("()").tensor
     via_d1 = matmul(t.d(1).matrix.T, a2.transpose(1, 0, 2), p).transpose(1, 0, 2)  # (d_1 y) . x
-    return C, bd, {((), ()): C.structure,
+    return C, bd, {((), ()): table,
                    ((1,), ()): via_d1 + matmul(d.T, L.transpose(1, 0, 2), p),
                    ((0,), ()): via_d1,
                    ((1, 0), ()): a2,

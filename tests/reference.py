@@ -4,8 +4,10 @@ projection p, membership in the Moore complex, the hypercrossed pairing
 C_{alpha,beta} and both sides of a Table-1 row, each on one pair of
 elements), the element supply as Element values, a crossed module that
 fails CM2, an axiom report's entry by name, the truncation of a simplicial
-object, the crossed module a 2-crossed module induces, and the level laws of
-validate_algebra on the whole d^4 tensor at once, for each carrier.
+object, the crossed module a 2-crossed module induces, the level laws of
+validate_algebra on the whole d^4 tensor at once, for each carrier, and
+Morphism.is_multiplicative and Ideal.is_mult_closed as contractions of
+the dense structure tensor.
 
 moore.pairing_table computes every C_{alpha,beta} on whole Moore bases;
 these functions compute one value at a time through the simplicial maps
@@ -119,6 +121,21 @@ def induced_cm(t: CrossedChain) -> CrossedChain:
     bottom = CrossedChain(t.levels[:2], t.boundaries[:1], {"01": t.map("01")},
                           (t.name or "2cm") + "-induced")
     return _divide_top(bottom, t.d(2), np.eye(t.levels[2].dim, dtype=np.int64))
+
+
+def is_multiplicative_dense(f) -> bool:
+    """Morphism.is_multiplicative with its left side contracted from the
+    source's dense n^3 tensor and f."""
+    (m, n), images = f.matrix.shape, f.matrix.T
+    lhs = matmul(f.source.structure.reshape(n * n, n), images, f.source.p)
+    return np.array_equal(lhs.reshape(n, n, m), f.target.mul_vec(images[:, None], images[None]))
+
+
+def is_mult_closed_dense(I) -> bool:
+    """Ideal.is_mult_closed as one contraction of the basis with the dense
+    tensor: [i, r] is e_i times basis row r."""
+    A = I.parent
+    return I.contains(matmul(I.basis_matrix, A.structure, A.p))
 
 
 def validate_algebra_dense(A) -> list[Violation]:

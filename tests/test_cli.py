@@ -993,6 +993,21 @@ def test_a_short_truncation_is_answered_without_a_traceback(k, argv, short_trunc
     assert code in (0, 2) and err == "", (code, err)
 
 
+def test_a_lifting_that_leaves_its_moore_space_is_a_hypothesis_record(tmp_path):
+    # s_1 of ideal-pair-cubic with one entry moved: the Peiffer lifting's
+    # values leave NE_2, which the extraction reads as invalid data
+    from moorekit.document import corpus_document
+    doc = json.loads(corpus_document(2))
+    deg = doc["simplicial"]["ideal-pair-cubic"]["degeneracies"]["2,1"]["matrix"]
+    deg[1][1] = (deg[1][1] + 1) % 2
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    code, out, err = _main(["--input", str(tmp_path / "bad.json"), "to-2xmod", "ideal-pair-cubic"])
+    assert (code, err) == (0, "")
+    assert records(out)[:-1] == [
+        {"check": "to-2xmod[ideal-pair-cubic]", "status": "hypothesis-failed", "witnesses": [],
+         "detail": {"reason": "map () leaves NE_2; invalid simplicial data"}}]
+
+
 def test_theorem5_above_the_truncation_is_a_hypothesis_record(short_truncations):
     code, out, _ = _main(["--input", str(short_truncations[3]), "theorem5", "E"])
     assert code == 0

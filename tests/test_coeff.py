@@ -13,7 +13,9 @@ from moorekit.coeff import (Algebra, BilinearMap, Element, Ideal, LieAlgebra, Mo
                             Supply, algebras_equal, ideal_closure, kernel,
                             null_space, quadratic_points, quotient, rref, subalgebra,
                             supply_rows, validate_algebra)
-from reference import elements, validate_algebra_dense, validate_lie_dense
+from moorekit.lie import lie_heisenberg
+from reference import (elements, is_mult_closed_dense, is_multiplicative_dense,
+                       validate_algebra_dense, validate_lie_dense)
 
 
 def poly_mul_mod(a, b, rel, p):
@@ -745,3 +747,61 @@ def test_an_algebra_born_from_triples_equals_one_born_dense(p, cls):
         x, y = rng.integers(0, p, (2, 6, d))
         assert np.array_equal(born.mul_vec(x[:, None], y[None]), dense.mul_vec(x[:, None], y[None]))
         assert _dumped(born) == _dumped(dense)
+
+
+def _reader_levels(p, rng):
+    """_random_levels at dims 0-6 and a 5 %-sparse dim 40, so that mul_vec
+    takes its dense branch and its triples branch."""
+    return ([A for d in range(7) for density in (0.3, 1) for A in _random_levels(p, d, density, rng)]
+            + _random_levels(p, 40, 0.05, rng))
+
+
+def _mutant(f: Morphism, rng) -> Morphism:
+    """f with one entry of its matrix moved by a nonzero residue."""
+    m = f.matrix.copy()
+    m[tuple(rng.integers(0, m.shape))] += rng.integers(1, f.source.p)
+    return Morphism(f.source, f.target, m)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_is_multiplicative_equals_the_dense_formula(p, built):
+    rng = np.random.default_rng(20 + p)
+    levels = _reader_levels(p, rng)
+    maps = [Morphism.identity(A) for A in levels]
+    maps += [f for name in corpus.simplicial_corpus(p) for E in [built(name, p)]
+             for f in [*E.faces.values(), *E.degeneracies.values()]]
+    assert all(f.is_multiplicative() and is_multiplicative_dense(f) for f in maps)
+    maps += [_mutant(f, rng) for f in maps if f.matrix.size]
+    maps += [Morphism(A, B, rng.integers(0, p, (B.dim, A.dim)))
+             for A, B in zip(levels, levels[1:] + levels[:1])]
+    got = [f.is_multiplicative() for f in maps]
+    assert got == [is_multiplicative_dense(f) for f in maps]
+    assert got.count(False) > len(maps) // 4
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_is_mult_closed_equals_the_dense_formula(p):
+    rng = np.random.default_rng(30 + p)
+    subspaces = []
+    for A in _reader_levels(p, rng):
+        for r in sorted({0, 1, A.dim // 2, A.dim}):
+            rows = rng.integers(0, p, (r, A.dim))
+            subspaces += [Ideal(A, rows), ideal_closure(A, rows)]
+    got = [I.is_mult_closed() for I in subspaces]
+    assert got == [is_mult_closed_dense(I) for I in subspaces]
+    assert all(got[1::2]) and got[::2].count(False) > len(subspaces) // 8
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_the_subalgebra_closure_of_x_and_y_is_the_heisenberg_algebra(p):
+    H = lie_heisenberg(p)
+    x, y, z = np.eye(3, dtype=np.int64)
+
+    def generated(gens) -> Ideal:
+        return Ideal(H, coeff._closure(H, gens, False))
+
+    assert generated([x, y]) == Ideal(H, np.eye(3, dtype=np.int64))
+    assert generated([x + z, (p - 1) * y]).dim == 3
+    assert generated(x) == Ideal(H, x)  # [x, x] = 0
+    assert generated([x, z]) == Ideal(H, [x, z])
+    assert ideal_closure(H, x) == Ideal(H, [x, z])  # [y, x] = -z

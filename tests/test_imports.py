@@ -255,11 +255,16 @@ def test_structure_reads_finds_each_form_in_its_function():
                                           if p.name != "coeff.py"))
 def test_every_product_of_elements_goes_through_mul_vec(module):
     # Algebra.mul_vec chooses the dense view or the triples for every product
-    # of elements; the normal block hands C's tensor on as the nu block, and
-    # the multiplier system of multiplication_cm is built from the tensor
-    allowed = {"simplicial.py": ["_normal_block: .structure", "_normal_block: .structure"],
-               "crossed.py": ["multiplication_cm: .structure"]}
-    assert structure_reads((PACKAGE / module).read_text(encoding="utf-8")) == allowed.get(module, [])
+    # of elements, and no module outside coeff reads the dense view
+    assert structure_reads((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def test_coeff_reads_the_dense_view_only_in_mul_vec_and_the_dense_law_sweep():
+    # bilinear is read by mul_vec's dense branch and by a bilinear map, whose
+    # tensor is its own
+    assert structure_reads((PACKAGE / "coeff.py").read_text(encoding="utf-8")) == [
+        "Algebra.mul_vec: bilinear", "Algebra.mul_vec: .structure",
+        "BilinearMap.__call__: bilinear", "validate_algebra: .structure"]
 
 
 def defined_functions(source: str) -> set:

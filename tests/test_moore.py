@@ -8,13 +8,16 @@ import pytest
 from moorekit import coeff, corpus
 from moorekit.coeff import (Algebra, Element, Morphism, PreconditionError, PrimeField,
                             Supply, ideal_closure, supply_rows)
+from moorekit.document import DocumentBuilder, load_document
+from moorekit.functors import hypercrossed
 from moorekit.moore import (PairingIndex, SurjIndex, face_kernel, lemma7_check, moore,
                             moore_space, normal_form, p_set, push_face, s_set,
                             s_word_morphism, table1_audit,
                             boundary_image_and_pairing_product, theorem5_check)
 from moorekit.report import CheckRecord
 from moorekit.simplicial import (TruncatedSimplicialAlgebra, constant_simplicial,
-                                 degenerate_ideal, degenerate_subalgebra, realize)
+                                 degenerate_ideal, degenerate_subalgebra, realize,
+                                 validate_simplicial)
 from reference import c_pairing, elements, in_moore, proj_p, table1_eval
 from test_axiom_sweep import tensor_simplicial
 
@@ -571,3 +574,19 @@ def test_theorem5_product_ideal_is_the_closure_of_every_pair_product(name, p, ta
                     for s in (q.alpha, q.beta)] for q in p_set(n)]
         want = ideal_closure(A, [A.mul_vec(kx[:, None], ky[None]) for kx, ky in kernels])
         assert boundary_image_and_pairing_product(E, n)[1] == want, n
+
+
+def test_no_dense_view_is_built_on_levels_loaded_as_triples():
+    # a document holds each level as triples; the extraction and every audit
+    # read levels of dim _TRIPLES_DIM or more through their triples alone
+    simp = corpus.simplicial_corpus(2, names=["ideal-pair", "sq0-lifting"])
+    b = DocumentBuilder()
+    b.simplicial(tensor_simplicial(simp["ideal-pair"], simp["sq0-lifting"]), "T")
+    E = load_document(b.dumps()).simplicial["T"]
+    assert [A.dim for A in E.levels] == [2, 6, 16, 35, 66]
+    moore(E)
+    assert validate_simplicial(E) == []
+    hypercrossed(E, 3)
+    theorem5_check(E, 4)
+    table1_audit(E)
+    assert [A.dim for A in E.levels if A.dim >= coeff._TRIPLES_DIM and A._dense is not None] == []
