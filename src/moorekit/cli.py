@@ -9,7 +9,9 @@ corpus (default, per characteristic from --char), dispatches checks and
 constructors, and streams line-delimited JSON records followed by one
 summary record.  A named command on the built-in corpus builds only the
 entries of that name, or of the entry owning a carrier name such as
-ideal-pair.E0; `corpus` builds them all.  Exit codes: 0 all pass
+ideal-pair.E0, and runs on the objects the builders made, under the names
+the `corpus` document gives them; `corpus` builds them all and prints
+that document.  Exit codes: 0 all pass
 (hypothesis-gated reports count as pass), 1 at least one check failed,
 2 audit discrepancies only, 64 usage, 65 parse or name-resolution error,
 141 (128 + SIGPIPE, as a shell reports it) when the reader of stdout goes
@@ -28,7 +30,8 @@ from typing import NamedTuple
 
 from .coeff import PreconditionError, PrimeField, Supply, validate_algebra
 from .crossed import verify_2cm, verify_3cm, verify_cm
-from .document import Document, DocumentBuilder, DocumentError, corpus_document, load_document
+from .document import (Document, DocumentBuilder, DocumentError, corpus_builder, corpus_document,
+                       load_document)
 from .functors import DEF1, PROP3, hypercrossed, roundtrip_check, table_identities_check
 from .lie import verify_lie_3cm
 from .moore import (lemma7_check, moore, p_set, s_set, table1_audit,
@@ -238,11 +241,12 @@ def _metavar(name: str, spec) -> str:
 
 def _documents(args) -> list[tuple[str, Document]]:
     """(label, document) pairs: the input file once, or the corpus per char,
-    holding only the entries named args.name or owning it as a carrier."""
+    holding only the entries named args.name or owning it as a carrier, as
+    the objects its builders made (DocumentBuilder.document)."""
     if args.input:
         return [("", load_document(_read_input(args.input)))]
     names = {args.name, args.name.split(".", 1)[0]}
-    return [(f"@p={p}" if len(args.char) > 1 else "", load_document(corpus_document(p, names)))
+    return [(f"@p={p}" if len(args.char) > 1 else "", corpus_builder(p, names).document())
             for p in args.char]
 
 

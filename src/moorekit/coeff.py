@@ -217,14 +217,22 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def null_space(mat: np.ndarray, p: int) -> np.ndarray:
-    """Basis (rref rows) of {x : mat @ x = 0} over Z/p."""
-    R, pivots = rref(mat, p)
+    """Basis (rref rows) of {x : mat @ x = 0} over Z/p, from one elimination.
+
+    R is the rref of mat with its columns reversed.  The kernel vector of
+    each free column f of R is 1 at f and -R[:, f] at the pivots, which lie
+    left of f; reversed back, each vector leads at its free column and is
+    otherwise nonzero only at pivot columns, so the vectors in order of
+    their leading column are the rref basis of the kernel."""
     n = np.shape(mat)[-1]
+    R, pivots = rref(np.asarray(mat)[..., ::-1], p)
     free = np.delete(np.arange(n), pivots)
     vecs = np.zeros((free.size, n), dtype=np.int64)
     vecs[np.arange(free.size), free] = 1
     vecs[:, list(pivots)] = -R[:, free].T % p
-    return rref(vecs, p)[0]
+    out = np.ascontiguousarray(vecs[::-1, ::-1])
+    out.setflags(write=False)
+    return out
 
 
 def reduce_against(v: np.ndarray, basis: np.ndarray, pivots: Sequence[int], p: int) -> np.ndarray:

@@ -4,15 +4,19 @@ modules, simplicial objects, and Lie data.
 Everything here is small enough that ``table1`` sweeps every element of
 each Moore component under the default supply bound; every other check
 is decided exactly on basis tuples.  The test suite resolves simplicial
-names through :func:`simplicial_corpus`, and the CLI resolves every
-built-in name in the document that
-:func:`moorekit.document.corpus_document` serializes from these builders.
+names through :func:`simplicial_corpus`.  Each entry is built under its
+entry name.  The CLI resolves every built-in name among the objects these
+builders make, registered under their document names by
+:func:`moorekit.document.corpus_builder`; the ``corpus`` command prints
+the document that registration serializes.
 Each ``*_corpus`` function maps entry names to builders and, given
 `names`, builds only the entries so named: a named command builds the
 entries it can resolve its name against, and ``corpus`` builds them all.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -81,20 +85,23 @@ def unital_action(R: Algebra, M: Algebra) -> BilinearMap:
 def cm_ideal_dual(p: int = 2) -> CrossedChain:
     """Inclusion of the ideal (x) in k[x]/(x^2)."""
     R = dual_numbers(p)
-    return ideal_pair(R, [R.basis_element(1)], name=f"ideal-pair@Z/{p}")
+    # ideal_pair labels the ideal's basis from the name it is given
+    pair = ideal_pair(R, [R.basis_element(1)], name=f"ideal-pair@Z/{p}")
+    return replace(pair, name="ideal-pair")
 
 
 def cm_ideal_cubic(p: int = 2) -> CrossedChain:
     """Inclusion of the two-dimensional ideal (x) in k[x]/(x^3)."""
     R = truncated_poly(p, 3)
-    return ideal_pair(R, [R.basis_element(1)], name=f"ideal-pair-cubic@Z/{p}")
+    pair = ideal_pair(R, [R.basis_element(1)], name=f"ideal-pair-cubic@Z/{p}")
+    return replace(pair, name="ideal-pair-cubic")
 
 
 def cm_zero_module(p: int = 2) -> CrossedChain:
     """Square-zero module with the zero boundary over Z/p."""
     R = zmod(p)
     M = square_zero(p, 2)
-    return zero_module_cm(M, R, unital_action(R, M), name=f"zero-module@Z/{p}")
+    return zero_module_cm(M, R, unital_action(R, M), name="zero-module")
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +117,7 @@ def tcm_square_zero_lifting(p: int = 2) -> CrossedChain:
     lift[0, 0, 0] = 1
     return CrossedChain((C0, C1, C2), (Morphism.zero(C1, C0), Morphism.zero(C2, C1)),
                         {"01": unital_action(C0, C1), "02": unital_action(C0, C2),
-                         "()": BilinearMap(C1, C1, C2, lift)}, f"sq0-lifting@Z/{p}")
+                         "()": BilinearMap(C1, C1, C2, lift)}, "sq0-lifting")
 
 
 def tcm_cubic_chain(p: int = 2) -> CrossedChain:
@@ -126,7 +133,7 @@ def tcm_cubic_chain(p: int = 2) -> CrossedChain:
     lift[0, 0, 0] = 1  # {u (x) u} = v
     return CrossedChain((C0, C1, C2), (Morphism.zero(C1, C0), d2),
                         {"01": unital_action(C0, C1), "02": unital_action(C0, C2),
-                         "()": BilinearMap(C1, C1, C2, lift)}, f"cubic-chain@Z/{p}")
+                         "()": BilinearMap(C1, C1, C2, lift)}, "cubic-chain")
 
 
 def tcm_module_identity(p: int = 2) -> CrossedChain:
@@ -137,7 +144,7 @@ def tcm_module_identity(p: int = 2) -> CrossedChain:
     d2 = Morphism(Mtop, M, np.eye(2, dtype=np.int64))
     return CrossedChain((C0, M, Mtop), (Morphism.zero(M, C0), d2),
                         {"01": unital_action(C0, M), "02": unital_action(C0, Mtop),
-                         "()": BilinearMap.zero(M, M, Mtop)}, f"module-id@Z/{p}")
+                         "()": BilinearMap.zero(M, M, Mtop)}, "module-id")
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +166,9 @@ def simplicial_corpus(p: int = 2, names=None) -> dict[str, TruncatedSimplicialAl
         "sq0-lifting": lambda: realize(tcm_square_zero_lifting(p)),
         "cubic-chain": lambda: realize(tcm_cubic_chain(p)),
         "module-id": lambda: realize(tcm_module_identity(p)),
-        "constant": lambda: constant_simplicial(dual_numbers(p), 4),
-        "top-degree-4": lambda: concentrated_simplicial(square_zero(p, 1), 4, 4),
-        "top-degree-3": lambda: concentrated_simplicial(square_zero(p, 1), 3, 4),
+        "constant": lambda: constant_simplicial(dual_numbers(p), 4, "constant"),
+        "top-degree-4": lambda: concentrated_simplicial(square_zero(p, 1), 4, 4, "top-degree-4"),
+        "top-degree-3": lambda: concentrated_simplicial(square_zero(p, 1), 3, 4, "top-degree-3"),
     })
 
 
@@ -170,12 +177,13 @@ def crossed_corpus(p: int = 2, names=None) -> dict[str, CrossedChain]:
         "ideal-pair": lambda: cm_ideal_dual(p),
         "ideal-pair-cubic": lambda: cm_ideal_cubic(p),
         "zero-module": lambda: cm_zero_module(p),
-        "mult-zmod": lambda: multiplication_cm(zmod(p)),
+        "mult-zmod": lambda: replace(multiplication_cm(zmod(p)), name="mult-zmod"),
     }
     if p != 2:
-        builders["mult-group-line"] = lambda: multiplication_cm(group_line(p))
+        builders["mult-group-line"] = lambda: replace(multiplication_cm(group_line(p)),
+                                                        name="mult-group-line")
     else:  # (t + 1)^2 = 0: dual numbers
-        builders["mult-dual"] = lambda: multiplication_cm(group_line(2))
+        builders["mult-dual"] = lambda: replace(multiplication_cm(group_line(2)), name="mult-dual")
     return _built(names, builders)
 
 
@@ -184,8 +192,10 @@ def two_crossed_corpus(p: int = 2, names=None) -> dict[str, CrossedChain]:
         "sq0-lifting": lambda: tcm_square_zero_lifting(p),
         "cubic-chain": lambda: tcm_cubic_chain(p),
         "module-id": lambda: tcm_module_identity(p),
-        "remark1-ideal-pair": lambda: zero_extension(cm_ideal_dual(p), 2),
-        "remark1-zero-module": lambda: zero_extension(cm_zero_module(p), 2),
+        "remark1-ideal-pair": lambda: zero_extension(cm_ideal_dual(p), 2,
+                                                       name="remark1-ideal-pair"),
+        "remark1-zero-module": lambda: zero_extension(cm_zero_module(p), 2,
+                                                        name="remark1-zero-module"),
     })
 
 
@@ -195,13 +205,13 @@ def two_crossed_corpus(p: int = 2, names=None) -> dict[str, CrossedChain]:
 
 def lie_corpus(p: int = 3, names=None) -> dict[str, LieAlgebra]:
     return _built(names, {
-        "abelian": lambda: lie_abelian(p, 2),
+        "abelian": lambda: lie_abelian(p, 2, "abelian"),
         "heisenberg": lambda: lie_heisenberg(p),
     })
 
 
 def lie_three_corpus(p: int = 3, names=None) -> dict[str, CrossedChain]:
     return _built(names, {
-        "abelian-chain": lambda: degenerate_lie_3cm(lie_abelian(p, 2)),
-        "heisenberg-chain": lambda: degenerate_lie_3cm(lie_heisenberg(p)),
+        "abelian-chain": lambda: degenerate_lie_3cm(lie_abelian(p, 2), "abelian-chain"),
+        "heisenberg-chain": lambda: degenerate_lie_3cm(lie_heisenberg(p), "heisenberg-chain"),
     })

@@ -21,14 +21,18 @@ The four crossed sections (crossed modules, 2- and 3-crossed modules and
 Lie 3-crossed modules) hold one type, crossed.CrossedChain, and one table,
 CROSSED, gives the JSON key of each level, boundary and map of a section
 and the algebra section its levels name; one loader (_load_crossed) and
-one dumper (DocumentBuilder.crossed) read it.
+one dumper (DocumentBuilder._body) read it.
+
+DocumentBuilder names structures once for its text (dumps) and for the
+Document that text loads as (document), so a named command on the
+built-in corpus runs on the builders' objects and parses no JSON.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -377,65 +381,83 @@ def _matrix(m: Morphism) -> list:
 
 
 class DocumentBuilder:
-    """Accumulates structures and emits the JSON document body."""
+    """Names structures for one document: an entry takes the name it is
+    given and each level "<entry>.<key>" (E0..Ek, or the keys of CROSSED),
+    and an algebra registered twice keeps its first name.  dumps gives the
+    document's JSON text, and document the Document load_document reads
+    from that text, holding the registered objects themselves."""
 
     def __init__(self):
-        self.body = {"algebras": {}, "lie_algebras": {}, "simplicial": {},
-                     "crossed_modules": {}, "two_crossed_modules": {},
-                     "three_crossed_modules": {}, "lie_three_crossed": {}}
+        self.named: dict = {f.name: {} for f in fields(Document)}  # section -> name -> object
         self._alg_names: dict[int, str] = {}
         self._keep: list = []  # pin registered objects so ids stay unique
 
     def algebra(self, A: Algebra, name: str, section: str = "algebras") -> str:
-        if id(A) in self._alg_names:
-            return self._alg_names[id(A)]
-        body = {"p": A.p, "dim": A.dim, "basis": list(A.basis_names),
-                CARRIERS[section][1]: A.triples.tolist()}
-        if A.identity is not None:
-            body["identity"] = A.identity
-        self.body[section][name] = body
-        self._alg_names[id(A)] = name
-        self._keep.append(A)
-        return name
+        """Register A under `name` unless it is registered; its name."""
+        if id(A) not in self._alg_names:
+            self.named[section][name] = A
+            self._alg_names[id(A)] = name
+            self._keep.append(A)
+        return self._alg_names[id(A)]
 
     def simplicial(self, E: TruncatedSimplicialAlgebra, name: str) -> None:
-        level_names = [self.algebra(A, f"{name}.E{n}") for n, A in enumerate(E.levels)]
-        faces = {}
-        for (n, i), mor in sorted(E.faces.items()):
-            faces[f"{n},{i}"] = {"source": level_names[n], "target": level_names[n - 1],
-                                 "matrix": _matrix(mor)}
-        degs = {}
-        for (n, i), mor in sorted(E.degeneracies.items()):
-            degs[f"{n},{i}"] = {"source": level_names[n - 1], "target": level_names[n],
-                                "matrix": _matrix(mor)}
-        self.body["simplicial"][name] = {"k": E.k, "levels": level_names,
-                                         "faces": faces, "degeneracies": degs}
+        for n, A in enumerate(E.levels):
+            self.algebra(A, f"{name}.E{n}")
+        self.named["simplicial"][name] = E
 
     def crossed(self, m: CrossedChain, name: str, section: str = "crossed_modules") -> None:
-        """Add m to a crossed section, laid out as CROSSED[section]."""
+        """Register m in a crossed section, and its levels under the keys
+        CROSSED[section] gives them."""
         spec = CROSSED[section]
         # top level first: a carrier shared by two levels takes the upper name
-        body = {key: self.algebra(A, f"{name}.{key}", spec.algebras)
-                for key, A in reversed(list(zip(spec.levels, m.levels)))}
-        body.update({key: _matrix(d) for key, d in zip(spec.boundaries, m.boundaries)})
+        for key, A in reversed(list(zip(spec.levels, m.levels))):
+            self.algebra(A, f"{name}.{key}", spec.algebras)
+        self.named[section][name] = m
+
+    def dumps(self) -> str:
+        return json.dumps({section: {name: self._body(section, obj) for name, obj in table.items()}
+                           for section, table in self.named.items() if table}, sort_keys=True)
+
+    def _body(self, section: str, obj) -> dict:
+        """The JSON body of obj, registered in `section`."""
+        if section in CARRIERS:
+            body = {"p": obj.p, "dim": obj.dim, "basis": list(obj.basis_names),
+                    CARRIERS[section][1]: obj.triples.tolist()}
+            if obj.identity is not None:
+                body["identity"] = obj.identity
+            return body
+        level_names = [self._alg_names[id(A)] for A in obj.levels]
+        if section == "simplicial":
+            faces = {f"{n},{i}": {"source": level_names[n], "target": level_names[n - 1],
+                                  "matrix": _matrix(mor)}
+                     for (n, i), mor in sorted(obj.faces.items())}
+            degs = {f"{n},{i}": {"source": level_names[n - 1], "target": level_names[n],
+                                 "matrix": _matrix(mor)}
+                    for (n, i), mor in sorted(obj.degeneracies.items())}
+            return {"k": obj.k, "levels": level_names, "faces": faces, "degeneracies": degs}
+        spec = CROSSED[section]
+        body = dict(zip(spec.levels, level_names))
+        body.update({key: _matrix(d) for key, d in zip(spec.boundaries, obj.boundaries)})
         for key, path in spec.maps.items():
             at = body
             for group in path[:-1]:
                 at = at.setdefault(group, {})
-            at[path[-1]] = triples_of(m.maps[key].tensor).tolist()
-        self.body[section][name] = body
+            at[path[-1]] = triples_of(obj.maps[key].tensor).tolist()
+        return body
 
-    def dumps(self) -> str:
-        return json.dumps({k: v for k, v in self.body.items() if v}, sort_keys=True)
+    def document(self) -> Document:
+        """The Document that load_document(self.dumps()) reads, holding the
+        registered objects themselves."""
+        return Document(**{section: dict(table) for section, table in self.named.items()})
 
 
-def corpus_document(p: int = 2, names=None) -> str:
-    """The built-in corpus serialized as a single-line JSON document.
+def corpus_builder(p: int = 2, names=None) -> DocumentBuilder:
+    """The built-in corpus registered in one DocumentBuilder.
 
     With `names`, only the entries whose name is in it, in every section,
-    are built and serialized; a named command passes its name and the entry
-    that owns a carrier name (``ideal-pair`` for ``ideal-pair.E0``), so its
-    name resolves as in the whole corpus."""
+    are built; a named command passes its name and the entry that owns a
+    carrier name (``ideal-pair`` for ``ideal-pair.E0``), so its name
+    resolves as in the whole corpus."""
     b = DocumentBuilder()
     for name, cm in corpus.crossed_corpus(p, names).items():
         b.crossed(cm, name)
@@ -447,4 +469,11 @@ def corpus_document(p: int = 2, names=None) -> str:
         b.algebra(L, name, "lie_algebras")
     for name, m in corpus.lie_three_corpus(p, names).items():
         b.crossed(m, name, "lie_three_crossed")
-    return b.dumps()
+    return b
+
+
+def corpus_document(p: int = 2) -> str:
+    """The built-in corpus serialized as a single-line JSON document, as the
+    `corpus` command prints it; a named command runs on the objects of
+    corpus_builder instead, under the same names."""
+    return corpus_builder(p).dumps()

@@ -27,9 +27,9 @@ from .coeff import LieAlgebra, PrimeField
 from .crossed import AxiomReport, CrossedChain, verify_3cm, zero_extension
 
 
-def lie_abelian(p: int, dim: int) -> LieAlgebra:
+def lie_abelian(p: int, dim: int, name: str = "") -> LieAlgebra:
     return LieAlgebra(PrimeField(p), np.zeros((dim, dim, dim), dtype=np.int64),
-                      tuple(f"a{i}" for i in range(dim)), name=f"abelian({dim})")
+                      tuple(f"a{i}" for i in range(dim)), name=name or f"abelian({dim})")
 
 
 def lie_heisenberg(p: int) -> LieAlgebra:

@@ -7,7 +7,7 @@ fails CM2, an axiom report's entry by name, the truncation of a simplicial
 object, the crossed module a 2-crossed module induces, the level laws of
 validate_algebra on the whole d^4 tensor at once, for each carrier, and
 Morphism.is_multiplicative and Ideal.is_mult_closed as contractions of
-the dense structure tensor.
+the dense structure tensor, and null_space as two eliminations.
 
 moore.pairing_table computes every C_{alpha,beta} on whole Moore bases;
 these functions compute one value at a time through the simplicial maps
@@ -28,7 +28,8 @@ import importlib
 import numpy as np
 
 from moorekit.coeff import (BilinearMap, Element, LieAlgebra, PreconditionError, Supply,
-                            Violation, matmul, null_space, quadratic_points, supply_rows)
+                            Violation, matmul, null_space, quadratic_points, rref,
+                            supply_rows)
 from moorekit.corpus import zmod
 from moorekit.crossed import (SIGNATURES, AxiomEntry, AxiomReport, CrossedChain, _divide_top,
                               zero_module_cm)
@@ -121,6 +122,18 @@ def induced_cm(t: CrossedChain) -> CrossedChain:
     bottom = CrossedChain(t.levels[:2], t.boundaries[:1], {"01": t.map("01")},
                           (t.name or "2cm") + "-induced")
     return _divide_top(bottom, t.d(2), np.eye(t.levels[2].dim, dtype=np.int64))
+
+
+def null_space_two_eliminations(mat, p: int) -> np.ndarray:
+    """coeff.null_space as two eliminations: the kernel vector of each free
+    column of rref(mat), then the rref of those vectors."""
+    R, pivots = rref(mat, p)
+    n = np.shape(mat)[-1]
+    free = np.delete(np.arange(n), pivots)
+    vecs = np.zeros((free.size, n), dtype=np.int64)
+    vecs[np.arange(free.size), free] = 1
+    vecs[:, list(pivots)] = -R[:, free].T % p
+    return rref(vecs, p)[0]
 
 
 def is_multiplicative_dense(f) -> bool:

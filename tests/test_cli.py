@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -13,8 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moorekit import coeff, corpus
+from moorekit import cli, coeff, corpus
 from moorekit.cli import main, parse_args, run_command
+from moorekit.coeff import Algebra, algebras_equal
+from moorekit.document import Document, corpus_document, load_document
+from moorekit.simplicial import TruncatedSimplicialAlgebra
 from reference import cm_zero_module_bad, truncate
 
 S2 = ["()", "(1)", "(0)", "(1,0)"]
@@ -719,6 +724,71 @@ def test_a_named_command_builds_only_the_entries_of_its_name(built_names):
     built_names.clear()
     assert run(["lie-verify", "abelian"])[0] == 0
     assert built_names == [("lie_corpus", "abelian")]
+
+
+def _document_names(doc: Document) -> dict:
+    """The document name of each algebra of doc, keyed by id."""
+    return {id(A): name for table in (doc.algebras, doc.lie_algebras) for name, A in table.items()}
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_a_named_command_receives_the_objects_the_round_trip_loads(p):
+    # every entry and carrier of the corpus, as a named command on the
+    # built-in corpus receives it, equals its round trip through JSON: the
+    # registered names, the structure constants, every matrix and tensor
+    # (reduced mod p) and the entry names; a carrier keeps its builder's label
+    loaded = load_document(corpus_document(p))
+    loaded_names = _document_names(loaded)
+    sections = [f.name for f in fields(Document)]
+    entries = {name for section in sections for name in getattr(loaded, section) if "." not in name}
+    for entry in sorted(entries):
+        [(_, doc)] = cli._documents(SimpleNamespace(input=None, name=entry, char=(p,)))
+        names = _document_names(doc)
+        for section in sections:
+            table, want_table = getattr(doc, section), getattr(loaded, section)
+            assert set(table) == {name for name in want_table if name.split(".")[0] == entry}
+            for name, obj in table.items():
+                want = want_table[name]
+                assert type(obj) is type(want), name
+                if "." not in name:
+                    assert obj.name == want.name == name
+                if isinstance(obj, Algebra):
+                    assert algebras_equal(obj, want) and obj.basis_names == want.basis_names, name
+                    continue
+                # each level is the algebra registered under the loaded level's name
+                assert ([names[id(A)] for A in obj.levels]
+                        == [loaded_names[id(A)] for A in want.levels]), name
+                if isinstance(obj, TruncatedSimplicialAlgebra):
+                    pairs = [(obj.faces, want.faces), (obj.degeneracies, want.degeneracies)]
+                else:
+                    pairs = [(dict(enumerate(obj.boundaries)), dict(enumerate(want.boundaries)))]
+                    assert list(obj.maps) == list(want.maps), name
+                    assert all(np.array_equal(obj.maps[k].tensor, want.maps[k].tensor)
+                               for k in obj.maps), name
+                for got, expected in pairs:
+                    assert got.keys() == expected.keys(), name
+                    assert all(np.array_equal(got[k].matrix, expected[k].matrix) for k in got), name
+
+
+# one command of each kind the corpus holds, on entry names and on carrier names
+_ONE_PER_KIND = [["validate", "ideal-pair.E0"], ["validate", "sq0-lifting.C2"],
+                 ["moore", "ideal-pair"], ["to-3xmod", "cubic-chain"], ["verify-xmod", "ideal-pair"],
+                 ["verify-2xmod", "sq0-lifting"], ["lie-verify", "abelian"],
+                 ["validate", "heisenberg-chain.L0"], ["lie-verify", "heisenberg-chain"]]
+
+
+@pytest.mark.parametrize("char", ["2", "3", "2,3"])
+def test_a_named_command_on_the_built_in_corpus_parses_no_json(char, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("JSON parsed on the built-in path")
+
+    monkeypatch.setattr(json, "loads", refused)
+    monkeypatch.setattr(cli, "load_document", refused)
+    guarded = [_main(["--char", char, *argv]) for argv in _ONE_PER_KIND]
+    monkeypatch.undo()
+    for argv, result in zip(_ONE_PER_KIND, guarded):
+        assert result == _main(["--char", char, *argv]) and result[0] in (0, 2), argv
+        assert records(result[1])[-1]["check"] == "summary"
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -10,12 +10,12 @@ from moorekit import coeff, corpus
 from moorekit.document import DocumentBuilder
 from moorekit.coeff import (Algebra, BilinearMap, Element, Ideal, LieAlgebra, Morphism,
                             PreconditionError, PrimeField, StructureError,
-                            Supply, algebras_equal, ideal_closure, kernel,
+                            Supply, algebras_equal, ideal_closure, kernel, matmul,
                             null_space, quadratic_points, quotient, rref, subalgebra,
                             supply_rows, validate_algebra)
 from moorekit.lie import lie_heisenberg
 from reference import (elements, is_mult_closed_dense, is_multiplicative_dense,
-                       validate_algebra_dense, validate_lie_dense)
+                       null_space_two_eliminations, validate_algebra_dense, validate_lie_dense)
 
 
 def poly_mul_mod(a, b, rel, p):
@@ -494,6 +494,27 @@ def test_property_null_space_rows_lead_at_the_rref_pivots(p, m, n, density, seed
     R, pivots = rref(basis, p)
     assert np.array_equal(basis, R)
     assert tuple(int(np.flatnonzero(row)[0]) for row in basis) == pivots
+
+
+def _null_space_inputs(p, rng) -> list:
+    """Random, tall, wide, rank-deficient, sparse and zero-size matrices over Z/p."""
+    mats = [rng.integers(0, p, shape) for shape in ((5, 5), (9, 3), (3, 9), (1, 7), (7, 1))]
+    mats += [rng.integers(0, p, (m, r)) @ rng.integers(0, p, (r, n)) % p
+             for m, r, n in ((6, 2, 6), (8, 3, 5), (4, 1, 10), (10, 0, 4))]
+    mats += [rng.integers(0, p, (8, 12)) * (rng.random((8, 12)) < 0.15), np.eye(4, dtype=np.int64)]
+    mats += [np.zeros(shape, dtype=np.int64) for shape in ((0, 0), (0, 5), (5, 0), (3, 4))]
+    return mats
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_null_space_equals_the_two_elimination_form(p):
+    rng = np.random.default_rng(p)
+    for _ in range(10):
+        for mat in _null_space_inputs(p, rng):
+            basis = null_space(mat, p)
+            assert np.array_equal(basis, null_space_two_eliminations(mat, p)), mat.tolist()
+            assert basis.shape == (mat.shape[1] - len(rref(mat, p)[1]), mat.shape[1])
+            assert not matmul(mat, basis.T, p).any()
 
 
 def _near_rref(R, p, rng) -> list:
